@@ -27,14 +27,6 @@
 //! against `TransientFactor::validate` (assemble + exact compare, the
 //! per-reuse cost), plus the engine factor-cache hit counters.
 //!
-//! An `iterative_crossover` section runs the same short transient on a
-//! wVPEC-windowed (sparse) model with the solver forced to dense LU,
-//! sparse LU, and preconditioned Krylov iteration, at sizes up to 896
-//! filaments — where the dense O(dim³) factorization crosses over with
-//! the sparse-first paths. Each column records which backend the fallback
-//! chain actually accepted plus the iteration count/residual, so a silent
-//! fallback cannot masquerade as an iterative win.
-//!
 //! A `lint` section times one full `vpec-analyze` pass over the workspace
 //! sources against the committed baseline — the same gate `scripts/check.sh`
 //! runs — and records the wall time plus files/lines scanned, so the
@@ -51,7 +43,7 @@
 use std::time::Instant;
 use vpec_bench::report::{secs, speedup, Table};
 use vpec_circuit::ac::AcSpec;
-use vpec_circuit::{SolverKind, TransientSpec};
+use vpec_circuit::TransientSpec;
 use vpec_core::harness::{BuildBudget, Experiment, ModelKind};
 use vpec_core::DriveConfig;
 use vpec_engine::{Engine, EngineConfig, ModelCache, ScenarioRequest};
@@ -133,40 +125,6 @@ struct FactorReuseReport {
     engine_factor_hits: u64,
     engine_factor_misses: u64,
 }
-
-/// One solver column of the iterative-crossover sweep.
-struct CrossoverBackend {
-    solver: &'static str,
-    seconds: f64,
-    /// Backend the fallback chain actually accepted (`"dense-lu"`,
-    /// `"sparse-lu"`, `"iterative"`, …) — a forced-iterative run that
-    /// quietly fell back to a direct factor is visible here.
-    accepted: &'static str,
-    iterations: Option<usize>,
-    iter_residual: Option<f64>,
-    preconditioner: Option<&'static str>,
-    /// Peak magnitude of the far-end waveform, the scale that makes
-    /// `max_abs_diff_vs_dense` interpretable as a relative error.
-    waveform_peak: f64,
-    /// Worst disagreement of the far-end waveform against the dense-LU
-    /// column — all three paths must compute the same physics.
-    max_abs_diff_vs_dense: f64,
-}
-
-/// Direct-vs-iterative crossover at one layout size. The model is
-/// wVPEC-windowed so the MNA system is genuinely sparse — the workload
-/// the sparse-first solver path exists for.
-struct CrossoverRow {
-    bits: usize,
-    segments: usize,
-    filaments: usize,
-    dim: usize,
-    steps: usize,
-    backends: Vec<CrossoverBackend>,
-}
-
-/// Coupling window of the wVPEC model used by the crossover sweep.
-const CROSSOVER_WINDOW: usize = 8;
 
 /// One timed `vpec-analyze` pass over the workspace's own sources.
 struct LintReport {
@@ -279,68 +237,6 @@ fn bench_service_levels() -> ServiceLevelReport {
         requests: records.len(),
         wall_s,
         stats: aggregate(&records, 0),
-    }
-}
-
-/// Runs a short transient (factor + `steps` solves) on a sparse
-/// wVPEC-windowed bus model once per forced solver kind and records the
-/// wall time plus the fallback chain's own account of what ran.
-fn bench_iterative_crossover(bits: usize, segments: usize) -> CrossoverRow {
-    let cfg = ExtractionConfig::paper_default();
-    let layout = BusSpec::new(bits).segments(segments).build();
-    let filaments = layout.filaments().len();
-    let first_signal = layout.signal_nets().first().copied().unwrap_or(0);
-    let drive = DriveConfig::paper_default().aggressors(vec![first_signal]);
-    let exp = Experiment::new(layout, &cfg, drive);
-    let built = exp
-        .build(ModelKind::WVpecGeometric { b: CROSSOVER_WINDOW })
-        .expect("model builds");
-    let t_stop: f64 = 0.05e-9;
-    let dt: f64 = 1e-12;
-    let steps = (t_stop / dt).round() as usize;
-    let dim = built
-        .prepare_transient(&TransientSpec::new(t_stop, dt))
-        .expect("factor prepares")
-        .dim();
-
-    let mut backends: Vec<CrossoverBackend> = Vec::new();
-    let mut dense_wave: Vec<f64> = Vec::new();
-    for (name, kind) in [
-        ("dense", SolverKind::Dense),
-        ("sparse", SolverKind::Sparse),
-        ("iterative", SolverKind::Iterative),
-    ] {
-        let spec = TransientSpec::new(t_stop, dt).solver(kind);
-        let ((wave, factor), seconds) = best_of(1, || {
-            let (res, report, _) = built
-                .run_transient_with_report(&spec)
-                .expect("transient runs");
-            let wave = built.far_voltage(&res, 0).expect("net 0 recorded");
-            let factor = report.transient.expect("transient diagnostics").factor;
-            (wave, factor)
-        });
-        if dense_wave.is_empty() {
-            dense_wave.clone_from(&wave);
-        }
-        backends.push(CrossoverBackend {
-            solver: name,
-            seconds,
-            accepted: factor.accepted().map_or("none", |s| s.label()),
-            iterations: factor.iterations,
-            iter_residual: factor.iter_residual,
-            preconditioner: factor.preconditioner,
-            waveform_peak: wave.iter().fold(0.0f64, |m, v| m.max(v.abs())),
-            max_abs_diff_vs_dense: max_abs_diff(&wave, &dense_wave),
-        });
-    }
-
-    CrossoverRow {
-        bits,
-        segments,
-        filaments,
-        dim,
-        steps,
-        backends,
     }
 }
 
@@ -463,19 +359,6 @@ fn main() {
     // smoke budgets).
     let fr_size = if quick { &SIZES[0] } else { &SIZES[2] };
     let factor_reuse = bench_factor_reuse(fr_size.bits, fr_size.segments, if quick { 2 } else { 3 });
-    // Crossover sweep: the large sizes are where the dense column pays
-    // O(dim³); quick mode keeps the section (CI greps the key) on the
-    // medium layout only.
-    let crossover: Vec<CrossoverRow> = if quick {
-        vec![bench_iterative_crossover(16, 6)]
-    } else {
-        vec![
-            bench_iterative_crossover(16, 6),
-            bench_iterative_crossover(28, 8),
-            bench_iterative_crossover(32, 14),
-            bench_iterative_crossover(32, 28),
-        ]
-    };
     let lint = bench_lint(if quick { 2 } else { 3 });
     // Leave the pool in its default (auto) state.
     pool::set_threads(0);
@@ -525,35 +408,6 @@ fn main() {
         factor_reuse.engine_factor_misses,
     );
 
-    for row in &crossover {
-        let mut table = Table::new(&[
-            "solver",
-            "wall",
-            "accepted",
-            "iters",
-            "precond",
-            "peak",
-            "max |Δ| vs dense",
-        ]);
-        for b in &row.backends {
-            table.row(&[
-                b.solver.to_string(),
-                secs(b.seconds),
-                b.accepted.to_string(),
-                b.iterations.map_or_else(|| "-".to_string(), |i| i.to_string()),
-                b.preconditioner.unwrap_or("-").to_string(),
-                format!("{:.1e}", b.waveform_peak),
-                format!("{:.1e}", b.max_abs_diff_vs_dense),
-            ]);
-        }
-        println!(
-            "\niterative crossover ({} bits x {} segments = {} filaments, dim {}, {} steps, \
-             wvpec-g:{CROSSOVER_WINDOW})",
-            row.bits, row.segments, row.filaments, row.dim, row.steps
-        );
-        print!("{}", table.render());
-    }
-
     println!(
         "\nlint (vpec-analyze, workspace): {} over {} files / {} lines; \
          {} new finding(s), {} baselined, {} waived",
@@ -589,7 +443,6 @@ fn main() {
         &reports,
         &cache,
         &factor_reuse,
-        &crossover,
         &lint,
         &service,
         hw,
@@ -755,7 +608,6 @@ fn render_json(
     reports: &[SizeReport],
     cache: &CacheReport,
     factor_reuse: &FactorReuseReport,
-    crossover: &[CrossoverRow],
     lint: &LintReport,
     service: &ServiceLevelReport,
     hw: usize,
@@ -852,47 +704,6 @@ fn render_json(
         factor_reuse.engine_factor_misses
     );
     let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"iterative_crossover\": [");
-    for (i, row) in crossover.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"bits\": {},", row.bits);
-        let _ = writeln!(out, "      \"segments\": {},", row.segments);
-        let _ = writeln!(out, "      \"filaments\": {},", row.filaments);
-        let _ = writeln!(out, "      \"dim\": {},", row.dim);
-        let _ = writeln!(out, "      \"steps\": {},", row.steps);
-        let _ = writeln!(out, "      \"kind\": \"wvpec-g:{CROSSOVER_WINDOW}\",");
-        let _ = writeln!(out, "      \"solvers\": [");
-        for (j, b) in row.backends.iter().enumerate() {
-            let _ = writeln!(out, "        {{");
-            let _ = writeln!(out, "          \"solver\": \"{}\",", b.solver);
-            let _ = writeln!(out, "          \"seconds\": {:.6e},", b.seconds);
-            let _ = writeln!(out, "          \"accepted\": \"{}\",", b.accepted);
-            let _ = match b.iterations {
-                Some(it) => writeln!(out, "          \"iterations\": {it},"),
-                None => writeln!(out, "          \"iterations\": null,"),
-            };
-            let _ = match b.iter_residual {
-                Some(r) => writeln!(out, "          \"iter_residual\": {r:.3e},"),
-                None => writeln!(out, "          \"iter_residual\": null,"),
-            };
-            let _ = match b.preconditioner {
-                Some(p) => writeln!(out, "          \"preconditioner\": \"{p}\","),
-                None => writeln!(out, "          \"preconditioner\": null,"),
-            };
-            let _ = writeln!(out, "          \"waveform_peak\": {:.3e},", b.waveform_peak);
-            let _ = writeln!(
-                out,
-                "          \"max_abs_diff_vs_dense\": {:.3e}",
-                b.max_abs_diff_vs_dense
-            );
-            let comma = if j + 1 < row.backends.len() { "," } else { "" };
-            let _ = writeln!(out, "        }}{comma}");
-        }
-        let _ = writeln!(out, "      ]");
-        let comma = if i + 1 < crossover.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"lint\": {{");
     let _ = writeln!(out, "    \"wall_seconds\": {:.6e},", lint.wall_s);
     let _ = writeln!(out, "    \"files_scanned\": {},", lint.files_scanned);

@@ -22,10 +22,6 @@ pub enum FactorStrategy {
     DenseLu,
     /// Dense LU of the Tikhonov-shifted system `A + ε·I`.
     RegularizedDenseLu,
-    /// Preconditioned Krylov iteration (GMRES, or CG when the system is
-    /// symmetric) — kept factorization-free; the "factor" is the
-    /// preconditioner.
-    Iterative,
 }
 
 impl FactorStrategy {
@@ -36,7 +32,6 @@ impl FactorStrategy {
             FactorStrategy::SparseLuNoOrdering => "sparse-lu-no-ordering",
             FactorStrategy::DenseLu => "dense-lu",
             FactorStrategy::RegularizedDenseLu => "regularized-dense-lu",
-            FactorStrategy::Iterative => "iterative",
         }
     }
 }
@@ -62,14 +57,6 @@ pub struct FactorDiagnostics {
     /// The Tikhonov shift `ε` that was finally applied, if the
     /// regularized stage was reached.
     pub regularization: Option<f64>,
-    /// Matrix-vector products the iterative stage's acceptance probe
-    /// needed, when that stage produced the factor.
-    pub iterations: Option<usize>,
-    /// Relative residual the iterative probe converged to.
-    pub iter_residual: Option<f64>,
-    /// Preconditioner the iterative stage settled on (`"ilu0"`,
-    /// `"wvpec-window"`, `"jacobi"`, or `"identity"`).
-    pub preconditioner: Option<&'static str>,
 }
 
 impl FactorDiagnostics {
@@ -103,11 +90,6 @@ impl FactorDiagnostics {
             .collect();
         if let Some(eps) = self.regularization {
             parts.push(format!("epsilon {eps:.1e}"));
-        }
-        if let Some(iters) = self.iterations {
-            let precond = self.preconditioner.unwrap_or("?");
-            let resid = self.iter_residual.unwrap_or(f64::NAN);
-            parts.push(format!("{precond} x{iters} residual {resid:.1e}"));
         }
         let mut s = parts.join(" -> ");
         if let Some(c) = self.condition_estimate {
@@ -214,7 +196,6 @@ mod tests {
             ],
             condition_estimate: Some(1234.0),
             regularization: None,
-            ..FactorDiagnostics::default()
         };
         let s = d.summary();
         assert!(s.contains("sparse-lu failed"));
@@ -222,25 +203,6 @@ mod tests {
         assert!(s.contains("cond"));
         assert!(d.used_fallback());
         assert_eq!(d.accepted(), Some(FactorStrategy::DenseLu));
-    }
-
-    #[test]
-    fn summary_reports_the_iterative_stage() {
-        let d = FactorDiagnostics {
-            attempts: vec![FactorAttempt {
-                strategy: FactorStrategy::Iterative,
-                succeeded: true,
-            }],
-            iterations: Some(12),
-            iter_residual: Some(3.0e-13),
-            preconditioner: Some("ilu0"),
-            ..FactorDiagnostics::default()
-        };
-        let s = d.summary();
-        assert!(s.contains("iterative ok"));
-        assert!(s.contains("ilu0 x12"));
-        assert!(s.contains("3.0e-13"));
-        assert_eq!(d.accepted(), Some(FactorStrategy::Iterative));
     }
 
     #[test]

@@ -15,23 +15,14 @@
 use crate::diagnostics::{FactorAttempt, FactorDiagnostics, FactorStrategy};
 use crate::error::CircuitError;
 use vpec_numerics::ordering::{permute_symmetric, rcm_ordering};
-use vpec_numerics::{
-    cg, gmres, tune, CooMatrix, CsrMatrix, IdentityPreconditioner, Ilu0Preconditioner,
-    IlutPreconditioner, IterConfig, JacobiPreconditioner, LuFactor, NumericsError, Preconditioner,
-    Scalar, SparseLu, WvpecPreconditioner,
-};
+use vpec_numerics::{CooMatrix, CsrMatrix, LuFactor, Scalar, SparseLu};
 
 /// Which factorization backend to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolverKind {
-    /// Choose automatically from dimension and density; real systems at
-    /// or above the [`tune`] profile's `iter_min_dim` take the
-    /// preconditioned Krylov path, everything else a direct backend.
+    /// Choose dense or sparse LU from dimension and density.
     #[default]
     Auto,
-    /// Direct backends only (dense/sparse chosen by the `Auto`
-    /// heuristic); never the iterative stage.
-    Direct,
     /// Force dense LU.
     Dense,
     /// Force sparse LU (with RCM ordering).
@@ -40,33 +31,37 @@ pub enum SolverKind {
     /// ablation benches; expect catastrophic fill on netlist-ordered MNA
     /// systems.
     SparseNoOrdering,
-    /// Force the preconditioned Krylov path (GMRES, or CG when the
-    /// system is symmetric). Real-valued systems only — complex AC
-    /// sweeps fall back to the direct chain.
-    Iterative,
 }
+
+/// The `--solver=` / batch `"solver"` grammar: every accepted token and
+/// the kind it selects.
+const SOLVER_TOKENS: [(&str, SolverKind); 4] = [
+    ("auto", SolverKind::Auto),
+    ("dense", SolverKind::Dense),
+    ("sparse", SolverKind::Sparse),
+    ("sparse-no-ordering", SolverKind::SparseNoOrdering),
+];
 
 impl SolverKind {
     /// Parses the CLI/engine grammar (`--solver=`, the batch `"solver"`
-    /// field): `auto`, `direct` or `iterative`. The forced direct
-    /// backends (`dense`, `sparse`, `sparse-no-ordering`) are accepted
-    /// too so ablation scripts can pin a backend.
+    /// field): `auto`, or a forced backend (`dense`, `sparse`,
+    /// `sparse-no-ordering`) so ablation scripts can pin one.
     ///
     /// # Errors
     ///
     /// A human-readable message naming the accepted tokens.
     pub fn parse(tok: &str) -> Result<Self, String> {
-        match tok {
-            "auto" => Ok(SolverKind::Auto),
-            "direct" => Ok(SolverKind::Direct),
-            "iterative" => Ok(SolverKind::Iterative),
-            "dense" => Ok(SolverKind::Dense),
-            "sparse" => Ok(SolverKind::Sparse),
-            "sparse-no-ordering" => Ok(SolverKind::SparseNoOrdering),
-            other => Err(format!(
-                "unknown solver: {other} (use auto, direct or iterative)"
-            )),
-        }
+        SOLVER_TOKENS
+            .iter()
+            .find(|(t, _)| *t == tok)
+            .map(|&(_, kind)| kind)
+            .ok_or_else(|| format!("unknown solver: {tok} (use {})", Self::accepted_tokens()))
+    }
+
+    /// The accepted tokens as one comma-separated list, for error
+    /// messages that must name the grammar.
+    pub fn accepted_tokens() -> String {
+        SOLVER_TOKENS.map(|(t, _)| t).join(", ")
     }
 }
 
@@ -98,61 +93,6 @@ impl FactorOptions {
 const REGULARIZATION_STEPS: u32 = 4;
 const REGULARIZATION_BASE: f64 = 1e-10;
 
-/// Normwise backward error the iterative backend must reach. Tighter
-/// than the audit layer needs on its own because transient stepping
-/// *compounds* per-solve error: each step's state feeds the next
-/// companion right-hand side, so the per-solve forward error
-/// (`cond(S·A·S)` times this tolerance) must stay small enough that 10³
-/// steps of accumulation still meet the audit threshold. Sits about an
-/// order above the `ε·√n` attainable floor of f64 Krylov arithmetic.
-const ITER_REL_TOL: f64 = 1e-14;
-
-/// Max componentwise error of the acceptance probe's known solution. A
-/// *singular* system with a consistent right-hand side still converges
-/// in residual (Krylov finds *a* solution), so the probe must also check
-/// it found *the* solution — floating nodes and source loops stay typed
-/// errors instead of acquiring arbitrary voltages. A probe miss alone is
-/// not a rejection, though: on an ill-conditioned (but nonsingular)
-/// system the probe target is unrecoverable by *any* f64 backend, so the
-/// miss falls through to the [`ITER_SINGULAR_TOL`] null-direction test.
-const ITER_PROBE_TOL: f64 = 1e-6;
-
-/// Smallest-singular-value floor of the equilibrated (unit-row-scale)
-/// system, measured along the probe's deviation direction as
-/// `q = ‖As·d‖∞/‖d‖∞`. Below this the deviation is a numerical null
-/// vector and the system is treated as singular; above it the probe miss
-/// is attributed to conditioning and the solve is accepted. Production
-/// stiff-companion systems measure `q ~ 1e-7`; a rank-deficient system's
-/// `q` sits at residual level (≤ ~1e-12), leaving a wide margin.
-const ITER_SINGULAR_TOL: f64 = 1e-9;
-
-/// Window size of the wVPEC approximate-inverse preconditioner used for
-/// dense-ish systems (the paper's `O(N·b³)` windowed inversion).
-const ITER_WVPEC_WINDOW: usize = 16;
-
-/// Density above which the iterative stage preconditions with the
-/// windowed approximate inverse instead of ILU(0) — on a dense pattern
-/// ILU(0) degenerates into a full `O(N³)` factorization, which is
-/// exactly what the iterative path exists to avoid.
-const ITER_WVPEC_DENSITY: f64 = 0.15;
-
-/// Fill cap per triangle per row for the ILUT preconditioner — the
-/// first candidate on the ladder, because its elimination fill is what
-/// turns the MNA source rows' structurally-zero diagonals into usable
-/// pivots.
-const ITER_ILUT_FILL: usize = 32;
-
-/// Relative drop tolerance of the ILUT preconditioner (entries below
-/// `tau · max|row|` are discarded during elimination).
-const ITER_ILUT_TAU: f64 = 1e-8;
-
-/// Which Krylov method a [`Factored::Iterative`] handle runs per solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum IterMethod {
-    Gmres,
-    Cg,
-}
-
 /// A factored MNA matrix ready for repeated solves.
 #[derive(Debug)]
 pub(crate) enum Factored<T: Scalar> {
@@ -161,22 +101,6 @@ pub(crate) enum Factored<T: Scalar> {
     Sparse {
         lu: SparseLu<T>,
         perm: Vec<usize>,
-    },
-    /// Preconditioned Krylov handle: no factorization is stored, every
-    /// solve iterates on the CSR matrix. Real arithmetic only; the
-    /// `Scalar` round-trip at the boundary is exact for `f64`.
-    ///
-    /// `a` holds the symmetrically equilibrated system `S·A·S` with
-    /// `S = diag(scale)` — MNA mixes voltage rows with inductor-current
-    /// rows whose coefficients differ by many orders of magnitude, and
-    /// Krylov convergence tracks the *scaled* condition number. Solves
-    /// map through the scaling: `A·x = b  ⇔  (SAS)·y = S·b, x = S·y`.
-    Iterative {
-        a: CsrMatrix<f64>,
-        scale: Vec<f64>,
-        precond: Box<dyn Preconditioner>,
-        cfg: IterConfig,
-        method: IterMethod,
     },
 }
 
@@ -211,22 +135,11 @@ impl<T: Scalar> Factored<T> {
         let csr = coo.to_csr();
         let dim = csr.rows();
         let mut sp = vpec_trace::span!("factor", "dim" => dim);
-        // Whether this request may use the Krylov stage at all: real
-        // systems only, and never for the forced direct backends.
-        let allow_iterative =
-            T::IS_REAL && matches!(opts.kind, SolverKind::Auto | SolverKind::Iterative);
         let primary_strategy = match opts.kind {
-            SolverKind::Iterative if T::IS_REAL => FactorStrategy::Iterative,
-            SolverKind::Auto if T::IS_REAL && dim >= tune::current().iter_min_dim => {
-                FactorStrategy::Iterative
-            }
             SolverKind::Dense => FactorStrategy::DenseLu,
             SolverKind::Sparse => FactorStrategy::SparseLu,
             SolverKind::SparseNoOrdering => FactorStrategy::SparseLuNoOrdering,
-            // `Auto`/`Direct` below the crossover (and complex-valued
-            // `Iterative` requests, which only direct backends can serve):
-            // the historic dimension/density heuristic.
-            _ => {
+            SolverKind::Auto => {
                 if dim <= 64 || (csr.density() > 0.15 && dim <= 2048) {
                     FactorStrategy::DenseLu
                 } else {
@@ -247,12 +160,7 @@ impl<T: Scalar> Factored<T> {
             });
             None
         } else {
-            let attempt = if primary_strategy == FactorStrategy::Iterative {
-                Self::try_iterative(&csr, &mut diag)
-            } else {
-                Self::try_primary(&csr, primary_strategy)
-            };
-            let (outcome, err) = match attempt {
+            let (outcome, err) = match Self::try_primary(&csr, primary_strategy) {
                 Ok(f) => (Some(f), None),
                 Err(e) => (None, Some(e)),
             };
@@ -287,29 +195,7 @@ impl<T: Scalar> Factored<T> {
             }
         }
 
-        // Stage 3: preconditioned Krylov, when the requested kind allows
-        // it and it was not already the primary. Sits between dense LU
-        // and Tikhonov: it can rescue systems a direct kernel rejected
-        // without biasing the answer the way the ε-shift does.
-        if factor.is_none() && allow_iterative && primary_strategy != FactorStrategy::Iterative {
-            let attempt = Self::try_iterative(&csr, &mut diag);
-            let (outcome, err) = match attempt {
-                Ok(f) => (Some(f), None),
-                Err(e) => (None, Some(e)),
-            };
-            diag.attempts.push(FactorAttempt {
-                strategy: FactorStrategy::Iterative,
-                succeeded: outcome.is_some(),
-            });
-            if let Some(e) = err {
-                last_err = Some(e);
-            }
-            if outcome.is_some() {
-                factor = outcome;
-            }
-        }
-
-        // Stage 4: Tikhonov-regularized dense LU with escalating ε.
+        // Stage 3: Tikhonov-regularized dense LU with escalating ε.
         if factor.is_none() && opts.regularize {
             let dense = csr.to_dense();
             let scale = dense.max_abs();
@@ -360,9 +246,7 @@ impl<T: Scalar> Factored<T> {
         }
         match factor {
             Some(f) => {
-                // Keep a probe-derived estimate (iterative stage) when
-                // the factor itself cannot provide one.
-                diag.condition_estimate = f.condition_estimate().or(diag.condition_estimate);
+                diag.condition_estimate = f.condition_estimate();
                 Ok((f, diag))
             }
             None => Err(last_err.unwrap_or(CircuitError::SingularSystem { analysis: "solve" })),
@@ -390,236 +274,15 @@ impl<T: Scalar> Factored<T> {
                     perm,
                 })
             }
-            FactorStrategy::Iterative => {
-                unreachable!("the iterative strategy is dispatched through try_iterative")
-            }
         }
     }
 
-    /// Builds the Krylov solve handle: exact real copy of the system,
-    /// symmetric equilibration, and a preconditioner ladder (the wVPEC
-    /// window inverse, ILUT, and ILU(0) in pattern-density order, then
-    /// Jacobi, then the identity) where each candidate must
-    /// pass an acceptance probe — a solve with known right-hand side —
-    /// before it is chosen; CG is attempted first on symmetric systems
-    /// with GMRES as the general path. Probe statistics are recorded
-    /// into `diag` (the caller pushes the attempt entry).
-    fn try_iterative(
-        csr: &CsrMatrix<T>,
-        diag: &mut FactorDiagnostics,
-    ) -> Result<Self, CircuitError> {
-        debug_assert!(T::IS_REAL, "the Krylov stage is gated to real systems");
-        let dim = csr.rows();
-        if dim == 0 {
-            return Err(CircuitError::SingularSystem { analysis: "solve" });
-        }
-        // Exact real copy of the assembled system (`real_part` is the
-        // identity for `f64`, the only `T` that reaches this stage).
-        let mut coo = CooMatrix::<f64>::new(dim, csr.cols());
-        for i in 0..dim {
-            let (cols, vals) = csr.row(i);
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
-                // In-bounds by construction.
-                let _ = coo.push(i, c, v.real_part());
-            }
-        }
-        let raw = coo.to_csr();
-        // CG needs symmetry (it then rejects indefiniteness itself, at
-        // which point the probe falls through to GMRES). Test on the raw
-        // system; symmetric equilibration preserves the answer.
-        let symmetric = raw == raw.transpose();
-
-        // Symmetric diagonal equilibration `S·A·S`, `sᵢ = 1/√(max|aᵢ·|)`.
-        // A transient MNA system mixes conductance rows (~mS) with
-        // inductor companion rows (~L/dt), a spread of many decades that
-        // stalls Krylov convergence far above the probe tolerance; the
-        // scaling collapses it while keeping a symmetric system symmetric.
-        let mut scale = vec![0.0f64; dim];
-        for (i, s) in scale.iter_mut().enumerate() {
-            let (_, vals) = raw.row(i);
-            let m = vals.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-            if !m.is_finite() || m <= 0.0 {
-                // An empty (or non-finite) row cannot be equilibrated and
-                // the system cannot be solved.
-                return Err(NumericsError::Singular { step: i }.into());
-            }
-            *s = 1.0 / m.sqrt();
-        }
-        let mut scoo = CooMatrix::<f64>::new(dim, dim);
-        for i in 0..dim {
-            let (cols, vals) = raw.row(i);
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
-                // In-bounds by construction.
-                let _ = scoo.push(i, c, scale[i] * v * scale[c]);
-            }
-        }
-        let a = scoo.to_csr();
-
-        // Preconditioner ladder, strongest-for-the-pattern first. On
-        // dense-ish patterns the wVPEC windowed approximate inverse
-        // leads (the paper's `O(N·b³)` construct; incomplete-LU variants
-        // pay elimination cost over the whole row there). On sparse
-        // patterns ILUT leads: its elimination fill and pivot boosting
-        // digest the MNA saddle-point structure (source-branch rows with
-        // structurally zero diagonals) that breaks pattern-restricted
-        // ILU(0) and Jacobi outright. Then the remaining structured
-        // choices, Jacobi, and the unpreconditioned identity.
-        // Constructing is not enough to be chosen — a preconditioner can
-        // build cleanly and still stall (or actively hurt) Krylov
-        // convergence on an indefinite system, so each candidate must
-        // pass the acceptance probe below and the first that does wins.
-        let mut candidates: Vec<Box<dyn Preconditioner>> = Vec::new();
-        {
-            let wvpec = WvpecPreconditioner::from_csr(&a, ITER_WVPEC_WINDOW)
-                .ok()
-                .map(|p| Box::new(p) as Box<dyn Preconditioner>);
-            let ilut = IlutPreconditioner::from_csr(&a, ITER_ILUT_FILL, ITER_ILUT_TAU)
-                .ok()
-                .map(|p| Box::new(p) as Box<dyn Preconditioner>);
-            let ilu0 = Ilu0Preconditioner::from_csr(&a)
-                .ok()
-                .map(|p| Box::new(p) as Box<dyn Preconditioner>);
-            let ordered = if a.density() > ITER_WVPEC_DENSITY {
-                [wvpec, ilut, ilu0]
-            } else {
-                [ilut, ilu0, wvpec]
-            };
-            candidates.extend(ordered.into_iter().flatten());
-        }
-        if let Ok(p) = JacobiPreconditioner::from_csr(&a) {
-            candidates.push(Box::new(p));
-        }
-        candidates.push(Box::new(IdentityPreconditioner::new(dim)));
-
-        let profile = tune::current();
-        let cfg = IterConfig {
-            max_iters: dim.clamp(500, 4000),
-            restart: profile.iter_restart,
-            rel_tol: ITER_REL_TOL,
-        };
-        let methods: &[IterMethod] = if symmetric {
-            &[IterMethod::Cg, IterMethod::Gmres]
-        } else {
-            &[IterMethod::Gmres]
-        };
-
-        // Acceptance probe: solve A·x = A·1 and require convergence. In
-        // the equilibrated space the target is `y* = S⁻¹·1` (so that
-        // `x = S·y* = 1`), and the componentwise check runs on `S·y`.
-        let target: Vec<f64> = scale.iter().map(|s| 1.0 / s).collect();
-        let rhs = a.matvec(&target).map_err(CircuitError::from)?;
-        let mut last_err = NumericsError::DidNotConverge {
-            op: "gmres",
-            iterations: 0,
-            residual: f64::INFINITY,
-        };
-        let mut chosen: Option<(Box<dyn Preconditioner>, IterMethod)> = None;
-        'ladder: for precond in candidates {
-            let plabel = precond.label();
-            let mut accepted_method = None;
-            for &method in methods {
-                let op_label = match method {
-                    IterMethod::Cg => "cg",
-                    IterMethod::Gmres => "gmres",
-                };
-                let result = match method {
-                    IterMethod::Cg => cg(&a, precond.as_ref(), &rhs, &cfg),
-                    IterMethod::Gmres => gmres(&a, precond.as_ref(), &rhs, &cfg),
-                };
-                match result {
-                    Ok((y, stats)) if stats.converged => {
-                        let worst = y
-                            .iter()
-                            .zip(scale.iter())
-                            .map(|(&v, &s)| (v * s - 1.0).abs())
-                            .fold(0.0f64, f64::max);
-                        let mut accept = worst <= ITER_PROBE_TOL;
-                        if !accept {
-                            // The probe missed the known solution. Two
-                            // very different causes land here: a
-                            // *singular* system with a consistent
-                            // right-hand side (Krylov found *a* solution,
-                            // not *the* solution), and a merely
-                            // ill-conditioned one, where no f64 backend
-                            // could recover the target — the probe rhs
-                            // `A·x*` itself carries rounding noise that
-                            // `1/σ_min` amplifies past any fixed
-                            // tolerance (stiff transient companion
-                            // systems at small `dt` reach cond ~1e12,
-                            // where even dense LU misses the probe by
-                            // orders of magnitude). The deviation
-                            // direction `d = y − y*` tells the cases
-                            // apart: `q = ‖As·d‖∞/‖d‖∞` bounds the
-                            // smallest singular value of the
-                            // unit-row-scaled system from above, so a
-                            // numerically-zero `q` is a genuine null
-                            // direction and anything clearly above
-                            // rounding noise is just conditioning.
-                            let d: Vec<f64> =
-                                y.iter().zip(target.iter()).map(|(u, t)| u - t).collect();
-                            let dnorm = d.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-                            let ad = a.matvec(&d).map_err(CircuitError::from)?;
-                            let adnorm = ad.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-                            let q = if dnorm > 0.0 {
-                                adnorm / dnorm
-                            } else {
-                                f64::INFINITY
-                            };
-                            if q > ITER_SINGULAR_TOL {
-                                // Nonsingular, just ill-conditioned:
-                                // accept, and surface the conditioning —
-                                // `1/q` is a lower bound on the
-                                // equilibrated condition number.
-                                diag.condition_estimate = Some(1.0 / q);
-                                accept = true;
-                            }
-                        }
-                        if accept {
-                            diag.iterations = Some(stats.iterations);
-                            diag.iter_residual = Some(stats.rel_residual);
-                            diag.preconditioner = Some(plabel);
-                            accepted_method = Some(method);
-                            break;
-                        }
-                        // Converged in residual with a numerically-null
-                        // deviation direction: rank-deficient system with
-                        // a consistent right-hand side.
-                        last_err = NumericsError::Singular { step: 0 };
-                    }
-                    Ok((_, stats)) => {
-                        last_err = NumericsError::DidNotConverge {
-                            op: op_label,
-                            iterations: stats.iterations,
-                            residual: stats.rel_residual,
-                        };
-                    }
-                    Err(e) => last_err = e,
-                }
-            }
-            if let Some(method) = accepted_method {
-                chosen = Some((precond, method));
-                break 'ladder;
-            }
-        }
-        match chosen {
-            Some((precond, method)) => Ok(Factored::Iterative {
-                a,
-                scale,
-                precond,
-                cfg,
-                method,
-            }),
-            None => Err(last_err.into()),
-        }
-    }
-
-    /// Cheap condition estimate of the accepted factor (dense backends
-    /// only — the sparse kernel does not expose its U diagonal, and the
-    /// iterative handle stores no factor at all).
+    /// Cheap condition estimate of the accepted factor (dense backend
+    /// only — the sparse kernel does not expose its U diagonal).
     fn condition_estimate(&self) -> Option<f64> {
         match self {
             Factored::Dense(lu) => Some(lu.diag_condition_estimate()),
-            Factored::Sparse { .. } | Factored::Iterative { .. } => None,
+            Factored::Sparse { .. } => None,
         }
     }
 
@@ -657,45 +320,6 @@ impl<T: Scalar> Factored<T> {
                 std::mem::swap(x, scratch);
                 Ok(())
             }
-            Factored::Iterative {
-                a,
-                scale,
-                precond,
-                cfg,
-                method,
-            } => {
-                // Real round-trip at the boundary; exact for f64. The
-                // stored system is `S·A·S`, so solve `(SAS)·y = S·b` and
-                // return `x = S·y`.
-                scratch.clear();
-                let rb: Vec<f64> = b
-                    .iter()
-                    .zip(scale.iter())
-                    .map(|(v, &s)| v.real_part() * s)
-                    .collect();
-                let (sol, stats) = match method {
-                    IterMethod::Cg => cg(a, precond.as_ref(), &rb, cfg)?,
-                    IterMethod::Gmres => gmres(a, precond.as_ref(), &rb, cfg)?,
-                };
-                if !stats.converged {
-                    return Err(NumericsError::DidNotConverge {
-                        op: match method {
-                            IterMethod::Cg => "cg",
-                            IterMethod::Gmres => "gmres",
-                        },
-                        iterations: stats.iterations,
-                        residual: stats.rel_residual,
-                    }
-                    .into());
-                }
-                x.clear();
-                x.extend(
-                    sol.into_iter()
-                        .zip(scale.iter())
-                        .map(|(y, &s)| T::from_f64(y * s)),
-                );
-                Ok(())
-            }
         }
     }
 
@@ -703,12 +327,6 @@ impl<T: Scalar> Factored<T> {
     #[cfg(test)]
     pub fn is_sparse(&self) -> bool {
         matches!(self, Factored::Sparse { .. })
-    }
-
-    /// `true` if the Krylov backend was chosen.
-    #[cfg(test)]
-    pub fn is_iterative(&self) -> bool {
-        matches!(self, Factored::Iterative { .. })
     }
 }
 
@@ -727,19 +345,17 @@ mod tests {
     #[test]
     fn solver_kind_grammar_round_trips() {
         assert_eq!(SolverKind::parse("auto").unwrap(), SolverKind::Auto);
-        assert_eq!(SolverKind::parse("direct").unwrap(), SolverKind::Direct);
-        assert_eq!(
-            SolverKind::parse("iterative").unwrap(),
-            SolverKind::Iterative
-        );
         assert_eq!(SolverKind::parse("dense").unwrap(), SolverKind::Dense);
         assert_eq!(SolverKind::parse("sparse").unwrap(), SolverKind::Sparse);
         assert_eq!(
             SolverKind::parse("sparse-no-ordering").unwrap(),
             SolverKind::SparseNoOrdering
         );
-        let err = SolverKind::parse("qr").unwrap_err();
-        assert!(err.contains("unknown solver"), "{err}");
+        for removed in ["qr", "direct", "iterative"] {
+            let err = SolverKind::parse(removed).unwrap_err();
+            assert!(err.contains("unknown solver"), "{err}");
+            assert!(err.contains("auto, dense, sparse, sparse-no-ordering"), "{err}");
+        }
     }
 
     #[test]
@@ -874,114 +490,6 @@ mod tests {
         // (0 + εI)·x = b → x = b/ε: finite, energy-bounded.
         assert!(x.iter().all(|v| v.is_finite()));
         assert!((x[0] * eps - 1.0).abs() < 1e-9);
-    }
-
-    /// Nonsymmetric, strictly diagonally dominant band system.
-    fn band_coo(n: usize) -> CooMatrix<f64> {
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 4.0).unwrap();
-            if i + 1 < n {
-                coo.push(i, i + 1, -1.0).unwrap();
-                coo.push(i + 1, i, 0.5).unwrap();
-            }
-        }
-        coo
-    }
-
-    #[test]
-    fn forced_iterative_agrees_with_direct() {
-        let coo = band_coo(48);
-        let b: Vec<f64> = (0..48).map(|i| 1.0 + (i as f64 * 0.2).sin()).collect();
-        let (f, diag) = Factored::factor_with(&coo, FactorOptions::new(SolverKind::Iterative))
-            .unwrap();
-        assert!(f.is_iterative());
-        assert_eq!(diag.accepted(), Some(FactorStrategy::Iterative));
-        assert!(diag.iterations.unwrap() > 0);
-        assert!(diag.iter_residual.unwrap() <= 1e-10);
-        assert_eq!(diag.preconditioner, Some("ilut"));
-        assert!(diag.summary().contains("iterative ok"));
-        let xi = f.solve(&b).unwrap();
-        let xd = Factored::factor(&coo, SolverKind::Dense)
-            .unwrap()
-            .solve(&b)
-            .unwrap();
-        for (u, v) in xi.iter().zip(xd.iter()) {
-            assert!((u - v).abs() < 1e-9, "{u} vs {v}");
-        }
-    }
-
-    #[test]
-    fn symmetric_systems_take_cg() {
-        let mut coo = CooMatrix::new(32, 32);
-        for i in 0..32 {
-            coo.push(i, i, 4.0).unwrap();
-            if i + 1 < 32 {
-                coo.push(i, i + 1, -1.0).unwrap();
-                coo.push(i + 1, i, -1.0).unwrap();
-            }
-        }
-        let (f, _) = Factored::factor_with(&coo, FactorOptions::new(SolverKind::Iterative))
-            .unwrap();
-        match f {
-            Factored::Iterative { method, .. } => assert_eq!(method, IterMethod::Cg),
-            _ => panic!("expected the Krylov backend"),
-        }
-    }
-
-    #[test]
-    fn dense_patterns_use_the_wvpec_window_preconditioner() {
-        // Fully-stored system: density 1.0 routes to the windowed
-        // approximate inverse instead of ILU(0) (which would degenerate
-        // into a full factorization on this pattern).
-        let n = 24;
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                let v = if i == j {
-                    8.0
-                } else {
-                    1.0 / (1.0 + (i as f64 - j as f64).abs())
-                };
-                coo.push(i, j, v).unwrap();
-            }
-        }
-        let (f, diag) = Factored::factor_with(&coo, FactorOptions::new(SolverKind::Iterative))
-            .unwrap();
-        assert!(f.is_iterative());
-        assert_eq!(diag.preconditioner, Some("wvpec-window"));
-        let b = vec![1.0; n];
-        let xi = f.solve(&b).unwrap();
-        let xd = Factored::factor(&coo, SolverKind::Dense)
-            .unwrap()
-            .solve(&b)
-            .unwrap();
-        for (u, v) in xi.iter().zip(xd.iter()) {
-            assert!((u - v).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn direct_kind_never_iterates() {
-        assert!(Factored::factor(&diag_coo(500), SolverKind::Direct)
-            .unwrap()
-            .is_sparse());
-        assert!(!Factored::factor(&diag_coo(8), SolverKind::Direct)
-            .unwrap()
-            .is_iterative());
-    }
-
-    #[test]
-    fn complex_iterative_request_is_served_directly() {
-        use vpec_numerics::Complex64;
-        let mut coo = CooMatrix::<Complex64>::new(8, 8);
-        for i in 0..8 {
-            coo.push(i, i, Complex64::new(2.0, 1.0)).unwrap();
-        }
-        let (f, diag) = Factored::factor_with(&coo, FactorOptions::new(SolverKind::Iterative))
-            .unwrap();
-        assert!(!f.is_iterative(), "complex systems stay on direct backends");
-        assert_eq!(diag.iterations, None);
     }
 
     #[test]

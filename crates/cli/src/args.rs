@@ -85,8 +85,8 @@ pub struct ParsedArgs {
     /// resolve from `VPEC_TRACE`).
     pub trace: Option<String>,
     /// Linear-solver override for transient analyses
-    /// (`--solver=direct|iterative|auto`; `None` = the spec default,
-    /// `Auto`).
+    /// (`--solver=auto|dense|sparse|sparse-no-ordering`; `None` = the
+    /// spec default, `Auto`).
     pub solver: Option<SolverKind>,
     /// Input path for `batch` (`--in FILE`).
     pub input: Option<String>,
@@ -529,20 +529,27 @@ mod tests {
     fn parses_solver_flag() {
         assert_eq!(parse_args(&argv("simulate")).unwrap().solver, None);
         assert_eq!(
-            parse_args(&argv("simulate --solver=iterative")).unwrap().solver,
-            Some(SolverKind::Iterative)
+            parse_args(&argv("simulate --solver=dense")).unwrap().solver,
+            Some(SolverKind::Dense)
         );
         assert_eq!(
-            parse_args(&argv("simulate --solver direct")).unwrap().solver,
-            Some(SolverKind::Direct)
+            parse_args(&argv("simulate --solver sparse")).unwrap().solver,
+            Some(SolverKind::Sparse)
         );
         assert_eq!(
             parse_args(&argv("noise --solver=auto")).unwrap().solver,
             Some(SolverKind::Auto)
         );
-        let err = parse_args(&argv("simulate --solver=qr")).unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("unknown solver"), "{}", err.message);
+        for removed in ["qr", "iterative", "direct"] {
+            let err = parse_args(&argv(&format!("simulate --solver={removed}"))).unwrap_err();
+            assert_eq!(err.code, 2);
+            assert!(err.message.contains("unknown solver"), "{}", err.message);
+            assert!(
+                err.message.contains("auto, dense, sparse, sparse-no-ordering"),
+                "{}",
+                err.message
+            );
+        }
         assert!(parse_args(&argv("simulate --solver")).is_err());
     }
 

@@ -738,16 +738,16 @@ mod tests {
 
     #[test]
     fn solver_flag_round_trips_through_simulate() {
-        // The forced Krylov path must agree with the direct chain down to
-        // the report's own mV formatting — and survive the full audit's
-        // independent dense re-solve cross-check.
-        let iter = run_line(
+        // The forced sparse backend must agree with forced dense LU down
+        // to the report's own mV formatting — and survive the full
+        // audit's independent dense re-solve cross-check.
+        let sparse = run_line(
             "simulate --bits 3 --kind vpec-full --tstop 0.05n --probe 0 \
-             --solver=iterative --audit=full",
+             --solver=sparse --audit=full",
         )
         .unwrap();
-        let direct = run_line(
-            "simulate --bits 3 --kind vpec-full --tstop 0.05n --probe 0 --solver=direct",
+        let dense = run_line(
+            "simulate --bits 3 --kind vpec-full --tstop 0.05n --probe 0 --solver=dense",
         )
         .unwrap();
         let peak_line = |out: &str| {
@@ -756,7 +756,7 @@ mod tests {
                 .map(str::to_string)
                 .expect("report carries the probed net")
         };
-        assert_eq!(peak_line(&iter), peak_line(&direct));
+        assert_eq!(peak_line(&sparse), peak_line(&dense));
         audit::set_level(audit::AuditLevel::default_for_build());
     }
 

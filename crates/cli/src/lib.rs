@@ -98,16 +98,13 @@ COMMON OPTIONS:
                     wvpec-g:B | wvpec-n:TAU | shift:R0
   --tstop T         transient window (default 0.5n seconds)
   --dt T            time step (default 1p seconds)
-  --solver K        transient linear-solver backend: direct | iterative |
-                    auto (default auto). direct runs the sparse/dense LU
-                    chain only; iterative puts the preconditioned Krylov
-                    stage first (GMRES, or CG on symmetric systems, over
-                    the equilibrated sparse system with an ILUT / wVPEC-
-                    window / ILU(0) / Jacobi preconditioner ladder);
-                    auto engages Krylov automatically for systems at
-                    least iter_min_dim unknowns large (a tune knob).
+  --solver K        transient linear-solver backend: auto | dense |
+                    sparse | sparse-no-ordering (default auto). auto
+                    picks dense LU for small or dense systems and
+                    RCM-ordered sparse LU otherwise; the others force a
+                    backend (sparse-no-ordering skips RCM, for ablation).
                     All choices share the bounded fallback chain, so a
-                    failed backend degrades loudly instead of lying
+                    failed backend degrades loudly instead of lying.
   --probe LIST      comma-separated net indices to record (default: all)
   --threshold V     noise-margin threshold in volts (noise command)
   --threads N       worker threads for the parallel numerics layer
@@ -171,9 +168,9 @@ STATS (vpec stats LEDGER...):
   Aggregates one or more run ledgers offline into a fleet report:
   exact nearest-rank latency percentiles (overall, per model kind and
   per outcome), cache hit ratios per level (experiment/model/factor),
-  solver-strategy, preconditioner and degradation breakdowns, an error
-  taxonomy, and throughput over 60 s buckets. Each file is
-  schema-validated first — a dropped or reordered record fails loudly.
+  solver-strategy and degradation breakdowns, an error taxonomy, and
+  throughput over 60 s buckets. Each file is schema-validated first —
+  a dropped or reordered record fails loudly.
 
   --format F        text (default) or json (one machine-readable object)
   --fail-if EXPR    exit 1 when a threshold is exceeded; repeatable.
@@ -205,14 +202,10 @@ TUNING:
   for a faster, coarser measurement; -o FILE to write it). Apply a
   profile with VPEC_TUNE=FILE, inline pairs (VPEC_TUNE=\"par_min_cols=32,\
   panel_width=64\"), or VPEC_TUNE=auto to re-measure at startup.
-  The iterative solver reads two knobs from the same profile:
-  iter_min_dim (smallest system --solver=auto hands to Krylov first,
-  default 16384 — beyond every size the tracked crossover bench has
-  measured sparse-direct winning) and iter_restart (GMRES restart
-  length, default 64; restarts self-escalate on stagnation up to the
-  system dimension).
   Unset (or VPEC_TUNE=off) keeps the built-in defaults. Thresholds only
-  move dispatch boundaries — results are unchanged at any setting.
+  move dispatch boundaries — results are unchanged at any setting. A
+  profile naming an unknown key (say, one written before a knob was
+  retired) is ignored with a warning; regenerate it with vpec tune.
 
 STATIC ANALYSIS:
   `vpec lint` runs the project's own zero-dependency lint engine

@@ -872,38 +872,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_iterative_transient_matches_direct_on_a_bus() {
-        // The sparse-first Krylov path must be accepted (not silently
-        // fall back to a direct factor) on a genuinely sparse windowed
-        // bus model, and must produce the same physics.
-        use vpec_circuit::SolverKind;
-        let exp = experiment(8);
-        let built = exp.build(ModelKind::WVpecGeometric { b: 4 }).unwrap();
-        let spec = TransientSpec::new(0.05e-9, 1e-12);
-        let (res_d, _, _) = built.run_transient_with_report(&spec).unwrap();
-        let (res_i, report, _) = built
-            .run_transient_with_report(&spec.clone().solver(SolverKind::Iterative))
-            .unwrap();
-        let factor = report.transient.expect("transient diagnostics").factor;
-        assert_eq!(
-            factor.accepted().map(|s| s.label()),
-            Some("iterative"),
-            "{factor:?}"
-        );
-        assert!(factor.iterations.unwrap_or(0) > 0);
-        assert!(factor.preconditioner.is_some());
-        let wd = built.far_voltage(&res_d, 0).unwrap();
-        let wi = built.far_voltage(&res_i, 0).unwrap();
-        let peak = wd.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1e-30);
-        for (u, v) in wd.iter().zip(wi.iter()) {
-            assert!(
-                (u - v).abs() <= 1e-2 * peak,
-                "iterative diverges from direct: {u} vs {v} (peak {peak})"
-            );
-        }
-    }
-
-    #[test]
     fn far_voltage_out_of_range_is_typed_error() {
         let exp = experiment(2);
         let built = exp.build(ModelKind::VpecFull).unwrap();

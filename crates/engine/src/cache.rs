@@ -18,8 +18,8 @@
 //! the engine always issues transient specs with their defaults, and
 //! the prefactored run re-validates the spec **exactly** before reuse —
 //! a mismatch is a loud error, never a stale answer. The solver *is*
-//! keyed, because requests can override it (`"solver": "iterative"`)
-//! and a direct factor must not shadow an iterative one.
+//! keyed, because requests can override it (`"solver": "dense"`)
+//! and an auto-chosen factor must not shadow a forced one.
 //!
 //! The runner bypasses the cache entirely for fault-injected requests:
 //! injected faults change behaviour, not geometry, so neither their

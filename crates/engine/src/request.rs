@@ -100,7 +100,7 @@ pub struct ScenarioRequest {
     /// Per-request wall-clock deadline override, milliseconds.
     pub deadline_ms: Option<u64>,
     /// Linear-solver override for transient analyses (the `"solver"`
-    /// field, grammar `direct`/`iterative`/`auto`; `None` = `Auto`).
+    /// field, grammar of [`SolverKind::parse`]; `None` = `Auto`).
     pub solver: Option<SolverKind>,
 }
 
@@ -254,7 +254,10 @@ impl ScenarioRequest {
             ),
             Some(_) => {
                 return Err(EngineError::BadRequest {
-                    message: "solver must be a string (direct, iterative or auto)".into(),
+                    message: format!(
+                        "solver must be a string ({})",
+                        SolverKind::accepted_tokens()
+                    ),
                 })
             }
         };
@@ -392,12 +395,28 @@ mod tests {
 
     #[test]
     fn solver_field_parses_the_shared_grammar() {
-        let r = ScenarioRequest::parse_line(r#"{"solver":"iterative"}"#, 0).unwrap();
-        assert_eq!(r.solver, Some(SolverKind::Iterative));
-        let r = ScenarioRequest::parse_line(r#"{"solver":"direct"}"#, 0).unwrap();
-        assert_eq!(r.solver, Some(SolverKind::Direct));
+        let r = ScenarioRequest::parse_line(r#"{"solver":"dense"}"#, 0).unwrap();
+        assert_eq!(r.solver, Some(SolverKind::Dense));
         let r = ScenarioRequest::parse_line(r#"{"solver":null}"#, 0).unwrap();
         assert_eq!(r.solver, None);
+    }
+
+    #[test]
+    fn solver_errors_name_the_accepted_tokens() {
+        // Removed tokens and non-strings both answer with the grammar.
+        for bad in [
+            r#"{"solver":"iterative"}"#,
+            r#"{"solver":"direct"}"#,
+            r#"{"solver":3}"#,
+        ] {
+            match ScenarioRequest::parse_line(bad, 0) {
+                Err(EngineError::BadRequest { message }) => assert!(
+                    message.contains("auto, dense, sparse, sparse-no-ordering"),
+                    "{bad}: {message}"
+                ),
+                other => panic!("{bad} must be a bad request, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -99,8 +99,6 @@ pub struct StreamSummary {
 struct SolveAttribution {
     /// Accepted factorization strategy label, when a transient ran.
     strategy: Option<&'static str>,
-    /// Preconditioner the iterative stage settled on, when it did.
-    preconditioner: Option<&'static str>,
     /// MNA matrix dimension of the transient system.
     dim: Option<usize>,
     /// Model-build phase wall time, ms.
@@ -156,7 +154,6 @@ fn ledger_record(
         model_hit: resp.cache_hit,
         factor_hit: attr.factor_hit,
         strategy: attr.strategy.map(str::to_string),
-        preconditioner: attr.preconditioner.map(str::to_string),
         dim: attr.dim,
         elements: resp.elements,
         queue_ms,
@@ -333,10 +330,6 @@ impl Engine {
                             .as_ref()
                             .and_then(|t| t.factor.accepted())
                             .map(|s| s.label()),
-                        preconditioner: report
-                            .transient
-                            .as_ref()
-                            .and_then(|t| t.factor.preconditioner),
                         dim: report
                             .transient
                             .as_ref()
@@ -714,24 +707,24 @@ mod tests {
     #[test]
     fn solver_override_runs_and_keys_the_factor_cache() {
         let mut engine = Engine::new(EngineConfig::default());
-        let direct = req(r#"{"id":"d","bits":3,"kind":"wvpec-g:2","t_stop":5e-11}"#);
-        let iterative = req(
-            r#"{"id":"i","bits":3,"kind":"wvpec-g:2","t_stop":5e-11,"solver":"iterative"}"#,
+        let auto = req(r#"{"id":"a","bits":3,"kind":"wvpec-g:2","t_stop":5e-11}"#);
+        let dense = req(
+            r#"{"id":"d","bits":3,"kind":"wvpec-g:2","t_stop":5e-11,"solver":"dense"}"#,
         );
-        let a = engine.run_request(&direct);
+        let a = engine.run_request(&auto);
         assert!(a.ok, "{:?}", a.error);
         // Same geometry/kind/dt but a different solver is a different
         // prepared factor — it must miss, not trip the exact-spec
-        // revalidation of a cached direct factor.
-        let b = engine.run_request(&iterative);
+        // revalidation of a cached auto factor.
+        let b = engine.run_request(&dense);
         assert!(b.ok, "{:?}", b.error);
         assert_eq!(engine.cache().factor_misses(), 2);
         assert_eq!(engine.cache().factor_hits(), 0);
         // The two paths answer with the same physics.
         let (pa, pb) = (a.peak_mv.unwrap(), b.peak_mv.unwrap());
         assert!((pa - pb).abs() <= 1e-6 * pa.abs().max(1.0), "{pa} vs {pb}");
-        // Repeating the iterative request reuses its own factor.
-        let c = engine.run_request(&iterative);
+        // Repeating the dense request reuses its own factor.
+        let c = engine.run_request(&dense);
         assert!(c.ok, "{:?}", c.error);
         assert_eq!(engine.cache().factor_hits(), 1);
         assert_eq!(c.peak_mv, b.peak_mv);

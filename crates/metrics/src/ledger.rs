@@ -4,7 +4,7 @@
 //! including ones that failed to parse — appends exactly one
 //! `"rec":"request"` line capturing the outcome, error class, retries,
 //! degradation reason, which cache levels hit, the accepted solver
-//! strategy and preconditioner, the matrix dimension, the
+//! strategy, the matrix dimension, the
 //! queue-wait/build/solve phase split, and a peak-scratch estimate.
 //! Long-running `serve` streams interleave periodic `"rec":"snapshot"`
 //! lines with registry counters and histogram quick-stats. Lines are
@@ -59,8 +59,6 @@ pub struct RunRecord {
     /// Accepted factorization strategy label (`"sparse-lu"`, …), when a
     /// transient ran.
     pub strategy: Option<String>,
-    /// Preconditioner the iterative stage settled on, when it did.
-    pub preconditioner: Option<String>,
     /// MNA matrix dimension of the transient system, when known.
     pub dim: Option<usize>,
     /// Circuit element count of the model that answered.
@@ -140,7 +138,6 @@ impl RunRecord {
         let _ = write!(out, ",\"model_hit\":{}", self.model_hit);
         let _ = write!(out, ",\"factor_hit\":{}", self.factor_hit);
         push_opt_str(&mut out, "strategy", self.strategy.as_deref());
-        push_opt_str(&mut out, "preconditioner", self.preconditioner.as_deref());
         push_opt_u64(&mut out, "dim", self.dim.map(|d| d as u64));
         push_opt_u64(&mut out, "elements", self.elements.map(|e| e as u64));
         push_f64(&mut out, "queue_ms", self.queue_ms);
@@ -268,7 +265,6 @@ pub fn parse_line(line: &str) -> Result<LedgerRecord, String> {
                 model_hit: req_bool(&v, "model_hit")?,
                 factor_hit: req_bool(&v, "factor_hit")?,
                 strategy: opt_str(&v, "strategy")?,
-                preconditioner: opt_str(&v, "preconditioner")?,
                 dim: opt_u64(&v, "dim")?.map(|d| d as usize),
                 elements: opt_u64(&v, "elements")?.map(|e| e as usize),
                 queue_ms: req_f64(&v, "queue_ms")?,
@@ -407,7 +403,6 @@ mod tests {
             model_hit: false,
             factor_hit: false,
             strategy: Some("sparse-lu".to_string()),
-            preconditioner: None,
             dim: Some(17),
             elements: Some(120),
             queue_ms: 0.2,

@@ -5,8 +5,8 @@
 //! are **exact** nearest-rank values over the recorded latencies (unlike
 //! the live registry histograms, which quantize into √2 buckets). The
 //! report covers latency percentiles overall, per model-kind and per
-//! outcome; cache hit ratios per level; solver-strategy, preconditioner
-//! and degradation breakdowns; an error taxonomy; and request throughput
+//! outcome; cache hit ratios per level; solver-strategy and degradation
+//! breakdowns; an error taxonomy; and request throughput
 //! over fixed time buckets. [`FailCondition`] turns the report into a CI
 //! gate: `--fail-if p99>250ms` / `--fail-if degraded>5%`.
 
@@ -114,8 +114,6 @@ pub struct LedgerStats {
     pub factor_cache: CacheLevelStats,
     /// Requests per accepted factorization strategy.
     pub strategies: BTreeMap<String, usize>,
-    /// Requests per iterative preconditioner.
-    pub preconditioners: BTreeMap<String, usize>,
     /// Degraded requests per reason.
     pub degraded_reasons: BTreeMap<String, usize>,
     /// Failed requests per error category.
@@ -191,9 +189,6 @@ pub fn aggregate(records: &[LedgerRecord], bucket_ms: u64) -> LedgerStats {
         }
         if let Some(s) = &run.strategy {
             *stats.strategies.entry(s.clone()).or_default() += 1;
-        }
-        if let Some(p) = &run.preconditioner {
-            *stats.preconditioners.entry(p.clone()).or_default() += 1;
         }
         if let Some(b) = run.peak_scratch_bytes {
             stats.peak_scratch_bytes = Some(stats.peak_scratch_bytes.unwrap_or(0).max(b));
@@ -299,9 +294,8 @@ impl LedgerStats {
                 level.hits, level.misses
             );
         }
-        let breakdowns: [(&str, &BTreeMap<String, usize>); 4] = [
+        let breakdowns: [(&str, &BTreeMap<String, usize>); 3] = [
             ("strategies", &self.strategies),
-            ("preconditioners", &self.preconditioners),
             ("degraded reasons", &self.degraded_reasons),
             ("errors", &self.errors),
         ];
@@ -412,7 +406,6 @@ impl LedgerStats {
             cache_obj(self.factor_cache)
         );
         let _ = write!(out, ",\"strategies\":{}", count_map(&self.strategies));
-        let _ = write!(out, ",\"preconditioners\":{}", count_map(&self.preconditioners));
         let _ = write!(out, ",\"degraded_reasons\":{}", count_map(&self.degraded_reasons));
         let _ = write!(out, ",\"errors\":{}", count_map(&self.errors));
         let _ = write!(out, ",\"throughput\":{{\"bucket_ms\":{},\"buckets\":[", self.bucket_ms);
@@ -640,6 +633,39 @@ mod tests {
         assert_eq!(latency.p50, Some(2.0));
         assert_eq!(latency.max, Some(8.0));
         assert_eq!(stats.throughput.values().sum::<usize>(), 4);
+    }
+
+    #[test]
+    fn ledgers_with_the_retired_preconditioner_field_still_aggregate() {
+        // Request lines as written before the Krylov solve path was
+        // removed: they carry a `"preconditioner"` field the current
+        // schema no longer has. Unknown keys are ignored, so old ledgers
+        // stay readable.
+        let old = concat!(
+            r#"{"rec":"request","seq":1,"ts_ms":1000,"id":"a","ok":true,"error":null,"#,
+            r#""kind":"gwVPEC(b=2)","ran":"gwVPEC(b=2)","analysis":"transient","retries":0,"#,
+            r#""degraded":false,"degraded_reason":null,"experiment_hit":false,"#,
+            r#""model_hit":false,"factor_hit":false,"strategy":"sparse-lu","#,
+            r#""preconditioner":null,"dim":98,"elements":120,"queue_ms":0.1,"#,
+            r#""build_ms":2.5,"solve_ms":4,"total_ms":6.75,"peak_scratch_bytes":76832}"#,
+            "\n",
+            r#"{"rec":"request","seq":2,"ts_ms":1010,"id":"b","ok":true,"error":null,"#,
+            r#""kind":"gwVPEC(b=2)","ran":"gwVPEC(b=2)","analysis":"transient","retries":0,"#,
+            r#""degraded":false,"degraded_reason":null,"experiment_hit":true,"#,
+            r#""model_hit":true,"factor_hit":false,"strategy":"iterative","#,
+            r#""preconditioner":"ilut","dim":98,"elements":120,"queue_ms":0.1,"#,
+            r#""build_ms":0.5,"solve_ms":30,"total_ms":30.5,"peak_scratch_bytes":76832}"#,
+            "\n",
+        );
+        let records = crate::ledger::parse_ledger(old).expect("old ledger parses");
+        assert_eq!(records.len(), 2);
+        let stats = aggregate(&records, 0);
+        assert_eq!((stats.total, stats.ok, stats.failed), (2, 2, 0));
+        assert_eq!(stats.strategies.get("sparse-lu"), Some(&1));
+        assert_eq!(stats.strategies.get("iterative"), Some(&1));
+        assert_eq!(stats.model_cache, CacheLevelStats { hits: 1, misses: 1 });
+        assert_eq!(stats.latency().max, Some(30.5));
+        assert!(!stats.render_json().contains("preconditioner"));
     }
 
     #[test]

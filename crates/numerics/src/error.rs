@@ -55,16 +55,6 @@ pub enum NumericsError {
         /// The kernel that was interrupted.
         op: &'static str,
     },
-    /// An iterative solver exhausted its iteration budget without
-    /// reaching the requested tolerance.
-    DidNotConverge {
-        /// The solver that gave up.
-        op: &'static str,
-        /// Matrix-vector products performed before giving up.
-        iterations: usize,
-        /// Relative residual `‖b − A·x‖ / ‖b‖` at the final iterate.
-        residual: f64,
-    },
 }
 
 impl fmt::Display for NumericsError {
@@ -96,14 +86,6 @@ impl fmt::Display for NumericsError {
                 index.0, index.1
             ),
             NumericsError::Cancelled { op } => write!(f, "{op} cancelled by deadline"),
-            NumericsError::DidNotConverge {
-                op,
-                iterations,
-                residual,
-            } => write!(
-                f,
-                "{op} did not converge after {iterations} iterations (relative residual {residual:.3e})"
-            ),
         }
     }
 }
@@ -144,14 +126,6 @@ mod tests {
         let e = NumericsError::Cancelled { op: "lu factor" };
         assert!(e.to_string().contains("cancelled"));
         assert!(e.to_string().contains("lu factor"));
-        let e = NumericsError::DidNotConverge {
-            op: "gmres",
-            iterations: 500,
-            residual: 3.2e-7,
-        };
-        assert!(e.to_string().contains("did not converge"));
-        assert!(e.to_string().contains("500"));
-        assert!(e.to_string().contains("3.2"));
     }
 
     #[test]

@@ -43,14 +43,6 @@ pub trait Scalar:
     }
     /// `true` if any component is NaN.
     fn is_nan(self) -> bool;
-    /// `true` when the scalar type is real (`f64`). Gates the real-only
-    /// code paths (the iterative Krylov solvers) at compile time inside
-    /// generic solver code; complex AC systems stay on the direct
-    /// factorizations.
-    const IS_REAL: bool;
-    /// The real part, discarding any imaginary component. Only meaningful
-    /// on paths guarded by [`Scalar::IS_REAL`], where it is exact.
-    fn real_part(self) -> f64;
 }
 
 impl Scalar for f64 {
@@ -73,11 +65,6 @@ impl Scalar for f64 {
     #[inline]
     fn is_nan(self) -> bool {
         f64::is_nan(self)
-    }
-    const IS_REAL: bool = true;
-    #[inline]
-    fn real_part(self) -> f64 {
-        self
     }
 }
 
@@ -102,11 +89,6 @@ impl Scalar for Complex64 {
     fn is_nan(self) -> bool {
         Complex64::is_nan(self)
     }
-    const IS_REAL: bool = false;
-    #[inline]
-    fn real_part(self) -> f64 {
-        self.re
-    }
 }
 
 #[cfg(test)]
@@ -121,14 +103,6 @@ mod tests {
         assert!(T::zero().is_zero());
         assert!(!two.is_zero());
         assert!(!two.is_nan());
-        assert!((two.real_part() - 2.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn is_real_distinguishes_the_two_fields() {
-        const { assert!(<f64 as Scalar>::IS_REAL) };
-        const { assert!(!<Complex64 as Scalar>::IS_REAL) };
-        assert_eq!(Complex64::new(3.0, 4.0).real_part(), 3.0);
     }
 
     #[test]

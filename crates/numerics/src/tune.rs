@@ -64,16 +64,6 @@ pub struct TuneProfile {
     /// Minimum AC sweep points per worker before the per-frequency solves
     /// go parallel.
     pub ac_min_points_per_thread: usize,
-    /// Minimum matrix dimension before the `auto` solver policy tries the
-    /// preconditioned Krylov path ahead of the direct factorizations. The
-    /// default sits beyond the largest layout in the tracked crossover
-    /// bench (dim 7202), where sparse-direct still wins by orders of
-    /// magnitude on the banded bus patterns — `auto` only reaches for
-    /// Krylov first at sizes the direct record does not cover; lower it
-    /// (or pass `--solver=iterative`) to move the crossover.
-    pub iter_min_dim: usize,
-    /// GMRES restart length (Krylov subspace dimension per cycle).
-    pub iter_restart: usize,
 }
 
 impl Default for TuneProfile {
@@ -85,8 +75,6 @@ impl Default for TuneProfile {
             chol_block_min_dim: 64,
             panel_width: 32,
             ac_min_points_per_thread: 8,
-            iter_min_dim: 16384,
-            iter_restart: 64,
         }
     }
 }
@@ -125,8 +113,6 @@ impl TuneProfile {
                 "chol_block_min_dim" => p.chol_block_min_dim = v,
                 "panel_width" => p.panel_width = v,
                 "ac_min_points_per_thread" => p.ac_min_points_per_thread = v,
-                "iter_min_dim" => p.iter_min_dim = v,
-                "iter_restart" => p.iter_restart = v,
                 other => return Err(format!("unknown tune key {other:?}")),
             }
         }
@@ -143,17 +129,13 @@ impl TuneProfile {
              lu_block_min_dim = {}\n\
              chol_block_min_dim = {}\n\
              panel_width = {}\n\
-             ac_min_points_per_thread = {}\n\
-             iter_min_dim = {}\n\
-             iter_restart = {}\n",
+             ac_min_points_per_thread = {}\n",
             self.par_min_cols,
             self.elim_par_min_dim,
             self.lu_block_min_dim,
             self.chol_block_min_dim,
             self.panel_width,
             self.ac_min_points_per_thread,
-            self.iter_min_dim,
-            self.iter_restart,
         )
     }
 
@@ -413,8 +395,6 @@ mod tests {
         assert_eq!(p.chol_block_min_dim, 64);
         assert_eq!(p.panel_width, 32);
         assert_eq!(p.ac_min_points_per_thread, 8);
-        assert_eq!(p.iter_min_dim, 16384);
-        assert_eq!(p.iter_restart, 64);
     }
 
     #[test]
@@ -426,8 +406,6 @@ mod tests {
             chol_block_min_dim: 80,
             panel_width: 16,
             ac_min_points_per_thread: 3,
-            iter_min_dim: 1024,
-            iter_restart: 48,
         };
         assert_eq!(TuneProfile::parse(&p.to_text()).unwrap(), p);
     }

@@ -44,7 +44,6 @@ cargo run --release -q -p vpec-bench --bin perf -- --quick --out "$smoke_json"
 # least one timed phase with its equivalence metric.
 for key in '"bench": "perf"' '"available_parallelism"' '"phases"' \
            '"serial_seconds"' '"parallel_seconds"' '"speedup"' '"max_abs_diff"' \
-           '"iterative_crossover"' '"waveform_peak"' '"max_abs_diff_vs_dense"' \
            '"lint"' '"wall_seconds"' '"files_scanned"' '"lines_scanned"' \
            '"service_levels"' '"p50_ms"' '"p99_ms"' '"model_hit_ratio"' \
            '"factor_hit_ratio"' '"degraded_pct"'; do
@@ -58,7 +57,7 @@ echo "==> tune smoke run (vpec tune --quick, profile round-trip)"
 tune_out="target/tune_smoke.tune"
 timeout 300 cargo run --release -q -p vpec-cli --bin vpec -- tune --quick -o "$tune_out"
 for key in par_min_cols elim_par_min_dim lu_block_min_dim chol_block_min_dim \
-           panel_width ac_min_points_per_thread iter_min_dim iter_restart; do
+           panel_width ac_min_points_per_thread; do
   grep -q "^$key = " "$tune_out" || { echo "tune profile missing $key" >&2; exit 1; }
 done
 # The written profile must round-trip: a run under VPEC_TUNE=<file> must
@@ -70,47 +69,6 @@ if grep -qi "tune" target/tune_smoke_stderr.txt; then
   cat target/tune_smoke_stderr.txt >&2
   exit 1
 fi
-
-echo "==> iterative solver smoke run (simulate --solver=iterative vs --solver=direct)"
-direct_csv="target/solver_smoke_direct.csv"
-iter_csv="target/solver_smoke_iter.csv"
-iter_log="target/solver_smoke_iter.txt"
-timeout 120 cargo run --release -q -p vpec-cli --bin vpec -- \
-  simulate --bits 6 --kind wvpec-g:2 --tstop 50p --audit=full --solver=direct \
-  -o "$direct_csv" > /dev/null
-timeout 120 cargo run --release -q -p vpec-cli --bin vpec -- \
-  simulate --bits 6 --kind wvpec-g:2 --tstop 50p --audit=full --solver=iterative \
-  -o "$iter_csv" > "$iter_log"
-# A forced-iterative run that falls back to the direct chain prints a
-# "factorization: iterative failed -> ..." line; the smoke requires the
-# Krylov stage itself to carry the solve.
-if grep -q "factorization:" "$iter_log"; then
-  echo "solver smoke: --solver=iterative fell back to the direct chain:" >&2
-  grep "factorization:" "$iter_log" >&2
-  exit 1
-fi
-# Both backends must produce the same waveforms: worst per-sample
-# disagreement within 1% of the direct run's peak (the release accuracy
-# bound is ~0.1%; 1% absorbs platform noise while still catching a
-# mis-converged Krylov solve).
-paste -d, "$direct_csv" "$iter_csv" | awk -F, '
-  NR == 1 { nc = NF / 2; next }
-  {
-    for (i = 2; i <= nc; i++) {
-      d = $i - $(i + nc); if (d < 0) d = -d
-      m = $i; if (m < 0) m = -m
-      if (m > peak) peak = m
-      if (d > worst) worst = d
-    }
-  }
-  END {
-    if (peak <= 0) { print "solver smoke: direct waveform is identically zero" > "/dev/stderr"; exit 1 }
-    printf "iterative vs direct: worst |diff| %.3e on peak %.3e V\n", worst, peak
-    if (worst > 0.01 * peak) {
-      print "solver smoke: iterative waveform diverges from the direct backend" > "/dev/stderr"
-      exit 1
-    }
-  }'
 
 echo "==> batch engine smoke run (vpec batch, request isolation + degradation + ledger)"
 batch_in="target/batch_smoke_in.jsonl"
