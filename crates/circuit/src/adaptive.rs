@@ -143,7 +143,9 @@ pub fn run_transient_adaptive(
                 });
             }
             Element::Inductor { a, b, l, .. } => {
-                let br = layout.branch_idx(idx);
+                let Some(br) = layout.branch_idx(idx) else {
+                    continue;
+                };
                 inds.push(IndState {
                     br,
                     ia: layout.node_idx(*a),
@@ -159,10 +161,10 @@ pub fn run_transient_adaptive(
         inds.iter().enumerate().map(|(k, s)| (s.br, k)).collect();
     for e in ckt.elements() {
         if let Element::Mutual { la, lb, m, .. } = e {
-            let ba = layout.branch_idx(la.0);
-            let bb = layout.branch_idx(lb.0);
-            inds[br_to_ind[&ba]].couplings.push((bb, *m));
-            inds[br_to_ind[&bb]].couplings.push((ba, *m));
+            if let (Some(ba), Some(bb)) = (layout.branch_idx(la.0), layout.branch_idx(lb.0)) {
+                inds[br_to_ind[&ba]].couplings.push((bb, *m));
+                inds[br_to_ind[&bb]].couplings.push((ba, *m));
+            }
         }
     }
 

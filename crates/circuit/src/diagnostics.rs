@@ -52,8 +52,13 @@ pub struct FactorDiagnostics {
     /// produced the factor (when any succeeded).
     pub attempts: Vec<FactorAttempt>,
     /// Cheap condition estimate of the accepted factor
-    /// (`max|uᵢᵢ| / min|uᵢᵢ|` over the U diagonal), when available.
+    /// (`max|uᵢᵢ| / min|uᵢᵢ|` over the U diagonal, dense or sparse);
+    /// `None` until a factor is accepted.
     pub condition_estimate: Option<f64>,
+    /// Stored nonzeros of the accepted factor: L and U with their
+    /// diagonals for sparse LU, `dim²` for dense LU (0 until a factor is
+    /// accepted).
+    pub factor_nnz: usize,
     /// The Tikhonov shift `ε` that was finally applied, if the
     /// regularized stage was reached.
     pub regularization: Option<f64>,
@@ -195,6 +200,7 @@ mod tests {
                 },
             ],
             condition_estimate: Some(1234.0),
+            factor_nnz: 9,
             regularization: None,
         };
         let s = d.summary();

@@ -8,7 +8,6 @@
 
 use crate::elements::Element;
 use crate::netlist::{Circuit, NodeId};
-use std::collections::HashMap;
 use vpec_numerics::{CooMatrix, Scalar};
 
 /// Mapping from circuit nodes/branches to MNA unknown indices.
@@ -16,8 +15,9 @@ use vpec_numerics::{CooMatrix, Scalar};
 pub(crate) struct MnaLayout {
     /// Number of non-ground nodes.
     pub n_nodes: usize,
-    /// element index → branch-current unknown index.
-    pub branch_of: HashMap<usize, usize>,
+    /// Branch-current unknown of each element, indexed by element
+    /// (`None` for non-branch elements).
+    pub branch_of: Vec<Option<usize>>,
     /// Total unknown count.
     pub dim: usize,
 }
@@ -27,11 +27,11 @@ impl MnaLayout {
     /// branch unknown per branch element in element order.
     pub fn new(ckt: &Circuit) -> Self {
         let n_nodes = ckt.node_count() - 1;
-        let mut branch_of = HashMap::new();
         let mut next = n_nodes;
-        for (idx, e) in ckt.elements().iter().enumerate() {
+        let mut branch_of = Vec::with_capacity(ckt.elements().len());
+        for e in ckt.elements() {
+            branch_of.push(e.is_branch().then_some(next));
             if e.is_branch() {
-                branch_of.insert(idx, next);
                 next += 1;
             }
         }
@@ -52,14 +52,11 @@ impl MnaLayout {
         }
     }
 
-    /// Branch-current unknown of element `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element is not a branch element.
+    /// Branch-current unknown of element `idx`, or `None` if it is not a
+    /// branch element.
     #[inline]
-    pub fn branch_idx(&self, idx: usize) -> usize {
-        self.branch_of[&idx]
+    pub fn branch_idx(&self, idx: usize) -> Option<usize> {
+        self.branch_of.get(idx).copied().flatten()
     }
 }
 
@@ -104,7 +101,7 @@ pub(crate) fn assemble<T: Scalar>(
                 }
             }
             Element::Inductor { a: na, b: nb, l, .. } => {
-                let br = Some(layout.branch_idx(idx));
+                let br = layout.branch_idx(idx);
                 let (ia, ib) = (layout.node_idx(*na), layout.node_idx(*nb));
                 // KCL columns: current flows a → b.
                 stamp(&mut a, ia, br, one);
@@ -120,14 +117,14 @@ pub(crate) fn assemble<T: Scalar>(
             Element::Mutual { la, lb, m, .. } => {
                 let z = ind_imp(*m);
                 if !z.is_zero() {
-                    let ba = Some(layout.branch_idx(la.0));
-                    let bb = Some(layout.branch_idx(lb.0));
+                    let ba = layout.branch_idx(la.0);
+                    let bb = layout.branch_idx(lb.0);
                     stamp(&mut a, ba, bb, -z);
                     stamp(&mut a, bb, ba, -z);
                 }
             }
             Element::VSource { p, n, .. } => {
-                let br = Some(layout.branch_idx(idx));
+                let br = layout.branch_idx(idx);
                 let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
                 stamp(&mut a, ip, br, one);
                 stamp(&mut a, in_, br, -one);
@@ -140,7 +137,7 @@ pub(crate) fn assemble<T: Scalar>(
             Element::Vcvs {
                 p, n, cp, cn, gain, ..
             } => {
-                let br = Some(layout.branch_idx(idx));
+                let br = layout.branch_idx(idx);
                 let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
                 let (icp, icn) = (layout.node_idx(*cp), layout.node_idx(*cn));
                 let g = T::from_f64(*gain);
@@ -165,15 +162,15 @@ pub(crate) fn assemble<T: Scalar>(
             Element::Cccs {
                 p, n, sense, gain, ..
             } => {
-                let bs = Some(layout.branch_idx(sense.0));
+                let bs = layout.branch_idx(sense.0);
                 let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
                 let g = T::from_f64(*gain);
                 stamp(&mut a, ip, bs, g);
                 stamp(&mut a, in_, bs, -g);
             }
             Element::Ccvs { p, n, sense, r, .. } => {
-                let br = Some(layout.branch_idx(idx));
-                let bs = Some(layout.branch_idx(sense.0));
+                let br = layout.branch_idx(idx);
+                let bs = layout.branch_idx(sense.0);
                 let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
                 stamp(&mut a, ip, br, one);
                 stamp(&mut a, in_, br, -one);
@@ -202,7 +199,9 @@ pub(crate) fn add_source_rhs<T: Scalar>(
 ) {
     match e {
         Element::VSource { .. } => {
-            rhs[layout.branch_idx(idx)] += val;
+            if let Some(br) = layout.branch_idx(idx) {
+                rhs[br] += val;
+            }
         }
         Element::ISource { p, n, .. } => {
             if let Some(ip) = layout.node_idx(*p) {
@@ -236,8 +235,10 @@ mod tests {
         assert_eq!(layout.dim, 4);
         assert_eq!(layout.node_idx(Circuit::GROUND), None);
         assert_eq!(layout.node_idx(a), Some(0));
-        assert_eq!(layout.branch_idx(1), 2); // V1
-        assert_eq!(layout.branch_idx(2), 3); // L1
+        assert_eq!(layout.branch_idx(0), None); // R1
+        assert_eq!(layout.branch_idx(1), Some(2)); // V1
+        assert_eq!(layout.branch_idx(2), Some(3)); // L1
+        assert_eq!(layout.branch_idx(3), None); // out of range
     }
 
     #[test]
@@ -303,7 +304,7 @@ mod tests {
         let layout = MnaLayout::new(&c);
         let a = assemble::<f64>(&c, &layout, |_| 0.0, |_| 0.0);
         let mut rhs = vec![0.0; layout.dim];
-        rhs[layout.branch_idx(0)] = 1.5;
+        rhs[layout.branch_idx(0).unwrap()] = 1.5;
         let x = LuFactor::new(&a.to_csr().to_dense())
             .unwrap()
             .solve(&rhs)

@@ -195,9 +195,8 @@ fn descriptor(
         }
     }
     let mut b = vec![0.0; n];
-    match ckt.elements().get(input) {
-        Some(Element::VSource { .. }) => {
-            let br = layout.branch_idx(input);
+    match (ckt.elements().get(input), layout.branch_idx(input)) {
+        (Some(Element::VSource { .. }), Some(br)) => {
             b[br] = flip(br); // flipped with its row
         }
         _ => {

@@ -19,8 +19,9 @@ pub(crate) enum ResultMapping {
     Full {
         /// Non-ground node count.
         n_nodes: usize,
-        /// element index → branch unknown column.
-        branch_of: HashMap<usize, usize>,
+        /// Branch unknown column of each element, indexed by element
+        /// (`None` for non-branch elements).
+        branch_of: Vec<Option<usize>>,
     },
     /// Only selected node voltages were stored (big-circuit mode).
     Probes(HashMap<usize, usize>),
@@ -95,7 +96,7 @@ impl TransientResult {
     pub fn branch_current(&self, element: ElementId) -> Option<Vec<f64>> {
         match &self.mapping {
             ResultMapping::Full { branch_of, .. } => {
-                let &col = branch_of.get(&element.0)?;
+                let col = branch_of.get(element.0).copied().flatten()?;
                 Some(self.data.iter().map(|row| row[col]).collect())
             }
             ResultMapping::Probes(_) => None,
@@ -187,7 +188,7 @@ mod tests {
             data: vec![vec![0.0, 10.0], vec![1.0, 20.0], vec![2.0, 30.0]],
             mapping: ResultMapping::Full {
                 n_nodes: 1,
-                branch_of: HashMap::from([(5usize, 1usize)]),
+                branch_of: vec![None, None, None, None, None, Some(1)],
             },
         }
     }

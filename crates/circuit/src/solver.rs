@@ -14,7 +14,7 @@
 
 use crate::diagnostics::{FactorAttempt, FactorDiagnostics, FactorStrategy};
 use crate::error::CircuitError;
-use vpec_numerics::ordering::{permute_symmetric, rcm_ordering};
+use vpec_numerics::ordering::rcm_ordering;
 use vpec_numerics::{CooMatrix, CsrMatrix, LuFactor, Scalar, SparseLu};
 
 /// Which factorization backend to use.
@@ -97,11 +97,9 @@ const REGULARIZATION_BASE: f64 = 1e-10;
 #[derive(Debug)]
 pub(crate) enum Factored<T: Scalar> {
     Dense(LuFactor<T>),
-    /// Sparse LU of the RCM-permuted system: `perm[new] = old`.
-    Sparse {
-        lu: SparseLu<T>,
-        perm: Vec<usize>,
-    },
+    /// Sparse LU with any fill-reducing ordering folded into its index
+    /// maps.
+    Sparse(SparseLu<T>),
 }
 
 impl<T: Scalar> Factored<T> {
@@ -127,7 +125,8 @@ impl<T: Scalar> Factored<T> {
     ///    `max|Aᵢⱼ|·1e-10`.
     ///
     /// The returned [`FactorDiagnostics`] records every attempt, the
-    /// condition estimate of the accepted factor and the final `ε`.
+    /// condition estimate and stored nonzeros of the accepted factor and
+    /// the final `ε`.
     pub fn factor_with(
         coo: &CooMatrix<T>,
         opts: FactorOptions,
@@ -246,7 +245,13 @@ impl<T: Scalar> Factored<T> {
         }
         match factor {
             Some(f) => {
-                diag.condition_estimate = f.condition_estimate();
+                let (cond, nnz) = match &f {
+                    Factored::Dense(lu) => (lu.diag_condition_estimate(), dim * dim),
+                    Factored::Sparse(lu) => (lu.diag_condition_estimate(), lu.factor_nnz()),
+                };
+                diag.condition_estimate = Some(cond);
+                diag.factor_nnz = nnz;
+                sp.set_attr("factor_nnz", nnz);
                 Ok((f, diag))
             }
             None => Err(last_err.unwrap_or(CircuitError::SingularSystem { analysis: "solve" })),
@@ -257,32 +262,15 @@ impl<T: Scalar> Factored<T> {
         csr: &CsrMatrix<T>,
         strategy: FactorStrategy,
     ) -> Result<Self, CircuitError> {
-        let dim = csr.rows();
         match strategy {
             FactorStrategy::DenseLu | FactorStrategy::RegularizedDenseLu => {
                 Ok(Factored::Dense(LuFactor::new(&csr.to_dense())?))
             }
-            FactorStrategy::SparseLuNoOrdering => Ok(Factored::Sparse {
-                lu: SparseLu::new(csr)?,
-                perm: (0..dim).collect(),
-            }),
-            FactorStrategy::SparseLu => {
-                let perm = rcm_ordering(csr);
-                let permuted = permute_symmetric(csr, &perm);
-                Ok(Factored::Sparse {
-                    lu: SparseLu::new(&permuted)?,
-                    perm,
-                })
-            }
-        }
-    }
-
-    /// Cheap condition estimate of the accepted factor (dense backend
-    /// only — the sparse kernel does not expose its U diagonal).
-    fn condition_estimate(&self) -> Option<f64> {
-        match self {
-            Factored::Dense(lu) => Some(lu.diag_condition_estimate()),
-            Factored::Sparse { .. } => None,
+            FactorStrategy::SparseLuNoOrdering => Ok(Factored::Sparse(SparseLu::new(csr)?)),
+            FactorStrategy::SparseLu => Ok(Factored::Sparse(SparseLu::new_ordered(
+                csr,
+                &rcm_ordering(csr),
+            )?)),
         }
     }
 
@@ -295,9 +283,9 @@ impl<T: Scalar> Factored<T> {
     }
 
     /// Solves `A·x = b` into caller-owned buffers. `x` receives the
-    /// solution; `scratch` is working storage for the sparse path's
-    /// permutations. Both reuse their capacity across calls — the
-    /// transient loop calls this once per step, allocation-free once warm.
+    /// solution; `scratch` is the sparse sweeps' pivot-order working
+    /// vector. Both reuse their capacity across calls — the transient
+    /// loop calls this once per step, allocation-free once warm.
     pub fn solve_into(
         &self,
         b: &[T],
@@ -306,27 +294,14 @@ impl<T: Scalar> Factored<T> {
     ) -> Result<(), CircuitError> {
         match self {
             Factored::Dense(lu) => Ok(lu.solve_into(b, x)?),
-            Factored::Sparse { lu, perm } => {
-                // scratch ← RCM-permuted b; x ← permuted solution.
-                scratch.clear();
-                scratch.extend(perm.iter().map(|&old| b[old]));
-                lu.solve_into(scratch, x)?;
-                // Un-permute through scratch, then swap back into x.
-                scratch.clear();
-                scratch.resize(x.len(), T::zero());
-                for (new, &old) in perm.iter().enumerate() {
-                    scratch[old] = x[new];
-                }
-                std::mem::swap(x, scratch);
-                Ok(())
-            }
+            Factored::Sparse(lu) => Ok(lu.solve_into(b, x, scratch)?),
         }
     }
 
     /// `true` if the sparse backend was chosen.
     #[cfg(test)]
     pub fn is_sparse(&self) -> bool {
-        matches!(self, Factored::Sparse { .. })
+        matches!(self, Factored::Sparse(_))
     }
 }
 
@@ -421,6 +396,21 @@ mod tests {
             .unwrap();
         for (u, v) in x1.iter().zip(x2.iter()) {
             assert!((u - v).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn every_accepted_factor_reports_its_evidence() {
+        // Condition estimate and factor nnz come from the accepted factor,
+        // whichever backend produced it.
+        for (kind, nnz) in [
+            (SolverKind::Dense, 25),
+            (SolverKind::Sparse, 10),
+            (SolverKind::SparseNoOrdering, 10),
+        ] {
+            let (_, diag) = Factored::factor_with(&diag_coo(5), FactorOptions::new(kind)).unwrap();
+            assert_eq!(diag.condition_estimate, Some(1.0), "{kind:?}");
+            assert_eq!(diag.factor_nnz, nnz, "{kind:?}");
         }
     }
 

@@ -463,10 +463,12 @@ fn run_transient_guarded(
     if auditing {
         audit_stamps(&a)?;
     }
-    // `None` while running against the borrowed prefactored handle; a
-    // retry (which re-factors at the halved dt) always drops back into an
-    // owned factor. Cold runs own their factor from the start.
-    let mut owned_factor: Option<Factored<f64>>;
+    // The factor every step solves with: the borrowed prefactored handle
+    // or a cold run's own factor. A retry (which re-factors at the halved
+    // dt) moves its fresh factor into `retry_factor` and re-points this.
+    let cold_factor: Factored<f64>;
+    let mut retry_factor: Option<Factored<f64>> = None;
+    let mut factored: &Factored<f64>;
     let mut diag = TransientDiagnostics {
         final_dt: dt,
         reused_factor: prefactored.is_some(),
@@ -479,7 +481,7 @@ fn run_transient_guarded(
             // Loud exact validation: a stale handle is an error, never a
             // silently wrong answer. Skips the factor + DC spans entirely.
             pf.check(ckt, spec, &layout, &a)?;
-            owned_factor = None;
+            factored = &pf.factored;
             diag.factor = pf.factor_diag.clone();
             x = pf.dc_x.clone();
         }
@@ -489,11 +491,12 @@ fn run_transient_guarded(
                 regularize: spec.regularize,
                 fail_primary: spec.faults.fail_primary_factor,
             };
-            let (factored, factor_diag) = {
+            let (f, factor_diag) = {
                 let _fs = vpec_trace::span("transient.factor");
                 Factored::factor_with(&a, opts).map_err(remap)?
             };
-            owned_factor = Some(factored);
+            cold_factor = f;
+            factored = &cold_factor;
             diag.factor = factor_diag;
 
             // Initial condition: DC operating point with sources at t = 0.
@@ -537,7 +540,9 @@ fn run_transient_guarded(
                 });
             }
             Element::Inductor { a: na, b: nb, l, .. } => {
-                let br = layout.branch_idx(idx);
+                let Some(br) = layout.branch_idx(idx) else {
+                    continue;
+                };
                 inds.push(IndState {
                     br,
                     ia: layout.node_idx(*na),
@@ -557,10 +562,10 @@ fn run_transient_guarded(
         .collect();
     for e in ckt.elements() {
         if let Element::Mutual { la, lb, m, .. } = e {
-            let ba = layout.branch_idx(la.0);
-            let bb = layout.branch_idx(lb.0);
-            inds[br_to_ind[&ba]].couplings.push((bb, *m));
-            inds[br_to_ind[&bb]].couplings.push((ba, *m));
+            if let (Some(ba), Some(bb)) = (layout.branch_idx(la.0), layout.branch_idx(lb.0)) {
+                inds[br_to_ind[&ba]].couplings.push((bb, *m));
+                inds[br_to_ind[&bb]].couplings.push((ba, *m));
+            }
         }
     }
 
@@ -662,11 +667,6 @@ fn run_transient_guarded(
             rhs[s.br] = -(if trap { s.v_prev } else { 0.0 }) - coef * flux;
         }
 
-        let factored: &Factored<f64> = match (&owned_factor, prefactored) {
-            (Some(f), _) => f,
-            (None, Some(pf)) => &pf.factored,
-            (None, None) => unreachable!("cold runs always own their factor"),
-        };
         factored.solve_into(&rhs, &mut x_new, &mut scratch)?;
         if poison == Some(accepted) && !x_new.is_empty() {
             x_new[0] = f64::NAN; // injected fault, consumed once
@@ -706,9 +706,9 @@ fn run_transient_guarded(
                 let _fs = vpec_trace::span("transient.factor");
                 Factored::factor_with(&a, retry_opts).map_err(remap)?
             };
-            // A halved dt changes the matrix, so a borrowed prefactored
-            // handle can no longer serve — own the fresh factor.
-            owned_factor = Some(f);
+            // A halved dt changes the matrix, so neither the borrowed
+            // prefactored handle nor the cold factor can serve any more.
+            factored = &*retry_factor.insert(f);
             diag.retries += 1;
             diag.refactorizations += 1;
             continue;
@@ -1123,6 +1123,51 @@ mod tests {
         // The handle keeps serving: a second reuse is equally identical.
         let (warm2, _) = run_transient_with_report_prefactored(&c, &spec, &pf).unwrap();
         assert_eq!(cold.data, warm2.data);
+    }
+
+    /// A long RC ladder driven by a fast step. With dt/RC = 1e-3 each
+    /// section attenuates a 20-step response by orders of magnitude, so
+    /// the far nodes fall far below the subnormal range.
+    fn long_rc_ladder(sections: usize) -> (Circuit, NodeId) {
+        let mut c = Circuit::new();
+        let inp = c.node("in");
+        c.add_vsource("V1", inp, Circuit::GROUND, Waveform::step(1.0, 1e-12))
+            .unwrap();
+        let mut prev = inp;
+        let mut near = inp;
+        for k in 0..sections {
+            let n = c.node(&format!("n{k}"));
+            c.add_resistor(&format!("R{k}"), prev, n, 1.0).unwrap();
+            c.add_capacitor(&format!("C{k}"), n, Circuit::GROUND, 1e-9)
+                .unwrap();
+            if k == 0 {
+                near = n;
+            }
+            prev = n;
+        }
+        (c, near)
+    }
+
+    #[test]
+    fn sparse_transient_records_no_subnormals() {
+        let (c, near) = long_rc_ladder(300);
+        let spec = |solver| TransientSpec {
+            solver,
+            ..TransientSpec::new(2e-11, 1e-12)
+        };
+        let sparse = run_transient(&c, &spec(SolverKind::Sparse)).unwrap();
+        let dense = run_transient(&c, &spec(SolverKind::Dense)).unwrap();
+        let subnormal = |r: &TransientResult| {
+            r.data.iter().flatten().filter(|v| v.is_subnormal()).count()
+        };
+        assert!(subnormal(&dense) > 0, "the ladder must reach the subnormal range");
+        assert_eq!(subnormal(&sparse), 0);
+        let (vs, vd) = (sparse.voltage(near).unwrap(), dense.voltage(near).unwrap());
+        let peak = vd.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        assert!(peak > 0.0);
+        for (s, d) in vs.iter().zip(&vd) {
+            assert!((s - d).abs() <= 1e-12 * peak, "near end: sparse {s} vs dense {d}");
+        }
     }
 
     #[test]

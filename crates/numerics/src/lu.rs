@@ -263,19 +263,24 @@ impl<T: Scalar> LuFactor<T> {
     /// Not a rigorous condition number, but a useful smell test for the
     /// near-singular inductance matrices produced by degenerate geometry.
     pub fn diag_condition_estimate(&self) -> f64 {
-        let n = self.dim();
-        let mut lo = f64::INFINITY;
-        let mut hi = 0.0f64;
-        for i in 0..n {
-            let m = self.lu[(i, i)].modulus();
-            lo = lo.min(m);
-            hi = hi.max(m);
-        }
-        if lo == 0.0 {
-            f64::INFINITY
-        } else {
-            hi / lo
-        }
+        diag_ratio((0..self.dim()).map(|i| self.lu[(i, i)]))
+    }
+}
+
+/// `max|dᵢ| / min|dᵢ|` over a factor's U diagonal (∞ when some `dᵢ` is
+/// zero) — the condition estimate both LU kernels report.
+pub(crate) fn diag_ratio<T: Scalar>(diag: impl Iterator<Item = T>) -> f64 {
+    let mut lo = f64::INFINITY;
+    let mut hi = 0.0f64;
+    for d in diag {
+        let m = d.modulus();
+        lo = lo.min(m);
+        hi = hi.max(m);
+    }
+    if lo == 0.0 {
+        f64::INFINITY
+    } else {
+        hi / lo
     }
 }
 

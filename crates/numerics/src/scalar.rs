@@ -43,6 +43,9 @@ pub trait Scalar:
     }
     /// `true` if any component is NaN.
     fn is_nan(self) -> bool;
+    /// `self` with every component of magnitude below `bound` replaced by
+    /// a zero of the same sign (the sparse solves' flush-to-zero).
+    fn flush_below(self, bound: f64) -> Self;
 }
 
 impl Scalar for f64 {
@@ -65,6 +68,14 @@ impl Scalar for f64 {
     #[inline]
     fn is_nan(self) -> bool {
         f64::is_nan(self)
+    }
+    #[inline]
+    fn flush_below(self, bound: f64) -> Self {
+        if self.abs() < bound {
+            0.0f64.copysign(self)
+        } else {
+            self
+        }
     }
 }
 
@@ -89,6 +100,10 @@ impl Scalar for Complex64 {
     fn is_nan(self) -> bool {
         Complex64::is_nan(self)
     }
+    #[inline]
+    fn flush_below(self, bound: f64) -> Self {
+        Complex64::new(self.re.flush_below(bound), self.im.flush_below(bound))
+    }
 }
 
 #[cfg(test)]
@@ -103,6 +118,8 @@ mod tests {
         assert!(T::zero().is_zero());
         assert!(!two.is_zero());
         assert!(!two.is_nan());
+        assert_eq!(two.flush_below(1e-300), two);
+        assert!(T::from_f64(1e-310).flush_below(1e-300).is_zero());
     }
 
     #[test]
@@ -115,5 +132,9 @@ mod tests {
         roundtrip::<Complex64>();
         let z = Complex64::new(3.0, 4.0);
         assert!((Scalar::modulus(z) - 5.0).abs() < 1e-15);
+        // Components flush independently and keep their sign.
+        let w = Complex64::new(-1e-310, 2.0).flush_below(1e-300);
+        assert_eq!(w, Complex64::new(0.0, 2.0));
+        assert!(w.re.is_sign_negative());
     }
 }

@@ -9,9 +9,24 @@
 //! factor translates directly into the orders-of-magnitude simulation
 //! speedups of Tables II–III and Fig. 8.
 
+use crate::ordering::permute_symmetric;
 use crate::{CsrMatrix, NumericsError, Scalar};
 
-/// Sparse LU factors of a square matrix, `P·A = L·U`.
+/// Magnitude below which the triangular solves flush a value to zero:
+/// 2⁻⁹⁷⁰ = `f64::MIN_POSITIVE / f64::EPSILON` ≈ 1.0e-292.
+///
+/// A solution that decays geometrically along a long chain (a bus's
+/// far-end noise) otherwise fills up with subnormals, and every operation
+/// on one is a slow microcode assist on x86. At this bound a surviving
+/// value times any factor entry of magnitude ≥ ε = 2⁻⁵² is still a normal
+/// number. The larger 2⁻⁵¹¹ = √`f64::MIN_POSITIVE` is no faster and does
+/// change results: the 256-bit gwVPEC(8) transient amplifies a 1e-151
+/// change at its far lines by about 1e140 over 490 steps.
+const FLUSH_BELOW: f64 = f64::MIN_POSITIVE / f64::EPSILON;
+
+/// Sparse LU factors of a square matrix, `P·A·Q = L·U`, stored flat
+/// (compressed columns) with every permutation folded into two index
+/// maps, so a solve is one gather, two sweeps and one scatter.
 ///
 /// # Example
 ///
@@ -32,16 +47,22 @@ use crate::{CsrMatrix, NumericsError, Scalar};
 #[derive(Debug, Clone)]
 pub struct SparseLu<T = f64> {
     n: usize,
-    /// L columns: `(original_row, value)` below-diagonal entries (unit diag
-    /// implicit). Row indices are *original* (unpermuted) row numbers.
-    l_cols: Vec<Vec<(usize, T)>>,
-    /// U columns: `(pivot_position, value)` entries strictly above the
-    /// diagonal, in pivot-position numbering.
-    u_cols: Vec<Vec<(usize, T)>>,
+    /// L below the (implicit unit) diagonal by column: column `k` holds
+    /// rows `l_idx[l_ptr[k]..l_ptr[k + 1]]`, in pivot-position numbering.
+    l_ptr: Vec<usize>,
+    l_idx: Vec<u32>,
+    l_val: Vec<T>,
+    /// U strictly above the diagonal by column, pivot-position numbering.
+    u_ptr: Vec<usize>,
+    u_idx: Vec<u32>,
+    u_val: Vec<T>,
     /// U diagonal by column.
     u_diag: Vec<T>,
-    /// `pinv[original_row] = pivot position`.
-    pinv: Vec<usize>,
+    /// `row_src[k]`: the right-hand-side entry that lands at pivot
+    /// position `k` (row pivoting composed with any symmetric ordering).
+    row_src: Vec<u32>,
+    /// `col_dst[j]`: the solution entry that factor column `j` solves for.
+    col_dst: Vec<u32>,
 }
 
 const UNPIVOTED: usize = usize::MAX;
@@ -53,6 +74,8 @@ impl<T: Scalar> SparseLu<T> {
     /// # Errors
     ///
     /// * [`NumericsError::NotSquare`] if the matrix is not square.
+    /// * [`NumericsError::DimensionMismatch`] if the dimension does not fit
+    ///   the factor's 32-bit indices.
     /// * [`NumericsError::Singular`] if some column has no usable pivot.
     pub fn new(a: &CsrMatrix<T>) -> Result<Self, NumericsError> {
         if a.rows() != a.cols() {
@@ -61,13 +84,29 @@ impl<T: Scalar> SparseLu<T> {
             });
         }
         let n = a.rows();
+        if u32::try_from(n).is_err() {
+            return Err(NumericsError::DimensionMismatch {
+                op: "sparse lu (32-bit indices)",
+                expected: (u32::MAX as usize, u32::MAX as usize),
+                found: (n, n),
+            });
+        }
         // Column access: rows of the transpose are columns of A.
         let at = a.transpose();
 
-        let mut l_cols: Vec<Vec<(usize, T)>> = Vec::with_capacity(n);
-        let mut u_cols: Vec<Vec<(usize, T)>> = Vec::with_capacity(n);
+        // While factoring, L's row indices are original row numbers (the
+        // reach DFS walks them); they are remapped to pivot positions once
+        // every row is pivoted.
+        let mut l_ptr: Vec<usize> = Vec::with_capacity(n + 1);
+        let mut l_idx: Vec<u32> = Vec::new();
+        let mut l_val: Vec<T> = Vec::new();
+        let mut u_ptr: Vec<usize> = Vec::with_capacity(n + 1);
+        let mut u_idx: Vec<u32> = Vec::new();
+        let mut u_val: Vec<T> = Vec::new();
         let mut u_diag: Vec<T> = Vec::with_capacity(n);
         let mut pinv = vec![UNPIVOTED; n];
+        l_ptr.push(0);
+        u_ptr.push(0);
 
         // Dense workspaces reused across columns.
         let mut x = vec![T::zero(); n];
@@ -86,37 +125,38 @@ impl<T: Scalar> SparseLu<T> {
                 }
                 stack.push((r0, 0));
                 mark[r0] = j;
-                while let Some(&(r, cursor)) = stack.last() {
+                while let Some(top) = stack.last_mut() {
+                    let (r, mut c) = *top;
                     let k = pinv[r];
-                    let nchildren = if k == UNPIVOTED { 0 } else { l_cols[k].len() };
-                    let mut descended = false;
-                    let mut c = cursor;
-                    while c < nchildren {
-                        let child = l_cols[k][c].0;
+                    let children = if k == UNPIVOTED {
+                        &l_idx[..0]
+                    } else {
+                        &l_idx[l_ptr[k]..l_ptr[k + 1]]
+                    };
+                    let mut next = None;
+                    while c < children.len() {
+                        let child = children[c] as usize;
                         c += 1;
                         if mark[child] != j {
                             mark[child] = j;
-                            stack.last_mut().expect("stack nonempty").1 = c;
-                            stack.push((child, 0));
-                            descended = true;
+                            next = Some(child);
                             break;
                         }
                     }
-                    if !descended {
-                        // All children visited: pop to post-order.
-                        topo.push(r);
-                        stack.pop();
+                    top.1 = c;
+                    match next {
+                        Some(child) => stack.push((child, 0)),
+                        None => {
+                            // All children visited: pop to post-order.
+                            topo.push(r);
+                            stack.pop();
+                        }
                     }
                 }
             }
-            // `topo` is in post-order: dependencies appear before dependents
-            // must be processed in *reverse* post-order for elimination?
-            // Post-order guarantees every child is pushed before its parent,
-            // so eliminating in reverse (parents first) is wrong; we need
-            // children (earlier pivots) applied before... The elimination
-            // order required is topological: a pivoted node k must be
-            // processed before any node reachable from it. Reverse
-            // post-order gives exactly that ordering.
+            // `topo` lists the reach in DFS post-order, each node after
+            // every node it updates, so walking it in reverse applies each
+            // pivot column before the rows it updates are read.
             //
             // ---- Numeric: scatter and eliminate ----
             for (&r, &v) in a_rows.iter().zip(a_vals.iter()) {
@@ -131,8 +171,9 @@ impl<T: Scalar> SparseLu<T> {
                 if xr.is_zero() {
                     continue;
                 }
-                for &(i, lv) in &l_cols[k] {
-                    x[i] -= lv * xr;
+                let col = l_ptr[k]..l_ptr[k + 1];
+                for (&i, &lv) in l_idx[col.clone()].iter().zip(&l_val[col]) {
+                    x[i as usize] -= lv * xr;
                 }
             }
 
@@ -155,8 +196,6 @@ impl<T: Scalar> SparseLu<T> {
             pinv[pivot_row] = j;
 
             // ---- Gather U (pivoted rows) and L (unpivoted rows) ----
-            let mut ucol: Vec<(usize, T)> = Vec::new();
-            let mut lcol: Vec<(usize, T)> = Vec::new();
             for &r in &topo {
                 let v = x[r];
                 x[r] = T::zero();
@@ -167,23 +206,76 @@ impl<T: Scalar> SparseLu<T> {
                 if r == pivot_row {
                     // Diagonal handled separately.
                 } else if k == UNPIVOTED {
-                    lcol.push((r, v / pivot_val));
+                    l_idx.push(r as u32);
+                    l_val.push(v / pivot_val);
                 } else {
-                    ucol.push((k, v));
+                    u_idx.push(k as u32);
+                    u_val.push(v);
                 }
             }
             u_diag.push(pivot_val);
-            u_cols.push(ucol);
-            l_cols.push(lcol);
+            l_ptr.push(l_idx.len());
+            u_ptr.push(u_idx.len());
         }
 
+        // Every row is pivoted now: renumber L's rows by pivot position so
+        // the forward sweep indexes its vector directly.
+        for i in &mut l_idx {
+            *i = pinv[*i as usize] as u32;
+        }
+        let mut row_src = vec![0u32; n];
+        for (r, &k) in pinv.iter().enumerate() {
+            row_src[k] = r as u32;
+        }
         Ok(SparseLu {
             n,
-            l_cols,
-            u_cols,
+            l_ptr,
+            l_idx,
+            l_val,
+            u_ptr,
+            u_idx,
+            u_val,
             u_diag,
-            pinv,
+            row_src,
+            col_dst: (0..n as u32).collect(),
         })
+    }
+
+    /// Factors `A` under a symmetric ordering — the LU of `B = Pᵀ·A·P`
+    /// with `B[i][j] = A[perm[i]][perm[j]]` (`perm[new] = old`, e.g. from
+    /// [`crate::ordering::rcm_ordering`]) — and folds the ordering into the
+    /// factor's index maps, so [`SparseLu::solve`] still solves `A·x = b`
+    /// in the original numbering.
+    ///
+    /// # Errors
+    ///
+    /// * [`NumericsError::DimensionMismatch`] if `perm` is not a
+    ///   permutation of `0..dim`.
+    /// * Everything [`SparseLu::new`] returns.
+    pub fn new_ordered(a: &CsrMatrix<T>, perm: &[usize]) -> Result<Self, NumericsError> {
+        if a.rows() != a.cols() {
+            return Err(NumericsError::NotSquare {
+                found: (a.rows(), a.cols()),
+            });
+        }
+        let n = a.rows();
+        let mut seen = vec![false; n];
+        let is_permutation = perm.len() == n
+            && perm
+                .iter()
+                .all(|&old| old < n && !std::mem::replace(&mut seen[old], true));
+        if !is_permutation {
+            return Err(NumericsError::DimensionMismatch {
+                op: "sparse lu ordering",
+                expected: (n, 1),
+                found: (perm.len(), 1),
+            });
+        }
+        let mut lu = Self::new(&permute_symmetric(a, perm))?;
+        for i in lu.row_src.iter_mut().chain(lu.col_dst.iter_mut()) {
+            *i = perm[*i as usize] as u32;
+        }
+        Ok(lu)
     }
 
     /// Dimension of the factored matrix.
@@ -194,10 +286,13 @@ impl<T: Scalar> SparseLu<T> {
     /// Total stored nonzeros in L and U (including diagonals) — the fill-in
     /// measure used by the complexity-scaling experiment.
     pub fn factor_nnz(&self) -> usize {
-        self.n
-            + self.n
-            + self.l_cols.iter().map(Vec::len).sum::<usize>()
-            + self.u_cols.iter().map(Vec::len).sum::<usize>()
+        self.n + self.n + self.l_idx.len() + self.u_idx.len()
+    }
+
+    /// A cheap condition estimate: `max|uᵢᵢ| / min|uᵢᵢ|` over U's
+    /// diagonal, defined as [`crate::LuFactor::diag_condition_estimate`].
+    pub fn diag_condition_estimate(&self) -> f64 {
+        crate::lu::diag_ratio(self.u_diag.iter().copied())
     }
 
     /// Solves `A·x = b`.
@@ -206,18 +301,31 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// Returns [`NumericsError::DimensionMismatch`] if `b.len() != dim()`.
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>, NumericsError> {
-        let mut y = Vec::with_capacity(self.n);
-        self.solve_into(b, &mut y)?;
-        Ok(y)
+        let mut x = Vec::with_capacity(self.n);
+        self.solve_into(b, &mut x, &mut Vec::with_capacity(self.n))?;
+        Ok(x)
     }
 
-    /// Solves `A·x = b` into a caller-owned buffer, reusing its capacity
+    /// Solves `A·x = b` into caller-owned buffers, reusing their capacity
     /// (the transient loop's per-step path — no allocation once warm).
+    /// `x` receives the solution; `work` holds it in pivot order while the
+    /// sweeps run.
+    ///
+    /// Each value is flushed to a zero of its sign when its magnitude is
+    /// below 2⁻⁹⁷⁰ ≈ 1.0e-292: in the forward sweep as it is read as a
+    /// pivot value, in the back sweep as it is finalized. The sweeps then
+    /// skip its whole column, so decaying solutions stay out of slow
+    /// subnormal arithmetic.
     ///
     /// # Errors
     ///
     /// Returns [`NumericsError::DimensionMismatch`] if `b.len() != dim()`.
-    pub fn solve_into(&self, b: &[T], y: &mut Vec<T>) -> Result<(), NumericsError> {
+    pub fn solve_into(
+        &self,
+        b: &[T],
+        x: &mut Vec<T>,
+        work: &mut Vec<T>,
+    ) -> Result<(), NumericsError> {
         if b.len() != self.n {
             return Err(NumericsError::DimensionMismatch {
                 op: "sparse lu solve",
@@ -225,32 +333,37 @@ impl<T: Scalar> SparseLu<T> {
                 found: (b.len(), 1),
             });
         }
-        // y = P·b
+        let y = work;
         y.clear();
-        y.resize(self.n, T::zero());
-        for (r, &v) in b.iter().enumerate() {
-            y[self.pinv[r]] = v;
-        }
+        y.extend(self.row_src.iter().map(|&r| b[r as usize]));
         // Forward: L·z = y (unit diagonal).
         for k in 0..self.n {
-            let yk = y[k];
+            let yk = y[k].flush_below(FLUSH_BELOW);
+            y[k] = yk;
             if yk.is_zero() {
                 continue;
             }
-            for &(orig_row, lv) in &self.l_cols[k] {
-                y[self.pinv[orig_row]] -= lv * yk;
+            let col = self.l_ptr[k]..self.l_ptr[k + 1];
+            for (&i, &lv) in self.l_idx[col.clone()].iter().zip(&self.l_val[col]) {
+                y[i as usize] -= lv * yk;
             }
         }
         // Backward: U·x = z, U stored by column.
         for j in (0..self.n).rev() {
-            let xj = y[j] / self.u_diag[j];
+            let xj = (y[j] / self.u_diag[j]).flush_below(FLUSH_BELOW);
             y[j] = xj;
             if xj.is_zero() {
                 continue;
             }
-            for &(k, uv) in &self.u_cols[j] {
-                y[k] -= uv * xj;
+            let col = self.u_ptr[j]..self.u_ptr[j + 1];
+            for (&k, &uv) in self.u_idx[col.clone()].iter().zip(&self.u_val[col]) {
+                y[k as usize] -= uv * xj;
             }
+        }
+        x.clear();
+        x.resize(self.n, T::zero());
+        for (&dst, &v) in self.col_dst.iter().zip(y.iter()) {
+            x[dst as usize] = v;
         }
         Ok(())
     }
@@ -394,5 +507,113 @@ mod tests {
         for (u, v) in back.iter().zip(b.iter()) {
             assert!((*u - *v).abs() < 1e-12);
         }
+    }
+
+    /// A 400-node chain whose exact solution decays by about 1e-3 per
+    /// node: `tri(−1, d, −1)·x = e₀` with `d = 1/r + r`, `r = 1e-3·rot`.
+    fn decaying_chain<T: Scalar>(rot: T) -> (CsrMatrix<T>, DenseMatrix<T>, Vec<T>) {
+        let n = 400;
+        let r = rot * T::from_f64(1e-3);
+        let d = T::one() / r + r;
+        let mut coo = CooMatrix::new(n, n);
+        let mut dense = DenseMatrix::<T>::zeros(n, n);
+        for i in 0..n {
+            coo.push(i, i, d).unwrap();
+            dense[(i, i)] = d;
+            if i + 1 < n {
+                coo.push(i, i + 1, -T::one()).unwrap();
+                coo.push(i + 1, i, -T::one()).unwrap();
+                dense[(i, i + 1)] = -T::one();
+                dense[(i + 1, i)] = -T::one();
+            }
+        }
+        let mut b = vec![T::zero(); n];
+        b[0] = T::one();
+        (coo.to_csr(), dense, b)
+    }
+
+    /// Every entry is 0 or at least [`FLUSH_BELOW`]; entries above 1e-100
+    /// match dense LU to 1e-12 relative; past the bound the tail is 0,
+    /// where dense LU keeps values below it.
+    fn check_flushed_chain<T: Scalar>(rot: T) {
+        let (a, dense, b) = decaying_chain(rot);
+        let xs = SparseLu::new(&a).unwrap().solve(&b).unwrap();
+        let xd = LuFactor::new(&dense).unwrap().solve(&b).unwrap();
+        let mut compared = 0;
+        for (i, (s, d)) in xs.iter().zip(&xd).enumerate() {
+            let m = s.modulus();
+            assert!(m == 0.0 || m >= FLUSH_BELOW, "entry {i} = {s} is below the flush bound");
+            if d.modulus() > 1e-100 {
+                assert!((*s - *d).modulus() <= 1e-12 * d.modulus(), "entry {i}: {s} vs {d}");
+                compared += 1;
+            }
+        }
+        assert!(compared >= 30, "only {compared} entries above 1e-100");
+        let tail = xs.iter().position(|v| v.is_zero()).unwrap();
+        assert!(tail < 110, "the chain must decay past the bound by node {tail}");
+        assert!(xs[tail..].iter().all(|v| v.is_zero()), "the far end must flush to zero");
+        assert!(
+            xd.iter().any(|v| !v.is_zero() && v.modulus() < FLUSH_BELOW),
+            "dense LU keeps values below the bound"
+        );
+    }
+
+    #[test]
+    fn flush_bound_is_min_positive_over_epsilon() {
+        assert_eq!(FLUSH_BELOW, 2f64.powi(-970));
+        assert_eq!(FLUSH_BELOW * f64::EPSILON, f64::MIN_POSITIVE);
+    }
+
+    #[test]
+    fn decaying_solution_flushes_tiny_values_real() {
+        check_flushed_chain(1.0f64);
+    }
+
+    #[test]
+    fn decaying_solution_flushes_tiny_values_complex() {
+        use crate::Complex64;
+        check_flushed_chain(Complex64::new(0.6, 0.8));
+    }
+
+    #[test]
+    fn ordered_factor_solves_in_original_numbering() {
+        // The ordering folded into the factor must give the same answer,
+        // bit for bit, as permuting b and un-permuting x by hand.
+        let (a, _, _) = decaying_chain(1.0f64);
+        let n = a.rows();
+        let perm: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % n).collect();
+        let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
+        let ordered = SparseLu::new_ordered(&a, &perm).unwrap();
+        let plain = SparseLu::new(&permute_symmetric(&a, &perm)).unwrap();
+        let pb: Vec<f64> = perm.iter().map(|&old| b[old]).collect();
+        let px = plain.solve(&pb).unwrap();
+        let x = ordered.solve(&b).unwrap();
+        for (new, &old) in perm.iter().enumerate() {
+            assert_eq!(x[old].to_bits(), px[new].to_bits());
+        }
+        assert_eq!(ordered.factor_nnz(), plain.factor_nnz());
+    }
+
+    #[test]
+    fn bad_ordering_rejected() {
+        let (a, _, _) = decaying_chain(1.0f64);
+        let n = a.rows();
+        let short: Vec<usize> = (0..n - 1).collect();
+        let repeated: Vec<usize> = (0..n).map(|i| i / 2).collect();
+        for perm in [short, repeated] {
+            assert!(matches!(
+                SparseLu::new_ordered(&a, &perm),
+                Err(NumericsError::DimensionMismatch { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn condition_estimate_matches_dense() {
+        let d = DenseMatrix::from_rows(&[&[4.0, 1.0], &[4.0, 1.0 + 1e-6]]).unwrap();
+        let sparse = SparseLu::new(&csr_from_dense(&d)).unwrap();
+        let dense = LuFactor::new(&d).unwrap();
+        assert_eq!(sparse.diag_condition_estimate(), dense.diag_condition_estimate());
+        assert!(sparse.diag_condition_estimate() > 1e6);
     }
 }

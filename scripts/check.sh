@@ -24,6 +24,11 @@ echo "==> release-profile audit pass (tier-1 integration tests, VPEC_AUDIT=full)
 # paths in the exact profile users deploy.
 timeout 600 env VPEC_AUDIT=full cargo test -q --release --test audit_invariants --test paper_claims
 
+echo "==> workload benchmark tests (every workload's oracles at toy size)"
+# The benchmark is a package of its own (workload-bench/Cargo.toml), so
+# the workspace test run above does not reach it.
+timeout 600 cargo test -q --release --manifest-path workload-bench/Cargo.toml
+
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
