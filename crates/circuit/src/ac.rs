@@ -4,13 +4,15 @@
 //! point. Used by the Fig. 2(b) reproduction (1 Hz – 10 GHz response of the
 //! 5-bit bus under PEEC, full VPEC and localized VPEC models).
 
+use crate::diagnostics::FactorStrategy;
 use crate::elements::Element;
 use crate::error::CircuitError;
 use crate::mna::{add_source_rhs, assemble, MnaLayout};
 use crate::netlist::Circuit;
 use crate::result::AcResult;
-use crate::solver::{Factored, SolverKind};
+use crate::solver::{FactorOptions, Factored, SolverKind, SparsePlan};
 use vpec_numerics::cancel::CancelToken;
+use vpec_numerics::ordering::rcm_ordering;
 use vpec_numerics::{pool, tune, Complex64, Pool};
 
 /// AC sweep specification.
@@ -111,6 +113,24 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
         });
     }
     let layout = MnaLayout::new(ckt);
+    let assemble_at = |f: f64| {
+        let omega = 2.0 * std::f64::consts::PI * f;
+        assemble::<Complex64>(
+            ckt,
+            &layout,
+            |c| Complex64::new(0.0, omega * c),
+            |l| Complex64::new(0.0, omega * l),
+        )
+        .to_csr()
+    };
+    // Sparse AC factors keep RCM with partial pivoting (the fill-reducing
+    // path of the real factors does not pay off on complex matrices; see
+    // DESIGN.md §8.6). RCM depends on the pattern alone, and G + jωC has
+    // the same pattern at every ω > 0, so the first point's ordering
+    // serves every point whose pattern matches it.
+    let first = assemble_at(spec.frequencies[0]);
+    let sparse = Factored::primary_strategy(spec.solver, &first) == FactorStrategy::SparseLu;
+    let first_rcm = sparse.then(|| rcm_ordering(&first));
     // Each sweep point is an independent assemble + factor + solve, so the
     // sweep maps over frequencies in parallel. Results come back in sweep
     // order; on failure the error reported is the one at the lowest
@@ -133,13 +153,7 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
             return Err(CircuitError::Cancelled { analysis: "ac" });
         }
         let _ps = vpec_trace::span("ac.point");
-        let omega = 2.0 * std::f64::consts::PI * f;
-        let a = assemble::<Complex64>(
-            ckt,
-            &layout,
-            |c| Complex64::new(0.0, omega * c),
-            |l| Complex64::new(0.0, omega * l),
-        );
+        let a = assemble_at(f);
         let mut rhs = vec![Complex64::ZERO; layout.dim];
         for (idx, e) in ckt.elements().iter().enumerate() {
             match e {
@@ -150,12 +164,15 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
                 _ => {}
             }
         }
-        let factored = Factored::factor(&a, spec.solver).map_err(|e| match e {
-            CircuitError::SingularSystem { .. } => {
-                CircuitError::SingularSystem { analysis: "ac" }
-            }
-            other => other,
-        })?;
+        let reuse = first_rcm.as_deref().filter(|_| a.same_pattern(&first));
+        let (factored, _) =
+            Factored::factor_csr(&a, FactorOptions::new(spec.solver), SparsePlan::Rcm(reuse))
+                .map_err(|e| match e {
+                    CircuitError::SingularSystem { .. } => {
+                        CircuitError::SingularSystem { analysis: "ac" }
+                    }
+                    other => other,
+                })?;
         factored.solve(&rhs)
     });
     let mut data = Vec::with_capacity(spec.frequencies.len());

@@ -7,8 +7,7 @@
 //! factorization cost — where sparsity wins — is paid throughout the run
 //! instead of once. The engine keeps a small cache of factorizations per
 //! step size (steps move on a halving/doubling ladder), which is what a
-//! production linear-circuit engine would do; the ablation benches compare
-//! this against the fixed-step engine.
+//! production linear-circuit engine would do.
 //!
 //! Error control: a second-order predictor (linear extrapolation of the
 //! last two accepted points) is compared against the trapezoidal
@@ -62,7 +61,7 @@ impl AdaptiveSpec {
     }
 }
 
-/// Statistics of an adaptive run — the ablation benches report these.
+/// Statistics of an adaptive run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveStats {
     /// Accepted time steps.

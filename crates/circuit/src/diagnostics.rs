@@ -14,10 +14,9 @@
 /// A factorization backend attempted by the fallback chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FactorStrategy {
-    /// Sparse Gilbert–Peierls LU with RCM ordering.
+    /// Sparse Gilbert–Peierls LU under a fill-reducing ordering (which one
+    /// is [`FactorDiagnostics::ordering`]).
     SparseLu,
-    /// Sparse LU without the fill-reducing ordering.
-    SparseLuNoOrdering,
     /// Dense LU with partial pivoting.
     DenseLu,
     /// Dense LU of the Tikhonov-shifted system `A + ε·I`.
@@ -29,9 +28,28 @@ impl FactorStrategy {
     pub fn label(self) -> &'static str {
         match self {
             FactorStrategy::SparseLu => "sparse-lu",
-            FactorStrategy::SparseLuNoOrdering => "sparse-lu-no-ordering",
             FactorStrategy::DenseLu => "dense-lu",
             FactorStrategy::RegularizedDenseLu => "regularized-dense-lu",
+        }
+    }
+}
+
+/// The ordering a sparse factor was computed under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SparseOrdering {
+    /// Maximum transversal + approximate minimum degree, with
+    /// diagonal-preferring threshold pivoting.
+    Amd,
+    /// Reverse Cuthill–McKee with full partial pivoting.
+    Rcm,
+}
+
+impl SparseOrdering {
+    /// Short label for reports and trace attributes.
+    pub fn label(self) -> &'static str {
+        match self {
+            SparseOrdering::Amd => "amd",
+            SparseOrdering::Rcm => "rcm",
         }
     }
 }
@@ -59,6 +77,12 @@ pub struct FactorDiagnostics {
     /// diagonals for sparse LU, `dim²` for dense LU (0 until a factor is
     /// accepted).
     pub factor_nnz: usize,
+    /// Ordering of the accepted sparse factor, as the fill guard decided
+    /// (`None` for dense LU).
+    pub ordering: Option<SparseOrdering>,
+    /// Columns of the accepted sparse factor pivoted off the diagonal of
+    /// the ordered matrix (0 for dense LU).
+    pub off_diagonal_pivots: usize,
     /// The Tikhonov shift `ε` that was finally applied, if the
     /// regularized stage was reached.
     pub regularization: Option<f64>,
@@ -201,6 +225,8 @@ mod tests {
             ],
             condition_estimate: Some(1234.0),
             factor_nnz: 9,
+            ordering: None,
+            off_diagonal_pivots: 0,
             regularization: None,
         };
         let s = d.summary();

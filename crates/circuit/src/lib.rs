@@ -78,7 +78,7 @@ mod waveform;
 
 pub use adaptive::{AdaptiveSpec, AdaptiveStats};
 pub use diagnostics::{
-    FactorAttempt, FactorDiagnostics, FactorStrategy, FaultInjection, SolveAudit,
+    FactorAttempt, FactorDiagnostics, FactorStrategy, FaultInjection, SolveAudit, SparseOrdering,
     TransientDiagnostics,
 };
 pub use elements::{Element, ElementId};

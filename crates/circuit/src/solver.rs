@@ -1,6 +1,7 @@
 //! Linear-solver selection and the factorization **fallback chain**:
 //! dense LU for small/dense MNA systems, sparse Gilbert–Peierls LU
-//! otherwise — and when the chosen backend fails, a bounded chain of
+//! otherwise (under the fill guard of [`Factored::factor_with`]) — and
+//! when the chosen backend fails, a bounded chain of
 //! recovery stages (sparse LU → dense LU with partial pivoting →
 //! optional Tikhonov-regularized dense LU with escalating `ε`).
 //!
@@ -12,9 +13,9 @@
 //! degrades through the chain and is reported in [`FactorDiagnostics`]
 //! instead of panicking or silently emitting garbage.
 
-use crate::diagnostics::{FactorAttempt, FactorDiagnostics, FactorStrategy};
+use crate::diagnostics::{FactorAttempt, FactorDiagnostics, FactorStrategy, SparseOrdering};
 use crate::error::CircuitError;
-use vpec_numerics::ordering::rcm_ordering;
+use vpec_numerics::ordering::{rcm_ordering, symbolic_lu};
 use vpec_numerics::{CooMatrix, CsrMatrix, LuFactor, Scalar, SparseLu};
 
 /// Which factorization backend to use.
@@ -25,27 +26,22 @@ pub enum SolverKind {
     Auto,
     /// Force dense LU.
     Dense,
-    /// Force sparse LU (with RCM ordering).
+    /// Force sparse LU (with a fill-reducing ordering).
     Sparse,
-    /// Sparse LU **without** the fill-reducing ordering — exists for the
-    /// ablation benches; expect catastrophic fill on netlist-ordered MNA
-    /// systems.
-    SparseNoOrdering,
 }
 
 /// The `--solver=` / batch `"solver"` grammar: every accepted token and
 /// the kind it selects.
-const SOLVER_TOKENS: [(&str, SolverKind); 4] = [
+const SOLVER_TOKENS: [(&str, SolverKind); 3] = [
     ("auto", SolverKind::Auto),
     ("dense", SolverKind::Dense),
     ("sparse", SolverKind::Sparse),
-    ("sparse-no-ordering", SolverKind::SparseNoOrdering),
 ];
 
 impl SolverKind {
     /// Parses the CLI/engine grammar (`--solver=`, the batch `"solver"`
-    /// field): `auto`, or a forced backend (`dense`, `sparse`,
-    /// `sparse-no-ordering`) so ablation scripts can pin one.
+    /// field): `auto`, or a forced backend (`dense`, `sparse`) so a run
+    /// can pin one.
     ///
     /// # Errors
     ///
@@ -102,42 +98,33 @@ pub(crate) enum Factored<T: Scalar> {
     Sparse(SparseLu<T>),
 }
 
+/// How a sparse primary factor is ordered.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SparsePlan<'a> {
+    /// Transversal + AMD with diagonal-preferring threshold pivoting,
+    /// unless the fill guard ([`fill_guarded`]) finds RCM's factor
+    /// smaller.
+    FillGuarded,
+    /// RCM with full partial pivoting, as the complex AC factors use.
+    /// `Some` reuses an RCM ordering already computed for this very
+    /// pattern (RCM depends on the pattern alone).
+    Rcm(Option<&'a [usize]>),
+}
+
 impl<T: Scalar> Factored<T> {
-    /// Factors the assembled system with the requested backend. The sparse
-    /// path applies a reverse Cuthill–McKee ordering first — netlist-order
-    /// MNA unknowns factor with catastrophic fill otherwise. On failure
-    /// the bounded fallback chain engages; see [`Factored::factor_with`].
+    /// Factors the assembled system with the requested backend and the
+    /// bounded fallback chain; see [`Factored::factor_with`].
     pub fn factor(coo: &CooMatrix<T>, kind: SolverKind) -> Result<Self, CircuitError> {
         Self::factor_with(coo, FactorOptions::new(kind)).map(|(f, _)| f)
     }
 
-    /// Factors with the full fallback chain and returns what happened.
-    ///
-    /// Stages, in order (each bounded, no retry loops besides the fixed
-    /// `ε` escalation):
-    ///
-    /// 1. the primary backend chosen by `opts.kind` (dense or sparse);
-    /// 2. dense LU with partial pivoting, when the primary was sparse —
-    ///    partial pivoting handles zero diagonals the no-pivot sparse
-    ///    kernel cannot;
-    /// 3. if `opts.regularize`: dense LU of `A + ε·I` with `ε` escalating
-    ///    over [`REGULARIZATION_STEPS`] decades-of-100 from
-    ///    `max|Aᵢⱼ|·1e-10`.
-    ///
-    /// The returned [`FactorDiagnostics`] records every attempt, the
-    /// condition estimate and stored nonzeros of the accepted factor and
-    /// the final `ε`.
-    pub fn factor_with(
-        coo: &CooMatrix<T>,
-        opts: FactorOptions,
-    ) -> Result<(Self, FactorDiagnostics), CircuitError> {
-        let csr = coo.to_csr();
+    /// The primary backend `kind` selects for `csr`: `Auto` takes dense
+    /// LU for small or dense systems, sparse LU otherwise.
+    pub(crate) fn primary_strategy(kind: SolverKind, csr: &CsrMatrix<T>) -> FactorStrategy {
         let dim = csr.rows();
-        let mut sp = vpec_trace::span!("factor", "dim" => dim);
-        let primary_strategy = match opts.kind {
+        match kind {
             SolverKind::Dense => FactorStrategy::DenseLu,
             SolverKind::Sparse => FactorStrategy::SparseLu,
-            SolverKind::SparseNoOrdering => FactorStrategy::SparseLuNoOrdering,
             SolverKind::Auto => {
                 if dim <= 64 || (csr.density() > 0.15 && dim <= 2048) {
                     FactorStrategy::DenseLu
@@ -145,7 +132,49 @@ impl<T: Scalar> Factored<T> {
                     FactorStrategy::SparseLu
                 }
             }
-        };
+        }
+    }
+
+    /// Factors with the full fallback chain and returns what happened.
+    ///
+    /// Stages, in order (each bounded, no retry loops besides the fixed
+    /// `ε` escalation):
+    ///
+    /// 1. the primary backend chosen by `opts.kind` (dense or sparse). A
+    ///    sparse primary runs the **fill guard** ([`fill_guarded`]): it
+    ///    factors under maximum transversal + AMD with diagonal-preferring
+    ///    threshold pivoting, and accepts that factor when its nonzeros
+    ///    are at most half the symbolic LU estimate of the RCM ordering.
+    ///    Otherwise it also factors under RCM with full partial pivoting
+    ///    and keeps the smaller of the two. When the estimate predicts no
+    ///    fill, the RCM factor is taken directly;
+    /// 2. dense LU with partial pivoting, when the primary was sparse —
+    ///    dense partial pivoting survives pivot sequences the sparse
+    ///    kernel's pattern cannot reach;
+    /// 3. if `opts.regularize`: dense LU of `A + ε·I` with `ε` escalating
+    ///    over [`REGULARIZATION_STEPS`] decades-of-100 from
+    ///    `max|Aᵢⱼ|·1e-10`.
+    ///
+    /// The returned [`FactorDiagnostics`] records every attempt, the
+    /// condition estimate, stored nonzeros, ordering and off-diagonal
+    /// pivots of the accepted factor and the final `ε`.
+    pub fn factor_with(
+        coo: &CooMatrix<T>,
+        opts: FactorOptions,
+    ) -> Result<(Self, FactorDiagnostics), CircuitError> {
+        Self::factor_csr(&coo.to_csr(), opts, SparsePlan::FillGuarded)
+    }
+
+    /// [`Factored::factor_with`] on a compressed matrix, with the sparse
+    /// primary ordered as `plan` says.
+    pub(crate) fn factor_csr(
+        csr: &CsrMatrix<T>,
+        opts: FactorOptions,
+        plan: SparsePlan<'_>,
+    ) -> Result<(Self, FactorDiagnostics), CircuitError> {
+        let dim = csr.rows();
+        let mut sp = vpec_trace::span!("factor", "dim" => dim);
+        let primary_strategy = Self::primary_strategy(opts.kind, csr);
 
         let mut diag = FactorDiagnostics::default();
         let mut last_err: Option<CircuitError> = None;
@@ -159,8 +188,11 @@ impl<T: Scalar> Factored<T> {
             });
             None
         } else {
-            let (outcome, err) = match Self::try_primary(&csr, primary_strategy) {
-                Ok(f) => (Some(f), None),
+            let (outcome, err) = match Self::try_primary(csr, primary_strategy, plan) {
+                Ok((f, ordering)) => {
+                    diag.ordering = ordering;
+                    (Some(f), None)
+                }
                 Err(e) => (None, Some(e)),
             };
             diag.attempts.push(FactorAttempt {
@@ -245,13 +277,22 @@ impl<T: Scalar> Factored<T> {
         }
         match factor {
             Some(f) => {
-                let (cond, nnz) = match &f {
-                    Factored::Dense(lu) => (lu.diag_condition_estimate(), dim * dim),
-                    Factored::Sparse(lu) => (lu.diag_condition_estimate(), lu.factor_nnz()),
+                let (cond, nnz, off_diagonal) = match &f {
+                    Factored::Dense(lu) => (lu.diag_condition_estimate(), dim * dim, 0),
+                    Factored::Sparse(lu) => (
+                        lu.diag_condition_estimate(),
+                        lu.factor_nnz(),
+                        lu.off_diagonal_pivots(),
+                    ),
                 };
                 diag.condition_estimate = Some(cond);
                 diag.factor_nnz = nnz;
+                diag.off_diagonal_pivots = off_diagonal;
                 sp.set_attr("factor_nnz", nnz);
+                if let Some(o) = diag.ordering {
+                    sp.set_attr("ordering", o.label());
+                    sp.set_attr("off_diagonal_pivots", off_diagonal);
+                }
                 Ok((f, diag))
             }
             None => Err(last_err.unwrap_or(CircuitError::SingularSystem { analysis: "solve" })),
@@ -261,16 +302,25 @@ impl<T: Scalar> Factored<T> {
     fn try_primary(
         csr: &CsrMatrix<T>,
         strategy: FactorStrategy,
-    ) -> Result<Self, CircuitError> {
+        plan: SparsePlan<'_>,
+    ) -> Result<(Self, Option<SparseOrdering>), CircuitError> {
         match strategy {
             FactorStrategy::DenseLu | FactorStrategy::RegularizedDenseLu => {
-                Ok(Factored::Dense(LuFactor::new(&csr.to_dense())?))
+                Ok((Factored::Dense(LuFactor::new(&csr.to_dense())?), None))
             }
-            FactorStrategy::SparseLuNoOrdering => Ok(Factored::Sparse(SparseLu::new(csr)?)),
-            FactorStrategy::SparseLu => Ok(Factored::Sparse(SparseLu::new_ordered(
-                csr,
-                &rcm_ordering(csr),
-            )?)),
+            FactorStrategy::SparseLu => {
+                let (lu, ordering) = match plan {
+                    SparsePlan::FillGuarded => fill_guarded(csr)?,
+                    SparsePlan::Rcm(Some(perm)) => {
+                        (SparseLu::new_ordered(csr, perm)?, SparseOrdering::Rcm)
+                    }
+                    SparsePlan::Rcm(None) => (
+                        SparseLu::new_ordered(csr, &rcm_ordering(csr))?,
+                        SparseOrdering::Rcm,
+                    ),
+                };
+                Ok((Factored::Sparse(lu), Some(ordering)))
+            }
         }
     }
 
@@ -305,6 +355,55 @@ impl<T: Scalar> Factored<T> {
     }
 }
 
+/// How far below RCM's predicted nonzeros the transversal + AMD factor
+/// must come for the fill guard to accept it without factoring under RCM
+/// as well: at most `1 / FILL_GUARD_MARGIN` of the prediction.
+///
+/// The prediction is symmetric (full diagonal, no pivoting). Over the
+/// benchmark's real-valued matrices RCM's actual factor held 0.37–1.28×
+/// of it — pivoting past the structurally zero diagonals of voltage-source
+/// rows avoids fill the prediction counts — so a factor within the
+/// prediction can still lose to RCM, while one at half of it never did.
+const FILL_GUARD_MARGIN: usize = 2;
+
+/// The fill guard. RCM's symbolic estimate comes first: when it predicts
+/// no fill at all, RCM's factor is taken without trying another, as a
+/// fill-free factor leaves an ordering nothing to win. Otherwise the transversal + AMD factor is
+/// accepted when its nonzeros (L and U, diagonal once) are at most
+/// `1 / FILL_GUARD_MARGIN` of the estimate, and else the smaller of it and
+/// the RCM factor with full partial pivoting (RCM on a tie). An RCM factor
+/// is the factor an RCM-only solver computes, bit for bit.
+///
+/// The guard weighs an actual factor against RCM's prediction: with
+/// pivots off the diagonal, a symmetric prediction for the matched
+/// pattern says little about the factor threshold pivoting builds. When
+/// either path fails numerically the other one stands; when both fail,
+/// RCM's error is reported.
+fn fill_guarded<T: Scalar>(
+    csr: &CsrMatrix<T>,
+) -> Result<(SparseLu<T>, SparseOrdering), CircuitError> {
+    let dim = csr.rows();
+    let rcm = rcm_ordering(csr);
+    let predicted = symbolic_lu(csr, &rcm)?;
+    if predicted.fill == 0 {
+        if let Ok(lu) = SparseLu::new_ordered(csr, &rcm) {
+            return Ok((lu, SparseOrdering::Rcm));
+        }
+    }
+    let amd = SparseLu::new_fill_reducing(csr);
+    if let Ok(lu) = &amd {
+        if FILL_GUARD_MARGIN * (lu.factor_nnz() - dim) <= predicted.nnz {
+            return amd.map(|lu| (lu, SparseOrdering::Amd)).map_err(Into::into);
+        }
+    }
+    Ok(match (amd, SparseLu::new_ordered(csr, &rcm)) {
+        (Ok(a), Ok(b)) if a.factor_nnz() < b.factor_nnz() => (a, SparseOrdering::Amd),
+        (_, Ok(b)) => (b, SparseOrdering::Rcm),
+        (Ok(a), Err(_)) => (a, SparseOrdering::Amd),
+        (Err(_), Err(e)) => return Err(e.into()),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,14 +421,10 @@ mod tests {
         assert_eq!(SolverKind::parse("auto").unwrap(), SolverKind::Auto);
         assert_eq!(SolverKind::parse("dense").unwrap(), SolverKind::Dense);
         assert_eq!(SolverKind::parse("sparse").unwrap(), SolverKind::Sparse);
-        assert_eq!(
-            SolverKind::parse("sparse-no-ordering").unwrap(),
-            SolverKind::SparseNoOrdering
-        );
-        for removed in ["qr", "direct", "iterative"] {
+        for removed in ["qr", "direct", "iterative", "sparse-no-ordering"] {
             let err = SolverKind::parse(removed).unwrap_err();
             assert!(err.contains("unknown solver"), "{err}");
-            assert!(err.contains("auto, dense, sparse, sparse-no-ordering"), "{err}");
+            assert!(err.ends_with("(use auto, dense, sparse)"), "{err}");
         }
     }
 
@@ -378,40 +473,67 @@ mod tests {
     }
 
     #[test]
-    fn no_ordering_variant_agrees() {
-        let mut coo = CooMatrix::new(4, 4);
-        for i in 0..4 {
-            coo.push(i, i, 3.0).unwrap();
-        }
-        coo.push(0, 3, 1.0).unwrap();
-        coo.push(3, 0, 1.0).unwrap();
-        let b = [1.0, 2.0, 3.0, 4.0];
-        let x1 = Factored::factor(&coo, SolverKind::Sparse)
-            .unwrap()
-            .solve(&b)
-            .unwrap();
-        let x2 = Factored::factor(&coo, SolverKind::SparseNoOrdering)
-            .unwrap()
-            .solve(&b)
-            .unwrap();
-        for (u, v) in x1.iter().zip(x2.iter()) {
-            assert!((u - v).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn every_accepted_factor_reports_its_evidence() {
         // Condition estimate and factor nnz come from the accepted factor,
         // whichever backend produced it.
-        for (kind, nnz) in [
-            (SolverKind::Dense, 25),
-            (SolverKind::Sparse, 10),
-            (SolverKind::SparseNoOrdering, 10),
+        for (kind, nnz, ordering) in [
+            (SolverKind::Dense, 25, None),
+            (SolverKind::Sparse, 10, Some(SparseOrdering::Rcm)),
         ] {
             let (_, diag) = Factored::factor_with(&diag_coo(5), FactorOptions::new(kind)).unwrap();
             assert_eq!(diag.condition_estimate, Some(1.0), "{kind:?}");
             assert_eq!(diag.factor_nnz, nnz, "{kind:?}");
+            assert_eq!(diag.ordering, ordering, "{kind:?}");
+            assert_eq!(diag.off_diagonal_pivots, 0, "{kind:?}");
         }
+    }
+
+    /// The 5-point Laplacian of a `rows × cols` grid, numbered row-major.
+    fn grid(rows: usize, cols: usize) -> CsrMatrix<f64> {
+        let mut coo = CooMatrix::new(rows * cols, rows * cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                let v = r * cols + c;
+                coo.push(v, v, 4.0).unwrap();
+                for u in [(c + 1 < cols).then(|| v + 1), (r + 1 < rows).then(|| v + cols)]
+                    .into_iter()
+                    .flatten()
+                {
+                    coo.push(v, u, -1.0).unwrap();
+                    coo.push(u, v, -1.0).unwrap();
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn fill_guard_takes_each_path() {
+        let nnz_of = |a: &CsrMatrix<f64>| {
+            let rcm = rcm_ordering(a);
+            let amd = SparseLu::new_fill_reducing(a).unwrap().factor_nnz();
+            let banded = SparseLu::new_ordered(a, &rcm).unwrap().factor_nnz();
+            (symbolic_lu(a, &rcm).unwrap(), amd, banded)
+        };
+        // A square grid: RCM's band fills, AMD's factor is under half of
+        // RCM's estimate and is accepted without the second factor.
+        let square = grid(40, 40);
+        let (predicted, amd, _) = nnz_of(&square);
+        assert!(FILL_GUARD_MARGIN * (amd - 1600) <= predicted.nnz);
+        let (lu, ordering) = fill_guarded(&square).unwrap();
+        assert_eq!((ordering, lu.factor_nnz()), (SparseOrdering::Amd, amd));
+        // A 2 × 60 ladder: both orderings fill a little, so both factors
+        // are computed and the smaller is kept (RCM on a tie).
+        let ladder = grid(2, 60);
+        let (predicted, amd, banded) = nnz_of(&ladder);
+        assert!(predicted.fill > 0 && FILL_GUARD_MARGIN * (amd - 120) > predicted.nnz);
+        let (lu, ordering) = fill_guarded(&ladder).unwrap();
+        let expect = if amd < banded { SparseOrdering::Amd } else { SparseOrdering::Rcm };
+        assert_eq!((ordering, lu.factor_nnz()), (expect, amd.min(banded)));
+        // A chain: RCM predicts no fill and is taken directly.
+        let chain = grid(1, 50);
+        assert_eq!(nnz_of(&chain).0.fill, 0);
+        assert_eq!(fill_guarded(&chain).unwrap().1, SparseOrdering::Rcm);
     }
 
     #[test]
@@ -430,7 +552,7 @@ mod tests {
         coo.push(0, 1, 1.0).unwrap();
         coo.push(1, 0, 1.0).unwrap();
         let opts = FactorOptions {
-            kind: SolverKind::SparseNoOrdering,
+            kind: SolverKind::Sparse,
             regularize: false,
             fail_primary: true,
         };

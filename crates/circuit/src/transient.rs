@@ -258,6 +258,12 @@ impl TransientFactor {
         &self.factor_diag
     }
 
+    /// The assembled companion-model matrix the factor was computed from,
+    /// for analyses that want to weigh the factor against another one.
+    pub fn matrix(&self) -> &vpec_numerics::CooMatrix<f64> {
+        &self.a
+    }
+
     /// Checks that this factorization matches `(ckt, spec)` without
     /// running anything — exactly the validation a prefactored run
     /// performs before reusing the factor. This is the cheap

@@ -1,11 +1,12 @@
 //! Serial/parallel equivalence of the AC sweep.
 //!
 //! `run_ac` distributes frequency points over the pool; each point is
-//! assembled and factored independently, so the sweep must match the
-//! 1-worker run bit-for-bit at any worker count.
+//! assembled and factored independently (sharing only the pattern's RCM
+//! ordering), so the sweep must match the 1-worker run bit-for-bit at any
+//! worker count.
 
 use vpec_circuit::ac::{run_ac, AcSpec};
-use vpec_circuit::{Circuit, Waveform};
+use vpec_circuit::{Circuit, SolverKind, Waveform};
 use vpec_numerics::pool;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -53,6 +54,27 @@ fn ac_sweep_matches_serial_at_any_thread_count() {
                 assert!(
                     (a.re - b.re).abs() <= TOL && (a.im - b.im).abs() <= TOL,
                     "point {i} differs at {nt} threads: {a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+    // A forced sparse sweep orders once, from its first point, and reuses
+    // that RCM ordering at every point of the same pattern. RCM depends on
+    // the pattern alone, so every point must match, bit for bit, a sweep
+    // of that point alone (which orders from the point itself).
+    let sparse = spec.clone().solver(SolverKind::Sparse);
+    for nt in THREAD_COUNTS {
+        pool::set_threads(nt);
+        let swept = run_ac(&c, &sparse).expect("sparse sweep");
+        for (i, &f) in sparse.frequencies.iter().enumerate() {
+            let alone = AcSpec::points(vec![f]).solver(SolverKind::Sparse);
+            let point = run_ac(&c, &alone).expect("single-point sweep");
+            for &tap in &taps {
+                let a = swept.voltage(tap).expect("swept tap")[i];
+                let b = point.voltage(tap).expect("single tap")[0];
+                assert!(
+                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                    "point {i} at {nt} threads: {a:?} vs {b:?}"
                 );
             }
         }

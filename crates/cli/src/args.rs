@@ -85,7 +85,7 @@ pub struct ParsedArgs {
     /// resolve from `VPEC_TRACE`).
     pub trace: Option<String>,
     /// Linear-solver override for transient analyses
-    /// (`--solver=auto|dense|sparse|sparse-no-ordering`; `None` = the
+    /// (`--solver=auto|dense|sparse`; `None` = the
     /// spec default, `Auto`).
     pub solver: Option<SolverKind>,
     /// Input path for `batch` (`--in FILE`).
@@ -540,12 +540,12 @@ mod tests {
             parse_args(&argv("noise --solver=auto")).unwrap().solver,
             Some(SolverKind::Auto)
         );
-        for removed in ["qr", "iterative", "direct"] {
+        for removed in ["qr", "iterative", "direct", "sparse-no-ordering"] {
             let err = parse_args(&argv(&format!("simulate --solver={removed}"))).unwrap_err();
             assert_eq!(err.code, 2);
             assert!(err.message.contains("unknown solver"), "{}", err.message);
             assert!(
-                err.message.contains("auto, dense, sparse, sparse-no-ordering"),
+                err.message.contains("(use auto, dense, sparse)"),
                 "{}",
                 err.message
             );

@@ -99,12 +99,11 @@ COMMON OPTIONS:
   --tstop T         transient window (default 0.5n seconds)
   --dt T            time step (default 1p seconds)
   --solver K        transient linear-solver backend: auto | dense |
-                    sparse | sparse-no-ordering (default auto). auto
-                    picks dense LU for small or dense systems and
-                    RCM-ordered sparse LU otherwise; the others force a
-                    backend (sparse-no-ordering skips RCM, for ablation).
-                    All choices share the bounded fallback chain, so a
-                    failed backend degrades loudly instead of lying.
+                    sparse (default auto). auto picks dense LU for small
+                    or dense systems and fill-reducing sparse LU
+                    otherwise; the others force a backend. All choices
+                    share the bounded fallback chain, so a failed
+                    backend degrades loudly instead of lying.
   --probe LIST      comma-separated net indices to record (default: all)
   --threshold V     noise-margin threshold in volts (noise command)
   --threads N       worker threads for the parallel numerics layer

@@ -669,6 +669,28 @@ mod tests {
     }
 
     #[test]
+    fn ledgers_with_the_retired_no_ordering_strategy_still_aggregate() {
+        // A request line as written while `--solver=sparse-no-ordering`
+        // still existed: its strategy label is no longer produced, but a
+        // strategy is a free-form string, so old ledgers stay readable.
+        let old = concat!(
+            r#"{"rec":"request","seq":1,"ts_ms":1000,"id":"a","ok":true,"error":null,"#,
+            r#""kind":"gwVPEC(b=2)","ran":"gwVPEC(b=2)","analysis":"transient","retries":0,"#,
+            r#""degraded":false,"degraded_reason":null,"experiment_hit":false,"#,
+            r#""model_hit":false,"factor_hit":false,"strategy":"sparse-lu-no-ordering","#,
+            r#""dim":98,"elements":120,"queue_ms":0.1,"#,
+            r#""build_ms":2.5,"solve_ms":4,"total_ms":6.75,"peak_scratch_bytes":76832}"#,
+            "\n",
+        );
+        let records = crate::ledger::parse_ledger(old).expect("old ledger parses");
+        assert_eq!(records.len(), 1);
+        let stats = aggregate(&records, 0);
+        assert_eq!((stats.total, stats.ok, stats.failed), (1, 1, 0));
+        assert_eq!(stats.strategies.get("sparse-lu-no-ordering"), Some(&1));
+        assert_eq!(stats.latency().max, Some(6.75));
+    }
+
+    #[test]
     fn percentiles_are_exact_nearest_rank() {
         let v: Vec<f64> = (1..=100).map(f64::from).collect();
         assert_eq!(percentile(&v, 0.50), Some(50.0));

@@ -127,6 +127,33 @@ impl<T: Scalar> CsrMatrix<T> {
         self.cols
     }
 
+    /// Assembles a matrix from CSR arrays the caller built sorted and
+    /// duplicate-free (the permutations in [`crate::ordering`]).
+    pub(crate) fn from_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<T>,
+    ) -> Self {
+        CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// `true` when `other` has the same shape and stores exactly the same
+    /// positions, whatever their values — checked in O(nnz).
+    pub fn same_pattern<U: Scalar>(&self, other: &CsrMatrix<U>) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && self.row_ptr == other.row_ptr
+            && self.col_idx == other.col_idx
+    }
+
     /// Number of stored (structural) nonzeros.
     pub fn nnz(&self) -> usize {
         self.values.len()

@@ -1,5 +1,5 @@
-//! Sparse LU factorization (left-looking Gilbert–Peierls with partial
-//! pivoting).
+//! Sparse LU factorization (left-looking Gilbert–Peierls with threshold
+//! partial pivoting).
 //!
 //! This is the "internal sparse solver" role that HSPICE plays in the paper:
 //! the whole point of VPEC sparsification is that the MNA matrix of a
@@ -8,8 +8,19 @@
 //! floating-point work on *structural* nonzeros plus fill, so a 30 % sparse
 //! factor translates directly into the orders-of-magnitude simulation
 //! speedups of Tables II–III and Fig. 8.
+//!
+//! Two pivoting rules serve two orderings:
+//!
+//! * [`SparseLu::new_fill_reducing`] orders by maximum transversal + AMD
+//!   (see [`crate::ordering`]) and keeps the diagonal entry as pivot
+//!   whenever it is at least 10⁻³ times the column's largest candidate, as
+//!   KLU does — so the elimination follows the ordering that was chosen
+//!   for low fill. A factor whose elimination grew entries more than
+//!   tenfold is redone at 10⁻¹;
+//! * [`SparseLu::new`] and [`SparseLu::new_ordered`] (the RCM path) take
+//!   the largest candidate in every column (full partial pivoting).
 
-use crate::ordering::permute_symmetric;
+use crate::ordering::{amd, max_transversal, permuted_transpose, Adjacency};
 use crate::{CsrMatrix, NumericsError, Scalar};
 
 /// Magnitude below which the triangular solves flush a value to zero:
@@ -23,6 +34,37 @@ use crate::{CsrMatrix, NumericsError, Scalar};
 /// change results: the 256-bit gwVPEC(8) transient amplifies a 1e-151
 /// change at its far lines by about 1e140 over 490 steps.
 const FLUSH_BELOW: f64 = f64::MIN_POSITIVE / f64::EPSILON;
+
+/// Threshold of the diagonal-preferring pivot rule: the diagonal entry is
+/// kept when `|x_jj| ≥ DIAG_PIVOT_TOL · max_i |x_ij|` over the column's
+/// unpivoted rows. KLU's default.
+const DIAG_PIVOT_TOL: f64 = 1e-3;
+
+/// The stricter threshold a factor is redone with when the first one's
+/// reciprocal pivot growth falls below [`MIN_PIVOT_GROWTH`].
+const STRICT_DIAG_PIVOT_TOL: f64 = 1e-1;
+
+/// Smallest acceptable reciprocal pivot growth
+/// (`min_j max|B[:,j]| / max|U[:,j]|`, KLU's `rgrowth`) of a
+/// diagonal-preferring factor at [`DIAG_PIVOT_TOL`].
+///
+/// A tolerance of 1e-3 keeps PEEC's diagonal everywhere with no growth
+/// (0.99), but lets the controlled-source rows of gwVPEC, ntVPEC and full
+/// VPEC grow U entries up to 3e5 times their column's largest entry: their
+/// transients then drift 1e-8 of the noise peak from a dense-LU solve.
+/// Redone at [`STRICT_DIAG_PIVOT_TOL`] the growth stays below 7× and the
+/// drift below 1e-9, for a few percent more fill.
+const MIN_PIVOT_GROWTH: f64 = 1e-1;
+
+/// Which candidate becomes a column's pivot.
+#[derive(Debug, Clone, Copy)]
+enum Pivoting {
+    /// The largest magnitude (the first one met, on ties).
+    Partial,
+    /// The diagonal when its magnitude is at least this share of the
+    /// largest, else the largest.
+    PreferDiagonal(f64),
+}
 
 /// Sparse LU factors of a square matrix, `P·A·Q = L·U`, stored flat
 /// (compressed columns) with every permutation folded into two index
@@ -63,13 +105,36 @@ pub struct SparseLu<T = f64> {
     row_src: Vec<u32>,
     /// `col_dst[j]`: the solution entry that factor column `j` solves for.
     col_dst: Vec<u32>,
+    /// Columns whose pivot is not the diagonal of the ordered matrix.
+    off_diagonal_pivots: usize,
+    /// `min_j max|B[:,j]| / max|U[:,j]|` over the ordered matrix `B`.
+    reciprocal_pivot_growth: f64,
 }
 
 const UNPIVOTED: usize = usize::MAX;
 
+/// Rejects non-square matrices and dimensions past the factor's 32-bit
+/// indices.
+fn check_dim<T: Scalar>(a: &CsrMatrix<T>) -> Result<(), NumericsError> {
+    if a.rows() != a.cols() {
+        return Err(NumericsError::NotSquare {
+            found: (a.rows(), a.cols()),
+        });
+    }
+    let n = a.rows();
+    if u32::try_from(n).is_err() {
+        return Err(NumericsError::DimensionMismatch {
+            op: "sparse lu (32-bit indices)",
+            expected: (u32::MAX as usize, u32::MAX as usize),
+            found: (n, n),
+        });
+    }
+    Ok(())
+}
+
 impl<T: Scalar> SparseLu<T> {
-    /// Factors a square CSR matrix with partial (threshold = 1.0, i.e.
-    /// full partial) pivoting.
+    /// Factors a square CSR matrix in its given order with full partial
+    /// pivoting.
     ///
     /// # Errors
     ///
@@ -78,21 +143,91 @@ impl<T: Scalar> SparseLu<T> {
     ///   the factor's 32-bit indices.
     /// * [`NumericsError::Singular`] if some column has no usable pivot.
     pub fn new(a: &CsrMatrix<T>) -> Result<Self, NumericsError> {
-        if a.rows() != a.cols() {
-            return Err(NumericsError::NotSquare {
-                found: (a.rows(), a.cols()),
-            });
+        check_dim(a)?;
+        Self::factor_columns(&a.transpose(), Pivoting::Partial)
+    }
+
+    /// Factors `A` under a symmetric ordering — the LU of `B = Pᵀ·A·P`
+    /// with `B[i][j] = A[perm[i]][perm[j]]` (`perm[new] = old`, e.g. from
+    /// [`crate::ordering::rcm_ordering`]) with full partial pivoting — and
+    /// folds the ordering into the factor's index maps, so
+    /// [`SparseLu::solve`] still solves `A·x = b` in the original
+    /// numbering.
+    ///
+    /// # Errors
+    ///
+    /// * [`NumericsError::DimensionMismatch`] if `perm` is not a
+    ///   permutation of `0..dim`.
+    /// * Everything [`SparseLu::new`] returns.
+    pub fn new_ordered(a: &CsrMatrix<T>, perm: &[usize]) -> Result<Self, NumericsError> {
+        Self::permuted(a, perm, perm, Pivoting::Partial)
+    }
+
+    /// Factors `A` under KLU's fill-reducing recipe: a maximum transversal
+    /// `row_of` (so `A[row_of[j]][j]` is a structural nonzero), then an
+    /// AMD ordering `q` of the symmetrized pattern of that row-matched
+    /// matrix, then the LU of `B[i][j] = A[row_of[q[i]]][q[j]]` with
+    /// threshold pivoting that keeps the diagonal when
+    /// `|b_jj| ≥ 10⁻³·max_i |b_ij|` (KLU's default). Both permutations are
+    /// folded into the index maps, as in [`SparseLu::new_ordered`].
+    ///
+    /// When that factor's reciprocal pivot growth
+    /// `min_j max|B[:,j]| / max|U[:,j]|` is below 0.1 (or it fails), `B` is
+    /// factored again with the threshold at 10⁻¹ and that factor is
+    /// returned.
+    ///
+    /// # Errors
+    ///
+    /// * [`NumericsError::Singular`] for a structurally singular pattern
+    ///   (no transversal) or a column with no usable pivot.
+    /// * Everything [`SparseLu::new`] returns.
+    pub fn new_fill_reducing(a: &CsrMatrix<T>) -> Result<Self, NumericsError> {
+        check_dim(a)?;
+        let row_of = max_transversal(a)?;
+        let mut col_of = vec![0usize; row_of.len()];
+        for (j, &r) in row_of.iter().enumerate() {
+            col_of[r] = j;
         }
-        let n = a.rows();
-        if u32::try_from(n).is_err() {
-            return Err(NumericsError::DimensionMismatch {
-                op: "sparse lu (32-bit indices)",
-                expected: (u32::MAX as usize, u32::MAX as usize),
-                found: (n, n),
-            });
+        let q = amd(&Adjacency::of(a, Some(&col_of)));
+        let rows: Vec<usize> = q.iter().map(|&j| row_of[j]).collect();
+        let columns = permuted_transpose(a, &rows, &q)?;
+        let lu = match Self::factor_columns(&columns, Pivoting::PreferDiagonal(DIAG_PIVOT_TOL)) {
+            Ok(lu) if lu.reciprocal_pivot_growth >= MIN_PIVOT_GROWTH => lu,
+            _ => Self::factor_columns(&columns, Pivoting::PreferDiagonal(STRICT_DIAG_PIVOT_TOL))?,
+        };
+        Ok(lu.unpermuted(&rows, &q))
+    }
+
+    /// The LU of `B[i][j] = A[rows[i]][cols[j]]`, with both permutations
+    /// folded into the index maps.
+    fn permuted(
+        a: &CsrMatrix<T>,
+        rows: &[usize],
+        cols: &[usize],
+        pivoting: Pivoting,
+    ) -> Result<Self, NumericsError> {
+        check_dim(a)?;
+        let columns = permuted_transpose(a, rows, cols)?;
+        Ok(Self::factor_columns(&columns, pivoting)?.unpermuted(rows, cols))
+    }
+
+    /// Folds the permutations `B` was built with into the index maps, so
+    /// the factor of `B` solves `A·x = b`.
+    fn unpermuted(mut self, rows: &[usize], cols: &[usize]) -> Self {
+        for i in &mut self.row_src {
+            *i = rows[*i as usize] as u32;
         }
-        // Column access: rows of the transpose are columns of A.
-        let at = a.transpose();
+        for j in &mut self.col_dst {
+            *j = cols[*j as usize] as u32;
+        }
+        self
+    }
+
+    /// The Gilbert–Peierls kernel on a square matrix given by columns
+    /// (`at.row(j)` is column `j`, rows ascending). Under
+    /// [`Pivoting::PreferDiagonal`] row `j` is column `j`'s diagonal.
+    fn factor_columns(at: &CsrMatrix<T>, pivoting: Pivoting) -> Result<Self, NumericsError> {
+        let n = at.rows();
 
         // While factoring, L's row indices are original row numbers (the
         // reach DFS walks them); they are remapped to pivot positions once
@@ -105,6 +240,7 @@ impl<T: Scalar> SparseLu<T> {
         let mut u_val: Vec<T> = Vec::new();
         let mut u_diag: Vec<T> = Vec::with_capacity(n);
         let mut pinv = vec![UNPIVOTED; n];
+        let mut off_diagonal_pivots = 0;
         l_ptr.push(0);
         u_ptr.push(0);
 
@@ -192,6 +328,18 @@ impl<T: Scalar> SparseLu<T> {
             if pivot_row == UNPIVOTED || pivot_mag == 0.0 {
                 return Err(NumericsError::Singular { step: j });
             }
+            if let Pivoting::PreferDiagonal(tol) = pivoting {
+                if pivot_row != j
+                    && pinv[j] == UNPIVOTED
+                    && mark[j] == j
+                    && x[j].modulus() >= tol * pivot_mag
+                {
+                    pivot_row = j;
+                }
+            }
+            if pivot_row != j {
+                off_diagonal_pivots += 1;
+            }
             let pivot_val = x[pivot_row];
             pinv[pivot_row] = j;
 
@@ -218,6 +366,15 @@ impl<T: Scalar> SparseLu<T> {
             u_ptr.push(u_idx.len());
         }
 
+        let mut reciprocal_pivot_growth = f64::INFINITY;
+        for j in 0..n {
+            let a_max = at.row(j).1.iter().fold(0.0f64, |m, v| m.max(v.modulus()));
+            let u_max = u_val[u_ptr[j]..u_ptr[j + 1]]
+                .iter()
+                .fold(u_diag[j].modulus(), |m, v| m.max(v.modulus()));
+            reciprocal_pivot_growth = reciprocal_pivot_growth.min(a_max / u_max);
+        }
+
         // Every row is pivoted now: renumber L's rows by pivot position so
         // the forward sweep indexes its vector directly.
         for i in &mut l_idx {
@@ -238,49 +395,20 @@ impl<T: Scalar> SparseLu<T> {
             u_diag,
             row_src,
             col_dst: (0..n as u32).collect(),
+            off_diagonal_pivots,
+            reciprocal_pivot_growth,
         })
-    }
-
-    /// Factors `A` under a symmetric ordering — the LU of `B = Pᵀ·A·P`
-    /// with `B[i][j] = A[perm[i]][perm[j]]` (`perm[new] = old`, e.g. from
-    /// [`crate::ordering::rcm_ordering`]) — and folds the ordering into the
-    /// factor's index maps, so [`SparseLu::solve`] still solves `A·x = b`
-    /// in the original numbering.
-    ///
-    /// # Errors
-    ///
-    /// * [`NumericsError::DimensionMismatch`] if `perm` is not a
-    ///   permutation of `0..dim`.
-    /// * Everything [`SparseLu::new`] returns.
-    pub fn new_ordered(a: &CsrMatrix<T>, perm: &[usize]) -> Result<Self, NumericsError> {
-        if a.rows() != a.cols() {
-            return Err(NumericsError::NotSquare {
-                found: (a.rows(), a.cols()),
-            });
-        }
-        let n = a.rows();
-        let mut seen = vec![false; n];
-        let is_permutation = perm.len() == n
-            && perm
-                .iter()
-                .all(|&old| old < n && !std::mem::replace(&mut seen[old], true));
-        if !is_permutation {
-            return Err(NumericsError::DimensionMismatch {
-                op: "sparse lu ordering",
-                expected: (n, 1),
-                found: (perm.len(), 1),
-            });
-        }
-        let mut lu = Self::new(&permute_symmetric(a, perm))?;
-        for i in lu.row_src.iter_mut().chain(lu.col_dst.iter_mut()) {
-            *i = perm[*i as usize] as u32;
-        }
-        Ok(lu)
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.n
+    }
+
+    /// Columns whose pivot left the diagonal of the ordered matrix: every
+    /// column a pivot row other than its own was chosen for.
+    pub fn off_diagonal_pivots(&self) -> usize {
+        self.off_diagonal_pivots
     }
 
     /// Total stored nonzeros in L and U (including diagonals) — the fill-in
@@ -584,7 +712,7 @@ mod tests {
         let perm: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % n).collect();
         let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
         let ordered = SparseLu::new_ordered(&a, &perm).unwrap();
-        let plain = SparseLu::new(&permute_symmetric(&a, &perm)).unwrap();
+        let plain = SparseLu::new(&crate::ordering::permute_symmetric(&a, &perm).unwrap()).unwrap();
         let pb: Vec<f64> = perm.iter().map(|&old| b[old]).collect();
         let px = plain.solve(&pb).unwrap();
         let x = ordered.solve(&b).unwrap();
@@ -606,6 +734,145 @@ mod tests {
                 Err(NumericsError::DimensionMismatch { .. })
             ));
         }
+    }
+
+    #[test]
+    fn threshold_pivoting_keeps_a_diagonal_within_tolerance() {
+        // Column 0 holds 2e-3 on the diagonal and 1 below it: the diagonal
+        // passes 1e-3 · 1 and stays; partial pivoting swaps the rows.
+        let d = DenseMatrix::from_rows(&[&[2e-3, 1.0], &[1.0, 1.0]]).unwrap();
+        let a = csr_from_dense(&d);
+        let id = [0, 1];
+        let prefer = Pivoting::PreferDiagonal(DIAG_PIVOT_TOL);
+        let kept = SparseLu::permuted(&a, &id, &id, prefer).unwrap();
+        assert_eq!(kept.off_diagonal_pivots(), 0);
+        assert_eq!(kept.row_src, vec![0, 1]);
+        let partial = SparseLu::new(&a).unwrap();
+        assert_eq!(partial.off_diagonal_pivots(), 2);
+        // At 5e-4 the diagonal fails the threshold and is left.
+        let d = DenseMatrix::from_rows(&[&[5e-4, 1.0], &[1.0, 1.0]]).unwrap();
+        let left = SparseLu::permuted(&csr_from_dense(&d), &id, &id, prefer).unwrap();
+        assert_eq!(left.off_diagonal_pivots(), 2);
+        assert_eq!(left.row_src, vec![1, 0]);
+        const { assert!(DIAG_PIVOT_TOL > 5e-4 && DIAG_PIVOT_TOL <= 2e-3) };
+    }
+
+    #[test]
+    fn pivot_growth_past_the_bound_redoes_the_factor_strictly() {
+        // Keeping the 2e-3 diagonal turns U's last entry into 1 − 1/2e-3:
+        // growth 499, reciprocal 2e-3. The strict threshold swaps rows.
+        let d = DenseMatrix::from_rows(&[&[2e-3, 1.0], &[1.0, 1.0]]).unwrap();
+        let a = csr_from_dense(&d);
+        let id = [0, 1];
+        let loose = Pivoting::PreferDiagonal(DIAG_PIVOT_TOL);
+        let loose = SparseLu::permuted(&a, &id, &id, loose).unwrap();
+        assert!((loose.reciprocal_pivot_growth - 1.0 / 499.0).abs() < 1e-12);
+        let strict = Pivoting::PreferDiagonal(STRICT_DIAG_PIVOT_TOL);
+        let strict = SparseLu::permuted(&a, &id, &id, strict).unwrap();
+        assert!(strict.reciprocal_pivot_growth >= MIN_PIVOT_GROWTH);
+        let lu = SparseLu::new_fill_reducing(&a).unwrap();
+        assert!(lu.reciprocal_pivot_growth >= MIN_PIVOT_GROWTH);
+        let x = lu.solve(&[1.0, 2.0]).unwrap();
+        let back = d.matvec(&x).unwrap();
+        assert!((back[0] - 1.0).abs() < 1e-14 && (back[1] - 2.0).abs() < 1e-14);
+    }
+
+    /// A random MNA-shaped system: a weighted graph Laplacian over
+    /// `nodes` nodes (with a small leak to ground), plus `branches` branch
+    /// rows tied to nodes by ±1 incidence. Half the branches are grounded
+    /// voltage sources (zero diagonal), half inductors (diagonal −z).
+    fn random_mna<T: Scalar>(
+        seed: u64,
+        nodes: usize,
+        branches: usize,
+        val: impl Fn(f64) -> T,
+    ) -> DenseMatrix<T> {
+        let mut rng = crate::rng::XorShift64::new(seed);
+        let n = nodes + branches;
+        let mut d = DenseMatrix::<T>::zeros(n, n);
+        for i in 0..nodes {
+            d[(i, i)] += val(1e-3);
+            for _ in 0..2 {
+                let j = rng.range_usize(0, nodes);
+                if j != i {
+                    let g = val(rng.range_f64(0.1, 10.0));
+                    d[(i, i)] += g;
+                    d[(j, j)] += g;
+                    d[(i, j)] -= g;
+                    d[(j, i)] -= g;
+                }
+            }
+        }
+        for k in 0..branches {
+            let row = nodes + k;
+            // Sources go to ground from distinct nodes, so they form no
+            // loop; inductors may join two nodes.
+            let p = if k % 2 == 0 { (7 * k + 3) % nodes } else { rng.range_usize(0, nodes) };
+            d[(p, row)] += T::one();
+            d[(row, p)] += T::one();
+            if k % 2 == 1 {
+                let q = rng.range_usize(0, nodes);
+                if q != p {
+                    d[(q, row)] -= T::one();
+                    d[(row, q)] -= T::one();
+                }
+                d[(row, row)] = val(-rng.range_f64(0.5, 2.0));
+            }
+        }
+        d
+    }
+
+    fn check_fill_reducing_matches_dense<T: Scalar>(val: impl Fn(f64) -> T + Copy) {
+        for seed in 1..=20u64 {
+            let d = random_mna(seed, 40, 12, val);
+            let b: Vec<T> = (0..52).map(|i| val(((i as f64) * 0.7).cos())).collect();
+            let xd = LuFactor::new(&d).unwrap().solve(&b).unwrap();
+            let lu = SparseLu::new_fill_reducing(&CsrMatrix::from_dense(&d, 0.0)).unwrap();
+            let xs = lu.solve(&b).unwrap();
+            let scale = xd.iter().map(|v| v.modulus()).fold(0.0, f64::max);
+            for (u, v) in xs.iter().zip(&xd) {
+                assert!(
+                    (*u - *v).modulus() <= 1e-10 * scale,
+                    "seed {seed}: sparse {u} vs dense {v}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fill_reducing_solves_match_dense_real() {
+        check_fill_reducing_matches_dense(|x| x);
+    }
+
+    #[test]
+    fn fill_reducing_solves_match_dense_complex() {
+        use crate::Complex64;
+        check_fill_reducing_matches_dense(|x| Complex64::new(x, 0.5 * x));
+    }
+
+    #[test]
+    fn fill_reducing_handles_zero_diagonal_mna() {
+        // The voltage-source pattern of `pivoting_handles_zero_diagonal`,
+        // plus a structurally singular one that must be a typed error.
+        let d = DenseMatrix::from_rows(&[
+            &[0.0, 1.0, 0.0],
+            &[1.0, 0.0, 2.0],
+            &[0.0, 2.0, 1.0],
+        ])
+        .unwrap();
+        let lu = SparseLu::new_fill_reducing(&csr_from_dense(&d)).unwrap();
+        let b = [1.0, 3.0, 3.0];
+        let back = d.matvec(&lu.solve(&b).unwrap()).unwrap();
+        for (u, v) in back.iter().zip(b.iter()) {
+            assert!((u - v).abs() < 1e-12);
+        }
+        let mut coo = CooMatrix::new(2, 2);
+        coo.push(0, 0, 1.0).unwrap();
+        coo.push(1, 0, 1.0).unwrap();
+        assert!(matches!(
+            SparseLu::new_fill_reducing(&coo.to_csr()),
+            Err(NumericsError::Singular { .. })
+        ));
     }
 
     #[test]

@@ -150,6 +150,35 @@ fn clean_run_emits_no_retry_events() {
 }
 
 #[test]
+fn sparse_factor_span_carries_its_evidence() {
+    let _g = guard();
+    trace::reset("summary").unwrap();
+    let exp = experiment(3);
+    let built = exp.build(ModelKind::VpecFull).unwrap();
+    let spec = TransientSpec::new(0.05e-9, 1e-12).solver(SolverKind::Sparse);
+    let (_, report, _) = built.run_transient_with_report(&spec).unwrap();
+    let diag = report.transient.expect("transient diagnostics").factor;
+    let ordering = diag.ordering.expect("a sparse factor reports its ordering");
+    let factor_spans: Vec<_> = trace::closed_spans()
+        .into_iter()
+        .filter(|s| s.name == "factor")
+        .collect();
+    assert!(!factor_spans.is_empty());
+    for span in &factor_spans {
+        let attr = |k: &str| span.attrs.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone());
+        assert!(matches!(attr("ordering").as_deref(), Some("amd" | "rcm")), "{span:?}");
+        assert!(attr("off_diagonal_pivots").is_some(), "{span:?}");
+        assert!(attr("factor_nnz").is_some(), "{span:?}");
+    }
+    // The transient factor is the first one opened (the DC point follows).
+    let first = &factor_spans[0];
+    let attr = |k: &str| first.attrs.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone());
+    assert_eq!(attr("ordering").as_deref(), Some(ordering.label()));
+    assert_eq!(attr("off_diagonal_pivots"), Some(diag.off_diagonal_pivots.to_string()));
+    trace::reset("off").unwrap();
+}
+
+#[test]
 fn off_mode_emits_nothing() {
     let _g = guard();
     trace::reset("off").unwrap();
