@@ -137,7 +137,8 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
     // failing frequency, matching the serial loop's behaviour. The
     // points-per-worker crossover comes from the tune profile: short
     // sweeps stay serial, where fan-out overhead used to cost more than
-    // it bought (BENCH_perf.json "small" measured a 0.978× "speedup").
+    // it bought (commit 6c958f5 measured a 0.978× "speedup" on an 8-bit,
+    // 4-segment bus).
     let nt = pool::threads_for(
         spec.frequencies.len(),
         tune::current().ac_min_points_per_thread,

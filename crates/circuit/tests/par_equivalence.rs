@@ -10,7 +10,6 @@ use vpec_circuit::{Circuit, SolverKind, Waveform};
 use vpec_numerics::pool;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-const TOL: f64 = 1e-12;
 
 /// A coupled RLC ladder with enough nodes to make the per-point solves
 /// nontrivial.
@@ -50,12 +49,7 @@ fn ac_sweep_matches_serial_at_any_thread_count() {
         for &tap in &taps {
             let vs = serial.voltage(tap).expect("serial tap");
             let vp = par.voltage(tap).expect("parallel tap");
-            for (i, (a, b)) in vs.iter().zip(&vp).enumerate() {
-                assert!(
-                    (a.re - b.re).abs() <= TOL && (a.im - b.im).abs() <= TOL,
-                    "point {i} differs at {nt} threads: {a:?} vs {b:?}"
-                );
-            }
+            assert_eq!(vs, vp, "tap {tap:?} differs at {nt} threads");
         }
     }
     // A forced sparse sweep orders once, from its first point, and reuses

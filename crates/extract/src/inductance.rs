@@ -21,7 +21,7 @@ use vpec_geometry::Filament;
 use vpec_numerics::{pool, DenseMatrix, Pool};
 
 /// Minimum matrix rows per worker before assembly goes parallel.
-/// `BENCH_perf.json` measured parallel extraction at 0.29–0.88 of serial
+/// Commit d2944d8 measured parallel extraction at 0.29–0.88 of serial
 /// speed through 224 filaments, so small layouts stay serial.
 const ASSEMBLY_MIN_ROWS_PER_THREAD: usize = 64;
 

@@ -8,7 +8,7 @@ use vpec_geometry::Layout;
 use vpec_numerics::{pool, DenseMatrix, Pool};
 
 /// Minimum filaments per worker before the per-filament tables and the
-/// O(n²) coupling scan go parallel. `BENCH_perf.json` measured parallel
+/// O(n²) coupling scan go parallel. Commit d2944d8 measured parallel
 /// extraction at 0.29–0.88 of serial speed through 224 filaments, so
 /// small layouts stay serial.
 const EXTRACT_MIN_ITEMS_PER_THREAD: usize = 64;

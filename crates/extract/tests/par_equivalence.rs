@@ -3,8 +3,7 @@
 //! The row-partitioned inductance assembly and the chunked parasitics
 //! tables must reproduce the 1-worker result bit-for-bit at any worker
 //! count (the upper triangle is computed in a fixed orientation and
-//! mirrored, never recomputed). The 1e-12 gate here is a formality —
-//! the observed difference is exactly zero.
+//! mirrored, never recomputed).
 
 use vpec_extract::inductance::partial_inductance_matrix;
 use vpec_extract::{extract, ExtractionConfig};
@@ -12,17 +11,6 @@ use vpec_geometry::BusSpec;
 use vpec_numerics::pool;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-const TOL: f64 = 1e-12;
-
-fn assert_close(a: &[f64], b: &[f64], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: shape mismatch");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert!(
-            (x - y).abs() <= TOL,
-            "{what}: element {i} differs: {x} vs {y}"
-        );
-    }
-}
 
 #[test]
 fn inductance_assembly_matches_serial() {
@@ -32,7 +20,7 @@ fn inductance_assembly_matches_serial() {
     for nt in THREAD_COUNTS {
         pool::set_threads(nt);
         let par = partial_inductance_matrix(layout.filaments());
-        assert_close(serial.as_slice(), par.as_slice(), "inductance matrix");
+        assert_eq!(serial.as_slice(), par.as_slice(), "inductance matrix");
     }
     pool::set_threads(0);
 }
@@ -46,18 +34,18 @@ fn full_extraction_matches_serial() {
     for nt in THREAD_COUNTS {
         pool::set_threads(nt);
         let par = extract(&layout, &cfg);
-        assert_close(
+        assert_eq!(
             serial.inductance.as_slice(),
             par.inductance.as_slice(),
-            "inductance",
+            "inductance"
         );
-        assert_close(&serial.resistance, &par.resistance, "resistance");
-        assert_close(&serial.cap_ground, &par.cap_ground, "cap_ground");
+        assert_eq!(serial.resistance, par.resistance, "resistance");
+        assert_eq!(serial.cap_ground, par.cap_ground, "cap_ground");
         assert_eq!(
             serial.cap_coupling, par.cap_coupling,
             "coupling list must match exactly (order and values)"
         );
-        assert_close(&serial.lengths, &par.lengths, "lengths");
+        assert_eq!(serial.lengths, par.lengths, "lengths");
     }
     pool::set_threads(0);
 }

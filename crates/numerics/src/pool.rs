@@ -55,7 +55,7 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// [`crate::tune::TuneProfile`]).
 ///
 /// Below this the coordination traffic of the parallel update dominates
-/// the O(n³) arithmetic: `BENCH_perf.json` measured striped-LU "speedups"
+/// the O(n³) arithmetic: commit d2944d8 measured striped-LU "speedups"
 /// of 0.07 at n = 96 and 0.30 at n = 224 against the serial loop, so the
 /// default crossover sits above both. A measured profile (`VPEC_TUNE`)
 /// replaces it with the crossover of the host the process runs on.

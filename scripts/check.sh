@@ -42,22 +42,6 @@ echo "==> static analysis gate (vpec-analyze vs lint.baseline)"
 timeout 120 cargo run --release -q -p vpec-analyze --bin vpec-analyze -- \
   --root . --baseline lint.baseline
 
-echo "==> perf bench smoke run (--quick, smallest layout)"
-smoke_json="target/bench_perf_smoke.json"
-cargo run --release -q -p vpec-bench --bin perf -- --quick --out "$smoke_json"
-# The smoke JSON must carry the tracked schema: header keys plus at
-# least one timed phase with its equivalence metric.
-for key in '"bench": "perf"' '"available_parallelism"' '"phases"' \
-           '"serial_seconds"' '"parallel_seconds"' '"speedup"' '"max_abs_diff"' \
-           '"lint"' '"wall_seconds"' '"files_scanned"' '"lines_scanned"' \
-           '"service_levels"' '"p50_ms"' '"p99_ms"' '"model_hit_ratio"' \
-           '"factor_hit_ratio"' '"degraded_pct"'; do
-  if ! grep -q "$key" "$smoke_json"; then
-    echo "BENCH_perf smoke output is malformed: missing $key" >&2
-    exit 1
-  fi
-done
-
 echo "==> tune smoke run (vpec tune --quick, profile round-trip)"
 tune_out="target/tune_smoke.tune"
 timeout 300 cargo run --release -q -p vpec-cli --bin vpec -- tune --quick -o "$tune_out"
@@ -101,8 +85,8 @@ timeout 120 cargo run --release -q -p vpec-cli --bin vpec -- \
   --ledger "$batch_ledger" -o "$batch_out" > "$batch_err" 2>&1
 grep "^batch:" "$batch_err" || true
 [ "$(wc -l < "$batch_out")" -eq 6 ] || { echo "batch smoke: expected 6 response lines" >&2; exit 1; }
-# Every line is valid JSON with the response schema (the trace bin's
-# validator is for trace streams, so lean on python-free grep checks).
+# Every line is valid JSON with the response schema (python-free grep
+# checks).
 while IFS= read -r line; do
   case "$line" in
     '{"id":"'*'","status":"'*) ;;
@@ -151,89 +135,43 @@ set -e
 grep -q 'fail-if breached' target/batch_smoke_failif.txt \
   || { echo "vpec stats --fail-if breach must name the breached condition" >&2; exit 1; }
 
-echo "==> trace JSONL smoke run (model --trace=jsonl, schema validation)"
-trace_jsonl="target/trace_smoke.jsonl"
-cargo run --release -q -p vpec-cli --bin vpec -- \
-  model --bits 8 --kind vpec-full --trace=jsonl:"$trace_jsonl" > /dev/null
-# Schema check with the crate's own validator: every line parses, every
-# close matches an open, no id opens twice. Exit 1 on any violation.
-cargo run --release -q -p vpec-bench --bin trace -- --validate "$trace_jsonl"
-for phase in extract model.invert model.build; do
-  if ! grep -q "\"name\":\"$phase\"" "$trace_jsonl"; then
-    echo "trace stream is missing the $phase phase span" >&2
-    exit 1
-  fi
-done
-
-echo "==> trace bench smoke run (--quick, serial-vs-parallel attribution)"
-trace_json="target/bench_trace_smoke.json"
-# The bin itself exits 1 if any required phase span (extract,
-# model.invert, factor, transient, ac.sweep) is missing from the run.
-cargo run --release -q -p vpec-bench --bin trace -- --quick --out "$trace_json"
-for key in '"bench": "trace"' '"phases"' '"serial_seconds"' \
-           '"parallel_seconds"' '"speedup"'; do
-  if ! grep -q "$key" "$trace_json"; then
-    echo "BENCH_trace smoke output is malformed: missing $key" >&2
-    exit 1
-  fi
-done
-
-echo "==> trace-off overhead assertion (quick perf vs tracked BENCH_perf.json)"
-# The perf smoke above ran with tracing off (the default), so its small
-# layout must not be grossly slower than the tracked baseline: the
-# disabled trace path is one relaxed atomic load per site, and a
-# regression there (e.g. formatting on the disabled path of a hot
-# counter) shows up as a multiple, not a percentage. The 3x tolerance
-# absorbs machine noise while still catching that class of bug.
-if [ -f BENCH_perf.json ]; then
-  baseline=$(awk '/"name": "small"/{s=1;next} s&&/"name": "/{exit} s&&/"serial_seconds"/{gsub(/[,]/,"");t+=$2} END{printf "%.9e", t}' BENCH_perf.json)
-  current=$(awk '/"name": "small"/{s=1;next} s&&/"name": "/{exit} s&&/"serial_seconds"/{gsub(/[,]/,"");t+=$2} END{printf "%.9e", t}' "$smoke_json")
-  awk -v b="$baseline" -v c="$current" 'BEGIN {
-    if (b <= 0) { print "no small-layout baseline in BENCH_perf.json; skipping"; exit 0 }
-    ratio = c / b
-    printf "small layout serial total: baseline %.3e s, current %.3e s (ratio %.2f)\n", b, c, ratio
-    if (ratio > 3.0) { print "trace-off overhead regression: quick perf is >3x the tracked baseline" > "/dev/stderr"; exit 1 }
-  }'
-else
-  echo "BENCH_perf.json not tracked yet; skipping overhead comparison"
-fi
-
-echo "==> per-phase perf regression gate (quick perf vs tracked BENCH_perf.json)"
-# Each small-layout phase's serial time must stay within 10% of the
-# tracked baseline. Phases under a 1 ms noise floor are reported but not
-# gated (µs-scale timings jitter far beyond 10% between runs). Speedup
-# columns are never gated here: rows carry hw_limited=true whenever the
-# machine granted fewer workers than requested, and serial times are the
-# only hardware-independent signal.
-if [ -f BENCH_perf.json ]; then
-  awk '
-    function phase_of(l) { sub(/.*"phase": "/, "", l); sub(/".*/, "", l); return l }
-    FNR == 1 { f++ }
-    /"name": "small"/ { s = 1; next }
-    s && /"name": "/ { s = 0 }
-    s && /"phase"/ { p = phase_of($0) }
-    s && /"serial_seconds"/ {
-      line = $0; gsub(/[, ]/, "", line); sub(/.*:/, "", line)
-      v[f "/" p] = line + 0
-      if (f == 1) order[++n] = p
-    }
-    END {
-      bad = 0
-      for (i = 1; i <= n; i++) {
-        p = order[i]; b = v["1/" p]; c = v["2/" p]
-        if (b == "" || c == "") { printf "phase %-14s missing in one file; skipping\n", p; continue }
-        if (b < 1e-3) { printf "phase %-14s baseline %.3e s under the 1 ms gate floor; reported only (current %.3e s)\n", p, b, c; continue }
-        ratio = c / b
-        printf "phase %-14s baseline %.3e s, current %.3e s (ratio %.2f)\n", p, b, c, ratio
-        if (ratio > 1.10) {
-          printf "perf regression: small-layout phase %s is >10%% slower than the tracked baseline\n", p > "/dev/stderr"
-          bad = 1
-        }
+echo "==> workload benchmark smoke run (six paper-size workloads, wall_s within 3x of the reference)"
+# One 1 s run of every workload at paper size. The benchmark exits 1 if
+# any trial's oracle or pin fails, which the toy-size test step above
+# does not reach. Its untraced trials also run the library's disabled
+# trace path, so a slowdown there shows up in wall_s.
+smoke_json="target/workloads-smoke.json"
+smoke_log="target/workloads-smoke.txt"
+timeout 900 cargo run --release -q --manifest-path workload-bench/Cargo.toml --bin workloads -- \
+  --seconds 1 --out "$smoke_json" --spans target/workloads-smoke.jsonl > "$smoke_log" \
+  || { tail -n 40 "$smoke_log" >&2; echo "workload benchmark smoke run failed" >&2; exit 1; }
+# Each workload's median wall_s against scripts/workloads-reference.json,
+# written by the same command on the host named in its header. The gate
+# catches slowdowns by a multiple, not by a percentage: ten short runs of
+# one binary gave medians up to 1.63x apart, and one worker against two is
+# about 2x. Smaller regressions are judged by the benchmark's paired runs.
+awk '
+  FNR == 1 { f++ }
+  /^\{"name":"/ {
+    w = $0; sub(/^\{"name":"/, "", w); sub(/".*/, "", w)
+    v = $0; sub(/.*\{"name":"wall_s"[^}]*"median":/, "", v); sub(/[,}].*/, "", v)
+    if (f == 1) order[++n] = w
+    wall[f "/" w] = v + 0
+  }
+  END {
+    bad = 0
+    for (i = 1; i <= n; i++) {
+      w = order[i]; b = wall["1/" w]; c = wall["2/" w]
+      if (!(b > 0 && c > 0)) { printf "workload %s has no wall_s in one of the files\n", w > "/dev/stderr"; bad = 1; continue }
+      ratio = c / b
+      printf "%-18s wall_s reference %.3f s, current %.3f s (ratio %.2f)\n", w, b, c, ratio
+      if (ratio > 3.0) {
+        printf "workload regression: %s wall_s is >3x the reference\n", w > "/dev/stderr"
+        bad = 1
       }
-      exit bad
-    }' BENCH_perf.json "$smoke_json"
-else
-  echo "BENCH_perf.json not tracked yet; skipping per-phase gate"
-fi
+    }
+    if (n == 0) { print "no workloads in the reference" > "/dev/stderr"; bad = 1 }
+    exit bad
+  }' scripts/workloads-reference.json "$smoke_json"
 
 echo "==> all checks passed"
