@@ -41,15 +41,15 @@ pub struct Config {
 
 impl Config {
     /// The policy for this workspace. Changes here are policy changes:
-    /// keep the unsafe allowlist in lockstep with the crate docs in
-    /// `crates/numerics/src/lib.rs`, and the registry list in lockstep
+    /// the unsafe allowlist is empty because every crate root carries
+    /// `#![forbid(unsafe_code)]`, and the registry list stays in lockstep
     /// with where `USAGE` lives.
     pub fn for_workspace(root: PathBuf) -> Config {
         let owned = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect();
         Config {
             root,
             panic_crates: owned(&["numerics", "core", "circuit", "extract", "engine", "metrics"]),
-            unsafe_allowlist: vec![("crates/numerics/src/pool.rs".to_string(), 3)],
+            unsafe_allowlist: Vec::new(),
             kernel_modules: owned(&["crates/numerics/src/kernel.rs"]),
             registry_files: owned(&["crates/cli/src/lib.rs"]),
             exclude_prefixes: owned(&["crates/analyze/fixtures", "target"]),
@@ -259,12 +259,8 @@ mod tests {
     #[test]
     fn workspace_config_is_internally_consistent() {
         let cfg = Config::for_workspace(PathBuf::from("."));
-        // The unsafe allowlist lives inside a panic-free crate: both
-        // policies must name the same tree or the docs lie.
-        for (path, pinned) in &cfg.unsafe_allowlist {
-            assert!(path.starts_with("crates/"), "{path}");
-            assert!(*pinned > 0);
-        }
+        // The workspace is unsafe-free: no module may be allowlisted.
+        assert!(cfg.unsafe_allowlist.is_empty(), "{:?}", cfg.unsafe_allowlist);
         // Fixture corpora must be excluded, or the engine lints its own
         // seeded positives.
         assert!(cfg

@@ -14,7 +14,8 @@
 //!   macros in non-test library code of the engine-boundary crates.
 //! * [`unsafe-audit`](lints::unsafe_audit) — `unsafe` only in allowlisted
 //!   modules, every block `// SAFETY:`-justified, allow-attribute counts
-//!   pinned exactly.
+//!   pinned exactly. The workspace allowlists none: every crate root
+//!   forbids `unsafe_code`.
 //! * [`numerical-class`](lints::numerical_class) — kernel functions
 //!   declare `Numerical class: bit-identical` or `audited-close`;
 //!   bit-identical code must not call audited-close helpers.

@@ -1,9 +1,9 @@
 //! `unsafe-audit`: every `unsafe` is allowlisted, justified and counted.
 //!
-//! The workspace denies `unsafe_code` everywhere except the striped
-//! elimination engine (`crates/numerics/src/pool.rs`), whose
-//! row-disjoint `SharedRows` view needs it. This lint makes that policy
-//! checkable:
+//! Every crate root forbids `unsafe_code`, and the workspace policy
+//! ([`crate::Config::for_workspace`]) allowlists no module. The lint
+//! keeps the machinery for an allowlist so a future exception has to be
+//! pinned and justified:
 //!
 //! * any `unsafe` token or `#[allow(unsafe_code)]` attribute outside the
 //!   allowlisted modules is a finding;
@@ -11,10 +11,9 @@
 //!   `// SAFETY:` comment (or a `# Safety` doc section for `unsafe fn`)
 //!   on the same line or within the five lines above it;
 //! * the `#[allow(unsafe_code)]` count per allowlisted file is pinned
-//!   exactly — growth *and* shrinkage are findings, so prose like the
-//!   `numerics/src/lib.rs` crate docs can never drift from reality
-//!   again (it already did once, claiming one escape hatch when there
-//!   were three).
+//!   exactly — growth *and* shrinkage are findings, so crate-doc prose
+//!   can never drift from reality again (it once claimed one escape
+//!   hatch when there were three).
 
 use super::FileCtx;
 use crate::diag::{Finding, LintId, Severity};
@@ -68,8 +67,8 @@ pub fn run(ctx: &FileCtx<'_>, allowlist: &[(String, usize)]) -> Vec<Finding> {
                                     Severity::Deny,
                                     t,
                                     "`#[allow(unsafe_code)]` outside the allowlisted modules \
-                                     — keep unsafe in `crates/numerics/src/pool.rs` (or extend \
-                                     the allowlist in `vpec_analyze::Config` with a pinned \
+                                     — the workspace is unsafe-free (an exception needs an \
+                                     allowlist entry in `vpec_analyze::Config` with a pinned \
                                      count and a design-doc entry)"
                                         .to_string(),
                                 ));
@@ -89,7 +88,7 @@ pub fn run(ctx: &FileCtx<'_>, allowlist: &[(String, usize)]) -> Vec<Finding> {
                 Severity::Deny,
                 t,
                 "`unsafe` outside the allowlisted modules — the workspace promise is \
-                 safe code everywhere but the striped elimination engine"
+                 safe code everywhere"
                     .to_string(),
             ));
             continue;
@@ -121,8 +120,8 @@ pub fn run(ctx: &FileCtx<'_>, allowlist: &[(String, usize)]) -> Vec<Finding> {
                 format!(
                     "{} has {allow_count} `#[allow(unsafe_code)]` attributes but the \
                      allowlist pins exactly {expected} — update the pin in \
-                     `vpec_analyze::Config::for_workspace` AND the crate-doc comment in \
-                     `crates/numerics/src/lib.rs` so prose and policy move together",
+                     `vpec_analyze::Config::for_workspace` AND the comment in the crate's \
+                     `lib.rs` that explains it, so prose and policy move together",
                     ctx.file
                 ),
             ));
@@ -221,7 +220,7 @@ mod tests {
 
     #[test]
     fn mentions_in_comments_and_strings_are_clean() {
-        let src = "// the pool needs unsafe for SharedRows\nlet s = \"unsafe\";\n";
+        let src = "// the pool once needed unsafe for a row view\nlet s = \"unsafe\";\n";
         assert!(run_on("crates/core/src/x.rs", src, &pool_allow(1)).is_empty());
     }
 }

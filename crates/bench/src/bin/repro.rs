@@ -20,6 +20,8 @@
 //! keep the full suite to a few minutes.
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 use vpec_bench::{baselines, fig2, fig4, fig8, spiral, table2, table3, table4, waveforms};
 

@@ -13,7 +13,12 @@ use crate::result::AcResult;
 use crate::solver::{FactorOptions, Factored, SolverKind, SparsePlan};
 use vpec_numerics::cancel::CancelToken;
 use vpec_numerics::ordering::rcm_ordering;
-use vpec_numerics::{pool, tune, Complex64, Pool};
+use vpec_numerics::{pool, Complex64, Pool};
+
+/// Minimum sweep points per worker before the per-frequency solves go
+/// parallel: below it fan-out overhead costs more than it buys (commit
+/// 6c958f5 measured a 0.978× "speedup" on an 8-bit, 4-segment bus).
+const AC_MIN_POINTS_PER_THREAD: usize = 8;
 
 /// AC sweep specification.
 #[derive(Debug, Clone)]
@@ -134,15 +139,9 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
     // Each sweep point is an independent assemble + factor + solve, so the
     // sweep maps over frequencies in parallel. Results come back in sweep
     // order; on failure the error reported is the one at the lowest
-    // failing frequency, matching the serial loop's behaviour. The
-    // points-per-worker crossover comes from the tune profile: short
-    // sweeps stay serial, where fan-out overhead used to cost more than
-    // it bought (commit 6c958f5 measured a 0.978× "speedup" on an 8-bit,
-    // 4-segment bus).
-    let nt = pool::threads_for(
-        spec.frequencies.len(),
-        tune::current().ac_min_points_per_thread,
-    );
+    // failing frequency, matching the serial loop's behaviour. Short
+    // sweeps stay serial (see [`AC_MIN_POINTS_PER_THREAD`]).
+    let nt = pool::threads_for(spec.frequencies.len(), AC_MIN_POINTS_PER_THREAD);
     let _sp = vpec_trace::span!(
         "ac.sweep",
         "points" => spec.frequencies.len(),

@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod ac;
-pub mod adaptive;
 pub mod dc;
 pub mod diagnostics;
 pub mod metrics;
@@ -76,7 +75,6 @@ mod result;
 mod solver;
 mod waveform;
 
-pub use adaptive::{AdaptiveSpec, AdaptiveStats};
 pub use diagnostics::{
     FactorAttempt, FactorDiagnostics, FactorStrategy, FaultInjection, SolveAudit, SparseOrdering,
     TransientDiagnostics,

@@ -25,8 +25,6 @@ pub enum Command {
     Batch,
     /// `vpec serve` — stream JSONL scenarios stdin → stdout.
     Serve,
-    /// `vpec tune` — measure machine-specific kernel dispatch thresholds.
-    Tune,
     /// `vpec lint` — run the workspace static-analysis gate.
     Lint,
     /// `vpec stats` — aggregate run ledgers into a fleet report.
@@ -90,8 +88,6 @@ pub struct ParsedArgs {
     pub solver: Option<SolverKind>,
     /// Input path for `batch` (`--in FILE`).
     pub input: Option<String>,
-    /// `tune --quick`: fewer repetitions, coarser (but faster) profile.
-    pub quick: bool,
     /// `lint --write-baseline`: regenerate the grandfathered-findings
     /// file instead of gating.
     pub write_baseline: bool,
@@ -141,7 +137,6 @@ impl Default for ParsedArgs {
             trace: None,
             solver: None,
             input: None,
-            quick: false,
             write_baseline: false,
             strict: false,
             lint_root: None,
@@ -196,7 +191,6 @@ pub fn parse_args(argv: &[String]) -> Result<ParsedArgs, CliError> {
         "export" => Command::Export,
         "batch" => Command::Batch,
         "serve" => Command::Serve,
-        "tune" => Command::Tune,
         "lint" => Command::Lint,
         "stats" => Command::Stats,
         "help" | "--help" | "-h" => Command::Help,
@@ -278,7 +272,6 @@ pub fn parse_args(argv: &[String]) -> Result<ParsedArgs, CliError> {
                 out.threads = Some(n);
             }
             "--in" => out.input = Some(value("path")?.clone()),
-            "--quick" => out.quick = true,
             "--write-baseline" => out.write_baseline = true,
             "--strict" => out.strict = true,
             "--root" => out.lint_root = Some(value("directory")?.clone()),

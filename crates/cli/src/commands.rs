@@ -465,27 +465,6 @@ pub fn stats(args: &ParsedArgs) -> Result<String, CliError> {
     }
 }
 
-/// `vpec tune`: measure this machine's kernel-dispatch crossovers and
-/// print (or write with `-o`) a tuning profile for `VPEC_TUNE`.
-///
-/// # Errors
-///
-/// Runtime error when the output file cannot be written.
-pub fn tune(args: &ParsedArgs) -> Result<String, CliError> {
-    let profile = vpec_numerics::TuneProfile::measure(args.quick);
-    let text = profile.to_text();
-    match &args.output {
-        Some(path) => {
-            std::fs::write(path, &text)
-                .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-            Ok(format!(
-                "tuning profile written to {path}\napply it with: VPEC_TUNE={path} vpec ...\n"
-            ))
-        }
-        None => Ok(text),
-    }
-}
-
 /// `vpec lint`: the workspace static-analysis gate (`vpec-analyze`).
 ///
 /// Scans the tree under `--root` (default `.`), applies inline waivers
@@ -597,7 +576,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         crate::Command::Export => export(args),
         crate::Command::Batch => batch(args),
         crate::Command::Serve => serve(args),
-        crate::Command::Tune => tune(args),
         crate::Command::Lint => lint(args),
         crate::Command::Stats => stats(args),
         crate::Command::Help => Ok(crate::USAGE.to_string()),
@@ -632,22 +610,6 @@ mod tests {
 
     fn run_line(line: &str) -> Result<String, CliError> {
         run(&parse_args(&argv(line))?)
-    }
-
-    #[test]
-    fn tune_prints_and_writes_a_parseable_profile() {
-        let out = run_line("tune --quick").unwrap();
-        assert!(out.contains("par_min_cols"), "{out}");
-        assert!(out.contains("panel_width"), "{out}");
-        let profile = vpec_numerics::TuneProfile::parse(&out).unwrap();
-        assert!(profile.panel_width > 0);
-
-        let tmp = std::env::temp_dir().join("vpec_cli_test_profile.tune");
-        let out = run_line(&format!("tune --quick -o {}", tmp.display())).unwrap();
-        assert!(out.contains("VPEC_TUNE"), "{out}");
-        let text = std::fs::read_to_string(&tmp).unwrap();
-        assert!(vpec_numerics::TuneProfile::parse(&text).is_ok());
-        let _ = std::fs::remove_file(&tmp);
     }
 
     #[test]

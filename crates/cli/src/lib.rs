@@ -12,7 +12,6 @@
 //!               [--ledger run.jsonl] [--metrics-out metrics.prom]
 //! vpec serve    [engine options] [--stats-interval-ms 5000]
 //! vpec stats    LEDGER... [--format text|json] [--fail-if p99>250ms]
-//! vpec tune     [--quick] [-o profile.tune]
 //! vpec lint     [--root DIR] [--strict] [--write-baseline]
 //! ```
 //!
@@ -80,7 +79,6 @@ COMMANDS:
   batch      run a JSONL scenario file through the resilient engine
   serve      stream JSONL scenarios: stdin -> stdout, one line each way
   stats      aggregate run ledgers into a fleet service report
-  tune       measure kernel-dispatch thresholds for this machine
   lint       run the workspace static-analysis gate (vpec-analyze)
   help       show this text
 
@@ -194,18 +192,6 @@ DIAGNOSTICS:
   abort the pipeline with a typed error instead of producing silently
   wrong waveforms.
 
-TUNING:
-  The parallel numerics layer dispatches between serial, blocked and
-  striped kernels using built-in thresholds. `vpec tune` measures the
-  actual crossovers on this machine and prints a profile (use --quick
-  for a faster, coarser measurement; -o FILE to write it). Apply a
-  profile with VPEC_TUNE=FILE, inline pairs (VPEC_TUNE=\"par_min_cols=32,\
-  panel_width=64\"), or VPEC_TUNE=auto to re-measure at startup.
-  Unset (or VPEC_TUNE=off) keeps the built-in defaults. Thresholds only
-  move dispatch boundaries — results are unchanged at any setting. A
-  profile naming an unknown key (say, one written before a knob was
-  retired) is ignored with a warning; regenerate it with vpec tune.
-
 STATIC ANALYSIS:
   `vpec lint` runs the project's own zero-dependency lint engine
   (vpec-analyze) over the workspace sources: NaN-safe float ordering
@@ -227,7 +213,7 @@ STATIC ANALYSIS:
   With tracing enabled (--trace or VPEC_TRACE=summary|jsonl:PATH), every
   pipeline phase is timed as a hierarchical span: extract, model.invert,
   build, factor, dc, transient and ac.sweep, down to the parallel-kernel
-  dispatch decisions (serial vs striped, worker counts). When tracing is
+  dispatch decisions (serial vs blocked, worker counts). When tracing is
   off the instrumentation costs one relaxed atomic load per site.
 
 Values accept SPICE suffixes: 1p, 0.5n, 10m, 2k, 10meg, ...

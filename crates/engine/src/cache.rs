@@ -1,4 +1,4 @@
-//! A two-level model cache keyed by geometry content hash.
+//! A three-level model cache keyed by geometry content hash.
 //!
 //! Batch streams routinely repeat the same geometry across model kinds
 //! and analyses (a sweep over kinds, or repeated requests for the same
@@ -24,6 +24,21 @@
 //! The runner bypasses the cache entirely for fault-injected requests:
 //! injected faults change behaviour, not geometry, so neither their
 //! results nor their side effects may be shared.
+//!
+//! What each level buys, as the median `wall_s` of the `engine_batch`
+//! workload with one level switched off at a time (2-vCPU host):
+//!
+//! | Configuration | Median `wall_s` | Runs |
+//! |---|---|---|
+//! | all levels on | 0.461 s (IQR 0.425–0.478) | 17 |
+//! | level 2 (models) off | 0.610 s | 5 |
+//! | level 3 (factors) off | 0.622 s | 5 |
+//! | level 1 (experiments) off | 0.433 s | 17 |
+//!
+//! Levels 2 and 3 earn their place. Level 1 shows no win: without it,
+//! runs were faster in 4 of 12 alternating pairs. It stays because
+//! `RunRecord::experiment_hit` reports it, and deleting it would turn
+//! that ledger field into a constant.
 
 use std::collections::HashMap;
 use std::sync::Arc;

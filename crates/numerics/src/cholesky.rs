@@ -52,8 +52,9 @@ impl Cholesky {
     }
 
     /// Factors with an explicit worker count (`1` forces the serial
-    /// left-looking elimination). Parallel results are bit-identical to
-    /// serial — the striped update preserves per-row arithmetic order.
+    /// left-looking elimination). Results are bit-identical for any thread
+    /// count — the blocked path distributes trailing-submatrix rows over
+    /// workers without changing per-row arithmetic order.
     ///
     /// # Errors
     ///
@@ -84,7 +85,7 @@ impl Cholesky {
         let _sp = vpec_trace::span!(
             "cholesky.factor",
             "dim" => n,
-            "mode" => pool::cholesky_elim_mode(n, threads),
+            "mode" => pool::elim_mode(n),
         );
         let mut g = DenseMatrix::<f64>::zeros(n, n);
         pool::cholesky_eliminate_cancel(a.as_slice(), g.as_mut_slice(), n, threads, cancel)?;
@@ -167,7 +168,7 @@ impl Cholesky {
         // order-preserving, so the result matches the serial loop exactly.
         // A cancelled column returns empty and the flag is re-checked
         // below, so late cancellation skips the remaining O(n²) solves.
-        let nt = pool::threads_for(n, pool::par_min_cols());
+        let nt = pool::threads_for(n, pool::PAR_MIN_COLS);
         let _sp = vpec_trace::span!(
             "cholesky.inverse",
             "dim" => n,

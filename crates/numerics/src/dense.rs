@@ -201,7 +201,7 @@ impl<T: Scalar> DenseMatrix<T> {
         // the sequence of the naive triple loop, so results are
         // bit-identical at any thread count (including the serial
         // fallback).
-        let nt = pool::threads_for(self.rows, pool::par_min_cols());
+        let nt = pool::threads_for(self.rows, pool::PAR_MIN_COLS);
         vpec_trace::counter_add(
             "dense.matmul.flops_est",
             (2 * self.rows * inner * ocols) as u64,

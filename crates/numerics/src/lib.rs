@@ -32,14 +32,7 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the striped elimination engine in
-// `pool` needs exactly three `#[allow(unsafe_code)]` escape hatches for
-// its row-disjoint shared-matrix view (the `shared_rows` module and the
-// two striped eliminations; see the safety protocol there). The count is
-// pinned by the `unsafe-audit` lint (`vpec lint`) — changing it means
-// updating `vpec_analyze::Config::for_workspace` and this comment
-// together. Everything else in the workspace still rejects `unsafe`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;
@@ -59,7 +52,6 @@ pub mod rng;
 mod scalar;
 mod sparse;
 mod sparse_lu;
-pub mod tune;
 mod vector;
 
 pub use cancel::CancelToken;
@@ -74,5 +66,4 @@ pub use probe::{condition_estimate, solve_regularized, spd_probe, SpdProbe};
 pub use scalar::Scalar;
 pub use sparse::{CooMatrix, CsrMatrix};
 pub use sparse_lu::SparseLu;
-pub use tune::TuneProfile;
 pub use vector::{axpy, dot, norm2, norm_inf, scale, sub};

@@ -58,9 +58,9 @@ impl<T: Scalar> LuFactor<T> {
     }
 
     /// Factors `A` with an explicit worker count (`1` forces the serial
-    /// elimination). Results are bit-identical for any thread count — both
-    /// the striped and blocked paths distribute trailing-submatrix rows
-    /// over workers without changing per-row arithmetic order.
+    /// elimination). Results are bit-identical for any thread count — the
+    /// blocked path distributes trailing-submatrix rows over workers
+    /// without changing per-row arithmetic order.
     ///
     /// # Errors
     ///
@@ -91,7 +91,7 @@ impl<T: Scalar> LuFactor<T> {
         let _sp = vpec_trace::span!(
             "lu.factor",
             "dim" => n,
-            "mode" => pool::lu_elim_mode(n, threads),
+            "mode" => pool::elim_mode(n),
         );
         let mut lu = a.clone();
         let (perm, perm_sign) = pool::lu_eliminate_cancel(lu.as_mut_slice(), n, threads, cancel)?;
@@ -175,7 +175,7 @@ impl<T: Scalar> LuFactor<T> {
         // Columns are independent solves; map them in parallel (order-
         // preserving, so results match the serial column-by-column loop
         // exactly) and gather into the output.
-        let nt = pool::threads_for(b.cols(), pool::par_min_cols());
+        let nt = pool::threads_for(b.cols(), pool::PAR_MIN_COLS);
         let _sp = vpec_trace::span!(
             "lu.solve_matrix",
             "cols" => b.cols(),
@@ -222,7 +222,7 @@ impl<T: Scalar> LuFactor<T> {
         // Mirrors solve_matrix, with a per-column poll: a cancelled column
         // returns empty and the flag is re-checked below, so late
         // cancellation skips the remaining O(n²) substitutions.
-        let nt = pool::threads_for(n, pool::par_min_cols());
+        let nt = pool::threads_for(n, pool::PAR_MIN_COLS);
         let _sp = vpec_trace::span!(
             "lu.solve_matrix",
             "cols" => n,

@@ -12,9 +12,8 @@
 //! * [`Pool::par_join`] — two-way fork/join;
 //! * [`lu_eliminate`] / [`cholesky_eliminate`] — dense eliminations used
 //!   by [`crate::LuFactor`] and [`crate::Cholesky`], dispatching between
-//!   a serial loop, cache-blocked panel factorizations with four-wide
-//!   unrolled trailing updates, and barrier-synchronized striped updates
-//!   on the size thresholds of the active [`crate::tune`] profile.
+//!   a serial loop and cache-blocked panel factorizations with four-wide
+//!   unrolled trailing updates on the size thresholds below.
 //!
 //! # Thread count
 //!
@@ -31,71 +30,48 @@
 //! exactly the serial order, and units write disjoint memory. Results are
 //! therefore identical for any thread count (verified by the
 //! `par_equivalence` test suite).
-//!
-//! # Safety
-//!
-//! The workspace forbids `unsafe_code` everywhere except the striped
-//! elimination engine at the bottom of this module, where scoped threads
-//! need simultaneous mutable access to *disjoint rows* of one matrix. The
-//! `unsafe` surface is one small row-aliasing wrapper ([`SharedRows`])
-//! with the protocol documented at the definition site; nothing outside
-//! this module can reach it.
 
 use crate::cancel::CancelToken;
 use crate::kernel;
 use crate::{NumericsError, Scalar};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Process-wide thread-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Default minimum matrix dimension before the eliminations parallelize
-/// their trailing updates (the `elim_par_min_dim` fallback of
-/// [`crate::tune::TuneProfile`]).
+/// Minimum matrix dimension before the blocked eliminations split their
+/// trailing updates across workers.
 ///
 /// Below this the coordination traffic of the parallel update dominates
 /// the O(n³) arithmetic: commit d2944d8 measured striped-LU "speedups"
 /// of 0.07 at n = 96 and 0.30 at n = 224 against the serial loop, so the
-/// default crossover sits above both. A measured profile (`VPEC_TUNE`)
-/// replaces it with the crossover of the host the process runs on.
+/// crossover sits above both.
 pub const ELIM_PAR_MIN_DIM: usize = 256;
 
-/// `true` when [`lu_eliminate`] / [`cholesky_eliminate`] will parallelize
-/// trailing-submatrix updates for an `n × n` matrix at this worker count.
-/// The dimension threshold comes from the active [`crate::tune`] profile.
-pub fn elim_parallel(n: usize, threads: usize) -> bool {
-    threads > 1 && n >= crate::tune::current().elim_par_min_dim
-}
-
 /// Minimum independent columns (or rows) per worker before the multi-RHS
-/// solve, inverse, and matmul paths go parallel — the single tuner-backed
-/// source of truth behind the former per-module `*_MIN_COLS_PER_THREAD`
-/// constants. Feed it to [`threads_for`].
-pub fn par_min_cols() -> usize {
-    crate::tune::current().par_min_cols
-}
+/// solve, inverse, and matmul paths go parallel. Commit d2944d8 measured
+/// the parallel inverse at 0.22–0.61 of serial speed up to 224 columns,
+/// so small problems stay serial. Feed it to [`threads_for`].
+pub const PAR_MIN_COLS: usize = 64;
 
-/// The elimination mode [`lu_eliminate`] will pick for an `n × n` matrix
-/// at this worker count — `"blocked"`, `"striped"`, or `"serial"`.
-/// Exposed so callers can record the chosen mode in trace spans.
-pub fn lu_elim_mode(n: usize, threads: usize) -> &'static str {
-    if n >= crate::tune::current().lu_block_min_dim {
-        "blocked"
-    } else if elim_parallel(n, threads) {
-        "striped"
-    } else {
-        "serial"
-    }
-}
+/// Minimum dimension at which LU and Cholesky take the blocked panel
+/// path (commit c7453dd) instead of the serial loop. Six measuring runs
+/// on one 2-vCPU host put the crossover anywhere from 32 to 96, with no
+/// stable winner over this value.
+pub const BLOCK_MIN_DIM: usize = 64;
 
-/// The elimination mode [`cholesky_eliminate`] will pick — `"blocked"`,
-/// `"striped"`, or `"serial"`.
-pub fn cholesky_elim_mode(n: usize, threads: usize) -> &'static str {
-    if n >= crate::tune::current().chol_block_min_dim {
+/// Panel width `nb` of the blocked factorizations (commit c7453dd). The
+/// same six runs picked 64, 16, 16, 32, 32 and 32: no width beat this one
+/// consistently.
+pub const PANEL_WIDTH: usize = 32;
+
+/// The elimination mode [`lu_eliminate`] and [`cholesky_eliminate`] pick
+/// for an `n × n` matrix — `"blocked"` or `"serial"`. Exposed so callers
+/// can record the chosen mode in trace spans.
+pub fn elim_mode(n: usize) -> &'static str {
+    if n >= BLOCK_MIN_DIM {
         "blocked"
-    } else if elim_parallel(n, threads) {
-        "striped"
     } else {
         "serial"
     }
@@ -346,17 +322,14 @@ impl Pool {
     }
 }
 
-/// Row-striped in-place LU elimination with partial pivoting over a
-/// row-major `n × n` slice. Returns the row permutation (`perm[k]` = the
-/// original row now in position `k`) and the permutation sign.
+/// In-place LU elimination with partial pivoting over a row-major
+/// `n × n` slice. Returns the row permutation (`perm[k]` = the original
+/// row now in position `k`) and the permutation sign.
 ///
-/// With `threads == 1` (or a matrix too small to profit) this runs the
-/// plain serial right-looking elimination. With more workers, the pivot
-/// search and row swap for column `k` run on worker 0 while the others
-/// wait at a barrier, then all workers apply the trailing-submatrix update
-/// to their stripe of rows (`(i - k - 1) % nt == t`). Per-row arithmetic
-/// is identical to the serial loop, so results are bit-identical for any
-/// thread count.
+/// Below [`BLOCK_MIN_DIM`] this runs the plain serial right-looking
+/// elimination; from there on, the blocked panel factorization, whose
+/// trailing update goes parallel from [`ELIM_PAR_MIN_DIM`] up. Both are
+/// bit-identical to the serial loop for any thread count.
 ///
 /// # Errors
 ///
@@ -375,7 +348,7 @@ pub fn lu_eliminate<T: Scalar>(
 }
 
 /// [`lu_eliminate`] with cooperative cancellation: the token is polled
-/// once per elimination column (serial and striped paths alike) and a set
+/// once per elimination column (serial and blocked paths alike) and a set
 /// token aborts with [`NumericsError::Cancelled`], leaving `data` in an
 /// unspecified partially-eliminated state.
 ///
@@ -393,36 +366,33 @@ pub fn lu_eliminate_cancel<T: Scalar>(
     cancel: &CancelToken,
 ) -> Result<(Vec<usize>, f64), NumericsError> {
     assert_eq!(data.len(), n * n, "lu_eliminate: shape mismatch");
-    let tune = crate::tune::current();
+    if n < BLOCK_MIN_DIM {
+        vpec_trace::counter_add("pool.elim.serial", 1);
+        return lu_eliminate_serial(data, n, cancel);
+    }
     // Blocked panel factorization wins once the trailing update is large
     // enough to amortize the panel bookkeeping; its per-element operation
     // sequence matches the serial loop exactly (see the proof sketch at
     // [`lu_eliminate_blocked`]), so the dispatch threshold cannot change
     // results. Workers only parallelize the row-disjoint trailing update,
     // which is bit-identical at any count.
-    if n >= tune.lu_block_min_dim {
-        vpec_trace::counter_add("pool.elim.blocked", 1);
-        let workers = if elim_parallel(n, threads) {
-            threads.min(MAX_WORKERS)
-        } else {
-            1
-        };
-        return lu_eliminate_blocked(data, n, workers, cancel, tune.panel_width);
+    vpec_trace::counter_add("pool.elim.blocked", 1);
+    lu_eliminate_blocked(data, n, elim_workers(n, threads), cancel, PANEL_WIDTH)
+}
+
+/// Workers for the trailing update of a blocked elimination: all of
+/// `threads` from [`ELIM_PAR_MIN_DIM`] up, one below it.
+fn elim_workers(n: usize, threads: usize) -> usize {
+    if n >= ELIM_PAR_MIN_DIM {
+        threads.clamp(1, MAX_WORKERS)
+    } else {
+        1
     }
-    // The striped path needs enough trailing rows per column to amortize
-    // barrier traffic; below the tuned `elim_par_min_dim` the serial loop
-    // wins outright (see the measurements cited at [`ELIM_PAR_MIN_DIM`]).
-    if !elim_parallel(n, threads) {
-        vpec_trace::counter_add("pool.elim.serial", 1);
-        return lu_eliminate_serial(data, n, cancel);
-    }
-    vpec_trace::counter_add("pool.elim.striped", 1);
-    lu_eliminate_striped(data, n, threads.min(MAX_WORKERS), cancel)
 }
 
 /// One trailing-row update of the right-looking LU: computes and stores
 /// the multiplier, then `row[k+1..] -= factor · urow[k+1..]`. Shared by
-/// the serial and striped paths so their arithmetic is identical.
+/// the serial and blocked paths so their arithmetic is identical.
 #[inline]
 fn lu_update_row<T: Scalar>(row: &mut [T], urow: &[T], k: usize, pivot: T) {
     let factor = row[k] / pivot;
@@ -435,7 +405,7 @@ fn lu_update_row<T: Scalar>(row: &mut [T], urow: &[T], k: usize, pivot: T) {
     }
 }
 
-pub(crate) fn lu_eliminate_serial<T: Scalar>(
+fn lu_eliminate_serial<T: Scalar>(
     data: &mut [T],
     n: usize,
     cancel: &CancelToken,
@@ -490,7 +460,7 @@ pub(crate) fn lu_eliminate_serial<T: Scalar>(
 /// partitions whole rows, so results do not depend on the worker count.
 ///
 /// Numerical class: bit-identical.
-pub(crate) fn lu_eliminate_blocked<T: Scalar>(
+fn lu_eliminate_blocked<T: Scalar>(
     data: &mut [T],
     n: usize,
     threads: usize,
@@ -587,10 +557,11 @@ pub(crate) fn lu_eliminate_blocked<T: Scalar>(
     Ok((perm, perm_sign))
 }
 
-/// Row-striped in-place Cholesky of a symmetric positive-definite matrix:
-/// reads the lower triangle of the row-major `n × n` slice `a` and fills
-/// the dense lower-triangular factor into `g` (which must be zeroed).
-/// Parallel results are bit-identical to the serial left-looking loop.
+/// In-place Cholesky of a symmetric positive-definite matrix: reads the
+/// lower triangle of the row-major `n × n` slice `a` and fills the dense
+/// lower-triangular factor into `g` (which must be zeroed). Dispatches
+/// like [`lu_eliminate`]; the blocked path is audited-close to the serial
+/// left-looking loop and identical for any thread count.
 ///
 /// # Errors
 ///
@@ -610,7 +581,7 @@ pub fn cholesky_eliminate(
 }
 
 /// [`cholesky_eliminate`] with cooperative cancellation: the token is
-/// polled once per elimination column (serial and striped paths alike)
+/// polled once per elimination column (serial and blocked paths alike)
 /// and a set token aborts with [`NumericsError::Cancelled`], leaving `g`
 /// partially filled.
 ///
@@ -630,32 +601,22 @@ pub fn cholesky_eliminate_cancel(
 ) -> Result<(), NumericsError> {
     assert_eq!(a.len(), n * n, "cholesky_eliminate: shape mismatch");
     assert_eq!(g.len(), n * n, "cholesky_eliminate: shape mismatch");
-    let tune = crate::tune::current();
-    // The blocked panel factorization reassociates the left-looking
-    // prefix dots (per-block partials, four accumulators), so it is
-    // *audited-close* to the serial loop rather than bit-identical — but
-    // the dispatch depends only on `n` and the process-wide tune profile,
-    // and the row-partitioned trailing update is deterministic for any
-    // worker count, so repeated runs and thread sweeps agree exactly.
-    if n >= tune.chol_block_min_dim {
-        vpec_trace::counter_add("pool.elim.blocked", 1);
-        let workers = if elim_parallel(n, threads) {
-            threads.min(MAX_WORKERS)
-        } else {
-            1
-        };
-        return cholesky_eliminate_blocked(a, g, n, workers, cancel, tune.panel_width);
-    }
-    if !elim_parallel(n, threads) {
+    if n < BLOCK_MIN_DIM {
         vpec_trace::counter_add("pool.elim.serial", 1);
         return cholesky_eliminate_serial(a, g, n, cancel);
     }
-    vpec_trace::counter_add("pool.elim.striped", 1);
-    cholesky_eliminate_striped(a, g, n, threads.min(MAX_WORKERS), cancel)
+    // The blocked panel factorization reassociates the left-looking
+    // prefix dots (per-block partials, four accumulators), so it is
+    // *audited-close* to the serial loop rather than bit-identical — but
+    // the dispatch depends only on `n`, and the row-partitioned trailing
+    // update is deterministic for any worker count, so repeated runs and
+    // thread sweeps agree exactly.
+    vpec_trace::counter_add("pool.elim.blocked", 1);
+    cholesky_eliminate_blocked(a, g, n, elim_workers(n, threads), cancel, PANEL_WIDTH)
 }
 
 /// Dot of the first `j` entries of two factor rows — the subtracted term
-/// of the left-looking Cholesky. Shared by serial and striped paths.
+/// of the serial left-looking Cholesky.
 #[inline]
 fn chol_partial_dot(gi: &[f64], gj: &[f64], j: usize) -> f64 {
     let mut s = 0.0;
@@ -665,7 +626,7 @@ fn chol_partial_dot(gi: &[f64], gj: &[f64], j: usize) -> f64 {
     s
 }
 
-pub(crate) fn cholesky_eliminate_serial(
+fn cholesky_eliminate_serial(
     a: &[f64],
     g: &mut [f64],
     n: usize,
@@ -706,7 +667,7 @@ pub(crate) fn cholesky_eliminate_serial(
 /// partitioned whole, so the result is the same for any worker count.
 ///
 /// Numerical class: audited-close.
-pub(crate) fn cholesky_eliminate_blocked(
+fn cholesky_eliminate_blocked(
     a: &[f64],
     g: &mut [f64],
     n: usize,
@@ -772,248 +733,6 @@ pub(crate) fn cholesky_eliminate_blocked(
             }
         });
         p = pend;
-    }
-    Ok(())
-}
-
-// ----------------------------------------------------------------------
-// Striped elimination engine — the workspace's one unsafe-bearing corner.
-// ----------------------------------------------------------------------
-
-/// A row-major matrix view that hands out references to individual rows
-/// across scoped worker threads.
-///
-/// # Safety protocol
-///
-/// The compiler cannot prove disjointness of row accesses across threads,
-/// so callers of [`SharedRows::row`]/[`SharedRows::row_mut`] must uphold,
-/// per synchronization phase (phases are separated by [`Barrier::wait`],
-/// which establishes the necessary happens-before edges):
-///
-/// * a row borrowed mutably in a phase is touched by exactly one worker
-///   in that phase (the striped partitions below guarantee this), and
-/// * a row borrowed shared in a phase is mutably borrowed by no worker in
-///   that phase (pivot/factor rows are finalized before being read).
-///
-/// Both elimination drivers in this module are the only users; the type
-/// is private to keep the obligation local.
-#[allow(unsafe_code)]
-mod shared_rows {
-    pub(super) struct SharedRows<T> {
-        ptr: *mut T,
-        rows: usize,
-        cols: usize,
-    }
-
-    // SAFETY: the raw pointer refers to a `&mut [T]` that outlives the
-    // scope the workers run in; access discipline is documented above.
-    unsafe impl<T: Send + Sync> Send for SharedRows<T> {}
-    unsafe impl<T: Send + Sync> Sync for SharedRows<T> {}
-
-    impl<T> SharedRows<T> {
-        pub(super) fn new(data: &mut [T], rows: usize, cols: usize) -> Self {
-            assert_eq!(data.len(), rows * cols, "SharedRows: shape mismatch");
-            SharedRows {
-                ptr: data.as_mut_ptr(),
-                rows,
-                cols,
-            }
-        }
-
-        /// Shared view of row `i`.
-        ///
-        /// # Safety
-        ///
-        /// No thread may hold a mutable borrow of row `i` during the
-        /// current synchronization phase.
-        pub(super) unsafe fn row(&self, i: usize) -> &[T] {
-            assert!(i < self.rows, "row index out of range");
-            // SAFETY: in-bounds by the assert; aliasing per the protocol.
-            unsafe { std::slice::from_raw_parts(self.ptr.add(i * self.cols), self.cols) }
-        }
-
-        /// Mutable view of row `i`.
-        ///
-        /// # Safety
-        ///
-        /// This thread must be the only one accessing row `i` during the
-        /// current synchronization phase.
-        #[allow(clippy::mut_from_ref)]
-        pub(super) unsafe fn row_mut(&self, i: usize) -> &mut [T] {
-            assert!(i < self.rows, "row index out of range");
-            // SAFETY: in-bounds by the assert; aliasing per the protocol.
-            unsafe { std::slice::from_raw_parts_mut(self.ptr.add(i * self.cols), self.cols) }
-        }
-    }
-}
-
-use shared_rows::SharedRows;
-
-/// Sentinel for "no failure" in the shared failure flags below.
-const NO_FAILURE: usize = usize::MAX;
-
-/// Sentinel for "cancelled" in the shared failure flags below: worker 0
-/// polls the token during its exclusive pivot phase and publishes this
-/// value to stop every worker at the next barrier.
-const CANCELLED: usize = usize::MAX - 1;
-
-#[allow(unsafe_code)]
-pub(crate) fn lu_eliminate_striped<T: Scalar>(
-    data: &mut [T],
-    n: usize,
-    threads: usize,
-    cancel: &CancelToken,
-) -> Result<(Vec<usize>, f64), NumericsError> {
-    let nt = threads.min(n);
-    let shared = SharedRows::new(data, n, n);
-    let barrier = Barrier::new(nt);
-    let failed = AtomicUsize::new(NO_FAILURE);
-    let result: Mutex<Option<(Vec<usize>, f64)>> = Mutex::new(None);
-
-    std::thread::scope(|s| {
-        for t in 0..nt {
-            let shared = &shared;
-            let barrier = &barrier;
-            let failed = &failed;
-            let result = &result;
-            s.spawn(move || {
-                let mut perm: Vec<usize> = if t == 0 { (0..n).collect() } else { Vec::new() };
-                let mut perm_sign = 1.0f64;
-                for k in 0..n {
-                    if t == 0 {
-                        // SAFETY: every other worker is parked at the
-                        // barrier below, so worker 0 has exclusive access
-                        // to the matrix during the pivot phase.
-                        let mut pivot_row = k;
-                        let mut pivot_mag = unsafe { shared.row(k) }[k].modulus();
-                        for i in (k + 1)..n {
-                            // SAFETY: same exclusivity — workers are still
-                            // parked at the barrier during the pivot scan.
-                            let mag = unsafe { shared.row(i) }[k].modulus();
-                            if mag > pivot_mag {
-                                pivot_mag = mag;
-                                pivot_row = i;
-                            }
-                        }
-                        if cancel.is_cancelled() {
-                            failed.store(CANCELLED, Ordering::Release);
-                        } else if pivot_mag == 0.0 {
-                            failed.store(k, Ordering::Release);
-                        } else if pivot_row != k {
-                            perm.swap(k, pivot_row);
-                            perm_sign = -perm_sign;
-                            // SAFETY: rows k and pivot_row are distinct and
-                            // worker 0 is alone in this phase.
-                            let ra = unsafe { shared.row_mut(k) };
-                            let rb = unsafe { shared.row_mut(pivot_row) };
-                            ra.swap_with_slice(rb);
-                        }
-                    }
-                    barrier.wait();
-                    if failed.load(Ordering::Acquire) != NO_FAILURE {
-                        break;
-                    }
-                    // Update phase: all workers read the finalized pivot
-                    // row and update disjoint stripes of trailing rows.
-                    // SAFETY: row k is written by no worker in this phase.
-                    let urow = unsafe { shared.row(k) };
-                    let pivot = urow[k];
-                    let mut i = k + 1 + t;
-                    while i < n {
-                        // SAFETY: stripe `(i - k - 1) % nt == t` visits
-                        // each trailing row from exactly one worker.
-                        let row = unsafe { shared.row_mut(i) };
-                        lu_update_row(row, urow, k, pivot);
-                        i += nt;
-                    }
-                    barrier.wait();
-                }
-                if t == 0 {
-                    *result.lock().expect("result mutex poisoned") = Some((perm, perm_sign));
-                }
-            });
-        }
-    });
-
-    let step = failed.load(Ordering::Acquire);
-    if step == CANCELLED {
-        return Err(NumericsError::Cancelled { op: "lu factor" });
-    }
-    if step != NO_FAILURE {
-        return Err(NumericsError::Singular { step });
-    }
-    let (perm, sign) = result
-        .into_inner()
-        .expect("result mutex poisoned")
-        .expect("worker 0 publishes the permutation");
-    Ok((perm, sign))
-}
-
-#[allow(unsafe_code)]
-fn cholesky_eliminate_striped(
-    a: &[f64],
-    g: &mut [f64],
-    n: usize,
-    threads: usize,
-    cancel: &CancelToken,
-) -> Result<(), NumericsError> {
-    let nt = threads.min(n);
-    let shared = SharedRows::new(g, n, n);
-    let barrier = Barrier::new(nt);
-    let failed = AtomicUsize::new(NO_FAILURE);
-
-    std::thread::scope(|s| {
-        for t in 0..nt {
-            let shared = &shared;
-            let barrier = &barrier;
-            let failed = &failed;
-            s.spawn(move || {
-                for j in 0..n {
-                    if t == 0 {
-                        // SAFETY: worker 0 is alone in this phase (the
-                        // others are parked at the barrier below); row j's
-                        // prefix was finalized in earlier phases.
-                        let gj = unsafe { shared.row_mut(j) };
-                        let d = a[j * n + j] - chol_partial_dot(gj, gj, j);
-                        if cancel.is_cancelled() {
-                            failed.store(CANCELLED, Ordering::Release);
-                        } else if d <= 0.0 || !d.is_finite() {
-                            failed.store(j, Ordering::Release);
-                        } else {
-                            gj[j] = d.sqrt();
-                        }
-                    }
-                    barrier.wait();
-                    if failed.load(Ordering::Acquire) != NO_FAILURE {
-                        break;
-                    }
-                    // SAFETY: row j is finalized; no worker writes it in
-                    // this phase.
-                    let gj = unsafe { shared.row(j) };
-                    let dj = gj[j];
-                    let mut i = j + 1 + t;
-                    while i < n {
-                        // SAFETY: stripe partition — row i is touched by
-                        // exactly this worker in this phase. Columns < j
-                        // of row i were finalized in earlier phases
-                        // (barrier-ordered), column j is written here.
-                        let gi = unsafe { shared.row_mut(i) };
-                        let s = a[i * n + j] - chol_partial_dot(gi, gj, j);
-                        gi[j] = s / dj;
-                        i += nt;
-                    }
-                    barrier.wait();
-                }
-            });
-        }
-    });
-
-    let row = failed.load(Ordering::Acquire);
-    if row == CANCELLED {
-        return Err(NumericsError::Cancelled { op: "cholesky factor" });
-    }
-    if row != NO_FAILURE {
-        return Err(NumericsError::NotPositiveDefinite { row });
     }
     Ok(())
 }
@@ -1098,32 +817,6 @@ mod tests {
         m
     }
 
-    #[test]
-    fn striped_lu_is_bit_identical_to_serial() {
-        let n = 40; // below ELIM_PAR_MIN_DIM: call the striped path directly
-        let reference = {
-            let mut m = random_matrix(n, 11);
-            let pp = lu_eliminate_serial(&mut m, n, &CancelToken::none()).unwrap();
-            (m, pp)
-        };
-        for nt in [2, 3, 8] {
-            let mut m = random_matrix(n, 11);
-            let pp = lu_eliminate_striped(&mut m, n, nt, &CancelToken::none()).unwrap();
-            assert_eq!(m, reference.0, "LU payload differs at nt={nt}");
-            assert_eq!(pp, reference.1, "permutation differs at nt={nt}");
-        }
-    }
-
-    #[test]
-    fn striped_lu_detects_singularity() {
-        let n = 8;
-        let mut m = vec![0.0f64; n * n]; // all-zero: singular at step 0
-        match lu_eliminate_striped(&mut m, n, 4, &CancelToken::none()) {
-            Err(NumericsError::Singular { step }) => assert_eq!(step, 0),
-            other => panic!("expected Singular, got {other:?}"),
-        }
-    }
-
     fn random_spd(n: usize, seed: u64) -> Vec<f64> {
         // A·Aᵀ + n·I is s.p.d. for any A.
         let a = random_matrix(n, seed);
@@ -1139,34 +832,6 @@ mod tests {
             m[i * n + i] += n as f64;
         }
         m
-    }
-
-    #[test]
-    fn striped_cholesky_is_bit_identical_to_serial() {
-        let n = 36;
-        let a = random_spd(n, 5);
-        let mut reference = vec![0.0f64; n * n];
-        cholesky_eliminate_serial(&a, &mut reference, n, &CancelToken::none()).unwrap();
-        for nt in [2, 3, 8] {
-            let mut g = vec![0.0f64; n * n];
-            cholesky_eliminate_striped(&a, &mut g, n, nt, &CancelToken::none()).unwrap();
-            assert_eq!(g, reference, "Cholesky differs at nt={nt}");
-        }
-    }
-
-    #[test]
-    fn striped_cholesky_rejects_indefinite() {
-        let n = 6;
-        let mut a = vec![0.0f64; n * n];
-        for i in 0..n {
-            a[i * n + i] = 1.0;
-        }
-        a[2 * n + 2] = -1.0; // indefinite
-        let mut g = vec![0.0f64; n * n];
-        match cholesky_eliminate_striped(&a, &mut g, n, 3, &CancelToken::none()) {
-            Err(NumericsError::NotPositiveDefinite { row }) => assert_eq!(row, 2),
-            other => panic!("expected NotPositiveDefinite, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1263,7 +928,7 @@ mod tests {
 
     #[test]
     fn public_eliminators_dispatch_serial_below_threshold() {
-        // n < ELIM_PAR_MIN_DIM must take the serial path even with
+        // n < BLOCK_MIN_DIM must take the serial path even with
         // threads > 1.
         let n = 12;
         let mut m = random_matrix(n, 3);
@@ -1284,20 +949,10 @@ mod tests {
             lu_eliminate_cancel(&mut m, n, 1, &token),
             Err(NumericsError::Cancelled { .. })
         ));
-        let mut m = random_matrix(n, 7);
-        assert!(matches!(
-            lu_eliminate_striped(&mut m, n, 3, &token),
-            Err(NumericsError::Cancelled { .. })
-        ));
         let a = random_spd(n, 7);
         let mut g = vec![0.0f64; n * n];
         assert!(matches!(
             cholesky_eliminate_cancel(&a, &mut g, n, 1, &token),
-            Err(NumericsError::Cancelled { .. })
-        ));
-        let mut g = vec![0.0f64; n * n];
-        assert!(matches!(
-            cholesky_eliminate_striped(&a, &mut g, n, 3, &token),
             Err(NumericsError::Cancelled { .. })
         ));
     }

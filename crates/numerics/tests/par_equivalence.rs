@@ -147,13 +147,14 @@ fn cholesky_factor_and_inverse_match_serial() {
 
 #[test]
 fn blocked_dispatch_boundaries_are_thread_invariant() {
-    // The tuned dispatch switches elimination kernels around the blocked
-    // thresholds (default 64 for both LU and Cholesky). The kernel choice
-    // depends only on the dimension and the process-stable tune profile —
-    // never on the worker count — so sizes straddling each boundary must
-    // give *bit-identical* answers at every thread count.
+    // The eliminations switch from serial to blocked at
+    // `pool::BLOCK_MIN_DIM` (64) and split the blocked trailing update
+    // across workers from `pool::ELIM_PAR_MIN_DIM` (256). The kernel choice
+    // depends only on the dimension — never on the worker count — so sizes
+    // straddling each boundary must give *bit-identical* answers at every
+    // thread count.
     let mut rng = XorShift64::new(0x2006);
-    for &n in &[63, 64, 65, 96, 160] {
+    for &n in &[63, 64, 65, 96, 160, 255, 256, 300] {
         let mut a = random_matrix(&mut rng, n, n);
         for i in 0..n {
             a[(i, i)] += n as f64; // dominant, hence nonsingular

@@ -42,23 +42,6 @@ echo "==> static analysis gate (vpec-analyze vs lint.baseline)"
 timeout 120 cargo run --release -q -p vpec-analyze --bin vpec-analyze -- \
   --root . --baseline lint.baseline
 
-echo "==> tune smoke run (vpec tune --quick, profile round-trip)"
-tune_out="target/tune_smoke.tune"
-timeout 300 cargo run --release -q -p vpec-cli --bin vpec -- tune --quick -o "$tune_out"
-for key in par_min_cols elim_par_min_dim lu_block_min_dim chol_block_min_dim \
-           panel_width ac_min_points_per_thread; do
-  grep -q "^$key = " "$tune_out" || { echo "tune profile missing $key" >&2; exit 1; }
-done
-# The written profile must round-trip: a run under VPEC_TUNE=<file> must
-# load it cleanly (a parse failure prints a loud warning and falls back).
-env VPEC_TUNE="$tune_out" timeout 120 cargo run --release -q -p vpec-cli --bin vpec -- \
-  model --bits 4 --kind wvpec-g:2 > /dev/null 2> target/tune_smoke_stderr.txt
-if grep -qi "tune" target/tune_smoke_stderr.txt; then
-  echo "tune smoke: VPEC_TUNE=$tune_out was not accepted cleanly:" >&2
-  cat target/tune_smoke_stderr.txt >&2
-  exit 1
-fi
-
 echo "==> batch engine smoke run (vpec batch, request isolation + degradation + ledger)"
 batch_in="target/batch_smoke_in.jsonl"
 batch_out="target/batch_smoke_out.jsonl"

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use vpec_circuit::ac::AcSpec;
     pub use vpec_circuit::metrics::{crossing_time, peak_abs, resample, WaveformDiff};
     pub use vpec_circuit::{
-        AdaptiveSpec, Circuit, CircuitError, FactorDiagnostics, FactorStrategy, FaultInjection,
+        Circuit, CircuitError, FactorDiagnostics, FactorStrategy, FaultInjection,
         Integrator, NodeId, SolverKind, TransientDiagnostics, TransientSpec, Waveform,
     };
     pub use vpec_core::harness::{paper_transient_spec, BuiltModel, Experiment, ModelKind};

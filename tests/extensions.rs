@@ -7,7 +7,6 @@ use vpec::core::kelement::KNodalModel;
 use vpec::core::noise::noise_scan;
 use vpec::extract::volume::decompose;
 use vpec::extract::{CapTable, ConductorSystem};
-use vpec::circuit::adaptive::{run_transient_adaptive, AdaptiveSpec};
 use vpec::circuit::mor::reduce_about;
 use vpec::circuit::spice_in::from_spice;
 use vpec::circuit::spice_out::to_spice;
@@ -20,38 +19,6 @@ fn experiment(bits: usize) -> Experiment {
         &ExtractionConfig::paper_default(),
         DriveConfig::paper_default(),
     )
-}
-
-/// Adaptive stepping agrees with the fixed-step engine on a real
-/// interconnect netlist, with fewer accepted points over the quiet tail.
-#[test]
-fn adaptive_transient_on_vpec_netlist() {
-    let exp = experiment(4);
-    let built = exp.build(ModelKind::VpecFull).unwrap();
-    let fixed = TransientSpec::new(1e-9, 0.5e-12);
-    let (rf, _) = built.run_transient(&fixed).unwrap();
-    let (ra, stats) = run_transient_adaptive(
-        &built.model.circuit,
-        &AdaptiveSpec::new(1e-9, 1e-12).tol(5e-4),
-    )
-    .unwrap();
-    assert!(stats.accepted > 100);
-    assert!(
-        stats.accepted < rf.len(),
-        "adaptive should use fewer points: {} vs {}",
-        stats.accepted,
-        rf.len()
-    );
-    // Victim waveforms agree on the common grid.
-    let victim = built.model.far_nodes[1];
-    let wa = resample(ra.time(), &ra.voltage(victim).unwrap(), rf.time());
-    let wf = rf.voltage(victim).unwrap();
-    let d = WaveformDiff::compare(&wf, &wa);
-    assert!(
-        d.max_pct_of_peak() < 5.0,
-        "adaptive vs fixed mismatch {}%",
-        d.max_pct_of_peak()
-    );
 }
 
 /// MOR of the PEEC netlist reproduces the victim waveform through the
