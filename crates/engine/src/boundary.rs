@@ -17,7 +17,7 @@
 
 use crate::EngineError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vpec_numerics::CancelToken;
@@ -32,7 +32,9 @@ struct Watchdog {
 }
 
 impl Watchdog {
-    fn arm(deadline: Duration, token: CancelToken) -> Self {
+    /// Spawns the watchdog thread. A failed spawn is a typed
+    /// [`EngineError::Io`]: the request cannot honour its deadline.
+    fn arm(deadline: Duration, token: CancelToken) -> Result<Self, EngineError> {
         let state = Arc::new((Mutex::new(false), Condvar::new()));
         let thread_state = Arc::clone(&state);
         let handle = std::thread::Builder::new()
@@ -40,7 +42,8 @@ impl Watchdog {
             .spawn(move || {
                 let (lock, cvar) = &*thread_state;
                 let start = Instant::now();
-                let mut done = lock.lock().expect("watchdog mutex poisoned");
+                // The flag is a plain bool, valid even if a holder panicked.
+                let mut done = lock.lock().unwrap_or_else(PoisonError::into_inner);
                 while !*done {
                     let elapsed = start.elapsed();
                     if elapsed >= deadline {
@@ -49,24 +52,24 @@ impl Watchdog {
                     }
                     let (guard, _) = cvar
                         .wait_timeout(done, deadline - elapsed)
-                        .expect("watchdog mutex poisoned");
+                        .unwrap_or_else(PoisonError::into_inner);
                     done = guard;
                 }
             })
-            .expect("spawning the watchdog thread failed");
-        Watchdog {
+            .map_err(|e| EngineError::Io {
+                message: format!("cannot spawn the deadline watchdog: {e}"),
+            })?;
+        Ok(Watchdog {
             state,
             handle: Some(handle),
-        }
+        })
     }
 }
 
 impl Drop for Watchdog {
     fn drop(&mut self) {
         let (lock, cvar) = &*self.state;
-        if let Ok(mut done) = lock.lock() {
-            *done = true;
-        }
+        *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
         cvar.notify_all();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
@@ -98,6 +101,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///    is the deadline);
 /// 3. everything else passes through unchanged.
 ///
+/// A watchdog thread that cannot be spawned fails the request with
+/// [`EngineError::Io`] before `work` runs.
+///
 /// A request that *completes* despite a late-firing watchdog counts as a
 /// success — the deadline bounds work, it does not invalidate results.
 ///
@@ -109,7 +115,9 @@ pub fn run_guarded<T>(
     token: &CancelToken,
     work: impl FnOnce() -> Result<T, EngineError>,
 ) -> Result<T, EngineError> {
-    let _watchdog = deadline_ms.map(|ms| Watchdog::arm(Duration::from_millis(ms), token.clone()));
+    let _watchdog = deadline_ms
+        .map(|ms| Watchdog::arm(Duration::from_millis(ms), token.clone()))
+        .transpose()?;
     match catch_unwind(AssertUnwindSafe(work)) {
         Ok(Ok(v)) => Ok(v),
         Ok(Err(e)) => {

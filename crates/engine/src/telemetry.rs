@@ -1,5 +1,5 @@
-//! Per-stream telemetry sinks: the run ledger, the metrics registry, and
-//! the Prometheus-style exposition file.
+//! Per-stream telemetry sinks: the run ledger, the `vpec_trace`
+//! registry, and the Prometheus-style exposition file.
 //!
 //! [`StreamTelemetry`] bundles everything [`crate::Engine::run_stream_with`]
 //! needs to make a batch observable:
@@ -14,11 +14,11 @@
 //!   write when the stream ends.
 //!
 //! Constructing one with any sink configured calls
-//! [`vpec_metrics::install`], which also bridges the engine's existing
-//! trace counters (cache hits/misses, retries, degradations) into the
-//! registry. [`StreamTelemetry::disabled`] is a no-op bundle: every hook
-//! returns immediately, which is what plain [`crate::Engine::run_stream`]
-//! uses.
+//! [`vpec_trace::enable_registry`], so the counters the engine fires at
+//! its call sites (cache hits/misses, retries, degradations) are counted
+//! with tracing off. [`StreamTelemetry::disabled`] is a no-op bundle:
+//! every hook returns immediately, which is what plain
+//! [`crate::Engine::run_stream`] uses.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -51,7 +51,7 @@ impl StreamTelemetry {
     /// `metrics_out` is rewritten atomically on each snapshot and at the
     /// end of the stream, and `snapshot_interval_ms` (when nonzero) sets
     /// the in-stream snapshot cadence. When any sink is configured the
-    /// metrics registry is enabled process-wide.
+    /// `vpec_trace` registry is enabled process-wide.
     ///
     /// # Errors
     ///
@@ -63,7 +63,7 @@ impl StreamTelemetry {
     ) -> std::io::Result<StreamTelemetry> {
         let active = ledger_path.is_some() || metrics_out.is_some();
         if active {
-            vpec_metrics::install();
+            vpec_trace::enable_registry();
         }
         let ledger = match ledger_path {
             Some(path) => Some(Ledger::create(path)?),
@@ -97,26 +97,26 @@ impl StreamTelemetry {
         if !self.active {
             return Ok(());
         }
-        vpec_metrics::counter_add("engine.requests", 1);
+        vpec_trace::counter_add("engine.requests", 1);
         let outcome = if record.ok {
             "engine.requests.ok"
         } else {
             "engine.requests.failed"
         };
-        vpec_metrics::counter_add(outcome, 1);
+        vpec_trace::counter_add(outcome, 1);
         if record.degraded {
-            vpec_metrics::counter_add("engine.requests.degraded", 1);
+            vpec_trace::counter_add("engine.requests.degraded", 1);
         }
         if record.retries > 0 {
-            vpec_metrics::counter_add("engine.requests.retries", record.retries as u64);
+            vpec_trace::counter_add("engine.requests.retries", record.retries as u64);
         }
-        vpec_metrics::observe_ms("engine.request.total_ms", record.total_ms);
-        vpec_metrics::observe_ms("engine.request.queue_ms", record.queue_ms);
+        vpec_trace::record_value("engine.request.total_ms", record.total_ms);
+        vpec_trace::record_value("engine.request.queue_ms", record.queue_ms);
         if let Some(build) = record.build_ms {
-            vpec_metrics::observe_ms("engine.request.build_ms", build);
+            vpec_trace::record_value("engine.request.build_ms", build);
         }
         if let Some(solve) = record.solve_ms {
-            vpec_metrics::observe_ms("engine.request.solve_ms", solve);
+            vpec_trace::record_value("engine.request.solve_ms", solve);
         }
         if let Some(ledger) = &mut self.ledger {
             ledger.record(record)?;
@@ -134,7 +134,7 @@ impl StreamTelemetry {
             return Ok(());
         }
         self.last_snapshot = Instant::now();
-        let snap = vpec_metrics::snapshot();
+        let snap = vpec_trace::snapshot();
         if let Some(ledger) = &mut self.ledger {
             ledger.snapshot(&snap)?;
         }
@@ -155,7 +155,7 @@ impl StreamTelemetry {
             return Ok(());
         }
         if let Some(path) = &self.metrics_out {
-            vpec_metrics::write_atomic(path, &vpec_metrics::snapshot())?;
+            vpec_metrics::write_atomic(path, &vpec_trace::snapshot())?;
         }
         Ok(())
     }

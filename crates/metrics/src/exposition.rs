@@ -1,4 +1,5 @@
-//! Prometheus-style text exposition of a [`RegistrySnapshot`].
+//! Prometheus-style text exposition of a [`RegistrySnapshot`] of the
+//! `vpec_trace` registry.
 //!
 //! The format is the subset of the Prometheus text format every scraper
 //! understands: `# TYPE` comments, `vpec_`-prefixed sanitized metric
@@ -6,10 +7,10 @@
 //! histograms. [`write_atomic`] writes to `<path>.tmp` and renames, so a
 //! scraper never observes a half-written file.
 
-use crate::registry::RegistrySnapshot;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
+use vpec_trace::RegistrySnapshot;
 
 /// Maps a dotted registry name (`engine.cache.hit`) to a Prometheus
 /// metric name (`vpec_engine_cache_hit` + `suffix`).
@@ -48,11 +49,6 @@ pub fn render(snapshot: &RegistrySnapshot) -> String {
         let _ = writeln!(out, "# TYPE {metric} counter");
         let _ = writeln!(out, "{metric} {value}");
     }
-    for (name, value) in &snapshot.gauges {
-        let metric = metric_name(name, "");
-        let _ = writeln!(out, "# TYPE {metric} gauge");
-        let _ = writeln!(out, "{metric} {}", fmt_f64(*value));
-    }
     for (name, h) in &snapshot.histograms {
         let metric = metric_name(name, "");
         let _ = writeln!(out, "# TYPE {metric} histogram");
@@ -62,7 +58,7 @@ pub fn render(snapshot: &RegistrySnapshot) -> String {
                 continue; // cumulative series stays valid without empty buckets
             }
             cumulative += c;
-            let bound = crate::histogram::bucket_bound_ms(i);
+            let bound = vpec_trace::bucket_bound(i);
             let _ = writeln!(out, "{metric}_bucket{{le=\"{}\"}} {cumulative}", fmt_f64(bound));
         }
         let _ = writeln!(out, "{metric}_bucket{{le=\"+Inf\"}} {}", h.count);
@@ -95,8 +91,8 @@ pub fn write_atomic(path: &Path, snapshot: &RegistrySnapshot) -> std::io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::histogram::Histogram;
     use std::collections::BTreeMap;
+    use vpec_trace::Histogram;
 
     fn sample() -> RegistrySnapshot {
         let mut h = Histogram::new();
@@ -106,11 +102,8 @@ mod tests {
         histograms.insert("engine.request.total_ms".to_string(), h.snapshot().unwrap());
         let mut counters = BTreeMap::new();
         counters.insert("engine.cache.hit".to_string(), 3u64);
-        let mut gauges = BTreeMap::new();
-        gauges.insert("engine.queue.depth".to_string(), 2.0);
         RegistrySnapshot {
             counters,
-            gauges,
             histograms,
         }
     }
@@ -120,7 +113,6 @@ mod tests {
         let text = render(&sample());
         assert!(text.contains("# TYPE vpec_engine_cache_hit_total counter"));
         assert!(text.contains("vpec_engine_cache_hit_total 3"));
-        assert!(text.contains("# TYPE vpec_engine_queue_depth gauge"));
         assert!(text.contains("# TYPE vpec_engine_request_total_ms histogram"));
         assert!(text.contains("vpec_engine_request_total_ms_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("vpec_engine_request_total_ms_sum 101"));

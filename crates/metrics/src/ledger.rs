@@ -14,10 +14,10 @@
 //!
 //! The full field-by-field schema is documented in DESIGN.md §15.
 
-use crate::registry::RegistrySnapshot;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use vpec_trace::json::{self, JsonValue};
+use vpec_trace::RegistrySnapshot;
 
 /// Milliseconds since the Unix epoch (0 if the clock is before it).
 #[must_use]
@@ -344,8 +344,8 @@ impl Ledger {
         self.file.flush()
     }
 
-    /// Appends one in-stream snapshot record carrying the registry's
-    /// counters and histogram quick-stats.
+    /// Appends one in-stream snapshot record carrying the `vpec_trace`
+    /// registry's counters and histogram quick-stats.
     ///
     /// # Errors
     ///

@@ -1,15 +1,10 @@
 //! Service-level observability for the VPEC engine — **vpec-metrics**.
 //!
-//! Zero-dependency (the workspace's own [`vpec_trace`] JSON helpers are
-//! the only import) metrics stack layered under `vpec batch` / `vpec
-//! serve`:
+//! Zero-dependency (the workspace's own [`vpec_trace`] is the only
+//! import) metrics stack layered under `vpec batch` / `vpec serve`. The
+//! counters and histograms themselves live in the one `vpec_trace`
+//! registry; this crate writes them out and keeps the per-request record:
 //!
-//! * [`registry`] — a process-wide registry of counters, gauges, and
-//!   [`histogram`] log-scale latency histograms. Off by default; one
-//!   relaxed atomic load per call site while off. When enabled it also
-//!   bridges [`vpec_trace::counter_add`] so the engine's existing trace
-//!   counters (cache hits, retries, degradations) surface in snapshots
-//!   without re-instrumenting the call sites.
 //! * [`ledger`] — the run ledger: one schema-validated JSONL record per
 //!   engine request (outcome, error class, retries, degradation, cache
 //!   levels, solver strategy, phase times, scratch estimate), plus
@@ -28,17 +23,11 @@
 #![warn(missing_docs)]
 
 pub mod exposition;
-pub mod histogram;
 pub mod ledger;
-pub mod registry;
 pub mod stats;
 
 pub use exposition::{render, write_atomic};
-pub use histogram::{bucket_bound_ms, Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use ledger::{now_ms, parse_ledger, parse_line, Ledger, LedgerRecord, RunRecord};
-pub use registry::{
-    counter_add, disable, enabled, gauge_set, install, observe_ms, snapshot, RegistrySnapshot,
-};
 pub use stats::{
     aggregate, parse_fail_if, percentile, CacheLevelStats, FailCondition, FailMetric,
     LatencySummary, LedgerStats,

@@ -10,24 +10,30 @@
 //!   optional string attributes such as `mode=serial|parallel`. Parentage
 //!   propagates across pool worker threads via [`current_span`] +
 //!   [`parent_scope`].
-//! * **Counters** — monotonically increasing named totals
-//!   ([`counter_add`]): factorization attempts per strategy, transient
-//!   retries and dt-halvings, audit violations by severity, pool dispatch
-//!   counts, …
-//! * **Value stats** — min/mean/max plus a log₂ histogram per named series
-//!   ([`record_value`]): work estimates, tasks per pool worker, …
 //! * **Instant events** — point-in-time markers with a detail string
 //!   ([`instant_event`]), e.g. one event per transient retry.
+//! * **The registry** — the process's one set of named counters
+//!   ([`counter_add`]: factorization attempts per strategy, transient
+//!   retries, cache hits, request outcomes, …) and [`Histogram`]s
+//!   ([`record_value`]: request latencies, tasks per pool worker, …).
+//!   [`snapshot`] copies it out for the `vpec-metrics` exposition and
+//!   ledger.
 //!
 //! # Sinks and gating
 //!
-//! The process-global [`TraceMode`] selects the sink:
+//! One gate byte holds two bits: the *trace* bit records spans, instant
+//! events and JSONL lines; the *registry* bit records counters and
+//! histograms. Turning tracing on sets both; [`enable_registry`] sets the
+//! registry bit alone, so a `batch --metrics-out` run counts without
+//! tracing. With both bits clear every call site costs one relaxed atomic
+//! load, the same pattern as `VPEC_AUDIT`.
 //!
-//! * [`TraceMode::Off`] (default) — nothing is recorded; every gate costs
-//!   one relaxed atomic load, the same pattern as `VPEC_AUDIT`.
+//! The process-global [`TraceMode`] selects the trace sink:
+//!
+//! * [`TraceMode::Off`] (default) — no spans or events are recorded.
 //! * [`TraceMode::Summary`] — events are collected in memory;
-//!   [`summary_tree`] renders a human-readable span tree with counters and
-//!   stats appended.
+//!   [`summary_tree`] renders a human-readable span tree with the
+//!   registry's counters and histograms appended.
 //! * [`TraceMode::Jsonl`] — additionally streams machine-readable JSONL
 //!   events to a file (one JSON object per line; see the event schema in
 //!   [`validate_jsonl`]).
@@ -37,9 +43,7 @@
 //! `--trace[=…]` flag via [`set_mode_spec`].
 //!
 //! JSONL lines carry a monotonic `seq` field, contiguous from 1 per
-//! sink, validated by [`validate_jsonl`]. Counters can additionally be
-//! forwarded to an external registry via [`set_counter_bridge`]
-//! (installed by `vpec-metrics`), independent of the trace mode.
+//! sink, validated by [`validate_jsonl`].
 //!
 //! # Example
 //!
@@ -59,21 +63,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod histogram;
 pub mod json;
+
+pub use histogram::{bucket_bound, Histogram, HistogramSnapshot};
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Which sink the process-global tracer feeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceMode {
-    /// No tracing; every gate costs one relaxed atomic load.
+    /// No tracing; spans and events cost one relaxed atomic load.
     Off = 0,
     /// Collect in memory for the human-readable [`summary_tree`].
     Summary = 1,
@@ -105,27 +112,35 @@ const MODE_UNSET: u8 = u8::MAX;
 
 static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
 
-/// Combined hot-path gate for [`counter_add`]: bit 0 = tracing enabled,
-/// bit 1 = a counter bridge is installed, bit 7 = the trace mode has not
-/// been resolved from the environment yet. Folding both consumers into
-/// one atomic keeps the fully-disabled cost at a single relaxed load.
+/// The hot-path gate: bit 0 = tracing on (spans, instants, JSONL), bit 1
+/// = registry on (counters, histograms), bit 7 = the trace mode has not
+/// been resolved from the environment yet. Every call site reads this
+/// one byte, so the fully-disabled cost is a single relaxed load.
 const GATE_TRACE: u8 = 0b0000_0001;
-const GATE_BRIDGE: u8 = 0b0000_0010;
+const GATE_REGISTRY: u8 = 0b0000_0010;
 const GATE_UNRESOLVED: u8 = 0b1000_0000;
 
 static GATES: AtomicU8 = AtomicU8::new(GATE_UNRESOLVED);
-static BRIDGE: OnceLock<fn(&str, u64)> = OnceLock::new();
+/// Set by [`enable_registry`]: keeps the registry bit when tracing goes
+/// off. Read only when the mode changes, never on the hot path.
+static REGISTRY_ON: AtomicBool = AtomicBool::new(false);
 
-/// Stores a resolved trace mode, keeping the bridge bit intact.
+/// Stores a resolved trace mode: tracing on sets both gate bits, tracing
+/// off keeps the registry bit only if [`enable_registry`] set it.
 fn store_mode(m: TraceMode) {
     MODE.store(m as u8, Ordering::Relaxed);
-    let bridge = GATES.load(Ordering::Relaxed) & GATE_BRIDGE;
-    let trace = if m == TraceMode::Off { 0 } else { GATE_TRACE };
-    GATES.store(bridge | trace, Ordering::Relaxed);
+    let gates = if m != TraceMode::Off {
+        GATE_TRACE | GATE_REGISTRY
+    } else if REGISTRY_ON.load(Ordering::Relaxed) {
+        GATE_REGISTRY
+    } else {
+        0
+    };
+    GATES.store(gates, Ordering::Relaxed);
 }
 
-/// The counter gate, resolving the trace mode from the environment on
-/// first use.
+/// The gate byte, resolving the trace mode from the environment on first
+/// use.
 fn gates() -> u8 {
     let g = GATES.load(Ordering::Relaxed);
     if g & GATE_UNRESOLVED == 0 {
@@ -135,16 +150,13 @@ fn gates() -> u8 {
     GATES.load(Ordering::Relaxed)
 }
 
-/// Installs a process-wide bridge that receives every [`counter_add`]
-/// call — name and delta — *regardless of the trace mode*. The metrics
-/// registry (`vpec-metrics`) uses this so existing trace counters
-/// surface in its snapshots without re-instrumenting call sites. The
-/// first installed bridge wins; installing is idempotent and cannot be
-/// undone (the bridge itself is expected to gate on its own atomic).
-pub fn set_counter_bridge(bridge: fn(&str, u64)) {
-    let _ = BRIDGE.set(bridge);
-    GATES.fetch_or(GATE_BRIDGE, Ordering::Relaxed);
+/// Turns the counter-and-histogram registry on whatever the trace mode,
+/// until the next [`reset`]. Idempotent.
+pub fn enable_registry() {
+    REGISTRY_ON.store(true, Ordering::Relaxed);
+    GATES.fetch_or(GATE_REGISTRY, Ordering::Relaxed);
 }
+
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(0);
 static NEXT_THREAD_ID: AtomicU32 = AtomicU32::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -153,48 +165,6 @@ static STATE: OnceLock<Mutex<State>> = OnceLock::new();
 thread_local! {
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
     static THREAD_ID: RefCell<Option<u32>> = const { RefCell::new(None) };
-}
-
-/// Per-series statistics with a coarse log₂ histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ValueStat {
-    /// Number of recorded values.
-    pub count: u64,
-    /// Smallest recorded value.
-    pub min: f64,
-    /// Largest recorded value.
-    pub max: f64,
-    /// Sum of recorded values (mean = `sum / count`).
-    pub sum: f64,
-    /// Log₂ magnitude buckets: `buckets[i]` counts values `v` with
-    /// `⌊log₂(max(v, 0) + 1)⌋ = i`, saturating in the last bucket.
-    pub buckets: [u64; 16],
-}
-
-impl ValueStat {
-    fn new() -> ValueStat {
-        ValueStat {
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-            buckets: [0; 16],
-        }
-    }
-
-    fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.sum += v;
-        let idx = (v.max(0.0) + 1.0).log2().floor() as usize;
-        self.buckets[idx.min(15)] += 1;
-    }
-
-    /// Mean of the recorded values (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
-        self.sum / self.count as f64
-    }
 }
 
 /// A closed span as retained by the in-memory collector.
@@ -222,17 +192,6 @@ struct OpenSpan {
     parent: Option<u64>,
 }
 
-#[derive(Debug, Clone)]
-struct InstantEvent {
-    name: String,
-    #[allow(dead_code)]
-    thread: u32,
-    #[allow(dead_code)]
-    t_us: f64,
-    #[allow(dead_code)]
-    detail: String,
-}
-
 struct State {
     jsonl: Option<BufWriter<File>>,
     /// Sequence number stamped on the next JSONL line; restarts at 1
@@ -242,8 +201,10 @@ struct State {
     open: HashMap<u64, OpenSpan>,
     closed: Vec<ClosedSpan>,
     counters: BTreeMap<String, u64>,
-    stats: BTreeMap<String, ValueStat>,
-    instants: Vec<InstantEvent>,
+    histograms: BTreeMap<String, Histogram>,
+    /// Names of the instant events recorded (their JSONL lines carry the
+    /// thread, time and detail).
+    instants: Vec<String>,
 }
 
 impl State {
@@ -254,8 +215,19 @@ impl State {
             open: HashMap::new(),
             closed: Vec::new(),
             counters: BTreeMap::new(),
-            stats: BTreeMap::new(),
+            histograms: BTreeMap::new(),
             instants: Vec::new(),
+        }
+    }
+
+    fn registry(&self) -> RegistrySnapshot {
+        RegistrySnapshot {
+            counters: self.counters.clone(),
+            histograms: self
+                .histograms
+                .iter()
+                .filter_map(|(k, h)| h.snapshot().map(|s| (k.clone(), s)))
+                .collect(),
         }
     }
 
@@ -321,11 +293,12 @@ pub fn mode() -> TraceMode {
     }
 }
 
-/// `true` when any sink is active. This is the hot-path gate: a single
-/// relaxed atomic load once the mode has been resolved.
+/// `true` when a trace sink is active. This is the hot-path gate for
+/// spans and events: a single relaxed atomic load once the mode has been
+/// resolved.
 #[inline]
 pub fn enabled() -> bool {
-    mode() != TraceMode::Off
+    gates() & GATE_TRACE != 0
 }
 
 /// Validates a trace-mode spec without applying it or touching the
@@ -393,14 +366,15 @@ pub fn set_mode_spec(spec: &str) -> Result<TraceMode, String> {
     Ok(resolved)
 }
 
-/// Clears all collected data and sets a fresh mode (tests, repeated CLI
-/// invocations in one process). Accepts the same specs as
-/// [`set_mode_spec`].
+/// Clears all collected data, registry included, turns the registry off
+/// and sets a fresh mode (tests, repeated CLI invocations in one
+/// process). Accepts the same specs as [`set_mode_spec`].
 pub fn reset(spec: &str) -> Result<TraceMode, String> {
     {
         let mut st = lock_state();
         *st = State::new();
     }
+    REGISTRY_ON.store(false, Ordering::Relaxed);
     store_mode(TraceMode::Off);
     set_mode_spec(spec)
 }
@@ -583,21 +557,10 @@ pub fn parent_scope(parent: Option<u64>) -> ParentScope {
     }
 }
 
-/// Adds `delta` to the named counter. Forwarded to the
-/// [`set_counter_bridge`] hook when one is installed (even with tracing
-/// off); recorded by the tracer only when tracing is on. When both are
-/// off the call costs one relaxed atomic load.
+/// Adds `delta` to the named registry counter. A no-op costing one
+/// relaxed atomic load when the registry is off.
 pub fn counter_add(name: &str, delta: u64) {
-    let g = gates();
-    if g == 0 || delta == 0 {
-        return;
-    }
-    if g & GATE_BRIDGE != 0 {
-        if let Some(bridge) = BRIDGE.get() {
-            bridge(name, delta);
-        }
-    }
-    if g & GATE_TRACE == 0 {
+    if gates() & GATE_REGISTRY == 0 || delta == 0 {
         return;
     }
     let mut st = lock_state();
@@ -611,19 +574,19 @@ pub fn counter_add(name: &str, delta: u64) {
     }
 }
 
-/// Records one value into the named stat series (min/mean/max + log₂
-/// histogram). A no-op when tracing is off.
+/// Records one value into the named registry [`Histogram`]. A no-op
+/// costing one relaxed atomic load when the registry is off.
 pub fn record_value(name: &str, value: f64) {
-    if !enabled() {
+    if gates() & GATE_REGISTRY == 0 {
         return;
     }
     let mut st = lock_state();
-    match st.stats.get_mut(name) {
-        Some(s) => s.record(value),
+    match st.histograms.get_mut(name) {
+        Some(h) => h.record(value),
         None => {
-            let mut s = ValueStat::new();
-            s.record(value);
-            st.stats.insert(name.to_string(), s);
+            let mut h = Histogram::new();
+            h.record(value);
+            st.histograms.insert(name.to_string(), h);
         }
     }
 }
@@ -645,20 +608,28 @@ pub fn instant_event(name: &str, detail: &str) {
         );
         st.write_line(&line);
     }
-    st.instants.push(InstantEvent {
-        name: name.to_string(),
-        thread,
-        t_us,
-        detail: detail.to_string(),
-    });
+    st.instants.push(name.to_string());
 }
 
-/// Current value of a counter (0 if never incremented). Test helper.
+/// Current value of a registry counter (0 if never incremented). Test
+/// helper.
 pub fn counter_value(name: &str) -> u64 {
-    if !enabled() {
-        return 0;
-    }
     lock_state().counters.get(name).copied().unwrap_or(0)
+}
+
+/// Point-in-time copy of the registry.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RegistrySnapshot {
+    /// Counters by name.
+    pub counters: BTreeMap<String, u64>,
+    /// Histogram snapshots by name (empty histograms are omitted).
+    pub histograms: BTreeMap<String, HistogramSnapshot>,
+}
+
+/// Snapshots every registry counter and histogram. Empty when nothing
+/// was recorded since the last [`reset`].
+pub fn snapshot() -> RegistrySnapshot {
+    lock_state().registry()
 }
 
 /// Number of recorded instant events with the given name. Test helper.
@@ -666,11 +637,7 @@ pub fn instant_count(name: &str) -> usize {
     if !enabled() {
         return 0;
     }
-    lock_state()
-        .instants
-        .iter()
-        .filter(|e| e.name == name)
-        .count()
+    lock_state().instants.iter().filter(|e| *e == name).count()
 }
 
 /// Number of spans closed so far (all names). Test helper.
@@ -748,14 +715,14 @@ fn fmt_us(us: f64) -> String {
 }
 
 /// Renders the human-readable summary: the aggregated span tree followed
-/// by counters and value stats. Empty string when tracing is off or
-/// nothing was recorded.
+/// by the registry's counters and histograms. Empty string when tracing
+/// is off or nothing was recorded.
 pub fn summary_tree() -> String {
     if !enabled() {
         return String::new();
     }
     let st = lock_state();
-    if st.closed.is_empty() && st.counters.is_empty() && st.stats.is_empty() {
+    if st.closed.is_empty() && st.counters.is_empty() && st.histograms.is_empty() {
         return String::new();
     }
 
@@ -811,48 +778,47 @@ pub fn summary_tree() -> String {
             let _ = writeln!(out, "{label:<42} {value:>12}");
         }
     }
-    if !st.stats.is_empty() {
+    let histograms = st.registry().histograms;
+    if !histograms.is_empty() {
         out.push_str("  stats (count / min / mean / max):\n");
-        for (name, stat) in &st.stats {
+        for (name, h) in &histograms {
             let label = format!("    {name}");
             let _ = writeln!(
                 out,
                 "{label:<42} {:>5}\u{d7}  {:.3} / {:.3} / {:.3}",
-                stat.count,
-                stat.min,
-                stat.mean(),
-                stat.max
+                h.count,
+                h.min,
+                h.sum / h.count as f64,
+                h.max
             );
         }
     }
     out
 }
 
-/// Flushes the active sink: for JSONL, counters and stats are written as
-/// `counter`/`stat` events followed by a `finish` event, then drained so
-/// a later `finish` does not duplicate them. Safe to call repeatedly and
-/// in any mode.
+/// Flushes the active sink: for JSONL, the registry's counters and
+/// histograms are written as `counter`/`stat` events followed by a
+/// `finish` event. The registry keeps its totals — the `vpec-metrics`
+/// exposition reads them too — so each call writes the totals so far.
+/// Safe to call repeatedly and in any mode.
 pub fn finish() {
     if !enabled() {
         return;
     }
     let mut st = lock_state();
     if st.jsonl.is_some() {
-        let counters: Vec<(String, u64)> =
-            st.counters.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        for (name, value) in counters {
+        let snap = st.registry();
+        for (name, value) in &snap.counters {
             let line = format!(
                 "{{\"ev\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
-                json::escape(&name)
+                json::escape(name)
             );
             st.write_line(&line);
         }
-        let stats: Vec<(String, ValueStat)> =
-            st.stats.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        for (name, s) in stats {
+        for (name, s) in &snap.histograms {
             let line = format!(
                 "{{\"ev\":\"stat\",\"name\":\"{}\",\"count\":{},\"min\":{},\"max\":{},\"sum\":{}}}",
-                json::escape(&name),
+                json::escape(name),
                 s.count,
                 fmt_json_f64(s.min),
                 fmt_json_f64(s.max),
@@ -863,8 +829,6 @@ pub fn finish() {
         let t_us = now_us();
         let line = format!("{{\"ev\":\"finish\",\"t_us\":{t_us:.3}}}");
         st.write_line(&line);
-        st.counters.clear();
-        st.stats.clear();
     }
     if let Some(w) = st.jsonl.as_mut() {
         let _ = w.flush();
@@ -1003,7 +967,7 @@ mod tests {
         }
         assert!(!enabled());
         assert_eq!(closed_span_count(), 0);
-        assert_eq!(counter_value("c"), 0);
+        assert_eq!(snapshot(), RegistrySnapshot::default());
         assert_eq!(summary_tree(), "");
         assert!(phase_totals_since(mark()).is_empty());
     }
@@ -1073,6 +1037,61 @@ mod tests {
         assert!(tree.contains("hits"), "{tree}");
         assert!(tree.contains("sizes"), "{tree}");
         reset("off").unwrap();
+    }
+
+    #[test]
+    fn registry_counts_call_sites_with_tracing_off() {
+        let _g = guard();
+        reset("off").unwrap();
+        enable_registry();
+        // Tracing stays off: the registry bit alone records counters
+        // fired at call sites (engine cache hits, retries) and histograms.
+        assert!(!enabled());
+        counter_add("engine.cache.hit", 4);
+        record_value("engine.request.total_ms", 2.5);
+        {
+            let _s = span("not.recorded");
+        }
+        let snap = snapshot();
+        assert_eq!(snap.counters.get("engine.cache.hit"), Some(&4));
+        assert_eq!(snap.histograms.get("engine.request.total_ms").map(|h| h.count), Some(1));
+        assert_eq!(closed_span_count(), 0);
+        // Switching tracing on and off again keeps the registry on.
+        set_mode_spec("summary").unwrap();
+        set_mode_spec("off").unwrap();
+        counter_add("engine.cache.hit", 1);
+        assert_eq!(counter_value("engine.cache.hit"), 5);
+        // `reset` turns the registry off and empties it.
+        reset("off").unwrap();
+        counter_add("engine.cache.hit", 1);
+        assert_eq!(snapshot(), RegistrySnapshot::default());
+    }
+
+    #[test]
+    fn finish_keeps_the_registry_totals() {
+        let _g = guard();
+        let path = std::env::temp_dir().join("vpec_trace_finish_totals.jsonl");
+        reset(&format!("jsonl:{}", path.display())).unwrap();
+        enable_registry();
+        counter_add("engine.requests", 1);
+        counter_add("engine.requests", 1);
+        record_value("engine.request.total_ms", 1.0);
+        finish();
+        counter_add("engine.requests", 1);
+        record_value("engine.request.total_ms", 3.0);
+        finish();
+        // The JSONL tail was written twice, yet the totals a metrics
+        // exposition reads still count every request.
+        let snap = snapshot();
+        assert_eq!(snap.counters.get("engine.requests"), Some(&3));
+        assert_eq!(snap.histograms.get("engine.request.total_ms").map(|h| h.count), Some(2));
+        reset("off").unwrap();
+        let content = std::fs::read_to_string(&path).unwrap();
+        let summary = validate_jsonl(&content).unwrap();
+        assert_eq!((summary.counters, summary.stats), (2, 2));
+        let last = content.lines().rfind(|l| l.contains("\"ev\":\"counter\"")).unwrap();
+        assert!(last.contains("\"value\":3"), "{last}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -47,12 +47,13 @@ batch_in="target/batch_smoke_in.jsonl"
 batch_out="target/batch_smoke_out.jsonl"
 batch_err="target/batch_smoke_err.txt"
 batch_ledger="target/batch_smoke_ledger.jsonl"
+batch_prom="target/batch_smoke.prom"
 # Six-request mix: two healthy (same geometry — the second must be a
 # cache hit), one over-budget full-inversion request (must degrade to
 # wVPEC), one fault-injected panic (must consume one retry and fail with
 # a typed error), one healthy windowed request, one AC sweep. The batch
 # as a whole must exit 0 and leave one schema-valid ledger record per
-# request behind.
+# request and a metrics exposition behind.
 cat > "$batch_in" <<'EOF'
 {"id":"ok-1","bits":3,"kind":"wvpec-g:2","t_stop":5e-11}
 {"id":"ok-2","bits":3,"kind":"wvpec-g:2","t_stop":5e-11}
@@ -65,7 +66,7 @@ EOF
 # backtrace); capture both so the summary assertion below sees it.
 timeout 120 cargo run --release -q -p vpec-cli --bin vpec -- \
   batch --in "$batch_in" --max-dim 6 --retries 1 --backoff-ms 1 --degrade-window 2 \
-  --ledger "$batch_ledger" -o "$batch_out" > "$batch_err" 2>&1
+  --ledger "$batch_ledger" --metrics-out "$batch_prom" -o "$batch_out" > "$batch_err" 2>&1
 grep "^batch:" "$batch_err" || true
 [ "$(wc -l < "$batch_out")" -eq 6 ] || { echo "batch smoke: expected 6 response lines" >&2; exit 1; }
 # Every line is valid JSON with the response schema (python-free grep
@@ -90,6 +91,13 @@ grep -q '1 retries' "$batch_err" || { echo "batch smoke: summary must report 1 r
 # One run-ledger record per request, contiguous seq (vpec stats validates
 # the schema before aggregating — a dropped or reordered line fails it).
 [ "$(wc -l < "$batch_ledger")" -eq 6 ] || { echo "batch smoke: expected 6 ledger records" >&2; exit 1; }
+# The exposition counts every request once, in the request counter and in
+# the latency histogram, and carries the engine's call-site counters (a
+# cache hit) although tracing is off.
+for line in '^vpec_engine_requests_total 6$' '^vpec_engine_request_total_ms_count 6$' \
+            '^vpec_engine_cache_hit_total '; do
+  grep -q "$line" "$batch_prom" || { echo "batch smoke: exposition lacks $line" >&2; exit 1; }
+done
 
 echo "==> fleet stats smoke run (vpec stats over the batch ledger, --fail-if gates)"
 stats_json="target/batch_smoke_stats.json"
