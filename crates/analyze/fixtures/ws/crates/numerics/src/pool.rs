@@ -1,4 +1,4 @@
-//! unsafe-audit fixtures: allowlisted module with a pinned count of 1.
+//! unsafe-audit fixtures: every `unsafe` is a finding, SAFETY comment or not.
 
 #[allow(unsafe_code)]
 pub mod inner {

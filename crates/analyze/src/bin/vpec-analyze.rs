@@ -1,32 +1,26 @@
-//! `vpec-analyze` — standalone entry point for the workspace lint gate.
+//! `vpec-analyze` — the workspace lint gate.
 //!
-//! Exit codes: 0 = clean (or lint disabled), 1 = gate-failing findings,
-//! 2 = usage or environment error (unreadable tree, malformed baseline).
+//! Exit codes: 0 = clean, 1 = findings (any finding that survives the
+//! inline waivers fails the gate), 2 = usage or I/O error.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use vpec_analyze::{baseline, engine, Baseline, Config};
+use vpec_analyze::{engine, Config};
 
 const USAGE: &str = "\
 vpec-analyze — static analysis over the vpec workspace sources
 
 USAGE:
-    vpec-analyze [--root DIR] [--baseline FILE] [--write-baseline] [--strict]
+    vpec-analyze [--root DIR]
 
 OPTIONS:
     --root DIR         workspace root to scan (default: .)
-    --baseline FILE    grandfathered-findings file
-                       (default: <root>/lint.baseline; missing file = empty)
-    --write-baseline   regenerate the baseline from current findings and exit
-    --strict           warnings also fail the gate
     -h, --help         print this help
 
-ENVIRONMENT:
-    VPEC_LINT          off     skip the pass entirely (exit 0)
-                       default normal gate (deny findings fail)
-                       strict  same as --strict
+Any finding fails the gate. Fix it, or waive it inline with its reason:
+`// vpec-allow: <lint> -- <why this is sound>`.
 ";
 
 fn main() -> ExitCode {
@@ -42,26 +36,15 @@ fn main() -> ExitCode {
 
 fn run(argv: &[String]) -> Result<ExitCode, String> {
     let mut root = PathBuf::from(".");
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline = false;
-    let mut strict = false;
-
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => {
                 root = PathBuf::from(
-                    it.next().ok_or_else(|| "--root needs a value".to_string())?,
+                    it.next()
+                        .ok_or_else(|| "--root needs a value".to_string())?,
                 );
             }
-            "--baseline" => {
-                baseline_path = Some(PathBuf::from(
-                    it.next()
-                        .ok_or_else(|| "--baseline needs a value".to_string())?,
-                ));
-            }
-            "--write-baseline" => write_baseline = true,
-            "--strict" => strict = true,
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return Ok(ExitCode::SUCCESS);
@@ -70,70 +53,24 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
         }
     }
 
-    match std::env::var("VPEC_LINT").as_deref() {
-        Ok("off") => {
-            println!("vpec-analyze: skipped (VPEC_LINT=off)");
-            return Ok(ExitCode::SUCCESS);
-        }
-        Ok("strict") => strict = true,
-        Ok("default") | Ok("") | Err(_) => {}
-        Ok(other) => {
-            return Err(format!(
-                "VPEC_LINT=`{other}` is not one of off|default|strict"
-            ))
-        }
-    }
-
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint.baseline"));
-    let cfg = Config::for_workspace(root);
-
-    let bl = if write_baseline {
-        // Regeneration ignores the old file: the new one IS the state.
-        Baseline::default()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => Baseline::parse(&text)
-                .map_err(|e| format!("{}: {e}", baseline_path.display()))?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
-            Err(e) => return Err(format!("{}: {e}", baseline_path.display())),
-        }
-    };
-
-    let report = engine::run(&cfg, &bl).map_err(|e| e.to_string())?;
-
-    if write_baseline {
-        let text = baseline::render(&report.post_waiver);
-        std::fs::write(&baseline_path, &text)
-            .map_err(|e| format!("{}: {e}", baseline_path.display()))?;
-        println!(
-            "vpec-analyze: wrote {} with {} entries ({} files, {} lines scanned)",
-            baseline_path.display(),
-            text.lines().filter(|l| !l.starts_with('#') && !l.is_empty()).count(),
-            report.files_scanned,
-            report.lines_scanned,
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
+    let report = engine::run(&Config::for_workspace(root)).map_err(|e| e.to_string())?;
     for f in &report.findings {
         println!("{}", f.render());
     }
     println!(
-        "vpec-analyze: {} files, {} lines scanned; {} new finding(s), {} baselined, {} waived",
+        "vpec-analyze: {} files, {} lines scanned; {} finding(s), {} waived",
         report.files_scanned,
         report.lines_scanned,
         report.findings.len(),
-        report.baselined,
         report.waived,
     );
-    if report.gate_fails(strict) {
+    if report.findings.is_empty() {
+        Ok(ExitCode::SUCCESS)
+    } else {
         println!(
-            "vpec-analyze: FAIL — fix the finding, waive it inline with a reason \
-             (`// vpec-allow: <lint> -- <why>`), or regenerate the baseline \
-             (--write-baseline) if this is a deliberate policy change"
+            "vpec-analyze: FAIL — fix the finding, or waive it inline with a reason \
+             (`// vpec-allow: <lint> -- <why>`)"
         );
         Ok(ExitCode::FAILURE)
-    } else {
-        Ok(ExitCode::SUCCESS)
     }
 }

@@ -1,4 +1,4 @@
-//! Diagnostics: lint identities, severities and findings.
+//! Diagnostics: lint identities and findings.
 
 use std::fmt;
 
@@ -11,8 +11,7 @@ pub enum LintId {
     /// `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`
     /// in non-test library code of the engine-boundary crates.
     PanicFreedom,
-    /// `unsafe` outside the allowlist, missing `// SAFETY:` comments, or
-    /// a drifted `#[allow(unsafe_code)]` count.
+    /// Any `unsafe` token or `#[allow(unsafe_code)]` attribute.
     UnsafeAudit,
     /// Kernel functions must declare `Numerical class: bit-identical`
     /// or `audited-close`, and bit-identical paths must not call
@@ -21,13 +20,13 @@ pub enum LintId {
     /// Every `std::env::var("VPEC_*")` read must name a variable
     /// documented in the usage registry.
     EnvVarRegistry,
-    /// Waiver hygiene: malformed `// vpec-allow:` comments (deny) and
-    /// waivers that matched nothing (warn).
+    /// Waiver hygiene: malformed `// vpec-allow:` comments and waivers
+    /// that matched nothing.
     Waiver,
 }
 
 /// Every real lint, in reporting order. `Waiver` is excluded: it cannot
-/// be waived or baselined, only fixed.
+/// be waived, only fixed.
 pub const ALL_LINTS: [LintId; 5] = [
     LintId::NanOrdering,
     LintId::PanicFreedom,
@@ -37,7 +36,7 @@ pub const ALL_LINTS: [LintId; 5] = [
 ];
 
 impl LintId {
-    /// The kebab-case name used in waivers, baselines and reports.
+    /// The kebab-case name used in waivers and reports.
     pub fn name(self) -> &'static str {
         match self {
             LintId::NanOrdering => "nan-ordering",
@@ -49,7 +48,7 @@ impl LintId {
         }
     }
 
-    /// Parses a lint name as written in waivers and baseline files.
+    /// Parses a lint name as written in waivers.
     /// `waiver` is deliberately not parseable: the meta-lint cannot be
     /// waived away.
     pub fn parse(name: &str) -> Option<LintId> {
@@ -63,32 +62,11 @@ impl fmt::Display for LintId {
     }
 }
 
-/// Severity of a finding. `Deny` findings fail the gate; `Warn` findings
-/// are reported (and fail it only under strict mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Advisory: reported, gate-failing only under strict mode.
-    Warn,
-    /// Gate-failing.
-    Deny,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Severity::Warn => "warn",
-            Severity::Deny => "deny",
-        })
-    }
-}
-
-/// One lint finding at a source position.
+/// One lint finding at a source position. Every finding fails the gate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Which lint fired.
     pub lint: LintId,
-    /// Gate severity.
-    pub severity: Severity,
     /// Root-relative path with `/` separators.
     pub file: String,
     /// 1-based line.
@@ -97,30 +75,18 @@ pub struct Finding {
     pub col: u32,
     /// Human-readable description with the fix direction.
     pub message: String,
-    /// The trimmed source line — displayed, and fingerprinted for the
-    /// baseline so entries survive unrelated line-number drift.
+    /// The trimmed source line, displayed under the finding.
     pub snippet: String,
 }
 
 impl Finding {
-    /// Renders as `file:line:col: severity[lint]: message`.
+    /// Renders as `file:line:col: [lint]: message`.
     pub fn render(&self) -> String {
         format!(
-            "{}:{}:{}: {}[{}]: {}\n    | {}",
-            self.file, self.line, self.col, self.severity, self.lint, self.message, self.snippet
+            "{}:{}:{}: [{}]: {}\n    | {}",
+            self.file, self.line, self.col, self.lint, self.message, self.snippet
         )
     }
-}
-
-/// 64-bit FNV-1a — the baseline fingerprint hash. Stable across runs,
-/// platforms and rustc versions (unlike `DefaultHasher`).
-pub fn fnv1a(data: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in data.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -137,24 +103,15 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_stable() {
-        // Known FNV-1a vectors: regressions here would silently orphan
-        // every committed baseline entry.
-        assert_eq!(fnv1a(""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a("a"), 0xaf63dc4c8601ec8c);
-    }
-
-    #[test]
     fn render_contains_position_and_lint() {
         let f = Finding {
             lint: LintId::NanOrdering,
-            severity: Severity::Deny,
             file: "crates/x/src/lib.rs".into(),
             line: 3,
             col: 7,
             message: "m".into(),
             snippet: "s".into(),
         };
-        assert!(f.render().starts_with("crates/x/src/lib.rs:3:7: deny[nan-ordering]"));
+        assert!(f.render().starts_with("crates/x/src/lib.rs:3:7: [nan-ordering]"));
     }
 }

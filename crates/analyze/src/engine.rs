@@ -1,13 +1,11 @@
-//! The lint engine: file discovery, pass orchestration, waivers,
-//! baseline, report.
+//! The lint engine: file discovery, pass orchestration, waivers, report.
 //!
 //! `run` walks the workspace tree, lexes every `.rs` file once, feeds the
-//! token stream to each lint pass, applies inline waivers, and splits the
-//! surviving findings against the committed baseline. The engine is
-//! hermetic: filesystem reads under `Config::root` are its only effect.
+//! token stream to each lint pass and applies inline waivers; every
+//! surviving finding fails the gate. The engine is hermetic: filesystem
+//! reads under `Config::root` are its only effect.
 
-use crate::baseline::Baseline;
-use crate::diag::{Finding, LintId, Severity};
+use crate::diag::Finding;
 use crate::lexer::{lex, Tok};
 use crate::lints::{self, numerical_class, FileCtx};
 use crate::structure::test_regions;
@@ -25,9 +23,6 @@ pub struct Config {
     pub root: PathBuf,
     /// Crates whose `src/` trees must be panic-free (`panic-freedom`).
     pub panic_crates: Vec<String>,
-    /// Root-relative modules allowed to contain `unsafe`, with their
-    /// pinned `#[allow(unsafe_code)]` counts (`unsafe-audit`).
-    pub unsafe_allowlist: Vec<(String, usize)>,
     /// Root-relative modules where every non-test `fn` must declare a
     /// `Numerical class:` marker (`numerical-class`).
     pub kernel_modules: Vec<String>,
@@ -41,15 +36,14 @@ pub struct Config {
 
 impl Config {
     /// The policy for this workspace. Changes here are policy changes:
-    /// the unsafe allowlist is empty because every crate root carries
-    /// `#![forbid(unsafe_code)]`, and the registry list stays in lockstep
-    /// with where `USAGE` lives.
+    /// the registry list stays in lockstep with where `USAGE` lives.
     pub fn for_workspace(root: PathBuf) -> Config {
         let owned = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect();
         Config {
             root,
-            panic_crates: owned(&["numerics", "core", "circuit", "extract", "engine", "metrics"]),
-            unsafe_allowlist: Vec::new(),
+            panic_crates: owned(&[
+                "numerics", "core", "circuit", "extract", "engine", "metrics", "geometry", "trace",
+            ]),
             kernel_modules: owned(&["crates/numerics/src/kernel.rs"]),
             registry_files: owned(&["crates/cli/src/lib.rs"]),
             exclude_prefixes: owned(&["crates/analyze/fixtures", "target"]),
@@ -60,30 +54,15 @@ impl Config {
 /// The outcome of one engine run.
 #[derive(Debug)]
 pub struct Report {
-    /// Findings that count against the gate: post-waiver, not baselined,
-    /// sorted by (file, line, col).
+    /// Findings that survived the waivers, sorted by (file, line, col).
+    /// Any finding fails the gate.
     pub findings: Vec<Finding>,
-    /// All post-waiver findings including grandfathered ones — this is
-    /// what `--write-baseline` serializes.
-    pub post_waiver: Vec<Finding>,
-    /// How many findings the baseline absorbed.
-    pub baselined: usize,
     /// How many findings inline waivers suppressed.
     pub waived: usize,
     /// `.rs` files scanned.
     pub files_scanned: usize,
     /// Source lines scanned.
     pub lines_scanned: usize,
-}
-
-impl Report {
-    /// Whether the gate fails: any deny finding, or any finding at all
-    /// under strict mode.
-    pub fn gate_fails(&self, strict: bool) -> bool {
-        self.findings
-            .iter()
-            .any(|f| strict || f.severity == Severity::Deny)
-    }
 }
 
 /// Per-file state carried between pass 1 (per-file lints) and pass 2
@@ -98,9 +77,8 @@ struct FileData {
     waivers: Vec<Waiver>,
 }
 
-/// Runs every lint over the tree under `cfg.root` and reconciles the
-/// result against `baseline`.
-pub fn run(cfg: &Config, baseline: &Baseline) -> io::Result<Report> {
+/// Runs every lint over the tree under `cfg.root`.
+pub fn run(cfg: &Config) -> io::Result<Report> {
     let mut paths = Vec::new();
     discover(&cfg.root, &cfg.root, &cfg.exclude_prefixes, &mut paths)?;
     paths.sort();
@@ -132,7 +110,7 @@ pub fn run(cfg: &Config, baseline: &Baseline) -> io::Result<Report> {
         if lints::panic_freedom::applies(&rel, &cfg.panic_crates) {
             findings.extend(lints::panic_freedom::run(&ctx));
         }
-        findings.extend(lints::unsafe_audit::run(&ctx, &cfg.unsafe_allowlist));
+        findings.extend(lints::unsafe_audit::run(&ctx));
         findings.extend(lints::env_registry::run(&ctx, &registry));
         let (fns, class_findings) =
             numerical_class::collect(&ctx, cfg.kernel_modules.contains(&rel));
@@ -159,7 +137,7 @@ pub fn run(cfg: &Config, baseline: &Baseline) -> io::Result<Report> {
             classes.insert(f.name.clone(), f.class);
         }
     }
-    let mut post_waiver = Vec::new();
+    let mut findings = Vec::new();
     let mut waived_total = 0usize;
     for fd in &mut files {
         let ctx = FileCtx {
@@ -173,21 +151,14 @@ pub fn run(cfg: &Config, baseline: &Baseline) -> io::Result<Report> {
         let (kept, waived) =
             waiver::apply(std::mem::take(&mut fd.findings), &fd.waivers, &fd.src, &fd.file);
         waived_total += waived;
-        post_waiver.extend(kept);
+        findings.extend(kept);
     }
-    post_waiver.sort_by(|a, b| {
+    findings.sort_by(|a, b| {
         (&a.file, a.line, a.col, a.lint).cmp(&(&b.file, b.line, b.col, b.lint))
     });
 
-    let (grandfathered, new): (Vec<Finding>, Vec<Finding>) = post_waiver
-        .iter()
-        .cloned()
-        .partition(|f| f.lint != LintId::Waiver && baseline.contains(f));
-
     Ok(Report {
-        findings: new,
-        post_waiver,
-        baselined: grandfathered.len(),
+        findings,
         waived: waived_total,
         files_scanned: files.len(),
         lines_scanned,
@@ -259,45 +230,11 @@ mod tests {
     #[test]
     fn workspace_config_is_internally_consistent() {
         let cfg = Config::for_workspace(PathBuf::from("."));
-        // The workspace is unsafe-free: no module may be allowlisted.
-        assert!(cfg.unsafe_allowlist.is_empty(), "{:?}", cfg.unsafe_allowlist);
         // Fixture corpora must be excluded, or the engine lints its own
         // seeded positives.
         assert!(cfg
             .exclude_prefixes
             .iter()
             .any(|p| p.contains("fixtures")));
-    }
-
-    #[test]
-    fn gate_semantics() {
-        let deny = Finding {
-            lint: LintId::NanOrdering,
-            severity: Severity::Deny,
-            file: "f.rs".into(),
-            line: 1,
-            col: 1,
-            message: "m".into(),
-            snippet: "s".into(),
-        };
-        let warn = Finding {
-            severity: Severity::Warn,
-            lint: LintId::Waiver,
-            ..deny.clone()
-        };
-        let mk = |findings| Report {
-            findings,
-            post_waiver: Vec::new(),
-            baselined: 0,
-            waived: 0,
-            files_scanned: 0,
-            lines_scanned: 0,
-        };
-        assert!(!mk(vec![]).gate_fails(false));
-        assert!(!mk(vec![]).gate_fails(true));
-        assert!(mk(vec![deny.clone()]).gate_fails(false));
-        assert!(!mk(vec![warn.clone()]).gate_fails(false));
-        assert!(mk(vec![warn]).gate_fails(true));
-        assert!(mk(vec![deny]).gate_fails(true));
     }
 }

@@ -12,10 +12,9 @@
 //!   positions; the fix is `total_cmp`.
 //! * [`panic-freedom`](lints::panic_freedom) — `unwrap`/`expect`/panicky
 //!   macros in non-test library code of the engine-boundary crates.
-//! * [`unsafe-audit`](lints::unsafe_audit) — `unsafe` only in allowlisted
-//!   modules, every block `// SAFETY:`-justified, allow-attribute counts
-//!   pinned exactly. The workspace allowlists none: every crate root
-//!   forbids `unsafe_code`.
+//! * [`unsafe-audit`](lints::unsafe_audit) — no `unsafe` token and no
+//!   `#[allow(unsafe_code)]` anywhere: every crate root forbids
+//!   `unsafe_code`.
 //! * [`numerical-class`](lints::numerical_class) — kernel functions
 //!   declare `Numerical class: bit-identical` or `audited-close`;
 //!   bit-identical code must not call audited-close helpers.
@@ -27,18 +26,16 @@
 //! token-level lints, so the pass needs no rustc internals, no syn, no
 //! network — `cargo run -p vpec-analyze` works on a bare toolchain and
 //! runs in well under a second. False-positive control is structural
-//! (string/comment contents never match) plus two escape valves with
-//! audit trails: inline [`waiver`]s with mandatory reasons, and a
-//! committed [`baseline`] of grandfathered findings so the gate is
-//! "no *new* violations" from day one.
+//! (string/comment contents never match) plus one escape valve with an
+//! audit trail: inline [`waiver`]s with mandatory reasons. There is one
+//! gate: any finding that survives the waivers fails it.
 //!
-//! Run it as `vpec lint` or the `vpec-analyze` binary; `scripts/check.sh`
-//! enforces it as a tier-1 gate. See `DESIGN.md` §14 for the taxonomy,
-//! waiver policy and baseline semantics.
+//! Run it as the `vpec-analyze` binary; `scripts/check.sh` enforces it as
+//! a tier-1 gate. See `DESIGN.md` §14 for the taxonomy and the waiver
+//! policy.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod diag;
 pub mod engine;
 pub mod lexer;
@@ -46,6 +43,5 @@ pub mod lints;
 pub mod structure;
 pub mod waiver;
 
-pub use baseline::{Baseline, BaselineError};
-pub use diag::{Finding, LintId, Severity, ALL_LINTS};
+pub use diag::{Finding, LintId, ALL_LINTS};
 pub use engine::{Config, Report};

@@ -9,7 +9,7 @@
 //! comments) registers it.
 
 use super::FileCtx;
-use crate::diag::{Finding, LintId, Severity};
+use crate::diag::{Finding, LintId};
 use crate::lexer::{str_content, TokKind};
 use crate::structure::next_code;
 use std::collections::BTreeSet;
@@ -73,7 +73,6 @@ pub fn run(ctx: &FileCtx<'_>, registry: &BTreeSet<String>) -> Vec<Finding> {
         if !registry.contains(name) {
             out.push(ctx.finding(
                 LintId::EnvVarRegistry,
-                Severity::Deny,
                 &ctx.toks[a],
                 format!(
                     "`{name}` is read here but not documented in the usage registry \

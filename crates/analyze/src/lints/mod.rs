@@ -1,9 +1,9 @@
 //! The lint passes.
 //!
 //! Every lint is a pure function over a [`FileCtx`] (lexed file plus
-//! precomputed test regions); the engine owns file discovery, waiver
-//! application and the baseline. See `DESIGN.md` §14 for the taxonomy
-//! and the recipe for adding a lint.
+//! precomputed test regions); the engine owns file discovery and waiver
+//! application. See `DESIGN.md` §14 for the taxonomy and the recipe for
+//! adding a lint.
 
 pub mod env_registry;
 pub mod nan_ordering;
@@ -11,7 +11,7 @@ pub mod numerical_class;
 pub mod panic_freedom;
 pub mod unsafe_audit;
 
-use crate::diag::{Finding, LintId, Severity};
+use crate::diag::{Finding, LintId};
 use crate::lexer::{Tok, TokKind};
 use crate::structure::in_regions;
 use crate::waiver::snippet_at;
@@ -35,16 +35,9 @@ impl<'a> FileCtx<'a> {
     }
 
     /// Builds a finding anchored at a token.
-    pub fn finding(
-        &self,
-        lint: LintId,
-        severity: Severity,
-        t: &Tok,
-        message: String,
-    ) -> Finding {
+    pub fn finding(&self, lint: LintId, t: &Tok, message: String) -> Finding {
         Finding {
             lint,
-            severity,
             file: self.file.to_string(),
             line: t.line,
             col: t.col,

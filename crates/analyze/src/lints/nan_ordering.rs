@@ -17,7 +17,7 @@
 //! stating exactly that.
 
 use super::FileCtx;
-use crate::diag::{Finding, LintId, Severity};
+use crate::diag::{Finding, LintId};
 use crate::lexer::TokKind;
 use crate::structure::{match_delim, next_code};
 
@@ -50,7 +50,6 @@ pub fn run(ctx: &FileCtx<'_>) -> Vec<Finding> {
                 }
                 out.push(ctx.finding(
                     LintId::NanOrdering,
-                    Severity::Deny,
                     t,
                     format!(
                         "`{name}` comparator uses `partial_cmp` — NaN de-sorts or panics \
@@ -65,7 +64,6 @@ pub fn run(ctx: &FileCtx<'_>) -> Vec<Finding> {
         if t.kind == TokKind::Ident && ctx.text(i) == "partial_cmp" && !consumed[i] {
             out.push(ctx.finding(
                 LintId::NanOrdering,
-                Severity::Deny,
                 t,
                 "`partial_cmp` on floats is `None` for NaN — use `total_cmp` for \
                  ordering, or waive with the reason NaN deliberately maps to a \

@@ -23,7 +23,7 @@
 //! present, join the same call-graph check.
 
 use super::FileCtx;
-use crate::diag::{Finding, LintId, Severity};
+use crate::diag::{Finding, LintId};
 use crate::lexer::TokKind;
 use crate::structure::{match_delim, next_code};
 use std::collections::BTreeMap;
@@ -123,7 +123,6 @@ pub fn collect(ctx: &FileCtx<'_>, is_kernel_module: bool) -> (Vec<ClassifiedFn>,
             (None, _) if is_kernel_module && !ctx.is_test(t) => {
                 findings.push(ctx.finding(
                     LintId::NumericalClass,
-                    Severity::Deny,
                     t,
                     format!(
                         "kernel function `{name}` does not declare its numerical class — \
@@ -168,7 +167,6 @@ fn doc_class(ctx: &FileCtx<'_>, fn_i: usize, findings: &mut Vec<Finding>) -> Opt
                         Some(c) => class = Some(c),
                         None => findings.push(ctx.finding(
                             LintId::NumericalClass,
-                            Severity::Deny,
                             t,
                             format!(
                                 "unknown numerical class `{spec}` — the classes are \
@@ -271,7 +269,6 @@ pub fn check(
             if callee_class == Class::AuditedClose && ctx.ident_then(k, callee, "(") {
                 out.push(ctx.finding(
                     LintId::NumericalClass,
-                    Severity::Deny,
                     t,
                     format!(
                         "`{}` is declared {} but calls `{callee}`, which is declared \

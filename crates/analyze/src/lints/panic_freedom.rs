@@ -4,18 +4,20 @@
 //! that is crash *containment*, not error handling: a panic still tears
 //! down the worker's in-flight state and surfaces as a generic
 //! `RequestPanicked` instead of a typed, actionable error. Library code
-//! on the request path (`numerics`, `core`, `circuit`, `extract`,
-//! `engine`) must therefore return `Result` instead of calling
+//! the engine reaches (`numerics`, `core`, `circuit`, `extract`,
+//! `engine`, `metrics`, `geometry`, `trace`) must therefore return
+//! `Result` instead of calling
 //! `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`.
 //!
 //! Test code (`#[cfg(test)]` regions and integration-test trees) is
 //! exempt — panicking is how tests fail. `assert!`/`debug_assert!` are
 //! also exempt: they document invariants whose violation is a bug in
-//! the caller, not a runtime condition. Pre-existing sites are
-//! grandfathered in the baseline; new code must not add any.
+//! the caller, not a runtime condition. A site whose panic cannot happen
+//! and whose `Result` would leak into an API that cannot fail takes an
+//! inline waiver stating that invariant.
 
 use super::FileCtx;
-use crate::diag::{Finding, LintId, Severity};
+use crate::diag::{Finding, LintId};
 use crate::lexer::TokKind;
 
 /// Methods that convert an error into a panic.
@@ -52,7 +54,6 @@ pub fn run(ctx: &FileCtx<'_>) -> Vec<Finding> {
             if preceded_by_dot && ctx.ident_then(i, name, "(") {
                 out.push(ctx.finding(
                     LintId::PanicFreedom,
-                    Severity::Deny,
                     t,
                     format!(
                         "`.{name}()` panics at the engine boundary — return a typed error \
@@ -63,7 +64,6 @@ pub fn run(ctx: &FileCtx<'_>) -> Vec<Finding> {
         } else if PANICKY_MACROS.contains(&name) && ctx.ident_then(i, name, "!") {
             out.push(ctx.finding(
                 LintId::PanicFreedom,
-                Severity::Deny,
                 t,
                 format!(
                     "`{name}!` in library code tears down the request instead of \

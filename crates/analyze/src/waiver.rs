@@ -3,11 +3,11 @@
 //! A waiver suppresses findings of the named lint on its own line and on
 //! the line directly below it (so it can sit as a trailing comment or on
 //! its own line above the flagged expression). The reason is mandatory —
-//! a waiver without one, or naming an unknown lint, is itself a deny
-//! finding, and a waiver that suppressed nothing is a warning: both keep
-//! the waiver inventory honest.
+//! a waiver without one, or naming an unknown lint, is itself a finding,
+//! and so is a waiver that suppressed nothing: both keep the waiver
+//! inventory honest.
 
-use crate::diag::{Finding, LintId, Severity};
+use crate::diag::{Finding, LintId};
 use crate::lexer::{Tok, TokKind};
 
 /// The comment marker that opens a waiver.
@@ -25,7 +25,7 @@ pub struct Waiver {
 }
 
 /// Scans a file's comment tokens for waivers. Returns the well-formed
-/// waivers plus deny findings for malformed ones.
+/// waivers plus findings for malformed ones.
 pub fn collect(src: &str, toks: &[Tok], file: &str) -> (Vec<Waiver>, Vec<Finding>) {
     let mut waivers = Vec::new();
     let mut findings = Vec::new();
@@ -42,7 +42,6 @@ pub fn collect(src: &str, toks: &[Tok], file: &str) -> (Vec<Waiver>, Vec<Finding
         let spec = stripped[MARKER.len()..].trim_end_matches("*/").trim();
         let bad = |message: String| Finding {
             lint: LintId::Waiver,
-            severity: Severity::Deny,
             file: file.to_string(),
             line: t.line,
             col: t.col,
@@ -77,7 +76,7 @@ pub fn collect(src: &str, toks: &[Tok], file: &str) -> (Vec<Waiver>, Vec<Finding
 }
 
 /// Applies `waivers` to `findings`: suppressed findings are removed and
-/// counted, and each waiver that matched nothing becomes a warn finding.
+/// counted, and each waiver that matched nothing becomes a finding.
 /// Returns (surviving findings, waived count).
 pub fn apply(
     findings: Vec<Finding>,
@@ -104,7 +103,6 @@ pub fn apply(
     for (w, _) in waivers.iter().zip(&used).filter(|(_, &u)| !u) {
         kept.push(Finding {
             lint: LintId::Waiver,
-            severity: Severity::Warn,
             file: file.to_string(),
             line: w.line,
             col: 1,
@@ -136,7 +134,6 @@ mod tests {
     fn finding(lint: LintId, line: u32) -> Finding {
         Finding {
             lint,
-            severity: Severity::Deny,
             file: "f.rs".into(),
             line,
             col: 1,
@@ -157,13 +154,12 @@ mod tests {
     }
 
     #[test]
-    fn missing_reason_is_a_deny_finding() {
+    fn missing_reason_is_a_finding() {
         let src = "// vpec-allow: nan-ordering\n";
         let (ws, bad) = collect(src, &lex(src), "f.rs");
         assert!(ws.is_empty());
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].lint, LintId::Waiver);
-        assert_eq!(bad[0].severity, Severity::Deny);
         assert!(bad[0].message.contains("mandatory reason"));
         // `-- ` with empty reason is equally malformed.
         let src = "// vpec-allow: panic-freedom -- \n";
@@ -173,7 +169,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_lint_is_a_deny_finding() {
+    fn unknown_lint_is_a_finding() {
         let src = "// vpec-allow: no-such-lint -- because\n";
         let (ws, bad) = collect(src, &lex(src), "f.rs");
         assert!(ws.is_empty());
@@ -202,14 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn unused_waiver_becomes_warning() {
+    fn unused_waiver_is_a_finding() {
         let src = "let a = 1; // vpec-allow: panic-freedom -- stale\n";
         let (ws, _) = collect(src, &lex(src), "f.rs");
         let (kept, waived) = apply(Vec::new(), &ws, src, "f.rs");
         assert_eq!(waived, 0);
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].lint, LintId::Waiver);
-        assert_eq!(kept[0].severity, Severity::Warn);
         assert!(kept[0].message.contains("suppressed nothing"));
     }
 

@@ -1,18 +1,17 @@
 //! Expected-findings snapshots over the fixture mini-workspace.
 //!
-//! Every seeded positive must be detected at its exact position, every
+//! Every seeded positive must be detected at its exact position, and every
 //! trap (strings, comments, test regions, excluded trees) must stay
-//! silent, and the waiver/baseline machinery must round-trip.
+//! silent.
 
 use std::path::PathBuf;
-use vpec_analyze::{baseline, engine, Baseline, Config, LintId, Severity};
+use vpec_analyze::{engine, Config, LintId};
 
 fn fixture_config() -> Config {
     let owned = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect();
     Config {
         root: PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/ws"),
         panic_crates: owned(&["core"]),
-        unsafe_allowlist: vec![("crates/numerics/src/pool.rs".to_string(), 1)],
         kernel_modules: owned(&["crates/numerics/src/kernel.rs"]),
         registry_files: owned(&["crates/cli/src/lib.rs"]),
         exclude_prefixes: owned(&["skipped"]),
@@ -21,7 +20,7 @@ fn fixture_config() -> Config {
 
 #[test]
 fn fixture_findings_match_snapshot_exactly() {
-    let report = engine::run(&fixture_config(), &Baseline::default()).unwrap();
+    let report = engine::run(&fixture_config()).unwrap();
     let got: Vec<(String, String, u32)> = report
         .findings
         .iter()
@@ -38,6 +37,9 @@ fn fixture_findings_match_snapshot_exactly() {
         ("nan-ordering", "crates/model/src/sorting.rs", 18),
         ("numerical-class", "crates/numerics/src/kernel.rs", 20),
         ("numerical-class", "crates/numerics/src/kernel.rs", 23),
+        ("unsafe-audit", "crates/numerics/src/pool.rs", 3),
+        ("unsafe-audit", "crates/numerics/src/pool.rs", 10),
+        ("unsafe-audit", "crates/numerics/src/pool.rs", 12),
         ("unsafe-audit", "crates/numerics/src/pool.rs", 19),
         ("unsafe-audit", "crates/other/src/lib.rs", 8),
         ("env-var-registry", "crates/other/src/lib.rs", 12),
@@ -49,78 +51,27 @@ fn fixture_findings_match_snapshot_exactly() {
     assert_eq!(got, expected, "full findings:\n{:#?}", report.findings);
     // The deliberate NaN-propagation check was waived, nothing else.
     assert_eq!(report.waived, 1);
-    assert_eq!(report.baselined, 0);
 }
 
 #[test]
-fn waiver_hygiene_severities() {
-    let report = engine::run(&fixture_config(), &Baseline::default()).unwrap();
+fn waiver_hygiene_findings() {
+    let report = engine::run(&fixture_config()).unwrap();
     let waiver_findings: Vec<_> = report
         .findings
         .iter()
         .filter(|f| f.lint == LintId::Waiver)
         .collect();
     assert_eq!(waiver_findings.len(), 2);
-    // Malformed (missing reason) is a deny; unused is a warning.
+    // A malformed (missing reason) and an unused waiver both fail the gate.
     assert_eq!(waiver_findings[0].line, 3);
-    assert_eq!(waiver_findings[0].severity, Severity::Deny);
     assert!(waiver_findings[0].message.contains("mandatory reason"));
     assert_eq!(waiver_findings[1].line, 6);
-    assert_eq!(waiver_findings[1].severity, Severity::Warn);
     assert!(waiver_findings[1].message.contains("suppressed nothing"));
 }
 
 #[test]
-fn baseline_round_trip_grandfathers_everything_but_waiver_hygiene() {
-    let cfg = fixture_config();
-    let first = engine::run(&cfg, &Baseline::default()).unwrap();
-    let text = baseline::render(&first.post_waiver);
-    let bl = Baseline::parse(&text).unwrap();
-
-    let second = engine::run(&cfg, &bl).unwrap();
-    // Everything grandfathered except waiver hygiene, which can only be
-    // fixed at the waiver, never baselined away.
-    assert!(
-        second.findings.iter().all(|f| f.lint == LintId::Waiver),
-        "non-waiver findings survived the baseline:\n{:#?}",
-        second.findings
-    );
-    assert_eq!(second.baselined, first.findings.len() - 2);
-    // Regeneration is idempotent.
-    assert_eq!(baseline::render(&second.post_waiver), text);
-}
-
-#[test]
-fn strict_mode_promotes_warnings() {
-    let cfg = fixture_config();
-    let first = engine::run(&cfg, &Baseline::default()).unwrap();
-    let bl = Baseline::parse(&baseline::render(&first.post_waiver)).unwrap();
-    // Remove the malformed-waiver deny by pretending it was fixed: run on
-    // the same tree, the deny waiver finding still fails the default
-    // gate, and the warn-only residue fails only under strict.
-    let second = engine::run(&cfg, &bl).unwrap();
-    assert!(second.gate_fails(false), "deny waiver finding must gate");
-    let only_warns: Vec<_> = second
-        .findings
-        .iter()
-        .filter(|f| f.severity == Severity::Warn)
-        .cloned()
-        .collect();
-    let warn_report = engine::Report {
-        findings: only_warns,
-        post_waiver: Vec::new(),
-        baselined: 0,
-        waived: 0,
-        files_scanned: 0,
-        lines_scanned: 0,
-    };
-    assert!(!warn_report.gate_fails(false));
-    assert!(warn_report.gate_fails(true));
-}
-
-#[test]
 fn excluded_trees_are_not_scanned() {
-    let report = engine::run(&fixture_config(), &Baseline::default()).unwrap();
+    let report = engine::run(&fixture_config()).unwrap();
     assert!(
         report.findings.iter().all(|f| !f.file.starts_with("skipped")),
         "excluded tree leaked into findings"

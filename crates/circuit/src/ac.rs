@@ -118,22 +118,22 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
         });
     }
     let layout = MnaLayout::new(ckt);
-    let assemble_at = |f: f64| {
+    let assemble_at = |f: f64| -> Result<_, CircuitError> {
         let omega = 2.0 * std::f64::consts::PI * f;
-        assemble::<Complex64>(
+        Ok(assemble::<Complex64>(
             ckt,
             &layout,
             |c| Complex64::new(0.0, omega * c),
             |l| Complex64::new(0.0, omega * l),
-        )
-        .to_csr()
+        )?
+        .to_csr())
     };
     // Sparse AC factors keep RCM with partial pivoting (the fill-reducing
     // path of the real factors does not pay off on complex matrices; see
     // DESIGN.md §8.6). RCM depends on the pattern alone, and G + jωC has
     // the same pattern at every ω > 0, so the first point's ordering
     // serves every point whose pattern matches it.
-    let first = assemble_at(spec.frequencies[0]);
+    let first = assemble_at(spec.frequencies[0])?;
     let sparse = Factored::primary_strategy(spec.solver, &first) == FactorStrategy::SparseLu;
     let first_rcm = sparse.then(|| rcm_ordering(&first));
     // Each sweep point is an independent assemble + factor + solve, so the
@@ -153,7 +153,7 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
             return Err(CircuitError::Cancelled { analysis: "ac" });
         }
         let _ps = vpec_trace::span("ac.point");
-        let a = assemble_at(f);
+        let a = assemble_at(f)?;
         let mut rhs = vec![Complex64::ZERO; layout.dim];
         for (idx, e) in ckt.elements().iter().enumerate() {
             match e {

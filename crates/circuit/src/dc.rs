@@ -76,7 +76,7 @@ pub(crate) fn solve_dc_opts(
 ) -> Result<(DcSolution, FactorDiagnostics), CircuitError> {
     let layout = MnaLayout::new(ckt);
     let _sp = vpec_trace::span!("dc", "dim" => layout.dim);
-    let a = assemble::<f64>(ckt, &layout, |_| 0.0, |_| 0.0);
+    let a = assemble::<f64>(ckt, &layout, |_| 0.0, |_| 0.0)?;
     let mut rhs = vec![0.0; layout.dim];
     for (idx, e) in ckt.elements().iter().enumerate() {
         match e {

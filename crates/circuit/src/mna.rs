@@ -8,7 +8,7 @@
 
 use crate::elements::Element;
 use crate::netlist::{Circuit, NodeId};
-use vpec_numerics::{CooMatrix, Scalar};
+use vpec_numerics::{CooMatrix, NumericsError, Scalar};
 
 /// Mapping from circuit nodes/branches to MNA unknown indices.
 #[derive(Debug, Clone)]
@@ -62,9 +62,15 @@ impl MnaLayout {
 
 /// Adds `v` at `(r, c)` skipping ground (`None`) indices.
 #[inline]
-fn stamp<T: Scalar>(coo: &mut CooMatrix<T>, r: Option<usize>, c: Option<usize>, v: T) {
-    if let (Some(r), Some(c)) = (r, c) {
-        coo.push(r, c, v).expect("MNA stamp within bounds");
+fn stamp<T: Scalar>(
+    coo: &mut CooMatrix<T>,
+    r: Option<usize>,
+    c: Option<usize>,
+    v: T,
+) -> Result<(), NumericsError> {
+    match (r, c) {
+        (Some(r), Some(c)) => coo.push(r, c, v),
+        _ => Ok(()),
     }
 }
 
@@ -72,12 +78,17 @@ fn stamp<T: Scalar>(coo: &mut CooMatrix<T>, r: Option<usize>, c: Option<usize>, 
 ///
 /// Every element's static stamps (conductances, branch incidence, gains)
 /// plus dynamic stamps defined by `cap_adm` / `ind_imp`.
+///
+/// # Errors
+///
+/// [`NumericsError::IndexOutOfBounds`] when a stamp falls outside the
+/// layout (an element naming a node or branch the layout does not hold).
 pub(crate) fn assemble<T: Scalar>(
     ckt: &Circuit,
     layout: &MnaLayout,
     cap_adm: impl Fn(f64) -> T,
     ind_imp: impl Fn(f64) -> T,
-) -> CooMatrix<T> {
+) -> Result<CooMatrix<T>, NumericsError> {
     let mut a = CooMatrix::new(layout.dim, layout.dim);
     let one = T::one();
     for (idx, e) in ckt.elements().iter().enumerate() {
@@ -85,33 +96,33 @@ pub(crate) fn assemble<T: Scalar>(
             Element::Resistor { a: na, b: nb, r, .. } => {
                 let g = T::from_f64(1.0 / r);
                 let (ia, ib) = (layout.node_idx(*na), layout.node_idx(*nb));
-                stamp(&mut a, ia, ia, g);
-                stamp(&mut a, ib, ib, g);
-                stamp(&mut a, ia, ib, -g);
-                stamp(&mut a, ib, ia, -g);
+                stamp(&mut a, ia, ia, g)?;
+                stamp(&mut a, ib, ib, g)?;
+                stamp(&mut a, ia, ib, -g)?;
+                stamp(&mut a, ib, ia, -g)?;
             }
             Element::Capacitor { a: na, b: nb, c, .. } => {
                 let y = cap_adm(*c);
                 if !y.is_zero() {
                     let (ia, ib) = (layout.node_idx(*na), layout.node_idx(*nb));
-                    stamp(&mut a, ia, ia, y);
-                    stamp(&mut a, ib, ib, y);
-                    stamp(&mut a, ia, ib, -y);
-                    stamp(&mut a, ib, ia, -y);
+                    stamp(&mut a, ia, ia, y)?;
+                    stamp(&mut a, ib, ib, y)?;
+                    stamp(&mut a, ia, ib, -y)?;
+                    stamp(&mut a, ib, ia, -y)?;
                 }
             }
             Element::Inductor { a: na, b: nb, l, .. } => {
                 let br = layout.branch_idx(idx);
                 let (ia, ib) = (layout.node_idx(*na), layout.node_idx(*nb));
                 // KCL columns: current flows a → b.
-                stamp(&mut a, ia, br, one);
-                stamp(&mut a, ib, br, -one);
+                stamp(&mut a, ia, br, one)?;
+                stamp(&mut a, ib, br, -one)?;
                 // Branch row: v_a − v_b − Z·i = rhs.
-                stamp(&mut a, br, ia, one);
-                stamp(&mut a, br, ib, -one);
+                stamp(&mut a, br, ia, one)?;
+                stamp(&mut a, br, ib, -one)?;
                 let z = ind_imp(*l);
                 if !z.is_zero() {
-                    stamp(&mut a, br, br, -z);
+                    stamp(&mut a, br, br, -z)?;
                 }
             }
             Element::Mutual { la, lb, m, .. } => {
@@ -119,17 +130,17 @@ pub(crate) fn assemble<T: Scalar>(
                 if !z.is_zero() {
                     let ba = layout.branch_idx(la.0);
                     let bb = layout.branch_idx(lb.0);
-                    stamp(&mut a, ba, bb, -z);
-                    stamp(&mut a, bb, ba, -z);
+                    stamp(&mut a, ba, bb, -z)?;
+                    stamp(&mut a, bb, ba, -z)?;
                 }
             }
             Element::VSource { p, n, .. } => {
                 let br = layout.branch_idx(idx);
                 let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
-                stamp(&mut a, ip, br, one);
-                stamp(&mut a, in_, br, -one);
-                stamp(&mut a, br, ip, one);
-                stamp(&mut a, br, in_, -one);
+                stamp(&mut a, ip, br, one)?;
+                stamp(&mut a, in_, br, -one)?;
+                stamp(&mut a, br, ip, one)?;
+                stamp(&mut a, br, in_, -one)?;
             }
             Element::ISource { .. } => {
                 // RHS only.
@@ -141,12 +152,12 @@ pub(crate) fn assemble<T: Scalar>(
                 let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
                 let (icp, icn) = (layout.node_idx(*cp), layout.node_idx(*cn));
                 let g = T::from_f64(*gain);
-                stamp(&mut a, ip, br, one);
-                stamp(&mut a, in_, br, -one);
-                stamp(&mut a, br, ip, one);
-                stamp(&mut a, br, in_, -one);
-                stamp(&mut a, br, icp, -g);
-                stamp(&mut a, br, icn, g);
+                stamp(&mut a, ip, br, one)?;
+                stamp(&mut a, in_, br, -one)?;
+                stamp(&mut a, br, ip, one)?;
+                stamp(&mut a, br, in_, -one)?;
+                stamp(&mut a, br, icp, -g)?;
+                stamp(&mut a, br, icn, g)?;
             }
             Element::Vccs {
                 p, n, cp, cn, gm, ..
@@ -154,10 +165,10 @@ pub(crate) fn assemble<T: Scalar>(
                 let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
                 let (icp, icn) = (layout.node_idx(*cp), layout.node_idx(*cn));
                 let g = T::from_f64(*gm);
-                stamp(&mut a, ip, icp, g);
-                stamp(&mut a, ip, icn, -g);
-                stamp(&mut a, in_, icp, -g);
-                stamp(&mut a, in_, icn, g);
+                stamp(&mut a, ip, icp, g)?;
+                stamp(&mut a, ip, icn, -g)?;
+                stamp(&mut a, in_, icp, -g)?;
+                stamp(&mut a, in_, icn, g)?;
             }
             Element::Cccs {
                 p, n, sense, gain, ..
@@ -165,18 +176,18 @@ pub(crate) fn assemble<T: Scalar>(
                 let bs = layout.branch_idx(sense.0);
                 let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
                 let g = T::from_f64(*gain);
-                stamp(&mut a, ip, bs, g);
-                stamp(&mut a, in_, bs, -g);
+                stamp(&mut a, ip, bs, g)?;
+                stamp(&mut a, in_, bs, -g)?;
             }
             Element::Ccvs { p, n, sense, r, .. } => {
                 let br = layout.branch_idx(idx);
                 let bs = layout.branch_idx(sense.0);
                 let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
-                stamp(&mut a, ip, br, one);
-                stamp(&mut a, in_, br, -one);
-                stamp(&mut a, br, ip, one);
-                stamp(&mut a, br, in_, -one);
-                stamp(&mut a, br, bs, -T::from_f64(*r));
+                stamp(&mut a, ip, br, one)?;
+                stamp(&mut a, in_, br, -one)?;
+                stamp(&mut a, br, ip, one)?;
+                stamp(&mut a, br, in_, -one)?;
+                stamp(&mut a, br, bs, -T::from_f64(*r))?;
             }
         }
     }
@@ -184,7 +195,7 @@ pub(crate) fn assemble<T: Scalar>(
         vpec_trace::counter_add("mna.assemblies", 1);
         vpec_trace::counter_add("mna.stamps", a.entries().len() as u64);
     }
-    a
+    Ok(a)
 }
 
 /// Adds an independent-source contribution to the RHS: voltage `val` for a
@@ -251,7 +262,7 @@ mod tests {
         c.add_resistor("R1", inp, mid, 1000.0).unwrap();
         c.add_resistor("R2", mid, Circuit::GROUND, 1000.0).unwrap();
         let layout = MnaLayout::new(&c);
-        let a = assemble::<f64>(&c, &layout, |_| 0.0, |_| 0.0);
+        let a = assemble::<f64>(&c, &layout, |_| 0.0, |_| 0.0).unwrap();
         let mut rhs = vec![0.0; layout.dim];
         for (idx, e) in c.elements().iter().enumerate() {
             if let Element::VSource { wave, .. } = e {
@@ -276,7 +287,7 @@ mod tests {
             .unwrap();
         c.add_resistor("R1", out, Circuit::GROUND, 1000.0).unwrap();
         let layout = MnaLayout::new(&c);
-        let a = assemble::<f64>(&c, &layout, |_| 0.0, |_| 0.0);
+        let a = assemble::<f64>(&c, &layout, |_| 0.0, |_| 0.0).unwrap();
         let mut rhs = vec![0.0; layout.dim];
         for (idx, e) in c.elements().iter().enumerate() {
             if let Element::ISource { wave, .. } = e {
@@ -302,7 +313,7 @@ mod tests {
             .unwrap();
         c.add_resistor("RL", out, Circuit::GROUND, 50.0).unwrap();
         let layout = MnaLayout::new(&c);
-        let a = assemble::<f64>(&c, &layout, |_| 0.0, |_| 0.0);
+        let a = assemble::<f64>(&c, &layout, |_| 0.0, |_| 0.0).unwrap();
         let mut rhs = vec![0.0; layout.dim];
         rhs[layout.branch_idx(0).unwrap()] = 1.5;
         let x = LuFactor::new(&a.to_csr().to_dense())

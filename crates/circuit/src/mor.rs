@@ -150,20 +150,21 @@ impl ReducedModel {
     }
 }
 
-/// The `(G, C, b)` descriptor triple extracted from a netlist.
-type Descriptor = (CsrMatrix<f64>, CsrMatrix<f64>, Vec<f64>);
+/// The `(G, C, b)` descriptor triple extracted from a netlist, plus the
+/// input source's waveform.
+type Descriptor = (CsrMatrix<f64>, CsrMatrix<f64>, Vec<f64>, Waveform);
 
 /// Builds the `(G, C)` descriptor pair of a circuit with branch rows
-/// sign-flipped into standard passive-MNA form, plus the input vector of
-/// the chosen source.
+/// sign-flipped into standard passive-MNA form, plus the input vector and
+/// waveform of the chosen source.
 fn descriptor(
     ckt: &Circuit,
     layout: &MnaLayout,
     input: usize,
 ) -> Result<Descriptor, CircuitError> {
     // A(κ) = G + κ·C_stamps: extract C by differencing κ = 1 and κ = 0.
-    let a0 = assemble::<f64>(ckt, layout, |_| 0.0, |_| 0.0);
-    let a1 = assemble::<f64>(ckt, layout, |c| c, |l| l);
+    let a0 = assemble::<f64>(ckt, layout, |_| 0.0, |_| 0.0)?;
+    let a1 = assemble::<f64>(ckt, layout, |c| c, |l| l)?;
     let n = layout.dim;
     let flip = |row: usize| -> f64 {
         if row >= layout.n_nodes {
@@ -177,7 +178,7 @@ fn descriptor(
     for i in 0..n {
         let (cols, vals) = csr0.row(i);
         for (&j, &v) in cols.iter().zip(vals.iter()) {
-            g_coo.push(i, j, flip(i) * v).expect("in range");
+            g_coo.push(i, j, flip(i) * v)?;
         }
     }
     let mut c_coo = CooMatrix::new(n, n);
@@ -190,22 +191,23 @@ fn descriptor(
             if diff != 0.0 {
                 // Inductor stamps enter A(κ) as −κ·L; flipping the branch
                 // row makes the C block +L (positive semidefinite).
-                c_coo.push(i, j, flip(i) * diff).expect("in range");
+                c_coo.push(i, j, flip(i) * diff)?;
             }
         }
     }
     let mut b = vec![0.0; n];
-    match (ckt.elements().get(input), layout.branch_idx(input)) {
-        (Some(Element::VSource { .. }), Some(br)) => {
+    let wave = match (ckt.elements().get(input), layout.branch_idx(input)) {
+        (Some(Element::VSource { wave, .. }), Some(br)) => {
             b[br] = flip(br); // flipped with its row
+            wave.clone()
         }
         _ => {
             return Err(CircuitError::InvalidSpec {
                 reason: "MOR input must be a voltage source",
             })
         }
-    }
-    Ok((g_coo.to_csr(), c_coo.to_csr(), b))
+    };
+    Ok((g_coo.to_csr(), c_coo.to_csr(), b, wave))
 }
 
 /// Reduces `ckt` (driven by the voltage source `input`, observed at
@@ -253,32 +255,27 @@ pub fn reduce_about(
         });
     }
     let layout = MnaLayout::new(ckt);
-    let (g, c, b) = descriptor(ckt, &layout, input.0)?;
+    let (g, c, b, wave) = descriptor(ckt, &layout, input.0)?;
     let n = layout.dim;
     let q = q.min(n);
 
     // Factor the (shifted) pencil G + s0·C.
-    let g_factored = Factored::factor(
-        &{
-            let mut coo = CooMatrix::new(n, n);
-            for i in 0..n {
-                let (cols, vals) = g.row(i);
-                for (&j, &v) in cols.iter().zip(vals.iter()) {
-                    coo.push(i, j, v).expect("in range");
-                }
+    let mut pencil = CooMatrix::new(n, n);
+    for i in 0..n {
+        let (cols, vals) = g.row(i);
+        for (&j, &v) in cols.iter().zip(vals.iter()) {
+            pencil.push(i, j, v)?;
+        }
+    }
+    if s0 > 0.0 {
+        for i in 0..n {
+            let (cols, vals) = c.row(i);
+            for (&j, &v) in cols.iter().zip(vals.iter()) {
+                pencil.push(i, j, s0 * v)?;
             }
-            if s0 > 0.0 {
-                for i in 0..n {
-                    let (cols, vals) = c.row(i);
-                    for (&j, &v) in cols.iter().zip(vals.iter()) {
-                        coo.push(i, j, s0 * v).expect("in range");
-                    }
-                }
-            }
-            coo
-        },
-        SolverKind::Auto,
-    )?;
+        }
+    }
+    let g_factored = Factored::factor(&pencil, SolverKind::Auto)?;
 
     // Arnoldi with modified Gram–Schmidt.
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(q);
@@ -330,11 +327,6 @@ pub fn reduce_about(
         })?;
         l_r.push(basis.iter().map(|vi| vi[idx]).collect());
     }
-
-    let wave = match ckt.elements().get(input.0) {
-        Some(Element::VSource { wave, .. }) => wave.clone(),
-        _ => unreachable!("validated in descriptor()"),
-    };
 
     Ok(ReducedModel {
         g_r,

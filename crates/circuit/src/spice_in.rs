@@ -274,11 +274,11 @@ pub fn from_spice(deck: &str) -> Result<Circuit, ParseError> {
         let col_of = |k: usize| spans.get(k).map_or(1, |&(c, _)| c);
         // `line` is non-empty (blank lines were skipped above), but stay
         // graceful rather than assume.
-        let Some(kind) = toks.first().and_then(|t| t.chars().next()) else {
+        let Some(first) = toks.first().and_then(|t| t.chars().next()) else {
             continue;
         };
-        let kind = kind.to_ascii_uppercase();
-        let name = &toks[0][1..];
+        let kind = first.to_ascii_uppercase();
+        let name = &toks[0][first.len_utf8()..];
         match kind {
             'R' | 'C' | 'L' => {
                 if toks.len() < 4 {
@@ -308,14 +308,15 @@ pub fn from_spice(deck: &str) -> Result<Circuit, ParseError> {
                 let spec_col = col_of(3);
                 let spec = &line[spec_col - 1..];
                 let (wave, ac) = parse_source(line_no, spec_col, spec)?;
-                let id = match (kind, ac) {
-                    ('V', None) => ckt.add_vsource(name, p, n, wave),
-                    ('V', Some((m, ph))) => ckt.add_vsource_ac(name, p, n, wave, m, ph),
-                    ('I', _) => ckt.add_isource(name, p, n, wave),
-                    _ => unreachable!(),
-                }
-                .map_err(|e| circuit_err(line_no, e))?;
-                if kind == 'V' {
+                if kind == 'I' {
+                    ckt.add_isource(name, p, n, wave)
+                        .map_err(|e| circuit_err(line_no, e))?;
+                } else {
+                    let id = match ac {
+                        None => ckt.add_vsource(name, p, n, wave),
+                        Some((m, ph)) => ckt.add_vsource_ac(name, p, n, wave, m, ph),
+                    }
+                    .map_err(|e| circuit_err(line_no, e))?;
                     vsources.insert(format!("V{name}"), id);
                 }
             }
@@ -339,7 +340,11 @@ pub fn from_spice(deck: &str) -> Result<Circuit, ParseError> {
                 deferred.push((line_no, line.to_string()));
             }
             other => {
-                return Err(err(line_no, format!("unsupported card type: {other}")));
+                return Err(err_at(
+                    line_no,
+                    1,
+                    format!("unsupported card type: {other}"),
+                ));
             }
         }
     }
@@ -349,11 +354,11 @@ pub fn from_spice(deck: &str) -> Result<Circuit, ParseError> {
         let spans = token_spans(&line);
         let toks: Vec<&str> = spans.iter().map(|&(_, t)| t).collect();
         let col_of = |k: usize| spans.get(k).map_or(1, |&(c, _)| c);
-        let Some(kind) = toks.first().and_then(|t| t.chars().next()) else {
+        let Some(first) = toks.first().and_then(|t| t.chars().next()) else {
             continue;
         };
-        let kind = kind.to_ascii_uppercase();
-        let name = &toks[0][1..];
+        let kind = first.to_ascii_uppercase();
+        let name = &toks[0][first.len_utf8()..];
         match kind {
             'K' => {
                 if toks.len() < 4 {
@@ -387,7 +392,13 @@ pub fn from_spice(deck: &str) -> Result<Circuit, ParseError> {
                 }
                 .map_err(|e| circuit_err(line_no, e))?;
             }
-            _ => unreachable!(),
+            other => {
+                return Err(err_at(
+                    line_no,
+                    1,
+                    format!("unknown deferred card type: {other}"),
+                ));
+            }
         }
     }
     Ok(ckt)
@@ -596,6 +607,13 @@ Rb b 0 1.0
         // Source spec errors point at the start of the spec.
         let e = from_spice("V1 a 0 DC oops\n").unwrap_err();
         assert_eq!(e.column, Some(8));
+
+        // A multi-byte card letter is an unsupported card, not a slice
+        // through the middle of a UTF-8 character.
+        let e = from_spice("R1 a 0 1k\né1 a 0 1k\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert_eq!(e.column, Some(1));
+        assert!(e.message.contains("unsupported card type: é"));
     }
 
     #[test]

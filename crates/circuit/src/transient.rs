@@ -277,7 +277,7 @@ impl TransientFactor {
         validate_spec(spec)?;
         let layout = MnaLayout::new(ckt);
         let coef = coef_for(spec.method, spec.dt);
-        let a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l);
+        let a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l)?;
         self.check(ckt, spec, &layout, &a)
     }
 
@@ -340,7 +340,7 @@ pub fn prepare_transient(
     let layout = MnaLayout::new(ckt);
     let _sp = vpec_trace::span!("transient.prepare", "dim" => layout.dim);
     let coef = coef_for(spec.method, spec.dt);
-    let a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l);
+    let a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l)?;
     if audit::enabled(audit::AuditLevel::Basic) {
         audit_stamps(&a)?;
     }
@@ -464,7 +464,7 @@ fn run_transient_guarded(
         other => other,
     };
 
-    let mut a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l);
+    let mut a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l)?;
     let auditing = audit::enabled(audit::AuditLevel::Basic);
     if auditing {
         audit_stamps(&a)?;
@@ -702,7 +702,7 @@ fn run_transient_guarded(
             }
             // Re-assign (not shadow) so the post-loop solve audit checks
             // the residual against the system the factor actually solves.
-            a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l);
+            a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l)?;
             let retry_opts = FactorOptions {
                 kind: spec.solver,
                 regularize: spec.regularize,

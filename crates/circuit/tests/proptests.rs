@@ -140,6 +140,38 @@ fn integrators_agree_at_steady_state() {
     }
 }
 
+/// A random RC ladder with an inductor from every ladder node to ground
+/// and up to two mutual couplings between those inductors.
+fn coupled_ladder(rng: &mut XorShift64) -> (Circuit, Vec<NodeId>) {
+    let n = rng.range_usize(1, 7);
+    let rs: Vec<f64> = (0..n).map(|_| rng.range_f64(10.0, 100_000.0)).collect();
+    let cs: Vec<f64> = (0..n)
+        .map(|_| rng.range_f64(0.1, 100.0) * 1e-12)
+        .collect();
+    let v_src = rng.range_f64(-5.0, 5.0);
+    let (mut ckt, nodes) = ladder(&rs, &cs, v_src);
+    let mut l_ids = Vec::new();
+    for (k, &nn) in nodes.iter().enumerate() {
+        let id = ckt
+            .add_inductor(&format!("lx{k}"), nn, Circuit::GROUND, 1e-9 * (k + 1) as f64)
+            .expect("valid");
+        l_ids.push(id);
+    }
+    let n_mutuals = rng.range_usize(0, 3);
+    for k in 0..n_mutuals {
+        let coef = rng.range_f64(0.1, 0.9);
+        if l_ids.len() >= 2 {
+            let a = k % l_ids.len();
+            let b = (k + 1) % l_ids.len();
+            if a != b {
+                let la = (1e-9 * (a + 1) as f64) * (1e-9 * (b + 1) as f64);
+                let _ = ckt.add_mutual(&format!("kx{k}"), l_ids[a], l_ids[b], coef * la.sqrt());
+            }
+        }
+    }
+    (ckt, nodes)
+}
+
 /// Any circuit this generator produces survives a SPICE-deck roundtrip
 /// (export → parse) with identical structure and identical DC
 /// solution at every node.
@@ -147,33 +179,7 @@ fn integrators_agree_at_steady_state() {
 fn spice_roundtrip_preserves_dc() {
     let mut rng = XorShift64::new(0x2004);
     for _ in 0..CASES {
-        let n = rng.range_usize(1, 7);
-        let rs: Vec<f64> = (0..n).map(|_| rng.range_f64(10.0, 100_000.0)).collect();
-        let cs: Vec<f64> = (0..n)
-            .map(|_| rng.range_f64(0.1, 100.0) * 1e-12)
-            .collect();
-        let v_src = rng.range_f64(-5.0, 5.0);
-        let (mut ckt, nodes) = ladder(&rs, &cs, v_src);
-        // Sprinkle in coupled inductors grounded at ladder nodes.
-        let mut l_ids = Vec::new();
-        for (k, &nn) in nodes.iter().enumerate() {
-            let id = ckt
-                .add_inductor(&format!("lx{k}"), nn, Circuit::GROUND, 1e-9 * (k + 1) as f64)
-                .expect("valid");
-            l_ids.push(id);
-        }
-        let n_mutuals = rng.range_usize(0, 3);
-        for k in 0..n_mutuals {
-            let coef = rng.range_f64(0.1, 0.9);
-            if l_ids.len() >= 2 {
-                let a = k % l_ids.len();
-                let b = (k + 1) % l_ids.len();
-                if a != b {
-                    let la = (1e-9 * (a + 1) as f64) * (1e-9 * (b + 1) as f64);
-                    let _ = ckt.add_mutual(&format!("kx{k}"), l_ids[a], l_ids[b], coef * la.sqrt());
-                }
-            }
-        }
+        let (ckt, nodes) = coupled_ladder(&mut rng);
         let deck = to_spice(&ckt, "roundtrip property");
         let back = from_spice(&deck).expect("own decks always parse");
         assert_eq!(back.element_count(), ckt.element_count());
@@ -224,6 +230,97 @@ fn ac_gain_bounded_by_one() {
             let m = res.magnitude(n).expect("in circuit")[0];
             assert!(m <= last, "RC ladder gain must decrease along the chain");
             last = m;
+        }
+    }
+}
+
+/// A random character boundary of `s` (0 and `s.len()` included).
+fn char_boundary(rng: &mut XorShift64, s: &str) -> usize {
+    let bounds: Vec<usize> = s.char_indices().map(|(i, _)| i).chain([s.len()]).collect();
+    bounds[rng.range_usize(0, bounds.len())]
+}
+
+/// Applies one random mutation to a deck: delete, duplicate or swap
+/// tokens, truncate a line, change a card letter, or splice in multi-byte
+/// characters and parentheses.
+fn mutate(rng: &mut XorShift64, lines: &mut [String]) {
+    const SPLICES: [&str; 9] = ["é", "µ", "€", "𝄞", "(", ")", "PWL(", "PULSE(", " AC "];
+    const LETTERS: [&str; 14] = [
+        "R", "C", "L", "K", "V", "I", "E", "G", "F", "H", "X", ".", "*", "é",
+    ];
+    let li = rng.range_usize(0, lines.len());
+    let mut toks: Vec<String> = lines[li].split_whitespace().map(str::to_string).collect();
+    match rng.range_usize(0, 6) {
+        0 if !toks.is_empty() => {
+            toks.remove(rng.range_usize(0, toks.len()));
+        }
+        1 if !toks.is_empty() => {
+            let k = rng.range_usize(0, toks.len());
+            toks.insert(k, toks[k].clone());
+        }
+        2 => {
+            // Swap with a token of any line, this one included.
+            let lj = rng.range_usize(0, lines.len());
+            let other: Vec<String> = lines[lj].split_whitespace().map(str::to_string).collect();
+            if toks.is_empty() || other.is_empty() {
+                return;
+            }
+            let (a, b) = (
+                rng.range_usize(0, toks.len()),
+                rng.range_usize(0, other.len()),
+            );
+            if li == lj {
+                toks.swap(a, b);
+            } else {
+                let mut other = other;
+                std::mem::swap(&mut toks[a], &mut other[b]);
+                lines[lj] = other.join(" ");
+            }
+        }
+        3 => {
+            let cut = char_boundary(rng, &lines[li]);
+            lines[li].truncate(cut);
+            return;
+        }
+        4 if !toks.is_empty() => {
+            let rest: String = toks[0].chars().skip(1).collect();
+            toks[0] = format!("{}{rest}", LETTERS[rng.range_usize(0, LETTERS.len())]);
+        }
+        5 => {
+            let at = char_boundary(rng, &lines[li]);
+            lines[li].insert_str(at, SPLICES[rng.range_usize(0, SPLICES.len())]);
+            return;
+        }
+        _ => return,
+    }
+    lines[li] = toks.join(" ");
+}
+
+/// Mutation fuzzing of the SPICE parser with a fixed seed and budget:
+/// decks this crate writes, mutated at the token and character level,
+/// must parse or fail with a `ParseError` naming a deck line — never
+/// panic.
+#[test]
+fn mutated_decks_parse_or_fail_with_a_line_number() {
+    const MUTANTS: usize = 2000;
+    let mut rng = XorShift64::new(0x2006);
+    let decks: Vec<String> = (0..8)
+        .map(|_| to_spice(&coupled_ladder(&mut rng).0, "mutation seed"))
+        .collect();
+    for m in 0..MUTANTS {
+        let mut lines: Vec<String> = decks[m % decks.len()].lines().map(str::to_string).collect();
+        for _ in 0..rng.range_usize(1, 4) {
+            mutate(&mut rng, &mut lines);
+        }
+        let deck = lines.join("\n");
+        match std::panic::catch_unwind(|| from_spice(&deck)) {
+            Ok(Ok(_)) => {}
+            Ok(Err(e)) => assert!(
+                (1..=lines.len()).contains(&e.line),
+                "mutant {m}: error line {} outside the deck ({e}):\n{deck}",
+                e.line
+            ),
+            Err(_) => panic!("mutant {m}: from_spice panicked on:\n{deck}"),
         }
     }
 }

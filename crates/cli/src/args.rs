@@ -25,8 +25,6 @@ pub enum Command {
     Batch,
     /// `vpec serve` — stream JSONL scenarios stdin → stdout.
     Serve,
-    /// `vpec lint` — run the workspace static-analysis gate.
-    Lint,
     /// `vpec stats` — aggregate run ledgers into a fleet report.
     Stats,
     /// `vpec help`
@@ -88,13 +86,6 @@ pub struct ParsedArgs {
     pub solver: Option<SolverKind>,
     /// Input path for `batch` (`--in FILE`).
     pub input: Option<String>,
-    /// `lint --write-baseline`: regenerate the grandfathered-findings
-    /// file instead of gating.
-    pub write_baseline: bool,
-    /// `lint --strict`: warnings also fail the gate.
-    pub strict: bool,
-    /// `lint --root DIR`: workspace root to scan (default `.`).
-    pub lint_root: Option<String>,
     /// Resilience policy for `batch`/`serve`: deadline, admission
     /// budgets, retry/backoff, wVPEC degradation.
     pub engine: EngineConfig,
@@ -137,9 +128,6 @@ impl Default for ParsedArgs {
             trace: None,
             solver: None,
             input: None,
-            write_baseline: false,
-            strict: false,
-            lint_root: None,
             engine: EngineConfig::default(),
             ledger: None,
             metrics_out: None,
@@ -191,7 +179,6 @@ pub fn parse_args(argv: &[String]) -> Result<ParsedArgs, CliError> {
         "export" => Command::Export,
         "batch" => Command::Batch,
         "serve" => Command::Serve,
-        "lint" => Command::Lint,
         "stats" => Command::Stats,
         "help" | "--help" | "-h" => Command::Help,
         other => return Err(CliError::usage(format!("unknown command: {other}"))),
@@ -272,9 +259,6 @@ pub fn parse_args(argv: &[String]) -> Result<ParsedArgs, CliError> {
                 out.threads = Some(n);
             }
             "--in" => out.input = Some(value("path")?.clone()),
-            "--write-baseline" => out.write_baseline = true,
-            "--strict" => out.strict = true,
-            "--root" => out.lint_root = Some(value("directory")?.clone()),
             "--deadline-ms" => {
                 let ms: u64 = value("milliseconds")?
                     .parse()
@@ -544,20 +528,6 @@ mod tests {
             );
         }
         assert!(parse_args(&argv("simulate --solver")).is_err());
-    }
-
-    #[test]
-    fn parses_lint_flags() {
-        let a = parse_args(&argv("lint")).unwrap();
-        assert_eq!(a.command, Command::Lint);
-        assert!(!a.write_baseline);
-        assert!(!a.strict);
-        assert_eq!(a.lint_root, None);
-        let a = parse_args(&argv("lint --strict --root sub/dir --write-baseline")).unwrap();
-        assert!(a.write_baseline);
-        assert!(a.strict);
-        assert_eq!(a.lint_root.as_deref(), Some("sub/dir"));
-        assert!(parse_args(&argv("lint --root")).is_err());
     }
 
     #[test]

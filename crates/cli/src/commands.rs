@@ -465,89 +465,6 @@ pub fn stats(args: &ParsedArgs) -> Result<String, CliError> {
     }
 }
 
-/// `vpec lint`: the workspace static-analysis gate (`vpec-analyze`).
-///
-/// Scans the tree under `--root` (default `.`), applies inline waivers
-/// and the committed `lint.baseline`, and fails with the findings when
-/// anything new surfaces. `--write-baseline` regenerates the baseline
-/// instead of gating. `VPEC_LINT=off|default|strict` skips the pass,
-/// runs it normally, or promotes warnings to failures.
-///
-/// # Errors
-///
-/// Usage error for a bad `VPEC_LINT` value; runtime error carrying the
-/// rendered findings when the gate fails (or on an unreadable tree /
-/// malformed baseline).
-pub fn lint(args: &ParsedArgs) -> Result<String, CliError> {
-    let mut strict = args.strict;
-    match std::env::var("VPEC_LINT").as_deref() {
-        Ok("off") => return Ok("vpec lint: skipped (VPEC_LINT=off)\n".to_string()),
-        Ok("strict") => strict = true,
-        Ok("default") | Ok("") | Err(_) => {}
-        Ok(other) => {
-            return Err(CliError::usage(format!(
-                "VPEC_LINT=`{other}` is not one of off|default|strict"
-            )))
-        }
-    }
-    let root = std::path::PathBuf::from(args.lint_root.as_deref().unwrap_or("."));
-    let baseline_path = root.join("lint.baseline");
-    let cfg = vpec_analyze::Config::for_workspace(root);
-
-    let baseline = if args.write_baseline {
-        vpec_analyze::Baseline::default()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => vpec_analyze::Baseline::parse(&text)
-                .map_err(|e| CliError::runtime(format!("{}: {e}", baseline_path.display())))?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                vpec_analyze::Baseline::default()
-            }
-            Err(e) => {
-                return Err(CliError::runtime(format!("{}: {e}", baseline_path.display())))
-            }
-        }
-    };
-
-    let report = vpec_analyze::engine::run(&cfg, &baseline)
-        .map_err(|e| CliError::runtime(e.to_string()))?;
-
-    if args.write_baseline {
-        let text = vpec_analyze::baseline::render(&report.post_waiver);
-        std::fs::write(&baseline_path, &text)
-            .map_err(|e| CliError::runtime(format!("{}: {e}", baseline_path.display())))?;
-        return Ok(format!(
-            "lint baseline written to {} ({} files, {} lines scanned)\n",
-            baseline_path.display(),
-            report.files_scanned,
-            report.lines_scanned,
-        ));
-    }
-
-    let mut out = String::new();
-    for f in &report.findings {
-        let _ = writeln!(out, "{}", f.render());
-    }
-    let _ = writeln!(
-        out,
-        "lint: {} files, {} lines scanned; {} new finding(s), {} baselined, {} waived",
-        report.files_scanned,
-        report.lines_scanned,
-        report.findings.len(),
-        report.baselined,
-        report.waived,
-    );
-    if report.gate_fails(strict) {
-        Err(CliError::runtime(format!(
-            "{out}lint gate failed — fix the finding, waive it inline with a reason \
-             (`// vpec-allow: <lint> -- <why>`), or regenerate the baseline with \
-             `vpec lint --write-baseline` if this is a deliberate policy change"
-        )))
-    } else {
-        Ok(out)
-    }
-}
-
 /// Dispatches a parsed command line.
 ///
 /// # Errors
@@ -576,7 +493,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         crate::Command::Export => export(args),
         crate::Command::Batch => batch(args),
         crate::Command::Serve => serve(args),
-        crate::Command::Lint => lint(args),
         crate::Command::Stats => stats(args),
         crate::Command::Help => Ok(crate::USAGE.to_string()),
     };

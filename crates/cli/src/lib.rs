@@ -12,7 +12,6 @@
 //!               [--ledger run.jsonl] [--metrics-out metrics.prom]
 //! vpec serve    [engine options] [--stats-interval-ms 5000]
 //! vpec stats    LEDGER... [--format text|json] [--fail-if p99>250ms]
-//! vpec lint     [--root DIR] [--strict] [--write-baseline]
 //! ```
 //!
 //! All numeric values accept SPICE magnitude suffixes (`1p`, `0.5n`,
@@ -79,7 +78,6 @@ COMMANDS:
   batch      run a JSONL scenario file through the resilient engine
   serve      stream JSONL scenarios: stdin -> stdout, one line each way
   stats      aggregate run ledgers into a fleet service report
-  lint       run the workspace static-analysis gate (vpec-analyze)
   help       show this text
 
 STRUCTURE (default: 8-bit bus with the paper's geometry):
@@ -191,24 +189,6 @@ DIAGNOSTICS:
   check). Violations carry the matrix name, index and magnitude, and
   abort the pipeline with a typed error instead of producing silently
   wrong waveforms.
-
-STATIC ANALYSIS:
-  `vpec lint` runs the project's own zero-dependency lint engine
-  (vpec-analyze) over the workspace sources: NaN-safe float ordering
-  (nan-ordering), panic freedom at the engine boundary (panic-freedom),
-  unsafe allowlisting with pinned counts (unsafe-audit), numerical-class
-  discipline for kernels (numerical-class) and the VPEC_* environment
-  registry (env-var-registry). Findings not in the committed
-  lint.baseline fail the gate; suppress a deliberate one inline with
-  `// vpec-allow: <lint> -- <reason>` (the reason is mandatory).
-
-  --root DIR        workspace root to scan (default .)
-  --strict          warnings also fail the gate
-  --write-baseline  regenerate lint.baseline from current findings
-
-  VPEC_LINT=off skips the pass entirely, VPEC_LINT=strict promotes
-  warnings to gate failures (same as --strict); unset or
-  VPEC_LINT=default is the normal gate. See DESIGN.md §14.
 
   With tracing enabled (--trace or VPEC_TRACE=summary|jsonl:PATH), every
   pipeline phase is timed as a hierarchical span: extract, model.invert,

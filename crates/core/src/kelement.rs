@@ -95,7 +95,9 @@ impl KNodalModel {
             for p in 0..=chain.len() {
                 nodes.push(node(format!("n{k}_{p}"), &mut n_nodes));
             }
-            far_nodes.push(*nodes.last().expect("non-empty net"));
+            // `nodes` holds chain.len() + 1 entries, so the far end always exists.
+            let far = nodes[chain.len()];
+            far_nodes.push(far);
             for (p, &f) in chain.iter().enumerate() {
                 let mid = node(format!("m{k}_{p}"), &mut n_nodes);
                 conductance.push((nodes[p], mid, 1.0 / parasitics.resistance[f]));
@@ -112,11 +114,7 @@ impl KNodalModel {
             if drive.is_aggressor(k) {
                 injection.push((nodes[0], 1.0 / drive.rd));
             }
-            capacitance.push((
-                *nodes.last().expect("non-empty"),
-                GND,
-                drive.cl,
-            ));
+            capacitance.push((far, GND, drive.cl));
         }
         // Coupling capacitances (halved at each end, as in the netlists).
         for &(i, j, c) in &parasitics.cap_coupling {

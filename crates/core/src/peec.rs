@@ -57,8 +57,10 @@ pub(crate) fn build_electrical(
         for p in 0..=chain.len() {
             nodes.push(ckt.node(&format!("n{k}_{p}")));
         }
+        // `nodes` holds chain.len() + 1 entries, so the far end always exists.
+        let far = nodes[chain.len()];
         near_nodes.push(nodes[0]);
-        far_nodes.push(*nodes.last().expect("nets are non-empty"));
+        far_nodes.push(far);
 
         for (p, &f) in chain.iter().enumerate() {
             let mid = ckt.node(&format!("m{k}_{p}"));
@@ -82,12 +84,7 @@ pub(crate) fn build_electrical(
                 Circuit::GROUND,
                 1.0e-3,
             )?;
-            ckt.add_resistor(
-                &format!("vgf{k}"),
-                *nodes.last().expect("non-empty"),
-                Circuit::GROUND,
-                1.0e-3,
-            )?;
+            ckt.add_resistor(&format!("vgf{k}"), far, Circuit::GROUND, 1.0e-3)?;
             continue;
         }
         if drive.is_aggressor(k) {
@@ -114,12 +111,7 @@ pub(crate) fn build_electrical(
             // Quiet bit: grounded through its driver resistance.
             ckt.add_resistor(&format!("rd{k}"), nodes[0], Circuit::GROUND, drive.rd)?;
         }
-        ckt.add_capacitor(
-            &format!("cl{k}"),
-            *nodes.last().expect("non-empty"),
-            Circuit::GROUND,
-            drive.cl,
-        )?;
+        ckt.add_capacitor(&format!("cl{k}"), far, Circuit::GROUND, drive.cl)?;
     }
 
     // Coupling capacitances, halved between corresponding filament ends.

@@ -143,9 +143,11 @@ fn windowed_from(parasitics: &Parasitics, windows: &[Vec<usize>]) -> Result<Vpec
     let mut s_off: HashMap<(usize, usize), (f64, u8)> = HashMap::new();
 
     for (m, idx) in windows.iter().enumerate() {
-        let pos_m = idx
-            .binary_search(&m)
-            .expect("aggressor always inside its own window");
+        let Ok(pos_m) = idx.binary_search(&m) else {
+            return Err(CoreError::InvalidParameter {
+                reason: "every aggressor's window must contain the aggressor",
+            });
+        };
         let sub = l.principal_submatrix(idx);
         let mut e = vec![0.0; idx.len()];
         e[pos_m] = 1.0;

@@ -21,7 +21,7 @@ use vpec_geometry::Filament;
 use vpec_numerics::{Complex64, DenseMatrix, LuFactor, NumericsError};
 
 /// A system of conductors, each discretized into a bundle of parallel
-/// sub-filaments (see [`crate::volume::decompose`]).
+/// sub-filaments (see [`crate::volume::try_decompose`]).
 #[derive(Debug, Clone)]
 pub struct ConductorSystem {
     /// All sub-filaments, flattened.
@@ -153,7 +153,7 @@ impl ConductorSystem {
 mod tests {
     use super::*;
     use crate::inductance::{mutual_inductance, self_inductance};
-    use crate::volume::decompose;
+    use crate::volume::try_decompose;
     use vpec_geometry::{um, Axis, GHZ};
 
     const RHO_CU: f64 = 1.7e-8;
@@ -178,7 +178,7 @@ mod tests {
         // Decomposed conductor at low frequency: currents distribute
         // uniformly, so R equals the parallel DC combination = ρl/A.
         let f = wire(0.0, um(4.0), um(2.0));
-        let subs = decompose(&f, 4, 2);
+        let subs = try_decompose(&f, 4, 2).unwrap();
         let sys = ConductorSystem::new(&[subs], RHO_CU);
         let (r, _) = sys.effective_rl(0, 1.0e3).unwrap();
         let r_dc = dc_resistance(&f, RHO_CU);
@@ -193,7 +193,7 @@ mod tests {
         // The classic signature: R(f) rises and L(f) falls as current
         // crowds to the surface.
         let f = wire(0.0, um(8.0), um(4.0));
-        let subs = decompose(&f, 8, 4);
+        let subs = try_decompose(&f, 8, 4).unwrap();
         let sys = ConductorSystem::new(&[subs], RHO_CU);
         let (r_lo, l_lo) = sys.effective_rl(0, 1.0e6).unwrap();
         let (r_hi, l_hi) = sys.effective_rl(0, 20.0 * GHZ).unwrap();
@@ -227,7 +227,7 @@ mod tests {
         let a = wire(0.0, um(2.0), um(1.0));
         let b = wire(um(4.0), um(2.0), um(1.0));
         let sys = ConductorSystem::new(
-            &[decompose(&a, 2, 1), decompose(&b, 2, 1)],
+            &[try_decompose(&a, 2, 1).unwrap(), try_decompose(&b, 2, 1).unwrap()],
             RHO_CU,
         );
         let z = sys.terminal_impedance(5.0 * GHZ).unwrap();
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn counts_exposed() {
         let f = wire(0.0, um(2.0), um(2.0));
-        let sys = ConductorSystem::new(&[decompose(&f, 2, 2)], RHO_CU);
+        let sys = ConductorSystem::new(&[try_decompose(&f, 2, 2).unwrap()], RHO_CU);
         assert_eq!(sys.conductors(), 1);
         assert_eq!(sys.filaments(), 4);
     }

@@ -83,19 +83,6 @@ pub fn try_decompose(f: &Filament, nw: usize, nt: usize) -> Result<Vec<Filament>
     Ok(out)
 }
 
-/// Panicking wrapper over [`try_decompose`] for callers with
-/// already-validated geometry (the extraction pipeline).
-///
-/// # Panics
-///
-/// Panics if `nw` or `nt` is zero or the filament is non-physical.
-pub fn decompose(f: &Filament, nw: usize, nt: usize) -> Vec<Filament> {
-    match try_decompose(f, nw, nt) {
-        Ok(subs) => subs,
-        Err(e) => panic!("{e}: {f:?}"),
-    }
-}
-
 /// Subdivision counts suggested by the skin-depth rule at `frequency`:
 /// enough sub-filaments that each is no larger than one skin depth in
 /// either cross-section dimension (capped at `max_per_side` to bound the
@@ -113,14 +100,18 @@ pub fn auto_subdivisions(
 }
 
 /// Decomposes with the skin-depth rule directly.
+///
+/// # Errors
+///
+/// As [`try_decompose`].
 pub fn auto_decompose(
     f: &Filament,
     resistivity: f64,
     frequency: f64,
     max_per_side: usize,
-) -> Vec<Filament> {
+) -> Result<Vec<Filament>, ExtractError> {
     let (nw, nt) = auto_subdivisions(f, resistivity, frequency, max_per_side);
-    decompose(f, nw, nt)
+    try_decompose(f, nw, nt)
 }
 
 #[cfg(test)]
@@ -137,7 +128,7 @@ mod tests {
     #[test]
     fn count_and_area_preserved() {
         let f = thick_wire();
-        let subs = decompose(&f, 4, 2);
+        let subs = try_decompose(&f, 4, 2).unwrap();
         assert_eq!(subs.len(), 8);
         let total_area: f64 = subs.iter().map(|s| s.cross_section()).sum();
         assert!((total_area - f.cross_section()).abs() < 1e-24);
@@ -151,7 +142,7 @@ mod tests {
     #[test]
     fn centers_tile_the_cross_section() {
         let f = thick_wire();
-        let subs = decompose(&f, 2, 2);
+        let subs = try_decompose(&f, 2, 2).unwrap();
         // y-offsets at ±1 µm, z-offsets at ±0.5 µm around the centerline.
         let mut ys: Vec<f64> = subs.iter().map(|s| s.origin[1] * 1e6).collect();
         ys.sort_by(f64::total_cmp);
@@ -164,7 +155,7 @@ mod tests {
     #[test]
     fn trivial_decomposition_is_identity() {
         let f = thick_wire();
-        let subs = decompose(&f, 1, 1);
+        let subs = try_decompose(&f, 1, 1).unwrap();
         assert_eq!(subs.len(), 1);
         assert_eq!(subs[0], f);
     }
@@ -172,7 +163,7 @@ mod tests {
     #[test]
     fn y_axis_filament_subdivides_along_x() {
         let f = Filament::new([0.0; 3], Axis::Y, um(100.0), um(2.0), um(1.0));
-        let subs = decompose(&f, 2, 1);
+        let subs = try_decompose(&f, 2, 1).unwrap();
         assert!(subs.iter().any(|s| s.origin[0] < 0.0));
         assert!(subs.iter().any(|s| s.origin[0] > 0.0));
         // y (the filament axis) stays put.
@@ -197,14 +188,8 @@ mod tests {
     #[test]
     fn auto_decompose_wires_through() {
         let f = thick_wire();
-        let subs = auto_decompose(&f, RHO_CU, 10.0 * GHZ, 8);
+        let subs = auto_decompose(&f, RHO_CU, 10.0 * GHZ, 8).unwrap();
         assert!(subs.len() > 8, "10 GHz must split a 4×2 µm wire");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_subdivision_rejected() {
-        decompose(&thick_wire(), 0, 1);
     }
 
     #[test]

@@ -165,7 +165,8 @@ impl SpiralSpec {
             "spiral dimensions must be finite and positive: {self:?}"
         );
         let sides = self.side_lengths();
-        let innermost = *sides.last().expect("at least four sides");
+        // Sides shrink inward, so the shortest one is the innermost.
+        let innermost = sides.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(
             innermost > 0.0,
             "spiral self-intersects: outer side too short for {} turns at pitch {}",

@@ -177,11 +177,11 @@ impl Cholesky {
         );
         let cols = Pool::with_threads(nt).par_map_index(n, |j| {
             if cancel.is_cancelled() {
-                return Vec::new();
+                return Ok(Vec::new());
             }
             let mut e = vec![0.0; n];
             e[j] = 1.0;
-            self.solve(&e).expect("unit vector has factored dimension")
+            self.solve(&e)
         });
         if cancel.is_cancelled() {
             return Err(NumericsError::Cancelled {
@@ -189,9 +189,9 @@ impl Cholesky {
             });
         }
         let mut inv = DenseMatrix::zeros(n, n);
-        for (j, col) in cols.iter().enumerate() {
-            for (i, v) in col.iter().enumerate() {
-                inv[(i, j)] = *v;
+        for (j, col) in cols.into_iter().enumerate() {
+            for (i, v) in col?.into_iter().enumerate() {
+                inv[(i, j)] = v;
             }
         }
         Ok(inv)

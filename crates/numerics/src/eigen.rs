@@ -34,10 +34,14 @@ impl EigenExtremes {
 /// Largest-magnitude eigenvalue of a symmetric matrix by power iteration
 /// (deterministic start vector with a fallback restart for unlucky
 /// orthogonality).
-fn dominant_eigenvalue(a: &DenseMatrix<f64>, max_iters: usize, tol: f64) -> (f64, usize) {
+fn dominant_eigenvalue(
+    a: &DenseMatrix<f64>,
+    max_iters: usize,
+    tol: f64,
+) -> Result<(f64, usize), NumericsError> {
     let n = a.rows();
     if n == 0 {
-        return (0.0, 0);
+        return Ok((0.0, 0));
     }
     let mut best = (0.0f64, 0usize);
     for attempt in 0..2 {
@@ -51,7 +55,7 @@ fn dominant_eigenvalue(a: &DenseMatrix<f64>, max_iters: usize, tol: f64) -> (f64
         let mut iters = 0;
         for k in 0..max_iters {
             iters = k + 1;
-            let w = a.matvec(&v).expect("square matrix");
+            let w = a.matvec(&v)?;
             let new_lambda: f64 = v.iter().zip(w.iter()).map(|(x, y)| x * y).sum();
             let wn = w.iter().map(|x| x * x).sum::<f64>().sqrt();
             if wn < f64::MIN_POSITIVE {
@@ -69,7 +73,7 @@ fn dominant_eigenvalue(a: &DenseMatrix<f64>, max_iters: usize, tol: f64) -> (f64
             best = (lambda, iters);
         }
     }
-    best
+    Ok(best)
 }
 
 /// Estimates the smallest and largest eigenvalues of a **symmetric**
@@ -113,7 +117,7 @@ pub fn symmetric_extremes(
         let d = if i == j { c } else { 0.0 };
         d + a[(i, j)]
     });
-    let (mu_lifted, it1) = dominant_eigenvalue(&lifted, max_iters, tol);
+    let (mu_lifted, it1) = dominant_eigenvalue(&lifted, max_iters, tol)?;
     let lam_max = mu_lifted - c;
     // Second stage: (λ_max·I − A) has spectrum λ_max − λᵢ ≥ 0; its
     // dominant eigenvalue is λ_max − λ_min.
@@ -121,7 +125,7 @@ pub fn symmetric_extremes(
         let d = if i == j { lam_max } else { 0.0 };
         d - a[(i, j)]
     });
-    let (nu, it2) = dominant_eigenvalue(&shifted, max_iters, tol);
+    let (nu, it2) = dominant_eigenvalue(&shifted, max_iters, tol)?;
     let lam_min = lam_max - nu;
     Ok(EigenExtremes {
         min: lam_min,

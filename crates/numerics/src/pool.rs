@@ -244,6 +244,7 @@ impl Pool {
             }
         });
         out.into_iter()
+            // vpec-allow: panic-freedom -- every chunk of `out` went to exactly one worker and the scope joined them all (re-raising any worker panic), so every slot is filled
             .map(|o| o.expect("all chunks were processed"))
             .collect()
     }
@@ -286,6 +287,7 @@ impl Pool {
             }
         });
         out.into_iter()
+            // vpec-allow: panic-freedom -- every chunk of `out` went to exactly one worker and the scope joined them all (re-raising any worker panic), so every slot is filled
             .map(|o| o.expect("all chunks were processed"))
             .collect()
     }

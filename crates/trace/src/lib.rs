@@ -302,19 +302,20 @@ pub fn enabled() -> bool {
 }
 
 /// Validates a trace-mode spec without applying it or touching the
-/// filesystem, returning the mode it would select. Used by argument
-/// parsers that want typo errors before the run starts.
+/// filesystem, returning the mode it would select and, for `jsonl`, the
+/// sink path. Used by argument parsers that want typo errors before the
+/// run starts.
 ///
 /// # Errors
 ///
 /// A human-readable message for unknown specs or a path-less `jsonl`.
-pub fn parse_mode_spec(spec: &str) -> Result<TraceMode, String> {
+pub fn parse_mode_spec(spec: &str) -> Result<(TraceMode, Option<&str>), String> {
     let spec = spec.trim();
     let lower = spec.to_ascii_lowercase();
     if spec.is_empty() || lower == "off" || lower == "none" || lower == "0" {
-        Ok(TraceMode::Off)
+        Ok((TraceMode::Off, None))
     } else if lower == "summary" || lower == "on" || lower == "1" {
-        Ok(TraceMode::Summary)
+        Ok((TraceMode::Summary, None))
     } else if lower == "jsonl" {
         Err("jsonl sink needs a path: --trace=jsonl:<path>".to_string())
     } else if let Some(path) = spec.strip_prefix("jsonl:") {
@@ -324,7 +325,7 @@ pub fn parse_mode_spec(spec: &str) -> Result<TraceMode, String> {
         if path.trim().is_empty() {
             Err("jsonl sink needs a path: --trace=jsonl:<path>".to_string())
         } else {
-            Ok(TraceMode::Jsonl)
+            Ok((TraceMode::Jsonl, Some(path)))
         }
     } else {
         Err(format!(
@@ -340,9 +341,8 @@ pub fn parse_mode_spec(spec: &str) -> Result<TraceMode, String> {
 /// (truncating any existing content) before the mode switches; an
 /// unopenable path is an error and leaves the previous mode in place.
 pub fn set_mode_spec(spec: &str) -> Result<TraceMode, String> {
-    let resolved = parse_mode_spec(spec)?;
-    if resolved == TraceMode::Jsonl {
-        let path = spec.trim().strip_prefix("jsonl:").expect("checked above");
+    let (resolved, path) = parse_mode_spec(spec)?;
+    if let Some(path) = path {
         let file = File::create(path)
             .map_err(|e| format!("cannot open trace file {path:?}: {e}"))?;
         let mut st = lock_state();

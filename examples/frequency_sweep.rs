@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example frequency_sweep`
 
-use vpec::extract::volume::{auto_subdivisions, decompose};
+use vpec::extract::volume::{auto_subdivisions, try_decompose};
 use vpec::extract::ConductorSystem;
 use vpec::geometry::discretize::skin_depth;
 use vpec::geometry::{um, Axis, Filament, GHZ};
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (nw, nt) = auto_subdivisions(&wire, RHO_CU, 50.0 * GHZ, 8);
     println!("volume decomposition at 50 GHz: {nw} × {nt} sub-filaments\n");
 
-    let sys = ConductorSystem::new(&[decompose(&wire, nw, nt)], RHO_CU);
+    let sys = ConductorSystem::new(&[try_decompose(&wire, nw, nt)?], RHO_CU);
     println!("freq        skin depth   R (Ω)     R/Rdc    L (nH)");
     println!("---------------------------------------------------");
     let r_dc = RHO_CU * wire.length / wire.cross_section();
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ret = Filament::new([0.0, um(11.0), 0.0], Axis::X, um(1000.0), um(8.0), um(4.0))
         .with_direction(-1.0);
     let pair = ConductorSystem::new(
-        &[decompose(&wire, nw, nt), decompose(&ret, nw, nt)],
+        &[try_decompose(&wire, nw, nt)?, try_decompose(&ret, nw, nt)?],
         RHO_CU,
     );
     for &f in &[1e8, 10e9_f64] {

@@ -32,15 +32,13 @@ timeout 600 cargo test -q --release --manifest-path workload-bench/Cargo.toml
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> static analysis gate (vpec-analyze vs lint.baseline)"
+echo "==> static analysis gate (vpec-analyze: any finding fails)"
 # Project-specific lints (NaN ordering, panic freedom, unsafe audit,
 # numerical-class contracts, env-var registry) over the workspace's own
-# sources. "No new violations": anything not in the committed baseline or
-# covered by an inline `// vpec-allow:` waiver fails the gate. The scan is
-# a single lex+lint pass (~40 ms); the timeout is a hang backstop, not a
-# budget.
-timeout 120 cargo run --release -q -p vpec-analyze --bin vpec-analyze -- \
-  --root . --baseline lint.baseline
+# sources. Any finding not covered by an inline `// vpec-allow:` waiver
+# fails the gate. The scan is a single lex+lint pass (~45 ms); the
+# timeout is a hang backstop, not a budget.
+timeout 120 cargo run --release -q -p vpec-analyze --bin vpec-analyze -- --root .
 
 echo "==> batch engine smoke run (vpec batch, request isolation + degradation + ledger)"
 batch_in="target/batch_smoke_in.jsonl"

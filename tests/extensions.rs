@@ -5,7 +5,7 @@
 use vpec::core::baselines::{return_limited, shift_truncate};
 use vpec::core::kelement::KNodalModel;
 use vpec::core::noise::noise_scan;
-use vpec::extract::volume::decompose;
+use vpec::extract::volume::try_decompose;
 use vpec::extract::{CapTable, ConductorSystem};
 use vpec::circuit::mor::reduce_about;
 use vpec::circuit::spice_in::from_spice;
@@ -94,7 +94,7 @@ fn volume_impedance_facade() {
         um(6.0),
         um(3.0),
     );
-    let sys = ConductorSystem::new(&[decompose(&wire, 6, 3)], 1.7e-8);
+    let sys = ConductorSystem::new(&[try_decompose(&wire, 6, 3).unwrap()], 1.7e-8);
     let (r_lo, l_lo) = sys.effective_rl(0, 1e6).unwrap();
     let (r_hi, l_hi) = sys.effective_rl(0, 2e10).unwrap();
     assert!(r_hi > 1.2 * r_lo);
