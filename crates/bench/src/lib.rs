@@ -8,7 +8,6 @@
 //! testbed — the *shapes* (who wins, by what factor, where crossovers
 //! fall) are the reproduction target, recorded in `EXPERIMENTS.md`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baselines;

@@ -4,8 +4,21 @@ use crate::netlist::NodeId;
 use crate::waveform::Waveform;
 
 /// Index of an element within its [`crate::Circuit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ElementId(pub usize);
+
+// By hand: a derived `PartialOrd` calls the `partial_cmp` clippy.toml disallows.
+impl Ord for ElementId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for ElementId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 /// A netlist element.
 ///

@@ -55,7 +55,17 @@
 //! [`diagnostics`] records what happened so callers can surface degraded
 //! runs.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod ac;

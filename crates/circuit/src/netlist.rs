@@ -6,8 +6,21 @@ use crate::waveform::Waveform;
 use std::collections::HashMap;
 
 /// A circuit node. `NodeId(0)` is ground.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(pub usize);
+
+// By hand: a derived `PartialOrd` calls the `partial_cmp` clippy.toml disallows.
+impl Ord for NodeId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for NodeId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl NodeId {
     /// `true` for the ground node.

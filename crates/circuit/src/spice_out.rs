@@ -83,7 +83,11 @@ pub fn to_spice(ckt: &Circuit, title: &str) -> String {
                         Element::Inductor { l: l1, name: n1, .. },
                         Element::Inductor { l: l2, name: n2, .. },
                     ) => ((*l1, n1.clone()), (*l2, n2.clone())),
-                    // vpec-allow: panic-freedom -- `Circuit::add_mutual` is the only way to add a Mutual and rejects any reference that is not an existing inductor
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "`Circuit::add_mutual` is the only way to add a Mutual and rejects \
+                                  any reference that is not an existing inductor"
+                    )]
                     _ => unreachable!("mutual references validated at build time"),
                 };
                 let k = m / (l1.0 * l2.0).sqrt();

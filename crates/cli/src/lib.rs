@@ -19,7 +19,6 @@
 //! `tvpec-g:NW[,NL]`, `tvpec-n:TAU`, `wvpec-g:B`, `wvpec-n:TAU`,
 //! `shift:R0` (R0 in meters, suffixes allowed).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;

@@ -1,7 +1,5 @@
 //! `vpec` — command-line interface to the VPEC interconnect toolkit.
 
-#![forbid(unsafe_code)]
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match vpec_cli::parse_args(&argv).and_then(|a| vpec_cli::commands::run(&a)) {

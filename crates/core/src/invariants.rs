@@ -66,13 +66,16 @@ pub fn audit_parasitics(parasitics: &Parasitics) -> AuditReport {
         "ground capacitance",
         &parasitics.cap_ground,
     ));
+    // NaN-safe: NaN compares as not-Greater, so it is flagged too.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "partial order is the point: a NaN length must compare not-Greater and be flagged"
+    )]
     report.record(
         parasitics
             .lengths
             .iter()
             .enumerate()
-            // NaN-safe: NaN compares as not-Greater, so it is flagged too.
-            // vpec-allow: nan-ordering -- partial order is the point: a NaN length must compare not-Greater and be flagged
             .find(|(_, &len)| len.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater))
             .map(|(i, &len)| AuditViolation {
                 matrix: "filament lengths".to_string(),

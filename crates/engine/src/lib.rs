@@ -34,7 +34,17 @@
 //! The CLI exposes this as `vpec batch --in FILE` and `vpec serve`
 //! (stdin → stdout).
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod boundary;

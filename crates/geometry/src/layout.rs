@@ -7,8 +7,21 @@
 use crate::Filament;
 
 /// Identifier of a net within a [`Layout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NetId(pub usize);
+
+// By hand: a derived `PartialOrd` calls the `partial_cmp` clippy.toml disallows.
+impl Ord for NetId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for NetId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 /// Electrical role of a net.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

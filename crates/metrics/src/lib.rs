@@ -19,7 +19,17 @@
 //! See DESIGN.md §15 for the registry model, the full ledger schema,
 //! and the aggregation semantics.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod exposition;

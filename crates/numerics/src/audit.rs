@@ -39,7 +39,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// How much auditing to perform at pipeline layer boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuditLevel {
     /// No audits; gates cost one relaxed atomic load.
     Off = 0,
@@ -49,6 +49,19 @@ pub enum AuditLevel {
     /// Everything in `Basic`, plus solve residual verification and
     /// cross-backend solve-consistency checks.
     Full = 2,
+}
+
+// By hand: a derived `PartialOrd` calls the `partial_cmp` clippy.toml disallows.
+impl Ord for AuditLevel {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (*self as u8).cmp(&(*other as u8))
+    }
+}
+
+impl PartialOrd for AuditLevel {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl AuditLevel {
@@ -411,7 +424,10 @@ pub fn check_diag_dominant(name: &str, a: &DenseMatrix<f64>) -> Option<AuditViol
         let diag = a[(i, i)].abs();
         // NaN-safe: anything other than a definite `diag > off` is a
         // violation, including incomparable (NaN) entries.
-        // vpec-allow: nan-ordering -- partial order is the point: NaN must compare not-Greater and register as a violation
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "partial order is the point: NaN must compare not-Greater and register as a violation"
+        )]
         if diag.partial_cmp(&off) != Some(std::cmp::Ordering::Greater) {
             return Some(AuditViolation {
                 matrix: name.to_string(),

@@ -110,6 +110,10 @@ impl Cholesky {
     ///
     /// Numerical class: audited-close (the forward sweep reduces rows
     /// with the four-accumulator [`kernel::dot4`]).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "Numerical class: audited-close (the forward sweep reduces rows with four accumulators)"
+    )]
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
         let n = self.dim();
         if b.len() != n {

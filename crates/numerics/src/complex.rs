@@ -167,7 +167,10 @@ impl Mul for Complex64 {
 impl Div for Complex64 {
     type Output = Complex64;
     #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // z/w = z·w⁻¹ by definition
+    #[expect(
+        clippy::suspicious_arithmetic_impl,
+        reason = "z/w = z·w⁻¹ by definition"
+    )]
     fn div(self, rhs: Complex64) -> Complex64 {
         self * rhs.recip()
     }

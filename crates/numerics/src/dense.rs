@@ -156,6 +156,10 @@ impl<T: Scalar> DenseMatrix<T> {
     /// # Errors
     ///
     /// Returns [`NumericsError::DimensionMismatch`] if `x.len() != cols()`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "Numerical class: audited-close (each output element is a four-accumulator dot)"
+    )]
     pub fn matvec(&self, x: &[T]) -> Result<Vec<T>, NumericsError> {
         if x.len() != self.cols {
             return Err(NumericsError::DimensionMismatch {

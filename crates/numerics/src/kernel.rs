@@ -82,6 +82,10 @@ pub(crate) fn sub4<T: Scalar>(c: &mut [T], f: [T; 4], b0: &[T], b1: &[T], b2: &[
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests measure dot4 against naive sums"
+)]
 mod tests {
     use super::*;
 
@@ -131,5 +135,33 @@ mod tests {
         let mut c = base;
         sub4(&mut c, f, &rows[0], &rows[1], &rows[2], &rows[3]);
         assert_eq!(c, reference, "sub4 must match per-element ascending-k updates");
+    }
+
+    #[test]
+    fn every_kernel_declares_its_numerical_class() {
+        // The doc block above each non-test `fn` must carry the marker;
+        // clippy.toml keeps the audited-close `dot4` out of bit-identical
+        // callers, and this keeps the class of a new kernel stated.
+        let src = include_str!("kernel.rs");
+        let src = &src[..src.find("#[cfg(test)]").expect("test module")];
+        let lines: Vec<&str> = src.lines().map(str::trim_start).collect();
+        let mut kernels = 0;
+        for (i, line) in lines.iter().enumerate() {
+            if !(line.starts_with("fn ") || line.contains(" fn ")) || line.starts_with("//") {
+                continue;
+            }
+            kernels += 1;
+            let mut doc = lines[..i]
+                .iter()
+                .rev()
+                .take_while(|l| l.starts_with("///") || l.starts_with("#["));
+            assert!(
+                doc.any(|l| l.contains("Numerical class: bit-identical")
+                    || l.contains("Numerical class: audited-close")),
+                "kernel.rs:{}: `{line}` lacks a `Numerical class:` doc marker",
+                i + 1
+            );
+        }
+        assert!(kernels >= 3, "the scan must see dot4, axpy4 and sub4");
     }
 }

@@ -144,6 +144,10 @@ impl<T: Scalar> LuFactor<T> {
     /// reassociation of the serial sum, deterministic for a given input.
     ///
     /// Numerical class: audited-close.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "Numerical class: audited-close (both sweeps reduce rows with four accumulators)"
+    )]
     fn substitute_in_place(&self, x: &mut [T]) {
         let n = x.len();
         for i in 1..n {

@@ -243,10 +243,7 @@ impl Pool {
                 });
             }
         });
-        out.into_iter()
-            // vpec-allow: panic-freedom -- every chunk of `out` went to exactly one worker and the scope joined them all (re-raising any worker panic), so every slot is filled
-            .map(|o| o.expect("all chunks were processed"))
-            .collect()
+        filled(out)
     }
 
     /// Maps `f` over the index range `0..n`, returning results in index
@@ -286,10 +283,7 @@ impl Pool {
                 });
             }
         });
-        out.into_iter()
-            // vpec-allow: panic-freedom -- every chunk of `out` went to exactly one worker and the scope joined them all (re-raising any worker panic), so every slot is filled
-            .map(|o| o.expect("all chunks were processed"))
-            .collect()
+        filled(out)
     }
 
     /// Runs `a` and `b`, possibly concurrently, and returns both results.
@@ -322,6 +316,18 @@ impl Pool {
             (ra, rb)
         })
     }
+}
+
+/// The results of a joined `par_map`/`par_map_index` scope, in order.
+#[expect(
+    clippy::expect_used,
+    reason = "every chunk of `out` went to exactly one worker and the scope joined them all \
+              (re-raising any worker panic), so every slot is filled"
+)]
+fn filled<R>(out: Vec<Option<R>>) -> Vec<R> {
+    out.into_iter()
+        .map(|o| o.expect("all chunks were processed"))
+        .collect()
 }
 
 /// In-place LU elimination with partial pivoting over a row-major
@@ -669,6 +675,10 @@ fn cholesky_eliminate_serial(
 /// partitioned whole, so the result is the same for any worker count.
 ///
 /// Numerical class: audited-close.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "Numerical class: audited-close (block-split prefix dots and four-accumulator row dots)"
+)]
 fn cholesky_eliminate_blocked(
     a: &[f64],
     g: &mut [f64],

@@ -58,7 +58,10 @@ pub fn spd_probe(a: &DenseMatrix<f64>, sym_tol: f64) -> SpdProbe {
             .map(|j| a[(i, j)].abs())
             .sum();
         // NaN-safe: a NaN diagonal must count as not dominant.
-        // vpec-allow: nan-ordering -- partial order is the point: NaN must compare not-Greater and mark the row not dominant
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "partial order is the point: NaN must compare not-Greater and mark the row not dominant"
+        )]
         if a[(i, i)].partial_cmp(&off) != Some(std::cmp::Ordering::Greater) {
             sdd = false;
             first_bad_row = Some(i);

@@ -10,7 +10,7 @@ use vpec_numerics::rng::XorShift64;
 use vpec_numerics::{pool, Cholesky, DenseMatrix, LuFactor, Pool};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-/// Relative gap allowed between a register-blocked kernel and a plain
+/// Relative gap allowed between the four-accumulator matvec and a plain
 /// reference loop. This is not a worker-count comparison: the two sum in
 /// a different order, which gives a 1-ulp difference at k = 4.
 const UNROLL_REL_TOL: f64 = 1e-12;
@@ -189,14 +189,18 @@ fn blocked_dispatch_boundaries_are_thread_invariant() {
 #[test]
 fn matvec_and_matmul_cover_the_unroll_tail() {
     // The register-blocked kernels unroll over four columns/terms; shapes
-    // with every remainder mod 4 must agree with a plain reference loop.
+    // with every remainder mod 4 must agree with a plain reference loop:
+    // matvec (audited-close) within a tolerance, matmul (bit-identical)
+    // exactly. The last shape spans several inner-dimension tiles and,
+    // with more than one worker, the parallel path.
     let mut rng = XorShift64::new(0x2007);
-    for &k in &[4, 5, 6, 7, 64, 65] {
-        let a = random_matrix(&mut rng, 9, k);
-        let b = random_matrix(&mut rng, k, 11);
+    let shapes = [4, 5, 6, 7, 64, 65].map(|k| (9, k, 11));
+    for (m, k, n) in shapes.into_iter().chain([(130, 257, 90)]) {
+        let a = random_matrix(&mut rng, m, k);
+        let b = random_matrix(&mut rng, k, n);
         let x: Vec<f64> = (0..k).map(|_| rng.range_f64(-1.0, 1.0)).collect();
         let y = a.matvec(&x).expect("conforming");
-        for i in 0..9 {
+        for i in 0..m {
             let reference: f64 = (0..k).map(|j| a[(i, j)] * x[j]).sum();
             assert!(
                 (y[i] - reference).abs() <= UNROLL_REL_TOL * (1.0 + reference.abs()),
@@ -205,12 +209,16 @@ fn matvec_and_matmul_cover_the_unroll_tail() {
             );
         }
         let c = a.matmul(&b).expect("conforming");
-        for i in 0..9 {
-            for j in 0..11 {
-                let reference: f64 = (0..k).map(|p| a[(i, p)] * b[(p, j)]).sum();
-                assert!(
-                    (c[(i, j)] - reference).abs() <= UNROLL_REL_TOL * (1.0 + reference.abs()),
-                    "matmul tail at k={k}, ({i},{j})"
+        for i in 0..m {
+            for j in 0..n {
+                let mut reference = 0.0f64;
+                for p in 0..k {
+                    reference += a[(i, p)] * b[(p, j)];
+                }
+                assert_eq!(
+                    c[(i, j)].to_bits(),
+                    reference.to_bits(),
+                    "matmul at {m}x{k}x{n}, ({i},{j}) must equal the ascending-k loop"
                 );
             }
         }

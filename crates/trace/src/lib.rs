@@ -60,7 +60,17 @@
 //! vpec_trace::reset("off").unwrap();
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod histogram;
@@ -78,7 +88,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Which sink the process-global tracer feeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
     /// No tracing; spans and events cost one relaxed atomic load.
     Off = 0,
@@ -86,6 +96,19 @@ pub enum TraceMode {
     Summary = 1,
     /// Collect in memory *and* stream JSONL events to a file.
     Jsonl = 2,
+}
+
+// By hand: a derived `PartialOrd` calls the `partial_cmp` clippy.toml disallows.
+impl Ord for TraceMode {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (*self as u8).cmp(&(*other as u8))
+    }
+}
+
+impl PartialOrd for TraceMode {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl TraceMode {
