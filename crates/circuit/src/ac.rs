@@ -10,7 +10,7 @@ use crate::error::CircuitError;
 use crate::mna::{add_source_rhs, assemble, MnaLayout};
 use crate::netlist::Circuit;
 use crate::result::AcResult;
-use crate::solver::{FactorOptions, Factored, SolverKind, SparsePlan};
+use crate::solver::{Factored, SparsePlan};
 use vpec_numerics::cancel::CancelToken;
 use vpec_numerics::ordering::rcm_ordering;
 use vpec_numerics::{pool, Complex64, Pool};
@@ -25,8 +25,6 @@ const AC_MIN_POINTS_PER_THREAD: usize = 8;
 pub struct AcSpec {
     /// Frequencies to solve at, hertz (each must be positive).
     pub frequencies: Vec<f64>,
-    /// Linear-solver backend.
-    pub solver: SolverKind,
     /// Cooperative cancellation, polled once per sweep point. Disarmed by
     /// default; the engine's deadline watchdog arms it.
     pub cancel: CancelToken,
@@ -68,7 +66,6 @@ impl AcSpec {
         frequencies.push(f_stop);
         Ok(AcSpec {
             frequencies,
-            solver: SolverKind::Auto,
             cancel: CancelToken::none(),
         })
     }
@@ -77,16 +74,8 @@ impl AcSpec {
     pub fn points(frequencies: Vec<f64>) -> Self {
         AcSpec {
             frequencies,
-            solver: SolverKind::Auto,
             cancel: CancelToken::none(),
         }
-    }
-
-    /// Selects the solver backend.
-    #[must_use]
-    pub fn solver(mut self, s: SolverKind) -> Self {
-        self.solver = s;
-        self
     }
 
     /// Attaches a cancellation token, polled once per sweep point.
@@ -134,7 +123,7 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
     // the same pattern at every ω > 0, so the first point's ordering
     // serves every point whose pattern matches it.
     let first = assemble_at(spec.frequencies[0])?;
-    let sparse = Factored::primary_strategy(spec.solver, &first) == FactorStrategy::SparseLu;
+    let sparse = Factored::primary_strategy(&first) == FactorStrategy::SparseLu;
     let first_rcm = sparse.then(|| rcm_ordering(&first));
     // Each sweep point is an independent assemble + factor + solve, so the
     // sweep maps over frequencies in parallel. Results come back in sweep
@@ -166,13 +155,10 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
         }
         let reuse = first_rcm.as_deref().filter(|_| a.same_pattern(&first));
         let (factored, _) =
-            Factored::factor_csr(&a, FactorOptions::new(spec.solver), SparsePlan::Rcm(reuse))
-                .map_err(|e| match e {
-                    CircuitError::SingularSystem { .. } => {
-                        CircuitError::SingularSystem { analysis: "ac" }
-                    }
-                    other => other,
-                })?;
+            Factored::factor_csr(&a, false, SparsePlan::Rcm(reuse)).map_err(|e| match e {
+                CircuitError::SingularSystem { .. } => CircuitError::SingularSystem { analysis: "ac" },
+                other => other,
+            })?;
         factored.solve(&rhs)
     });
     let mut data = Vec::with_capacity(spec.frequencies.len());

@@ -6,7 +6,7 @@ use crate::elements::Element;
 use crate::error::CircuitError;
 use crate::mna::{add_source_rhs, assemble, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
-use crate::solver::{FactorOptions, Factored, SolverKind};
+use crate::solver::Factored;
 
 /// The DC solution: node voltages and branch currents.
 #[derive(Debug, Clone)]
@@ -43,37 +43,15 @@ impl DcSolution {
 /// [`CircuitError::SingularSystem`] for floating nodes (e.g. a node only
 /// reachable through capacitors) or voltage-source loops.
 pub fn solve_dc(ckt: &Circuit) -> Result<DcSolution, CircuitError> {
-    solve_dc_with(ckt, SolverKind::Auto)
+    solve_dc_report(ckt).map(|(sol, _)| sol)
 }
 
-/// [`solve_dc`] with an explicit solver choice.
+/// [`solve_dc`] plus the factorization fallback-chain diagnostics.
 ///
 /// # Errors
 ///
 /// See [`solve_dc`].
-pub fn solve_dc_with(ckt: &Circuit, kind: SolverKind) -> Result<DcSolution, CircuitError> {
-    solve_dc_report(ckt, kind).map(|(sol, _)| sol)
-}
-
-/// [`solve_dc_with`] plus the factorization fallback-chain diagnostics.
-///
-/// # Errors
-///
-/// See [`solve_dc`].
-pub fn solve_dc_report(
-    ckt: &Circuit,
-    kind: SolverKind,
-) -> Result<(DcSolution, FactorDiagnostics), CircuitError> {
-    solve_dc_opts(ckt, FactorOptions::new(kind))
-}
-
-/// [`solve_dc_report`] with full factorization options — lets the guarded
-/// transient start from a regularized operating point when the caller
-/// opted into the Tikhonov stage.
-pub(crate) fn solve_dc_opts(
-    ckt: &Circuit,
-    opts: FactorOptions,
-) -> Result<(DcSolution, FactorDiagnostics), CircuitError> {
+pub fn solve_dc_report(ckt: &Circuit) -> Result<(DcSolution, FactorDiagnostics), CircuitError> {
     let layout = MnaLayout::new(ckt);
     let _sp = vpec_trace::span!("dc", "dim" => layout.dim);
     let a = assemble::<f64>(ckt, &layout, |_| 0.0, |_| 0.0)?;
@@ -86,7 +64,7 @@ pub(crate) fn solve_dc_opts(
             _ => {}
         }
     }
-    let (factored, diag) = Factored::factor_with(&a, opts).map_err(|e| match e {
+    let (factored, diag) = Factored::factor_with(&a, false).map_err(|e| match e {
         CircuitError::SingularSystem { .. } => CircuitError::SingularSystem { analysis: "dc" },
         other => other,
     })?;

@@ -2,8 +2,7 @@
 //!
 //! Every analysis can report *how* it obtained its answer: which
 //! factorization backends were attempted, how ill-conditioned the
-//! accepted factor looked, whether Tikhonov regularization was applied,
-//! and how many checkpointed retries the transient integrator needed.
+//! accepted factor looked, and how many checkpointed retries the transient integrator needed.
 //! The harness aggregates these into the `SolveReport` surfaced by the
 //! CLI, so a degraded-but-successful run is visible instead of silent.
 //!
@@ -19,8 +18,6 @@ pub enum FactorStrategy {
     SparseLu,
     /// Dense LU with partial pivoting.
     DenseLu,
-    /// Dense LU of the Tikhonov-shifted system `A + ε·I`.
-    RegularizedDenseLu,
 }
 
 impl FactorStrategy {
@@ -29,7 +26,6 @@ impl FactorStrategy {
         match self {
             FactorStrategy::SparseLu => "sparse-lu",
             FactorStrategy::DenseLu => "dense-lu",
-            FactorStrategy::RegularizedDenseLu => "regularized-dense-lu",
         }
     }
 }
@@ -83,9 +79,6 @@ pub struct FactorDiagnostics {
     /// Columns of the accepted sparse factor pivoted off the diagonal of
     /// the ordered matrix (0 for dense LU).
     pub off_diagonal_pivots: usize,
-    /// The Tikhonov shift `ε` that was finally applied, if the
-    /// regularized stage was reached.
-    pub regularization: Option<f64>,
 }
 
 impl FactorDiagnostics {
@@ -106,7 +99,7 @@ impl FactorDiagnostics {
     /// One-line human-readable summary, e.g.
     /// `"sparse-lu failed -> dense-lu ok (cond ~ 1.2e3)"`.
     pub fn summary(&self) -> String {
-        let mut parts: Vec<String> = self
+        let mut s = self
             .attempts
             .iter()
             .map(|a| {
@@ -116,11 +109,8 @@ impl FactorDiagnostics {
                     if a.succeeded { "ok" } else { "failed" }
                 )
             })
-            .collect();
-        if let Some(eps) = self.regularization {
-            parts.push(format!("epsilon {eps:.1e}"));
-        }
-        let mut s = parts.join(" -> ");
+            .collect::<Vec<_>>()
+            .join(" -> ");
         if let Some(c) = self.condition_estimate {
             s.push_str(&format!(" (cond ~ {c:.1e})"));
         }
@@ -134,9 +124,7 @@ impl FactorDiagnostics {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveAudit {
     /// Relative residual `‖Ax−b‖∞ / (‖A‖∞‖x‖∞ + ‖b‖∞)` of the last
-    /// accepted solve (skipped when Tikhonov regularization changed the
-    /// system, where the residual against the original `A` is not
-    /// expected to be small).
+    /// accepted solve.
     pub residual: Option<f64>,
     /// Worst relative disagreement between the production factorization
     /// and an independent dense-LU re-solve of the final step (Full audit
@@ -227,7 +215,6 @@ mod tests {
             factor_nnz: 9,
             ordering: None,
             off_diagonal_pivots: 0,
-            regularization: None,
         };
         let s = d.summary();
         assert!(s.contains("sparse-lu failed"));

@@ -49,11 +49,10 @@
 //! ```
 //!
 //! Every analysis is **guarded**: factorization runs through a bounded
-//! fallback chain (sparse LU → dense LU → optional Tikhonov
-//! regularization), the transient integrator checkpoints and retries at a
-//! halved step size when the solution goes non-finite, and
-//! [`diagnostics`] records what happened so callers can surface degraded
-//! runs.
+//! fallback chain (sparse LU → dense LU), the transient integrator
+//! checkpoints and retries at a halved step size when the solution goes
+//! non-finite, and [`diagnostics`] records what happened so callers can
+//! surface degraded runs.
 
 #![cfg_attr(
     not(test),
@@ -93,6 +92,5 @@ pub use elements::{Element, ElementId};
 pub use error::CircuitError;
 pub use netlist::{Circuit, NodeId};
 pub use result::{AcResult, TransientResult};
-pub use solver::SolverKind;
 pub use transient::{Integrator, TransientFactor, TransientSpec};
 pub use waveform::Waveform;

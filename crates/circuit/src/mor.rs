@@ -35,7 +35,7 @@ use crate::elements::Element;
 use crate::error::CircuitError;
 use crate::mna::{assemble, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
-use crate::solver::{Factored, SolverKind};
+use crate::solver::Factored;
 use crate::waveform::Waveform;
 use vpec_numerics::{Complex64, CooMatrix, CsrMatrix, DenseMatrix, LuFactor};
 
@@ -275,7 +275,7 @@ pub fn reduce_about(
             }
         }
     }
-    let g_factored = Factored::factor(&pencil, SolverKind::Auto)?;
+    let g_factored = Factored::factor(&pencil)?;
 
     // Arnoldi with modified Gram–Schmidt.
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(q);

@@ -1,9 +1,8 @@
 //! Linear-solver selection and the factorization **fallback chain**:
 //! dense LU for small/dense MNA systems, sparse Gilbert–Peierls LU
 //! otherwise (under the fill guard of [`Factored::factor_with`]) — and
-//! when the chosen backend fails, a bounded chain of
-//! recovery stages (sparse LU → dense LU with partial pivoting →
-//! optional Tikhonov-regularized dense LU with escalating `ε`).
+//! when the sparse backend fails, dense LU with partial pivoting. The
+//! choice is the code's, from dimension and density; no caller picks it.
 //!
 //! The backend split mirrors the behaviour the paper attributes to
 //! SPICE: "its internal sparse solver is more efficient for a less dense
@@ -17,77 +16,6 @@ use crate::diagnostics::{FactorAttempt, FactorDiagnostics, FactorStrategy, Spars
 use crate::error::CircuitError;
 use vpec_numerics::ordering::{rcm_ordering, symbolic_lu};
 use vpec_numerics::{CooMatrix, CsrMatrix, LuFactor, Scalar, SparseLu};
-
-/// Which factorization backend to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SolverKind {
-    /// Choose dense or sparse LU from dimension and density.
-    #[default]
-    Auto,
-    /// Force dense LU.
-    Dense,
-    /// Force sparse LU (with a fill-reducing ordering).
-    Sparse,
-}
-
-/// The `--solver=` / batch `"solver"` grammar: every accepted token and
-/// the kind it selects.
-const SOLVER_TOKENS: [(&str, SolverKind); 3] = [
-    ("auto", SolverKind::Auto),
-    ("dense", SolverKind::Dense),
-    ("sparse", SolverKind::Sparse),
-];
-
-impl SolverKind {
-    /// Parses the CLI/engine grammar (`--solver=`, the batch `"solver"`
-    /// field): `auto`, or a forced backend (`dense`, `sparse`) so a run
-    /// can pin one.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message naming the accepted tokens.
-    pub fn parse(tok: &str) -> Result<Self, String> {
-        SOLVER_TOKENS
-            .iter()
-            .find(|(t, _)| *t == tok)
-            .map(|&(_, kind)| kind)
-            .ok_or_else(|| format!("unknown solver: {tok} (use {})", Self::accepted_tokens()))
-    }
-
-    /// The accepted tokens as one comma-separated list, for error
-    /// messages that must name the grammar.
-    pub fn accepted_tokens() -> String {
-        SOLVER_TOKENS.map(|(t, _)| t).join(", ")
-    }
-}
-
-/// How the fallback chain is allowed to recover, plus test-only fault
-/// injection.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FactorOptions {
-    /// Requested backend.
-    pub kind: SolverKind,
-    /// Permit the final Tikhonov-regularized stage. Off by default so a
-    /// genuinely singular system (floating node, source loop) stays a
-    /// typed error rather than a silently biased solution.
-    pub regularize: bool,
-    /// Fault injection: report the primary backend as failed.
-    pub fail_primary: bool,
-}
-
-impl FactorOptions {
-    pub fn new(kind: SolverKind) -> Self {
-        FactorOptions {
-            kind,
-            ..FactorOptions::default()
-        }
-    }
-}
-
-/// Escalation schedule of the regularized stage: `ε = scale·10⁻¹⁰·100ᵏ`
-/// for `k = 0..4`, where `scale` is the largest matrix entry.
-const REGULARIZATION_STEPS: u32 = 4;
-const REGULARIZATION_BASE: f64 = 1e-10;
 
 /// A factored MNA matrix ready for repeated solves.
 #[derive(Debug)]
@@ -112,35 +40,28 @@ pub(crate) enum SparsePlan<'a> {
 }
 
 impl<T: Scalar> Factored<T> {
-    /// Factors the assembled system with the requested backend and the
-    /// bounded fallback chain; see [`Factored::factor_with`].
-    pub fn factor(coo: &CooMatrix<T>, kind: SolverKind) -> Result<Self, CircuitError> {
-        Self::factor_with(coo, FactorOptions::new(kind)).map(|(f, _)| f)
+    /// Factors the assembled system with the bounded fallback chain; see
+    /// [`Factored::factor_with`].
+    pub fn factor(coo: &CooMatrix<T>) -> Result<Self, CircuitError> {
+        Self::factor_with(coo, false).map(|(f, _)| f)
     }
 
-    /// The primary backend `kind` selects for `csr`: `Auto` takes dense
-    /// LU for small or dense systems, sparse LU otherwise.
-    pub(crate) fn primary_strategy(kind: SolverKind, csr: &CsrMatrix<T>) -> FactorStrategy {
+    /// The primary backend for `csr`: dense LU for small or dense
+    /// systems, sparse LU otherwise.
+    pub(crate) fn primary_strategy(csr: &CsrMatrix<T>) -> FactorStrategy {
         let dim = csr.rows();
-        match kind {
-            SolverKind::Dense => FactorStrategy::DenseLu,
-            SolverKind::Sparse => FactorStrategy::SparseLu,
-            SolverKind::Auto => {
-                if dim <= 64 || (csr.density() > 0.15 && dim <= 2048) {
-                    FactorStrategy::DenseLu
-                } else {
-                    FactorStrategy::SparseLu
-                }
-            }
+        if dim <= 64 || (csr.density() > 0.15 && dim <= 2048) {
+            FactorStrategy::DenseLu
+        } else {
+            FactorStrategy::SparseLu
         }
     }
 
     /// Factors with the full fallback chain and returns what happened.
     ///
-    /// Stages, in order (each bounded, no retry loops besides the fixed
-    /// `ε` escalation):
+    /// Stages, in order (each runs at most once):
     ///
-    /// 1. the primary backend chosen by `opts.kind` (dense or sparse). A
+    /// 1. the primary backend of [`Factored::primary_strategy`]. A
     ///    sparse primary runs the **fill guard** ([`fill_guarded`]): it
     ///    factors under maximum transversal + AMD with diagonal-preferring
     ///    threshold pivoting, and accepts that factor when its nonzeros
@@ -150,37 +71,36 @@ impl<T: Scalar> Factored<T> {
     ///    fill, the RCM factor is taken directly;
     /// 2. dense LU with partial pivoting, when the primary was sparse —
     ///    dense partial pivoting survives pivot sequences the sparse
-    ///    kernel's pattern cannot reach;
-    /// 3. if `opts.regularize`: dense LU of `A + ε·I` with `ε` escalating
-    ///    over [`REGULARIZATION_STEPS`] decades-of-100 from
-    ///    `max|Aᵢⱼ|·1e-10`.
+    ///    kernel's pattern cannot reach.
     ///
-    /// The returned [`FactorDiagnostics`] records every attempt, the
-    /// condition estimate, stored nonzeros, ordering and off-diagonal
-    /// pivots of the accepted factor and the final `ε`.
+    /// `fail_primary` is fault injection
+    /// ([`crate::FaultInjection::fail_primary_factor`]): it reports stage 1
+    /// as failed without running it. The returned [`FactorDiagnostics`]
+    /// records every attempt and the condition estimate, stored nonzeros,
+    /// ordering and off-diagonal pivots of the accepted factor.
     pub fn factor_with(
         coo: &CooMatrix<T>,
-        opts: FactorOptions,
+        fail_primary: bool,
     ) -> Result<(Self, FactorDiagnostics), CircuitError> {
-        Self::factor_csr(&coo.to_csr(), opts, SparsePlan::FillGuarded)
+        Self::factor_csr(&coo.to_csr(), fail_primary, SparsePlan::FillGuarded)
     }
 
     /// [`Factored::factor_with`] on a compressed matrix, with the sparse
     /// primary ordered as `plan` says.
     pub(crate) fn factor_csr(
         csr: &CsrMatrix<T>,
-        opts: FactorOptions,
+        fail_primary: bool,
         plan: SparsePlan<'_>,
     ) -> Result<(Self, FactorDiagnostics), CircuitError> {
         let dim = csr.rows();
         let mut sp = vpec_trace::span!("factor", "dim" => dim);
-        let primary_strategy = Self::primary_strategy(opts.kind, csr);
+        let primary_strategy = Self::primary_strategy(csr);
 
         let mut diag = FactorDiagnostics::default();
         let mut last_err: Option<CircuitError> = None;
 
         // Stage 1: the primary backend.
-        let mut factor: Option<Factored<T>> = if opts.fail_primary {
+        let mut factor: Option<Factored<T>> = if fail_primary {
             last_err = Some(CircuitError::SingularSystem { analysis: "solve" });
             diag.attempts.push(FactorAttempt {
                 strategy: primary_strategy,
@@ -222,42 +142,6 @@ impl<T: Scalar> Factored<T> {
                         succeeded: false,
                     });
                     last_err = Some(e.into());
-                }
-            }
-        }
-
-        // Stage 3: Tikhonov-regularized dense LU with escalating ε.
-        if factor.is_none() && opts.regularize {
-            let dense = csr.to_dense();
-            let scale = dense.max_abs();
-            let base = if scale > 0.0 {
-                scale * REGULARIZATION_BASE
-            } else {
-                REGULARIZATION_BASE
-            };
-            for k in 0..REGULARIZATION_STEPS {
-                let eps = base * 100f64.powi(k as i32);
-                let mut shifted = dense.clone();
-                for i in 0..dim {
-                    shifted[(i, i)] += T::from_f64(eps);
-                }
-                match LuFactor::new(&shifted) {
-                    Ok(lu) => {
-                        diag.attempts.push(FactorAttempt {
-                            strategy: FactorStrategy::RegularizedDenseLu,
-                            succeeded: true,
-                        });
-                        diag.regularization = Some(eps);
-                        factor = Some(Factored::Dense(lu));
-                        break;
-                    }
-                    Err(e) => {
-                        diag.attempts.push(FactorAttempt {
-                            strategy: FactorStrategy::RegularizedDenseLu,
-                            succeeded: false,
-                        });
-                        last_err = Some(e.into());
-                    }
                 }
             }
         }
@@ -305,9 +189,7 @@ impl<T: Scalar> Factored<T> {
         plan: SparsePlan<'_>,
     ) -> Result<(Self, Option<SparseOrdering>), CircuitError> {
         match strategy {
-            FactorStrategy::DenseLu | FactorStrategy::RegularizedDenseLu => {
-                Ok((Factored::Dense(LuFactor::new(&csr.to_dense())?), None))
-            }
+            FactorStrategy::DenseLu => Ok((Factored::Dense(LuFactor::new(&csr.to_dense())?), None)),
             FactorStrategy::SparseLu => {
                 let (lu, ordering) = match plan {
                     SparsePlan::FillGuarded => fill_guarded(csr)?,
@@ -416,57 +298,41 @@ mod tests {
         coo
     }
 
-    #[test]
-    fn solver_kind_grammar_round_trips() {
-        assert_eq!(SolverKind::parse("auto").unwrap(), SolverKind::Auto);
-        assert_eq!(SolverKind::parse("dense").unwrap(), SolverKind::Dense);
-        assert_eq!(SolverKind::parse("sparse").unwrap(), SolverKind::Sparse);
-        for removed in ["qr", "direct", "iterative", "sparse-no-ordering"] {
-            let err = SolverKind::parse(removed).unwrap_err();
-            assert!(err.contains("unknown solver"), "{err}");
-            assert!(err.ends_with("(use auto, dense, sparse)"), "{err}");
+    /// `n` (even) unknowns coupled in swapped pairs: every diagonal entry
+    /// is zero, so each pivot sits off the diagonal.
+    fn swapped_pairs(n: usize) -> CooMatrix<f64> {
+        let mut coo = CooMatrix::new(n, n);
+        for i in (0..n).step_by(2) {
+            coo.push(i, i + 1, 1.0).unwrap();
+            coo.push(i + 1, i, 1.0).unwrap();
         }
+        coo
     }
 
     #[test]
     fn auto_uses_dense_for_small() {
-        let f = Factored::factor(&diag_coo(8), SolverKind::Auto).unwrap();
+        let f = Factored::factor(&diag_coo(8)).unwrap();
         assert!(!f.is_sparse());
     }
 
     #[test]
     fn auto_uses_sparse_for_large_sparse() {
-        let f = Factored::factor(&diag_coo(500), SolverKind::Auto).unwrap();
+        let f = Factored::factor(&diag_coo(500)).unwrap();
         assert!(f.is_sparse());
     }
 
     #[test]
-    fn forced_kinds_respected() {
-        assert!(Factored::factor(&diag_coo(8), SolverKind::Sparse)
-            .unwrap()
-            .is_sparse());
-        assert!(!Factored::factor(&diag_coo(500), SolverKind::Dense)
-            .unwrap()
-            .is_sparse());
-    }
-
-    #[test]
     fn both_backends_agree() {
-        let mut coo = CooMatrix::new(3, 3);
-        coo.push(0, 0, 2.0).unwrap();
-        coo.push(0, 1, 1.0).unwrap();
-        coo.push(1, 0, 1.0).unwrap();
-        coo.push(1, 1, 3.0).unwrap();
-        coo.push(2, 2, 1.0).unwrap();
-        let b = [1.0, 2.0, 3.0];
-        let xd = Factored::factor(&coo, SolverKind::Dense)
-            .unwrap()
-            .solve(&b)
-            .unwrap();
-        let xs = Factored::factor(&coo, SolverKind::Sparse)
-            .unwrap()
-            .solve(&b)
-            .unwrap();
+        // The 10 × 10 grid (dim 100) goes sparse; the injected primary
+        // failure gives the dense-LU reference for the same system.
+        let coo = grid(10, 10);
+        let b: Vec<f64> = (0..100).map(|i| 1.0 + i as f64).collect();
+        let (sparse, ds) = Factored::factor_with(&coo, false).unwrap();
+        let (dense, dd) = Factored::factor_with(&coo, true).unwrap();
+        assert_eq!(ds.accepted(), Some(FactorStrategy::SparseLu));
+        assert_eq!(dd.accepted(), Some(FactorStrategy::DenseLu));
+        let xs = sparse.solve(&b).unwrap();
+        let xd = dense.solve(&b).unwrap();
         for (u, v) in xd.iter().zip(xs.iter()) {
             assert!((u - v).abs() < 1e-12);
         }
@@ -476,20 +342,21 @@ mod tests {
     fn every_accepted_factor_reports_its_evidence() {
         // Condition estimate and factor nnz come from the accepted factor,
         // whichever backend produced it.
-        for (kind, nnz, ordering) in [
-            (SolverKind::Dense, 25, None),
-            (SolverKind::Sparse, 10, Some(SparseOrdering::Rcm)),
+        for (dim, strategy, nnz, ordering) in [
+            (5, FactorStrategy::DenseLu, 25, None),
+            (100, FactorStrategy::SparseLu, 200, Some(SparseOrdering::Rcm)),
         ] {
-            let (_, diag) = Factored::factor_with(&diag_coo(5), FactorOptions::new(kind)).unwrap();
-            assert_eq!(diag.condition_estimate, Some(1.0), "{kind:?}");
-            assert_eq!(diag.factor_nnz, nnz, "{kind:?}");
-            assert_eq!(diag.ordering, ordering, "{kind:?}");
-            assert_eq!(diag.off_diagonal_pivots, 0, "{kind:?}");
+            let (_, diag) = Factored::factor_with(&diag_coo(dim), false).unwrap();
+            assert_eq!(diag.accepted(), Some(strategy), "{dim}");
+            assert_eq!(diag.condition_estimate, Some(1.0), "{dim}");
+            assert_eq!(diag.factor_nnz, nnz, "{dim}");
+            assert_eq!(diag.ordering, ordering, "{dim}");
+            assert_eq!(diag.off_diagonal_pivots, 0, "{dim}");
         }
     }
 
     /// The 5-point Laplacian of a `rows × cols` grid, numbered row-major.
-    fn grid(rows: usize, cols: usize) -> CsrMatrix<f64> {
+    fn grid(rows: usize, cols: usize) -> CooMatrix<f64> {
         let mut coo = CooMatrix::new(rows * cols, rows * cols);
         for r in 0..rows {
             for c in 0..cols {
@@ -504,7 +371,7 @@ mod tests {
                 }
             }
         }
-        coo.to_csr()
+        coo
     }
 
     #[test]
@@ -517,21 +384,21 @@ mod tests {
         };
         // A square grid: RCM's band fills, AMD's factor is under half of
         // RCM's estimate and is accepted without the second factor.
-        let square = grid(40, 40);
+        let square = grid(40, 40).to_csr();
         let (predicted, amd, _) = nnz_of(&square);
         assert!(FILL_GUARD_MARGIN * (amd - 1600) <= predicted.nnz);
         let (lu, ordering) = fill_guarded(&square).unwrap();
         assert_eq!((ordering, lu.factor_nnz()), (SparseOrdering::Amd, amd));
         // A 2 × 60 ladder: both orderings fill a little, so both factors
         // are computed and the smaller is kept (RCM on a tie).
-        let ladder = grid(2, 60);
+        let ladder = grid(2, 60).to_csr();
         let (predicted, amd, banded) = nnz_of(&ladder);
         assert!(predicted.fill > 0 && FILL_GUARD_MARGIN * (amd - 120) > predicted.nnz);
         let (lu, ordering) = fill_guarded(&ladder).unwrap();
         let expect = if amd < banded { SparseOrdering::Amd } else { SparseOrdering::Rcm };
         assert_eq!((ordering, lu.factor_nnz()), (expect, amd.min(banded)));
         // A chain: RCM predicts no fill and is taken directly.
-        let chain = grid(1, 50);
+        let chain = grid(1, 50).to_csr();
         assert_eq!(nnz_of(&chain).0.fill, 0);
         assert_eq!(fill_guarded(&chain).unwrap().1, SparseOrdering::Rcm);
     }
@@ -539,7 +406,8 @@ mod tests {
     #[test]
     fn singular_maps_to_circuit_error() {
         let coo = CooMatrix::<f64>::new(2, 2); // all-zero matrix
-        let err = Factored::factor(&coo, SolverKind::Dense).unwrap_err();
+        assert_eq!(Factored::primary_strategy(&coo.to_csr()), FactorStrategy::DenseLu);
+        let err = Factored::factor(&coo).unwrap_err();
         assert!(matches!(err, CircuitError::SingularSystem { .. }));
     }
 
@@ -548,75 +416,35 @@ mod tests {
         // The sparse kernel does threshold pivoting, so genuine sparse-only
         // failures are rare; inject one to prove the chain recovers and
         // still produces the right answer.
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 1, 1.0).unwrap();
-        coo.push(1, 0, 1.0).unwrap();
-        let opts = FactorOptions {
-            kind: SolverKind::Sparse,
-            regularize: false,
-            fail_primary: true,
-        };
-        let (f, diag) = Factored::factor_with(&coo, opts).unwrap();
+        let coo = swapped_pairs(100);
+        let (f, diag) = Factored::factor_with(&coo, true).unwrap();
         assert!(!f.is_sparse(), "fell back to dense");
         assert!(diag.used_fallback());
         assert_eq!(diag.accepted(), Some(FactorStrategy::DenseLu));
-        let x = f.solve(&[3.0, 7.0]).unwrap();
-        assert!((x[0] - 7.0).abs() < 1e-12 && (x[1] - 3.0).abs() < 1e-12);
+        let b: Vec<f64> = (0..100).map(|i| i as f64).collect();
+        let x = f.solve(&b).unwrap();
+        for i in (0..100).step_by(2) {
+            assert!((x[i] - b[i + 1]).abs() < 1e-12 && (x[i + 1] - b[i]).abs() < 1e-12);
+        }
     }
 
     #[test]
     fn injected_primary_failure_engages_chain() {
-        let opts = FactorOptions {
-            kind: SolverKind::Sparse,
-            regularize: false,
-            fail_primary: true,
-        };
-        let (f, diag) = Factored::factor_with(&diag_coo(3), opts).unwrap();
+        let (f, diag) = Factored::factor_with(&diag_coo(100), true).unwrap();
         assert!(!f.is_sparse());
         assert_eq!(diag.attempts.len(), 2);
+        assert_eq!(diag.attempts[0].strategy, FactorStrategy::SparseLu);
         assert!(!diag.attempts[0].succeeded);
         assert!(diag.attempts[1].succeeded);
         assert!(diag.condition_estimate.is_some());
     }
 
     #[test]
-    fn singular_without_regularization_is_typed_error() {
-        let coo = CooMatrix::<f64>::new(3, 3);
-        let opts = FactorOptions::new(SolverKind::Sparse);
-        let err = Factored::factor_with(&coo, opts).unwrap_err();
+    fn singular_system_is_typed_error_after_the_whole_chain() {
+        // All-zero and dim 100: sparse LU fails, then dense LU does.
+        let coo = CooMatrix::<f64>::new(100, 100);
+        assert_eq!(Factored::primary_strategy(&coo.to_csr()), FactorStrategy::SparseLu);
+        let err = Factored::factor_with(&coo, false).unwrap_err();
         assert!(matches!(err, CircuitError::SingularSystem { .. }));
-    }
-
-    #[test]
-    fn singular_with_regularization_yields_solution() {
-        let coo = CooMatrix::<f64>::new(3, 3); // exactly singular
-        let opts = FactorOptions {
-            kind: SolverKind::Dense,
-            regularize: true,
-            fail_primary: false,
-        };
-        let (f, diag) = Factored::factor_with(&coo, opts).unwrap();
-        let eps = diag.regularization.expect("regularized stage used");
-        assert!(eps > 0.0);
-        let x = f.solve(&[1.0, 2.0, 3.0]).unwrap();
-        // (0 + εI)·x = b → x = b/ε: finite, energy-bounded.
-        assert!(x.iter().all(|v| v.is_finite()));
-        assert!((x[0] * eps - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn chain_is_bounded() {
-        // Singular even after every stage with regularization disabled:
-        // attempts must stay finite and terminate with an error.
-        let coo = CooMatrix::<f64>::new(4, 4);
-        let opts = FactorOptions {
-            kind: SolverKind::Sparse,
-            regularize: true,
-            fail_primary: true,
-        };
-        // The all-zero matrix *is* regularizable, so this one succeeds —
-        // but only after the bounded number of attempts.
-        let (_, diag) = Factored::factor_with(&coo, opts).unwrap();
-        assert!(diag.attempts.len() <= 2 + REGULARIZATION_STEPS as usize);
     }
 }

@@ -18,7 +18,7 @@
 //! accepted state. The factorization itself runs through the bounded
 //! fallback chain in [`crate::diagnostics`].
 
-use crate::dc::solve_dc_opts;
+use crate::dc::solve_dc_report;
 use crate::diagnostics::{FactorDiagnostics, FaultInjection, SolveAudit, TransientDiagnostics};
 use vpec_numerics::cancel::CancelToken;
 use crate::elements::Element;
@@ -26,8 +26,7 @@ use crate::error::CircuitError;
 use crate::mna::{add_source_rhs, assemble, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
 use crate::result::{ResultMapping, TransientResult};
-use crate::solver::{FactorOptions, Factored};
-use crate::SolverKind;
+use crate::solver::Factored;
 use std::collections::HashMap;
 use vpec_numerics::audit;
 
@@ -82,15 +81,9 @@ pub struct TransientSpec {
     pub dt: f64,
     /// Integration method.
     pub method: Integrator,
-    /// Linear-solver backend.
-    pub solver: SolverKind,
     /// If set, record only these node voltages (memory saver for large
     /// circuits); otherwise every MNA unknown is recorded.
     pub probes: Option<Vec<NodeId>>,
-    /// Permit the Tikhonov-regularized stage of the factorization
-    /// fallback chain. Off by default so genuinely singular circuits
-    /// (floating nodes) stay typed errors.
-    pub regularize: bool,
     /// Test-only fault injection at pipeline stage boundaries.
     pub faults: FaultInjection,
     /// Cooperative cancellation, polled once per time step. Disarmed by
@@ -105,9 +98,7 @@ impl TransientSpec {
             t_stop,
             dt,
             method: Integrator::Trapezoidal,
-            solver: SolverKind::Auto,
             probes: None,
-            regularize: false,
             faults: FaultInjection::none(),
             cancel: CancelToken::none(),
         }
@@ -120,13 +111,6 @@ impl TransientSpec {
         self
     }
 
-    /// Selects the solver backend.
-    #[must_use]
-    pub fn solver(mut self, s: SolverKind) -> Self {
-        self.solver = s;
-        self
-    }
-
     /// Restricts recording to the given nodes.
     #[must_use]
     pub fn probes(mut self, nodes: Vec<NodeId>) -> Self {
@@ -134,14 +118,8 @@ impl TransientSpec {
         self
     }
 
-    /// Enables the Tikhonov-regularized factorization fallback stage.
-    #[must_use]
-    pub fn regularize(mut self, on: bool) -> Self {
-        self.regularize = on;
-        self
-    }
-
-    /// Arms fault injection (tests and the CLI's hidden `--inject` flag).
+    /// Arms fault injection (tests and the engine's `"faults"` request
+    /// field).
     #[must_use]
     pub fn fault_injection(mut self, f: FaultInjection) -> Self {
         self.faults = f;
@@ -235,8 +213,6 @@ pub struct TransientFactor {
     dim: usize,
     dt: f64,
     method: Integrator,
-    solver: SolverKind,
-    regularize: bool,
     /// Assembled companion-model triplets the factor was computed from.
     a: vpec_numerics::CooMatrix<f64>,
     factored: Factored<f64>,
@@ -291,11 +267,7 @@ impl TransientFactor {
         layout: &MnaLayout,
         a: &vpec_numerics::CooMatrix<f64>,
     ) -> Result<(), CircuitError> {
-        if spec.dt.to_bits() != self.dt.to_bits()
-            || spec.method != self.method
-            || spec.solver != self.solver
-            || spec.regularize != self.regularize
-        {
+        if spec.dt.to_bits() != self.dt.to_bits() || spec.method != self.method {
             return Err(CircuitError::InvalidSpec {
                 reason: "prefactored transient: spec differs from the prepared factorization",
             });
@@ -344,40 +316,26 @@ pub fn prepare_transient(
     if audit::enabled(audit::AuditLevel::Basic) {
         audit_stamps(&a)?;
     }
-    let opts = FactorOptions {
-        kind: spec.solver,
-        regularize: spec.regularize,
-        fail_primary: spec.faults.fail_primary_factor,
-    };
     let (factored, factor_diag) = {
         let _fs = vpec_trace::span("transient.factor");
-        Factored::factor_with(&a, opts).map_err(|e| match e {
+        Factored::factor_with(&a, spec.faults.fail_primary_factor).map_err(|e| match e {
             CircuitError::SingularSystem { .. } => CircuitError::SingularSystem {
                 analysis: "transient",
             },
             other => other,
         })?
     };
-    // Same DC policy as a cold run: honor the regularization opt-in but
-    // never the fault injection (that targets the transient factor).
+    // Same DC policy as a cold run: the fault injection targets the
+    // transient factor, never the operating point.
     let (dc, _) = {
         let _ds = vpec_trace::span("transient.dc");
-        solve_dc_opts(
-            ckt,
-            FactorOptions {
-                kind: spec.solver,
-                regularize: spec.regularize,
-                fail_primary: false,
-            },
-        )?
+        solve_dc_report(ckt)?
     };
     let src0 = source_values_at_zero(ckt);
     Ok(TransientFactor {
         dim: layout.dim,
         dt: spec.dt,
         method: spec.method,
-        solver: spec.solver,
-        regularize: spec.regularize,
         a,
         factored,
         factor_diag,
@@ -492,34 +450,20 @@ fn run_transient_guarded(
             x = pf.dc_x.clone();
         }
         None => {
-            let opts = FactorOptions {
-                kind: spec.solver,
-                regularize: spec.regularize,
-                fail_primary: spec.faults.fail_primary_factor,
-            };
             let (f, factor_diag) = {
                 let _fs = vpec_trace::span("transient.factor");
-                Factored::factor_with(&a, opts).map_err(remap)?
+                Factored::factor_with(&a, spec.faults.fail_primary_factor).map_err(remap)?
             };
             cold_factor = f;
             factored = &cold_factor;
             diag.factor = factor_diag;
 
             // Initial condition: DC operating point with sources at t = 0.
-            // The operating point honors the caller's regularization opt-in
-            // (a DC-floating node can still start a meaningful transient),
-            // but never the fault injection — that targets the transient
-            // factorization.
+            // The fault injection targets the transient factorization, never
+            // the operating point.
             let (dc, _) = {
                 let _ds = vpec_trace::span("transient.dc");
-                solve_dc_opts(
-                    ckt,
-                    FactorOptions {
-                        kind: spec.solver,
-                        regularize: spec.regularize,
-                        fail_primary: false,
-                    },
-                )?
+                solve_dc_report(ckt)?
             };
             x = dc.x;
         }
@@ -703,14 +647,9 @@ fn run_transient_guarded(
             // Re-assign (not shadow) so the post-loop solve audit checks
             // the residual against the system the factor actually solves.
             a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l)?;
-            let retry_opts = FactorOptions {
-                kind: spec.solver,
-                regularize: spec.regularize,
-                fail_primary: false,
-            };
             let (f, _) = {
                 let _fs = vpec_trace::span("transient.factor");
-                Factored::factor_with(&a, retry_opts).map_err(remap)?
+                Factored::factor_with(&a, false).map_err(remap)?
             };
             // A halved dt changes the matrix, so neither the borrowed
             // prefactored handle nor the cold factor can serve any more.
@@ -750,18 +689,13 @@ fn run_transient_guarded(
     // even after retries (re-assigned, not shadowed, above).
     if auditing && accepted > 0 {
         let mut sa = SolveAudit::default();
-        if diag.factor.regularization.is_none() {
-            let (rel, violation) =
-                audit::check_residual("transient MNA", &a, &x, &rhs, AUDIT_RESIDUAL_TOL);
-            sa.residual = Some(rel);
-            if let Some(v) = violation {
-                sa.violations.push(v.to_string());
-            }
+        let (rel, violation) =
+            audit::check_residual("transient MNA", &a, &x, &rhs, AUDIT_RESIDUAL_TOL);
+        sa.residual = Some(rel);
+        if let Some(v) = violation {
+            sa.violations.push(v.to_string());
         }
-        if audit::enabled(audit::AuditLevel::Full)
-            && layout.dim <= AUDIT_BACKEND_DIM_CAP
-            && diag.factor.regularization.is_none()
-        {
+        if audit::enabled(audit::AuditLevel::Full) && layout.dim <= AUDIT_BACKEND_DIM_CAP {
             // Independent dense-LU re-solve of the final step; two
             // backward-stable backends must agree on a well-posed system.
             let dense = a.to_csr().to_dense();
@@ -809,6 +743,7 @@ fn run_transient_guarded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diagnostics::FactorStrategy;
     use crate::waveform::Waveform;
 
     /// RC low-pass step response: v(t) = V·(1 − e^{−t/RC}).
@@ -1096,17 +1031,21 @@ mod tests {
 
     #[test]
     fn injected_factor_failure_engages_fallback() {
-        let (c, out) = rc_circuit();
-        let spec = TransientSpec::new(1e-7, 1e-9)
-            .solver(SolverKind::Sparse)
-            .fault_injection(FaultInjection {
-                fail_primary_factor: true,
-                ..FaultInjection::none()
-            });
+        // 100 sections go sparse, so the injected failure walks the chain
+        // to dense LU. From the 1 V DC point the ladder stays at 1 V.
+        let (c, near) = long_rc_ladder(100, Waveform::dc(1.0));
+        let spec = TransientSpec::new(1e-7, 1e-9);
+        let (_, clean) = run_transient_with_report(&c, &spec).unwrap();
+        assert_eq!(clean.factor.accepted(), Some(FactorStrategy::SparseLu));
+        let spec = spec.fault_injection(FaultInjection {
+            fail_primary_factor: true,
+            ..FaultInjection::none()
+        });
         let (res, diag) = run_transient_with_report(&c, &spec).unwrap();
         assert!(diag.factor.used_fallback());
+        assert_eq!(diag.factor.accepted(), Some(FactorStrategy::DenseLu));
         assert!(diag.degraded());
-        let v = res.voltage(out).unwrap();
+        let v = res.voltage(near).unwrap();
         assert!((v.last().unwrap() - 1.0).abs() < 1e-6);
     }
 
@@ -1131,14 +1070,14 @@ mod tests {
         assert_eq!(cold.data, warm2.data);
     }
 
-    /// A long RC ladder driven by a fast step. With dt/RC = 1e-3 each
-    /// section attenuates a 20-step response by orders of magnitude, so
-    /// the far nodes fall far below the subnormal range.
-    fn long_rc_ladder(sections: usize) -> (Circuit, NodeId) {
+    /// A long RC ladder (1 Ω, 1 nF sections) driven by `drive`; returns
+    /// the node nearest the source. Under a fast step, dt/RC = 1e-3 makes
+    /// each section attenuate a 20-step response by orders of magnitude,
+    /// so the far nodes fall far below the subnormal range.
+    fn long_rc_ladder(sections: usize, drive: Waveform) -> (Circuit, NodeId) {
         let mut c = Circuit::new();
         let inp = c.node("in");
-        c.add_vsource("V1", inp, Circuit::GROUND, Waveform::step(1.0, 1e-12))
-            .unwrap();
+        c.add_vsource("V1", inp, Circuit::GROUND, drive).unwrap();
         let mut prev = inp;
         let mut near = inp;
         for k in 0..sections {
@@ -1156,13 +1095,18 @@ mod tests {
 
     #[test]
     fn sparse_transient_records_no_subnormals() {
-        let (c, near) = long_rc_ladder(300);
-        let spec = |solver| TransientSpec {
-            solver,
-            ..TransientSpec::new(2e-11, 1e-12)
-        };
-        let sparse = run_transient(&c, &spec(SolverKind::Sparse)).unwrap();
-        let dense = run_transient(&c, &spec(SolverKind::Dense)).unwrap();
+        let (c, near) = long_rc_ladder(300, Waveform::step(1.0, 1e-12));
+        // The dense reference is the chain's stage 2, reached by failing
+        // the sparse primary.
+        let spec = TransientSpec::new(2e-11, 1e-12);
+        let faulted = spec.clone().fault_injection(FaultInjection {
+            fail_primary_factor: true,
+            ..FaultInjection::none()
+        });
+        let (sparse, ds) = run_transient_with_report(&c, &spec).unwrap();
+        let (dense, dd) = run_transient_with_report(&c, &faulted).unwrap();
+        assert_eq!(ds.factor.accepted(), Some(FactorStrategy::SparseLu));
+        assert_eq!(dd.factor.accepted(), Some(FactorStrategy::DenseLu));
         let subnormal = |r: &TransientResult| {
             r.data.iter().flatten().filter(|v| v.is_subnormal()).count()
         };

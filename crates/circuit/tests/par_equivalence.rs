@@ -6,7 +6,8 @@
 //! worker count.
 
 use vpec_circuit::ac::{run_ac, AcSpec};
-use vpec_circuit::{Circuit, SolverKind, Waveform};
+use vpec_circuit::transient::prepare_transient;
+use vpec_circuit::{Circuit, FactorStrategy, TransientSpec, Waveform};
 use vpec_numerics::pool;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -52,16 +53,23 @@ fn ac_sweep_matches_serial_at_any_thread_count() {
             assert_eq!(vs, vp, "tap {tap:?} differs at {nt} threads");
         }
     }
-    // A forced sparse sweep orders once, from its first point, and reuses
-    // that RCM ordering at every point of the same pattern. RCM depends on
-    // the pattern alone, so every point must match, bit for bit, a sweep
-    // of that point alone (which orders from the point itself).
-    let sparse = spec.clone().solver(SolverKind::Sparse);
+    // A sparse sweep orders once, from its first point, and reuses that
+    // RCM ordering at every point of the same pattern. RCM depends on the
+    // pattern alone, so every point must match, bit for bit, a sweep of
+    // that point alone (which orders from the point itself). The 24-stage
+    // ladder (dim 74) goes sparse: its transient companion matrix has the
+    // AC pattern, and the chain accepts a sparse factor for it.
+    let (c, taps) = ladder(24);
+    let companion = prepare_transient(&c, &TransientSpec::new(1e-9, 1e-12)).expect("factor");
+    assert_eq!(
+        companion.factor_diagnostics().accepted(),
+        Some(FactorStrategy::SparseLu)
+    );
     for nt in THREAD_COUNTS {
         pool::set_threads(nt);
-        let swept = run_ac(&c, &sparse).expect("sparse sweep");
-        for (i, &f) in sparse.frequencies.iter().enumerate() {
-            let alone = AcSpec::points(vec![f]).solver(SolverKind::Sparse);
+        let swept = run_ac(&c, &spec).expect("sparse sweep");
+        for (i, &f) in spec.frequencies.iter().enumerate() {
+            let alone = AcSpec::points(vec![f]);
             let point = run_ac(&c, &alone).expect("single-point sweep");
             for &tap in &taps {
                 let a = swept.voltage(tap).expect("swept tap")[i];

@@ -2,7 +2,6 @@
 
 use crate::CliError;
 use vpec_circuit::spice_in::parse_value;
-use vpec_circuit::SolverKind;
 use vpec_core::harness::ModelKind;
 use vpec_engine::EngineConfig;
 use vpec_metrics::{parse_fail_if, FailCondition};
@@ -80,10 +79,6 @@ pub struct ParsedArgs {
     /// Tracing-sink spec (`--trace[=off|summary|jsonl:PATH]`; `None` =
     /// resolve from `VPEC_TRACE`).
     pub trace: Option<String>,
-    /// Linear-solver override for transient analyses
-    /// (`--solver=auto|dense|sparse`; `None` = the
-    /// spec default, `Auto`).
-    pub solver: Option<SolverKind>,
     /// Input path for `batch` (`--in FILE`).
     pub input: Option<String>,
     /// Resilience policy for `batch`/`serve`: deadline, admission
@@ -126,7 +121,6 @@ impl Default for ParsedArgs {
             threads: None,
             audit: None,
             trace: None,
-            solver: None,
             input: None,
             engine: EngineConfig::default(),
             ledger: None,
@@ -316,10 +310,6 @@ pub fn parse_args(argv: &[String]) -> Result<ParsedArgs, CliError> {
                 };
             }
             "-o" | "--output" => out.output = Some(value("path")?.clone()),
-            "--solver" => {
-                out.solver =
-                    Some(SolverKind::parse(value("solver kind")?).map_err(CliError::usage)?);
-            }
             "--audit" => out.audit = Some(AuditLevel::Full),
             "--trace" => out.trace = Some("summary".to_string()),
             other => {
@@ -329,8 +319,6 @@ pub fn parse_args(argv: &[String]) -> Result<ParsedArgs, CliError> {
                             "unknown audit level: {level} (use off, basic or full)"
                         ))
                     })?);
-                } else if let Some(tok) = other.strip_prefix("--solver=") {
-                    out.solver = Some(SolverKind::parse(tok).map_err(CliError::usage)?);
                 } else if let Some(spec) = other.strip_prefix("--trace=") {
                     // Validate eagerly so a typo fails at parse time, but
                     // store the raw spec — it is applied process-globally
@@ -503,34 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_solver_flag() {
-        assert_eq!(parse_args(&argv("simulate")).unwrap().solver, None);
-        assert_eq!(
-            parse_args(&argv("simulate --solver=dense")).unwrap().solver,
-            Some(SolverKind::Dense)
-        );
-        assert_eq!(
-            parse_args(&argv("simulate --solver sparse")).unwrap().solver,
-            Some(SolverKind::Sparse)
-        );
-        assert_eq!(
-            parse_args(&argv("noise --solver=auto")).unwrap().solver,
-            Some(SolverKind::Auto)
-        );
-        for removed in ["qr", "iterative", "direct", "sparse-no-ordering"] {
-            let err = parse_args(&argv(&format!("simulate --solver={removed}"))).unwrap_err();
-            assert_eq!(err.code, 2);
-            assert!(err.message.contains("unknown solver"), "{}", err.message);
-            assert!(
-                err.message.contains("(use auto, dense, sparse)"),
-                "{}",
-                err.message
-            );
-        }
-        assert!(parse_args(&argv("simulate --solver")).is_err());
-    }
-
-    #[test]
     fn parses_telemetry_flags() {
         let a = parse_args(&argv(
             "batch --in r.jsonl --ledger run.jsonl --metrics-out m.prom \
@@ -575,6 +535,11 @@ mod tests {
         assert!(parse_args(&argv("simulate --bits x")).is_err());
         assert!(parse_args(&argv("simulate --wat 3")).is_err());
         assert!(parse_args(&argv("simulate --probe a,b")).is_err());
+        // The backend is the code's choice; the retired override is an
+        // unknown option.
+        let err = parse_args(&argv("simulate --solver=dense")).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("unknown option"), "{}", err.message);
     }
 
     #[test]

@@ -61,16 +61,6 @@ fn runtime(e: impl std::fmt::Display) -> CliError {
     CliError::runtime(e.to_string())
 }
 
-/// The transient spec shared by `simulate` and `noise`, carrying the
-/// `--solver` override when one was given.
-fn transient_spec(args: &ParsedArgs) -> TransientSpec {
-    let spec = TransientSpec::new(args.t_stop, args.dt);
-    match args.solver {
-        Some(kind) => spec.solver(kind),
-        None => spec,
-    }
-}
-
 /// `vpec extract`: parasitic summary.
 ///
 /// # Errors
@@ -188,7 +178,7 @@ pub fn model(args: &ParsedArgs) -> Result<String, CliError> {
 pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
     let exp = build_experiment(args)?;
     let built = exp.build(args.kind).map_err(runtime)?;
-    let spec = transient_spec(args);
+    let spec = TransientSpec::new(args.t_stop, args.dt);
     let (res, report, secs) = built.run_transient_with_report(&spec).map_err(runtime)?;
     let nets: Vec<usize> = if args.probes.is_empty() {
         (0..exp.layout.nets().len()).collect()
@@ -259,7 +249,7 @@ pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
 /// Runtime errors from the scan.
 pub fn noise(args: &ParsedArgs) -> Result<String, CliError> {
     let exp = build_experiment(args)?;
-    let spec = transient_spec(args);
+    let spec = TransientSpec::new(args.t_stop, args.dt);
     let report = noise_scan(&exp, args.kind, &spec).map_err(runtime)?;
     let mut out = String::new();
     let _ = writeln!(
@@ -612,30 +602,6 @@ mod tests {
             sim.contains("audit: solve residual"),
             "simulate audit telemetry: {sim}"
         );
-    }
-
-    #[test]
-    fn solver_flag_round_trips_through_simulate() {
-        // The forced sparse backend must agree with forced dense LU down
-        // to the report's own mV formatting — and survive the full
-        // audit's independent dense re-solve cross-check.
-        let sparse = run_line(
-            "simulate --bits 3 --kind vpec-full --tstop 0.05n --probe 0 \
-             --solver=sparse --audit=full",
-        )
-        .unwrap();
-        let dense = run_line(
-            "simulate --bits 3 --kind vpec-full --tstop 0.05n --probe 0 --solver=dense",
-        )
-        .unwrap();
-        let peak_line = |out: &str| {
-            out.lines()
-                .find(|l| l.starts_with("net 0"))
-                .map(str::to_string)
-                .expect("report carries the probed net")
-        };
-        assert_eq!(peak_line(&sparse), peak_line(&dense));
-        audit::set_level(audit::AuditLevel::default_for_build());
     }
 
     #[test]

@@ -93,12 +93,6 @@ COMMON OPTIONS:
                     wvpec-g:B | wvpec-n:TAU | shift:R0
   --tstop T         transient window (default 0.5n seconds)
   --dt T            time step (default 1p seconds)
-  --solver K        transient linear-solver backend: auto | dense |
-                    sparse (default auto). auto picks dense LU for small
-                    or dense systems and fill-reducing sparse LU
-                    otherwise; the others force a backend. All choices
-                    share the bounded fallback chain, so a failed
-                    backend degrades loudly instead of lying.
   --probe LIST      comma-separated net indices to record (default: all)
   --threshold V     noise-margin threshold in volts (noise command)
   --threads N       worker threads for the parallel numerics layer

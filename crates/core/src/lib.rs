@@ -71,6 +71,5 @@ mod model;
 pub use drive::DriveConfig;
 pub use error::CoreError;
 pub use harness::SolveReport;
-pub use lower::LoweringStyle;
 pub use model::{PassivityReport, VpecModel};
 pub use repair::{repair_passivity, RepairReport};

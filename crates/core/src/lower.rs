@@ -20,21 +20,6 @@ use vpec_circuit::Circuit;
 use vpec_extract::Parasitics;
 use vpec_geometry::Layout;
 
-/// How the VPEC model is realized as a netlist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LoweringStyle {
-    /// The paper's Fig. 1 realization: a dedicated 0 V dummy source senses
-    /// the segment current (required for HSPICE-exportable decks, where an
-    /// F element must reference a V source).
-    #[default]
-    PaperFig1,
-    /// Compact realization: the CCCS senses the inductive-drop VCVS's own
-    /// branch current, eliminating one node and one branch per filament.
-    /// Smaller/faster in this engine, but the exported deck is not valid
-    /// classic-SPICE (F cannot sense an E element there).
-    Compact,
-}
-
 /// Builds the VPEC netlist for any [`VpecModel`] (full, localized,
 /// truncated or windowed — the model's kept couplings decide the magnetic
 /// network's sparsity), using the paper's Fig. 1 realization.
@@ -47,21 +32,6 @@ pub fn build_vpec(
     parasitics: &Parasitics,
     model: &VpecModel,
     drive: &DriveConfig,
-) -> Result<ModelCircuit, CoreError> {
-    build_vpec_styled(layout, parasitics, model, drive, LoweringStyle::PaperFig1)
-}
-
-/// [`build_vpec`] with an explicit [`LoweringStyle`].
-///
-/// # Errors
-///
-/// Propagates shape mismatches and netlist-validation failures.
-pub fn build_vpec_styled(
-    layout: &Layout,
-    parasitics: &Parasitics,
-    model: &VpecModel,
-    drive: &DriveConfig,
-    style: LoweringStyle,
 ) -> Result<ModelCircuit, CoreError> {
     if model.len() != parasitics.len() {
         return Err(CoreError::ShapeMismatch {
@@ -81,33 +51,24 @@ pub fn build_vpec_styled(
         let a_node = ckt.node(&format!("a{i}"));
         let d_node = ckt.node(&format!("d{i}"));
         mag_nodes.push(a_node);
-        // Electrical inductive drop v = lᵢ·v(dᵢ), plus the branch whose
-        // current the magnetic injection senses.
-        let sense = match style {
-            LoweringStyle::PaperFig1 => {
-                // Dummy 0 V ammeter in series before the controlled V.
-                let sense_node = ckt.node(&format!("s{i}"));
-                let amm = ckt.add_vsource(
-                    &format!("amm{i}"),
-                    mid,
-                    sense_node,
-                    vpec_circuit::Waveform::dc(0.0),
-                )?;
-                ckt.add_vcvs(
-                    &format!("e{i}"),
-                    sense_node,
-                    out,
-                    d_node,
-                    Circuit::GROUND,
-                    li,
-                )?;
-                amm
-            }
-            LoweringStyle::Compact => {
-                // The VCVS branch itself carries the segment current.
-                ckt.add_vcvs(&format!("e{i}"), mid, out, d_node, Circuit::GROUND, li)?
-            }
-        };
+        // Electrical inductive drop v = lᵢ·v(dᵢ), behind a dummy 0 V
+        // ammeter whose current the magnetic injection senses (a SPICE F
+        // element must reference a V source).
+        let sense_node = ckt.node(&format!("s{i}"));
+        let sense = ckt.add_vsource(
+            &format!("amm{i}"),
+            mid,
+            sense_node,
+            vpec_circuit::Waveform::dc(0.0),
+        )?;
+        ckt.add_vcvs(
+            &format!("e{i}"),
+            sense_node,
+            out,
+            d_node,
+            Circuit::GROUND,
+            li,
+        )?;
         // Magnetic: ground resistance R̂i0 (from the model's kept rows).
         ckt.add_resistor(
             &format!("rg{i}"),
@@ -224,37 +185,5 @@ mod tests {
             build_vpec(&layout, &para, &model, &DriveConfig::paper_default()),
             Err(CoreError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn compact_lowering_matches_paper_realization() {
-        let (layout, para) = setup(4);
-        let drive = DriveConfig::paper_default();
-        let model = VpecModel::full(&para).unwrap();
-        let paper = build_vpec_styled(&layout, &para, &model, &drive, LoweringStyle::PaperFig1)
-            .unwrap();
-        let compact =
-            build_vpec_styled(&layout, &para, &model, &drive, LoweringStyle::Compact).unwrap();
-        // Compact saves one node and one branch (the ammeter) per filament.
-        assert_eq!(
-            compact.circuit.node_count() + 4,
-            paper.circuit.node_count()
-        );
-        assert_eq!(compact.circuit.branch_count() + 4, paper.circuit.branch_count());
-        // Identical waveforms.
-        let spec = TransientSpec::new(0.2e-9, 0.5e-12);
-        let rp = run_transient(&paper.circuit, &spec).unwrap();
-        let rc = run_transient(&compact.circuit, &spec).unwrap();
-        for net in 0..4 {
-            let d = WaveformDiff::compare(
-                &rp.voltage(paper.far_nodes[net]).unwrap(),
-                &rc.voltage(compact.far_nodes[net]).unwrap(),
-            );
-            assert!(
-                d.max_abs < 1e-9,
-                "realizations must be electrically identical, net {net}: {}",
-                d.max_abs
-            );
-        }
     }
 }

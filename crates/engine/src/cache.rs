@@ -9,17 +9,16 @@
 //! - **Level 2** — `(hash, kind label)` → built model (the O(N³)
 //!   inversion and netlist lowering run once per distinct
 //!   geometry × kind);
-//! - **Level 3** — `(hash, kind label, dt bits, solver)` → prepared
+//! - **Level 3** — `(hash, kind label, dt bits)` → prepared
 //!   transient factorization ([`vpec_circuit::TransientFactor`]): the
 //!   factor-once/solve-many layer, so repeated transient requests for
 //!   the same model pay the MNA factorization and DC solve once.
 //!
-//! The level-3 key deliberately omits the integrator/regularize knobs:
-//! the engine always issues transient specs with their defaults, and
-//! the prefactored run re-validates the spec **exactly** before reuse —
-//! a mismatch is a loud error, never a stale answer. The solver *is*
-//! keyed, because requests can override it (`"solver": "dense"`)
-//! and an auto-chosen factor must not shadow a forced one.
+//! `dt` is the only spec field that shapes the factored matrix of an
+//! engine request: the engine always issues the default integrator, and
+//! the factorization backend is chosen from the matrix itself. The
+//! prefactored run still re-validates the spec **exactly** before
+//! reuse — a mismatch is a loud error, never a stale answer.
 //!
 //! The runner bypasses the cache entirely for fault-injected requests:
 //! injected faults change behaviour, not geometry, so neither their
@@ -42,7 +41,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use vpec_circuit::{SolverKind, TransientFactor, TransientSpec};
+use vpec_circuit::{TransientFactor, TransientSpec};
 use vpec_core::harness::{BuiltModel, Experiment, ModelKind};
 use vpec_core::{CoreError, DriveConfig};
 use vpec_extract::ExtractionConfig;
@@ -55,7 +54,7 @@ use vpec_numerics::CancelToken;
 pub struct ModelCache {
     experiments: HashMap<u64, Arc<Experiment>>,
     models: HashMap<(u64, String), Arc<BuiltModel>>,
-    factors: HashMap<(u64, String, u64, SolverKind), Arc<TransientFactor>>,
+    factors: HashMap<(u64, String, u64), Arc<TransientFactor>>,
     hits: u64,
     misses: u64,
     factor_hits: u64,
@@ -139,7 +138,7 @@ impl ModelCache {
     }
 
     /// Returns the prepared transient factorization for `(hash, kind,
-    /// spec.dt, spec.solver)`, factoring on first sight — the
+    /// spec.dt)`, factoring on first sight — the
     /// factor-once/solve-many entry point. The boolean is `true` on a
     /// cache hit.
     ///
@@ -159,7 +158,7 @@ impl ModelCache {
         model: &BuiltModel,
         spec: &TransientSpec,
     ) -> Result<(Arc<TransientFactor>, bool), CoreError> {
-        let key = (hash, kind.label(), spec.dt.to_bits(), spec.solver);
+        let key = (hash, kind.label(), spec.dt.to_bits());
         if let Some(f) = self.factors.get(&key) {
             self.factor_hits += 1;
             vpec_trace::counter_add("engine.factor.hit", 1);

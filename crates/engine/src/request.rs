@@ -15,7 +15,6 @@
 //! by the windowed fallback or whose solve needed recovery.
 
 use crate::EngineError;
-use vpec_circuit::SolverKind;
 use vpec_core::harness::ModelKind;
 use vpec_numerics::fault::FaultInjection;
 use vpec_trace::json::{escape, parse, JsonValue};
@@ -99,9 +98,6 @@ pub struct ScenarioRequest {
     pub faults: FaultInjection,
     /// Per-request wall-clock deadline override, milliseconds.
     pub deadline_ms: Option<u64>,
-    /// Linear-solver override for transient analyses (the `"solver"`
-    /// field, grammar of [`SolverKind::parse`]; `None` = `Auto`).
-    pub solver: Option<SolverKind>,
 }
 
 fn get_usize(v: &JsonValue, key: &str, default: usize) -> Result<usize, EngineError> {
@@ -247,21 +243,6 @@ impl ScenarioRequest {
             }
         };
 
-        let solver = match v.get("solver") {
-            None | Some(JsonValue::Null) => None,
-            Some(JsonValue::Str(tok)) => Some(
-                SolverKind::parse(tok).map_err(|message| EngineError::BadRequest { message })?,
-            ),
-            Some(_) => {
-                return Err(EngineError::BadRequest {
-                    message: format!(
-                        "solver must be a string ({})",
-                        SolverKind::accepted_tokens()
-                    ),
-                })
-            }
-        };
-
         let deadline = get_usize(&v, "deadline_ms", 0)?;
         Ok(ScenarioRequest {
             id,
@@ -270,7 +251,6 @@ impl ScenarioRequest {
             analysis,
             faults,
             deadline_ms: if deadline == 0 { None } else { Some(deadline as u64) },
-            solver,
         })
     }
 }
@@ -390,34 +370,10 @@ mod tests {
         assert!(matches!(r.analysis, AnalysisSpec::Transient { .. }));
         assert_eq!(r.faults, FaultInjection::none());
         assert_eq!(r.deadline_ms, None);
-        assert_eq!(r.solver, None);
-    }
-
-    #[test]
-    fn solver_field_parses_the_shared_grammar() {
-        let r = ScenarioRequest::parse_line(r#"{"solver":"dense"}"#, 0).unwrap();
-        assert_eq!(r.solver, Some(SolverKind::Dense));
-        let r = ScenarioRequest::parse_line(r#"{"solver":null}"#, 0).unwrap();
-        assert_eq!(r.solver, None);
-    }
-
-    #[test]
-    fn solver_errors_name_the_accepted_tokens() {
-        // Removed tokens and non-strings both answer with the grammar.
-        for bad in [
-            r#"{"solver":"iterative"}"#,
-            r#"{"solver":"direct"}"#,
-            r#"{"solver":"sparse-no-ordering"}"#,
-            r#"{"solver":3}"#,
-        ] {
-            match ScenarioRequest::parse_line(bad, 0) {
-                Err(EngineError::BadRequest { message }) => assert!(
-                    message.contains("auto, dense, sparse)"),
-                    "{bad}: {message}"
-                ),
-                other => panic!("{bad} must be a bad request, got {other:?}"),
-            }
-        }
+        // A request file from before the backend override went away still
+        // runs: `"solver"` is an unknown key like any other.
+        let legacy = r#"{"kind":"wvpec-g:4","solver":"dense"}"#;
+        assert_eq!(ScenarioRequest::parse_line(legacy, 2).unwrap(), r);
     }
 
     #[test]
@@ -464,8 +420,6 @@ mod tests {
             r#"{"analysis":"ac","f_start":5e9,"f_stop":1e6}"#,
             r#"{"faults":"all"}"#,
             r#"{"bits":"eight"}"#,
-            r#"{"solver":"qr"}"#,
-            r#"{"solver":3}"#,
         ] {
             let e = ScenarioRequest::parse_line(bad, 0).unwrap_err();
             assert_eq!(e.category(), "bad-request", "{bad} must be a schema error");

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use vpec_circuit::ac::AcSpec;
 use vpec_circuit::metrics::peak_abs;
-use vpec_circuit::{SolverKind, TransientSpec};
+use vpec_circuit::TransientSpec;
 use vpec_core::harness::{BuildBudget, BuiltModel, Experiment, ModelKind};
 use vpec_core::DriveConfig;
 use vpec_extract::ExtractionConfig;
@@ -165,18 +165,6 @@ fn ledger_record(
     }
 }
 
-/// The transient spec for a request, carrying its `"solver"` override.
-/// Used for both the factor-cache key and the run itself —
-/// [`vpec_circuit::TransientFactor`] validation compares the spec's
-/// solver, so the two must be built identically.
-fn transient_spec(t_stop: f64, dt: f64, solver: Option<SolverKind>) -> TransientSpec {
-    let spec = TransientSpec::new(t_stop, dt);
-    match solver {
-        Some(kind) => spec.solver(kind),
-        None => spec,
-    }
-}
-
 /// Builds the geometry + extraction config + drive for a request
 /// (mirrors the CLI's structure handling).
 fn build_geometry(spec: &StructureSpec) -> (Layout, ExtractionConfig, DriveConfig) {
@@ -256,7 +244,6 @@ impl Engine {
         let cache = &mut self.cache;
         let analysis = req.analysis.clone();
         let structure = req.structure.clone();
-        let solver = req.solver;
         run_guarded(deadline_ms, &token, move || {
             assert!(
                 !faults.panic_engine,
@@ -294,7 +281,7 @@ impl Engine {
                 let (prefactor, f_hit) = match &analysis {
                     AnalysisSpec::Transient { t_stop, dt } => {
                         let (factor, f_hit) = cache
-                            .factor_for(hash, kind, &model, &transient_spec(*t_stop, *dt, solver))
+                            .factor_for(hash, kind, &model, &TransientSpec::new(*t_stop, *dt))
                             .map_err(|e| EngineError::AnalysisFailed {
                                 message: e.to_string(),
                             })?;
@@ -310,7 +297,7 @@ impl Engine {
             };
             match analysis {
                 AnalysisSpec::Transient { t_stop, dt } => {
-                    let spec = transient_spec(t_stop, dt, solver)
+                    let spec = TransientSpec::new(t_stop, dt)
                         .fault_injection(faults)
                         .cancel_token(work_token.clone());
                     let (res, report, _) = match &prefactor {
@@ -702,32 +689,6 @@ mod tests {
         if resp.ok {
             assert_eq!(engine.cache().factor_misses(), misses_before);
         }
-    }
-
-    #[test]
-    fn solver_override_runs_and_keys_the_factor_cache() {
-        let mut engine = Engine::new(EngineConfig::default());
-        let auto = req(r#"{"id":"a","bits":3,"kind":"wvpec-g:2","t_stop":5e-11}"#);
-        let dense = req(
-            r#"{"id":"d","bits":3,"kind":"wvpec-g:2","t_stop":5e-11,"solver":"dense"}"#,
-        );
-        let a = engine.run_request(&auto);
-        assert!(a.ok, "{:?}", a.error);
-        // Same geometry/kind/dt but a different solver is a different
-        // prepared factor — it must miss, not trip the exact-spec
-        // revalidation of a cached auto factor.
-        let b = engine.run_request(&dense);
-        assert!(b.ok, "{:?}", b.error);
-        assert_eq!(engine.cache().factor_misses(), 2);
-        assert_eq!(engine.cache().factor_hits(), 0);
-        // The two paths answer with the same physics.
-        let (pa, pb) = (a.peak_mv.unwrap(), b.peak_mv.unwrap());
-        assert!((pa - pb).abs() <= 1e-6 * pa.abs().max(1.0), "{pa} vs {pb}");
-        // Repeating the dense request reuses its own factor.
-        let c = engine.run_request(&dense);
-        assert!(c.ok, "{:?}", c.error);
-        assert_eq!(engine.cache().factor_hits(), 1);
-        assert_eq!(c.peak_mv, b.peak_mv);
     }
 
     #[test]

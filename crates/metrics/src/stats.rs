@@ -670,9 +670,10 @@ mod tests {
 
     #[test]
     fn ledgers_with_the_retired_no_ordering_strategy_still_aggregate() {
-        // A request line as written while `--solver=sparse-no-ordering`
-        // still existed: its strategy label is no longer produced, but a
-        // strategy is a free-form string, so old ledgers stay readable.
+        // Request lines as written while `--solver=sparse-no-ordering` and
+        // the opt-in Tikhonov stage still existed: neither strategy label
+        // is produced any more, but a strategy is a free-form string, so
+        // old ledgers stay readable.
         let old = concat!(
             r#"{"rec":"request","seq":1,"ts_ms":1000,"id":"a","ok":true,"error":null,"#,
             r#""kind":"gwVPEC(b=2)","ran":"gwVPEC(b=2)","analysis":"transient","retries":0,"#,
@@ -681,12 +682,20 @@ mod tests {
             r#""dim":98,"elements":120,"queue_ms":0.1,"#,
             r#""build_ms":2.5,"solve_ms":4,"total_ms":6.75,"peak_scratch_bytes":76832}"#,
             "\n",
+            r#"{"rec":"request","seq":2,"ts_ms":1010,"id":"b","ok":true,"error":null,"#,
+            r#""kind":"gwVPEC(b=2)","ran":"gwVPEC(b=2)","analysis":"transient","retries":0,"#,
+            r#""degraded":true,"degraded_reason":null,"experiment_hit":true,"#,
+            r#""model_hit":true,"factor_hit":false,"strategy":"regularized-dense-lu","#,
+            r#""dim":98,"elements":120,"queue_ms":0.1,"#,
+            r#""build_ms":0.5,"solve_ms":3,"total_ms":3.5,"peak_scratch_bytes":76832}"#,
+            "\n",
         );
         let records = crate::ledger::parse_ledger(old).expect("old ledger parses");
-        assert_eq!(records.len(), 1);
+        assert_eq!(records.len(), 2);
         let stats = aggregate(&records, 0);
-        assert_eq!((stats.total, stats.ok, stats.failed), (1, 1, 0));
+        assert_eq!((stats.total, stats.ok, stats.failed), (2, 2, 0));
         assert_eq!(stats.strategies.get("sparse-lu-no-ordering"), Some(&1));
+        assert_eq!(stats.strategies.get("regularized-dense-lu"), Some(&1));
         assert_eq!(stats.latency().max, Some(6.75));
     }
 

@@ -1,12 +1,8 @@
-//! Numerical guardrails: SPD probing, condition estimation, and
-//! Tikhonov-regularized solves.
+//! Numerical guardrails: SPD probing and condition estimation.
 //!
-//! These are the primitives behind the fault-tolerant solve pipeline:
-//! the circuit layer uses [`condition_estimate`] and [`solve_regularized`]
-//! in its factorization fallback chain, and the model layer uses
-//! [`spd_probe`] to detect sparsified VPEC models that have numerically
-//! lost the passivity guarantees of Theorems 1–2 before they reach a
-//! simulator.
+//! The model layer uses [`spd_probe`] to detect sparsified VPEC models
+//! that have numerically lost the passivity guarantees of Theorems 1–2
+//! before they reach a simulator.
 
 use crate::{Cholesky, DenseMatrix, LuFactor, NumericsError};
 
@@ -153,43 +149,6 @@ fn one_norm(a: &DenseMatrix<f64>) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// Solves the Tikhonov-regularized system `(A + ε·I)·x = b` by dense LU
-/// with partial pivoting. This is the last stage of the factorization
-/// fallback chain: a diagonal shift of `ε` bounds the solution energy
-/// and turns an (almost) singular system into a well-posed one at the
-/// cost of an `O(ε)` bias.
-///
-/// # Errors
-///
-/// * [`NumericsError::NotSquare`] if `a` is not square.
-/// * [`NumericsError::DimensionMismatch`] if `b.len() != a.rows()`.
-/// * [`NumericsError::Singular`] if even the shifted system is singular
-///   (e.g. `ε = 0` on a singular matrix).
-pub fn solve_regularized(
-    a: &DenseMatrix<f64>,
-    b: &[f64],
-    epsilon: f64,
-) -> Result<Vec<f64>, NumericsError> {
-    if !a.is_square() {
-        return Err(NumericsError::NotSquare {
-            found: (a.rows(), a.cols()),
-        });
-    }
-    let n = a.rows();
-    if b.len() != n {
-        return Err(NumericsError::DimensionMismatch {
-            op: "regularized solve",
-            expected: (n, 1),
-            found: (b.len(), 1),
-        });
-    }
-    let mut shifted = a.clone();
-    for i in 0..n {
-        shifted[(i, i)] += epsilon;
-    }
-    LuFactor::new(&shifted)?.solve(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,41 +220,5 @@ mod tests {
     fn condition_of_singular_is_infinite() {
         let a = DenseMatrix::<f64>::zeros(3, 3);
         assert_eq!(condition_estimate(&a), f64::INFINITY);
-    }
-
-    #[test]
-    fn regularized_solve_handles_singular() {
-        // Rank-1 singular matrix: plain LU fails, a small shift succeeds.
-        let a = DenseMatrix::from_fn(3, 3, |_, _| 1.0);
-        assert!(LuFactor::new(&a).is_err());
-        let x = solve_regularized(&a, &[1.0, 1.0, 1.0], 1e-6).unwrap();
-        assert!(x.iter().all(|v| v.is_finite()));
-        // (A + εI)x = b holds.
-        for i in 0..3 {
-            let mut lhs = 1e-6 * x[i];
-            for &xj in &x {
-                lhs += xj;
-            }
-            assert!((lhs - 1.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn regularized_solve_matches_plain_for_well_posed() {
-        let a = spd(5);
-        let b = [1.0, -2.0, 3.0, -4.0, 5.0];
-        let exact = LuFactor::new(&a).unwrap().solve(&b).unwrap();
-        let reg = solve_regularized(&a, &b, 0.0).unwrap();
-        for (u, v) in exact.iter().zip(reg.iter()) {
-            assert!((u - v).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn regularized_solve_validates_shapes() {
-        let a = DenseMatrix::<f64>::zeros(2, 3);
-        assert!(solve_regularized(&a, &[1.0, 2.0], 1e-3).is_err());
-        let a = DenseMatrix::identity(2);
-        assert!(solve_regularized(&a, &[1.0], 1e-3).is_err());
     }
 }

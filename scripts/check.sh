@@ -21,8 +21,10 @@ timeout 1200 env VPEC_AUDIT=full cargo test -q --workspace
 
 echo "==> release-profile audit pass (tier-1 integration tests, VPEC_AUDIT=full)"
 # Release builds default to audits OFF; this run covers the enforcement
-# paths in the exact profile users deploy.
-timeout 600 env VPEC_AUDIT=full cargo test -q --release --test audit_invariants --test paper_claims
+# paths in the exact profile users deploy, including the sparse-vs-dense
+# agreement and the factorization fallback chain.
+timeout 600 env VPEC_AUDIT=full cargo test -q --release --test audit_invariants --test paper_claims \
+  --test sparse_factor --test fault_tolerance
 
 echo "==> workload benchmark tests (every workload's oracles at toy size)"
 # The benchmark is a package of its own (workload-bench/Cargo.toml), so

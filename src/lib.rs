@@ -62,12 +62,12 @@ pub mod prelude {
     pub use vpec_circuit::metrics::{crossing_time, peak_abs, resample, WaveformDiff};
     pub use vpec_circuit::{
         Circuit, CircuitError, FactorDiagnostics, FactorStrategy, FaultInjection,
-        Integrator, NodeId, SolverKind, TransientDiagnostics, TransientSpec, Waveform,
+        Integrator, NodeId, TransientDiagnostics, TransientSpec, Waveform,
     };
     pub use vpec_core::harness::{paper_transient_spec, BuiltModel, Experiment, ModelKind};
     pub use vpec_core::noise::{noise_scan, worst_aggressor_alignment, NoiseReport};
     pub use vpec_core::{
-        repair_passivity, CoreError, DriveConfig, LoweringStyle, PassivityReport, RepairReport,
+        repair_passivity, CoreError, DriveConfig, PassivityReport, RepairReport,
         SolveReport, VpecModel,
     };
     pub use vpec_core::harness::BuildBudget;

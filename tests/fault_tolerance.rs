@@ -2,8 +2,8 @@
 //! recovery behaviors, driven through the public API only:
 //!
 //! 1. a singular MNA system walks the factorization fallback chain and
-//!    ends in a typed error, or in a regularized solution when the caller
-//!    opts in — never a panic;
+//!    ends in a typed error, never a panic, and an injected primary
+//!    failure ends in the chain's dense LU;
 //! 2. a non-finite value appearing mid-transient triggers a checkpointed
 //!    retry at a halved step, recorded in the diagnostics;
 //! 3. a sparsified model that lost the paper's passivity guarantee is
@@ -67,26 +67,9 @@ fn singular_system_is_a_typed_error_not_a_panic() {
     let err = solve_dc(&c).unwrap_err();
     assert!(matches!(err, CircuitError::SingularSystem { .. }));
     assert!(err.to_string().contains("singular"));
-    // Transient without the opt-in: same typed error, no panic.
+    // Transient: same typed error, no panic.
     let err = run_transient_with_report(&c, &TransientSpec::new(0.3e-9, 1e-12)).unwrap_err();
     assert!(matches!(err, CircuitError::SingularSystem { .. }));
-}
-
-#[test]
-fn regularization_opt_in_recovers_a_singular_system() {
-    let (c, out) = circuit_with_floating_node();
-    let spec = TransientSpec::new(0.3e-9, 1e-12).regularize(true);
-    let (res, diag) = run_transient_with_report(&c, &spec).expect("regularized solve");
-    // The chain had to go past the primary backend, and said so.
-    assert!(diag.factor.used_fallback());
-    assert_eq!(diag.factor.accepted(), Some(FactorStrategy::RegularizedDenseLu));
-    assert!(diag.factor.regularization.is_some_and(|eps| eps > 0.0));
-    assert!(diag.degraded());
-    // The well-posed part of the circuit still behaves: the divider
-    // settles to half the source voltage.
-    let v = res.voltage(out).unwrap();
-    assert!(v.iter().all(|x| x.is_finite()));
-    assert!((v.last().unwrap() - 0.5).abs() < 0.02, "divider settles");
 }
 
 #[test]
@@ -149,21 +132,22 @@ fn nonpassive_sparsified_model_is_repaired_and_reported() {
 #[test]
 fn injected_factor_failure_walks_the_chain_end_to_end() {
     let exp = Experiment::new(
-        BusSpec::new(4).build(),
+        BusSpec::new(8).build(),
         &ExtractionConfig::paper_default(),
         DriveConfig::paper_default(),
     );
+    // 8-bit full VPEC (MNA dim 74) goes sparse, so the injected failure
+    // is the sparse primary's and the chain recovers with dense LU.
     let built = exp.build(ModelKind::VpecFull).expect("build");
     let faults = FaultInjection {
         fail_primary_factor: true,
         poison_step: None,
         ..FaultInjection::none()
     };
-    let spec = TransientSpec::new(0.2e-9, 1e-12)
-        .solver(SolverKind::Sparse)
-        .fault_injection(faults);
+    let spec = TransientSpec::new(0.2e-9, 1e-12).fault_injection(faults);
     let (res, diag) = run_transient_with_report(&built.model.circuit, &spec).expect("falls back");
     assert!(diag.factor.used_fallback());
+    assert_eq!(diag.factor.attempts[0].strategy, FactorStrategy::SparseLu);
     assert_eq!(diag.factor.accepted(), Some(FactorStrategy::DenseLu));
     let v = res.voltage(built.model.far_nodes[0]).unwrap();
     assert!((v.last().unwrap() - 1.0).abs() < 0.05, "aggressor settles");

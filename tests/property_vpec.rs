@@ -245,17 +245,7 @@ fn guarded_transient_terminates_under_fault_injection() {
     let mut rng = XorShift64::new(0x3009);
     for _ in 0..12 {
         let bits = rng.range_usize(2, 6);
-        let exp = Experiment::new(
-            BusSpec::new(bits).build(),
-            &ExtractionConfig::paper_default(),
-            DriveConfig::paper_default(),
-        );
-        let kind = if rng.chance(0.5) {
-            ModelKind::Peec
-        } else {
-            ModelKind::VpecFull
-        };
-        let built = exp.build(kind).expect("build");
+        let peec = rng.chance(0.5);
         let faults = FaultInjection {
             fail_primary_factor: rng.chance(0.5),
             poison_step: if rng.chance(0.5) {
@@ -266,12 +256,22 @@ fn guarded_transient_terminates_under_fault_injection() {
             ..FaultInjection::none()
         };
         // A failed *dense* primary has no distinct stage 2 (it IS the
-        // dense stage), so pin the sparse backend when injecting primary
-        // failure — that's the path with a real fallback to exercise.
-        let mut spec = TransientSpec::new(0.1e-9, 1e-12).fault_injection(faults);
-        if faults.fail_primary_factor {
-            spec = spec.solver(SolverKind::Sparse);
-        }
+        // dense stage), so primary failure is injected only into models
+        // that go sparse — 16-bit PEEC (MNA dim 66) and 8-bit full VPEC
+        // (dim 74) — where the fallback is real.
+        let (bits, kind) = match (peec, faults.fail_primary_factor) {
+            (true, false) => (bits, ModelKind::Peec),
+            (true, true) => (16, ModelKind::Peec),
+            (false, false) => (bits, ModelKind::VpecFull),
+            (false, true) => (8, ModelKind::VpecFull),
+        };
+        let exp = Experiment::new(
+            BusSpec::new(bits).build(),
+            &ExtractionConfig::paper_default(),
+            DriveConfig::paper_default(),
+        );
+        let built = exp.build(kind).expect("build");
+        let spec = TransientSpec::new(0.1e-9, 1e-12).fault_injection(faults);
         match run_transient_with_report(&built.model.circuit, &spec) {
             Ok((res, diag)) => {
                 let v = res.voltage(built.model.far_nodes[0]).expect("probed");
@@ -281,11 +281,15 @@ fn guarded_transient_terminates_under_fault_injection() {
                 }
                 if faults.fail_primary_factor {
                     assert!(diag.factor.used_fallback(), "fallback must be recorded");
+                    assert_eq!(diag.factor.attempts[0].strategy, FactorStrategy::SparseLu);
+                    assert_eq!(diag.factor.accepted(), Some(FactorStrategy::DenseLu));
                 }
             }
             Err(e) => {
-                // Typed, displayable error — acceptable termination.
+                // Typed, displayable error — acceptable termination, but
+                // not for a primary failure the chain's dense LU recovers.
                 assert!(!e.to_string().is_empty());
+                assert!(!faults.fail_primary_factor, "{kind:?}: {e}");
             }
         }
     }

@@ -23,7 +23,7 @@ fn table3_factor_is_no_larger_than_rcm() {
     let built = exp
         .build(ModelKind::TVpecNumerical { threshold: 3e-2 })
         .unwrap();
-    let spec = TransientSpec::new(0.5e-9, 1e-12).solver(SolverKind::Sparse);
+    let spec = TransientSpec::new(0.5e-9, 1e-12);
     let factor = built.prepare_transient(&spec).unwrap();
     let diag = factor.factor_diagnostics();
     let csr = factor.matrix().to_csr();
@@ -39,10 +39,12 @@ fn table3_factor_is_no_larger_than_rcm() {
 }
 
 /// Sparse and dense LU agree on 32-bit PEEC, full VPEC and gwVPEC(8)
-/// crosstalk transients within 1e-9 of each probe's peak. The sparse
-/// factor pivots in a different order than dense LU (threshold pivoting
-/// that prefers the diagonal, under a fill-reducing ordering), so this
-/// path is audited-close, not bit-identical.
+/// crosstalk transients within 1e-9 of each probe's peak. All three go
+/// sparse; the dense reference is the fallback chain's dense LU, reached
+/// by failing the sparse primary. The sparse factor pivots in a
+/// different order than dense LU (threshold pivoting that prefers the
+/// diagonal, under a fill-reducing ordering), so this path is
+/// audited-close, not bit-identical.
 #[test]
 fn sparse_and_dense_transients_agree_on_a_32_bit_bus() {
     let exp = experiment(32, 0.0);
@@ -52,13 +54,18 @@ fn sparse_and_dense_transients_agree_on_a_32_bit_bus() {
         ModelKind::WVpecGeometric { b: 8 },
     ] {
         let built = exp.build(kind).unwrap();
-        let run = |solver| {
-            let spec = TransientSpec::new(0.1e-9, 1e-12).solver(solver);
-            let (res, _) = built.run_transient(&spec).unwrap();
+        let run = |fail_primary_factor, strategy| {
+            let spec = TransientSpec::new(0.1e-9, 1e-12).fault_injection(FaultInjection {
+                fail_primary_factor,
+                ..FaultInjection::none()
+            });
+            let (res, report, _) = built.run_transient_with_report(&spec).unwrap();
+            let factor = report.transient.unwrap().factor;
+            assert_eq!(factor.accepted(), Some(strategy), "{kind:?}");
             [0, 1].map(|k| built.far_voltage(&res, k).unwrap())
         };
-        let sparse = run(SolverKind::Sparse);
-        let dense = run(SolverKind::Dense);
+        let sparse = run(false, FactorStrategy::SparseLu);
+        let dense = run(true, FactorStrategy::DenseLu);
         for (probe, (s, d)) in sparse.iter().zip(&dense).enumerate() {
             let peak = peak_abs(d);
             let worst = s

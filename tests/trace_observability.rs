@@ -153,11 +153,13 @@ fn clean_run_emits_no_retry_events() {
 fn sparse_factor_span_carries_its_evidence() {
     let _g = guard();
     trace::reset("summary").unwrap();
-    let exp = experiment(3);
+    // 8-bit full VPEC (MNA dim 74) goes sparse.
+    let exp = experiment(8);
     let built = exp.build(ModelKind::VpecFull).unwrap();
-    let spec = TransientSpec::new(0.05e-9, 1e-12).solver(SolverKind::Sparse);
+    let spec = TransientSpec::new(0.05e-9, 1e-12);
     let (_, report, _) = built.run_transient_with_report(&spec).unwrap();
     let diag = report.transient.expect("transient diagnostics").factor;
+    assert_eq!(diag.accepted(), Some(FactorStrategy::SparseLu));
     let ordering = diag.ordering.expect("a sparse factor reports its ordering");
     let factor_spans: Vec<_> = trace::closed_spans()
         .into_iter()
