@@ -10,10 +10,10 @@ use crate::error::CircuitError;
 use crate::mna::{add_source_rhs, assemble, MnaLayout};
 use crate::netlist::Circuit;
 use crate::result::AcResult;
-use crate::solver::{Factored, SparsePlan};
+use crate::solver::Factored;
 use vpec_numerics::cancel::CancelToken;
 use vpec_numerics::ordering::rcm_ordering;
-use vpec_numerics::{pool, Complex64, Pool};
+use vpec_numerics::{pool, Complex64, CsrMatrix, Pool};
 
 /// Minimum sweep points per worker before the per-frequency solves go
 /// parallel: below it fan-out overhead costs more than it buys (commit
@@ -121,10 +121,13 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
     // path of the real factors does not pay off on complex matrices; see
     // DESIGN.md §8.6). RCM depends on the pattern alone, and G + jωC has
     // the same pattern at every ω > 0, so the first point's ordering
-    // serves every point whose pattern matches it.
+    // serves every point whose pattern matches it; a point whose pattern
+    // differs is ordered afresh. Dense-primary systems need no ordering.
+    let rcm_for = |a: &CsrMatrix<Complex64>| {
+        (Factored::primary_strategy(a) == FactorStrategy::SparseLu).then(|| rcm_ordering(a))
+    };
     let first = assemble_at(spec.frequencies[0])?;
-    let sparse = Factored::primary_strategy(&first) == FactorStrategy::SparseLu;
-    let first_rcm = sparse.then(|| rcm_ordering(&first));
+    let first_rcm = rcm_for(&first);
     // Each sweep point is an independent assemble + factor + solve, so the
     // sweep maps over frequencies in parallel. Results come back in sweep
     // order; on failure the error reported is the one at the lowest
@@ -153,12 +156,17 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
                 _ => {}
             }
         }
-        let reuse = first_rcm.as_deref().filter(|_| a.same_pattern(&first));
-        let (factored, _) =
-            Factored::factor_csr(&a, false, SparsePlan::Rcm(reuse)).map_err(|e| match e {
-                CircuitError::SingularSystem { .. } => CircuitError::SingularSystem { analysis: "ac" },
-                other => other,
-            })?;
+        let own_rcm;
+        let rcm = if a.same_pattern(&first) {
+            first_rcm.as_deref()
+        } else {
+            own_rcm = rcm_for(&a);
+            own_rcm.as_deref()
+        };
+        let (factored, _) = Factored::factor_csr(&a, false, rcm).map_err(|e| match e {
+            CircuitError::SingularSystem { .. } => CircuitError::SingularSystem { analysis: "ac" },
+            other => other,
+        })?;
         factored.solve(&rhs)
     });
     let mut data = Vec::with_capacity(spec.frequencies.len());

@@ -7,6 +7,7 @@ use crate::error::CircuitError;
 use crate::mna::{add_source_rhs, assemble, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
 use crate::solver::Factored;
+use vpec_numerics::CooMatrix;
 
 /// The DC solution: node voltages and branch currents.
 #[derive(Debug, Clone)]
@@ -46,6 +47,22 @@ pub fn solve_dc(ckt: &Circuit) -> Result<DcSolution, CircuitError> {
     solve_dc_report(ckt).map(|(sol, _)| sol)
 }
 
+/// The MNA matrix [`solve_dc`] factors: capacitors open, inductors
+/// shorted. For analyses that want to weigh its factor against another
+/// one.
+///
+/// # Errors
+///
+/// [`CircuitError::Numerics`] when an element stamps outside the layout.
+pub fn dc_matrix(ckt: &Circuit) -> Result<CooMatrix<f64>, CircuitError> {
+    Ok(assemble::<f64>(
+        ckt,
+        &MnaLayout::new(ckt),
+        |_| 0.0,
+        |_| 0.0,
+    )?)
+}
+
 /// [`solve_dc`] plus the factorization fallback-chain diagnostics.
 ///
 /// # Errors
@@ -54,7 +71,7 @@ pub fn solve_dc(ckt: &Circuit) -> Result<DcSolution, CircuitError> {
 pub fn solve_dc_report(ckt: &Circuit) -> Result<(DcSolution, FactorDiagnostics), CircuitError> {
     let layout = MnaLayout::new(ckt);
     let _sp = vpec_trace::span!("dc", "dim" => layout.dim);
-    let a = assemble::<f64>(ckt, &layout, |_| 0.0, |_| 0.0)?;
+    let a = dc_matrix(ckt)?;
     let mut rhs = vec![0.0; layout.dim];
     for (idx, e) in ckt.elements().iter().enumerate() {
         match e {

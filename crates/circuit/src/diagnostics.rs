@@ -73,8 +73,9 @@ pub struct FactorDiagnostics {
     /// diagonals for sparse LU, `dim²` for dense LU (0 until a factor is
     /// accepted).
     pub factor_nnz: usize,
-    /// Ordering of the accepted sparse factor, as the fill guard decided
-    /// (`None` for dense LU).
+    /// Ordering of the accepted sparse factor: transversal + AMD for
+    /// real-valued systems, RCM for the complex AC ones (`None` for dense
+    /// LU).
     pub ordering: Option<SparseOrdering>,
     /// Columns of the accepted sparse factor pivoted off the diagonal of
     /// the ordered matrix (0 for dense LU).

@@ -1,8 +1,9 @@
 //! Linear-solver selection and the factorization **fallback chain**:
 //! dense LU for small/dense MNA systems, sparse Gilbert–Peierls LU
-//! otherwise (under the fill guard of [`Factored::factor_with`]) — and
-//! when the sparse backend fails, dense LU with partial pivoting. The
-//! choice is the code's, from dimension and density; no caller picks it.
+//! otherwise — ordered by maximum transversal + AMD for real-valued
+//! systems, by RCM for the complex AC ones — and when the sparse backend
+//! fails, dense LU with partial pivoting. The choice is the code's, from
+//! dimension, density and scalar type; no caller picks it.
 //!
 //! The backend split mirrors the behaviour the paper attributes to
 //! SPICE: "its internal sparse solver is more efficient for a less dense
@@ -14,7 +15,6 @@
 
 use crate::diagnostics::{FactorAttempt, FactorDiagnostics, FactorStrategy, SparseOrdering};
 use crate::error::CircuitError;
-use vpec_numerics::ordering::{rcm_ordering, symbolic_lu};
 use vpec_numerics::{CooMatrix, CsrMatrix, LuFactor, Scalar, SparseLu};
 
 /// A factored MNA matrix ready for repeated solves.
@@ -24,19 +24,6 @@ pub(crate) enum Factored<T: Scalar> {
     /// Sparse LU with any fill-reducing ordering folded into its index
     /// maps.
     Sparse(SparseLu<T>),
-}
-
-/// How a sparse primary factor is ordered.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SparsePlan<'a> {
-    /// Transversal + AMD with diagonal-preferring threshold pivoting,
-    /// unless the fill guard ([`fill_guarded`]) finds RCM's factor
-    /// smaller.
-    FillGuarded,
-    /// RCM with full partial pivoting, as the complex AC factors use.
-    /// `Some` reuses an RCM ordering already computed for this very
-    /// pattern (RCM depends on the pattern alone).
-    Rcm(Option<&'a [usize]>),
 }
 
 impl<T: Scalar> Factored<T> {
@@ -62,13 +49,8 @@ impl<T: Scalar> Factored<T> {
     /// Stages, in order (each runs at most once):
     ///
     /// 1. the primary backend of [`Factored::primary_strategy`]. A
-    ///    sparse primary runs the **fill guard** ([`fill_guarded`]): it
-    ///    factors under maximum transversal + AMD with diagonal-preferring
-    ///    threshold pivoting, and accepts that factor when its nonzeros
-    ///    are at most half the symbolic LU estimate of the RCM ordering.
-    ///    Otherwise it also factors under RCM with full partial pivoting
-    ///    and keeps the smaller of the two. When the estimate predicts no
-    ///    fill, the RCM factor is taken directly;
+    ///    sparse primary is [`SparseLu::new_fill_reducing`]: maximum
+    ///    transversal + AMD with diagonal-preferring threshold pivoting;
     /// 2. dense LU with partial pivoting, when the primary was sparse —
     ///    dense partial pivoting survives pivot sequences the sparse
     ///    kernel's pattern cannot reach.
@@ -82,15 +64,17 @@ impl<T: Scalar> Factored<T> {
         coo: &CooMatrix<T>,
         fail_primary: bool,
     ) -> Result<(Self, FactorDiagnostics), CircuitError> {
-        Self::factor_csr(&coo.to_csr(), fail_primary, SparsePlan::FillGuarded)
+        Self::factor_csr(&coo.to_csr(), fail_primary, None)
     }
 
-    /// [`Factored::factor_with`] on a compressed matrix, with the sparse
-    /// primary ordered as `plan` says.
+    /// [`Factored::factor_with`] on a compressed matrix. `rcm: Some(perm)`
+    /// orders a sparse primary by that RCM ordering of `csr`'s pattern,
+    /// with full partial pivoting, as the complex AC factors do; `None`
+    /// takes transversal + AMD.
     pub(crate) fn factor_csr(
         csr: &CsrMatrix<T>,
         fail_primary: bool,
-        plan: SparsePlan<'_>,
+        rcm: Option<&[usize]>,
     ) -> Result<(Self, FactorDiagnostics), CircuitError> {
         let dim = csr.rows();
         let mut sp = vpec_trace::span!("factor", "dim" => dim);
@@ -108,7 +92,7 @@ impl<T: Scalar> Factored<T> {
             });
             None
         } else {
-            let (outcome, err) = match Self::try_primary(csr, primary_strategy, plan) {
+            let (outcome, err) = match Self::try_primary(csr, primary_strategy, rcm) {
                 Ok((f, ordering)) => {
                     diag.ordering = ordering;
                     (Some(f), None)
@@ -186,20 +170,14 @@ impl<T: Scalar> Factored<T> {
     fn try_primary(
         csr: &CsrMatrix<T>,
         strategy: FactorStrategy,
-        plan: SparsePlan<'_>,
+        rcm: Option<&[usize]>,
     ) -> Result<(Self, Option<SparseOrdering>), CircuitError> {
         match strategy {
             FactorStrategy::DenseLu => Ok((Factored::Dense(LuFactor::new(&csr.to_dense())?), None)),
             FactorStrategy::SparseLu => {
-                let (lu, ordering) = match plan {
-                    SparsePlan::FillGuarded => fill_guarded(csr)?,
-                    SparsePlan::Rcm(Some(perm)) => {
-                        (SparseLu::new_ordered(csr, perm)?, SparseOrdering::Rcm)
-                    }
-                    SparsePlan::Rcm(None) => (
-                        SparseLu::new_ordered(csr, &rcm_ordering(csr))?,
-                        SparseOrdering::Rcm,
-                    ),
+                let (lu, ordering) = match rcm {
+                    None => (SparseLu::new_fill_reducing(csr)?, SparseOrdering::Amd),
+                    Some(perm) => (SparseLu::new_ordered(csr, perm)?, SparseOrdering::Rcm),
                 };
                 Ok((Factored::Sparse(lu), Some(ordering)))
             }
@@ -235,55 +213,6 @@ impl<T: Scalar> Factored<T> {
     pub fn is_sparse(&self) -> bool {
         matches!(self, Factored::Sparse(_))
     }
-}
-
-/// How far below RCM's predicted nonzeros the transversal + AMD factor
-/// must come for the fill guard to accept it without factoring under RCM
-/// as well: at most `1 / FILL_GUARD_MARGIN` of the prediction.
-///
-/// The prediction is symmetric (full diagonal, no pivoting). Over the
-/// benchmark's real-valued matrices RCM's actual factor held 0.37–1.28×
-/// of it — pivoting past the structurally zero diagonals of voltage-source
-/// rows avoids fill the prediction counts — so a factor within the
-/// prediction can still lose to RCM, while one at half of it never did.
-const FILL_GUARD_MARGIN: usize = 2;
-
-/// The fill guard. RCM's symbolic estimate comes first: when it predicts
-/// no fill at all, RCM's factor is taken without trying another, as a
-/// fill-free factor leaves an ordering nothing to win. Otherwise the transversal + AMD factor is
-/// accepted when its nonzeros (L and U, diagonal once) are at most
-/// `1 / FILL_GUARD_MARGIN` of the estimate, and else the smaller of it and
-/// the RCM factor with full partial pivoting (RCM on a tie). An RCM factor
-/// is the factor an RCM-only solver computes, bit for bit.
-///
-/// The guard weighs an actual factor against RCM's prediction: with
-/// pivots off the diagonal, a symmetric prediction for the matched
-/// pattern says little about the factor threshold pivoting builds. When
-/// either path fails numerically the other one stands; when both fail,
-/// RCM's error is reported.
-fn fill_guarded<T: Scalar>(
-    csr: &CsrMatrix<T>,
-) -> Result<(SparseLu<T>, SparseOrdering), CircuitError> {
-    let dim = csr.rows();
-    let rcm = rcm_ordering(csr);
-    let predicted = symbolic_lu(csr, &rcm)?;
-    if predicted.fill == 0 {
-        if let Ok(lu) = SparseLu::new_ordered(csr, &rcm) {
-            return Ok((lu, SparseOrdering::Rcm));
-        }
-    }
-    let amd = SparseLu::new_fill_reducing(csr);
-    if let Ok(lu) = &amd {
-        if FILL_GUARD_MARGIN * (lu.factor_nnz() - dim) <= predicted.nnz {
-            return amd.map(|lu| (lu, SparseOrdering::Amd)).map_err(Into::into);
-        }
-    }
-    Ok(match (amd, SparseLu::new_ordered(csr, &rcm)) {
-        (Ok(a), Ok(b)) if a.factor_nnz() < b.factor_nnz() => (a, SparseOrdering::Amd),
-        (_, Ok(b)) => (b, SparseOrdering::Rcm),
-        (Ok(a), Err(_)) => (a, SparseOrdering::Amd),
-        (Err(_), Err(e)) => return Err(e.into()),
-    })
 }
 
 #[cfg(test)]
@@ -344,7 +273,7 @@ mod tests {
         // whichever backend produced it.
         for (dim, strategy, nnz, ordering) in [
             (5, FactorStrategy::DenseLu, 25, None),
-            (100, FactorStrategy::SparseLu, 200, Some(SparseOrdering::Rcm)),
+            (100, FactorStrategy::SparseLu, 200, Some(SparseOrdering::Amd)),
         ] {
             let (_, diag) = Factored::factor_with(&diag_coo(dim), false).unwrap();
             assert_eq!(diag.accepted(), Some(strategy), "{dim}");
@@ -372,35 +301,6 @@ mod tests {
             }
         }
         coo
-    }
-
-    #[test]
-    fn fill_guard_takes_each_path() {
-        let nnz_of = |a: &CsrMatrix<f64>| {
-            let rcm = rcm_ordering(a);
-            let amd = SparseLu::new_fill_reducing(a).unwrap().factor_nnz();
-            let banded = SparseLu::new_ordered(a, &rcm).unwrap().factor_nnz();
-            (symbolic_lu(a, &rcm).unwrap(), amd, banded)
-        };
-        // A square grid: RCM's band fills, AMD's factor is under half of
-        // RCM's estimate and is accepted without the second factor.
-        let square = grid(40, 40).to_csr();
-        let (predicted, amd, _) = nnz_of(&square);
-        assert!(FILL_GUARD_MARGIN * (amd - 1600) <= predicted.nnz);
-        let (lu, ordering) = fill_guarded(&square).unwrap();
-        assert_eq!((ordering, lu.factor_nnz()), (SparseOrdering::Amd, amd));
-        // A 2 × 60 ladder: both orderings fill a little, so both factors
-        // are computed and the smaller is kept (RCM on a tie).
-        let ladder = grid(2, 60).to_csr();
-        let (predicted, amd, banded) = nnz_of(&ladder);
-        assert!(predicted.fill > 0 && FILL_GUARD_MARGIN * (amd - 120) > predicted.nnz);
-        let (lu, ordering) = fill_guarded(&ladder).unwrap();
-        let expect = if amd < banded { SparseOrdering::Amd } else { SparseOrdering::Rcm };
-        assert_eq!((ordering, lu.factor_nnz()), (expect, amd.min(banded)));
-        // A chain: RCM predicts no fill and is taken directly.
-        let chain = grid(1, 50).to_csr();
-        assert_eq!(nnz_of(&chain).0.fill, 0);
-        assert_eq!(fill_guarded(&chain).unwrap().1, SparseOrdering::Rcm);
     }
 
     #[test]

@@ -316,21 +316,7 @@ pub fn prepare_transient(
     if audit::enabled(audit::AuditLevel::Basic) {
         audit_stamps(&a)?;
     }
-    let (factored, factor_diag) = {
-        let _fs = vpec_trace::span("transient.factor");
-        Factored::factor_with(&a, spec.faults.fail_primary_factor).map_err(|e| match e {
-            CircuitError::SingularSystem { .. } => CircuitError::SingularSystem {
-                analysis: "transient",
-            },
-            other => other,
-        })?
-    };
-    // Same DC policy as a cold run: the fault injection targets the
-    // transient factor, never the operating point.
-    let (dc, _) = {
-        let _ds = vpec_trace::span("transient.dc");
-        solve_dc_report(ckt)?
-    };
+    let (factored, factor_diag, dc_x) = factor_and_dc(ckt, spec, &a)?;
     let src0 = source_values_at_zero(ckt);
     Ok(TransientFactor {
         dim: layout.dim,
@@ -339,9 +325,40 @@ pub fn prepare_transient(
         a,
         factored,
         factor_diag,
-        dc_x: dc.x,
+        dc_x,
         src0,
     })
+}
+
+/// The factor and DC phases a cold run and [`prepare_transient`] share:
+/// factors the companion matrix `a` (the `transient.factor` span) and
+/// solves the DC operating point with sources at `t = 0` (the
+/// `transient.dc` span), the initial condition. The fault injection
+/// targets the transient factor, never the operating point.
+fn factor_and_dc(
+    ckt: &Circuit,
+    spec: &TransientSpec,
+    a: &vpec_numerics::CooMatrix<f64>,
+) -> Result<(Factored<f64>, FactorDiagnostics, Vec<f64>), CircuitError> {
+    let (factored, diag) = {
+        let _fs = vpec_trace::span("transient.factor");
+        Factored::factor_with(a, spec.faults.fail_primary_factor).map_err(transient_singular)?
+    };
+    let (dc, _) = {
+        let _ds = vpec_trace::span("transient.dc");
+        solve_dc_report(ckt)?
+    };
+    Ok((factored, diag, dc.x))
+}
+
+/// Names the transient analysis in a singular-system error.
+fn transient_singular(e: CircuitError) -> CircuitError {
+    match e {
+        CircuitError::SingularSystem { .. } => CircuitError::SingularSystem {
+            analysis: "transient",
+        },
+        other => other,
+    }
 }
 
 /// Runs a fixed-step transient analysis from the DC operating point.
@@ -415,13 +432,6 @@ fn run_transient_guarded(
     let mut coef = coef_for(spec.method, dt);
     let trap = spec.method == Integrator::Trapezoidal;
 
-    let remap = |e: CircuitError| match e {
-        CircuitError::SingularSystem { .. } => CircuitError::SingularSystem {
-            analysis: "transient",
-        },
-        other => other,
-    };
-
     let mut a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l)?;
     let auditing = audit::enabled(audit::AuditLevel::Basic);
     if auditing {
@@ -450,22 +460,11 @@ fn run_transient_guarded(
             x = pf.dc_x.clone();
         }
         None => {
-            let (f, factor_diag) = {
-                let _fs = vpec_trace::span("transient.factor");
-                Factored::factor_with(&a, spec.faults.fail_primary_factor).map_err(remap)?
-            };
+            let (f, factor_diag, dc_x) = factor_and_dc(ckt, spec, &a)?;
             cold_factor = f;
             factored = &cold_factor;
             diag.factor = factor_diag;
-
-            // Initial condition: DC operating point with sources at t = 0.
-            // The fault injection targets the transient factorization, never
-            // the operating point.
-            let (dc, _) = {
-                let _ds = vpec_trace::span("transient.dc");
-                solve_dc_report(ckt)?
-            };
-            x = dc.x;
+            x = dc_x;
         }
     }
     debug_assert_eq!(x.len(), layout.dim);
@@ -649,7 +648,7 @@ fn run_transient_guarded(
             a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l)?;
             let (f, _) = {
                 let _fs = vpec_trace::span("transient.factor");
-                Factored::factor_with(&a, false).map_err(remap)?
+                Factored::factor_with(&a, false).map_err(transient_singular)?
             };
             // A halved dt changes the matrix, so neither the borrowed
             // prefactored handle nor the cold factor can serve any more.

@@ -109,7 +109,7 @@ impl Cholesky {
     /// Returns [`NumericsError::DimensionMismatch`] if `b.len() != dim()`.
     ///
     /// Numerical class: audited-close (the forward sweep reduces rows
-    /// with the four-accumulator [`kernel::dot4`]).
+    /// with the four-accumulator `kernel::dot4`).
     #[expect(
         clippy::disallowed_methods,
         reason = "Numerical class: audited-close (the forward sweep reduces rows with four accumulators)"

@@ -151,7 +151,7 @@ impl<T: Scalar> DenseMatrix<T> {
     /// Matrix–vector product `y = A·x`.
     ///
     /// Numerical class: audited-close (each output element is a
-    /// four-accumulator [`kernel::dot4`] reassociation of the serial dot).
+    /// four-accumulator `kernel::dot4` reassociation of the serial dot).
     ///
     /// # Errors
     ///
@@ -178,7 +178,7 @@ impl<T: Scalar> DenseMatrix<T> {
 
     /// Matrix–matrix product `A·B`.
     ///
-    /// Numerical class: bit-identical (ascending-k [`kernel::axpy4`]
+    /// Numerical class: bit-identical (ascending-k `kernel::axpy4`
     /// updates, one rounded operation per term, at any thread count).
     ///
     /// # Errors

@@ -176,9 +176,21 @@ impl<T: Scalar> LuFactor<T> {
                 found: (b.rows(), b.cols()),
             });
         }
-        // Columns are independent solves; map them in parallel (order-
-        // preserving, so results match the serial column-by-column loop
-        // exactly) and gather into the output.
+        self.solve_columns(b, &CancelToken::none())
+    }
+
+    /// The column loop behind [`LuFactor::solve_matrix`] and
+    /// [`LuFactor::inverse_cancel`]. Columns are independent solves; map
+    /// them in parallel (order-preserving, so results match the serial
+    /// column-by-column loop exactly) and gather into the output. `cancel`
+    /// is polled once per column: a cancelled column returns empty and the
+    /// flag is re-checked below, so late cancellation skips the remaining
+    /// O(n²) substitutions.
+    fn solve_columns(
+        &self,
+        b: &DenseMatrix<T>,
+        cancel: &CancelToken,
+    ) -> Result<DenseMatrix<T>, NumericsError> {
         let nt = pool::threads_for(b.cols(), pool::PAR_MIN_COLS);
         let _sp = vpec_trace::span!(
             "lu.solve_matrix",
@@ -187,11 +199,17 @@ impl<T: Scalar> LuFactor<T> {
             "workers" => nt,
         );
         let cols = Pool::with_threads(nt).par_map_index(b.cols(), |j| {
+            if cancel.is_cancelled() {
+                return Vec::new();
+            }
             let mut x: Vec<T> = self.perm.iter().map(|&p| b[(p, j)]).collect();
             self.substitute_in_place(&mut x);
             x
         });
-        let mut out = DenseMatrix::zeros(n, b.cols());
+        if cancel.is_cancelled() {
+            return Err(NumericsError::Cancelled { op: "lu inverse" });
+        }
+        let mut out = DenseMatrix::zeros(b.rows(), b.cols());
         for (j, x) in cols.iter().enumerate() {
             for (i, v) in x.iter().enumerate() {
                 out[(i, j)] = *v;
@@ -221,36 +239,7 @@ impl<T: Scalar> LuFactor<T> {
     /// [`NumericsError::Cancelled`] when the token fires; otherwise same
     /// as [`LuFactor::inverse`].
     pub fn inverse_cancel(&self, cancel: &CancelToken) -> Result<DenseMatrix<T>, NumericsError> {
-        let n = self.dim();
-        let b = DenseMatrix::<T>::identity(n);
-        // Mirrors solve_matrix, with a per-column poll: a cancelled column
-        // returns empty and the flag is re-checked below, so late
-        // cancellation skips the remaining O(n²) substitutions.
-        let nt = pool::threads_for(n, pool::PAR_MIN_COLS);
-        let _sp = vpec_trace::span!(
-            "lu.solve_matrix",
-            "cols" => n,
-            "mode" => if nt > 1 { "parallel" } else { "serial" },
-            "workers" => nt,
-        );
-        let cols = Pool::with_threads(nt).par_map_index(n, |j| {
-            if cancel.is_cancelled() {
-                return Vec::new();
-            }
-            let mut x: Vec<T> = self.perm.iter().map(|&p| b[(p, j)]).collect();
-            self.substitute_in_place(&mut x);
-            x
-        });
-        if cancel.is_cancelled() {
-            return Err(NumericsError::Cancelled { op: "lu inverse" });
-        }
-        let mut out = DenseMatrix::zeros(n, n);
-        for (j, x) in cols.iter().enumerate() {
-            for (i, v) in x.iter().enumerate() {
-                out[(i, j)] = *v;
-            }
-        }
-        Ok(out)
+        self.solve_columns(&DenseMatrix::identity(self.dim()), cancel)
     }
 
     /// Determinant of `A` (product of U's diagonal times permutation sign).

@@ -17,10 +17,6 @@
 //!   degree eliminates them last, where they cost little more than their
 //!   own entries.
 //!
-//! [`symbolic_lu`] predicts the nonzeros a symmetric ordering leads to
-//! from elimination-tree column counts, without numeric work, so a caller
-//! can compare orderings before paying for a factor.
-//!
 //! Every permutation here uses the convention `perm[new] = old`.
 
 use crate::{CsrMatrix, NumericsError, Scalar};
@@ -240,7 +236,9 @@ pub(crate) fn permute<T: Scalar>(
 ///
 /// # Errors
 ///
-/// As [`permute`].
+/// [`NumericsError::NotSquare`] for a non-square `a`;
+/// [`NumericsError::DimensionMismatch`] if `perm` is not a permutation of
+/// `0..dim`.
 pub fn permute_symmetric<T: Scalar>(
     a: &CsrMatrix<T>,
     perm: &[usize],
@@ -761,152 +759,6 @@ pub(crate) fn amd(adj: &Adjacency) -> Vec<usize> {
     post
 }
 
-/// What the elimination tree predicts for factoring `A` under a symmetric
-/// ordering without pivoting ([`symbolic_lu`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SymbolicLu {
-    /// Stored nonzeros of `L + U`, diagonal counted once: `2·Σcc − n`,
-    /// where `cc` are the column counts of the Cholesky factor of the
-    /// symmetrized pattern with a full diagonal.
-    pub nnz: usize,
-    /// Of those, the entries outside the pattern of `A + Aᵀ` plus the
-    /// diagonal: the predicted fill-in.
-    pub fill: usize,
-}
-
-/// Predicts the nonzeros of factoring `A` under the symmetric ordering
-/// `perm`: the column counts of the elimination tree in O(nnz·α)
-/// (Gilbert, Ng & Peyton, as CSparse's `cs_counts`), with no symbolic
-/// factorization.
-///
-/// # Errors
-///
-/// [`NumericsError::NotSquare`] or [`NumericsError::DimensionMismatch`]
-/// (for a `perm` that is not a permutation of `0..dim`).
-pub fn symbolic_lu<T: Scalar>(
-    a: &CsrMatrix<T>,
-    perm: &[usize],
-) -> Result<SymbolicLu, NumericsError> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(NumericsError::NotSquare {
-            found: (n, a.cols()),
-        });
-    }
-    let inv =
-        inverse(perm, n).ok_or_else(|| not_a_permutation("symbolic lu ordering", n, perm.len()))?;
-    let adj = Adjacency::of(a, None);
-    // Relabel into the ordered numbering: vertex `new`'s neighbours.
-    let mut ptr = Vec::with_capacity(n + 1);
-    let mut idx = Vec::with_capacity(adj.idx.len());
-    ptr.push(0);
-    for &old in perm {
-        idx.extend(adj.nbrs(old).iter().map(|&u| inv[u]));
-        ptr.push(idx.len());
-    }
-    let edges = idx.len();
-    let counts = column_counts(&Adjacency { ptr, idx });
-    let nnz = (2 * counts.iter().sum::<usize>()).saturating_sub(n);
-    Ok(SymbolicLu {
-        nnz,
-        fill: nnz.saturating_sub(n + edges),
-    })
-}
-
-/// Column counts (diagonal included) of the Cholesky factor of a
-/// symmetric pattern in its given order: elimination tree, post-order,
-/// then one skeleton pass with least-common-ancestor queries.
-pub(crate) fn column_counts(adj: &Adjacency) -> Vec<usize> {
-    let n = adj.dim();
-    // Elimination tree, with path compression through `ancestor`.
-    let mut parent = vec![NONE; n];
-    let mut ancestor = vec![NONE; n];
-    for k in 0..n {
-        for &i0 in adj.nbrs(k) {
-            let mut i = i0;
-            while i != NONE && i < k {
-                let inext = ancestor[i];
-                ancestor[i] = k;
-                if inext == NONE {
-                    parent[i] = k;
-                }
-                i = inext;
-            }
-        }
-    }
-    // Post-order.
-    let mut head = vec![-1isize; n];
-    let mut next = vec![-1isize; n];
-    for j in (0..n).rev() {
-        if parent[j] != NONE {
-            next[j] = head[parent[j]];
-            head[parent[j]] = j as isize;
-        }
-    }
-    let mut post = vec![0usize; n];
-    let mut stack = Vec::with_capacity(n);
-    let mut k = 0;
-    for (j, &p) in parent.iter().enumerate() {
-        if p == NONE {
-            k = tree_dfs(j, k, &mut head, &next, &mut post, &mut stack);
-        }
-    }
-    // `first[j]`: post-order index of j's first descendant.
-    let mut first = vec![NONE; n];
-    let mut delta = vec![0isize; n];
-    for (k, &j) in post.iter().enumerate() {
-        delta[j] = isize::from(first[j] == NONE);
-        let mut v = j;
-        while v != NONE && first[v] == NONE {
-            first[v] = k;
-            v = parent[v];
-        }
-    }
-    let mut maxfirst = vec![NONE; n];
-    let mut prevleaf = vec![NONE; n];
-    for (i, a) in ancestor.iter_mut().enumerate() {
-        *a = i;
-    }
-    for &j in &post {
-        if parent[j] != NONE {
-            delta[parent[j]] -= 1;
-        }
-        for &i in adj.nbrs(j) {
-            // Is j a leaf of the row subtree of i?
-            if i <= j || (maxfirst[i] != NONE && first[j] <= maxfirst[i]) {
-                continue;
-            }
-            maxfirst[i] = first[j];
-            let jprev = prevleaf[i];
-            prevleaf[i] = j;
-            delta[j] += 1;
-            if jprev != NONE {
-                // Subsequent leaf: the overlap ends at lca(jprev, j).
-                let mut q = jprev;
-                while q != ancestor[q] {
-                    q = ancestor[q];
-                }
-                let mut s = jprev;
-                while s != q {
-                    let sp = ancestor[s];
-                    ancestor[s] = q;
-                    s = sp;
-                }
-                delta[q] -= 1;
-            }
-        }
-        if parent[j] != NONE {
-            ancestor[j] = parent[j];
-        }
-    }
-    for j in 0..n {
-        if parent[j] != NONE {
-            delta[parent[j]] += delta[j];
-        }
-    }
-    delta.into_iter().map(|d| d.max(0) as usize).collect()
-}
-
 /// Bandwidth of a sparse matrix: `max |i − j|` over stored entries. Used
 /// to validate that RCM actually tightened the profile.
 pub fn bandwidth<T: Scalar>(a: &CsrMatrix<T>) -> usize {
@@ -1036,10 +888,6 @@ mod tests {
                 permute_symmetric(&a, p),
                 Err(NumericsError::DimensionMismatch { .. })
             ));
-            assert!(matches!(
-                symbolic_lu(&a, p),
-                Err(NumericsError::DimensionMismatch { .. })
-            ));
         }
         let rect = CooMatrix::<f64>::new(2, 3).to_csr();
         assert!(matches!(
@@ -1069,10 +917,6 @@ mod tests {
         assert!(rcm_ordering(&a).is_empty());
         assert!(amd_ordering(&a).is_empty());
         assert_eq!(max_transversal(&a).unwrap(), Vec::<usize>::new());
-        assert_eq!(
-            symbolic_lu(&a, &[]).unwrap(),
-            SymbolicLu { nnz: 0, fill: 0 }
-        );
         assert_eq!(bandwidth(&a), 0);
     }
 
@@ -1130,60 +974,17 @@ mod tests {
 
     #[test]
     fn amd_fill_on_a_grid_is_at_most_rcm() {
+        // Off-diagonal nonzeros of the actual L + U factor under each
+        // ordering (the grid is diagonally dominant, so partial pivoting
+        // keeps the diagonal).
         let a = grid(30);
-        let amd = symbolic_lu(&a, &amd_ordering(&a)).unwrap().nnz;
-        let rcm = symbolic_lu(&a, &rcm_ordering(&a)).unwrap().nnz;
+        let fill = |p: Vec<usize>| crate::SparseLu::new_ordered(&a, &p).unwrap().factor_nnz() - 900;
+        let amd = fill(amd_ordering(&a));
+        let rcm = fill(rcm_ordering(&a));
         assert!(amd <= rcm, "AMD {amd} vs RCM {rcm}");
         // Nested-dissection-like orderings reach O(n log n); a band of
         // width 30 costs about 2·n·30.
         assert!(amd < 2 * 900 * 30 / 2, "AMD fill {amd}");
-    }
-
-    /// Column counts by explicit symbolic elimination on a dense boolean
-    /// pattern — the definition the elimination-tree counts must match.
-    fn brute_force_counts(a: &CsrMatrix<f64>) -> Vec<usize> {
-        let n = a.rows();
-        // Row-major n × n boolean pattern of A + Aᵀ + I.
-        let mut m = vec![false; n * n];
-        for i in 0..n {
-            for &j in a.row(i).0.iter().chain(&[i]) {
-                m[i * n + j] = true;
-                m[j * n + i] = true;
-            }
-        }
-        let mut counts = vec![0; n];
-        for (k, count) in counts.iter_mut().enumerate() {
-            let below: Vec<usize> = (k + 1..n).filter(|&i| m[i * n + k]).collect();
-            *count = 1 + below.len();
-            for &i in &below {
-                for &j in &below {
-                    m[i * n + j] = true;
-                }
-            }
-        }
-        counts
-    }
-
-    #[test]
-    fn column_counts_match_brute_force_elimination() {
-        let mut rng = Rng::new(3);
-        for trial in 0..60 {
-            let n = 1 + rng.range_usize(0, 40);
-            let a = random_pattern(&mut rng, n, trial % 4);
-            let expect = brute_force_counts(&a);
-            let got = column_counts(&Adjacency::of(&a, None));
-            assert_eq!(got, expect, "trial {trial}, n {n}");
-            let identity: Vec<usize> = (0..n).collect();
-            let predicted = symbolic_lu(&a, &identity).unwrap();
-            assert_eq!(predicted.nnz, 2 * expect.iter().sum::<usize>() - n);
-            // The pattern of A + Aᵀ with a full diagonal, counted once.
-            let d = a.to_dense();
-            let pattern = (0..n)
-                .flat_map(|i| (0..n).map(move |j| (i, j)))
-                .filter(|&(i, j)| i == j || d[(i, j)] != 0.0 || d[(j, i)] != 0.0)
-                .count();
-            assert_eq!(predicted.fill, predicted.nnz - pattern);
-        }
     }
 
     /// A small MNA-shaped matrix: a resistor chain whose first node is

@@ -4,7 +4,7 @@
 //! transient/AC solve) reports into this crate so a run can be profiled
 //! end-to-end without external tooling:
 //!
-//! * **Spans** — hierarchical wall-time regions opened by [`span`] (or the
+//! * **Spans** — hierarchical wall-time regions opened by [`span()`] (or the
 //!   [`span!`] macro) and closed by RAII drop. Each span records its
 //!   parent (via a thread-local stack), the worker thread that ran it, and
 //!   optional string attributes such as `mode=serial|parallel`. Parentage
@@ -402,7 +402,7 @@ pub fn reset(spec: &str) -> Result<TraceMode, String> {
     set_mode_spec(spec)
 }
 
-/// RAII guard for one span. Created by [`span`]; the span closes when the
+/// RAII guard for one span. Created by [`span()`]; the span closes when the
 /// guard drops. When tracing is off the guard is inert.
 #[derive(Debug)]
 pub struct SpanGuard {

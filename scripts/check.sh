@@ -58,6 +58,11 @@ if grep -rnw partial_cmp workload-bench/src; then
   exit 1
 fi
 
+echo "==> cargo doc (workspace, -D warnings)"
+# Neither the build nor clippy resolves intra-doc links: a doc that links
+# a deleted, renamed, private or ambiguous item only fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> batch engine smoke run (vpec batch, request isolation + degradation + ledger)"
 batch_in="target/batch_smoke_in.jsonl"
 batch_out="target/batch_smoke_out.jsonl"

@@ -1,10 +1,13 @@
-//! The fill-reducing sparse factor on the paper's buses: its fill guard
-//! never accepts more nonzeros than RCM ordering gives, and its waveforms
+//! The fill-reducing sparse factor on the paper's buses: real-valued
+//! factors are ordered by transversal + AMD, on Table III's sparsest model
+//! they hold no more nonzeros than RCM ordering gives, and their waveforms
 //! agree with dense LU.
 
 use vpec::prelude::*;
+use vpec_circuit::dc::{dc_matrix, solve_dc_report};
+use vpec_circuit::SparseOrdering;
 use vpec_numerics::ordering::rcm_ordering;
-use vpec_numerics::SparseLu;
+use vpec_numerics::{CooMatrix, SparseLu};
 
 fn experiment(bits: usize, misalign: f64) -> Experiment {
     Experiment::new(
@@ -14,9 +17,23 @@ fn experiment(bits: usize, misalign: f64) -> Experiment {
     )
 }
 
-/// Table III's misaligned 128-bit bus under its sparsest truncation: the
-/// accepted transient factor holds no more nonzeros than the RCM factor
-/// of the same matrix with full partial pivoting.
+/// Asserts that the accepted factor of `a` is a transversal + AMD one
+/// that holds no more nonzeros than the RCM factor of the same matrix
+/// with full partial pivoting.
+fn assert_amd_no_larger_than_rcm(what: &str, a: &CooMatrix<f64>, diag: &FactorDiagnostics) {
+    let csr = a.to_csr();
+    let rcm = SparseLu::new_ordered(&csr, &rcm_ordering(&csr)).unwrap();
+    assert_eq!(diag.ordering, Some(SparseOrdering::Amd), "{what}: {diag:?}");
+    assert!(
+        diag.factor_nnz <= rcm.factor_nnz(),
+        "{what}: AMD {} vs RCM {}",
+        diag.factor_nnz,
+        rcm.factor_nnz()
+    );
+}
+
+/// Table III's misaligned 128-bit bus under its sparsest truncation: both
+/// its transient and its DC factor.
 #[test]
 fn table3_factor_is_no_larger_than_rcm() {
     let exp = experiment(128, 0.05);
@@ -25,17 +42,10 @@ fn table3_factor_is_no_larger_than_rcm() {
         .unwrap();
     let spec = TransientSpec::new(0.5e-9, 1e-12);
     let factor = built.prepare_transient(&spec).unwrap();
-    let diag = factor.factor_diagnostics();
-    let csr = factor.matrix().to_csr();
-    let rcm = SparseLu::new_ordered(&csr, &rcm_ordering(&csr)).unwrap();
-    assert!(diag.ordering.is_some(), "a sparse factor: {diag:?}");
-    assert!(
-        diag.factor_nnz <= rcm.factor_nnz(),
-        "accepted {} ({:?}) vs RCM {}",
-        diag.factor_nnz,
-        diag.ordering,
-        rcm.factor_nnz()
-    );
+    assert_amd_no_larger_than_rcm("transient", factor.matrix(), factor.factor_diagnostics());
+    let ckt = &built.model.circuit;
+    let (_, dc) = solve_dc_report(ckt).unwrap();
+    assert_amd_no_larger_than_rcm("dc", &dc_matrix(ckt).unwrap(), &dc);
 }
 
 /// Sparse and dense LU agree on 32-bit PEEC, full VPEC and gwVPEC(8)
