@@ -84,13 +84,23 @@ fn main() {
             }
         };
         println!("{report}");
-        println!("[{name} completed in {:.1} s]\n", t0.elapsed().as_secs_f64());
+        println!(
+            "[{name} completed in {:.1} s]\n",
+            t0.elapsed().as_secs_f64()
+        );
     };
 
     match which.as_str() {
         "all" => {
             for name in [
-                "fig2", "table2", "table3", "fig4", "table4", "spiral", "fig8", "baselines",
+                "fig2",
+                "table2",
+                "table3",
+                "fig4",
+                "table4",
+                "spiral",
+                "fig8",
+                "baselines",
             ] {
                 run_one(name);
             }

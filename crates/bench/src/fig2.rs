@@ -12,9 +12,9 @@
 use crate::report::{pct, Table};
 use vpec_circuit::ac::AcSpec;
 use vpec_circuit::metrics::WaveformDiff;
+use vpec_circuit::TransientSpec;
 use vpec_core::harness::{Experiment, ModelKind};
 use vpec_core::DriveConfig;
-use vpec_circuit::TransientSpec;
 use vpec_extract::ExtractionConfig;
 use vpec_geometry::BusSpec;
 

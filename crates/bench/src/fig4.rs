@@ -62,13 +62,10 @@ pub fn run(sizes: &[usize]) -> Fig4Outcome {
             speedup(trunc_secs, win_secs),
         ]);
     }
-    let mut report = String::from(
-        "== Fig. 4: extraction time, truncation (full inversion) vs windowing ==\n\n",
-    );
+    let mut report =
+        String::from("== Fig. 4: extraction time, truncation (full inversion) vs windowing ==\n\n");
     report.push_str(&t.render());
-    report.push_str(
-        "\npaper: comparable below ~128 bits; windowing ~90x faster at 2048 bits\n",
-    );
+    report.push_str("\npaper: comparable below ~128 bits; windowing ~90x faster at 2048 bits\n");
     Fig4Outcome { rows, report }
 }
 

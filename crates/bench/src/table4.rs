@@ -74,8 +74,10 @@ pub fn run(bits: usize, bs: &[usize]) -> Table4Outcome {
         let dt_far = WaveformDiff::compare(&wp_far, &gt.far_voltage(&rt, far_victim).unwrap());
         let dw_far = WaveformDiff::compare(&wp_far, &gw.far_voltage(&rw, far_victim).unwrap());
         if k == 0 {
-            let dt_near = WaveformDiff::compare(&wp_near, &gt.far_voltage(&rt, near_victim).unwrap());
-            let dw_near = WaveformDiff::compare(&wp_near, &gw.far_voltage(&rw, near_victim).unwrap());
+            let dt_near =
+                WaveformDiff::compare(&wp_near, &gt.far_voltage(&rt, near_victim).unwrap());
+            let dw_near =
+                WaveformDiff::compare(&wp_near, &gw.far_voltage(&rw, near_victim).unwrap());
             near_diffs = (dt_near.avg_abs, dw_near.avg_abs);
         }
         rows.push((b, dt_far.avg_abs, dw_far.avg_abs));

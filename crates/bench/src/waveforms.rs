@@ -11,11 +11,7 @@ use vpec_core::DriveConfig;
 use vpec_extract::ExtractionConfig;
 use vpec_geometry::{BusSpec, SpiralSpec};
 
-fn write_csv(
-    path: &Path,
-    header: &[String],
-    columns: &[Vec<f64>],
-) -> std::io::Result<()> {
+fn write_csv(path: &Path, header: &[String], columns: &[Vec<f64>]) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
     writeln!(f, "{}", header.join(","))?;
     let rows = columns.first().map_or(0, Vec::len);
@@ -95,8 +91,14 @@ pub fn dump_figures(dir: &Path, full: bool) -> std::io::Result<Vec<String>> {
         for (name, kind) in [
             ("peec".to_string(), ModelKind::Peec),
             ("full_vpec".to_string(), ModelKind::VpecFull),
-            ("ntvpec_1e3".to_string(), ModelKind::TVpecNumerical { threshold: 1e-3 }),
-            ("ntvpec_1e2".to_string(), ModelKind::TVpecNumerical { threshold: 1e-2 }),
+            (
+                "ntvpec_1e3".to_string(),
+                ModelKind::TVpecNumerical { threshold: 1e-3 },
+            ),
+            (
+                "ntvpec_1e2".to_string(),
+                ModelKind::TVpecNumerical { threshold: 1e-2 },
+            ),
         ] {
             let built = exp.build(kind).expect("build");
             let (res, _) = built.run_transient(&tspec).expect("transient");
@@ -121,7 +123,10 @@ pub fn dump_figures(dir: &Path, full: bool) -> std::io::Result<Vec<String>> {
         let mut cols: Vec<Vec<f64>> = Vec::new();
         for (name, kind) in [
             ("peec".to_string(), ModelKind::Peec),
-            (format!("gtvpec_{b}"), ModelKind::TVpecGeometric { nw: b, nl: 1 }),
+            (
+                format!("gtvpec_{b}"),
+                ModelKind::TVpecGeometric { nw: b, nl: 1 },
+            ),
             (format!("gwvpec_{b}"), ModelKind::WVpecGeometric { b }),
         ] {
             let built = exp.build(kind).expect("build");

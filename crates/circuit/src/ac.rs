@@ -149,8 +149,12 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
         let mut rhs = vec![Complex64::ZERO; layout.dim];
         for (idx, e) in ckt.elements().iter().enumerate() {
             match e {
-                Element::VSource { ac: Some((m, p)), .. }
-                | Element::ISource { ac: Some((m, p)), .. } => {
+                Element::VSource {
+                    ac: Some((m, p)), ..
+                }
+                | Element::ISource {
+                    ac: Some((m, p)), ..
+                } => {
                     add_source_rhs(&mut rhs, &layout, idx, e, Complex64::from_polar(*m, *p));
                 }
                 _ => {}
@@ -240,11 +244,7 @@ mod tests {
         c.add_inductor("L1", mid, out, 1e-9).unwrap();
         c.add_capacitor("C1", out, Circuit::GROUND, 1e-12).unwrap();
         let f0 = 1.0 / (2.0 * std::f64::consts::PI * (1e-9f64 * 1e-12).sqrt());
-        let res = run_ac(
-            &c,
-            &AcSpec::points(vec![f0 / 10.0, f0, f0 * 10.0]),
-        )
-        .unwrap();
+        let res = run_ac(&c, &AcSpec::points(vec![f0 / 10.0, f0, f0 * 10.0])).unwrap();
         // At resonance the cap voltage is Q times the input; off resonance
         // it falls away.
         let mag = res.magnitude(out).unwrap();
@@ -267,7 +267,7 @@ mod tests {
         // endpoint (the last generated point was clamped or fell short).
         for &(f_start, f_stop, ppd) in &[
             (1.0, 1e10, 10),
-            (1.0, 3.16e7, 7),   // fractional decades
+            (1.0, 3.16e7, 7), // fractional decades
             (2.5, 9.9e3, 3),
             (1e3, 1e3 * 1.5, 10), // less than one decade
         ] {

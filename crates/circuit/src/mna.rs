@@ -93,7 +93,9 @@ pub(crate) fn assemble<T: Scalar>(
     let one = T::one();
     for (idx, e) in ckt.elements().iter().enumerate() {
         match e {
-            Element::Resistor { a: na, b: nb, r, .. } => {
+            Element::Resistor {
+                a: na, b: nb, r, ..
+            } => {
                 let g = T::from_f64(1.0 / r);
                 let (ia, ib) = (layout.node_idx(*na), layout.node_idx(*nb));
                 stamp(&mut a, ia, ia, g)?;
@@ -101,7 +103,9 @@ pub(crate) fn assemble<T: Scalar>(
                 stamp(&mut a, ia, ib, -g)?;
                 stamp(&mut a, ib, ia, -g)?;
             }
-            Element::Capacitor { a: na, b: nb, c, .. } => {
+            Element::Capacitor {
+                a: na, b: nb, c, ..
+            } => {
                 let y = cap_adm(*c);
                 if !y.is_zero() {
                     let (ia, ib) = (layout.node_idx(*na), layout.node_idx(*nb));
@@ -111,7 +115,9 @@ pub(crate) fn assemble<T: Scalar>(
                     stamp(&mut a, ib, ia, -y)?;
                 }
             }
-            Element::Inductor { a: na, b: nb, l, .. } => {
+            Element::Inductor {
+                a: na, b: nb, l, ..
+            } => {
                 let br = layout.branch_idx(idx);
                 let (ia, ib) = (layout.node_idx(*na), layout.node_idx(*nb));
                 // KCL columns: current flows a → b.

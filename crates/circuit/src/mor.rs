@@ -124,11 +124,7 @@ impl ReducedModel {
     /// # Errors
     ///
     /// Propagates a singular reduced system.
-    pub fn transfer(
-        &self,
-        output: usize,
-        freqs: &[f64],
-    ) -> Result<Vec<Complex64>, CircuitError> {
+    pub fn transfer(&self, output: usize, freqs: &[f64]) -> Result<Vec<Complex64>, CircuitError> {
         assert!(output < self.l_r.len(), "output index out of range");
         let q = self.order();
         let mut out = Vec::with_capacity(freqs.len());
@@ -157,11 +153,7 @@ type Descriptor = (CsrMatrix<f64>, CsrMatrix<f64>, Vec<f64>, Waveform);
 /// Builds the `(G, C)` descriptor pair of a circuit with branch rows
 /// sign-flipped into standard passive-MNA form, plus the input vector and
 /// waveform of the chosen source.
-fn descriptor(
-    ckt: &Circuit,
-    layout: &MnaLayout,
-    input: usize,
-) -> Result<Descriptor, CircuitError> {
+fn descriptor(ckt: &Circuit, layout: &MnaLayout, input: usize) -> Result<Descriptor, CircuitError> {
     // A(κ) = G + κ·C_stamps: extract C by differencing κ = 1 and κ = 0.
     let a0 = assemble::<f64>(ckt, layout, |_| 0.0, |_| 0.0)?;
     let a1 = assemble::<f64>(ckt, layout, |c| c, |l| l)?;
@@ -353,7 +345,8 @@ mod tests {
         let mut nodes = Vec::new();
         for k in 0..20 {
             let node = ckt.node(&format!("n{k}"));
-            ckt.add_resistor(&format!("r{k}"), prev, node, 100.0).unwrap();
+            ckt.add_resistor(&format!("r{k}"), prev, node, 100.0)
+                .unwrap();
             ckt.add_capacitor(&format!("c{k}"), node, Circuit::GROUND, 20e-15)
                 .unwrap();
             nodes.push(node);
@@ -434,7 +427,8 @@ mod tests {
             let mid = ckt.node(&format!("m{k}"));
             let node = ckt.node(&format!("n{k}"));
             ckt.add_resistor(&format!("r{k}"), prev, mid, 20.0).unwrap();
-            ckt.add_inductor(&format!("l{k}"), mid, node, 0.2e-9).unwrap();
+            ckt.add_inductor(&format!("l{k}"), mid, node, 0.2e-9)
+                .unwrap();
             ckt.add_capacitor(&format!("c{k}"), node, Circuit::GROUND, 15e-15)
                 .unwrap();
             prev = node;

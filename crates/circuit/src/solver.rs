@@ -133,10 +133,7 @@ impl<T: Scalar> Factored<T> {
         if vpec_trace::enabled() {
             for a in &diag.attempts {
                 let tag = if a.succeeded { "ok" } else { "failed" };
-                vpec_trace::counter_add(
-                    &format!("factor.attempt.{}.{tag}", a.strategy.label()),
-                    1,
-                );
+                vpec_trace::counter_add(&format!("factor.attempt.{}.{tag}", a.strategy.label()), 1);
             }
             if let Some(s) = diag.accepted() {
                 sp.set_attr("strategy", s.label());
@@ -273,7 +270,12 @@ mod tests {
         // whichever backend produced it.
         for (dim, strategy, nnz, ordering) in [
             (5, FactorStrategy::DenseLu, 25, None),
-            (100, FactorStrategy::SparseLu, 200, Some(SparseOrdering::Amd)),
+            (
+                100,
+                FactorStrategy::SparseLu,
+                200,
+                Some(SparseOrdering::Amd),
+            ),
         ] {
             let (_, diag) = Factored::factor_with(&diag_coo(dim), false).unwrap();
             assert_eq!(diag.accepted(), Some(strategy), "{dim}");
@@ -291,9 +293,12 @@ mod tests {
             for c in 0..cols {
                 let v = r * cols + c;
                 coo.push(v, v, 4.0).unwrap();
-                for u in [(c + 1 < cols).then(|| v + 1), (r + 1 < rows).then(|| v + cols)]
-                    .into_iter()
-                    .flatten()
+                for u in [
+                    (c + 1 < cols).then(|| v + 1),
+                    (r + 1 < rows).then(|| v + cols),
+                ]
+                .into_iter()
+                .flatten()
                 {
                     coo.push(v, u, -1.0).unwrap();
                     coo.push(u, v, -1.0).unwrap();
@@ -306,7 +311,10 @@ mod tests {
     #[test]
     fn singular_maps_to_circuit_error() {
         let coo = CooMatrix::<f64>::new(2, 2); // all-zero matrix
-        assert_eq!(Factored::primary_strategy(&coo.to_csr()), FactorStrategy::DenseLu);
+        assert_eq!(
+            Factored::primary_strategy(&coo.to_csr()),
+            FactorStrategy::DenseLu
+        );
         let err = Factored::factor(&coo).unwrap_err();
         assert!(matches!(err, CircuitError::SingularSystem { .. }));
     }
@@ -343,7 +351,10 @@ mod tests {
     fn singular_system_is_typed_error_after_the_whole_chain() {
         // All-zero and dim 100: sparse LU fails, then dense LU does.
         let coo = CooMatrix::<f64>::new(100, 100);
-        assert_eq!(Factored::primary_strategy(&coo.to_csr()), FactorStrategy::SparseLu);
+        assert_eq!(
+            Factored::primary_strategy(&coo.to_csr()),
+            FactorStrategy::SparseLu
+        );
         let err = Factored::factor_with(&coo, false).unwrap_err();
         assert!(matches!(err, CircuitError::SingularSystem { .. }));
     }

@@ -282,7 +282,10 @@ pub fn from_spice(deck: &str) -> Result<Circuit, ParseError> {
         match kind {
             'R' | 'C' | 'L' => {
                 if toks.len() < 4 {
-                    return Err(err(line_no, format!("{kind} card needs 2 nodes and a value")));
+                    return Err(err(
+                        line_no,
+                        format!("{kind} card needs 2 nodes and a value"),
+                    ));
                 }
                 let a = ckt.node(toks[1]);
                 let b = ckt.node(toks[2]);
@@ -377,7 +380,10 @@ pub fn from_spice(deck: &str) -> Result<Circuit, ParseError> {
             }
             'F' | 'H' => {
                 if toks.len() < 5 {
-                    return Err(err(line_no, "F/H card needs 2 nodes, a V source and a gain"));
+                    return Err(err(
+                        line_no,
+                        "F/H card needs 2 nodes, a V source and a gain",
+                    ));
                 }
                 let p = ckt.node(toks[1]);
                 let n = ckt.node(toks[2]);
@@ -454,7 +460,7 @@ mod tests {
         close("5ohm", 5.0); // unit text without magnitude suffix
         close("-2.5pF", -2.5e-12);
         close("1e3k", 1e6); // exponent then magnitude suffix
-        // Malformed tokens stay errors.
+                            // Malformed tokens stay errors.
         assert!(parse_value("p").is_err());
         assert!(parse_value("1p F").is_err());
         assert!(parse_value("1.2.3").is_err());
@@ -539,14 +545,16 @@ Rb b 0 1.0
             .unwrap();
         ckt.add_resistor("eload", e_out, Circuit::GROUND, 1000.0)
             .unwrap();
-        ckt.add_cccs("mir", Circuit::GROUND, f_out, src, 0.5).unwrap();
+        ckt.add_cccs("mir", Circuit::GROUND, f_out, src, 0.5)
+            .unwrap();
         ckt.add_resistor("fload", f_out, Circuit::GROUND, 50.0)
             .unwrap();
         ckt.add_vccs("gm", Circuit::GROUND, g_out, c, Circuit::GROUND, 1e-3)
             .unwrap();
         ckt.add_resistor("gload", g_out, Circuit::GROUND, 100.0)
             .unwrap();
-        ckt.add_ccvs("tr", h_out, Circuit::GROUND, src, 10.0).unwrap();
+        ckt.add_ccvs("tr", h_out, Circuit::GROUND, src, 10.0)
+            .unwrap();
         ckt.add_resistor("hload", h_out, Circuit::GROUND, 100.0)
             .unwrap();
 

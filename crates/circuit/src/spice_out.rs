@@ -14,7 +14,12 @@ use std::fmt::Write as _;
 fn fmt_wave(w: &Waveform) -> String {
     match w {
         Waveform::Dc(v) => format!("DC {v:.6e}"),
-        Waveform::Step { v0, v1, delay, rise } => {
+        Waveform::Step {
+            v0,
+            v1,
+            delay,
+            rise,
+        } => {
             let rise = rise.max(1e-15);
             if *delay > 0.0 {
                 format!(
@@ -80,8 +85,12 @@ pub fn to_spice(ckt: &Circuit, title: &str) -> String {
             Element::Mutual { name, la, lb, m } => {
                 let (l1, l2) = match (ckt.element(*la), ckt.element(*lb)) {
                     (
-                        Element::Inductor { l: l1, name: n1, .. },
-                        Element::Inductor { l: l2, name: n2, .. },
+                        Element::Inductor {
+                            l: l1, name: n1, ..
+                        },
+                        Element::Inductor {
+                            l: l2, name: n2, ..
+                        },
                     ) => ((*l1, n1.clone()), (*l2, n2.clone())),
                     #[expect(
                         clippy::unreachable,
@@ -93,14 +102,26 @@ pub fn to_spice(ckt: &Circuit, title: &str) -> String {
                 let k = m / (l1.0 * l2.0).sqrt();
                 let _ = writeln!(out, "K{name} L{} L{} {k:.6e}", l1.1, l2.1);
             }
-            Element::VSource { name, p, n, wave, ac } => {
+            Element::VSource {
+                name,
+                p,
+                n,
+                wave,
+                ac,
+            } => {
                 let mut card = format!("V{name} {} {} {}", node(*p), node(*n), fmt_wave(wave));
                 if let Some((m, ph)) = ac {
                     let _ = write!(card, " AC {m:.6e} {ph:.6e}");
                 }
                 let _ = writeln!(out, "{card}");
             }
-            Element::ISource { name, p, n, wave, ac } => {
+            Element::ISource {
+                name,
+                p,
+                n,
+                wave,
+                ac,
+            } => {
                 let mut card = format!("I{name} {} {} {}", node(*p), node(*n), fmt_wave(wave));
                 if let Some((m, ph)) = ac {
                     let _ = write!(card, " AC {m:.6e} {ph:.6e}");
@@ -108,7 +129,12 @@ pub fn to_spice(ckt: &Circuit, title: &str) -> String {
                 let _ = writeln!(out, "{card}");
             }
             Element::Vcvs {
-                name, p, n, cp, cn, gain,
+                name,
+                p,
+                n,
+                cp,
+                cn,
+                gain,
             } => {
                 let _ = writeln!(
                     out,
@@ -120,7 +146,12 @@ pub fn to_spice(ckt: &Circuit, title: &str) -> String {
                 );
             }
             Element::Vccs {
-                name, p, n, cp, cn, gm,
+                name,
+                p,
+                n,
+                cp,
+                cn,
+                gm,
             } => {
                 let _ = writeln!(
                     out,
@@ -132,7 +163,11 @@ pub fn to_spice(ckt: &Circuit, title: &str) -> String {
                 );
             }
             Element::Cccs {
-                name, p, n, sense, gain,
+                name,
+                p,
+                n,
+                sense,
+                gain,
             } => {
                 let _ = writeln!(
                     out,
@@ -142,7 +177,13 @@ pub fn to_spice(ckt: &Circuit, title: &str) -> String {
                     ckt.element(*sense).name()
                 );
             }
-            Element::Ccvs { name, p, n, sense, r } => {
+            Element::Ccvs {
+                name,
+                p,
+                n,
+                sense,
+                r,
+            } => {
                 let _ = writeln!(
                     out,
                     "H{name} {} {} V{} {r:.6e}",

@@ -20,7 +20,6 @@
 
 use crate::dc::solve_dc_report;
 use crate::diagnostics::{FactorDiagnostics, FaultInjection, SolveAudit, TransientDiagnostics};
-use vpec_numerics::cancel::CancelToken;
 use crate::elements::Element;
 use crate::error::CircuitError;
 use crate::mna::{add_source_rhs, assemble, MnaLayout};
@@ -29,6 +28,7 @@ use crate::result::{ResultMapping, TransientResult};
 use crate::solver::Factored;
 use std::collections::HashMap;
 use vpec_numerics::audit;
+use vpec_numerics::cancel::CancelToken;
 
 /// Time-integration method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -182,9 +182,7 @@ fn source_values_at_zero(ckt: &Circuit) -> Vec<f64> {
     ckt.elements()
         .iter()
         .filter_map(|e| match e {
-            Element::VSource { wave, .. } | Element::ISource { wave, .. } => {
-                Some(wave.value(0.0))
-            }
+            Element::VSource { wave, .. } | Element::ISource { wave, .. } => Some(wave.value(0.0)),
             _ => None,
         })
         .collect()
@@ -475,7 +473,9 @@ fn run_transient_guarded(
     // First pass: self terms and node indices.
     for (idx, e) in ckt.elements().iter().enumerate() {
         match e {
-            Element::Capacitor { a: na, b: nb, c, .. } => {
+            Element::Capacitor {
+                a: na, b: nb, c, ..
+            } => {
                 let ia = layout.node_idx(*na);
                 let ib = layout.node_idx(*nb);
                 let va = ia.map_or(0.0, |i| x[i]);
@@ -488,7 +488,9 @@ fn run_transient_guarded(
                     i_prev: 0.0, // steady state: no capacitor current
                 });
             }
-            Element::Inductor { a: na, b: nb, l, .. } => {
+            Element::Inductor {
+                a: na, b: nb, l, ..
+            } => {
                 let Some(br) = layout.branch_idx(idx) else {
                     continue;
                 };
@@ -504,11 +506,8 @@ fn run_transient_guarded(
         }
     }
     // Second pass: mutual couplings (element ids refer to inductors).
-    let br_to_ind: HashMap<usize, usize> = inds
-        .iter()
-        .enumerate()
-        .map(|(k, s)| (s.br, k))
-        .collect();
+    let br_to_ind: HashMap<usize, usize> =
+        inds.iter().enumerate().map(|(k, s)| (s.br, k)).collect();
     for e in ckt.elements() {
         if let Element::Mutual { la, lb, m, .. } = e {
             if let (Some(ba), Some(bb)) = (layout.branch_idx(la.0), layout.branch_idx(lb.0)) {
@@ -862,17 +861,13 @@ mod tests {
         let period = 2.0 * std::f64::consts::PI / omega;
         let res = run_transient(
             &c,
-            &TransientSpec::new(3.0 * period, period / 400.0)
-                .integrator(Integrator::Trapezoidal),
+            &TransientSpec::new(3.0 * period, period / 400.0).integrator(Integrator::Trapezoidal),
         )
         .unwrap();
         let v = res.voltage(top).unwrap();
         let vmax = v.iter().cloned().fold(f64::MIN, f64::max);
         let vmin = v.iter().cloned().fold(f64::MAX, f64::min);
-        assert!(
-            vmax > 0.01 && vmin < -0.01,
-            "should ring: {vmax} / {vmin}"
-        );
+        assert!(vmax > 0.01 && vmin < -0.01, "should ring: {vmax} / {vmin}");
     }
 
     #[test]
@@ -892,17 +887,16 @@ mod tests {
         let res = run_transient(&c, &TransientSpec::new(2e-10, 1e-13)).unwrap();
         let v_sec = res.voltage(sec).unwrap();
         let peak = v_sec.iter().cloned().fold(0.0f64, |a, b| a.max(b.abs()));
-        assert!(peak > 1e-3, "mutual coupling must induce secondary voltage, got {peak}");
+        assert!(
+            peak > 1e-3,
+            "mutual coupling must induce secondary voltage, got {peak}"
+        );
     }
 
     #[test]
     fn probes_restrict_recording() {
         let (c, out) = rc_circuit();
-        let res = run_transient(
-            &c,
-            &TransientSpec::new(1e-7, 1e-9).probes(vec![out]),
-        )
-        .unwrap();
+        let res = run_transient(&c, &TransientSpec::new(1e-7, 1e-9).probes(vec![out])).unwrap();
         assert_eq!(res.voltage(out).unwrap().len(), res.len());
         assert!(res.branch_current(crate::ElementId(0)).is_none());
     }
@@ -931,8 +925,7 @@ mod tests {
     #[test]
     fn clean_run_reports_clean_diagnostics() {
         let (c, _) = rc_circuit();
-        let (res, diag) =
-            run_transient_with_report(&c, &TransientSpec::new(1e-7, 1e-9)).unwrap();
+        let (res, diag) = run_transient_with_report(&c, &TransientSpec::new(1e-7, 1e-9)).unwrap();
         assert_eq!(diag.retries, 0);
         assert_eq!(diag.refactorizations, 0);
         assert_eq!(diag.final_dt, 1e-9);
@@ -961,8 +954,7 @@ mod tests {
     #[test]
     fn audit_telemetry_is_clean_on_healthy_run() {
         let (c, _) = rc_circuit();
-        let (_, diag) =
-            run_transient_with_report(&c, &TransientSpec::new(1e-7, 1e-9)).unwrap();
+        let (_, diag) = run_transient_with_report(&c, &TransientSpec::new(1e-7, 1e-9)).unwrap();
         // Debug test builds default to AuditLevel::Full; respect an
         // explicit VPEC_AUDIT=off override (release-profile CI runs).
         if audit::enabled(audit::AuditLevel::Basic) {
@@ -1054,7 +1046,8 @@ mod tests {
         let spec = TransientSpec::new(1e-7, 1e-9);
         let (cold, cold_diag) = run_transient_with_report(&c, &spec).unwrap();
         let pf = prepare_transient(&c, &spec).unwrap();
-        pf.validate(&c, &spec).expect("handle matches what it was prepared for");
+        pf.validate(&c, &spec)
+            .expect("handle matches what it was prepared for");
         let (warm, warm_diag) = run_transient_with_report_prefactored(&c, &spec, &pf).unwrap();
         // The reused factor IS the factor a cold run computes, so every
         // sample must agree bit-for-bit — not just to tolerance.
@@ -1106,16 +1099,21 @@ mod tests {
         let (dense, dd) = run_transient_with_report(&c, &faulted).unwrap();
         assert_eq!(ds.factor.accepted(), Some(FactorStrategy::SparseLu));
         assert_eq!(dd.factor.accepted(), Some(FactorStrategy::DenseLu));
-        let subnormal = |r: &TransientResult| {
-            r.data.iter().flatten().filter(|v| v.is_subnormal()).count()
-        };
-        assert!(subnormal(&dense) > 0, "the ladder must reach the subnormal range");
+        let subnormal =
+            |r: &TransientResult| r.data.iter().flatten().filter(|v| v.is_subnormal()).count();
+        assert!(
+            subnormal(&dense) > 0,
+            "the ladder must reach the subnormal range"
+        );
         assert_eq!(subnormal(&sparse), 0);
         let (vs, vd) = (sparse.voltage(near).unwrap(), dense.voltage(near).unwrap());
         let peak = vd.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         assert!(peak > 0.0);
         for (s, d) in vs.iter().zip(&vd) {
-            assert!((s - d).abs() <= 1e-12 * peak, "near end: sparse {s} vs dense {d}");
+            assert!(
+                (s - d).abs() <= 1e-12 * peak,
+                "near end: sparse {s} vs dense {d}"
+            );
         }
     }
 

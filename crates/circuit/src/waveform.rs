@@ -90,7 +90,12 @@ impl Waveform {
     pub fn value(&self, t: f64) -> f64 {
         match self {
             Waveform::Dc(v) => *v,
-            Waveform::Step { v0, v1, delay, rise } => {
+            Waveform::Step {
+                v0,
+                v1,
+                delay,
+                rise,
+            } => {
                 if t <= *delay {
                     *v0
                 } else if *rise <= 0.0 || t >= delay + rise {

@@ -33,7 +33,8 @@ fn ladder(stages: usize) -> (Circuit, Vec<vpec_circuit::NodeId>) {
         taps.push(out);
         prev = out;
     }
-    c.add_resistor("Rload", prev, Circuit::GROUND, 75.0).unwrap();
+    c.add_resistor("Rload", prev, Circuit::GROUND, 75.0)
+        .unwrap();
     (c, taps)
 }
 

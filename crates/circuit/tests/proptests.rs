@@ -23,7 +23,8 @@ fn ladder(rs: &[f64], cs: &[f64], v_src: f64) -> (Circuit, Vec<NodeId>) {
     let mut nodes = Vec::new();
     for (k, (&r, &c)) in rs.iter().zip(cs.iter()).enumerate() {
         let node = ckt.node(&format!("n{k}"));
-        ckt.add_resistor(&format!("r{k}"), prev, node, r).expect("valid");
+        ckt.add_resistor(&format!("r{k}"), prev, node, r)
+            .expect("valid");
         ckt.add_capacitor(&format!("c{k}"), node, Circuit::GROUND, c)
             .expect("valid");
         nodes.push(node);
@@ -37,9 +38,7 @@ fn ladder(rs: &[f64], cs: &[f64], v_src: f64) -> (Circuit, Vec<NodeId>) {
 fn random_sections(rng: &mut XorShift64, max_n: usize) -> (Vec<f64>, Vec<f64>) {
     let n = rng.range_usize(1, max_n + 1);
     let rs: Vec<f64> = (0..n).map(|_| rng.range_f64(10.0, 10_000.0)).collect();
-    let cs: Vec<f64> = (0..n)
-        .map(|_| rng.range_f64(0.1, 100.0) * 1e-12)
-        .collect();
+    let cs: Vec<f64> = (0..n).map(|_| rng.range_f64(0.1, 100.0) * 1e-12).collect();
     (rs, cs)
 }
 
@@ -81,8 +80,8 @@ fn transient_settles_to_dc() {
         let (ckt, nodes) = ladder(&rs, &cs, v_src);
         let tau: f64 = rs.iter().sum::<f64>() * cs.iter().sum::<f64>();
         let window = tau.max(1e-10) * 20.0;
-        let res = run_transient(&ckt, &TransientSpec::new(window, window / 4000.0))
-            .expect("simulates");
+        let res =
+            run_transient(&ckt, &TransientSpec::new(window, window / 4000.0)).expect("simulates");
         // DC with the post-step source value.
         let mut dc_ckt = Circuit::new();
         let mut prev = dc_ckt.node("in");
@@ -91,7 +90,9 @@ fn transient_settles_to_dc() {
             .expect("valid");
         for (k, (&r, &c)) in rs.iter().zip(cs.iter()).enumerate() {
             let node = dc_ckt.node(&format!("n{k}"));
-            dc_ckt.add_resistor(&format!("r{k}"), prev, node, r).expect("valid");
+            dc_ckt
+                .add_resistor(&format!("r{k}"), prev, node, r)
+                .expect("valid");
             dc_ckt
                 .add_capacitor(&format!("c{k}"), node, Circuit::GROUND, c)
                 .expect("valid");
@@ -120,10 +121,10 @@ fn integrators_agree_at_steady_state() {
         let v_src = rng.range_f64(0.5, 3.0);
         let (ckt, nodes) = ladder(&[r], &[c], v_src);
         let tau = r * c;
-        let spec_be = TransientSpec::new(tau * 15.0, tau / 100.0)
-            .integrator(Integrator::BackwardEuler);
-        let spec_tr = TransientSpec::new(tau * 15.0, tau / 100.0)
-            .integrator(Integrator::Trapezoidal);
+        let spec_be =
+            TransientSpec::new(tau * 15.0, tau / 100.0).integrator(Integrator::BackwardEuler);
+        let spec_tr =
+            TransientSpec::new(tau * 15.0, tau / 100.0).integrator(Integrator::Trapezoidal);
         let vb = *run_transient(&ckt, &spec_be)
             .expect("ok")
             .voltage(nodes[0])
@@ -145,15 +146,18 @@ fn integrators_agree_at_steady_state() {
 fn coupled_ladder(rng: &mut XorShift64) -> (Circuit, Vec<NodeId>) {
     let n = rng.range_usize(1, 7);
     let rs: Vec<f64> = (0..n).map(|_| rng.range_f64(10.0, 100_000.0)).collect();
-    let cs: Vec<f64> = (0..n)
-        .map(|_| rng.range_f64(0.1, 100.0) * 1e-12)
-        .collect();
+    let cs: Vec<f64> = (0..n).map(|_| rng.range_f64(0.1, 100.0) * 1e-12).collect();
     let v_src = rng.range_f64(-5.0, 5.0);
     let (mut ckt, nodes) = ladder(&rs, &cs, v_src);
     let mut l_ids = Vec::new();
     for (k, &nn) in nodes.iter().enumerate() {
         let id = ckt
-            .add_inductor(&format!("lx{k}"), nn, Circuit::GROUND, 1e-9 * (k + 1) as f64)
+            .add_inductor(
+                &format!("lx{k}"),
+                nn,
+                Circuit::GROUND,
+                1e-9 * (k + 1) as f64,
+            )
             .expect("valid");
         l_ids.push(id);
     }
@@ -218,7 +222,8 @@ fn ac_gain_bounded_by_one() {
         let mut nodes = Vec::new();
         for (k, (&r, &c)) in rs.iter().zip(cs.iter()).enumerate() {
             let node = ckt.node(&format!("n{k}"));
-            ckt.add_resistor(&format!("r{k}"), prev, node, r).expect("valid");
+            ckt.add_resistor(&format!("r{k}"), prev, node, r)
+                .expect("valid");
             ckt.add_capacitor(&format!("c{k}"), node, Circuit::GROUND, c)
                 .expect("valid");
             nodes.push(node);

@@ -261,8 +261,7 @@ pub fn parse_args(argv: &[String]) -> Result<ParsedArgs, CliError> {
                 out.engine.deadline_ms = if ms == 0 { None } else { Some(ms) };
             }
             "--max-filaments" => {
-                out.engine.budget.max_filaments =
-                    Some(positive(flag, value("filament budget")?)?);
+                out.engine.budget.max_filaments = Some(positive(flag, value("filament budget")?)?);
             }
             "--max-dim" => {
                 out.engine.budget.max_matrix_dim =
@@ -326,7 +325,8 @@ pub fn parse_args(argv: &[String]) -> Result<ParsedArgs, CliError> {
                     vpec_trace::parse_mode_spec(spec).map_err(CliError::usage)?;
                     out.trace = Some(spec.to_string());
                 } else if let Some(expr) = other.strip_prefix("--fail-if=") {
-                    out.fail_if.push(parse_fail_if(expr).map_err(CliError::usage)?);
+                    out.fail_if
+                        .push(parse_fail_if(expr).map_err(CliError::usage)?);
                 } else if !other.starts_with('-') && out.command == Command::Stats {
                     // `stats` takes its ledger files as positional paths.
                     out.stats_inputs.push(other.to_string());
@@ -509,20 +509,34 @@ mod tests {
 
     #[test]
     fn parses_stats_command() {
-        let a = parse_args(&argv("stats a.jsonl b.jsonl --format json --fail-if p99>250ms"))
-            .unwrap();
+        let a = parse_args(&argv(
+            "stats a.jsonl b.jsonl --format json --fail-if p99>250ms",
+        ))
+        .unwrap();
         assert_eq!(a.command, Command::Stats);
         assert_eq!(a.stats_inputs, vec!["a.jsonl", "b.jsonl"]);
         assert!(a.stats_json);
         assert_eq!(a.fail_if.len(), 1);
         // --fail-if=EXPR also works, and the conditions accumulate.
-        let a = parse_args(&argv("stats l.jsonl --fail-if=p99>1s --fail-if degraded>5%"))
-            .unwrap();
+        let a = parse_args(&argv(
+            "stats l.jsonl --fail-if=p99>1s --fail-if degraded>5%",
+        ))
+        .unwrap();
         assert_eq!(a.fail_if.len(), 2);
         assert!(!a.stats_json);
         // A malformed expression or format is a parse-time usage error.
-        assert_eq!(parse_args(&argv("stats l.jsonl --fail-if p17>1ms")).unwrap_err().code, 2);
-        assert_eq!(parse_args(&argv("stats l.jsonl --format yaml")).unwrap_err().code, 2);
+        assert_eq!(
+            parse_args(&argv("stats l.jsonl --fail-if p17>1ms"))
+                .unwrap_err()
+                .code,
+            2
+        );
+        assert_eq!(
+            parse_args(&argv("stats l.jsonl --format yaml"))
+                .unwrap_err()
+                .code,
+            2
+        );
         // Positional arguments belong to stats only.
         assert!(parse_args(&argv("batch extra.jsonl")).is_err());
     }

@@ -10,9 +10,9 @@ use vpec_core::harness::{Experiment, ModelKind};
 use vpec_core::noise::noise_scan;
 use vpec_core::repair::DEFAULT_MARGIN;
 use vpec_core::{repair_passivity, DriveConfig};
-use vpec_numerics::audit;
 use vpec_extract::ExtractionConfig;
 use vpec_geometry::{BusSpec, SpiralSpec};
+use vpec_numerics::audit;
 
 fn build_experiment(args: &ParsedArgs) -> Result<Experiment, CliError> {
     let (layout, cfg, drive) = match args.structure {
@@ -124,7 +124,11 @@ pub fn model(args: &ParsedArgs) -> Result<String, CliError> {
         100.0 * model.sparse_factor()
     );
     let _ = writeln!(out, "symmetric: {}", rep.symmetric);
-    let _ = writeln!(out, "positive definite (passive): {}", rep.positive_definite);
+    let _ = writeln!(
+        out,
+        "positive definite (passive): {}",
+        rep.positive_definite
+    );
     let _ = writeln!(
         out,
         "strictly diagonally dominant: {}",
@@ -374,7 +378,8 @@ pub fn batch(args: &ParsedArgs) -> Result<String, CliError> {
             let mut w = std::io::BufWriter::new(out);
             let summary = run_engine_stream(args, reader, &mut w)?;
             use std::io::Write as _;
-            w.flush().map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
+            w.flush()
+                .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
             Ok(format!(
                 "responses written to {path}\n{}",
                 engine_summary(&summary)
@@ -427,8 +432,8 @@ pub fn stats(args: &ParsedArgs) -> Result<String, CliError> {
     }
     let mut records = Vec::new();
     for path in &args.stats_inputs {
-        let content = std::fs::read_to_string(path)
-            .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
+        let content =
+            std::fs::read_to_string(path).map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
         // Each ledger file carries its own contiguous seq, so files are
         // validated independently and then aggregated together.
         let mut recs = vpec_metrics::parse_ledger(&content)
@@ -443,7 +448,11 @@ pub fn stats(args: &ParsedArgs) -> Result<String, CliError> {
     } else {
         stats.render_text()
     };
-    let breaches: Vec<String> = args.fail_if.iter().filter_map(|c| c.check(&stats)).collect();
+    let breaches: Vec<String> = args
+        .fail_if
+        .iter()
+        .filter_map(|c| c.check(&stats))
+        .collect();
     if breaches.is_empty() {
         Ok(report)
     } else {
@@ -559,11 +568,10 @@ mod tests {
 
     #[test]
     fn noise_scan_flags_offenders() {
-        let out = run_line("noise --bits 6 --kind vpec-full --tstop 0.2n --threshold 1m")
-            .unwrap();
+        let out = run_line("noise --bits 6 --kind vpec-full --tstop 0.2n --threshold 1m").unwrap();
         assert!(out.contains("exceed the 1.0 mV margin"));
-        let quiet = run_line("noise --bits 6 --kind vpec-full --tstop 0.2n --threshold 1k")
-            .unwrap();
+        let quiet =
+            run_line("noise --bits 6 --kind vpec-full --tstop 0.2n --threshold 1k").unwrap();
         assert!(quiet.contains("within the"));
     }
 
@@ -596,8 +604,7 @@ mod tests {
         let out = run_line("model --bits 4 --kind wvpec-g:2 --audit").unwrap();
         assert!(out.contains("audit (full):"), "model audit line: {out}");
         let sim =
-            run_line("simulate --bits 3 --kind vpec-full --tstop 0.05n --probe 0 --audit")
-                .unwrap();
+            run_line("simulate --bits 3 --kind vpec-full --tstop 0.05n --probe 0 --audit").unwrap();
         assert!(
             sim.contains("audit: solve residual"),
             "simulate audit telemetry: {sim}"
@@ -607,8 +614,8 @@ mod tests {
     #[test]
     fn trace_flag_drives_sinks() {
         // Summary sink: the report gains a span tree with pipeline phases.
-        let out = run_line("simulate --bits 3 --kind vpec-full --tstop 0.05n --probe 0 --trace")
-            .unwrap();
+        let out =
+            run_line("simulate --bits 3 --kind vpec-full --tstop 0.05n --probe 0 --trace").unwrap();
         assert!(out.contains("--- trace summary ---"), "summary tree: {out}");
         assert!(out.contains("extract"), "extract phase traced: {out}");
         assert!(out.contains("transient"), "transient phase traced: {out}");
@@ -632,11 +639,17 @@ mod tests {
         // The spec is syntactically fine, so it survives parsing; opening
         // the sink fails at run time and must exit 1 (runtime), not 2
         // (usage) — and must not panic.
-        let args =
-            parse_args(&argv("extract --bits 3 --trace=jsonl:/nonexistent-dir/t.jsonl")).unwrap();
+        let args = parse_args(&argv(
+            "extract --bits 3 --trace=jsonl:/nonexistent-dir/t.jsonl",
+        ))
+        .unwrap();
         let err = run(&args).unwrap_err();
         assert_eq!(err.code, 1, "sink-open failure is runtime: {}", err.message);
-        assert!(err.message.contains("cannot open trace file"), "{}", err.message);
+        assert!(
+            err.message.contains("cannot open trace file"),
+            "{}",
+            err.message
+        );
         // An empty path never reaches run(): it dies at parse time.
         let err = parse_args(&argv("extract --trace=jsonl:")).unwrap_err();
         assert_eq!(err.code, 2);
@@ -679,7 +692,9 @@ mod tests {
         // Missing --in is a usage error; a missing file is a runtime error.
         assert_eq!(run_line("batch").unwrap_err().code, 2);
         assert_eq!(
-            run_line("batch --in /nonexistent-dir/none.jsonl").unwrap_err().code,
+            run_line("batch --in /nonexistent-dir/none.jsonl")
+                .unwrap_err()
+                .code,
             1
         );
     }
@@ -759,7 +774,9 @@ mod tests {
         assert_eq!(model.get("misses").and_then(JsonValue::as_u64), Some(2));
         assert!(v.get("errors").and_then(|e| e.get("bad-request")).is_some());
         assert!(
-            v.get("degraded_reasons").and_then(|d| d.get("budget")).is_some(),
+            v.get("degraded_reasons")
+                .and_then(|d| d.get("budget"))
+                .is_some(),
             "{json}"
         );
         // The transient requests carry the accepted solver strategy.
@@ -776,12 +793,16 @@ mod tests {
         // Missing positional ledgers are usage errors; unreadable and
         // schema-invalid ledgers are runtime errors.
         assert_eq!(run_line("stats").unwrap_err().code, 2);
-        assert_eq!(run_line("stats /nonexistent-dir/none.jsonl").unwrap_err().code, 1);
+        assert_eq!(
+            run_line("stats /nonexistent-dir/none.jsonl")
+                .unwrap_err()
+                .code,
+            1
+        );
         let broken = dir.join("vpec_cli_test_ledger_broken.jsonl");
         std::fs::write(&broken, content.replace("\"seq\":2", "\"seq\":9")).unwrap();
-        let err = run(&parse_args(&argv(&format!("stats {}", broken.display())))
-            .unwrap())
-        .unwrap_err();
+        let err =
+            run(&parse_args(&argv(&format!("stats {}", broken.display()))).unwrap()).unwrap_err();
         assert_eq!(err.code, 1);
         assert!(err.message.contains("expected seq 2"), "{}", err.message);
 

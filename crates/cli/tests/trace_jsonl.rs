@@ -15,7 +15,10 @@ fn jsonl_stream_validates_and_covers_each_commands_phases() {
             "simulate --bits 3 --kind vpec-full --tstop 0.05n --probe 0",
             &["extract", "model.invert", "factor", "transient"],
         ),
-        ("model --bits 4 --kind vpec-full", &["extract", "model.invert", "model.build"]),
+        (
+            "model --bits 4 --kind vpec-full",
+            &["extract", "model.invert", "model.build"],
+        ),
     ];
     for (command, phases) in cases {
         let line = format!("{command} --trace=jsonl:{}", tmp.display());

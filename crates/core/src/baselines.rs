@@ -160,7 +160,11 @@ pub fn return_limited(
                     above = Some((g, d));
                 }
             }
-            let picked: Vec<usize> = [below, above].into_iter().flatten().map(|(g, _)| g).collect();
+            let picked: Vec<usize> = [below, above]
+                .into_iter()
+                .flatten()
+                .map(|(g, _)| g)
+                .collect();
             let w = 1.0 / picked.len() as f64;
             picked.into_iter().map(|g| (g, w)).collect()
         })

@@ -66,10 +66,11 @@ impl fmt::Display for CoreError {
                 f,
                 "far-end waveform of net {net} has a non-finite peak (NaN/inf)"
             ),
-            CoreError::BudgetExceeded { what, limit, actual } => write!(
-                f,
-                "request exceeds its {what} budget: {actual} > {limit}"
-            ),
+            CoreError::BudgetExceeded {
+                what,
+                limit,
+                actual,
+            } => write!(f, "request exceeds its {what} budget: {actual} > {limit}"),
         }
     }
 }
@@ -112,9 +113,14 @@ mod tests {
         let e: CoreError = NumericsError::Singular { step: 2 }.into();
         assert!(e.to_string().contains("inverted"));
         assert!(e.source().is_some());
-        let e = CoreError::InvalidParameter { reason: "window must be positive" };
+        let e = CoreError::InvalidParameter {
+            reason: "window must be positive",
+        };
         assert!(e.to_string().contains("window"));
-        let e = CoreError::ShapeMismatch { parasitics: 3, layout: 4 };
+        let e = CoreError::ShapeMismatch {
+            parasitics: 3,
+            layout: 4,
+        };
         assert!(e.to_string().contains('3') && e.to_string().contains('4'));
         let e = CoreError::BudgetExceeded {
             what: "filament count",

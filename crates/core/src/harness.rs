@@ -103,8 +103,8 @@ impl ModelKind {
             "vpec-full" | "full" => Ok(ModelKind::VpecFull),
             "vpec-localized" | "localized" => Ok(ModelKind::VpecLocalized),
             "tvpec-g" => {
-                let p = param
-                    .ok_or_else(|| "tvpec-g needs a window, e.g. tvpec-g:8,2".to_string())?;
+                let p =
+                    param.ok_or_else(|| "tvpec-g needs a window, e.g. tvpec-g:8,2".to_string())?;
                 let mut it = p.split(',');
                 let nw = it
                     .next()
@@ -343,7 +343,11 @@ impl Experiment {
     ///
     /// As [`Experiment::build`]; a fired token aborts the build with a
     /// [`CoreError::BadInductanceMatrix`]-wrapped cancellation.
-    pub fn build_cancel(&self, kind: ModelKind, cancel: &CancelToken) -> Result<BuiltModel, CoreError> {
+    pub fn build_cancel(
+        &self,
+        kind: ModelKind,
+        cancel: &CancelToken,
+    ) -> Result<BuiltModel, CoreError> {
         let trace_mark = vpec_trace::mark();
         let _sp = vpec_trace::span!("build", "kind" => kind.label());
         let t0 = Instant::now();
@@ -470,7 +474,10 @@ impl SolveReport {
     /// cross-check) — informational, not a degradation signal, so kept
     /// apart from [`SolveReport::lines`].
     pub fn audit_lines(&self) -> Vec<String> {
-        self.audit.as_ref().map(SolveAudit::lines).unwrap_or_default()
+        self.audit
+            .as_ref()
+            .map(SolveAudit::lines)
+            .unwrap_or_default()
     }
 
     /// Performance lines: effective thread count and per-phase wall time.
@@ -526,10 +533,7 @@ impl BuiltModel {
     /// # Errors
     ///
     /// Propagates simulator failures.
-    pub fn run_transient(
-        &self,
-        spec: &TransientSpec,
-    ) -> Result<(TransientResult, f64), CoreError> {
+    pub fn run_transient(&self, spec: &TransientSpec) -> Result<(TransientResult, f64), CoreError> {
         let t0 = Instant::now();
         let res = run_transient(&self.model.circuit, spec)?;
         Ok((res, t0.elapsed().as_secs_f64()))
@@ -590,8 +594,7 @@ impl BuiltModel {
         factor: &TransientFactor,
     ) -> Result<(TransientResult, SolveReport, f64), CoreError> {
         let t0 = Instant::now();
-        let (res, diag) =
-            run_transient_with_report_prefactored(&self.model.circuit, spec, factor)?;
+        let (res, diag) = run_transient_with_report_prefactored(&self.model.circuit, spec, factor)?;
         let solve_seconds = t0.elapsed().as_secs_f64();
         let audit = diag.audit.clone();
         let report = SolveReport {
@@ -677,8 +680,7 @@ mod tests {
             ModelKind::WVpecGeometric { b: 8 },
             ModelKind::WVpecNumerical { threshold: 1.5e-4 },
         ];
-        let labels: std::collections::BTreeSet<String> =
-            kinds.iter().map(|k| k.label()).collect();
+        let labels: std::collections::BTreeSet<String> = kinds.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), kinds.len());
     }
 
@@ -774,14 +776,20 @@ mod tests {
         let exp = experiment(4); // 4 filaments
         let unlimited = BuildBudget::unlimited();
         assert!(unlimited.is_unlimited());
-        assert!(exp.check_budget(ModelKind::VpecFull, Some(1000), &unlimited).is_ok());
+        assert!(exp
+            .check_budget(ModelKind::VpecFull, Some(1000), &unlimited)
+            .is_ok());
 
         let tight = BuildBudget {
             max_filaments: Some(3),
             ..BuildBudget::default()
         };
         match exp.check_budget(ModelKind::Peec, None, &tight) {
-            Err(CoreError::BudgetExceeded { what, limit, actual }) => {
+            Err(CoreError::BudgetExceeded {
+                what,
+                limit,
+                actual,
+            }) => {
                 assert_eq!(what, "filament count");
                 assert_eq!((limit, actual), (3, 4));
             }
@@ -795,9 +803,14 @@ mod tests {
         };
         assert!(matches!(
             exp.check_budget(ModelKind::VpecFull, None, &dim),
-            Err(CoreError::BudgetExceeded { what: "matrix dimension", .. })
+            Err(CoreError::BudgetExceeded {
+                what: "matrix dimension",
+                ..
+            })
         ));
-        assert!(exp.check_budget(ModelKind::WVpecGeometric { b: 2 }, None, &dim).is_ok());
+        assert!(exp
+            .check_budget(ModelKind::WVpecGeometric { b: 2 }, None, &dim)
+            .is_ok());
         assert!(exp.check_budget(ModelKind::Peec, None, &dim).is_ok());
 
         let steps = BuildBudget {
@@ -806,9 +819,14 @@ mod tests {
         };
         assert!(matches!(
             exp.check_budget(ModelKind::VpecFull, Some(101), &steps),
-            Err(CoreError::BudgetExceeded { what: "step count", .. })
+            Err(CoreError::BudgetExceeded {
+                what: "step count",
+                ..
+            })
         ));
-        assert!(exp.check_budget(ModelKind::VpecFull, Some(100), &steps).is_ok());
+        assert!(exp
+            .check_budget(ModelKind::VpecFull, Some(100), &steps)
+            .is_ok());
         assert!(exp.check_budget(ModelKind::VpecFull, None, &steps).is_ok());
     }
 
@@ -825,7 +843,9 @@ mod tests {
         // Windowed builds never hit the polled inversion path — they
         // complete even with a fired token (the engine cancels those via
         // the transient/AC loop instead).
-        assert!(exp.build_cancel(ModelKind::WVpecGeometric { b: 2 }, &token).is_ok());
+        assert!(exp
+            .build_cancel(ModelKind::WVpecGeometric { b: 2 }, &token)
+            .is_ok());
         // A disarmed token builds identically to the plain path.
         let plain = exp.build(ModelKind::VpecFull).unwrap();
         let with_none = exp
@@ -848,9 +868,7 @@ mod tests {
     fn ac_run_works() {
         let exp = experiment(2);
         let built = exp.build(ModelKind::VpecFull).unwrap();
-        let (res, _) = built
-            .run_ac(&AcSpec::points(vec![1e6, 1e9]))
-            .unwrap();
+        let (res, _) = built.run_ac(&AcSpec::points(vec![1e6, 1e9])).unwrap();
         let mag = res.magnitude(built.model.far_nodes[0]).unwrap();
         assert_eq!(mag.len(), 2);
         assert!(mag.iter().all(|m| m.is_finite()));

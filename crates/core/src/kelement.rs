@@ -126,8 +126,10 @@ impl KNodalModel {
         // K stamps: Γ = (1/s)·A·K·Aᵀ over filament branches.
         let mut susceptance = Vec::new();
         let lengths = model.lengths();
-        let stamp_k = |bi: (usize, usize), bj: (usize, usize), k_val: f64,
-                           out: &mut Vec<(usize, usize, f64)>| {
+        let stamp_k = |bi: (usize, usize),
+                       bj: (usize, usize),
+                       k_val: f64,
+                       out: &mut Vec<(usize, usize, f64)>| {
             // Branch pair (a1→b1, a2→b2): ±k at the four node pairs.
             out.push((bi.0, bj.0, k_val));
             out.push((bi.1, bj.1, k_val));
@@ -179,15 +181,13 @@ impl KNodalModel {
         let inv_s = Complex64::ONE / s;
         let n = self.n_nodes;
         let mut y = DenseMatrix::<Complex64>::zeros(n, n);
-        let add = |i: usize, j: usize, v: Complex64, y: &mut DenseMatrix<Complex64>| {
-            match (i, j) {
-                (GND, _) | (_, GND) => {}
-                (i, j) => {
-                    y[(i, i)] += v;
-                    y[(j, j)] += v;
-                    y[(i, j)] -= v;
-                    y[(j, i)] -= v;
-                }
+        let add = |i: usize, j: usize, v: Complex64, y: &mut DenseMatrix<Complex64>| match (i, j) {
+            (GND, _) | (_, GND) => {}
+            (i, j) => {
+                y[(i, i)] += v;
+                y[(j, j)] += v;
+                y[(i, j)] -= v;
+                y[(j, i)] -= v;
             }
         };
         let add_pair = |i: usize, j: usize, v: Complex64, y: &mut DenseMatrix<Complex64>| {
@@ -321,10 +321,7 @@ mod tests {
         let f_low = 1.0e-2; // 10 mHz: deep in the 1/s regime
         let (ac, _) = built.run_ac(&AcSpec::points(vec![f_low])).unwrap();
         let mna_val = ac.magnitude(built.model.far_nodes[0]).unwrap()[0];
-        assert!(
-            (mna_val - 1.0).abs() < 1e-3,
-            "MNA keeps DC info: {mna_val}"
-        );
+        assert!((mna_val - 1.0).abs() < 1e-3, "MNA keeps DC info: {mna_val}");
         // The K-element system either fails to factor or returns a badly
         // conditioned answer.
         match k.solve_ac(f_low) {

@@ -133,7 +133,10 @@ mod tests {
         assert_eq!(count(&|e| matches!(e, Element::Vccs { .. })), 3);
         // Magnetic resistors: 3 ground + 3 coupling pairs.
         let resistors = count(&|e| matches!(e, Element::Resistor { .. }));
-        assert_eq!(resistors, 3 /*series*/ + 3 /*rd*/ + 3 /*rg*/ + 3 /*rc*/);
+        assert_eq!(
+            resistors,
+            3 /*series*/ + 3 /*rd*/ + 3 /*rg*/ + 3 /*rc*/
+        );
         // Fewer reactive elements than PEEC (3+0 vs 3L+3K).
         let peec = crate::peec::build_peec(&layout, &para, &DriveConfig::paper_default()).unwrap();
         assert!(c.reactive_count() < peec.circuit.reactive_count());

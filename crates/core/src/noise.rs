@@ -52,11 +52,7 @@ impl NoiseReport {
     /// Victims whose peak exceeds `threshold` volts (noise-margin check),
     /// ordered worst-first.
     pub fn above(&self, threshold: f64) -> Vec<&VictimNoise> {
-        let mut v: Vec<&VictimNoise> = self
-            .victims
-            .iter()
-            .filter(|n| n.peak > threshold)
-            .collect();
+        let mut v: Vec<&VictimNoise> = self.victims.iter().filter(|n| n.peak > threshold).collect();
         v.sort_by(|a, b| b.peak.total_cmp(&a.peak));
         v
     }
@@ -186,7 +182,12 @@ mod tests {
         assert!(report.victims[0].peak > report.victims.last().unwrap().peak);
         // All victims settle back to quiet.
         for v in &report.victims {
-            assert!(v.residual < 5e-3, "victim {} residual {}", v.net, v.residual);
+            assert!(
+                v.residual < 5e-3,
+                "victim {} residual {}",
+                v.net,
+                v.residual
+            );
         }
     }
 
@@ -207,18 +208,8 @@ mod tests {
     #[test]
     fn two_aggressors_hurt_more_than_one() {
         let spec = TransientSpec::new(0.4e-9, 1e-12);
-        let one = noise_scan(
-            &experiment(8, vec![0]),
-            ModelKind::VpecFull,
-            &spec,
-        )
-        .unwrap();
-        let two = noise_scan(
-            &experiment(8, vec![0, 2]),
-            ModelKind::VpecFull,
-            &spec,
-        )
-        .unwrap();
+        let one = noise_scan(&experiment(8, vec![0]), ModelKind::VpecFull, &spec).unwrap();
+        let two = noise_scan(&experiment(8, vec![0, 2]), ModelKind::VpecFull, &spec).unwrap();
         let victim1_one = one.victims.iter().find(|v| v.net == 1).unwrap().peak;
         let victim1_two = two.victims.iter().find(|v| v.net == 1).unwrap().peak;
         assert!(
@@ -285,8 +276,6 @@ mod tests {
         let exp = experiment(4, vec![0]);
         let spec = TransientSpec::new(0.2e-9, 1e-12);
         assert!(worst_aggressor_alignment(&exp, ModelKind::VpecFull, &spec, 1, &[]).is_err());
-        assert!(
-            worst_aggressor_alignment(&exp, ModelKind::VpecFull, &spec, 1, &[1, 2]).is_err()
-        );
+        assert!(worst_aggressor_alignment(&exp, ModelKind::VpecFull, &spec, 1, &[1, 2]).is_err());
     }
 }

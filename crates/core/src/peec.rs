@@ -78,12 +78,7 @@ pub(crate) fn build_electrical(
         // both ends through a negligible via resistance; signal nets get
         // the paper's driver/load.
         if net.is_ground() {
-            ckt.add_resistor(
-                &format!("vgn{k}"),
-                nodes[0],
-                Circuit::GROUND,
-                1.0e-3,
-            )?;
+            ckt.add_resistor(&format!("vgn{k}"), nodes[0], Circuit::GROUND, 1.0e-3)?;
             ckt.add_resistor(&format!("vgf{k}"), far, Circuit::GROUND, 1.0e-3)?;
             continue;
         }

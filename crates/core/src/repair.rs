@@ -86,7 +86,11 @@ pub fn repair_passivity(model: &VpecModel, margin: f64) -> (VpecModel, RepairRep
             report.was_dominant_before = false;
             // `required` can still be 0 for an all-zero row; pin a tiny
             // positive diagonal so the matrix stays nonsingular.
-            let target = if required > 0.0 { required } else { margin.max(f64::MIN_POSITIVE) };
+            let target = if required > 0.0 {
+                required
+            } else {
+                margin.max(f64::MIN_POSITIVE)
+            };
             let delta = target - g_diag[i];
             if delta > 0.0 {
                 let rel = if g_diag[i] > 0.0 {
@@ -112,11 +116,7 @@ pub fn repair_passivity(model: &VpecModel, margin: f64) -> (VpecModel, RepairRep
     if report.rows_repaired == 0 {
         return (model.clone(), report);
     }
-    let repaired = VpecModel::from_parts(
-        model.lengths().to_vec(),
-        g_diag,
-        model.g_off().to_vec(),
-    );
+    let repaired = VpecModel::from_parts(model.lengths().to_vec(), g_diag, model.g_off().to_vec());
     (repaired, report)
 }
 

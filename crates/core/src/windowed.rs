@@ -211,10 +211,7 @@ mod tests {
         let full = VpecModel::full(&para).unwrap();
         let win = windowed_geometric(&para, 8).unwrap();
         // With b = N every window is the whole matrix: exact inverse.
-        let diff = full
-            .g_matrix()
-            .max_abs_diff(&win.g_matrix())
-            .unwrap();
+        let diff = full.g_matrix().max_abs_diff(&win.g_matrix()).unwrap();
         let scale = full.g_matrix().max_abs();
         assert!(diff < 1e-9 * scale, "diff {diff} vs scale {scale}");
     }
@@ -346,7 +343,9 @@ mod tests {
         }
         assert!(matches!(
             windowed_numerical(&para, 1e-4),
-            Err(CoreError::BadInductanceMatrix(NumericsError::NonFinite { .. }))
+            Err(CoreError::BadInductanceMatrix(
+                NumericsError::NonFinite { .. }
+            ))
         ));
     }
 
@@ -359,9 +358,9 @@ mod tests {
             let mut para = bus_parasitics(5);
             para.inductance[(3, 3)] = bad;
             match windowed_numerical(&para, 1e-4) {
-                Err(CoreError::BadInductanceMatrix(
-                    NumericsError::NotPositiveDefinite { row },
-                )) => assert_eq!(row, 3),
+                Err(CoreError::BadInductanceMatrix(NumericsError::NotPositiveDefinite { row })) => {
+                    assert_eq!(row, 3)
+                }
                 other => panic!("expected NotPositiveDefinite for Lmm={bad}, got {other:?}"),
             }
             assert!(matches!(

@@ -183,26 +183,17 @@ mod tests {
         let cfg = ExtractionConfig::paper_default();
         let token = CancelToken::none();
 
-        let (h1, exp1, hit) = cache.experiment_for(
-            BusSpec::new(4).build(),
-            &cfg,
-            DriveConfig::paper_default(),
-        );
+        let (h1, exp1, hit) =
+            cache.experiment_for(BusSpec::new(4).build(), &cfg, DriveConfig::paper_default());
         assert!(!hit);
-        let (h2, _exp2, hit) = cache.experiment_for(
-            BusSpec::new(4).build(),
-            &cfg,
-            DriveConfig::paper_default(),
-        );
+        let (h2, _exp2, hit) =
+            cache.experiment_for(BusSpec::new(4).build(), &cfg, DriveConfig::paper_default());
         assert!(hit, "identical geometry must share one extraction");
         assert_eq!(h1, h2);
         assert_eq!(cache.experiments_len(), 1);
 
-        let (h3, _exp3, hit) = cache.experiment_for(
-            BusSpec::new(5).build(),
-            &cfg,
-            DriveConfig::paper_default(),
-        );
+        let (h3, _exp3, hit) =
+            cache.experiment_for(BusSpec::new(5).build(), &cfg, DriveConfig::paper_default());
         assert!(!hit && h3 != h1, "different geometry must not collide");
 
         let kind = ModelKind::WVpecGeometric { b: 2 };
@@ -212,9 +203,7 @@ mod tests {
         assert!(hit, "same geometry + kind must share one build");
         assert!(Arc::ptr_eq(&m1, &m2));
         // A different kind over the same geometry is a distinct model.
-        let (_m3, hit) = cache
-            .model_for(h1, &exp1, ModelKind::Peec, &token)
-            .unwrap();
+        let (_m3, hit) = cache.model_for(h1, &exp1, ModelKind::Peec, &token).unwrap();
         assert!(!hit);
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
@@ -230,7 +219,9 @@ mod tests {
         // A fired token fails the full build…
         let fired = CancelToken::new();
         fired.cancel();
-        assert!(cache.model_for(h, &exp, ModelKind::VpecFull, &fired).is_err());
+        assert!(cache
+            .model_for(h, &exp, ModelKind::VpecFull, &fired)
+            .is_err());
         // …and the next attempt with a live token still runs (no poisoned
         // cache entry).
         let (m, hit) = cache

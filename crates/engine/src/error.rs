@@ -104,9 +104,15 @@ impl EngineError {
     /// Classifies a [`CoreError`] from a model build.
     pub fn from_build(e: CoreError) -> Self {
         match e {
-            CoreError::BudgetExceeded { what, limit, actual } => {
-                EngineError::BudgetExceeded { what, limit, actual }
-            }
+            CoreError::BudgetExceeded {
+                what,
+                limit,
+                actual,
+            } => EngineError::BudgetExceeded {
+                what,
+                limit,
+                actual,
+            },
             other => EngineError::BuildFailed {
                 message: other.to_string(),
             },
@@ -124,7 +130,11 @@ impl fmt::Display for EngineError {
             EngineError::DeadlineExceeded { ms } => {
                 write!(f, "deadline of {ms} ms exceeded")
             }
-            EngineError::BudgetExceeded { what, limit, actual } => {
+            EngineError::BudgetExceeded {
+                what,
+                limit,
+                actual,
+            } => {
                 write!(f, "request exceeds its {what} budget: {actual} > {limit}")
             }
             EngineError::BuildFailed { message } => write!(f, "model build failed: {message}"),
@@ -142,7 +152,9 @@ mod tests {
 
     #[test]
     fn categories_and_policies() {
-        let panic = EngineError::RequestPanicked { message: "boom".into() };
+        let panic = EngineError::RequestPanicked {
+            message: "boom".into(),
+        };
         assert_eq!(panic.category(), "panic");
         assert!(panic.retryable());
         assert!(!panic.degradable());
@@ -166,7 +178,9 @@ mod tests {
         };
         assert!(!fil.degradable(), "filament overrun is a hard rejection");
 
-        let bad = EngineError::BadRequest { message: "no".into() };
+        let bad = EngineError::BadRequest {
+            message: "no".into(),
+        };
         assert!(!bad.retryable() && !bad.degradable());
         assert!(bad.to_string().contains("bad request"));
     }

@@ -103,9 +103,12 @@ pub struct ScenarioRequest {
 fn get_usize(v: &JsonValue, key: &str, default: usize) -> Result<usize, EngineError> {
     match v.get(key) {
         None | Some(JsonValue::Null) => Ok(default),
-        Some(x) => x.as_u64().map(|n| n as usize).ok_or_else(|| EngineError::BadRequest {
-            message: format!("{key} must be a non-negative integer"),
-        }),
+        Some(x) => x
+            .as_u64()
+            .map(|n| n as usize)
+            .ok_or_else(|| EngineError::BadRequest {
+                message: format!("{key} must be a non-negative integer"),
+            }),
     }
 }
 
@@ -151,7 +154,11 @@ impl ScenarioRequest {
             .map(str::to_string)
             .unwrap_or_else(|| format!("line{}", index + 1));
 
-        let structure = match v.get("structure").and_then(JsonValue::as_str).unwrap_or("bus") {
+        let structure = match v
+            .get("structure")
+            .and_then(JsonValue::as_str)
+            .unwrap_or("bus")
+        {
             "bus" => {
                 let bits = get_usize(&v, "bits", 8)?;
                 if bits == 0 {
@@ -183,11 +190,17 @@ impl ScenarioRequest {
             }
         };
 
-        let kind_tok = v.get("kind").and_then(JsonValue::as_str).unwrap_or("vpec-full");
-        let kind = ModelKind::parse(kind_tok)
-            .map_err(|message| EngineError::BadRequest { message })?;
+        let kind_tok = v
+            .get("kind")
+            .and_then(JsonValue::as_str)
+            .unwrap_or("vpec-full");
+        let kind =
+            ModelKind::parse(kind_tok).map_err(|message| EngineError::BadRequest { message })?;
 
-        let analysis = match v.get("analysis").and_then(JsonValue::as_str).unwrap_or("transient")
+        let analysis = match v
+            .get("analysis")
+            .and_then(JsonValue::as_str)
+            .unwrap_or("transient")
         {
             "transient" => {
                 let t_stop = get_f64(&v, "t_stop", 0.5e-9)?;
@@ -230,7 +243,11 @@ impl ScenarioRequest {
                 let stall = get_usize(f, "stall_ms", 0)?;
                 FaultInjection {
                     fail_primary_factor: get_bool(f, "fail_primary_factor")?,
-                    poison_step: if poison == usize::MAX { None } else { Some(poison) },
+                    poison_step: if poison == usize::MAX {
+                        None
+                    } else {
+                        Some(poison)
+                    },
                     panic_extraction: get_bool(f, "panic_extraction")?,
                     panic_engine: get_bool(f, "panic_engine")?,
                     stall_ms: if stall == 0 { None } else { Some(stall as u64) },
@@ -250,7 +267,11 @@ impl ScenarioRequest {
             kind,
             analysis,
             faults,
-            deadline_ms: if deadline == 0 { None } else { Some(deadline as u64) },
+            deadline_ms: if deadline == 0 {
+                None
+            } else {
+                Some(deadline as u64)
+            },
         })
     }
 }
@@ -462,12 +483,17 @@ mod tests {
             elements: None,
             peak_mv: None,
             notes: vec![],
-            error: Some(EngineError::RequestPanicked { message: "boom \"q\"".into() }),
+            error: Some(EngineError::RequestPanicked {
+                message: "boom \"q\"".into(),
+            }),
         };
         let v = parse(&failed.to_json_line()).unwrap();
         assert_eq!(v.get("status").and_then(JsonValue::as_str), Some("failed"));
         assert_eq!(v.get("elapsed_ms"), Some(&JsonValue::Null));
         let err = v.get("error").unwrap();
-        assert_eq!(err.get("category").and_then(JsonValue::as_str), Some("panic"));
+        assert_eq!(
+            err.get("category").and_then(JsonValue::as_str),
+            Some("panic")
+        );
     }
 }

@@ -27,7 +27,6 @@ use crate::request::{AnalysisSpec, ScenarioRequest, ScenarioResponse, StructureS
 use crate::telemetry::StreamTelemetry;
 use crate::EngineError;
 use std::io::{BufRead, Write};
-use vpec_metrics::RunRecord;
 use std::sync::Arc;
 use std::time::Instant;
 use vpec_circuit::ac::AcSpec;
@@ -37,6 +36,7 @@ use vpec_core::harness::{BuildBudget, BuiltModel, Experiment, ModelKind};
 use vpec_core::DriveConfig;
 use vpec_extract::ExtractionConfig;
 use vpec_geometry::{BusSpec, Layout, SpiralSpec};
+use vpec_metrics::RunRecord;
 use vpec_numerics::fault::FaultInjection;
 use vpec_numerics::CancelToken;
 
@@ -304,7 +304,9 @@ impl Engine {
                         Some(pf) => model
                             .run_transient_with_report_prefactored(&spec, pf)
                             .map_err(analysis_err)?,
-                        None => model.run_transient_with_report(&spec).map_err(analysis_err)?,
+                        None => model
+                            .run_transient_with_report(&spec)
+                            .map_err(analysis_err)?,
                     };
                     let mut peak: f64 = 0.0;
                     for k in 0..model.model.far_nodes.len() {
@@ -317,14 +319,8 @@ impl Engine {
                             .as_ref()
                             .and_then(|t| t.factor.accepted())
                             .map(|s| s.label()),
-                        dim: report
-                            .transient
-                            .as_ref()
-                            .map(|t| t.dim)
-                            .filter(|&d| d > 0),
-                        build_ms: Some(
-                            report.build_seconds.unwrap_or(model.build_seconds) * 1e3,
-                        ),
+                        dim: report.transient.as_ref().map(|t| t.dim).filter(|&d| d > 0),
+                        build_ms: Some(report.build_seconds.unwrap_or(model.build_seconds) * 1e3),
                         solve_ms: report.solve_seconds.map(|s| s * 1e3),
                         experiment_hit,
                         factor_hit,
@@ -353,9 +349,11 @@ impl Engine {
                     let solve_ms = t_solve.elapsed().as_secs_f64() * 1e3;
                     let mut peak: f64 = 0.0;
                     for &node in &model.model.far_nodes {
-                        let mag = res.magnitude(node).map_err(|e| EngineError::AnalysisFailed {
-                            message: e.to_string(),
-                        })?;
+                        let mag = res
+                            .magnitude(node)
+                            .map_err(|e| EngineError::AnalysisFailed {
+                                message: e.to_string(),
+                            })?;
                         peak = mag.iter().fold(peak, |a, &m| a.max(m));
                     }
                     Ok(AttemptOutput {
@@ -457,10 +455,7 @@ impl Engine {
                 match self.attempt(req, wkind, FaultInjection::none(), deadline) {
                     Ok(out) => {
                         let mut notes = out.notes;
-                        notes.push(format!(
-                            "degraded to {} after: {terminal}",
-                            wkind.label()
-                        ));
+                        notes.push(format!("degraded to {} after: {terminal}", wkind.label()));
                         break 'outcome (
                             ScenarioResponse {
                                 id: req.id.clone(),
@@ -709,7 +704,9 @@ mod tests {
             other => panic!("expected RequestPanicked, got {other:?}"),
         }
         // The engine survives: the next request runs normally.
-        let ok = engine.run_request(&req(r#"{"id":"next","bits":2,"kind":"peec","t_stop":5e-11}"#));
+        let ok = engine.run_request(&req(
+            r#"{"id":"next","bits":2,"kind":"peec","t_stop":5e-11}"#,
+        ));
         assert!(ok.ok, "{:?}", ok.error);
     }
 
@@ -749,7 +746,10 @@ mod tests {
         assert!(!resp.ok);
         assert!(matches!(
             resp.error,
-            Some(EngineError::BudgetExceeded { what: "filament count", .. })
+            Some(EngineError::BudgetExceeded {
+                what: "filament count",
+                ..
+            })
         ));
     }
 
@@ -766,7 +766,10 @@ mod tests {
         let r = req(r#"{"id":"x","bits":4,"kind":"vpec-full"}"#);
         let resp = engine.run_request(&r);
         assert!(!resp.ok);
-        assert!(matches!(resp.error, Some(EngineError::BudgetExceeded { .. })));
+        assert!(matches!(
+            resp.error,
+            Some(EngineError::BudgetExceeded { .. })
+        ));
     }
 
     #[test]

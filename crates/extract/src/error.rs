@@ -48,6 +48,8 @@ mod tests {
         };
         assert!(e.to_string().contains("non-physical"));
         assert!(e.to_string().contains("width is NaN"));
-        assert!(ExtractError::ZeroSubdivision.to_string().contains("at least 1"));
+        assert!(ExtractError::ZeroSubdivision
+            .to_string()
+            .contains("at least 1"));
     }
 }

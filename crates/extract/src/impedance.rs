@@ -102,7 +102,11 @@ impl ConductorSystem {
         let mut rhs = vec![Complex64::ZERO; n];
         for m in 0..self.n_conductors {
             for (i, &c) in self.conductor_of.iter().enumerate() {
-                rhs[i] = if c == m { Complex64::ONE } else { Complex64::ZERO };
+                rhs[i] = if c == m {
+                    Complex64::ONE
+                } else {
+                    Complex64::ZERO
+                };
             }
             let i_f = lu.solve(&rhs)?;
             for (i, &c) in self.conductor_of.iter().enumerate() {
@@ -227,7 +231,10 @@ mod tests {
         let a = wire(0.0, um(2.0), um(1.0));
         let b = wire(um(4.0), um(2.0), um(1.0));
         let sys = ConductorSystem::new(
-            &[try_decompose(&a, 2, 1).unwrap(), try_decompose(&b, 2, 1).unwrap()],
+            &[
+                try_decompose(&a, 2, 1).unwrap(),
+                try_decompose(&b, 2, 1).unwrap(),
+            ],
             RHO_CU,
         );
         let z = sys.terminal_impedance(5.0 * GHZ).unwrap();

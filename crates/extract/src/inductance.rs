@@ -70,10 +70,11 @@ pub fn mutual_inductance(a: &Filament, b: &Filament) -> f64 {
     // single-filament model honest for wide/tall conductors — without it,
     // closely spaced tall cross-sections (which FastHenry would split into
     // volume filaments) get their mutual coupling overestimated.
-    let spread =
-        (a.width * a.width + b.width * b.width + a.thickness * a.thickness
-            + b.thickness * b.thickness)
-            / 12.0;
+    let spread = (a.width * a.width
+        + b.width * b.width
+        + a.thickness * a.thickness
+        + b.thickness * b.thickness)
+        / 12.0;
     let d_center = a.radial_distance_to(b);
     let mut d = (d_center * d_center + spread).sqrt();
     let floor = 0.5 * (a.self_gmd() + b.self_gmd());
@@ -106,10 +107,11 @@ pub fn mutual_at_distance(a: &Filament, b: &Filament, d_override: f64) -> f64 {
     if !a.is_parallel_to(b) {
         return 0.0;
     }
-    let spread =
-        (a.width * a.width + b.width * b.width + a.thickness * a.thickness
-            + b.thickness * b.thickness)
-            / 12.0;
+    let spread = (a.width * a.width
+        + b.width * b.width
+        + a.thickness * a.thickness
+        + b.thickness * b.thickness)
+        / 12.0;
     let d = (d_override * d_override + spread).sqrt();
     let (a1, a2) = a.span();
     let (b1, b2) = b.span();
@@ -196,15 +198,15 @@ mod tests {
         let m = mutual_inductance(&a, &b);
         // Cross-section spread for two 1 µm × 1 µm wires: 4·(1 µm)²/12.
         let d = (d_center * d_center + 4.0 * um(1.0).powi(2) / 12.0).sqrt();
-        let expected =
-            2.0e-7 * l * ((l / d).asinh() - (1.0 + (d / l).powi(2)).sqrt() + d / l);
+        let expected = 2.0e-7 * l * ((l / d).asinh() - (1.0 + (d / l).powi(2)).sqrt() + d / l);
         assert!(
             (m - expected).abs() < 1e-18 + 1e-12 * expected.abs(),
             "{m} vs {expected}"
         );
         // The correction is small (<2%) at the paper's 3 µm pitch.
-        let uncorrected =
-            2.0e-7 * l * ((l / d_center).asinh() - (1.0 + (d_center / l).powi(2)).sqrt() + d_center / l);
+        let uncorrected = 2.0e-7
+            * l
+            * ((l / d_center).asinh() - (1.0 + (d_center / l).powi(2)).sqrt() + d_center / l);
         assert!((m - uncorrected).abs() / uncorrected < 0.02);
     }
 

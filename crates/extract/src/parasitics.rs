@@ -214,7 +214,10 @@ mod tests {
                 }
             }
         }
-        assert!(negatives > 0, "antiparallel spiral sides must couple negatively");
+        assert!(
+            negatives > 0,
+            "antiparallel spiral sides must couple negatively"
+        );
         // Diagonal still positive.
         for i in 0..l.rows() {
             assert!(l[(i, i)] > 0.0);

@@ -48,7 +48,10 @@ pub fn ac_resistance(f: &Filament, resistivity: f64, frequency: f64) -> f64 {
 /// every spiral segment).
 pub fn substrate_loss_resistance(f: &Filament, sub: &SubstrateSpec, frequency: f64) -> f64 {
     assert!(f.is_valid(), "filament has non-physical dimensions: {f:?}");
-    assert!(sub.resistivity > 0.0 && sub.depth > 0.0, "bad substrate spec");
+    assert!(
+        sub.resistivity > 0.0 && sub.depth > 0.0,
+        "bad substrate spec"
+    );
     // Skin depth in the lossy substrate at the operating frequency.
     let delta_sub = skin_depth(sub.resistivity, frequency);
     // Effective image-plane sheet resistance over the coupled footprint.
@@ -99,7 +102,10 @@ mod tests {
         let f = wire(um(1000.0), um(10.0), um(5.0));
         let rac = ac_resistance(&f, RHO_CU, 10.0 * GHZ);
         let rdc = dc_resistance(&f, RHO_CU);
-        assert!(rac > 1.3 * rdc, "rac {rac} should exceed rdc {rdc} noticeably");
+        assert!(
+            rac > 1.3 * rdc,
+            "rac {rac} should exceed rdc {rdc} noticeably"
+        );
     }
 
     #[test]

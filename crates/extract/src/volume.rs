@@ -75,8 +75,7 @@ pub fn try_decompose(f: &Filament, nw: usize, nt: usize) -> Result<Vec<Filament>
             origin[width_axis] += dw;
             origin[2] += dt;
             out.push(
-                Filament::new(origin, f.axis, f.length, sub_w, sub_t)
-                    .with_direction(f.direction),
+                Filament::new(origin, f.axis, f.length, sub_w, sub_t).with_direction(f.direction),
             );
         }
     }
@@ -173,7 +172,7 @@ mod tests {
     #[test]
     fn auto_rule_tracks_skin_depth() {
         let f = thick_wire(); // 4 µm × 2 µm
-        // δ(10 GHz) ≈ 0.66 µm ⇒ 4/0.66 ≈ 7 width slices, 2/0.66 ≈ 4.
+                              // δ(10 GHz) ≈ 0.66 µm ⇒ 4/0.66 ≈ 7 width slices, 2/0.66 ≈ 4.
         let (nw, nt) = auto_subdivisions(&f, RHO_CU, 10.0 * GHZ, 16);
         assert!((6..=8).contains(&nw), "nw = {nw}");
         assert!((3..=5).contains(&nt), "nt = {nt}");

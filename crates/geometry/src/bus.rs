@@ -190,11 +190,7 @@ impl BusSpec {
                     layout.push_net(format!("bit{bit}"), chain);
                 }
                 None => {
-                    layout.push_net_with_kind(
-                        format!("gnd{shield_count}"),
-                        chain,
-                        NetKind::Ground,
-                    );
+                    layout.push_net_with_kind(format!("gnd{shield_count}"), chain, NetKind::Ground);
                     shield_count += 1;
                 }
             }
@@ -290,10 +286,7 @@ mod tests {
         let l = BusSpec::new(4).shield_every(2).build();
         assert_eq!(l.nets().len(), 7);
         let kinds: Vec<bool> = l.nets().iter().map(|n| n.is_ground()).collect();
-        assert_eq!(
-            kinds,
-            vec![true, false, false, true, false, false, true]
-        );
+        assert_eq!(kinds, vec![true, false, false, true, false, false, true]);
         assert_eq!(l.signal_nets(), vec![1, 2, 4, 5]);
         assert!(l.nets()[0].name().starts_with("gnd"));
         assert!(l.nets()[1].name().starts_with("bit"));

@@ -100,7 +100,10 @@ mod tests {
     #[test]
     fn one_by_one_micron_wire_is_single_filament_at_10ghz() {
         // δ ≈ 0.66 µm ⇒ 2δ ≈ 1.3 µm ≥ both cross-section dimensions.
-        assert_eq!(volume_filaments_for(um(1.0), um(1.0), RHO_CU, 10.0 * GHZ), 1);
+        assert_eq!(
+            volume_filaments_for(um(1.0), um(1.0), RHO_CU, 10.0 * GHZ),
+            1
+        );
     }
 
     #[test]

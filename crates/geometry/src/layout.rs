@@ -240,8 +240,14 @@ mod tests {
             build(0.0, "a").content_hash(),
             "identical geometry must hash equal"
         );
-        assert_ne!(build(0.0, "a").content_hash(), build(um(1.0), "a").content_hash());
-        assert_ne!(build(0.0, "a").content_hash(), build(0.0, "b").content_hash());
+        assert_ne!(
+            build(0.0, "a").content_hash(),
+            build(um(1.0), "a").content_hash()
+        );
+        assert_ne!(
+            build(0.0, "a").content_hash(),
+            build(0.0, "b").content_hash()
+        );
         let mut ground = Layout::new();
         ground.push_net_with_kind("a", vec![seg(0.0), seg(um(10.0))], NetKind::Ground);
         assert_ne!(build(0.0, "a").content_hash(), ground.content_hash());

@@ -59,7 +59,11 @@ pub fn render(snapshot: &RegistrySnapshot) -> String {
             }
             cumulative += c;
             let bound = vpec_trace::bucket_bound(i);
-            let _ = writeln!(out, "{metric}_bucket{{le=\"{}\"}} {cumulative}", fmt_f64(bound));
+            let _ = writeln!(
+                out,
+                "{metric}_bucket{{le=\"{}\"}} {cumulative}",
+                fmt_f64(bound)
+            );
         }
         let _ = writeln!(out, "{metric}_bucket{{le=\"+Inf\"}} {}", h.count);
         let _ = writeln!(out, "{metric}_sum {}", fmt_f64(h.sum));

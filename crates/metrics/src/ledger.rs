@@ -435,7 +435,9 @@ mod tests {
         let line = sample().to_json_line(1, 0).replace("\"ok\":true,", "");
         assert!(parse_line(&line).is_err());
         // Wrong type on an optional field.
-        let line = sample().to_json_line(1, 0).replace("\"dim\":17", "\"dim\":\"x\"");
+        let line = sample()
+            .to_json_line(1, 0)
+            .replace("\"dim\":17", "\"dim\":\"x\"");
         assert!(parse_line(&line).is_err());
     }
 
@@ -453,7 +455,9 @@ mod tests {
         assert!(matches!(records[1], LedgerRecord::Snapshot { seq: 2, .. }));
         // A gap in seq is detected.
         let broken = content.replace("\"seq\":3", "\"seq\":7");
-        assert!(parse_ledger(&broken).unwrap_err().contains("expected seq 3"));
+        assert!(parse_ledger(&broken)
+            .unwrap_err()
+            .contains("expected seq 3"));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -406,9 +406,17 @@ impl LedgerStats {
             cache_obj(self.factor_cache)
         );
         let _ = write!(out, ",\"strategies\":{}", count_map(&self.strategies));
-        let _ = write!(out, ",\"degraded_reasons\":{}", count_map(&self.degraded_reasons));
+        let _ = write!(
+            out,
+            ",\"degraded_reasons\":{}",
+            count_map(&self.degraded_reasons)
+        );
         let _ = write!(out, ",\"errors\":{}", count_map(&self.errors));
-        let _ = write!(out, ",\"throughput\":{{\"bucket_ms\":{},\"buckets\":[", self.bucket_ms);
+        let _ = write!(
+            out,
+            ",\"throughput\":{{\"bucket_ms\":{},\"buckets\":[",
+            self.bucket_ms
+        );
         for (i, (t, n)) in self.throughput.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -489,8 +497,8 @@ pub fn parse_fail_if(expr: &str) -> Result<FailCondition, String> {
         "failed" => FailMetric::FailedPct,
         other => {
             return Err(format!(
-                "unknown fail-if metric {other:?} (expected p50, p90, p99, max, degraded, or failed)"
-            ))
+            "unknown fail-if metric {other:?} (expected p50, p90, p99, max, degraded, or failed)"
+        ))
         }
     };
     let value_txt = value_txt.trim();
@@ -525,7 +533,9 @@ pub fn parse_fail_if(expr: &str) -> Result<FailCondition, String> {
         .parse()
         .map_err(|_| format!("fail-if value {value_txt:?} is not a number"))?;
     if !number.is_finite() || number < 0.0 {
-        return Err(format!("fail-if value {value_txt:?} must be finite and non-negative"));
+        return Err(format!(
+            "fail-if value {value_txt:?} must be finite and non-negative"
+        ));
     }
     Ok(FailCondition {
         metric,
@@ -619,7 +629,13 @@ mod tests {
     fn aggregate_matches_known_composition() {
         let stats = aggregate(&mixed_records(), 60_000);
         assert_eq!(
-            (stats.total, stats.ok, stats.failed, stats.degraded, stats.retries),
+            (
+                stats.total,
+                stats.ok,
+                stats.failed,
+                stats.degraded,
+                stats.retries
+            ),
             (4, 3, 1, 1, 2)
         );
         assert_eq!(stats.snapshots, 1);
@@ -744,8 +760,14 @@ mod tests {
         let breach = parse_fail_if("p99>7ms").unwrap().check(&stats).unwrap();
         assert!(breach.contains("exceeds"), "{breach}");
         // 1 of 4 degraded = 25%.
-        assert!(parse_fail_if("degraded>25%").unwrap().check(&stats).is_none());
-        assert!(parse_fail_if("degraded>24%").unwrap().check(&stats).is_some());
+        assert!(parse_fail_if("degraded>25%")
+            .unwrap()
+            .check(&stats)
+            .is_none());
+        assert!(parse_fail_if("degraded>24%")
+            .unwrap()
+            .check(&stats)
+            .is_some());
         // Latency gates pass vacuously on an empty ledger.
         let empty = aggregate(&[], 0);
         assert!(parse_fail_if("p99>1ms").unwrap().check(&empty).is_none());

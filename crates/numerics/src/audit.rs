@@ -572,7 +572,11 @@ pub fn check_solve_consistency(
         Err(e) => {
             return (
                 None,
-                Some(mismatch(format!("dense LU reference failed: {e}"), f64::NAN, None)),
+                Some(mismatch(
+                    format!("dense LU reference failed: {e}"),
+                    f64::NAN,
+                    None,
+                )),
             )
         }
     };
@@ -604,12 +608,21 @@ pub fn check_solve_consistency(
         Ok(x_sparse) => {
             backends += 1;
             if let Some(v) = compare(&x_sparse, "sparse LU") {
-                return (Some(BackendAgreement { backends, max_rel_diff: worst }), Some(v));
+                return (
+                    Some(BackendAgreement {
+                        backends,
+                        max_rel_diff: worst,
+                    }),
+                    Some(v),
+                );
             }
         }
         Err(e) => {
             return (
-                Some(BackendAgreement { backends, max_rel_diff: worst }),
+                Some(BackendAgreement {
+                    backends,
+                    max_rel_diff: worst,
+                }),
                 Some(mismatch(
                     format!("sparse LU failed where dense LU succeeded: {e}"),
                     f64::NAN,
@@ -625,13 +638,25 @@ pub fn check_solve_consistency(
             if let Ok(x_chol) = chol.solve(b) {
                 backends += 1;
                 if let Some(v) = compare(&x_chol, "Cholesky") {
-                    return (Some(BackendAgreement { backends, max_rel_diff: worst }), Some(v));
+                    return (
+                        Some(BackendAgreement {
+                            backends,
+                            max_rel_diff: worst,
+                        }),
+                        Some(v),
+                    );
                 }
             }
         }
     }
 
-    (Some(BackendAgreement { backends, max_rel_diff: worst }), None)
+    (
+        Some(BackendAgreement {
+            backends,
+            max_rel_diff: worst,
+        }),
+        None,
+    )
 }
 
 #[cfg(test)]
@@ -639,12 +664,7 @@ mod tests {
     use super::*;
 
     fn spd3() -> DenseMatrix<f64> {
-        DenseMatrix::from_rows(&[
-            &[4.0, 1.0, 0.5],
-            &[1.0, 5.0, 1.5],
-            &[0.5, 1.5, 6.0],
-        ])
-        .unwrap()
+        DenseMatrix::from_rows(&[&[4.0, 1.0, 0.5], &[1.0, 5.0, 1.5], &[0.5, 1.5, 6.0]]).unwrap()
     }
 
     #[test]

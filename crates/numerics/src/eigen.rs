@@ -189,13 +189,14 @@ mod tests {
     fn agrees_with_cholesky_on_definiteness() {
         // A borderline matrix: eigenvalues ~ {eps, 2}.
         let eps = 1e-6;
-        let a = DenseMatrix::from_rows(&[
-            &[1.0 + eps / 2.0, -1.0],
-            &[-1.0, 1.0 + eps / 2.0],
-        ])
-        .unwrap();
+        let a =
+            DenseMatrix::from_rows(&[&[1.0 + eps / 2.0, -1.0], &[-1.0, 1.0 + eps / 2.0]]).unwrap();
         let e = symmetric_extremes(&a, 5000, 1e-14).unwrap();
-        assert!(e.min > 0.0 && e.min < 1e-3, "tiny positive margin: {}", e.min);
+        assert!(
+            e.min > 0.0 && e.min < 1e-3,
+            "tiny positive margin: {}",
+            e.min
+        );
         assert!(crate::Cholesky::new(&a).is_ok());
     }
 }

@@ -60,7 +60,11 @@ pub enum NumericsError {
 impl fmt::Display for NumericsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NumericsError::DimensionMismatch { op, expected, found } => write!(
+            NumericsError::DimensionMismatch {
+                op,
+                expected,
+                found,
+            } => write!(
                 f,
                 "dimension mismatch in {op}: expected {}x{}, found {}x{}",
                 expected.0, expected.1, found.0, found.1
@@ -80,11 +84,9 @@ impl fmt::Display for NumericsError {
                 index.0, index.1, shape.0, shape.1
             ),
             NumericsError::RaggedRows => write!(f, "input rows have inconsistent lengths"),
-            NumericsError::NonFinite { op, index } => write!(
-                f,
-                "non-finite value in {op} at ({}, {})",
-                index.0, index.1
-            ),
+            NumericsError::NonFinite { op, index } => {
+                write!(f, "non-finite value in {op} at ({}, {})", index.0, index.1)
+            }
             NumericsError::Cancelled { op } => write!(f, "{op} cancelled by deadline"),
         }
     }
@@ -116,7 +118,9 @@ mod tests {
             shape: (2, 2),
         };
         assert!(e.to_string().contains("out of bounds"));
-        assert!(NumericsError::RaggedRows.to_string().contains("inconsistent"));
+        assert!(NumericsError::RaggedRows
+            .to_string()
+            .contains("inconsistent"));
         let e = NumericsError::NonFinite {
             op: "audit",
             index: (1, 2),

@@ -124,7 +124,10 @@ mod tests {
         }
         let mut c = base.clone();
         axpy4(&mut c, f, &rows[0], &rows[1], &rows[2], &rows[3]);
-        assert_eq!(c, reference, "axpy4 must match per-element ascending-k updates");
+        assert_eq!(
+            c, reference,
+            "axpy4 must match per-element ascending-k updates"
+        );
 
         let mut reference = base.clone();
         for (j, c) in reference.iter_mut().enumerate() {
@@ -134,7 +137,10 @@ mod tests {
         }
         let mut c = base;
         sub4(&mut c, f, &rows[0], &rows[1], &rows[2], &rows[3]);
-        assert_eq!(c, reference, "sub4 must match per-element ascending-k updates");
+        assert_eq!(
+            c, reference,
+            "sub4 must match per-element ascending-k updates"
+        );
     }
 
     #[test]

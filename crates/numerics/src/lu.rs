@@ -95,7 +95,11 @@ impl<T: Scalar> LuFactor<T> {
         );
         let mut lu = a.clone();
         let (perm, perm_sign) = pool::lu_eliminate_cancel(lu.as_mut_slice(), n, threads, cancel)?;
-        Ok(LuFactor { lu, perm, perm_sign })
+        Ok(LuFactor {
+            lu,
+            perm,
+            perm_sign,
+        })
     }
 
     /// Dimension of the factored matrix.
@@ -284,12 +288,8 @@ mod tests {
 
     #[test]
     fn solves_known_system() {
-        let a = DenseMatrix::from_rows(&[
-            &[2.0, 1.0, -1.0],
-            &[-3.0, -1.0, 2.0],
-            &[-2.0, 1.0, 2.0],
-        ])
-        .unwrap();
+        let a = DenseMatrix::from_rows(&[&[2.0, 1.0, -1.0], &[-3.0, -1.0, 2.0], &[-2.0, 1.0, 2.0]])
+            .unwrap();
         let lu = LuFactor::new(&a).unwrap();
         let x = lu.solve(&[8.0, -11.0, -3.0]).unwrap();
         // Classic system with solution (2, 3, -1).
@@ -326,12 +326,8 @@ mod tests {
 
     #[test]
     fn inverse_times_original_is_identity() {
-        let a = DenseMatrix::from_rows(&[
-            &[4.0, -2.0, 1.0],
-            &[-2.0, 4.0, -2.0],
-            &[1.0, -2.0, 4.0],
-        ])
-        .unwrap();
+        let a = DenseMatrix::from_rows(&[&[4.0, -2.0, 1.0], &[-2.0, 4.0, -2.0], &[1.0, -2.0, 4.0]])
+            .unwrap();
         let inv = LuFactor::new(&a).unwrap().inverse().unwrap();
         let prod = a.matmul(&inv).unwrap();
         let eye = DenseMatrix::identity(3);
@@ -391,8 +387,7 @@ mod tests {
     fn condition_estimate_flags_near_singular() {
         let nice = DenseMatrix::<f64>::identity(3);
         assert!(LuFactor::new(&nice).unwrap().diag_condition_estimate() < 10.0);
-        let nasty =
-            DenseMatrix::from_rows(&[&[1.0, 0.0], &[0.0, 1e-14]]).unwrap();
+        let nasty = DenseMatrix::from_rows(&[&[1.0, 0.0], &[0.0, 1e-14]]).unwrap();
         assert!(LuFactor::new(&nasty).unwrap().diag_condition_estimate() > 1e12);
     }
 }

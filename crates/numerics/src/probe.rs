@@ -49,10 +49,7 @@ pub fn spd_probe(a: &DenseMatrix<f64>, sym_tol: f64) -> SpdProbe {
     let mut first_bad_row = None;
     let mut sdd = true;
     for i in 0..n {
-        let off: f64 = (0..n)
-            .filter(|&j| j != i)
-            .map(|j| a[(i, j)].abs())
-            .sum();
+        let off: f64 = (0..n).filter(|&j| j != i).map(|j| a[(i, j)].abs()).sum();
         // NaN-safe: a NaN diagonal must count as not dominant.
         #[expect(
             clippy::disallowed_methods,
@@ -205,15 +202,12 @@ mod tests {
 
     #[test]
     fn condition_tracks_diagonal_spread() {
-        let a = DenseMatrix::from_fn(4, 4, |i, j| {
-            if i == j {
-                10f64.powi(i as i32)
-            } else {
-                0.0
-            }
-        });
+        let a = DenseMatrix::from_fn(4, 4, |i, j| if i == j { 10f64.powi(i as i32) } else { 0.0 });
         let est = condition_estimate(&a);
-        assert!((est - 1e3).abs() / 1e3 < 1e-9, "diag matrix κ₁ = 10³, got {est}");
+        assert!(
+            (est - 1e3).abs() / 1e3 < 1e-9,
+            "diag matrix κ₁ = 10³, got {est}"
+        );
     }
 
     #[test]

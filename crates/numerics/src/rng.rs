@@ -25,7 +25,11 @@ impl XorShift64 {
     /// of the xorshift map) is replaced by an arbitrary odd constant.
     pub fn new(seed: u64) -> Self {
         XorShift64 {
-            state: if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed },
+            state: if seed == 0 {
+                0x9E37_79B9_7F4A_7C15
+            } else {
+                seed
+            },
         }
     }
 

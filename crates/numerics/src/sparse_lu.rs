@@ -532,7 +532,9 @@ mod tests {
         let n = 40;
         let mut seed = 12345u64;
         let mut rng = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
         let mut d = DenseMatrix::<f64>::zeros(n, n);
@@ -544,7 +546,10 @@ mod tests {
         }
         let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         let xd = LuFactor::new(&d).unwrap().solve(&b).unwrap();
-        let xs = SparseLu::new(&csr_from_dense(&d)).unwrap().solve(&b).unwrap();
+        let xs = SparseLu::new(&csr_from_dense(&d))
+            .unwrap()
+            .solve(&b)
+            .unwrap();
         for (u, v) in xd.iter().zip(xs.iter()) {
             assert!((u - v).abs() < 1e-10, "dense {u} vs sparse {v}");
         }
@@ -554,12 +559,8 @@ mod tests {
     fn pivoting_handles_zero_diagonal() {
         // MNA matrices routinely have structural zeros on the diagonal
         // (voltage-source branch rows); partial pivoting must cope.
-        let d = DenseMatrix::from_rows(&[
-            &[0.0, 1.0, 0.0],
-            &[1.0, 0.0, 2.0],
-            &[0.0, 2.0, 1.0],
-        ])
-        .unwrap();
+        let d = DenseMatrix::from_rows(&[&[0.0, 1.0, 0.0], &[1.0, 0.0, 2.0], &[0.0, 2.0, 1.0]])
+            .unwrap();
         let lu = SparseLu::new(&csr_from_dense(&d)).unwrap();
         let b = [1.0, 3.0, 3.0];
         let x = lu.solve(&b).unwrap();
@@ -670,16 +671,28 @@ mod tests {
         let mut compared = 0;
         for (i, (s, d)) in xs.iter().zip(&xd).enumerate() {
             let m = s.modulus();
-            assert!(m == 0.0 || m >= FLUSH_BELOW, "entry {i} = {s} is below the flush bound");
+            assert!(
+                m == 0.0 || m >= FLUSH_BELOW,
+                "entry {i} = {s} is below the flush bound"
+            );
             if d.modulus() > 1e-100 {
-                assert!((*s - *d).modulus() <= 1e-12 * d.modulus(), "entry {i}: {s} vs {d}");
+                assert!(
+                    (*s - *d).modulus() <= 1e-12 * d.modulus(),
+                    "entry {i}: {s} vs {d}"
+                );
                 compared += 1;
             }
         }
         assert!(compared >= 30, "only {compared} entries above 1e-100");
         let tail = xs.iter().position(|v| v.is_zero()).unwrap();
-        assert!(tail < 110, "the chain must decay past the bound by node {tail}");
-        assert!(xs[tail..].iter().all(|v| v.is_zero()), "the far end must flush to zero");
+        assert!(
+            tail < 110,
+            "the chain must decay past the bound by node {tail}"
+        );
+        assert!(
+            xs[tail..].iter().all(|v| v.is_zero()),
+            "the far end must flush to zero"
+        );
         assert!(
             xd.iter().any(|v| !v.is_zero() && v.modulus() < FLUSH_BELOW),
             "dense LU keeps values below the bound"
@@ -807,7 +820,11 @@ mod tests {
             let row = nodes + k;
             // Sources go to ground from distinct nodes, so they form no
             // loop; inductors may join two nodes.
-            let p = if k % 2 == 0 { (7 * k + 3) % nodes } else { rng.range_usize(0, nodes) };
+            let p = if k % 2 == 0 {
+                (7 * k + 3) % nodes
+            } else {
+                rng.range_usize(0, nodes)
+            };
             d[(p, row)] += T::one();
             d[(row, p)] += T::one();
             if k % 2 == 1 {
@@ -854,12 +871,8 @@ mod tests {
     fn fill_reducing_handles_zero_diagonal_mna() {
         // The voltage-source pattern of `pivoting_handles_zero_diagonal`,
         // plus a structurally singular one that must be a typed error.
-        let d = DenseMatrix::from_rows(&[
-            &[0.0, 1.0, 0.0],
-            &[1.0, 0.0, 2.0],
-            &[0.0, 2.0, 1.0],
-        ])
-        .unwrap();
+        let d = DenseMatrix::from_rows(&[&[0.0, 1.0, 0.0], &[1.0, 0.0, 2.0], &[0.0, 2.0, 1.0]])
+            .unwrap();
         let lu = SparseLu::new_fill_reducing(&csr_from_dense(&d)).unwrap();
         let b = [1.0, 3.0, 3.0];
         let back = d.matvec(&lu.solve(&b).unwrap()).unwrap();
@@ -880,7 +893,10 @@ mod tests {
         let d = DenseMatrix::from_rows(&[&[4.0, 1.0], &[4.0, 1.0 + 1e-6]]).unwrap();
         let sparse = SparseLu::new(&csr_from_dense(&d)).unwrap();
         let dense = LuFactor::new(&d).unwrap();
-        assert_eq!(sparse.diag_condition_estimate(), dense.diag_condition_estimate());
+        assert_eq!(
+            sparse.diag_condition_estimate(),
+            dense.diag_condition_estimate()
+        );
         assert!(sparse.diag_condition_estimate() > 1e6);
     }
 }

@@ -189,7 +189,10 @@ mod tests {
         h.record(huge);
         let s = h.snapshot().unwrap();
         assert_eq!(s.max, huge);
-        assert_eq!(s.p99, huge, "over-the-top value must clamp to max, not the top bound");
+        assert_eq!(
+            s.p99, huge,
+            "over-the-top value must clamp to max, not the top bound"
+        );
         assert_eq!(s.counts[BUCKET_COUNT - 1], 1);
     }
 

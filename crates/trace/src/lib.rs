@@ -366,8 +366,8 @@ pub fn parse_mode_spec(spec: &str) -> Result<(TraceMode, Option<&str>), String> 
 pub fn set_mode_spec(spec: &str) -> Result<TraceMode, String> {
     let (resolved, path) = parse_mode_spec(spec)?;
     if let Some(path) = path {
-        let file = File::create(path)
-            .map_err(|e| format!("cannot open trace file {path:?}: {e}"))?;
+        let file =
+            File::create(path).map_err(|e| format!("cannot open trace file {path:?}: {e}"))?;
         let mut st = lock_state();
         if let Some(mut old) = st.jsonl.take() {
             let _ = old.flush();
@@ -445,7 +445,9 @@ impl Drop for SpanGuard {
         });
         let dur_us = end_us - self.start_us;
         let mut st = lock_state();
-        let Some(info) = st.open.remove(&id) else { return };
+        let Some(info) = st.open.remove(&id) else {
+            return;
+        };
         if st.jsonl.is_some() {
             let mut line = format!(
                 "{{\"ev\":\"close\",\"id\":{id},\"name\":\"{}\",\"t_us\":{end_us:.3},\"dur_us\":{dur_us:.3}",
@@ -1077,7 +1079,12 @@ mod tests {
         }
         let snap = snapshot();
         assert_eq!(snap.counters.get("engine.cache.hit"), Some(&4));
-        assert_eq!(snap.histograms.get("engine.request.total_ms").map(|h| h.count), Some(1));
+        assert_eq!(
+            snap.histograms
+                .get("engine.request.total_ms")
+                .map(|h| h.count),
+            Some(1)
+        );
         assert_eq!(closed_span_count(), 0);
         // Switching tracing on and off again keeps the registry on.
         set_mode_spec("summary").unwrap();
@@ -1107,12 +1114,20 @@ mod tests {
         // exposition reads still count every request.
         let snap = snapshot();
         assert_eq!(snap.counters.get("engine.requests"), Some(&3));
-        assert_eq!(snap.histograms.get("engine.request.total_ms").map(|h| h.count), Some(2));
+        assert_eq!(
+            snap.histograms
+                .get("engine.request.total_ms")
+                .map(|h| h.count),
+            Some(2)
+        );
         reset("off").unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         let summary = validate_jsonl(&content).unwrap();
         assert_eq!((summary.counters, summary.stats), (2, 2));
-        let last = content.lines().rfind(|l| l.contains("\"ev\":\"counter\"")).unwrap();
+        let last = content
+            .lines()
+            .rfind(|l| l.contains("\"ev\":\"counter\""))
+            .unwrap();
         assert!(last.contains("\"value\":3"), "{last}");
         let _ = std::fs::remove_file(&path);
     }
@@ -1140,7 +1155,10 @@ mod tests {
         assert_eq!(summary.instants, 1);
         assert_eq!(summary.counters, 1);
         assert_eq!(summary.stats, 1);
-        assert_eq!(summary.span_names, vec!["alpha".to_string(), "beta".to_string()]);
+        assert_eq!(
+            summary.span_names,
+            vec!["alpha".to_string(), "beta".to_string()]
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1162,7 +1180,8 @@ mod tests {
                     {\"seq\":3,\"ev\":\"finish\",\"t_us\":6}\n";
         assert!(validate_jsonl(good).is_ok());
         // Sequence numbers must be present and contiguous from 1.
-        let unnumbered = "{\"ev\":\"open\",\"id\":1,\"parent\":null,\"name\":\"a\",\"thread\":0,\"t_us\":0}\n";
+        let unnumbered =
+            "{\"ev\":\"open\",\"id\":1,\"parent\":null,\"name\":\"a\",\"thread\":0,\"t_us\":0}\n";
         let err = validate_jsonl(unnumbered).unwrap_err();
         assert!(err.contains("seq"), "{err}");
         let gap = good.replace("\"seq\":3", "\"seq\":9");
@@ -1196,7 +1215,9 @@ mod tests {
         let spans = closed_spans();
         let s = spans.iter().find(|s| s.name == "macro.span").unwrap();
         assert!(s.attrs.contains(&("dim".to_string(), "42".to_string())));
-        assert!(s.attrs.contains(&("mode".to_string(), "parallel".to_string())));
+        assert!(s
+            .attrs
+            .contains(&("mode".to_string(), "parallel".to_string())));
         reset("off").unwrap();
     }
 }

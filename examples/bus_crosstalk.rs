@@ -22,7 +22,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Reference: PEEC.
     let peec = exp.build(ModelKind::Peec)?;
     let (rp, t_peec) = peec.run_transient(&spec)?;
-    println!("PEEC reference ({bits}-bit bus), sim {:.0} ms", t_peec * 1e3);
+    println!(
+        "PEEC reference ({bits}-bit bus), sim {:.0} ms",
+        t_peec * 1e3
+    );
     println!("\nnoise peaks along the bus (far-end |V| max):");
     for victim in [1, 2, 4, 8, 16, 31] {
         let w = peec.far_voltage(&rp, victim)?;

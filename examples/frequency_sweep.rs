@@ -34,9 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("freq        skin depth   R (Ω)     R/Rdc    L (nH)");
     println!("---------------------------------------------------");
     let r_dc = RHO_CU * wire.length / wire.cross_section();
-    for &f in &[
-        1e6, 1e7, 1e8, 1e9, 2e9, 5e9, 10e9, 20e9, 50e9_f64,
-    ] {
+    for &f in &[1e6, 1e7, 1e8, 1e9, 2e9, 5e9, 10e9, 20e9, 50e9_f64] {
         let (r, l) = sys.effective_rl(0, f)?;
         println!(
             "{:>7.0e} Hz   {:>6.2} µm   {:>7.4}   {:>5.2}   {:>6.4}",

@@ -20,8 +20,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let l = &para.inductance;
 
     println!("24-bit bus, partial inductance matrix L:");
-    println!("  symmetric:                      {}", l.is_symmetric(1e-12));
-    println!("  positive definite:              {}", Cholesky::is_spd(l, 1e-9));
+    println!(
+        "  symmetric:                      {}",
+        l.is_symmetric(1e-12)
+    );
+    println!(
+        "  positive definite:              {}",
+        Cholesky::is_spd(l, 1e-9)
+    );
     println!(
         "  strictly diagonally dominant:   {}   <-- the problem",
         l.is_strictly_diagonally_dominant()
@@ -47,7 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let full = VpecModel::full(&para)?;
     let g_report = full.passivity_report();
     println!("\nfull VPEC circuit matrix Ĝ = Dl·L⁻¹·Dl:");
-    println!("  positive definite:              {} (Theorem 1)", g_report.positive_definite);
+    println!(
+        "  positive definite:              {} (Theorem 1)",
+        g_report.positive_definite
+    );
     println!(
         "  strictly diagonally dominant:   {} (Theorem 2)",
         g_report.strictly_diag_dominant

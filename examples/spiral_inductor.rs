@@ -21,8 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let cfg = ExtractionConfig::paper_default()
         .with_substrate(spec.substrate_spec().expect("paper spiral has a substrate"));
-    let drive = DriveConfig::paper_default()
-        .stimulus(Waveform::pulse(1.0, 10e-12, 200e-12, 10e-12));
+    let drive =
+        DriveConfig::paper_default().stimulus(Waveform::pulse(1.0, 10e-12, 200e-12, 10e-12));
     let exp = Experiment::new(layout, &cfg, drive);
 
     // Antiparallel sides couple negatively — count the signs.

@@ -61,16 +61,16 @@ pub mod prelude {
     pub use vpec_circuit::ac::AcSpec;
     pub use vpec_circuit::metrics::{crossing_time, peak_abs, resample, WaveformDiff};
     pub use vpec_circuit::{
-        Circuit, CircuitError, FactorDiagnostics, FactorStrategy, FaultInjection,
-        Integrator, NodeId, TransientDiagnostics, TransientSpec, Waveform,
+        Circuit, CircuitError, FactorDiagnostics, FactorStrategy, FaultInjection, Integrator,
+        NodeId, TransientDiagnostics, TransientSpec, Waveform,
     };
+    pub use vpec_core::harness::BuildBudget;
     pub use vpec_core::harness::{paper_transient_spec, BuiltModel, Experiment, ModelKind};
     pub use vpec_core::noise::{noise_scan, worst_aggressor_alignment, NoiseReport};
     pub use vpec_core::{
-        repair_passivity, CoreError, DriveConfig, PassivityReport, RepairReport,
-        SolveReport, VpecModel,
+        repair_passivity, CoreError, DriveConfig, PassivityReport, RepairReport, SolveReport,
+        VpecModel,
     };
-    pub use vpec_core::harness::BuildBudget;
     pub use vpec_engine::{Engine, EngineConfig, EngineError, ScenarioRequest, ScenarioResponse};
     pub use vpec_extract::{extract, ConductorSystem, ExtractionConfig, Parasitics};
     pub use vpec_geometry::{um, BusSpec, Layout, SpiralSpec, SubstrateSpec, GHZ};

@@ -123,11 +123,7 @@ fn corrupted_models_are_flagged_by_every_audit_path() {
             .find(|v| v.check == AuditCheck::PositiveDefinite)
             .expect("SPD violation");
         assert_eq!(v.matrix, "corrupted Ĝ");
-        assert!(
-            v.index.is_some(),
-            "violation must say where: {}",
-            v
-        );
+        assert!(v.index.is_some(), "violation must say where: {}", v);
 
         // Enforcement turns the report into a typed error (when auditing
         // is on for this run), never a panic.

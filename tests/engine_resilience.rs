@@ -87,15 +87,16 @@ fn batch_survives_panic_deadline_and_budget_failures() {
     assert_eq!(summary.total, 5);
     assert_eq!(summary.failed, 1, "only the panicking request fails");
     assert_eq!(summary.ok, 4);
-    assert_eq!(summary.degraded, 2, "the stalled and over-budget requests degrade");
+    assert_eq!(
+        summary.degraded, 2,
+        "the stalled and over-budget requests degrade"
+    );
 
-    for (resp, id) in responses.iter().zip([
-        "healthy-1",
-        "panics",
-        "stalls",
-        "over-budget",
-        "healthy-2",
-    ]) {
+    for (resp, id) in
+        responses
+            .iter()
+            .zip(["healthy-1", "panics", "stalls", "over-budget", "healthy-2"])
+    {
         assert_eq!(str_field(resp, "id"), id, "responses stream in order");
     }
 
@@ -174,7 +175,10 @@ fn fault_matrix_is_isolated_per_request() {
     // degraded, with the recovery visible in the notes.
     let step = &responses[3];
     assert_eq!(str_field(step, "status"), "ok");
-    assert!(bool_field(step, "degraded"), "in-solve retry marks degraded");
+    assert!(
+        bool_field(step, "degraded"),
+        "in-solve retry marks degraded"
+    );
     match step.get("notes") {
         Some(JsonValue::Arr(a)) => assert!(
             a.iter()

@@ -2,15 +2,15 @@
 //! extension must be reachable and consistent through the public `vpec`
 //! crate, not only within its home crate.
 
+use vpec::circuit::mor::reduce_about;
+use vpec::circuit::spice_in::from_spice;
+use vpec::circuit::spice_out::to_spice;
+use vpec::circuit::Element;
 use vpec::core::baselines::{return_limited, shift_truncate};
 use vpec::core::kelement::KNodalModel;
 use vpec::core::noise::noise_scan;
 use vpec::extract::volume::try_decompose;
 use vpec::extract::{CapTable, ConductorSystem};
-use vpec::circuit::mor::reduce_about;
-use vpec::circuit::spice_in::from_spice;
-use vpec::circuit::spice_out::to_spice;
-use vpec::circuit::Element;
 use vpec::prelude::*;
 
 fn experiment(bits: usize) -> Experiment {
@@ -42,7 +42,11 @@ fn mor_macromodel_tracks_victim() {
         .unwrap();
     let v_rom = resample(&t_rom, &y[0], full.time());
     let d = WaveformDiff::compare(&full.voltage(victim).unwrap(), &v_rom);
-    assert!(d.max_pct_of_peak() < 10.0, "ROM error {}%", d.max_pct_of_peak());
+    assert!(
+        d.max_pct_of_peak() < 10.0,
+        "ROM error {}%",
+        d.max_pct_of_peak()
+    );
 }
 
 /// The K-element nodal solver matches MNA at GHz through the facade.
@@ -71,8 +75,10 @@ fn baselines_compose_with_noise_scan() {
 
     // Shift truncation itself is reachable and sparsifies.
     let st = shift_truncate(&exp.parasitics, &exp.layout, um(10.0)).unwrap();
-    assert!(vpec::core::baselines::inductance_nnz(&st)
-        < vpec::core::baselines::inductance_nnz(&exp.parasitics));
+    assert!(
+        vpec::core::baselines::inductance_nnz(&st)
+            < vpec::core::baselines::inductance_nnz(&exp.parasitics)
+    );
 
     // Return-limited on a shielded variant.
     let shielded = BusSpec::new(4).shield_every(2).build();
@@ -117,10 +123,7 @@ fn captable_consistent_with_pipeline() {
     // Coupling at the paper's 2 µm spacing.
     let cc = exp.parasitics.cap_coupling[0].2 / exp.parasitics.lengths[0];
     let from_table = table.coupling_per_meter(um(1.0), um(2.0));
-    assert!(
-        (cc - from_table).abs() < 0.01 * cc,
-        "{cc} vs {from_table}"
-    );
+    assert!((cc - from_table).abs() < 0.01 * cc, "{cc} vs {from_table}");
 }
 
 /// Deck export/import of every model kind the harness can build.
@@ -136,8 +139,8 @@ fn all_model_kinds_roundtrip_through_spice() {
     ] {
         let built = exp.build(kind).unwrap();
         let deck = to_spice(&built.model.circuit, &kind.label());
-        let back = from_spice(&deck)
-            .unwrap_or_else(|e| panic!("{kind:?} deck failed to parse: {e}"));
+        let back =
+            from_spice(&deck).unwrap_or_else(|e| panic!("{kind:?} deck failed to parse: {e}"));
         assert_eq!(
             back.element_count(),
             built.model.circuit.element_count(),

@@ -10,8 +10,8 @@
 //!    repaired at build time and the repair magnitude is visible in the
 //!    [`SolveReport`].
 
-use vpec::circuit::transient::run_transient_with_report;
 use vpec::circuit::dc::solve_dc;
+use vpec::circuit::transient::run_transient_with_report;
 use vpec::circuit::CircuitError;
 use vpec::geometry::{Axis, Filament, Layout};
 use vpec::prelude::*;
@@ -41,7 +41,10 @@ fn boundary_layout() -> Layout {
     let mut layout = Layout::new();
     layout.push_net(
         "b0",
-        vec![mk(-9.307037661501751e-6, 0.0), mk(0.000583727148407435, 0.0)],
+        vec![
+            mk(-9.307037661501751e-6, 0.0),
+            mk(0.000583727148407435, 0.0),
+        ],
     );
     layout.push_net(
         "b1",
@@ -110,7 +113,10 @@ fn nonpassive_sparsified_model_is_repaired_and_reported() {
     let built = exp
         .build(ModelKind::TVpecNumerical { threshold: 0.0 })
         .expect("build");
-    let repair = built.repair.clone().expect("sparsified kinds carry a repair record");
+    let repair = built
+        .repair
+        .clone()
+        .expect("sparsified kinds carry a repair record");
     assert!(repair.repaired(), "boundary-case model needs repair");
     assert!(repair.max_delta > 0.0 && repair.total_delta >= repair.max_delta);
 
@@ -121,7 +127,9 @@ fn nonpassive_sparsified_model_is_repaired_and_reported() {
     assert!(report.degraded());
     let lines = report.lines();
     assert!(
-        lines.iter().any(|l| l.contains("passivity repair") && l.contains("row")),
+        lines
+            .iter()
+            .any(|l| l.contains("passivity repair") && l.contains("row")),
         "repair line missing from {lines:?}"
     );
     // And the repaired netlist actually simulates to a finite waveform.

@@ -25,7 +25,10 @@ fn full_vpec_matches_peec_time_and_frequency_domain() {
     let (rp, _) = peec.run_transient(&tspec).unwrap();
     let (rv, _) = vpec.run_transient(&tspec).unwrap();
     for net in 0..5 {
-        let d = WaveformDiff::compare(&peec.far_voltage(&rp, net).unwrap(), &vpec.far_voltage(&rv, net).unwrap());
+        let d = WaveformDiff::compare(
+            &peec.far_voltage(&rp, net).unwrap(),
+            &vpec.far_voltage(&rv, net).unwrap(),
+        );
         assert!(
             d.max_pct_of_peak() < 0.5,
             "net {net}: time-domain mismatch {}%",
@@ -57,7 +60,10 @@ fn localized_vpec_is_visibly_wrong() {
     let tspec = TransientSpec::new(0.4e-9, 0.5e-12);
     let (rp, _) = peec.run_transient(&tspec).unwrap();
     let (rl, _) = local.run_transient(&tspec).unwrap();
-    let d = WaveformDiff::compare(&peec.far_voltage(&rp, 1).unwrap(), &local.far_voltage(&rl, 1).unwrap());
+    let d = WaveformDiff::compare(
+        &peec.far_voltage(&rp, 1).unwrap(),
+        &local.far_voltage(&rl, 1).unwrap(),
+    );
     assert!(
         d.max_pct_of_peak() > 2.0,
         "localized model should be visibly off, got {}%",
@@ -93,9 +99,7 @@ fn all_sparsifications_preserve_passivity() {
 fn windowed_extraction_beats_full_inversion_at_scale() {
     let exp = bus_experiment(192);
     let (_, t_full) = exp.vpec_model(ModelKind::VpecFull).unwrap();
-    let (_, t_win) = exp
-        .vpec_model(ModelKind::WVpecGeometric { b: 8 })
-        .unwrap();
+    let (_, t_win) = exp.vpec_model(ModelKind::WVpecGeometric { b: 8 }).unwrap();
     assert!(
         t_win < t_full,
         "windowing ({t_win}s) must beat full inversion ({t_full}s) at 192 bits"

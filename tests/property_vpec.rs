@@ -311,7 +311,10 @@ fn dominance_boundary_is_real() {
     let mut layout = Layout::new();
     layout.push_net(
         "b0",
-        vec![mk(-9.307037661501751e-6, 0.0), mk(0.000583727148407435, 0.0)],
+        vec![
+            mk(-9.307037661501751e-6, 0.0),
+            mk(0.000583727148407435, 0.0),
+        ],
     );
     layout.push_net(
         "b1",

@@ -75,9 +75,7 @@ fn transient_and_ac_agree_at_dc_limit() {
         .run_transient(&TransientSpec::new(1e-9, 1e-12))
         .unwrap();
     let settled = *built.far_voltage(&tr, 0).unwrap().last().unwrap();
-    let (ac, _) = built
-        .run_ac(&AcSpec::points(vec![1.0]))
-        .unwrap();
+    let (ac, _) = built.run_ac(&AcSpec::points(vec![1.0])).unwrap();
     let low_freq = ac.magnitude(built.model.far_nodes[0]).unwrap()[0];
     assert!(
         (settled - low_freq).abs() < 1e-3,

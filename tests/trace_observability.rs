@@ -79,7 +79,15 @@ fn pipeline_jsonl_round_trips_through_the_parser() {
     let content = std::fs::read_to_string(&path).unwrap();
     let summary = trace::validate_jsonl(&content).expect("stream validates");
     assert_eq!(summary.opens, summary.closes, "all spans closed");
-    for phase in ["extract", "model.invert", "build", "factor", "dc", "transient", "ac.sweep"] {
+    for phase in [
+        "extract",
+        "model.invert",
+        "build",
+        "factor",
+        "dc",
+        "transient",
+        "ac.sweep",
+    ] {
         assert!(
             summary.span_names.iter().any(|n| n == phase),
             "stream must cover phase {phase}: {:?}",
@@ -109,7 +117,8 @@ fn injected_retries_produce_exactly_that_many_retry_events() {
     )
     .unwrap();
     c.add_resistor("R1", inp, out, 1000.0).unwrap();
-    c.add_capacitor("C1", out, vpec::circuit::Circuit::GROUND, 1e-9).unwrap();
+    c.add_capacitor("C1", out, vpec::circuit::Circuit::GROUND, 1e-9)
+        .unwrap();
 
     let spec = TransientSpec::new(1e-7, 1e-9).fault_injection(FaultInjection {
         poison_step: Some(10),
@@ -167,16 +176,30 @@ fn sparse_factor_span_carries_its_evidence() {
         .collect();
     assert!(!factor_spans.is_empty());
     for span in &factor_spans {
-        let attr = |k: &str| span.attrs.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone());
+        let attr = |k: &str| {
+            span.attrs
+                .iter()
+                .find(|(key, _)| key == k)
+                .map(|(_, v)| v.clone())
+        };
         assert_eq!(attr("ordering").as_deref(), Some("amd"), "{span:?}");
         assert!(attr("off_diagonal_pivots").is_some(), "{span:?}");
         assert!(attr("factor_nnz").is_some(), "{span:?}");
     }
     // The transient factor is the first one opened (the DC point follows).
     let first = &factor_spans[0];
-    let attr = |k: &str| first.attrs.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone());
+    let attr = |k: &str| {
+        first
+            .attrs
+            .iter()
+            .find(|(key, _)| key == k)
+            .map(|(_, v)| v.clone())
+    };
     assert_eq!(attr("ordering").as_deref(), Some(ordering.label()));
-    assert_eq!(attr("off_diagonal_pivots"), Some(diag.off_diagonal_pivots.to_string()));
+    assert_eq!(
+        attr("off_diagonal_pivots"),
+        Some(diag.off_diagonal_pivots.to_string())
+    );
     trace::reset("off").unwrap();
 }
 
