@@ -11,7 +11,8 @@
 //! * **Deadlines** — a watchdog thread fires a
 //!   [`vpec_numerics::CancelToken`] at the wall-clock deadline; the
 //!   numerics and circuit layers poll it cooperatively (per elimination
-//!   column, per inverse column, per transient step, per AC point).
+//!   column, per inverse column or four-column Cholesky block, per
+//!   transient step, per AC point).
 //! * **Budgets** — per-request filament/matrix-dimension/step limits
 //!   ([`vpec_core::harness::BuildBudget`]) are checked against the raw
 //!   layout before any O(N²) work.

@@ -146,7 +146,12 @@ impl Cholesky {
         Ok(x)
     }
 
-    /// Computes `A⁻¹` column by column.
+    /// Computes `A⁻¹`.
+    ///
+    /// Numerical class: audited-close. On and below the diagonal, column
+    /// `j` of the result is [`Cholesky::solve`] of the unit vector `e_j`,
+    /// bit for bit; the upper triangle mirrors the lower, so the result
+    /// is exactly symmetric.
     ///
     /// # Errors
     ///
@@ -157,9 +162,9 @@ impl Cholesky {
     }
 
     /// [`Cholesky::inverse`] with cooperative cancellation: the token is
-    /// polled once per inverse column and a set token aborts with
-    /// [`NumericsError::Cancelled`] — the deadline hook into the
-    /// `S = L⁻¹` hot path of the full VPEC extraction.
+    /// polled once per block of four inverse columns and a set token
+    /// aborts with [`NumericsError::Cancelled`] — the deadline hook into
+    /// the `S = L⁻¹` hot path of the full VPEC extraction.
     ///
     /// # Errors
     ///
@@ -167,11 +172,12 @@ impl Cholesky {
     /// fail for a successfully constructed factorization.
     pub fn inverse_cancel(&self, cancel: &CancelToken) -> Result<DenseMatrix<f64>, NumericsError> {
         let n = self.dim();
-        // Columns of the inverse are independent unit-vector solves — the
-        // `S = L⁻¹` hot path of the full VPEC extraction. par_map_index is
-        // order-preserving, so the result matches the serial loop exactly.
-        // A cancelled column returns empty and the flag is re-checked
-        // below, so late cancellation skips the remaining O(n²) solves.
+        // Column j of A⁻¹ is needed from row j down only; symmetry gives
+        // the rest. Columns 4b..4b+3 share one trailing solve over rows
+        // 4b.. and are stored transposed, as rows 4b..4b+3 of the result,
+        // so each block owns four contiguous rows and any worker count
+        // gives the same bits. A skipped block leaves the flag set, and
+        // the check below turns it into an error.
         let nt = pool::threads_for(n, pool::PAR_MIN_COLS);
         let _sp = vpec_trace::span!(
             "cholesky.inverse",
@@ -179,26 +185,72 @@ impl Cholesky {
             "mode" => if nt > 1 { "parallel" } else { "serial" },
             "workers" => nt,
         );
-        let cols = Pool::with_threads(nt).par_map_index(n, |j| {
-            if cancel.is_cancelled() {
-                return Ok(Vec::new());
+        let mut inv = DenseMatrix::zeros(n, n);
+        Pool::with_threads(nt).par_chunks_mut(inv.as_mut_slice(), (4 * n).max(1), |off, rows| {
+            if !cancel.is_cancelled() {
+                self.trailing_block(off / n, rows);
             }
-            let mut e = vec![0.0; n];
-            e[j] = 1.0;
-            self.solve(&e)
         });
         if cancel.is_cancelled() {
             return Err(NumericsError::Cancelled {
                 op: "cholesky inverse",
             });
         }
-        let mut inv = DenseMatrix::zeros(n, n);
-        for (j, col) in cols.into_iter().enumerate() {
-            for (i, v) in col?.into_iter().enumerate() {
-                inv[(i, j)] = v;
+        for i in 1..n {
+            for j in 0..i {
+                inv[(i, j)] = inv[(j, i)];
             }
         }
         Ok(inv)
+    }
+
+    /// Fills `rows` — rows `j0..` of the inverse, at most four — with
+    /// columns `j0..` of `A⁻¹` from row `j0` down.
+    fn trailing_block(&self, j0: usize, rows: &mut [f64]) {
+        let mut it = rows.chunks_exact_mut(self.dim());
+        match (it.next(), it.next(), it.next(), it.next()) {
+            (Some(a), Some(b), Some(c), Some(d)) => self.trailing_solve(j0, [a, b, c, d]),
+            (Some(a), Some(b), Some(c), None) => self.trailing_solve(j0, [a, b, c]),
+            (Some(a), Some(b), None, _) => self.trailing_solve(j0, [a, b]),
+            (Some(a), None, ..) => self.trailing_solve(j0, [a]),
+            (None, ..) => {}
+        }
+    }
+
+    /// Solves `A·x_c = e_{j0+c}` for each of the `R` vectors of `x`,
+    /// computing entries `j0..` only. Entries above `j0` of `e_{j0+c}`'s
+    /// solution play no part in those below: the forward sweep's are
+    /// zero, and the back sweep of `Gᵀ·x = y` over rows `j0..` is a
+    /// closed system. Every kept entry therefore takes exactly the
+    /// operation sequence of [`Cholesky::solve`]; the `dot4` slices start
+    /// at `j0`, a multiple of four, so the skipped terms were exact
+    /// zeros in the same accumulator lanes.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "Numerical class: audited-close (the forward sweep is Cholesky::solve's four-accumulator reduction)"
+    )]
+    fn trailing_solve<const R: usize>(&self, j0: usize, mut x: [&mut [f64]; R]) {
+        let n = self.dim();
+        for (c, xc) in x.iter_mut().enumerate() {
+            xc[j0 + c] = 1.0;
+        }
+        for i in j0..n {
+            let row = self.g.row(i);
+            for xc in x.iter_mut() {
+                let (solved, rest) = xc.split_at_mut(i);
+                rest[0] = (rest[0] - kernel::dot4(&row[j0..i], &solved[j0..])) / row[i];
+            }
+        }
+        for k in (j0..n).rev() {
+            let row = self.g.row(k);
+            for xc in x.iter_mut() {
+                let xk = xc[k] / row[k];
+                xc[k] = xk;
+                for (xi, &gki) in xc[j0..k].iter_mut().zip(&row[j0..k]) {
+                    *xi -= gki * xk;
+                }
+            }
+        }
     }
 
     /// Log-determinant of `A` (numerically robust for large matrices).
@@ -317,5 +369,40 @@ mod tests {
         // A disarmed token changes nothing.
         let inv = ch.inverse_cancel(&CancelToken::none()).unwrap();
         assert_eq!(inv, ch.inverse().unwrap());
+    }
+
+    #[test]
+    fn token_cancelled_mid_inverse_aborts_it() {
+        // Diagonally dominant, hence SPD. The barrier starts both threads
+        // together and the token fires 2 ms in, while a 1024-column
+        // inverse (tens of milliseconds even optimized) is still running.
+        // Wherever the cancel lands before the end, the call must fail: a
+        // block skipped by the poll would otherwise leave zeros behind.
+        let n = 1024;
+        let a = DenseMatrix::from_fn(n, n, |i, j| {
+            1.0 / (1.0 + i.abs_diff(j) as f64) + if i == j { n as f64 } else { 0.0 }
+        });
+        let ch = Cholesky::new(&a).unwrap();
+        let token = CancelToken::new();
+        let started = std::sync::Barrier::new(2);
+        let result = std::thread::scope(|s| {
+            s.spawn(|| {
+                started.wait();
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                token.cancel();
+            });
+            started.wait();
+            ch.inverse_cancel(&token)
+        });
+        assert!(token.is_cancelled());
+        assert!(
+            matches!(
+                result,
+                Err(NumericsError::Cancelled {
+                    op: "cholesky inverse"
+                })
+            ),
+            "a token fired mid-flight must abort the inverse, not return a partial S"
+        );
     }
 }

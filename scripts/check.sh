@@ -8,6 +8,13 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+echo "==> cargo fmt --check (workspace and workload-bench)"
+# Formatting is checked, not applied: an unformatted file fails the gate,
+# so `cargo fmt --all` before a change rewrites only the lines it touches.
+# The benchmark is its own workspace, which `--all` does not reach.
+cargo fmt --all --check
+cargo fmt --manifest-path workload-bench/Cargo.toml --all --check
+
 echo "==> cargo build --release (workspace, all targets)"
 cargo build --release --workspace --all-targets
 
