@@ -7,7 +7,7 @@
 use crate::diagnostics::FactorStrategy;
 use crate::elements::Element;
 use crate::error::CircuitError;
-use crate::mna::{add_source_rhs, assemble, MnaLayout};
+use crate::mna::{add_source_rhs, assemble, MnaLayout, StampPlan};
 use crate::netlist::Circuit;
 use crate::result::AcResult;
 use crate::solver::Factored;
@@ -107,28 +107,39 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
         });
     }
     let layout = MnaLayout::new(ckt);
-    let assemble_at = |f: f64| -> Result<_, CircuitError> {
+    // Both dynamic stamps at angular frequency ω: jωC and jωL.
+    let jw = |f: f64| {
         let omega = 2.0 * std::f64::consts::PI * f;
-        Ok(assemble::<Complex64>(
-            ckt,
-            &layout,
-            |c| Complex64::new(0.0, omega * c),
-            |l| Complex64::new(0.0, omega * l),
-        )?
-        .to_csr())
+        move |x: f64| Complex64::new(0.0, omega * x)
     };
     // Sparse AC factors keep RCM with partial pivoting (the fill-reducing
     // path of the real factors does not pay off on complex matrices; see
     // DESIGN.md §8.6). RCM depends on the pattern alone, and G + jωC has
-    // the same pattern at every ω > 0, so the first point's ordering
-    // serves every point whose pattern matches it; a point whose pattern
-    // differs is ordered afresh. Dense-primary systems need no ordering.
+    // the same pattern at every ω > 0: the stamp plan builds that pattern
+    // and its ordering once, and each point refills the values. A point
+    // whose pattern differs (a slot summing to exactly zero) is assembled
+    // and ordered afresh. Dense-primary systems need no ordering.
     let rcm_for = |a: &CsrMatrix<Complex64>| {
         (Factored::primary_strategy(a) == FactorStrategy::SparseLu).then(|| rcm_ordering(a))
     };
-    let first = assemble_at(spec.frequencies[0])?;
-    let first_rcm = rcm_for(&first);
-    // Each sweep point is an independent assemble + factor + solve, so the
+    let f0 = spec.frequencies[0];
+    let plan = StampPlan::new(ckt, &layout, jw(f0), jw(f0))?;
+    let plan_rcm = rcm_for(plan.pattern());
+    let mut rhs = vec![Complex64::ZERO; layout.dim];
+    for (idx, e) in ckt.elements().iter().enumerate() {
+        match e {
+            Element::VSource {
+                ac: Some((m, p)), ..
+            }
+            | Element::ISource {
+                ac: Some((m, p)), ..
+            } => {
+                add_source_rhs(&mut rhs, &layout, idx, e, Complex64::from_polar(*m, *p));
+            }
+            _ => {}
+        }
+    }
+    // Each sweep point is an independent refill + factor + solve, so the
     // sweep maps over frequencies in parallel. Results come back in sweep
     // order; on failure the error reported is the one at the lowest
     // failing frequency, matching the serial loop's behaviour. Short
@@ -145,27 +156,14 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
             return Err(CircuitError::Cancelled { analysis: "ac" });
         }
         let _ps = vpec_trace::span("ac.point");
-        let a = assemble_at(f)?;
-        let mut rhs = vec![Complex64::ZERO; layout.dim];
-        for (idx, e) in ckt.elements().iter().enumerate() {
-            match e {
-                Element::VSource {
-                    ac: Some((m, p)), ..
-                }
-                | Element::ISource {
-                    ac: Some((m, p)), ..
-                } => {
-                    add_source_rhs(&mut rhs, &layout, idx, e, Complex64::from_polar(*m, *p));
-                }
-                _ => {}
-            }
-        }
         let own_rcm;
-        let rcm = if a.same_pattern(&first) {
-            first_rcm.as_deref()
-        } else {
-            own_rcm = rcm_for(&a);
-            own_rcm.as_deref()
+        let (a, rcm) = match plan.refill(ckt, &layout, jw(f), jw(f))? {
+            Some(a) => (a, plan_rcm.as_deref()),
+            None => {
+                let a = assemble::<Complex64>(ckt, &layout, jw(f), jw(f))?.to_csr();
+                own_rcm = rcm_for(&a);
+                (a, own_rcm.as_deref())
+            }
         };
         let (factored, _) = Factored::factor_csr(&a, false, rcm).map_err(|e| match e {
             CircuitError::SingularSystem { .. } => CircuitError::SingularSystem { analysis: "ac" },
@@ -322,6 +320,294 @@ mod tests {
             run_ac(&c, &spec),
             Err(CircuitError::Cancelled { analysis: "ac" })
         ));
+    }
+
+    /// `lines` coupled lines of `segs` RL segments, PEEC-shaped: a driven
+    /// line 0, quiet drivers elsewhere, ground and coupling capacitors, and
+    /// a mutual between every pair of segment inductors.
+    fn peec_bus(lines: usize, segs: usize) -> Circuit {
+        let mut c = Circuit::new();
+        let mut inductors = Vec::new();
+        let mut prev_line: Vec<crate::NodeId> = Vec::new();
+        for k in 0..lines {
+            let src = c.node(&format!("src{k}"));
+            let (mag, wave) = (if k == 0 { 1.0 } else { 0.0 }, Waveform::dc(0.0));
+            c.add_vsource_ac(&format!("V{k}"), src, Circuit::GROUND, wave, mag, 0.0)
+                .unwrap();
+            let mut node = c.node(&format!("n{k}_0"));
+            c.add_resistor(&format!("Rd{k}"), src, node, 30.0).unwrap();
+            let mut line = vec![node];
+            for s in 0..segs {
+                let mid = c.node(&format!("m{k}_{s}"));
+                let next = c.node(&format!("n{k}_{}", s + 1));
+                c.add_resistor(&format!("R{k}_{s}"), node, mid, 2.0)
+                    .unwrap();
+                let l = c
+                    .add_inductor(&format!("L{k}_{s}"), mid, next, 1e-10)
+                    .unwrap();
+                inductors.push(l);
+                c.add_capacitor(&format!("C{k}_{s}"), next, Circuit::GROUND, 5e-15)
+                    .unwrap();
+                line.push(next);
+                node = next;
+            }
+            if let Some(prev) = prev_line.get(1..) {
+                for (s, (&a, &b)) in prev.iter().zip(&line[1..]).enumerate() {
+                    c.add_capacitor(&format!("Cc{k}_{s}"), a, b, 2e-15).unwrap();
+                }
+            }
+            c.add_capacitor(&format!("Cl{k}"), node, Circuit::GROUND, 10e-15)
+                .unwrap();
+            prev_line = line;
+        }
+        for (i, &a) in inductors.iter().enumerate() {
+            for (j, &b) in inductors.iter().enumerate().skip(i + 1) {
+                let m = 0.5e-10 / (1.0 + (j - i) as f64);
+                c.add_mutual(&format!("K{i}_{j}"), a, b, m).unwrap();
+            }
+        }
+        c
+    }
+
+    /// `lines` lines lowered the way full VPEC lowers them: per line an
+    /// ammeter, a VCVS inductive drop, and a magnetic block of a ground
+    /// resistor, a CCCS injection, a VCCS and a unit inductor, with
+    /// negative coupling resistors between every pair of magnetic nodes.
+    fn vpec_bus(lines: usize) -> Circuit {
+        let mut c = Circuit::new();
+        let mut mag = Vec::new();
+        for k in 0..lines {
+            let src = c.node(&format!("src{k}"));
+            let (near, mid, sense, out) = (
+                c.node(&format!("near{k}")),
+                c.node(&format!("mid{k}")),
+                c.node(&format!("s{k}")),
+                c.node(&format!("out{k}")),
+            );
+            let (a, d) = (c.node(&format!("a{k}")), c.node(&format!("d{k}")));
+            let mag_v = if k == 0 { 1.0 } else { 0.0 };
+            c.add_vsource_ac(
+                &format!("V{k}"),
+                src,
+                Circuit::GROUND,
+                Waveform::dc(0.0),
+                mag_v,
+                0.0,
+            )
+            .unwrap();
+            c.add_resistor(&format!("Rd{k}"), src, near, 30.0).unwrap();
+            c.add_resistor(&format!("R{k}"), near, mid, 5.0).unwrap();
+            let amm = c
+                .add_vsource(&format!("amm{k}"), mid, sense, Waveform::dc(0.0))
+                .unwrap();
+            let li = 1e-3 * (1.0 + 0.1 * k as f64);
+            c.add_vcvs(&format!("e{k}"), sense, out, d, Circuit::GROUND, li)
+                .unwrap();
+            c.add_capacitor(&format!("C{k}"), out, Circuit::GROUND, 20e-15)
+                .unwrap();
+            c.add_resistor(&format!("rg{k}"), a, Circuit::GROUND, 1e5)
+                .unwrap();
+            c.add_cccs(&format!("f{k}"), Circuit::GROUND, a, amm, li)
+                .unwrap();
+            c.add_vccs(
+                &format!("g{k}"),
+                Circuit::GROUND,
+                d,
+                a,
+                Circuit::GROUND,
+                1.0,
+            )
+            .unwrap();
+            c.add_inductor(&format!("lu{k}"), d, Circuit::GROUND, 1.0)
+                .unwrap();
+            mag.push(a);
+        }
+        for i in 0..lines {
+            for j in i + 1..lines {
+                let r = -1e6 * (1.0 + (j - i) as f64);
+                c.add_resistor(&format!("rc{i}_{j}"), mag[i], mag[j], r)
+                    .unwrap();
+            }
+        }
+        c
+    }
+
+    /// An RLC ladder of `stages` sections driven at its input.
+    fn rlc_ladder(stages: usize) -> Circuit {
+        let mut c = Circuit::new();
+        let mut prev = c.node("in");
+        c.add_vsource_ac("V1", prev, Circuit::GROUND, Waveform::dc(0.0), 1.0, 0.0)
+            .unwrap();
+        for k in 0..stages {
+            let mid = c.node(&format!("m{k}"));
+            let out = c.node(&format!("o{k}"));
+            c.add_resistor(&format!("R{k}"), prev, mid, 50.0 + k as f64)
+                .unwrap();
+            c.add_inductor(&format!("L{k}"), mid, out, 1e-9 * (1.0 + k as f64))
+                .unwrap();
+            c.add_capacitor(&format!("C{k}"), out, Circuit::GROUND, 20e-15)
+                .unwrap();
+            prev = out;
+        }
+        c.add_resistor("Rload", prev, Circuit::GROUND, 75.0)
+            .unwrap();
+        c
+    }
+
+    fn jw(f: f64) -> impl Fn(f64) -> Complex64 + Copy {
+        let omega = 2.0 * std::f64::consts::PI * f;
+        move |x| Complex64::new(0.0, omega * x)
+    }
+
+    fn fresh(ckt: &Circuit, layout: &MnaLayout, f: f64) -> CsrMatrix<Complex64> {
+        assemble(ckt, layout, jw(f), jw(f)).unwrap().to_csr()
+    }
+
+    fn assert_same_bits(a: &CsrMatrix<Complex64>, b: &CsrMatrix<Complex64>, what: &str) {
+        assert!(a.same_pattern(b), "{what}: pattern");
+        for i in 0..a.rows() {
+            for (x, y) in a.row(i).1.iter().zip(b.row(i).1) {
+                let bits = |z: &Complex64| (z.re.to_bits(), z.im.to_bits());
+                assert_eq!(bits(x), bits(y), "{what}: row {i}: {x:?} vs {y:?}");
+            }
+        }
+    }
+
+    /// The sweep as it ran before the stamp plan: every point assembled,
+    /// compressed and ordered afresh, serially.
+    fn fresh_sweep(ckt: &Circuit, freqs: &[f64]) -> Vec<Vec<Complex64>> {
+        let layout = MnaLayout::new(ckt);
+        let mut rhs = vec![Complex64::ZERO; layout.dim];
+        for (idx, e) in ckt.elements().iter().enumerate() {
+            if let Element::VSource {
+                ac: Some((m, p)), ..
+            } = e
+            {
+                add_source_rhs(&mut rhs, &layout, idx, e, Complex64::from_polar(*m, *p));
+            }
+        }
+        freqs
+            .iter()
+            .map(|&f| {
+                let a = fresh(ckt, &layout, f);
+                let rcm = (Factored::primary_strategy(&a) == FactorStrategy::SparseLu)
+                    .then(|| rcm_ordering(&a));
+                let (lu, _) = Factored::factor_csr(&a, false, rcm.as_deref()).unwrap();
+                lu.solve(&rhs).unwrap()
+            })
+            .collect()
+    }
+
+    fn assert_sweep_matches_fresh(ckt: &Circuit, freqs: &[f64]) {
+        let swept = run_ac(ckt, &AcSpec::points(freqs.to_vec())).unwrap();
+        for (i, x) in fresh_sweep(ckt, freqs).iter().enumerate() {
+            let same = x
+                .iter()
+                .zip(&swept.data[i])
+                .all(|(u, v)| u.re.to_bits() == v.re.to_bits() && u.im.to_bits() == v.im.to_bits());
+            assert!(
+                same,
+                "point {i} ({} Hz) differs from a fresh assembly",
+                freqs[i]
+            );
+        }
+    }
+
+    #[test]
+    fn stamp_plan_refills_every_point_like_a_fresh_assembly() {
+        let freqs = AcSpec::log_sweep(1e6, 1e11, 4).unwrap().frequencies;
+        for (name, ckt) in [
+            ("peec", peec_bus(6, 4)),
+            ("vpec", vpec_bus(12)),
+            ("ladder", rlc_ladder(24)),
+        ] {
+            let layout = MnaLayout::new(&ckt);
+            let plan = StampPlan::new(&ckt, &layout, jw(freqs[0]), jw(freqs[0])).unwrap();
+            let strategy = Factored::primary_strategy(plan.pattern());
+            assert_eq!(
+                strategy,
+                FactorStrategy::SparseLu,
+                "{name} takes the RCM path"
+            );
+            for &f in &freqs {
+                let refilled = plan.refill(&ckt, &layout, jw(f), jw(f)).unwrap();
+                let refilled = refilled.unwrap_or_else(|| panic!("{name} at {f} Hz: no refill"));
+                assert_same_bits(
+                    &refilled,
+                    &fresh(&ckt, &layout, f),
+                    &format!("{name} at {f} Hz"),
+                );
+            }
+            assert_sweep_matches_fresh(&ckt, &freqs);
+        }
+    }
+
+    #[test]
+    fn a_cancelling_slot_takes_the_fresh_assembly_path() {
+        // Mutuals of +M and −M between the same two inductors cancel their
+        // branch-branch slots exactly: a fresh assembly drops them.
+        let mut ckt = rlc_ladder(24);
+        let inductors: Vec<_> = (0..ckt.elements().len())
+            .filter(|&i| matches!(ckt.elements()[i], Element::Inductor { .. }))
+            .map(crate::ElementId)
+            .collect();
+        ckt.add_mutual("Kp", inductors[3], inductors[7], 2e-10)
+            .unwrap();
+        ckt.add_mutual("Kn", inductors[3], inductors[7], -2e-10)
+            .unwrap();
+        let freqs = [1e8, 1e9, 1e10];
+        let layout = MnaLayout::new(&ckt);
+        let plan = StampPlan::new(&ckt, &layout, jw(freqs[0]), jw(freqs[0])).unwrap();
+        for &f in &freqs {
+            assert!(plan.refill(&ckt, &layout, jw(f), jw(f)).unwrap().is_none());
+            assert_eq!(fresh(&ckt, &layout, f).nnz() + 2, plan.pattern().nnz());
+        }
+        assert_sweep_matches_fresh(&ckt, &freqs);
+    }
+
+    #[test]
+    fn a_slot_that_underflows_at_some_points_takes_the_fresh_assembly_path() {
+        // ω·C underflows to zero below about 0.08 Hz for the smallest
+        // subnormal capacitance, so this capacitor's slots exist only at
+        // the higher frequencies. Plan from either end of the sweep.
+        let mut ckt = rlc_ladder(24);
+        let (a, b) = (crate::NodeId(5), crate::NodeId(40));
+        ckt.add_capacitor("Ctiny", a, b, f64::from_bits(1)).unwrap();
+        let layout = MnaLayout::new(&ckt);
+        for freqs in [[0.01, 1.0, 1e9], [1e9, 1.0, 0.01]] {
+            let plan = StampPlan::new(&ckt, &layout, jw(freqs[0]), jw(freqs[0])).unwrap();
+            let refilled: Vec<bool> = freqs
+                .iter()
+                .map(|&f| plan.refill(&ckt, &layout, jw(f), jw(f)).unwrap().is_some())
+                .collect();
+            let stamped = |f: f64| f >= 1.0;
+            assert_eq!(refilled, freqs.map(|f| stamped(f) == stamped(freqs[0])));
+            assert_sweep_matches_fresh(&ckt, &freqs);
+        }
+    }
+
+    #[test]
+    fn zero_stamps_need_no_slot() {
+        // A zero mutual and a zero-gain VCVS stamp nothing at any ω.
+        let mut ckt = rlc_ladder(24);
+        let inductors: Vec<_> = (0..ckt.elements().len())
+            .filter(|&i| matches!(ckt.elements()[i], Element::Inductor { .. }))
+            .map(crate::ElementId)
+            .collect();
+        ckt.add_mutual("K0", inductors[1], inductors[2], 0.0)
+            .unwrap();
+        let (p, cp) = (ckt.node("m3"), ckt.node("o9"));
+        let q = ckt.node("vq");
+        ckt.add_vcvs("E0", q, Circuit::GROUND, p, cp, 0.0).unwrap();
+        ckt.add_resistor("Rq", q, Circuit::GROUND, 10.0).unwrap();
+        let freqs = [1e7, 1e9];
+        let layout = MnaLayout::new(&ckt);
+        let plan = StampPlan::new(&ckt, &layout, jw(freqs[0]), jw(freqs[0])).unwrap();
+        for &f in &freqs {
+            let refilled = plan.refill(&ckt, &layout, jw(f), jw(f)).unwrap().unwrap();
+            assert_same_bits(&refilled, &fresh(&ckt, &layout, f), "zero stamps");
+        }
+        assert_sweep_matches_fresh(&ckt, &freqs);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::elements::Element;
 use crate::netlist::{Circuit, NodeId};
-use vpec_numerics::{CooMatrix, NumericsError, Scalar};
+use vpec_numerics::{CooMatrix, CsrMatrix, NumericsError, Scalar};
 
 /// Mapping from circuit nodes/branches to MNA unknown indices.
 #[derive(Debug, Clone)]
@@ -60,24 +60,126 @@ impl MnaLayout {
     }
 }
 
-/// Adds `v` at `(r, c)` skipping ground (`None`) indices.
-#[inline]
-fn stamp<T: Scalar>(
-    coo: &mut CooMatrix<T>,
-    r: Option<usize>,
-    c: Option<usize>,
-    v: T,
+/// Calls `sink(row, col, value)` for every element's static stamps
+/// (conductances, branch incidence, gains) and dynamic stamps (defined by
+/// `cap_adm` / `ind_imp`), in element order, skipping those on ground.
+/// The sequence of calls depends on the circuit alone: a stamp whose value
+/// is zero is passed like any other.
+fn stamp_all<T: Scalar>(
+    ckt: &Circuit,
+    layout: &MnaLayout,
+    cap_adm: impl Fn(f64) -> T,
+    ind_imp: impl Fn(f64) -> T,
+    mut sink: impl FnMut(usize, usize, T) -> Result<(), NumericsError>,
 ) -> Result<(), NumericsError> {
-    match (r, c) {
-        (Some(r), Some(c)) => coo.push(r, c, v),
+    let mut stamp = |r: Option<usize>, c: Option<usize>, v: T| match (r, c) {
+        (Some(r), Some(c)) => sink(r, c, v),
         _ => Ok(()),
+    };
+    let one = T::one();
+    for (idx, e) in ckt.elements().iter().enumerate() {
+        match e {
+            Element::Resistor {
+                a: na, b: nb, r, ..
+            } => {
+                let g = T::from_f64(1.0 / r);
+                let (ia, ib) = (layout.node_idx(*na), layout.node_idx(*nb));
+                stamp(ia, ia, g)?;
+                stamp(ib, ib, g)?;
+                stamp(ia, ib, -g)?;
+                stamp(ib, ia, -g)?;
+            }
+            Element::Capacitor {
+                a: na, b: nb, c, ..
+            } => {
+                let y = cap_adm(*c);
+                let (ia, ib) = (layout.node_idx(*na), layout.node_idx(*nb));
+                stamp(ia, ia, y)?;
+                stamp(ib, ib, y)?;
+                stamp(ia, ib, -y)?;
+                stamp(ib, ia, -y)?;
+            }
+            Element::Inductor {
+                a: na, b: nb, l, ..
+            } => {
+                let br = layout.branch_idx(idx);
+                let (ia, ib) = (layout.node_idx(*na), layout.node_idx(*nb));
+                // KCL columns: current flows a → b.
+                stamp(ia, br, one)?;
+                stamp(ib, br, -one)?;
+                // Branch row: v_a − v_b − Z·i = rhs.
+                stamp(br, ia, one)?;
+                stamp(br, ib, -one)?;
+                stamp(br, br, -ind_imp(*l))?;
+            }
+            Element::Mutual { la, lb, m, .. } => {
+                let z = ind_imp(*m);
+                let (ba, bb) = (layout.branch_idx(la.0), layout.branch_idx(lb.0));
+                stamp(ba, bb, -z)?;
+                stamp(bb, ba, -z)?;
+            }
+            Element::VSource { p, n, .. } => {
+                let br = layout.branch_idx(idx);
+                let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
+                stamp(ip, br, one)?;
+                stamp(in_, br, -one)?;
+                stamp(br, ip, one)?;
+                stamp(br, in_, -one)?;
+            }
+            Element::ISource { .. } => {
+                // RHS only.
+            }
+            Element::Vcvs {
+                p, n, cp, cn, gain, ..
+            } => {
+                let br = layout.branch_idx(idx);
+                let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
+                let (icp, icn) = (layout.node_idx(*cp), layout.node_idx(*cn));
+                let g = T::from_f64(*gain);
+                stamp(ip, br, one)?;
+                stamp(in_, br, -one)?;
+                stamp(br, ip, one)?;
+                stamp(br, in_, -one)?;
+                stamp(br, icp, -g)?;
+                stamp(br, icn, g)?;
+            }
+            Element::Vccs {
+                p, n, cp, cn, gm, ..
+            } => {
+                let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
+                let (icp, icn) = (layout.node_idx(*cp), layout.node_idx(*cn));
+                let g = T::from_f64(*gm);
+                stamp(ip, icp, g)?;
+                stamp(ip, icn, -g)?;
+                stamp(in_, icp, -g)?;
+                stamp(in_, icn, g)?;
+            }
+            Element::Cccs {
+                p, n, sense, gain, ..
+            } => {
+                let bs = layout.branch_idx(sense.0);
+                let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
+                let g = T::from_f64(*gain);
+                stamp(ip, bs, g)?;
+                stamp(in_, bs, -g)?;
+            }
+            Element::Ccvs { p, n, sense, r, .. } => {
+                let br = layout.branch_idx(idx);
+                let bs = layout.branch_idx(sense.0);
+                let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
+                stamp(ip, br, one)?;
+                stamp(in_, br, -one)?;
+                stamp(br, ip, one)?;
+                stamp(br, in_, -one)?;
+                stamp(br, bs, -T::from_f64(*r))?;
+            }
+        }
     }
+    Ok(())
 }
 
-/// Assembles the MNA matrix.
-///
-/// Every element's static stamps (conductances, branch incidence, gains)
-/// plus dynamic stamps defined by `cap_adm` / `ind_imp`.
+/// Assembles the MNA matrix from [`stamp_all`]'s stamps, dropping the
+/// zero ones.
 ///
 /// # Errors
 ///
@@ -90,118 +192,125 @@ pub(crate) fn assemble<T: Scalar>(
     ind_imp: impl Fn(f64) -> T,
 ) -> Result<CooMatrix<T>, NumericsError> {
     let mut a = CooMatrix::new(layout.dim, layout.dim);
-    let one = T::one();
-    for (idx, e) in ckt.elements().iter().enumerate() {
-        match e {
-            Element::Resistor {
-                a: na, b: nb, r, ..
-            } => {
-                let g = T::from_f64(1.0 / r);
-                let (ia, ib) = (layout.node_idx(*na), layout.node_idx(*nb));
-                stamp(&mut a, ia, ia, g)?;
-                stamp(&mut a, ib, ib, g)?;
-                stamp(&mut a, ia, ib, -g)?;
-                stamp(&mut a, ib, ia, -g)?;
-            }
-            Element::Capacitor {
-                a: na, b: nb, c, ..
-            } => {
-                let y = cap_adm(*c);
-                if !y.is_zero() {
-                    let (ia, ib) = (layout.node_idx(*na), layout.node_idx(*nb));
-                    stamp(&mut a, ia, ia, y)?;
-                    stamp(&mut a, ib, ib, y)?;
-                    stamp(&mut a, ia, ib, -y)?;
-                    stamp(&mut a, ib, ia, -y)?;
-                }
-            }
-            Element::Inductor {
-                a: na, b: nb, l, ..
-            } => {
-                let br = layout.branch_idx(idx);
-                let (ia, ib) = (layout.node_idx(*na), layout.node_idx(*nb));
-                // KCL columns: current flows a → b.
-                stamp(&mut a, ia, br, one)?;
-                stamp(&mut a, ib, br, -one)?;
-                // Branch row: v_a − v_b − Z·i = rhs.
-                stamp(&mut a, br, ia, one)?;
-                stamp(&mut a, br, ib, -one)?;
-                let z = ind_imp(*l);
-                if !z.is_zero() {
-                    stamp(&mut a, br, br, -z)?;
-                }
-            }
-            Element::Mutual { la, lb, m, .. } => {
-                let z = ind_imp(*m);
-                if !z.is_zero() {
-                    let ba = layout.branch_idx(la.0);
-                    let bb = layout.branch_idx(lb.0);
-                    stamp(&mut a, ba, bb, -z)?;
-                    stamp(&mut a, bb, ba, -z)?;
-                }
-            }
-            Element::VSource { p, n, .. } => {
-                let br = layout.branch_idx(idx);
-                let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
-                stamp(&mut a, ip, br, one)?;
-                stamp(&mut a, in_, br, -one)?;
-                stamp(&mut a, br, ip, one)?;
-                stamp(&mut a, br, in_, -one)?;
-            }
-            Element::ISource { .. } => {
-                // RHS only.
-            }
-            Element::Vcvs {
-                p, n, cp, cn, gain, ..
-            } => {
-                let br = layout.branch_idx(idx);
-                let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
-                let (icp, icn) = (layout.node_idx(*cp), layout.node_idx(*cn));
-                let g = T::from_f64(*gain);
-                stamp(&mut a, ip, br, one)?;
-                stamp(&mut a, in_, br, -one)?;
-                stamp(&mut a, br, ip, one)?;
-                stamp(&mut a, br, in_, -one)?;
-                stamp(&mut a, br, icp, -g)?;
-                stamp(&mut a, br, icn, g)?;
-            }
-            Element::Vccs {
-                p, n, cp, cn, gm, ..
-            } => {
-                let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
-                let (icp, icn) = (layout.node_idx(*cp), layout.node_idx(*cn));
-                let g = T::from_f64(*gm);
-                stamp(&mut a, ip, icp, g)?;
-                stamp(&mut a, ip, icn, -g)?;
-                stamp(&mut a, in_, icp, -g)?;
-                stamp(&mut a, in_, icn, g)?;
-            }
-            Element::Cccs {
-                p, n, sense, gain, ..
-            } => {
-                let bs = layout.branch_idx(sense.0);
-                let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
-                let g = T::from_f64(*gain);
-                stamp(&mut a, ip, bs, g)?;
-                stamp(&mut a, in_, bs, -g)?;
-            }
-            Element::Ccvs { p, n, sense, r, .. } => {
-                let br = layout.branch_idx(idx);
-                let bs = layout.branch_idx(sense.0);
-                let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
-                stamp(&mut a, ip, br, one)?;
-                stamp(&mut a, in_, br, -one)?;
-                stamp(&mut a, br, ip, one)?;
-                stamp(&mut a, br, in_, -one)?;
-                stamp(&mut a, br, bs, -T::from_f64(*r))?;
-            }
-        }
-    }
+    stamp_all(ckt, layout, cap_adm, ind_imp, |r, c, v| a.push(r, c, v))?;
     if vpec_trace::enabled() {
         vpec_trace::counter_add("mna.assemblies", 1);
         vpec_trace::counter_add("mna.stamps", a.entries().len() as u64);
     }
     Ok(a)
+}
+
+/// Slot of a stamp that was zero when its [`StampPlan`] was made.
+const NO_SLOT: usize = usize::MAX;
+
+/// The CSR pattern of a sweep's MNA matrices, built once, and the slot
+/// each of [`stamp_all`]'s stamps adds into.
+///
+/// [`StampPlan::refill`] replays the stamps with new `cap_adm` /
+/// `ind_imp` straight into the slots, in [`assemble`]'s order, starting
+/// every slot from its first nonzero stamp. [`CooMatrix::to_csr`] sums a
+/// slot's triplets in that same order (its sort is stable), so a refill
+/// gives `assemble(..).to_csr()` bit for bit, signed zeros included,
+/// without building or sorting triplets.
+#[derive(Debug)]
+pub(crate) struct StampPlan<T> {
+    /// Every position some stamp was nonzero at when the plan was made.
+    pattern: CsrMatrix<T>,
+    /// Per stamp, in [`stamp_all`]'s order: its index into `pattern`'s
+    /// values, or [`NO_SLOT`].
+    slots: Vec<usize>,
+}
+
+impl<T: Scalar> StampPlan<T> {
+    /// Plans from the stamps [`assemble`] makes with these `cap_adm` /
+    /// `ind_imp`.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`assemble`] returns.
+    pub fn new(
+        ckt: &Circuit,
+        layout: &MnaLayout,
+        cap_adm: impl Fn(f64) -> T,
+        ind_imp: impl Fn(f64) -> T,
+    ) -> Result<Self, NumericsError> {
+        let mut slots = Vec::new();
+        // (row, col, stamp) of every nonzero stamp.
+        let mut positions: Vec<(usize, usize, usize)> = Vec::new();
+        stamp_all(ckt, layout, cap_adm, ind_imp, |r, c, v| {
+            if r >= layout.dim || c >= layout.dim {
+                return Err(NumericsError::IndexOutOfBounds {
+                    index: (r, c),
+                    shape: (layout.dim, layout.dim),
+                });
+            }
+            if !v.is_zero() {
+                positions.push((r, c, slots.len()));
+            }
+            slots.push(NO_SLOT);
+            Ok(())
+        })?;
+        // Sorted, the distinct positions come in CSR value order.
+        positions.sort_unstable();
+        let mut pattern = CooMatrix::new(layout.dim, layout.dim);
+        let mut last = None;
+        for &(r, c, stamp) in &positions {
+            if last != Some((r, c)) {
+                pattern.push(r, c, T::one())?;
+                last = Some((r, c));
+            }
+            slots[stamp] = pattern.nnz_raw() - 1;
+        }
+        Ok(StampPlan {
+            pattern: pattern.to_csr(),
+            slots,
+        })
+    }
+
+    /// The planned pattern (its values are placeholders).
+    pub fn pattern(&self) -> &CsrMatrix<T> {
+        &self.pattern
+    }
+
+    /// `assemble(ckt, layout, cap_adm, ind_imp)?.to_csr()`, the same
+    /// pattern and value bits, or `None` when that matrix has another
+    /// pattern: a slot that no nonzero stamp reaches or that sums to
+    /// exactly zero, or a nonzero stamp the plan has no slot for. The
+    /// caller then assembles the matrix afresh.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`assemble`] returns.
+    pub fn refill(
+        &self,
+        ckt: &Circuit,
+        layout: &MnaLayout,
+        cap_adm: impl Fn(f64) -> T,
+        ind_imp: impl Fn(f64) -> T,
+    ) -> Result<Option<CsrMatrix<T>>, NumericsError> {
+        let mut a = self.pattern.clone();
+        let values = a.values_mut();
+        let mut started = vec![false; values.len()];
+        let mut slots = self.slots.iter();
+        let mut stray = false;
+        stamp_all(ckt, layout, cap_adm, ind_imp, |_, _, v| {
+            let slot = slots.next().copied().unwrap_or(NO_SLOT);
+            if v.is_zero() {
+                return Ok(());
+            }
+            match values.get_mut(slot) {
+                None => stray = true,
+                Some(x) if started[slot] => *x += v,
+                Some(x) => {
+                    *x = v;
+                    started[slot] = true;
+                }
+            }
+            Ok(())
+        })?;
+        let same = !stray && started.iter().all(|&s| s) && !values.iter().any(|v| v.is_zero());
+        Ok(same.then_some(a))
+    }
 }
 
 /// Adds an independent-source contribution to the RHS: voltage `val` for a

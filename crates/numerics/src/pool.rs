@@ -50,10 +50,12 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 pub const ELIM_PAR_MIN_DIM: usize = 256;
 
 /// Minimum independent columns (or rows) per worker before the multi-RHS
-/// solve, inverse, and matmul paths go parallel. On a 2-vCPU Xeon the
-/// blocked SPD inverse on 2 workers took 2.3× the serial time at 64
-/// columns, 1.18× at 128 and 0.66× at 192 (DESIGN §12.2), so small
-/// problems stay serial. Feed it to [`threads_for`].
+/// solve, inverse, and matmul paths go parallel. Time on 2 workers over
+/// time serial, forced to 2 workers at every size, on a 2-vCPU Xeon
+/// (DESIGN §12.2): the blocked SPD inverse loses up to 160 columns (1.5–2.3×
+/// at 64, ~1.1× at 96–128), but `LuFactor::solve_matrix` wins from 64
+/// (0.89–0.95) and the matmul from 96 (0.7–0.8), so the constant stays at
+/// 64. Feed it to [`threads_for`].
 pub const PAR_MIN_COLS: usize = 64;
 
 /// Minimum dimension at which LU and Cholesky take the blocked panel
@@ -206,6 +208,12 @@ impl Pool {
 
     /// Maps `f` over `items`, returning results in item order. `f`
     /// receives `(index, &item)`.
+    ///
+    /// Workers claim items one at a time from a shared cursor, so a
+    /// worker that drew cheap items takes more of them (an AC sweep's
+    /// points differ in cost by up to 2×). Each result is computed by the
+    /// same call in any schedule, so the output does not depend on the
+    /// worker count.
     pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -218,32 +226,41 @@ impl Pool {
         }
         vpec_trace::counter_add("pool.dispatch.parallel", 1);
         let n = items.len();
+        let nt = self.threads.min(n);
+        // The next unclaimed index. It publishes no data (results come back
+        // through the joins), so its accesses are relaxed.
+        let cursor = AtomicUsize::new(0);
+        let (f, cursor) = (&f, &cursor);
+        let parent = vpec_trace::current_span();
+        // Per worker: the (index, result) pairs it claimed.
+        let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..nt)
+                .map(|_| {
+                    s.spawn(move || {
+                        let _link = vpec_trace::parent_scope(parent);
+                        let mut done = Vec::new();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(t) = items.get(i) else { break };
+                            done.push((i, f(i, t)));
+                        }
+                        done
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
         let mut out: Vec<Option<R>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
-        // Small chunks, round-robin: balances uneven per-item costs.
-        let chunk = n.div_ceil(self.threads * 4).max(1);
-        let nt = self.threads.min(n.div_ceil(chunk));
-        // Per worker: (element offset, input chunk, output chunk).
-        type MapChunk<'a, T, R> = (usize, &'a [T], &'a mut [Option<R>]);
-        let mut lists: Vec<Vec<MapChunk<'_, T, R>>> = (0..nt).map(|_| Vec::new()).collect();
-        for (k, (ic, oc)) in items.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate() {
-            lists[k % nt].push((k * chunk, ic, oc));
-        }
-        let f = &f;
-        let parent = vpec_trace::current_span();
-        std::thread::scope(|s| {
-            for list in lists {
-                vpec_trace::record_value("pool.tasks_per_worker", list.len() as f64);
-                s.spawn(move || {
-                    let _link = vpec_trace::parent_scope(parent);
-                    for (base, ic, oc) in list {
-                        for (i, (t, o)) in ic.iter().zip(oc.iter_mut()).enumerate() {
-                            *o = Some(f(base + i, t));
-                        }
-                    }
-                });
+        for done in claimed {
+            vpec_trace::record_value("pool.tasks_per_worker", done.len() as f64);
+            for (i, r) in done {
+                out[i] = Some(r);
             }
-        });
+        }
         filled(out)
     }
 
@@ -322,8 +339,9 @@ impl Pool {
 /// The results of a joined `par_map`/`par_map_index` scope, in order.
 #[expect(
     clippy::expect_used,
-    reason = "every chunk of `out` went to exactly one worker and the scope joined them all \
-              (re-raising any worker panic), so every slot is filled"
+    reason = "every index went to exactly one worker (a chunk of `par_map_index`, a cursor \
+              claim of `par_map`) and the scope joined them all (re-raising any worker panic), \
+              so every slot is filled"
 )]
 fn filled<R>(out: Vec<Option<R>>) -> Vec<R> {
     out.into_iter()

@@ -180,6 +180,13 @@ impl<T: Scalar> CsrMatrix<T> {
         (&self.col_idx[lo..hi], &self.values[lo..hi])
     }
 
+    /// The stored values in row order, to refill a matrix of the same
+    /// pattern in place. An exact zero written here stays stored, unlike
+    /// one [`CooMatrix::to_csr`] compresses.
+    pub fn values_mut(&mut self) -> &mut [T] {
+        &mut self.values
+    }
+
     /// Value at `(i, j)`, or zero if the entry is not stored.
     pub fn get(&self, i: usize, j: usize) -> T {
         if i >= self.rows {

@@ -19,6 +19,11 @@
 //!   tenfold is redone at 10⁻¹;
 //! * [`SparseLu::new`] and [`SparseLu::new_ordered`] (the RCM path) take
 //!   the largest candidate in every column (full partial pivoting).
+//!
+//! Both share one kernel, which prunes L's column graph symmetrically
+//! (Eisenstat & Liu, as KLU does), so each column's reach DFS walks only
+//! the part of L that can still reach unpivoted rows. Pruning is valid
+//! over L's structural pattern, so exact-zero L entries stay stored.
 
 use crate::ordering::{amd, max_transversal, permuted_transpose, Adjacency};
 use crate::{CsrMatrix, NumericsError, Scalar};
@@ -107,8 +112,6 @@ pub struct SparseLu<T = f64> {
     col_dst: Vec<u32>,
     /// Columns whose pivot is not the diagonal of the ordered matrix.
     off_diagonal_pivots: usize,
-    /// `min_j max|B[:,j]| / max|U[:,j]|` over the ordered matrix `B`.
-    reciprocal_pivot_growth: f64,
 }
 
 const UNPIVOTED: usize = usize::MAX;
@@ -130,6 +133,27 @@ fn check_dim<T: Scalar>(a: &CsrMatrix<T>) -> Result<(), NumericsError> {
         });
     }
     Ok(())
+}
+
+/// The row and column orders of [`SparseLu::new_fill_reducing`] and the
+/// matrix `B[i][j] = A[rows[i]][cols[j]]` they give, by columns.
+#[expect(
+    clippy::type_complexity,
+    reason = "a private triple destructured at both call sites"
+)]
+fn fill_reducing_columns<T: Scalar>(
+    a: &CsrMatrix<T>,
+) -> Result<(Vec<usize>, Vec<usize>, CsrMatrix<T>), NumericsError> {
+    check_dim(a)?;
+    let row_of = max_transversal(a)?;
+    let mut col_of = vec![0usize; row_of.len()];
+    for (j, &r) in row_of.iter().enumerate() {
+        col_of[r] = j;
+    }
+    let q = amd(&Adjacency::of(a, Some(&col_of)));
+    let rows: Vec<usize> = q.iter().map(|&j| row_of[j]).collect();
+    let columns = permuted_transpose(a, &rows, &q)?;
+    Ok((rows, q, columns))
 }
 
 impl<T: Scalar> SparseLu<T> {
@@ -174,7 +198,7 @@ impl<T: Scalar> SparseLu<T> {
     /// When that factor's reciprocal pivot growth
     /// `min_j max|B[:,j]| / max|U[:,j]|` is below 0.1 (or it fails), `B` is
     /// factored again with the threshold at 10⁻¹ and that factor is
-    /// returned.
+    /// returned. The first attempt stops at its first column below 0.1.
     ///
     /// # Errors
     ///
@@ -182,20 +206,30 @@ impl<T: Scalar> SparseLu<T> {
     ///   (no transversal) or a column with no usable pivot.
     /// * Everything [`SparseLu::new`] returns.
     pub fn new_fill_reducing(a: &CsrMatrix<T>) -> Result<Self, NumericsError> {
-        check_dim(a)?;
-        let row_of = max_transversal(a)?;
-        let mut col_of = vec![0usize; row_of.len()];
-        for (j, &r) in row_of.iter().enumerate() {
-            col_of[r] = j;
-        }
-        let q = amd(&Adjacency::of(a, Some(&col_of)));
-        let rows: Vec<usize> = q.iter().map(|&j| row_of[j]).collect();
-        let columns = permuted_transpose(a, &rows, &q)?;
-        let lu = match Self::factor_columns(&columns, Pivoting::PreferDiagonal(DIAG_PIVOT_TOL)) {
-            Ok(lu) if lu.reciprocal_pivot_growth >= MIN_PIVOT_GROWTH => lu,
-            _ => Self::factor_columns(&columns, Pivoting::PreferDiagonal(STRICT_DIAG_PIVOT_TOL))?,
+        let (rows, q, columns) = fill_reducing_columns(a)?;
+        let lu = match Self::threshold_attempt(&columns) {
+            Some(lu) => lu,
+            None => {
+                Self::factor_columns(&columns, Pivoting::PreferDiagonal(STRICT_DIAG_PIVOT_TOL))?
+            }
         };
         Ok(lu.unpermuted(&rows, &q))
+    }
+
+    /// The factor of `B` (given by columns) at [`DIAG_PIVOT_TOL`], or
+    /// `None` at the first column with no usable pivot or with a
+    /// reciprocal growth `max|B[:,j]| / max|U[:,j]|` below
+    /// [`MIN_PIVOT_GROWTH`]. U column `j` is final once column `j`
+    /// pivots, so stopping there decides what factoring to the end and
+    /// then checking the minimum would.
+    fn threshold_attempt(columns: &CsrMatrix<T>) -> Option<Self> {
+        let mut elim = Elimination::new(columns, Pivoting::PreferDiagonal(DIAG_PIVOT_TOL));
+        for j in 0..columns.rows() {
+            if elim.column(j).ok()? < MIN_PIVOT_GROWTH {
+                return None;
+            }
+        }
+        Some(elim.finish())
     }
 
     /// The LU of `B[i][j] = A[rows[i]][cols[j]]`, with both permutations
@@ -227,177 +261,11 @@ impl<T: Scalar> SparseLu<T> {
     /// (`at.row(j)` is column `j`, rows ascending). Under
     /// [`Pivoting::PreferDiagonal`] row `j` is column `j`'s diagonal.
     fn factor_columns(at: &CsrMatrix<T>, pivoting: Pivoting) -> Result<Self, NumericsError> {
-        let n = at.rows();
-
-        // While factoring, L's row indices are original row numbers (the
-        // reach DFS walks them); they are remapped to pivot positions once
-        // every row is pivoted.
-        let mut l_ptr: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut l_idx: Vec<u32> = Vec::new();
-        let mut l_val: Vec<T> = Vec::new();
-        let mut u_ptr: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut u_idx: Vec<u32> = Vec::new();
-        let mut u_val: Vec<T> = Vec::new();
-        let mut u_diag: Vec<T> = Vec::with_capacity(n);
-        let mut pinv = vec![UNPIVOTED; n];
-        let mut off_diagonal_pivots = 0;
-        l_ptr.push(0);
-        u_ptr.push(0);
-
-        // Dense workspaces reused across columns.
-        let mut x = vec![T::zero(); n];
-        let mut mark = vec![usize::MAX; n];
-        let mut topo: Vec<usize> = Vec::with_capacity(n);
-        // DFS stack of (node, next-child-cursor).
-        let mut stack: Vec<(usize, usize)> = Vec::with_capacity(n);
-
-        for j in 0..n {
-            // ---- Symbolic: reach of A[:,j]'s pattern through L's graph ----
-            topo.clear();
-            let (a_rows, a_vals) = at.row(j);
-            for &r0 in a_rows {
-                if mark[r0] == j {
-                    continue;
-                }
-                stack.push((r0, 0));
-                mark[r0] = j;
-                while let Some(top) = stack.last_mut() {
-                    let (r, mut c) = *top;
-                    let k = pinv[r];
-                    let children = if k == UNPIVOTED {
-                        &l_idx[..0]
-                    } else {
-                        &l_idx[l_ptr[k]..l_ptr[k + 1]]
-                    };
-                    let mut next = None;
-                    while c < children.len() {
-                        let child = children[c] as usize;
-                        c += 1;
-                        if mark[child] != j {
-                            mark[child] = j;
-                            next = Some(child);
-                            break;
-                        }
-                    }
-                    top.1 = c;
-                    match next {
-                        Some(child) => stack.push((child, 0)),
-                        None => {
-                            // All children visited: pop to post-order.
-                            topo.push(r);
-                            stack.pop();
-                        }
-                    }
-                }
-            }
-            // `topo` lists the reach in DFS post-order, each node after
-            // every node it updates, so walking it in reverse applies each
-            // pivot column before the rows it updates are read.
-            //
-            // ---- Numeric: scatter and eliminate ----
-            for (&r, &v) in a_rows.iter().zip(a_vals.iter()) {
-                x[r] = v;
-            }
-            for &r in topo.iter().rev() {
-                let k = pinv[r];
-                if k == UNPIVOTED {
-                    continue;
-                }
-                let xr = x[r];
-                if xr.is_zero() {
-                    continue;
-                }
-                let col = l_ptr[k]..l_ptr[k + 1];
-                for (&i, &lv) in l_idx[col.clone()].iter().zip(&l_val[col]) {
-                    x[i as usize] -= lv * xr;
-                }
-            }
-
-            // ---- Pivot selection among unpivoted rows in the pattern ----
-            let mut pivot_row = UNPIVOTED;
-            let mut pivot_mag = 0.0f64;
-            for &r in &topo {
-                if pinv[r] == UNPIVOTED {
-                    let mag = x[r].modulus();
-                    if mag > pivot_mag {
-                        pivot_mag = mag;
-                        pivot_row = r;
-                    }
-                }
-            }
-            if pivot_row == UNPIVOTED || pivot_mag == 0.0 {
-                return Err(NumericsError::Singular { step: j });
-            }
-            if let Pivoting::PreferDiagonal(tol) = pivoting {
-                if pivot_row != j
-                    && pinv[j] == UNPIVOTED
-                    && mark[j] == j
-                    && x[j].modulus() >= tol * pivot_mag
-                {
-                    pivot_row = j;
-                }
-            }
-            if pivot_row != j {
-                off_diagonal_pivots += 1;
-            }
-            let pivot_val = x[pivot_row];
-            pinv[pivot_row] = j;
-
-            // ---- Gather U (pivoted rows) and L (unpivoted rows) ----
-            for &r in &topo {
-                let v = x[r];
-                x[r] = T::zero();
-                if v.is_zero() {
-                    continue;
-                }
-                let k = pinv[r];
-                if r == pivot_row {
-                    // Diagonal handled separately.
-                } else if k == UNPIVOTED {
-                    l_idx.push(r as u32);
-                    l_val.push(v / pivot_val);
-                } else {
-                    u_idx.push(k as u32);
-                    u_val.push(v);
-                }
-            }
-            u_diag.push(pivot_val);
-            l_ptr.push(l_idx.len());
-            u_ptr.push(u_idx.len());
+        let mut elim = Elimination::new(at, pivoting);
+        for j in 0..at.rows() {
+            elim.column(j)?;
         }
-
-        let mut reciprocal_pivot_growth = f64::INFINITY;
-        for j in 0..n {
-            let a_max = at.row(j).1.iter().fold(0.0f64, |m, v| m.max(v.modulus()));
-            let u_max = u_val[u_ptr[j]..u_ptr[j + 1]]
-                .iter()
-                .fold(u_diag[j].modulus(), |m, v| m.max(v.modulus()));
-            reciprocal_pivot_growth = reciprocal_pivot_growth.min(a_max / u_max);
-        }
-
-        // Every row is pivoted now: renumber L's rows by pivot position so
-        // the forward sweep indexes its vector directly.
-        for i in &mut l_idx {
-            *i = pinv[*i as usize] as u32;
-        }
-        let mut row_src = vec![0u32; n];
-        for (r, &k) in pinv.iter().enumerate() {
-            row_src[k] = r as u32;
-        }
-        Ok(SparseLu {
-            n,
-            l_ptr,
-            l_idx,
-            l_val,
-            u_ptr,
-            u_idx,
-            u_val,
-            u_diag,
-            row_src,
-            col_dst: (0..n as u32).collect(),
-            off_diagonal_pivots,
-            reciprocal_pivot_growth,
-        })
+        Ok(elim.finish())
     }
 
     /// Dimension of the factored matrix.
@@ -494,6 +362,263 @@ impl<T: Scalar> SparseLu<T> {
             x[dst as usize] = v;
         }
         Ok(())
+    }
+}
+
+/// A left-looking elimination between columns: L and U so far, and the
+/// dense workspaces every column reuses. Until [`Elimination::finish`],
+/// L's row indices are original row numbers, because the reach DFS walks
+/// them.
+struct Elimination<'a, T> {
+    /// The matrix by columns: `at.row(j)` is column `j`, rows ascending.
+    at: &'a CsrMatrix<T>,
+    pivoting: Pivoting,
+    l_ptr: Vec<usize>,
+    l_idx: Vec<u32>,
+    l_val: Vec<T>,
+    /// `l_head[k]`: end of the part of L column `k` that the reach DFS
+    /// walks. It is `l_ptr[k + 1]` until the column is pruned.
+    l_head: Vec<usize>,
+    pruned: Vec<bool>,
+    u_ptr: Vec<usize>,
+    u_idx: Vec<u32>,
+    u_val: Vec<T>,
+    u_diag: Vec<T>,
+    /// `pinv[r]`: the column row `r` pivoted in, or [`UNPIVOTED`].
+    pinv: Vec<usize>,
+    off_diagonal_pivots: usize,
+    x: Vec<T>,
+    /// `mark[r] == j` once column `j`'s DFS has visited row `r`.
+    mark: Vec<usize>,
+    /// Column `j`'s reach in DFS post-order.
+    topo: Vec<usize>,
+    /// DFS stack of (row, next-child cursor).
+    stack: Vec<(usize, usize)>,
+}
+
+impl<'a, T: Scalar> Elimination<'a, T> {
+    fn new(at: &'a CsrMatrix<T>, pivoting: Pivoting) -> Self {
+        let n = at.rows();
+        Elimination {
+            at,
+            pivoting,
+            l_ptr: vec![0],
+            l_idx: Vec::new(),
+            l_val: Vec::new(),
+            l_head: Vec::with_capacity(n),
+            pruned: Vec::with_capacity(n),
+            u_ptr: vec![0],
+            u_idx: Vec::new(),
+            u_val: Vec::new(),
+            u_diag: Vec::with_capacity(n),
+            pinv: vec![UNPIVOTED; n],
+            off_diagonal_pivots: 0,
+            x: vec![T::zero(); n],
+            mark: vec![usize::MAX; n],
+            topo: Vec::with_capacity(n),
+            stack: Vec::with_capacity(n),
+        }
+    }
+
+    /// Factors column `j` (every earlier column is done) and returns its
+    /// reciprocal pivot growth `max|B[:,j]| / max|U[:,j]|`.
+    fn column(&mut self, j: usize) -> Result<f64, NumericsError> {
+        self.reach(j);
+        let (a_rows, a_vals) = self.at.row(j);
+
+        // ---- Numeric: scatter and eliminate ----
+        // `topo` lists each row after every row it updates, so walking it
+        // in reverse applies each pivot column before the rows it updates
+        // are read. The update walks the whole L column, pruned or not.
+        let x = &mut self.x;
+        for (&r, &v) in a_rows.iter().zip(a_vals) {
+            x[r] = v;
+        }
+        for &r in self.topo.iter().rev() {
+            let k = self.pinv[r];
+            if k == UNPIVOTED {
+                continue;
+            }
+            let xr = x[r];
+            if xr.is_zero() {
+                continue;
+            }
+            let col = self.l_ptr[k]..self.l_ptr[k + 1];
+            for (&i, &lv) in self.l_idx[col.clone()].iter().zip(&self.l_val[col]) {
+                x[i as usize] -= lv * xr;
+            }
+        }
+
+        // ---- Pivot selection among unpivoted rows in the pattern ----
+        let mut pivot_row = UNPIVOTED;
+        let mut pivot_mag = 0.0f64;
+        for &r in &self.topo {
+            if self.pinv[r] == UNPIVOTED {
+                let mag = x[r].modulus();
+                if mag > pivot_mag {
+                    pivot_mag = mag;
+                    pivot_row = r;
+                }
+            }
+        }
+        if pivot_row == UNPIVOTED || pivot_mag == 0.0 {
+            return Err(NumericsError::Singular { step: j });
+        }
+        if let Pivoting::PreferDiagonal(tol) = self.pivoting {
+            if pivot_row != j
+                && self.pinv[j] == UNPIVOTED
+                && self.mark[j] == j
+                && x[j].modulus() >= tol * pivot_mag
+            {
+                pivot_row = j;
+            }
+        }
+        if pivot_row != j {
+            self.off_diagonal_pivots += 1;
+        }
+        let pivot_val = x[pivot_row];
+        self.pinv[pivot_row] = j;
+
+        // ---- Gather U (pivoted rows) and L (unpivoted rows) ----
+        // Exact zeros are dropped from U but kept in L: pruning is valid
+        // only over L's structural pattern (see `prune`).
+        for &r in &self.topo {
+            let v = x[r];
+            x[r] = T::zero();
+            let k = self.pinv[r];
+            if r == pivot_row {
+                // Diagonal handled separately.
+            } else if k == UNPIVOTED {
+                self.l_idx.push(r as u32);
+                self.l_val.push(v / pivot_val);
+            } else if !v.is_zero() {
+                self.u_idx.push(k as u32);
+                self.u_val.push(v);
+            }
+        }
+        self.u_diag.push(pivot_val);
+        self.l_ptr.push(self.l_idx.len());
+        self.l_head.push(self.l_idx.len());
+        self.pruned.push(false);
+        let u_col = self.u_ptr[j]..self.u_idx.len();
+        self.u_ptr.push(self.u_idx.len());
+
+        let a_max = a_vals.iter().fold(0.0f64, |m, v| m.max(v.modulus()));
+        let u_max = self.u_val[u_col]
+            .iter()
+            .fold(pivot_val.modulus(), |m, v| m.max(v.modulus()));
+        self.prune(j, pivot_row);
+        Ok(a_max / u_max)
+    }
+
+    /// Fills `topo` with the reach of column `j`'s pattern through L's
+    /// graph, in DFS post-order. A row pivoted in column `k` leads to the
+    /// rows of L column `k` up to `l_head[k]`.
+    fn reach(&mut self, j: usize) {
+        self.topo.clear();
+        let (mark, stack) = (&mut self.mark, &mut self.stack);
+        for &r0 in self.at.row(j).0 {
+            if mark[r0] == j {
+                continue;
+            }
+            stack.push((r0, 0));
+            mark[r0] = j;
+            while let Some(top) = stack.last_mut() {
+                let (r, mut c) = *top;
+                let k = self.pinv[r];
+                let children = if k == UNPIVOTED {
+                    &self.l_idx[..0]
+                } else {
+                    &self.l_idx[self.l_ptr[k]..self.l_head[k]]
+                };
+                let mut next = None;
+                while c < children.len() {
+                    let child = children[c] as usize;
+                    c += 1;
+                    if mark[child] != j {
+                        mark[child] = j;
+                        next = Some(child);
+                        break;
+                    }
+                }
+                top.1 = c;
+                match next {
+                    Some(child) => stack.push((child, 0)),
+                    None => {
+                        // All children visited: pop to post-order.
+                        self.topo.push(r);
+                        stack.pop();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Symmetric pruning (Eisenstat & Liu, as in KLU): every unpruned L
+    /// column `k` with a stored U(k, j) that holds column `j`'s pivot row
+    /// is partitioned with its pivoted rows first, and the reach DFS stops
+    /// where they end. Each unpivoted row left in the tail of column `k`
+    /// is in column `j`'s reach, so L column `j` stores it, zero or not,
+    /// and the DFS still finds it through the pivot row in the head.
+    fn prune(&mut self, j: usize, pivot_row: usize) {
+        let pivot_row = pivot_row as u32;
+        for &k in &self.u_idx[self.u_ptr[j]..self.u_ptr[j + 1]] {
+            let k = k as usize;
+            let (lo, hi) = (self.l_ptr[k], self.l_ptr[k + 1]);
+            if self.pruned[k] || !self.l_idx[lo..hi].contains(&pivot_row) {
+                continue;
+            }
+            let (mut head, mut tail) = (lo, hi);
+            while head < tail {
+                if self.pinv[self.l_idx[head] as usize] == UNPIVOTED {
+                    tail -= 1;
+                    self.l_idx.swap(head, tail);
+                    self.l_val.swap(head, tail);
+                } else {
+                    head += 1;
+                }
+            }
+            self.l_head[k] = head;
+            self.pruned[k] = true;
+        }
+    }
+
+    /// The factor, once every column is done: L's rows are renumbered by
+    /// pivot position so the forward sweep indexes its vector directly.
+    fn finish(self) -> SparseLu<T> {
+        let Elimination {
+            l_ptr,
+            mut l_idx,
+            l_val,
+            u_ptr,
+            u_idx,
+            u_val,
+            u_diag,
+            pinv,
+            off_diagonal_pivots,
+            ..
+        } = self;
+        let n = pinv.len();
+        for i in &mut l_idx {
+            *i = pinv[*i as usize] as u32;
+        }
+        let mut row_src = vec![0u32; n];
+        for (r, &k) in pinv.iter().enumerate() {
+            row_src[k] = r as u32;
+        }
+        SparseLu {
+            n,
+            l_ptr,
+            l_idx,
+            l_val,
+            u_ptr,
+            u_idx,
+            u_val,
+            u_diag,
+            row_src,
+            col_dst: (0..n as u32).collect(),
+            off_diagonal_pivots,
+        }
     }
 }
 
@@ -770,24 +895,109 @@ mod tests {
         const { assert!(DIAG_PIVOT_TOL > 5e-4 && DIAG_PIVOT_TOL <= 2e-3) };
     }
 
+    /// `min_j max|B[:,j]| / max|U[:,j]|` of factoring `at` (by columns)
+    /// to the end.
+    fn reciprocal_pivot_growth(at: &CsrMatrix<f64>, pivoting: Pivoting) -> f64 {
+        let mut elim = Elimination::new(at, pivoting);
+        (0..at.rows())
+            .map(|j| elim.column(j).unwrap())
+            .fold(f64::INFINITY, f64::min)
+    }
+
     #[test]
     fn pivot_growth_past_the_bound_redoes_the_factor_strictly() {
         // Keeping the 2e-3 diagonal turns U's last entry into 1 − 1/2e-3:
         // growth 499, reciprocal 2e-3. The strict threshold swaps rows.
         let d = DenseMatrix::from_rows(&[&[2e-3, 1.0], &[1.0, 1.0]]).unwrap();
         let a = csr_from_dense(&d);
-        let id = [0, 1];
-        let loose = Pivoting::PreferDiagonal(DIAG_PIVOT_TOL);
-        let loose = SparseLu::permuted(&a, &id, &id, loose).unwrap();
-        assert!((loose.reciprocal_pivot_growth - 1.0 / 499.0).abs() < 1e-12);
+        let loose =
+            reciprocal_pivot_growth(&a.transpose(), Pivoting::PreferDiagonal(DIAG_PIVOT_TOL));
+        assert!((loose - 1.0 / 499.0).abs() < 1e-12);
         let strict = Pivoting::PreferDiagonal(STRICT_DIAG_PIVOT_TOL);
-        let strict = SparseLu::permuted(&a, &id, &id, strict).unwrap();
-        assert!(strict.reciprocal_pivot_growth >= MIN_PIVOT_GROWTH);
+        assert!(reciprocal_pivot_growth(&a.transpose(), strict) >= MIN_PIVOT_GROWTH);
         let lu = SparseLu::new_fill_reducing(&a).unwrap();
-        assert!(lu.reciprocal_pivot_growth >= MIN_PIVOT_GROWTH);
+        assert_eq!(lu.off_diagonal_pivots(), 2);
         let x = lu.solve(&[1.0, 2.0]).unwrap();
         let back = d.matvec(&x).unwrap();
         assert!((back[0] - 1.0).abs() < 1e-14 && (back[1] - 2.0).abs() < 1e-14);
+    }
+
+    #[test]
+    fn exact_zero_l_entry_stays_in_the_reach() {
+        // Column 1 cancels row 3 exactly: 0.5 − (2/4)·1 = 0, so L(3, 1) is
+        // a stored zero. Pivoting row 1 prunes L column 0 ({1, 3}) to its
+        // head {1}, and column 2 then reaches row 3 only through row 1 and
+        // that zero. Dropping it would lose L(3, 2) = −0.125.
+        let d = DenseMatrix::from_rows(&[
+            &[4.0, 1.0, 1.0, 0.0],
+            &[1.0, 4.0, 0.0, 0.0],
+            &[0.0, 0.0, 4.0, 1.0],
+            &[2.0, 0.5, 0.0, 4.0],
+        ])
+        .unwrap();
+        let lu = SparseLu::new(&csr_from_dense(&d)).unwrap();
+        assert_eq!(lu.off_diagonal_pivots(), 0);
+        assert!(lu.l_val.contains(&0.0), "L keeps the zero");
+        assert!(lu.l_val.contains(&-0.125), "column 2 reaches row 3");
+        let b = [1.0, -2.0, 3.0, 0.5];
+        let xs = lu.solve(&b).unwrap();
+        let xd = LuFactor::new(&d).unwrap().solve(&b).unwrap();
+        for (s, d) in xs.iter().zip(&xd) {
+            assert!((s - d).abs() < 1e-14, "sparse {s} vs dense {d}");
+        }
+    }
+
+    /// `new_fill_reducing` as it was before the threshold attempt could
+    /// stop early: factor at 10⁻³ to the end, then check the growth.
+    fn factor_to_the_end_then_check(a: &CsrMatrix<f64>) -> (SparseLu<f64>, bool) {
+        let (rows, q, columns) = fill_reducing_columns(a).unwrap();
+        let loose = Pivoting::PreferDiagonal(DIAG_PIVOT_TOL);
+        let mut elim = Elimination::new(&columns, loose);
+        let growth: Result<Vec<f64>, _> = (0..columns.rows()).map(|j| elim.column(j)).collect();
+        let passed =
+            growth.is_ok_and(|g| g.into_iter().fold(f64::INFINITY, f64::min) >= MIN_PIVOT_GROWTH);
+        let lu = if passed {
+            elim.finish()
+        } else {
+            let strict = Pivoting::PreferDiagonal(STRICT_DIAG_PIVOT_TOL);
+            SparseLu::factor_columns(&columns, strict).unwrap()
+        };
+        (lu.unpermuted(&rows, &q), passed)
+    }
+
+    fn assert_same_bits(a: &SparseLu<f64>, b: &SparseLu<f64>) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!((a.n, &a.row_src, &a.col_dst), (b.n, &b.row_src, &b.col_dst));
+        assert_eq!((&a.l_ptr, &a.l_idx), (&b.l_ptr, &b.l_idx));
+        assert_eq!((&a.u_ptr, &a.u_idx), (&b.u_ptr, &b.u_idx));
+        assert_eq!(bits(&a.l_val), bits(&b.l_val));
+        assert_eq!(bits(&a.u_val), bits(&b.u_val));
+        assert_eq!(bits(&a.u_diag), bits(&b.u_diag));
+        assert_eq!(a.off_diagonal_pivots, b.off_diagonal_pivots);
+    }
+
+    #[test]
+    fn early_growth_exit_returns_the_factor_a_full_attempt_would() {
+        // Scaling a node's diagonal down makes the 10⁻³ attempt keep a
+        // small pivot and grow U past the bound at some seeds.
+        let (mut failed, mut passed) = (0, 0);
+        for seed in 1..=40u64 {
+            let mut d = random_mna(seed, 40, 12, |x| x);
+            if seed % 2 == 0 {
+                for i in (seed as usize % 5..40).step_by(5) {
+                    d[(i, i)] *= 2e-3;
+                }
+            }
+            let a = CsrMatrix::from_dense(&d, 0.0);
+            let (expected, attempt_passed) = factor_to_the_end_then_check(&a);
+            assert_same_bits(&SparseLu::new_fill_reducing(&a).unwrap(), &expected);
+            if attempt_passed {
+                passed += 1;
+            } else {
+                failed += 1;
+            }
+        }
+        assert!(failed > 0 && passed > 0, "{failed} failed, {passed} passed");
     }
 
     /// A random MNA-shaped system: a weighted graph Laplacian over

@@ -6,6 +6,8 @@
 //! at 1, 2 and 8 workers over randomized inputs (deterministic
 //! [`XorShift64`] seeds) and require bit-identical results.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 use vpec_numerics::rng::XorShift64;
 use vpec_numerics::{pool, Cholesky, DenseMatrix, LuFactor, Pool};
 
@@ -66,6 +68,41 @@ fn par_map_preserves_item_order() {
     for nt in THREAD_COUNTS {
         let par = Pool::with_threads(nt).par_map(&items, |i, x| x * i as f64);
         assert_eq!(serial, par, "par_map");
+    }
+}
+
+/// A result type without `Clone`: `par_map` must move each result into
+/// place.
+#[derive(Debug, PartialEq)]
+struct Owned(usize);
+
+#[test]
+fn par_map_with_uneven_costs_calls_each_item_once_in_index_order() {
+    // The first three items cost 20 ms and every seventh 2 ms; the rest
+    // return at once. Claimed one at a time, they must still come back
+    // once each and in index order.
+    let items: Vec<usize> = (0..57).map(|i| 3 * i + 1).collect();
+    for nt in THREAD_COUNTS {
+        let calls: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+        let out = Pool::with_threads(nt).par_map(&items, |i, &x| {
+            calls[i].fetch_add(1, Ordering::Relaxed);
+            let ms = match i {
+                0..=2 => 20,
+                _ if i % 7 == 0 => 2,
+                _ => 0,
+            };
+            std::thread::sleep(Duration::from_millis(ms));
+            Owned(x * x + i)
+        });
+        let expected: Vec<Owned> = items
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| Owned(x * x + i))
+            .collect();
+        assert_eq!(out, expected, "{nt} workers");
+        for (i, c) in calls.iter().enumerate() {
+            assert_eq!(c.load(Ordering::Relaxed), 1, "item {i} at {nt} workers");
+        }
     }
 }
 

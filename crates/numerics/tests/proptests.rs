@@ -6,8 +6,11 @@
 //! workspace's deterministic [`XorShift64`] generator so the suite is
 //! reproducible and needs no external crates.
 
+use vpec_numerics::ordering::rcm_ordering;
 use vpec_numerics::rng::XorShift64;
-use vpec_numerics::{Cholesky, CooMatrix, CsrMatrix, DenseMatrix, LuFactor, SparseLu};
+use vpec_numerics::{
+    Cholesky, Complex64, CooMatrix, CsrMatrix, DenseMatrix, LuFactor, Scalar, SparseLu,
+};
 
 const CASES: usize = 64;
 
@@ -116,6 +119,77 @@ fn sparse_lu_agrees_with_dense() {
             assert!((u - v).abs() < 1e-8, "sparse {u} vs dense {v}");
         }
     }
+}
+
+/// An `n×n` sparse, strictly row-dominant matrix whose elimination
+/// cancels exactly. Off-diagonal entries are ±½, ±1 or ±2, so sums and
+/// multiples stay exact. Every third row `r` copies twice row `r − 1`
+/// everywhere but its own diagonal; eliminating either row against the
+/// other then leaves exact zeros wherever the pattern predicts fill.
+fn cancelling_system(rng: &mut XorShift64, n: usize) -> DenseMatrix<f64> {
+    const VALUES: [f64; 6] = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0];
+    let mut m = DenseMatrix::from_fn(n, n, |_, _| 0.0);
+    for i in 0..n {
+        for _ in 0..3 {
+            let j = rng.range_usize(0, n);
+            if j != i {
+                m[(i, j)] = VALUES[rng.range_usize(0, VALUES.len())];
+            }
+        }
+    }
+    let copied = |i: usize| i % 3 == 2;
+    for i in (0..n).filter(|&i| !copied(i)) {
+        let off: f64 = (0..n).filter(|&j| j != i).map(|j| m[(i, j)].abs()).sum();
+        m[(i, i)] = off + 1.0;
+    }
+    for r in (0..n).filter(|&r| copied(r)) {
+        for j in (0..n).filter(|&j| j != r) {
+            m[(r, j)] = 2.0 * m[(r - 1, j)];
+        }
+        let off: f64 = (0..n).filter(|&j| j != r).map(|j| m[(r, j)].abs()).sum();
+        m[(r, r)] = off + 1.0;
+    }
+    m
+}
+
+/// Sparse LU in its natural order, under RCM and under transversal + AMD
+/// (full partial and diagonal-preferring threshold pivoting) against dense
+/// LU, on [`cancelling_system`] matrices mapped into `T` by `val`.
+fn check_sparse_lu_with_cancellations<T: Scalar>(seed: u64, val: impl Fn(f64) -> T) {
+    let mut rng = XorShift64::new(seed);
+    for case in 0..CASES {
+        let n = rng.range_usize(6, 40);
+        let m = cancelling_system(&mut rng, n);
+        let a = DenseMatrix::from_fn(n, n, |i, j| val(m[(i, j)]));
+        let b: Vec<T> = (0..n).map(|_| val(rng.range_f64(-10.0, 10.0))).collect();
+        let csr = CsrMatrix::from_dense(&a, 0.0);
+        let xd = LuFactor::new(&a).expect("dominant").solve(&b).expect("ok");
+        let scale = xd.iter().map(|v| v.modulus()).fold(0.0, f64::max);
+        let factors = [
+            ("natural", SparseLu::new(&csr)),
+            ("rcm", SparseLu::new_ordered(&csr, &rcm_ordering(&csr))),
+            ("fill-reducing", SparseLu::new_fill_reducing(&csr)),
+        ];
+        for (name, lu) in factors {
+            let xs = lu.expect("dominant").solve(&b).expect("ok");
+            for (u, v) in xs.iter().zip(&xd) {
+                assert!(
+                    (*u - *v).modulus() <= 1e-12 * scale,
+                    "case {case} ({name}, n = {n}): sparse {u} vs dense {v}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn sparse_lu_with_exact_cancellations_agrees_with_dense_real() {
+    check_sparse_lu_with_cancellations(0x1009, |x| x);
+}
+
+#[test]
+fn sparse_lu_with_exact_cancellations_agrees_with_dense_complex() {
+    check_sparse_lu_with_cancellations(0x100a, |x| Complex64::new(x, 0.5 * x));
 }
 
 #[test]

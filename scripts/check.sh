@@ -32,6 +32,9 @@ echo "==> release-profile audit pass (tier-1 integration tests, VPEC_AUDIT=full)
 # agreement and the factorization fallback chain.
 timeout 600 env VPEC_AUDIT=full cargo test -q --release --test audit_invariants --test paper_claims \
   --test sparse_factor --test fault_tolerance
+# The sparse and dense kernels' property tests (seeded, with forced exact
+# cancellations in the sparse LU) in the optimized build users deploy.
+timeout 600 cargo test -q --release -p vpec-numerics --test proptests
 
 echo "==> workload benchmark tests (every workload's oracles at toy size)"
 # The benchmark is a package of its own (workload-bench/Cargo.toml), so
