@@ -16,8 +16,8 @@
 //!   all      everything above
 //!
 //! --full runs the paper-scale sizes everywhere (fig4 to 2048 bits,
-//! fig8 dense models to 256 bits); without it, moderately reduced sizes
-//! keep the full suite to a few minutes.
+//! fig8 dense models to 256 bits and gwVPEC to 8192 bits); without it,
+//! moderately reduced sizes keep the full suite to a few minutes.
 //! ```
 
 use std::time::Instant;
@@ -73,7 +73,7 @@ fn main() {
             }
             "fig8" => {
                 if full {
-                    fig8::run_paper(256, 1024).report
+                    fig8::run_paper(256, 8192).report
                 } else {
                     fig8::run_paper(128, 512).report
                 }

@@ -32,6 +32,18 @@ pub struct Fig8Point {
     pub avg_diff_pct: Option<f64>,
     /// 50 % delay difference vs PEEC on the aggressor, percent.
     pub delay_diff_pct: Option<f64>,
+    /// Peak resident set of the process after this point, MB, for the
+    /// sparse-only sizes (`None` off Linux and for dense sizes).
+    pub peak_rss_mb: Option<f64>,
+}
+
+/// Peak resident set of this process so far (`VmHWM`), MB; `None` where
+/// `/proc/self/status` does not exist.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 /// Outcome of the scaling sweep.
@@ -46,6 +58,11 @@ pub struct Fig8Outcome {
 /// Runs the sweep. `dense_sizes` are simulated with all three models;
 /// `sparse_only_sizes` only with gwVPEC (the dense models run out of
 /// memory/time there, as in the paper).
+///
+/// The sparse-only sizes run first, in the order given, so that with
+/// ascending sizes each one's peak RSS is the process high-water mark
+/// right after it (unless something the process ran earlier peaked
+/// higher). Their rows still follow the dense ones in the report.
 ///
 /// # Panics
 ///
@@ -69,7 +86,45 @@ pub fn run(dense_sizes: &[usize], sparse_only_sizes: &[usize]) -> Fig8Outcome {
         "netlist bytes",
         "avg |dV| (% peak)",
         "50% delay diff",
+        "peak RSS",
     ]);
+
+    let mut sparse_rows = Vec::new();
+    let mut sparse_points = Vec::new();
+    for &bits in sparse_only_sizes {
+        let exp = Experiment::new(
+            BusSpec::new(bits).build(),
+            &ExtractionConfig::paper_default(),
+            DriveConfig::paper_default(),
+        );
+        let (base_spec, probes, _) = tspec_for(bits);
+        let kind = ModelKind::WVpecGeometric { b: 8 };
+        let built = exp.build(kind).expect("build");
+        let spec = base_spec.clone().probes(probes(&built));
+        let (_, sim_secs) = built.run_transient(&spec).expect("transient");
+        let total = built.build_seconds + sim_secs;
+        let bytes = built.netlist_bytes();
+        let rss = peak_rss_mb();
+        sparse_rows.push(vec![
+            bits.to_string(),
+            kind.label(),
+            secs(total),
+            "(PEEC infeasible)".into(),
+            bytes.to_string(),
+            "—".into(),
+            "—".into(),
+            rss.map_or("—".into(), |mb| format!("{mb:.0} MB")),
+        ]);
+        sparse_points.push(Fig8Point {
+            bits,
+            model: kind.label(),
+            total_seconds: total,
+            netlist_bytes: bytes,
+            avg_diff_pct: None,
+            delay_diff_pct: None,
+            peak_rss_mb: rss,
+        });
+    }
 
     for &bits in dense_sizes {
         let exp = Experiment::new(
@@ -120,6 +175,7 @@ pub fn run(dense_sizes: &[usize], sparse_only_sizes: &[usize]) -> Fig8Outcome {
                 bytes.to_string(),
                 avg_diff_pct.map_or("—".into(), |p| format!("{p:.2}%")),
                 delay_diff_pct.map_or("—".into(), |p| format!("{p:.2}%")),
+                "—".into(),
             ]);
             points.push(Fig8Point {
                 bits,
@@ -128,6 +184,7 @@ pub fn run(dense_sizes: &[usize], sparse_only_sizes: &[usize]) -> Fig8Outcome {
                 netlist_bytes: bytes,
                 avg_diff_pct,
                 delay_diff_pct,
+                peak_rss_mb: None,
             });
         }
         // Sanity: the victim sees noise at all (guards against a silent
@@ -135,37 +192,10 @@ pub fn run(dense_sizes: &[usize], sparse_only_sizes: &[usize]) -> Fig8Outcome {
         assert!(peak_abs(&wp) > 0.0, "no crosstalk at {bits} bits?");
     }
 
-    for &bits in sparse_only_sizes {
-        let exp = Experiment::new(
-            BusSpec::new(bits).build(),
-            &ExtractionConfig::paper_default(),
-            DriveConfig::paper_default(),
-        );
-        let (base_spec, probes, _) = tspec_for(bits);
-        let kind = ModelKind::WVpecGeometric { b: 8 };
-        let built = exp.build(kind).expect("build");
-        let spec = base_spec.clone().probes(probes(&built));
-        let (_, sim_secs) = built.run_transient(&spec).expect("transient");
-        let total = built.build_seconds + sim_secs;
-        let bytes = built.netlist_bytes();
-        t.row(&[
-            bits.to_string(),
-            kind.label(),
-            secs(total),
-            "(PEEC infeasible)".into(),
-            bytes.to_string(),
-            "—".into(),
-            "—".into(),
-        ]);
-        points.push(Fig8Point {
-            bits,
-            model: kind.label(),
-            total_seconds: total,
-            netlist_bytes: bytes,
-            avg_diff_pct: None,
-            delay_diff_pct: None,
-        });
+    for row in &sparse_rows {
+        t.row(row);
     }
+    points.extend(sparse_points);
 
     let mut report = String::from(
         "== Fig. 8: runtime and model-size scaling (PEEC vs full VPEC vs gwVPEC b=8) ==\n\n",
@@ -179,13 +209,15 @@ pub fn run(dense_sizes: &[usize], sparse_only_sizes: &[usize]) -> Fig8Outcome {
 }
 
 /// The paper's sweep capped at `max_dense` for the dense models (256 in
-/// the paper) and `max_sparse` for gwVPEC.
+/// the paper) and `max_sparse` for gwVPEC. The sparse-only sizes double
+/// up to 8,192 bits; windowing never builds the dense `L`, so their peak
+/// RSS grows linearly with the bus.
 pub fn run_paper(max_dense: usize, max_sparse: usize) -> Fig8Outcome {
     let dense: Vec<usize> = [8usize, 16, 32, 64, 128, 256]
         .into_iter()
         .filter(|&b| b <= max_dense)
         .collect();
-    let sparse: Vec<usize> = [512usize, 1024]
+    let sparse: Vec<usize> = [512usize, 1024, 2048, 4096, 8192]
         .into_iter()
         .filter(|&b| b <= max_sparse)
         .collect();

@@ -70,6 +70,7 @@ pub fn extract(args: &ParsedArgs) -> Result<String, CliError> {
     let exp = build_experiment(args)?;
     let p = &exp.parasitics;
     let n = p.len();
+    let l = p.inductance();
     let mut out = String::new();
     let _ = writeln!(out, "filaments: {n} in {} nets", exp.layout.nets().len());
     let _ = writeln!(
@@ -81,16 +82,13 @@ pub fn extract(args: &ParsedArgs) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "self inductance: {:.4} .. {:.4} nH",
-        (0..n)
-            .map(|i| p.inductance[(i, i)])
-            .fold(f64::MAX, f64::min)
-            * 1e9,
-        (0..n).map(|i| p.inductance[(i, i)]).fold(0.0, f64::max) * 1e9
+        (0..n).map(|i| l[(i, i)]).fold(f64::MAX, f64::min) * 1e9,
+        (0..n).map(|i| l[(i, i)]).fold(0.0, f64::max) * 1e9
     );
     let mut max_coupling: f64 = 0.0;
     for i in 0..n {
         for j in 0..i {
-            max_coupling = max_coupling.max(p.inductance[(i, j)].abs());
+            max_coupling = max_coupling.max(l[(i, j)].abs());
         }
     }
     let _ = writeln!(out, "strongest mutual: {:.4} nH", max_coupling * 1e9);

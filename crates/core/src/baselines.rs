@@ -61,7 +61,8 @@ pub fn shift_truncate(
             reason: "shift truncation assumes same-direction currents (a bus)",
         });
     }
-    let mut out = parasitics.clone();
+    let full = parasitics.inductance();
+    let mut l = full.clone();
     let n = fils.len();
     for i in 0..n {
         for j in i..n {
@@ -73,15 +74,15 @@ pub fn shift_truncate(
             let d = if i == j { 0.0 } else { a.radial_distance_to(b) };
             let v = if d < r0 {
                 let shell = mutual_at_distance(a, b, r0);
-                (parasitics.inductance[(i, j)] - shell).max(0.0)
+                (full[(i, j)] - shell).max(0.0)
             } else {
                 0.0
             };
-            out.inductance[(i, j)] = v;
-            out.inductance[(j, i)] = v;
+            l[(i, j)] = v;
+            l[(j, i)] = v;
         }
     }
-    Ok(out)
+    Ok(parasitics.with_inductance(l))
 }
 
 /// Builds the return-limited model of a shielded bus: a PEEC-style
@@ -171,7 +172,7 @@ pub fn return_limited(
         .collect();
 
     // Loop inductance between reindexed signal filaments.
-    let l = &parasitics.inductance;
+    let l = parasitics.inductance();
     let n = signal_fils.len();
     let mut loop_l = vpec_numerics::DenseMatrix::<f64>::zeros(n, n);
     let shares_return = |a: &[(usize, f64)], b: &[(usize, f64)]| -> bool {
@@ -226,13 +227,13 @@ pub fn return_limited(
             r
         })
         .collect();
-    let reduced = Parasitics {
-        inductance: loop_l,
+    let reduced = Parasitics::from_parts(
+        signal_fils.iter().map(|&f| fils[f]).collect(),
+        loop_l,
         resistance,
         cap_ground,
         cap_coupling,
-        lengths: signal_fils.iter().map(|&f| parasitics.lengths[f]).collect(),
-    };
+    );
 
     // Reduced layout: signal nets in order, with remapped drive.
     let mut reduced_layout = vpec_geometry::Layout::new();
@@ -259,10 +260,11 @@ pub fn return_limited(
 /// sparsity metric for the baseline comparison.
 pub fn inductance_nnz(parasitics: &Parasitics) -> usize {
     let n = parasitics.len();
+    let l = parasitics.inductance();
     let mut nnz = 0;
     for i in 0..n {
         for j in i..n {
-            if parasitics.inductance[(i, j)] != 0.0 {
+            if l[(i, j)] != 0.0 {
                 nnz += 1;
             }
         }
@@ -288,10 +290,10 @@ mod tests {
         let (layout, para) = bus(12);
         // Pitch 3 µm: a 10 µm shell keeps ~3 neighbours a side.
         let st = shift_truncate(&para, &layout, um(10.0)).unwrap();
-        assert_eq!(st.inductance[(0, 11)], 0.0);
-        assert_eq!(st.inductance[(0, 4)], 0.0); // 12 µm away
-        assert!(st.inductance[(0, 1)] > 0.0);
-        assert!(st.inductance[(0, 0)] > 0.0);
+        assert_eq!(st.inductance()[(0, 11)], 0.0);
+        assert_eq!(st.inductance()[(0, 4)], 0.0); // 12 µm away
+        assert!(st.inductance()[(0, 1)] > 0.0);
+        assert!(st.inductance()[(0, 0)] > 0.0);
         assert!(inductance_nnz(&st) < inductance_nnz(&para));
     }
 
@@ -303,7 +305,7 @@ mod tests {
         for r0_um in [5.0, 10.0, 30.0] {
             let st = shift_truncate(&para, &layout, um(r0_um)).unwrap();
             // Allow semidefiniteness: add a tiny ridge before Cholesky.
-            let mut l = st.inductance.clone();
+            let mut l = st.inductance().clone();
             for i in 0..l.rows() {
                 l[(i, i)] += 1e-15;
             }
@@ -320,11 +322,11 @@ mod tests {
         // Enormous shell: shifts vanish, matrix approaches the original.
         let st = shift_truncate(&para, &layout, 1.0).unwrap();
         let diff = st
-            .inductance
-            .max_abs_diff(&para.inductance)
+            .inductance()
+            .max_abs_diff(para.inductance())
             .expect("same shape");
         assert!(
-            diff < 0.02 * para.inductance.max_abs(),
+            diff < 0.02 * para.inductance().max_abs(),
             "r0 = 1 m should barely perturb L: {diff}"
         );
     }
@@ -334,7 +336,7 @@ mod tests {
         let (layout, para) = bus(4);
         let st = shift_truncate(&para, &layout, um(10.0)).unwrap();
         for i in 0..4 {
-            assert!(st.inductance[(i, i)] < para.inductance[(i, i)]);
+            assert!(st.inductance()[(i, i)] < para.inductance()[(i, i)]);
         }
     }
 
@@ -369,7 +371,7 @@ mod tests {
         // Every inductor value is positive and below the partial self-L
         // (the return path cancels flux).
         let max_partial = (0..para.len())
-            .map(|i| para.inductance[(i, i)])
+            .map(|i| para.inductance()[(i, i)])
             .fold(0.0f64, f64::max);
         for e in mc.circuit.elements() {
             if let vpec_circuit::Element::Inductor { l, .. } = e {

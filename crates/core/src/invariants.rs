@@ -46,7 +46,7 @@ fn sym_tol(max_abs: f64) -> f64 {
 /// for diagonal dominance (see module docs).
 pub fn audit_parasitics(parasitics: &Parasitics) -> AuditReport {
     let mut report = AuditReport::new("extracted parasitics");
-    let l = &parasitics.inductance;
+    let l = parasitics.inductance();
     let name = "partial inductance L";
     report.record(audit::check_finite(name, l));
     report.record(audit::check_symmetric(name, l, sym_tol(l.max_abs())));
@@ -166,9 +166,11 @@ mod tests {
 
     #[test]
     fn corrupted_inductance_is_flagged_with_index() {
-        let mut para = bus_parasitics(4);
-        para.inductance[(1, 2)] = f64::NAN;
-        para.inductance[(2, 1)] = f64::NAN;
+        let para = bus_parasitics(4);
+        let mut l = para.inductance().clone();
+        l[(1, 2)] = f64::NAN;
+        l[(2, 1)] = f64::NAN;
+        let para = para.with_inductance(l);
         let report = audit_parasitics(&para);
         assert!(report.has_errors());
         let v = &report.violations[0];
@@ -222,8 +224,10 @@ mod tests {
         if !audit::enabled(AuditLevel::Basic) {
             return; // enforcement explicitly disabled in this run
         }
-        let mut para = bus_parasitics(3);
-        para.inductance[(0, 0)] = f64::INFINITY;
+        let para = bus_parasitics(3);
+        let mut l = para.inductance().clone();
+        l[(0, 0)] = f64::INFINITY;
+        let para = para.with_inductance(l);
         match enforce_parasitics(&para) {
             Err(CoreError::AuditFailed(f)) => {
                 assert!(f.0.has_errors());

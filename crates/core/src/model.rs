@@ -52,7 +52,7 @@ impl VpecModel {
     /// [`CoreError::BadInductanceMatrix`] wrapping
     /// [`NumericsError::Cancelled`](vpec_numerics::NumericsError::Cancelled).
     pub fn full_cancel(parasitics: &Parasitics, cancel: &CancelToken) -> Result<Self, CoreError> {
-        let l = &parasitics.inductance;
+        let l = parasitics.inductance();
         let n = l.rows();
         if n == 0 {
             return Err(CoreError::InvalidParameter {
@@ -355,7 +355,7 @@ mod tests {
         let g = m.g_matrix();
         // Ĝ·(Dₗ⁻¹·L·Dₗ⁻¹) should be the identity.
         let n = g.rows();
-        let mut l_scaled = para.inductance.clone();
+        let mut l_scaled = para.inductance().clone();
         for i in 0..n {
             for j in 0..n {
                 l_scaled[(i, j)] /= para.lengths[i] * para.lengths[j];

@@ -140,15 +140,13 @@ pub fn build_peec(
 ) -> Result<ModelCircuit, CoreError> {
     let (mut model, spans) = build_electrical(layout, parasitics, drive)?;
     let n = parasitics.len();
+    let l = parasitics.inductance();
     // Series self inductances.
     let mut l_ids: Vec<ElementId> = Vec::with_capacity(n);
     for (f, span) in spans.iter().enumerate() {
-        let id = model.circuit.add_inductor(
-            &format!("l{f}"),
-            span.1,
-            span.2,
-            parasitics.inductance[(f, f)],
-        )?;
+        let id = model
+            .circuit
+            .add_inductor(&format!("l{f}"), span.1, span.2, l[(f, f)])?;
         l_ids.push(id);
     }
     // Dense mutual coupling. The O(n²) scan over the upper triangle is
@@ -158,7 +156,7 @@ pub fn build_peec(
     let nt = pool::threads_for(n, GATHER_MIN_ROWS_PER_THREAD);
     let pairs: Vec<(usize, usize, f64)> = Pool::with_threads(nt)
         .par_map_index(n, |i| {
-            let row = parasitics.inductance.row(i);
+            let row = l.row(i);
             row.iter()
                 .enumerate()
                 .skip(i + 1)

@@ -13,25 +13,34 @@
 //! which — the entries being negative — selects the smaller magnitude and
 //! thereby keeps `S′` diagonally dominant (eq. (19)), i.e. the resulting
 //! wVPEC model is passive by construction.
+//!
+//! # Window-local reads
+//!
+//! Neither builder reads or builds the dense `L`. Each aggressor walks
+//! its parallel filaments nearest first ([`Parasitics::nearest`]) and
+//! reads `Lₘⱼ` through [`Parasitics::mutual`], until the walk's
+//! certified bound on everything farther out
+//! ([`Nearest::remaining_bound`](vpec_extract::locality::Nearest::remaining_bound))
+//! falls strictly below the weakest coupling the window keeps (gwVPEC) or
+//! below `threshold·Lₘₘ` (nwVPEC). Every unread partner is therefore
+//! ranked below the window, and the windows — and so the models — are
+//! the ones a full sort of each dense row picks, bit for bit.
 
 use crate::{CoreError, VpecModel};
-use std::collections::HashMap;
 use vpec_extract::Parasitics;
-use vpec_numerics::{Cholesky, DenseMatrix, LuFactor, NumericsError};
+use vpec_numerics::{pool, Cholesky, DenseMatrix, LuFactor, NumericsError, Pool};
 
 /// Rejects inductance matrices the window machinery cannot safely
 /// consume: any non-finite entry would make the coupling-strength sort
 /// input-order-dependent (NaN compares as `Equal`), and a zero/negative
 /// diagonal would turn the `|Lₘⱼ|/Lₘₘ` ratios into NaN/∞ and silently
-/// mis-select windows.
+/// mis-select windows. Run on a caller-supplied matrix, whose entries no
+/// geometry vouches for.
 fn validate_inductance(l: &DenseMatrix<f64>) -> Result<(), CoreError> {
     for i in 0..l.rows() {
         for j in 0..l.cols() {
             if !l[(i, j)].is_finite() {
-                return Err(CoreError::BadInductanceMatrix(NumericsError::NonFinite {
-                    op: "wVPEC windowing",
-                    index: (i, j),
-                }));
+                return Err(non_finite((i, j)));
             }
         }
     }
@@ -45,45 +54,282 @@ fn validate_inductance(l: &DenseMatrix<f64>) -> Result<(), CoreError> {
     Ok(())
 }
 
+fn non_finite(index: (usize, usize)) -> CoreError {
+    CoreError::BadInductanceMatrix(NumericsError::NonFinite {
+        op: "wVPEC windowing",
+        index,
+    })
+}
+
+/// Minimum aggressors per worker before the window walks and solves go
+/// parallel. One aggressor of gwVPEC(8) costs about 4 µs, so 64 of them
+/// outweigh spawning a scoped worker; the engine's small buses stay
+/// serial.
+const WINDOW_MIN_PER_THREAD: usize = 64;
+
+/// Reads `Lᵢⱼ` through [`Parasitics::mutual`] and checks it.
+fn read(parasitics: &Parasitics, i: usize, j: usize) -> Result<f64, CoreError> {
+    let v = parasitics.mutual(i, j);
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(non_finite((i, j)))
+    }
+}
+
+/// `Lₘₘ` for every `m`, checked finite and positive; a caller-supplied
+/// `L` is checked whole first.
+fn checked_diagonal(parasitics: &Parasitics) -> Result<Vec<f64>, CoreError> {
+    if let Some(l) = parasitics.explicit_inductance() {
+        validate_inductance(l)?;
+    }
+    let diag: Vec<f64> = (0..parasitics.len())
+        .map(|m| parasitics.mutual(m, m))
+        .collect();
+    if let Some(m) = diag.iter().position(|d| !d.is_finite()) {
+        return Err(non_finite((m, m)));
+    }
+    if let Some(m) = diag.iter().position(|&d| d <= 0.0) {
+        return Err(CoreError::BadInductanceMatrix(
+            NumericsError::NotPositiveDefinite { row: m },
+        ));
+    }
+    Ok(diag)
+}
+
+/// One aggressor's window and the entries its walk read.
+struct Walk {
+    /// Sorted filament indices, the aggressor included.
+    window: Vec<usize>,
+    /// `(j, Lₘⱼ)` for every partner `j` the walk read, sorted by `j`.
+    row: Vec<(usize, f64)>,
+}
+
+impl Walk {
+    fn new(mut window: Vec<usize>, mut row: Vec<(usize, f64)>) -> Walk {
+        window.sort_unstable();
+        row.sort_unstable_by_key(|e| e.0);
+        Walk { window, row }
+    }
+}
+
+/// Aggressor `m` plus its `partners` largest-`|Lₘⱼ|` partners, ties to
+/// the lower index: the first `partners` of the row sorted stably by
+/// `|Lₘⱼ|` descending.
+fn geometric_walk(parasitics: &Parasitics, m: usize, partners: usize) -> Result<Walk, CoreError> {
+    if partners == 0 {
+        return Ok(Walk::new(vec![m], Vec::new()));
+    }
+    // The best `partners` read so far, in rank order.
+    let mut best: Vec<(f64, usize)> = Vec::with_capacity(partners + 1);
+    let mut row = Vec::new();
+    let mut walk = parasitics.nearest(m);
+    loop {
+        if best.len() == partners {
+            match walk.remaining_bound() {
+                Some(b) if b >= best[partners - 1].0 => {}
+                _ => break,
+            }
+        }
+        let Some((j, _)) = walk.next() else { break };
+        let v = read(parasitics, m, j)?;
+        row.push((j, v));
+        let a = v.abs();
+        let pos = best.partition_point(|&(b, k)| b.total_cmp(&a).then(j.cmp(&k)).is_gt());
+        if pos < partners {
+            best.insert(pos, (a, j));
+            best.truncate(partners);
+        }
+    }
+    let mut window: Vec<usize> = std::iter::once(m)
+        .chain(best.iter().filter(|e| e.0 > 0.0).map(|e| e.1))
+        .collect();
+    // Zero couplings (perpendicular filaments, or b past the parallel
+    // ones) rank last, lowest index first, as in the dense sort.
+    let zeros = partners + 1 - window.len();
+    if zeros > 0 {
+        let fils = parasitics.filaments();
+        let kept_zero = |j: usize| best.iter().any(|e| e.1 == j && e.0 == 0.0);
+        window.extend(
+            (0..fils.len())
+                .filter(|&j| j != m && (!fils[m].is_parallel_to(&fils[j]) || kept_zero(j)))
+                .take(zeros),
+        );
+    }
+    Ok(Walk::new(window, row))
+}
+
+/// Aggressor `m` plus every `j` with `|Lₘⱼ|/Lₘₘ ≥ threshold`.
+fn numerical_walk(
+    parasitics: &Parasitics,
+    m: usize,
+    lmm: f64,
+    threshold: f64,
+) -> Result<Walk, CoreError> {
+    let mut window = vec![m];
+    let mut row = Vec::new();
+    let mut walk = parasitics.nearest(m);
+    loop {
+        match walk.remaining_bound() {
+            Some(b) if b / lmm >= threshold => {}
+            _ => break,
+        }
+        let Some((j, _)) = walk.next() else { break };
+        let v = read(parasitics, m, j)?;
+        row.push((j, v));
+        if v.abs() / lmm >= threshold {
+            window.push(j);
+        }
+    }
+    if threshold == 0.0 {
+        // Zero couplings pass a zero threshold.
+        let fils = parasitics.filaments();
+        window.extend((0..fils.len()).filter(|&j| !fils[m].is_parallel_to(&fils[j])));
+    }
+    Ok(Walk::new(window, row))
+}
+
+/// Runs `walk` for every aggressor, then solves and merges the windows.
+fn windowed_by(
+    parasitics: &Parasitics,
+    walk: impl Fn(usize, f64) -> Result<Walk, CoreError> + Sync,
+) -> Result<VpecModel, CoreError> {
+    let n = parasitics.len();
+    if n == 0 {
+        return Err(CoreError::InvalidParameter {
+            reason: "cannot build a VPEC model over zero filaments",
+        });
+    }
+    let diag = checked_diagonal(parasitics)?;
+    let pool = Pool::with_threads(pool::threads_for(n, WINDOW_MIN_PER_THREAD));
+    let walks = pool
+        .par_map_index(n, |m| walk(m, diag[m]))
+        .into_iter()
+        .collect::<Result<Vec<Walk>, CoreError>>()?;
+    let solves = pool
+        .par_map_index(n, |m| solve_window(parasitics, &diag, &walks, m))
+        .into_iter()
+        .collect::<Result<Vec<(Vec<f64>, usize)>, CoreError>>()?;
+    let reads = n
+        + walks.iter().map(|w| w.row.len()).sum::<usize>()
+        + solves.iter().map(|s| s.1).sum::<usize>();
+    vpec_trace::counter_add("model.window.mutuals", reads as u64);
+    Ok(merge(&parasitics.lengths, &walks, &solves))
+}
+
+/// Solves `L⁽ᵐ⁾·s⁽ᵐ⁾ = e_m` on aggressor `m`'s window. Entries come from
+/// the walks' reads where one saw them; the count of fresh reads is
+/// returned with `s⁽ᵐ⁾`.
+fn solve_window(
+    parasitics: &Parasitics,
+    diag: &[f64],
+    walks: &[Walk],
+    m: usize,
+) -> Result<(Vec<f64>, usize), CoreError> {
+    let idx = &walks[m].window;
+    let Ok(pos_m) = idx.binary_search(&m) else {
+        return Err(CoreError::InvalidParameter {
+            reason: "every aggressor's window must contain the aggressor",
+        });
+    };
+    let mut reads = 0;
+    let mut entry = |i: usize, j: usize| -> Result<f64, CoreError> {
+        if i == j {
+            return Ok(diag[i]);
+        }
+        for (r, c) in [(i, j), (j, i)] {
+            let row = &walks[r].row;
+            if let Ok(k) = row.binary_search_by_key(&c, |e| e.0) {
+                return Ok(row[k].1);
+            }
+        }
+        reads += 1;
+        read(parasitics, i, j)
+    };
+    let k = idx.len();
+    let mut sub = DenseMatrix::<f64>::zeros(k, k);
+    for p in 0..k {
+        for q in p..k {
+            let v = entry(idx[p], idx[q])?;
+            sub[(p, q)] = v;
+            sub[(q, p)] = v;
+        }
+    }
+    let mut e = vec![0.0; k];
+    e[pos_m] = 1.0;
+    // The submatrix of an s.p.d. matrix is s.p.d.; fall back to LU for
+    // numerically borderline geometry.
+    let s = match Cholesky::new(&sub) {
+        Ok(ch) => ch.solve(&e)?,
+        Err(_) => LuFactor::new(&sub)?.solve(&e)?,
+    };
+    Ok((s, reads))
+}
+
+/// Merges the window solves into `Ĝ` with eq. (18).
+///
+/// A pair is kept only when *both* windows contain each other —
+/// symmetric windows are what makes the eq. (19) dominance argument
+/// airtight: every kept |S′ₘₙ| is bounded by the corresponding entry of
+/// aggressor m's own window solve, whose row is dominated by s⁽ᵐ⁾ₘ.
+fn merge(lengths: &[f64], walks: &[Walk], solves: &[(Vec<f64>, usize)]) -> VpecModel {
+    let n = walks.len();
+    let mut g_diag = Vec::with_capacity(n);
+    let mut g_off = Vec::new();
+    for (m, (walk, (s, _))) in walks.iter().zip(solves).enumerate() {
+        for (k, &j) in walk.window.iter().enumerate() {
+            if j == m {
+                g_diag.push(lengths[m] * lengths[m] * s[k]);
+                continue;
+            }
+            if j < m {
+                continue;
+            }
+            let Ok(back) = walks[j].window.binary_search(&m) else {
+                continue;
+            };
+            // Eq. (18): keep the smaller-magnitude candidate, the first
+            // (aggressor m < j) on a tie; for the typical all-negative
+            // entries this is exactly `max`.
+            let theirs = solves[j].0[back];
+            let v = if theirs.abs() < s[k].abs() {
+                theirs
+            } else {
+                s[k]
+            };
+            let g = lengths[m] * lengths[j] * v;
+            if g != 0.0 {
+                g_off.push((m, j, g));
+            }
+        }
+    }
+    VpecModel::from_parts(lengths.to_vec(), g_diag, g_off)
+}
+
 /// Geometric windowing (gwVPEC): a uniform window of the `b` most strongly
-/// coupled conductors (by `|Lₘⱼ|`) around each aggressor. For an aligned
-/// parallel bus this is exactly the paper's "coupling window with uniform
-/// size b".
+/// coupled conductors (by `|Lₘⱼ|`, ties to the lower index) around each
+/// aggressor. For an aligned parallel bus this is exactly the paper's
+/// "coupling window with uniform size b".
 ///
 /// # Errors
 ///
-/// * [`CoreError::InvalidParameter`] if `b == 0`.
-/// * [`CoreError::BadInductanceMatrix`] if `L` has non-finite entries, a
-///   non-positive diagonal, or a singular window submatrix.
+/// * [`CoreError::InvalidParameter`] if `b == 0` or there are no
+///   filaments.
+/// * [`CoreError::BadInductanceMatrix`] if an entry it reads is
+///   non-finite, a diagonal entry is not positive, a caller-supplied `L`
+///   has either defect anywhere, or a window submatrix is singular.
 pub fn windowed_geometric(parasitics: &Parasitics, b: usize) -> Result<VpecModel, CoreError> {
     let _sp = vpec_trace::span!(
         "model.window",
         "kind" => "geometric",
-        "dim" => parasitics.inductance.rows(),
+        "dim" => parasitics.len(),
     );
     if b == 0 {
         return Err(CoreError::InvalidParameter {
             reason: "window size b must be at least 1",
         });
     }
-    validate_inductance(&parasitics.inductance)?;
-    let n = parasitics.inductance.rows();
-    let l = &parasitics.inductance;
-    let mut windows = Vec::with_capacity(n);
-    for m in 0..n {
-        let mut others: Vec<usize> = (0..n).filter(|&j| j != m).collect();
-        // `total_cmp` keeps the ordering deterministic even for the NaN
-        // entries `validate_inductance` already rejects above; `abs()`
-        // never produces -0.0 here, so it agrees with the partial order
-        // on every value that can reach this sort.
-        others.sort_by(|&x, &y| l[(m, y)].abs().total_cmp(&l[(m, x)].abs()));
-        let mut idx: Vec<usize> = std::iter::once(m)
-            .chain(others.into_iter().take(b.saturating_sub(1)))
-            .collect();
-        idx.sort_unstable();
-        windows.push(idx);
-    }
-    windowed_from(parasitics, &windows)
+    windowed_by(parasitics, |m, _| geometric_walk(parasitics, m, b - 1))
 }
 
 /// Numerical windowing (nwVPEC) for general layouts: the window of
@@ -92,104 +338,24 @@ pub fn windowed_geometric(parasitics: &Parasitics, b: usize) -> Result<VpecModel
 ///
 /// # Errors
 ///
-/// * [`CoreError::InvalidParameter`] if `threshold` is negative/NaN.
-/// * [`CoreError::BadInductanceMatrix`] if `L` has non-finite entries, a
-///   non-positive diagonal (which would divide the coupling ratio by
-///   zero), or a singular window submatrix.
+/// * [`CoreError::InvalidParameter`] if `threshold` is negative/NaN or
+///   there are no filaments.
+/// * [`CoreError::BadInductanceMatrix`] as for [`windowed_geometric`]; a
+///   non-positive diagonal would divide the coupling ratio by zero.
 pub fn windowed_numerical(parasitics: &Parasitics, threshold: f64) -> Result<VpecModel, CoreError> {
     let _sp = vpec_trace::span!(
         "model.window",
         "kind" => "numerical",
-        "dim" => parasitics.inductance.rows(),
+        "dim" => parasitics.len(),
     );
     if !threshold.is_finite() || threshold < 0.0 {
         return Err(CoreError::InvalidParameter {
             reason: "window threshold must be a nonnegative finite number",
         });
     }
-    validate_inductance(&parasitics.inductance)?;
-    let n = parasitics.inductance.rows();
-    let l = &parasitics.inductance;
-    let mut windows = Vec::with_capacity(n);
-    for m in 0..n {
-        let lmm = l[(m, m)];
-        let mut idx: Vec<usize> = (0..n)
-            .filter(|&j| j == m || l[(m, j)].abs() / lmm >= threshold)
-            .collect();
-        idx.sort_unstable();
-        windows.push(idx);
-    }
-    windowed_from(parasitics, &windows)
-}
-
-/// Shared submatrix-solve + merge machinery.
-fn windowed_from(parasitics: &Parasitics, windows: &[Vec<usize>]) -> Result<VpecModel, CoreError> {
-    let n = parasitics.inductance.rows();
-    if n == 0 {
-        return Err(CoreError::InvalidParameter {
-            reason: "cannot build a VPEC model over zero filaments",
-        });
-    }
-    let l = &parasitics.inductance;
-    let lengths = &parasitics.lengths;
-
-    let mut s_diag = vec![0.0f64; n];
-    // (i, j) with i < j → (merged S′ candidate, number of windows that
-    // produced one). A pair is kept only when *both* windows contain each
-    // other — symmetric windows are what makes the eq. (19) dominance
-    // argument airtight: every kept |S′ₘₙ| is bounded by the corresponding
-    // entry of aggressor m's own window solve, whose row is dominated by
-    // s⁽ᵐ⁾ₘ.
-    let mut s_off: HashMap<(usize, usize), (f64, u8)> = HashMap::new();
-
-    for (m, idx) in windows.iter().enumerate() {
-        let Ok(pos_m) = idx.binary_search(&m) else {
-            return Err(CoreError::InvalidParameter {
-                reason: "every aggressor's window must contain the aggressor",
-            });
-        };
-        let sub = l.principal_submatrix(idx);
-        let mut e = vec![0.0; idx.len()];
-        e[pos_m] = 1.0;
-        // The submatrix of an s.p.d. matrix is s.p.d.; fall back to LU for
-        // numerically borderline geometry.
-        let s = match Cholesky::new(&sub) {
-            Ok(ch) => ch.solve(&e)?,
-            Err(_) => LuFactor::new(&sub)?.solve(&e)?,
-        };
-        for (k, &j) in idx.iter().enumerate() {
-            if j == m {
-                s_diag[m] = s[k];
-            } else {
-                let key = (m.min(j), m.max(j));
-                // Eq. (18): keep the smaller-magnitude candidate (for the
-                // typical all-negative entries this is exactly `max`).
-                s_off
-                    .entry(key)
-                    .and_modify(|(v, seen)| {
-                        if s[k].abs() < v.abs() {
-                            *v = s[k];
-                        }
-                        *seen += 1;
-                    })
-                    .or_insert((s[k], 1));
-            }
-        }
-    }
-
-    let mut g_off: Vec<(usize, usize, f64)> = s_off
-        .into_iter()
-        .filter(|&(_, (_, seen))| seen >= 2)
-        .map(|((i, j), (s, _))| (i, j, lengths[i] * lengths[j] * s))
-        .filter(|&(_, _, v)| v != 0.0)
-        .collect();
-    g_off.sort_by_key(|&(i, j, _)| (i, j));
-    let g_diag: Vec<f64> = s_diag
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| lengths[i] * lengths[i] * s)
-        .collect();
-    Ok(VpecModel::from_parts(lengths.clone(), g_diag, g_off))
+    windowed_by(parasitics, |m, lmm| {
+        numerical_walk(parasitics, m, lmm, threshold)
+    })
 }
 
 #[cfg(test)]
@@ -259,7 +425,7 @@ mod tests {
         assert_eq!(win.g_off().len(), 0);
         for i in 0..5 {
             // S'mm = 1/Lmm for a 1×1 window.
-            let expected = para.lengths[i] * para.lengths[i] / para.inductance[(i, i)];
+            let expected = para.lengths[i] * para.lengths[i] / para.mutual(i, i);
             assert!((win.g_diag()[i] - expected).abs() < 1e-9 * expected);
         }
     }
@@ -332,9 +498,11 @@ mod tests {
         // Regression: a NaN off-diagonal used to compare as `Equal` in the
         // coupling-strength sort, silently producing input-order-dependent
         // windows instead of an error.
-        let mut para = bus_parasitics(6);
-        para.inductance[(2, 4)] = f64::NAN;
-        para.inductance[(4, 2)] = f64::NAN;
+        let para = bus_parasitics(6);
+        let mut l = para.inductance().clone();
+        l[(2, 4)] = f64::NAN;
+        l[(4, 2)] = f64::NAN;
+        let para = para.with_inductance(l);
         match windowed_geometric(&para, 3) {
             Err(CoreError::BadInductanceMatrix(NumericsError::NonFinite { index, .. })) => {
                 assert_eq!(index, (2, 4));
@@ -355,8 +523,10 @@ mod tests {
         // unchecked; a zero or negative self-inductance produced NaN/∞
         // coupling ratios and silently wrong windows.
         for bad in [0.0, -1e-9] {
-            let mut para = bus_parasitics(5);
-            para.inductance[(3, 3)] = bad;
+            let para = bus_parasitics(5);
+            let mut l = para.inductance().clone();
+            l[(3, 3)] = bad;
+            let para = para.with_inductance(l);
             match windowed_numerical(&para, 1e-4) {
                 Err(CoreError::BadInductanceMatrix(NumericsError::NotPositiveDefinite { row })) => {
                     assert_eq!(row, 3)

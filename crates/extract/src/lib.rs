@@ -20,10 +20,12 @@
 //!   ([`resistance`]).
 //!
 //! The top-level entry point is [`extract`], which maps a
-//! [`vpec_geometry::Layout`] to [`Parasitics`]: the dense partial-inductance
-//! matrix `L` (including antiparallel coupling signs), per-filament series
-//! resistance, per-filament ground capacitance, and adjacent coupling
-//! capacitances.
+//! [`vpec_geometry::Layout`] to [`Parasitics`]: the partial inductances
+//! (including antiparallel coupling signs) as an entry oracle and an
+//! on-demand dense `L`, per-filament series resistance, per-filament
+//! ground capacitance, and adjacent coupling capacitances. The
+//! [`locality`] index lets windowed models read only the entries near
+//! each filament.
 //!
 //! # Example
 //!
@@ -33,9 +35,13 @@
 //!
 //! let layout = BusSpec::new(5).build();
 //! let para = extract(&layout, &ExtractionConfig::paper_default());
-//! assert_eq!(para.inductance.rows(), 5);
+//! // One entry, evaluated without building the matrix...
+//! let m = para.mutual(4, 0);
+//! // ...is bit for bit the dense matrix's, built on first use.
+//! assert_eq!(para.inductance().rows(), 5);
+//! assert_eq!(m, para.inductance()[(0, 4)]);
 //! // Partial inductance is dense: every pair couples.
-//! assert!(para.inductance[(0, 4)] > 0.0);
+//! assert!(para.inductance()[(0, 4)] > 0.0);
 //! ```
 
 #![cfg_attr(
@@ -55,6 +61,7 @@ pub mod capacitance;
 pub mod captable;
 pub mod impedance;
 pub mod inductance;
+pub mod locality;
 pub mod resistance;
 pub mod volume;
 

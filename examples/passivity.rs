@@ -17,7 +17,7 @@ use vpec::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let layout = BusSpec::new(24).build();
     let para = extract(&layout, &ExtractionConfig::paper_default());
-    let l = &para.inductance;
+    let l = para.inductance();
 
     println!("24-bit bus, partial inductance matrix L:");
     println!(

@@ -27,8 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "extracted: L[0][0] = {:.3} nH, adjacent M = {:.3} nH, R = {:.1} Ω per line",
-        exp.parasitics.inductance[(0, 0)] * 1e9,
-        exp.parasitics.inductance[(0, 1)] * 1e9,
+        exp.parasitics.inductance()[(0, 0)] * 1e9,
+        exp.parasitics.inductance()[(0, 1)] * 1e9,
         exp.parasitics.resistance[0]
     );
 

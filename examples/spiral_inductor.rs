@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exp = Experiment::new(layout, &cfg, drive);
 
     // Antiparallel sides couple negatively — count the signs.
-    let l = &exp.parasitics.inductance;
+    let l = exp.parasitics.inductance();
     let (mut pos, mut neg) = (0usize, 0usize);
     for i in 0..l.rows() {
         for j in 0..i {

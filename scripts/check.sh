@@ -32,6 +32,10 @@ echo "==> release-profile audit pass (tier-1 integration tests, VPEC_AUDIT=full)
 # agreement and the factorization fallback chain.
 timeout 600 env VPEC_AUDIT=full cargo test -q --release --test audit_invariants --test paper_claims \
   --test sparse_factor --test fault_tolerance
+# Window-local extraction in the optimized build: gwVPEC(8) at 8,192
+# bits never builds the dense L and reads at most 16 entries of it per
+# filament, and local windows equal the dense-sort windows bit for bit.
+timeout 600 cargo test -q --release --test window_locality --test window_identity
 # The sparse and dense kernels' property tests (seeded, with forced exact
 # cancellations in the sparse LU) in the optimized build users deploy.
 timeout 600 cargo test -q --release -p vpec-numerics --test proptests

@@ -73,8 +73,8 @@ fn truncated_and_windowed_models_pass_spd_and_dominance_audit() {
 fn corrupted_parasitics_are_reported_with_location_not_panics() {
     let mut rng = XorShift64::new(0x4003);
     for _ in 0..CASES {
-        let mut para = random_bus(&mut rng);
-        let n = para.inductance.rows();
+        let para = random_bus(&mut rng);
+        let n = para.len();
         let i = rng.range_usize(0, n);
         let j = rng.range_usize(0, n);
         let bad = if rng.chance(0.5) {
@@ -82,8 +82,10 @@ fn corrupted_parasitics_are_reported_with_location_not_panics() {
         } else {
             f64::INFINITY
         };
-        para.inductance[(i, j)] = bad;
-        para.inductance[(j, i)] = bad;
+        let mut l = para.inductance().clone();
+        l[(i, j)] = bad;
+        l[(j, i)] = bad;
+        let para = para.with_inductance(l);
         let report = audit_parasitics(&para);
         assert!(report.has_errors());
         let v = report

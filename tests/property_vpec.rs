@@ -55,9 +55,9 @@ fn partial_inductance_is_spd() {
     for _ in 0..CASES {
         let layout = any_bus(&mut rng);
         let para = extract(&layout, &ExtractionConfig::paper_default());
-        assert!(para.inductance.is_symmetric(1e-9));
+        assert!(para.inductance().is_symmetric(1e-9));
         assert!(
-            Cholesky::new(&para.inductance).is_ok(),
+            Cholesky::new(para.inductance()).is_ok(),
             "L must be positive definite for physical geometry"
         );
     }
