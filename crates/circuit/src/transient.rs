@@ -148,9 +148,51 @@ struct IndState {
     br: usize,
     ia: Option<usize>,
     ib: Option<usize>,
-    /// `(branch column, inductance)` couplings including the self term.
-    couplings: Vec<(usize, f64)>,
     v_prev: f64,
+    /// Flux history `coef·Σ L·i` over the self and mutual terms, at the
+    /// last accepted state. The branch row solved each step,
+    /// `v − coef·Σ L·i_new = −(trap ? v_prev : 0) − h`, gives the next one
+    /// as `v_new − rhs[br]`, so a step never forms the product.
+    h: f64,
+    /// Self inductance of an inductor that no mutual couples. Its history
+    /// is a single product, as cheap to form afresh each step as to carry,
+    /// and forming it keeps the rounding of the direct product, to which
+    /// the controlled-source VPEC models are sensitive.
+    uncoupled: Option<f64>,
+}
+
+/// Sets every inductor's history to `coef·Σ L·i` over the branch
+/// currents in `x`: one pass over the inductors and mutual couplings,
+/// summing each branch's self term first and its mutual terms in element
+/// order. `flux` is scratch of the MNA dimension.
+fn seed_history(
+    ckt: &Circuit,
+    layout: &MnaLayout,
+    x: &[f64],
+    coef: f64,
+    inds: &mut [IndState],
+    flux: &mut [f64],
+) {
+    flux.fill(0.0);
+    for (idx, e) in ckt.elements().iter().enumerate() {
+        match e {
+            Element::Inductor { l, .. } => {
+                if let Some(br) = layout.branch_idx(idx) {
+                    flux[br] += l * x[br];
+                }
+            }
+            Element::Mutual { la, lb, m, .. } => {
+                if let (Some(ba), Some(bb)) = (layout.branch_idx(la.0), layout.branch_idx(lb.0)) {
+                    flux[ba] += m * x[bb];
+                    flux[bb] += m * x[ba];
+                }
+            }
+            _ => {}
+        }
+    }
+    for s in inds {
+        s.h = coef * flux[s.br];
+    }
 }
 
 fn coef_for(method: Integrator, dt: f64) -> f64 {
@@ -467,10 +509,21 @@ fn run_transient_guarded(
     }
     debug_assert_eq!(x.len(), layout.dim);
 
+    // Branches a mutual inductance couples; their histories are carried.
+    let mut coupled = vec![false; layout.dim];
+    for e in ckt.elements() {
+        if let Element::Mutual { la, lb, .. } = e {
+            for br in [la, lb]
+                .into_iter()
+                .filter_map(|id| layout.branch_idx(id.0))
+            {
+                coupled[br] = true;
+            }
+        }
+    }
     // Element state trackers.
     let mut caps: Vec<CapState> = Vec::new();
     let mut inds: Vec<IndState> = Vec::new();
-    // First pass: self terms and node indices.
     for (idx, e) in ckt.elements().iter().enumerate() {
         match e {
             Element::Capacitor {
@@ -498,24 +551,16 @@ fn run_transient_guarded(
                     br,
                     ia: layout.node_idx(*na),
                     ib: layout.node_idx(*nb),
-                    couplings: vec![(br, *l)],
                     v_prev: 0.0, // DC: inductor is a short
+                    h: 0.0,
+                    uncoupled: (!coupled[br]).then_some(*l),
                 });
             }
             _ => {}
         }
     }
-    // Second pass: mutual couplings (element ids refer to inductors).
-    let br_to_ind: HashMap<usize, usize> =
-        inds.iter().enumerate().map(|(k, s)| (s.br, k)).collect();
-    for e in ckt.elements() {
-        if let Element::Mutual { la, lb, m, .. } = e {
-            if let (Some(ba), Some(bb)) = (layout.branch_idx(la.0), layout.branch_idx(lb.0)) {
-                inds[br_to_ind[&ba]].couplings.push((bb, *m));
-                inds[br_to_ind[&bb]].couplings.push((ba, *m));
-            }
-        }
-    }
+    let mut flux = vec![0.0f64; layout.dim];
+    seed_history(ckt, &layout, &x, coef, &mut inds, &mut flux);
 
     // Probe bookkeeping.
     let (mapping, record_cols): (ResultMapping, Option<Vec<usize>>) = match &spec.probes {
@@ -608,11 +653,7 @@ fn run_transient_guarded(
         }
         // Inductor branch history: −v_prev (trap) − coef·Σ L·i_prev.
         for s in &inds {
-            let mut flux = 0.0;
-            for &(col, l) in &s.couplings {
-                flux += l * x[col];
-            }
-            rhs[s.br] = -(if trap { s.v_prev } else { 0.0 }) - coef * flux;
+            rhs[s.br] = -(if trap { s.v_prev } else { 0.0 }) - s.h;
         }
 
         factored.solve_into(&rhs, &mut x_new, &mut scratch)?;
@@ -652,6 +693,9 @@ fn run_transient_guarded(
             // A halved dt changes the matrix, so neither the borrowed
             // prefactored handle nor the cold factor can serve any more.
             factored = &*retry_factor.insert(f);
+            // The history scales with coef: form it afresh at the new dt
+            // from the last accepted state.
+            seed_history(ckt, &layout, &x, coef, &mut inds, &mut flux);
             diag.retries += 1;
             diag.refactorizations += 1;
             continue;
@@ -670,6 +714,11 @@ fn run_transient_guarded(
             let va = s.ia.map_or(0.0, |i| x_new[i]);
             let vb = s.ib.map_or(0.0, |i| x_new[i]);
             s.v_prev = va - vb;
+            s.h = match s.uncoupled {
+                // Summed from zero as the seed is, so a zero keeps its sign.
+                Some(l) => coef * (0.0 + l * x_new[s.br]),
+                None => s.v_prev - rhs[s.br],
+            };
         }
 
         // Swap rather than move so x_new's buffer survives for the next

@@ -70,31 +70,36 @@ impl<T: Scalar> CooMatrix<T> {
         Ok(())
     }
 
-    /// Compresses to CSR, summing duplicates and dropping exact zeros.
+    /// Compresses to CSR, summing duplicates in push order and dropping
+    /// exact zeros.
+    ///
+    /// Two stable counting passes, by column and then by row, put the
+    /// triplets in `(row, col)` order in linear time, with duplicates
+    /// still in push order: the result is that of a stable sort, bit for
+    /// bit.
     pub fn to_csr(&self) -> CsrMatrix<T> {
-        let mut sorted = self.entries.clone();
-        sorted.sort_by_key(|&(r, c, _)| (r, c));
-        let mut row_ptr = vec![0usize; self.rows + 1];
-        let mut col_idx: Vec<usize> = Vec::with_capacity(sorted.len());
-        let mut values: Vec<T> = Vec::with_capacity(sorted.len());
-        let mut iter = sorted.into_iter().peekable();
-        while let Some((r, c, mut v)) = iter.next() {
-            while let Some(&(r2, c2, v2)) = iter.peek() {
-                if r2 == r && c2 == c {
+        let (_, by_col) = stable_buckets(0..self.entries.len(), self.cols, |e| self.entries[e].1);
+        let (starts, by_row) =
+            stable_buckets(by_col.iter().copied(), self.rows, |e| self.entries[e].0);
+        let mut row_ptr = Vec::with_capacity(self.rows + 1);
+        row_ptr.push(0);
+        let mut col_idx: Vec<usize> = Vec::with_capacity(by_row.len());
+        let mut values: Vec<T> = Vec::with_capacity(by_row.len());
+        for r in 0..self.rows {
+            let mut run = by_row[starts[r]..starts[r + 1]]
+                .iter()
+                .map(|&e| (self.entries[e].1, self.entries[e].2))
+                .peekable();
+            while let Some((c, mut v)) = run.next() {
+                while let Some((_, v2)) = run.next_if(|&(c2, _)| c2 == c) {
                     v += v2;
-                    iter.next();
-                } else {
-                    break;
+                }
+                if !v.is_zero() {
+                    col_idx.push(c);
+                    values.push(v);
                 }
             }
-            if !v.is_zero() {
-                col_idx.push(c);
-                values.push(v);
-                row_ptr[r + 1] += 1;
-            }
-        }
-        for i in 0..self.rows {
-            row_ptr[i + 1] += row_ptr[i];
+            row_ptr.push(col_idx.len());
         }
         CsrMatrix {
             rows: self.rows,
@@ -104,6 +109,31 @@ impl<T: Scalar> CooMatrix<T> {
             values,
         }
     }
+}
+
+/// Orders `items` stably by `key`, which maps each into `0..buckets`
+/// (one counting-sort pass). Returns the bucket starts (`buckets + 1`
+/// offsets) and the ordered items.
+fn stable_buckets(
+    items: impl Iterator<Item = usize> + Clone,
+    buckets: usize,
+    key: impl Fn(usize) -> usize,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut starts = vec![0usize; buckets + 1];
+    for e in items.clone() {
+        starts[key(e) + 1] += 1;
+    }
+    for b in 0..buckets {
+        starts[b + 1] += starts[b];
+    }
+    let mut next = starts.clone();
+    let mut ordered = vec![0usize; starts[buckets]];
+    for e in items {
+        let b = key(e);
+        ordered[next[b]] = e;
+        next[b] += 1;
+    }
+    (starts, ordered)
 }
 
 /// A compressed-sparse-row matrix.

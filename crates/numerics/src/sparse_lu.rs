@@ -24,9 +24,15 @@
 //! (Eisenstat & Liu, as KLU does), so each column's reach DFS walks only
 //! the part of L that can still reach unpivoted rows. Pruning is valid
 //! over L's structural pattern, so exact-zero L entries stay stored.
+//!
+//! A factor of an inductively coupled system ends in a trailing block
+//! whose columns are stored in full (PEEC's last 257 columns hold 85 % of
+//! its L and U entries). The solves sweep that block's columns as contiguous
+//! slices, with no index reads; see [`SparseLu::solve_into`].
 
 use crate::ordering::{amd, max_transversal, permuted_transpose, Adjacency};
 use crate::{CsrMatrix, NumericsError, Scalar};
+use std::ops::Range;
 
 /// Magnitude below which the triangular solves flush a value to zero:
 /// 2⁻⁹⁷⁰ = `f64::MIN_POSITIVE / f64::EPSILON` ≈ 1.0e-292.
@@ -112,6 +118,11 @@ pub struct SparseLu<T = f64> {
     col_dst: Vec<u32>,
     /// Columns whose pivot is not the diagonal of the ordered matrix.
     off_diagonal_pivots: usize,
+    /// First column of the dense trailing block `[tail, n)`: every L
+    /// column `k ≥ tail` stores rows `k+1..n` in order, and every U column
+    /// `j ≥ tail` ends with rows `tail..j` in order (its rows below `tail`
+    /// come first, in any order).
+    tail: usize,
 }
 
 const UNPIVOTED: usize = usize::MAX;
@@ -285,6 +296,14 @@ impl<T: Scalar> SparseLu<T> {
         self.n + self.n + self.l_idx.len() + self.u_idx.len()
     }
 
+    /// Stored entries of L and U (diagonals included, as in
+    /// [`SparseLu::factor_nnz`]) inside the dense trailing block that the
+    /// solves sweep without index reads: `m² + m` for an `m`-column block.
+    pub fn dense_tail_nnz(&self) -> usize {
+        let m = self.n - self.tail;
+        m * m + m
+    }
+
     /// A cheap condition estimate: `max|uᵢᵢ| / min|uᵢᵢ|` over U's
     /// diagonal, defined as [`crate::LuFactor::diag_condition_estimate`].
     pub fn diag_condition_estimate(&self) -> f64 {
@@ -313,6 +332,11 @@ impl<T: Scalar> SparseLu<T> {
     /// skip its whole column, so decaying solutions stay out of slow
     /// subnormal arithmetic.
     ///
+    /// The columns of the dense trailing block are swept as contiguous
+    /// slices. That is bit-identical to walking their row indices: each
+    /// entry of a column updates a distinct `y[i]`, and every `y[i]` still
+    /// receives its updates in column order.
+    ///
     /// # Errors
     ///
     /// Returns [`NumericsError::DimensionMismatch`] if `b.len() != dim()`.
@@ -332,8 +356,77 @@ impl<T: Scalar> SparseLu<T> {
         let y = work;
         y.clear();
         y.extend(self.row_src.iter().map(|&r| b[r as usize]));
-        // Forward: L·z = y (unit diagonal).
-        for k in 0..self.n {
+        // Forward: L·z = y (unit diagonal); backward: U·x = z, U stored
+        // by column. A dense column's rows `t..j` are its last `j − t`
+        // entries.
+        let (n, t) = (self.n, self.tail);
+        self.forward_indexed(y, 0..t);
+        for k in t..n {
+            let yk = y[k].flush_below(FLUSH_BELOW);
+            y[k] = yk;
+            if yk.is_zero() {
+                continue;
+            }
+            let col = self.l_ptr[k]..self.l_ptr[k + 1];
+            for (yi, &lv) in y[k + 1..].iter_mut().zip(&self.l_val[col]) {
+                *yi -= lv * yk;
+            }
+        }
+        for j in (t..n).rev() {
+            let xj = (y[j] / self.u_diag[j]).flush_below(FLUSH_BELOW);
+            y[j] = xj;
+            if xj.is_zero() {
+                continue;
+            }
+            let (lo, hi) = (self.u_ptr[j], self.u_ptr[j + 1]);
+            let mid = hi - (j - t);
+            for (&k, &uv) in self.u_idx[lo..mid].iter().zip(&self.u_val[lo..mid]) {
+                y[k as usize] -= uv * xj;
+            }
+            for (yk, &uv) in y[t..j].iter_mut().zip(&self.u_val[mid..hi]) {
+                *yk -= uv * xj;
+            }
+        }
+        self.backward_indexed(y, 0..t);
+        x.clear();
+        x.resize(self.n, T::zero());
+        for (&dst, &v) in self.col_dst.iter().zip(y.iter()) {
+            x[dst as usize] = v;
+        }
+        Ok(())
+    }
+
+    /// [`SparseLu::solve`] with every column swept through its row
+    /// indices, the dense trailing block included: the reference the
+    /// slice sweep is checked against, bit for bit. Built for tests only
+    /// (the crate's own, and those that enable the `indexed-sweep`
+    /// feature).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericsError::DimensionMismatch`] if `b.len() != dim()`.
+    #[cfg(any(test, feature = "indexed-sweep"))]
+    pub fn solve_indexed(&self, b: &[T]) -> Result<Vec<T>, NumericsError> {
+        if b.len() != self.n {
+            return Err(NumericsError::DimensionMismatch {
+                op: "sparse lu solve",
+                expected: (self.n, 1),
+                found: (b.len(), 1),
+            });
+        }
+        let mut y: Vec<T> = self.row_src.iter().map(|&r| b[r as usize]).collect();
+        self.forward_indexed(&mut y, 0..self.n);
+        self.backward_indexed(&mut y, 0..self.n);
+        let mut x = vec![T::zero(); self.n];
+        for (&dst, &v) in self.col_dst.iter().zip(&y) {
+            x[dst as usize] = v;
+        }
+        Ok(x)
+    }
+
+    /// The forward sweep over L columns `cols`, through their row indices.
+    fn forward_indexed(&self, y: &mut [T], cols: Range<usize>) {
+        for k in cols {
             let yk = y[k].flush_below(FLUSH_BELOW);
             y[k] = yk;
             if yk.is_zero() {
@@ -344,8 +437,12 @@ impl<T: Scalar> SparseLu<T> {
                 y[i as usize] -= lv * yk;
             }
         }
-        // Backward: U·x = z, U stored by column.
-        for j in (0..self.n).rev() {
+    }
+
+    /// The back sweep over U columns `cols`, last first, through their row
+    /// indices.
+    fn backward_indexed(&self, y: &mut [T], cols: Range<usize>) {
+        for j in cols.rev() {
             let xj = (y[j] / self.u_diag[j]).flush_below(FLUSH_BELOW);
             y[j] = xj;
             if xj.is_zero() {
@@ -356,12 +453,6 @@ impl<T: Scalar> SparseLu<T> {
                 y[k as usize] -= uv * xj;
             }
         }
-        x.clear();
-        x.resize(self.n, T::zero());
-        for (&dst, &v) in self.col_dst.iter().zip(y.iter()) {
-            x[dst as usize] = v;
-        }
-        Ok(())
     }
 }
 
@@ -584,17 +675,18 @@ impl<'a, T: Scalar> Elimination<'a, T> {
     }
 
     /// The factor, once every column is done: L's rows are renumbered by
-    /// pivot position so the forward sweep indexes its vector directly.
+    /// pivot position so the forward sweep indexes its vector directly,
+    /// and the dense trailing block's entries are put in row order.
     fn finish(self) -> SparseLu<T> {
         let Elimination {
             l_ptr,
             mut l_idx,
-            l_val,
+            mut l_val,
             u_ptr,
-            u_idx,
-            u_val,
+            mut u_idx,
+            mut u_val,
             u_diag,
-            pinv,
+            mut pinv,
             off_diagonal_pivots,
             ..
         } = self;
@@ -605,6 +697,16 @@ impl<'a, T: Scalar> Elimination<'a, T> {
         let mut row_src = vec![0u32; n];
         for (r, &k) in pinv.iter().enumerate() {
             row_src[k] = r as u32;
+        }
+        // `pinv` is spent; it marks rows while the tail is measured.
+        let tail = dense_tail(&l_ptr, &u_ptr, &u_idx, &mut pinv);
+        for k in tail..n {
+            let col = l_ptr[k]..l_ptr[k + 1];
+            place_in_row_order(&mut l_idx[col.clone()], &mut l_val[col], k + 1, n - 1 - k);
+        }
+        for j in tail..n {
+            let col = u_ptr[j]..u_ptr[j + 1];
+            place_in_row_order(&mut u_idx[col.clone()], &mut u_val[col], tail, j - tail);
         }
         SparseLu {
             n,
@@ -618,6 +720,62 @@ impl<'a, T: Scalar> Elimination<'a, T> {
             row_src,
             col_dst: (0..n as u32).collect(),
             off_diagonal_pivots,
+            tail,
+        }
+    }
+}
+
+/// The first column `t` of the largest fully stored trailing block of a
+/// factor in pivot-position numbering: every L column `k ≥ t` holds all
+/// `n − 1 − k` rows below its diagonal, and every U column `j ≥ t` holds
+/// rows `t..j`. `mark` is scratch of length `n`.
+///
+/// Columns are taken from the last one down. U column `j` holds the rows
+/// `f(j)..j` for the smallest such `f(j)`, and `[k, n)` qualifies when
+/// every column from `k` on has a full L column and `f(j) ≤ k`. Once a
+/// column fails, every block reaching past it fails too, so the walk reads
+/// the tail's U entries and those of one more column.
+fn dense_tail(l_ptr: &[usize], u_ptr: &[usize], u_idx: &[u32], mark: &mut [usize]) -> usize {
+    let n = mark.len();
+    mark.fill(usize::MAX);
+    let mut run_start = 0;
+    for k in (0..n).rev() {
+        if l_ptr[k + 1] - l_ptr[k] != n - 1 - k {
+            return k + 1;
+        }
+        for &r in &u_idx[u_ptr[k]..u_ptr[k + 1]] {
+            mark[r as usize] = k;
+        }
+        let mut f = k;
+        while f > 0 && mark[f - 1] == k {
+            f -= 1;
+        }
+        run_start = run_start.max(f);
+        if run_start > k {
+            return k + 1;
+        }
+    }
+    0
+}
+
+/// Moves a column's `m` entries with rows `first..first + m` (all of them
+/// stored) to its last `m` slots in row order; its rows below `first`
+/// fill the slots before them. Each swap puts one entry in its final
+/// slot, so this is one linear pass with no sort.
+fn place_in_row_order<T>(idx: &mut [u32], val: &mut [T], first: usize, m: usize) {
+    let base = idx.len() - m;
+    for p in 0..idx.len() {
+        loop {
+            let r = idx[p] as usize;
+            if r < first {
+                break;
+            }
+            let dst = base + (r - first);
+            if dst == p {
+                break;
+            }
+            idx.swap(p, dst);
+            val.swap(p, dst);
         }
     }
 }
@@ -1096,6 +1254,104 @@ mod tests {
             SparseLu::new_fill_reducing(&coo.to_csr()),
             Err(NumericsError::Singular { .. })
         ));
+    }
+
+    /// [`random_mna`] with every pair of branch rows coupled, as mutual
+    /// inductance couples PEEC's branches: the factor ends in a dense
+    /// trailing block.
+    fn coupled_mna<T: Scalar>(seed: u64, val: impl Fn(f64) -> T) -> DenseMatrix<T> {
+        let (nodes, branches) = (30, 16);
+        let mut d = random_mna(seed, nodes, branches, &val);
+        let mut rng = crate::rng::XorShift64::new(seed ^ 0x7a11);
+        for p in 0..branches {
+            for q in 0..p {
+                let m = val(-rng.range_f64(0.01, 0.2));
+                d[(nodes + p, nodes + q)] += m;
+                d[(nodes + q, nodes + p)] += m;
+            }
+        }
+        d
+    }
+
+    /// Debug text is the shortest round-trip form of every part, so two
+    /// vectors print alike exactly when their bits agree (signed zeros
+    /// included).
+    fn bits<T: Scalar>(v: &[T]) -> Vec<String> {
+        v.iter().map(|x| format!("{x:?}")).collect()
+    }
+
+    fn check_tail_sweep_is_bit_identical<T: Scalar>(val: impl Fn(f64) -> T + Copy) {
+        for seed in 1..=20u64 {
+            let a = CsrMatrix::from_dense(&coupled_mna(seed, val), 0.0);
+            let n = a.rows();
+            for lu in [
+                SparseLu::new_fill_reducing(&a).unwrap(),
+                SparseLu::new(&a).unwrap(),
+            ] {
+                assert!(n - lu.tail >= 8, "seed {seed}: tail of {}", n - lu.tail);
+                let m = n - lu.tail;
+                assert_eq!(lu.dense_tail_nnz(), m * m + m);
+                // A general right-hand side, one that is zero except
+                // for a single entry (the sweeps skip zero columns) and one
+                // whose entries start below the flush bound.
+                let mut one_hot = vec![T::zero(); n];
+                one_hot[seed as usize % n] = T::one();
+                for b in [
+                    (0..n).map(|i| val(((i as f64) * 0.37).sin())).collect(),
+                    one_hot,
+                    (0..n).map(|i| val(1e-295 * (i as f64 - 20.0))).collect(),
+                ] {
+                    let mut x = Vec::new();
+                    lu.solve_into(&b, &mut x, &mut Vec::new()).unwrap();
+                    assert_eq!(
+                        bits(&x),
+                        bits(&lu.solve_indexed(&b).unwrap()),
+                        "seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_tail_sweep_matches_the_indexed_sweep_real() {
+        check_tail_sweep_is_bit_identical(|x| x);
+    }
+
+    #[test]
+    fn dense_tail_sweep_matches_the_indexed_sweep_complex() {
+        use crate::Complex64;
+        check_tail_sweep_is_bit_identical(|x| Complex64::new(x, -0.3 * x));
+    }
+
+    #[test]
+    fn dense_tail_is_the_largest_fully_stored_trailing_block() {
+        // An arrow whose hub is row and column 0, factored in that order,
+        // fills in completely: the whole factor is one dense block. A
+        // diagonal matrix has only its last column (empty L and U).
+        let n = 6;
+        let mut arrow = DenseMatrix::<f64>::zeros(n, n);
+        let mut diagonal = DenseMatrix::<f64>::zeros(n, n);
+        for i in 0..n {
+            arrow[(i, i)] = 4.0;
+            diagonal[(i, i)] = 4.0;
+            arrow[(0, i)] += 1.0;
+            arrow[(i, 0)] += 1.0;
+        }
+        let lu = SparseLu::new(&csr_from_dense(&diagonal)).unwrap();
+        assert_eq!(lu.tail, n - 1);
+        assert_eq!(lu.dense_tail_nnz(), 2);
+        let lu = SparseLu::new(&csr_from_dense(&arrow)).unwrap();
+        assert_eq!(lu.tail, 0, "the arrow's first column fills everything");
+        let b: Vec<f64> = (0..n).map(|i| i as f64 - 2.5).collect();
+        assert_eq!(
+            bits(&lu.solve(&b).unwrap()),
+            bits(&lu.solve_indexed(&b).unwrap())
+        );
+        let back = arrow.matvec(&lu.solve(&b).unwrap()).unwrap();
+        for (u, v) in back.iter().zip(&b) {
+            assert!((u - v).abs() < 1e-12);
+        }
     }
 
     #[test]

@@ -233,3 +233,71 @@ fn determinant_sign_consistent_with_cholesky() {
         assert!(det > 0.0, "SPD determinant must be positive, got {det}");
     }
 }
+
+/// `CooMatrix::to_csr` as a comparison sort: a stable sort by
+/// `(row, col)`, duplicates summed in push order, exact zeros dropped.
+/// Returns each row's `(col, value)` list.
+fn sorted_csr_oracle(coo: &CooMatrix<f64>) -> Vec<Vec<(usize, f64)>> {
+    let mut sorted = coo.entries().to_vec();
+    sorted.sort_by_key(|&(r, c, _)| (r, c));
+    let mut rows = vec![Vec::new(); coo.rows()];
+    let mut iter = sorted.into_iter().peekable();
+    while let Some((r, c, mut v)) = iter.next() {
+        while let Some((_, _, v2)) = iter.next_if(|&(r2, c2, _)| (r2, c2) == (r, c)) {
+            v += v2;
+        }
+        if v != 0.0 {
+            rows[r].push((c, v));
+        }
+    }
+    rows
+}
+
+#[test]
+fn coo_to_csr_matches_a_stable_sort_bit_for_bit() {
+    let mut rng = XorShift64::new(0xC5A1);
+    // Values whose sums depend on their order (0.1 + 0.2 + 0.3 differs
+    // from 0.3 + 0.2 + 0.1 in the last bit), plus ±1 pairs that cancel
+    // to an exact zero.
+    let values = [0.1, 0.2, 0.3, 1.0, -1.0, 1e-17, -0.3, 7.5];
+    let mut cancelled = 0;
+    for case in 0..2000 {
+        let (rows, cols) = match case {
+            0 => (0, 0),
+            1 => (1, 1),
+            2 => (3, 0),
+            _ => (rng.range_usize(1, 9), rng.range_usize(1, 9)),
+        };
+        let mut coo = CooMatrix::new(rows, cols);
+        if rows > 0 && cols > 0 {
+            // Rows past `rows / 2 + 1` stay empty in half the cases.
+            let used_rows = if case % 2 == 0 { rows } else { rows / 2 + 1 };
+            for _ in 0..rng.range_usize(0, 40) {
+                let (r, c) = (rng.range_usize(0, used_rows), rng.range_usize(0, cols));
+                let v = values[rng.range_usize(0, values.len())];
+                coo.push(r, c, v).expect("in bounds");
+                if rng.chance(0.2) {
+                    coo.push(r, c, -v).expect("in bounds");
+                }
+            }
+        }
+        let csr = coo.to_csr();
+        let oracle = sorted_csr_oracle(&coo);
+        assert_eq!((csr.rows(), csr.cols()), (rows, cols), "case {case}");
+        assert_eq!(csr.nnz(), oracle.iter().map(Vec::len).sum::<usize>());
+        for (r, want) in oracle.iter().enumerate() {
+            let (got_cols, got_vals) = csr.row(r);
+            let got: Vec<(usize, u64)> = got_cols
+                .iter()
+                .zip(got_vals)
+                .map(|(&c, v)| (c, v.to_bits()))
+                .collect();
+            let want: Vec<(usize, u64)> = want.iter().map(|&(c, v)| (c, v.to_bits())).collect();
+            assert_eq!(got, want, "case {case}, row {r}");
+        }
+        let positions: std::collections::HashSet<(usize, usize)> =
+            coo.entries().iter().map(|&(r, c, _)| (r, c)).collect();
+        cancelled += usize::from(csr.nnz() < positions.len());
+    }
+    assert!(cancelled > 100, "only {cancelled} cases dropped a zero sum");
+}

@@ -36,6 +36,12 @@ timeout 600 env VPEC_AUDIT=full cargo test -q --release --test audit_invariants 
 # bits never builds the dense L and reads at most 16 entries of it per
 # filament, and local windows equal the dense-sort windows bit for bit.
 timeout 600 cargo test -q --release --test window_locality --test window_identity
+# The step loop: a coupled inductor's carried flux history stays within
+# 1e-12 of the direct product over 3,000 steps (and is formed afresh
+# when a retry halves the step), and the 256-bit PEEC and full-VPEC
+# factors sweep their dense trailing blocks bit-identically to walking
+# the indices.
+timeout 600 cargo test -q --release --test step_loop
 # The sparse and dense kernels' property tests (seeded, with forced exact
 # cancellations in the sparse LU) in the optimized build users deploy.
 timeout 600 cargo test -q --release -p vpec-numerics --test proptests
