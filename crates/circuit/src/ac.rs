@@ -3,6 +3,11 @@
 //! Solves the complex MNA system `(G + jωC_stamps)·x = b(ω)` at each sweep
 //! point. Used by the Fig. 2(b) reproduction (1 Hz – 10 GHz response of the
 //! 5-bit bus under PEEC, full VPEC and localized VPEC models).
+//!
+//! A sweep's matrices share one pattern, so it is stamped and ordered
+//! once: each point refills the values and factors them under that
+//! ordering, with the same threshold pivoting and growth check as every
+//! DC and transient factor.
 
 use crate::diagnostics::FactorStrategy;
 use crate::elements::Element;
@@ -12,7 +17,7 @@ use crate::netlist::Circuit;
 use crate::result::AcResult;
 use crate::solver::Factored;
 use vpec_numerics::cancel::CancelToken;
-use vpec_numerics::ordering::rcm_ordering;
+use vpec_numerics::ordering::FillOrdering;
 use vpec_numerics::{pool, Complex64, CsrMatrix, Pool};
 
 /// Minimum sweep points per worker before the per-frequency solves go
@@ -112,19 +117,15 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
         let omega = 2.0 * std::f64::consts::PI * f;
         move |x: f64| Complex64::new(0.0, omega * x)
     };
-    // Sparse AC factors keep RCM with partial pivoting (the fill-reducing
-    // path of the real factors does not pay off on complex matrices; see
-    // DESIGN.md §8.6). RCM depends on the pattern alone, and G + jωC has
-    // the same pattern at every ω > 0: the stamp plan builds that pattern
-    // and its ordering once, and each point refills the values. A point
-    // whose pattern differs (a slot summing to exactly zero) is assembled
-    // and ordered afresh. Dense-primary systems need no ordering.
-    let rcm_for = |a: &CsrMatrix<Complex64>| {
-        (Factored::primary_strategy(a) == FactorStrategy::SparseLu).then(|| rcm_ordering(a))
-    };
+    // The ordering depends on the pattern alone, and G + jωC has the same
+    // pattern at every ω > 0: the stamp plan builds that pattern once, it
+    // is ordered once, and each point refills the values. A point whose
+    // pattern differs (a slot summing to exactly zero) is assembled afresh
+    // and its factor orders it. Dense-primary systems need no ordering; a
+    // structurally singular pattern is left for the factor to fail on.
     let f0 = spec.frequencies[0];
     let plan = StampPlan::new(ckt, &layout, jw(f0), jw(f0))?;
-    let plan_rcm = rcm_for(plan.pattern());
+    let plan_ordering = sweep_ordering(plan.pattern());
     let mut rhs = vec![Complex64::ZERO; layout.dim];
     for (idx, e) in ckt.elements().iter().enumerate() {
         match e {
@@ -156,16 +157,11 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
             return Err(CircuitError::Cancelled { analysis: "ac" });
         }
         let _ps = vpec_trace::span("ac.point");
-        let own_rcm;
-        let (a, rcm) = match plan.refill(ckt, &layout, jw(f), jw(f))? {
-            Some(a) => (a, plan_rcm.as_deref()),
-            None => {
-                let a = assemble::<Complex64>(ckt, &layout, jw(f), jw(f))?.to_csr();
-                own_rcm = rcm_for(&a);
-                (a, own_rcm.as_deref())
-            }
+        let (a, ordering) = match plan.refill(ckt, &layout, jw(f), jw(f))? {
+            Some(a) => (a, plan_ordering.as_ref()),
+            None => (assemble(ckt, &layout, jw(f), jw(f))?.to_csr(), None),
         };
-        let (factored, _) = Factored::factor_csr(&a, false, rcm).map_err(|e| match e {
+        let (factored, _) = Factored::factor_csr(&a, false, ordering).map_err(|e| match e {
             CircuitError::SingularSystem { .. } => CircuitError::SingularSystem { analysis: "ac" },
             other => other,
         })?;
@@ -180,6 +176,14 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
         data,
         n_nodes: layout.n_nodes,
     })
+}
+
+/// The fill-reducing ordering a sweep's sparse factors share, or `None`
+/// when the pattern's primary factor is dense or has no transversal.
+fn sweep_ordering(pattern: &CsrMatrix<Complex64>) -> Option<FillOrdering> {
+    (Factored::primary_strategy(pattern) == FactorStrategy::SparseLu)
+        .then(|| FillOrdering::of(pattern).ok())
+        .flatten()
 }
 
 #[cfg(test)]
@@ -474,8 +478,9 @@ mod tests {
     }
 
     /// The sweep as it ran before the stamp plan: every point assembled,
-    /// compressed and ordered afresh, serially.
-    fn fresh_sweep(ckt: &Circuit, freqs: &[f64]) -> Vec<Vec<Complex64>> {
+    /// compressed and ordered afresh, serially. `fail_primary` factors
+    /// each point by the fallback chain's dense LU instead.
+    fn fresh_sweep(ckt: &Circuit, freqs: &[f64], fail_primary: bool) -> Vec<Vec<Complex64>> {
         let layout = MnaLayout::new(ckt);
         let mut rhs = vec![Complex64::ZERO; layout.dim];
         for (idx, e) in ckt.elements().iter().enumerate() {
@@ -490,9 +495,7 @@ mod tests {
             .iter()
             .map(|&f| {
                 let a = fresh(ckt, &layout, f);
-                let rcm = (Factored::primary_strategy(&a) == FactorStrategy::SparseLu)
-                    .then(|| rcm_ordering(&a));
-                let (lu, _) = Factored::factor_csr(&a, false, rcm.as_deref()).unwrap();
+                let (lu, _) = Factored::factor_csr(&a, fail_primary, None).unwrap();
                 lu.solve(&rhs).unwrap()
             })
             .collect()
@@ -500,7 +503,7 @@ mod tests {
 
     fn assert_sweep_matches_fresh(ckt: &Circuit, freqs: &[f64]) {
         let swept = run_ac(ckt, &AcSpec::points(freqs.to_vec())).unwrap();
-        for (i, x) in fresh_sweep(ckt, freqs).iter().enumerate() {
+        for (i, x) in fresh_sweep(ckt, freqs, false).iter().enumerate() {
             let same = x
                 .iter()
                 .zip(&swept.data[i])
@@ -524,21 +527,41 @@ mod tests {
             let layout = MnaLayout::new(&ckt);
             let plan = StampPlan::new(&ckt, &layout, jw(freqs[0]), jw(freqs[0])).unwrap();
             let strategy = Factored::primary_strategy(plan.pattern());
-            assert_eq!(
-                strategy,
-                FactorStrategy::SparseLu,
-                "{name} takes the RCM path"
-            );
+            assert_eq!(strategy, FactorStrategy::SparseLu, "{name} factors sparse");
+            let ordering = sweep_ordering(plan.pattern()).expect("a sparse pattern is ordered");
             for &f in &freqs {
                 let refilled = plan.refill(&ckt, &layout, jw(f), jw(f)).unwrap();
                 let refilled = refilled.unwrap_or_else(|| panic!("{name} at {f} Hz: no refill"));
-                assert_same_bits(
-                    &refilled,
-                    &fresh(&ckt, &layout, f),
-                    &format!("{name} at {f} Hz"),
+                let what = format!("{name} at {f} Hz");
+                assert_same_bits(&refilled, &fresh(&ckt, &layout, f), &what);
+                assert_eq!(FillOrdering::of(&refilled).unwrap(), ordering, "{what}");
+            }
+            // The sweep factors each point under the plan's ordering; the
+            // fresh sweep orders each point afresh.
+            assert_sweep_matches_fresh(&ckt, &freqs);
+        }
+    }
+
+    #[test]
+    fn sparse_sweep_matches_dense_lu() {
+        // The reference is stage 2 of the fallback chain, dense LU with
+        // partial pivoting, reached by failing the sparse primary.
+        let freqs = AcSpec::log_sweep(1e6, 1e11, 4).unwrap().frequencies;
+        for (name, ckt) in [("peec", peec_bus(6, 4)), ("vpec", vpec_bus(12))] {
+            let swept = run_ac(&ckt, &AcSpec::points(freqs.clone())).unwrap();
+            for (i, dense) in fresh_sweep(&ckt, &freqs, true).iter().enumerate() {
+                let scale = dense.iter().map(|v| v.abs()).fold(0.0, f64::max);
+                let worst = dense
+                    .iter()
+                    .zip(&swept.data[i])
+                    .map(|(d, s)| (*d - *s).abs())
+                    .fold(0.0, f64::max);
+                assert!(
+                    worst <= 1e-9 * scale,
+                    "{name} at {} Hz: sparse vs dense {worst:e} of {scale:e}",
+                    freqs[i]
                 );
             }
-            assert_sweep_matches_fresh(&ckt, &freqs);
         }
     }
 

@@ -13,8 +13,8 @@
 /// A factorization backend attempted by the fallback chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FactorStrategy {
-    /// Sparse Gilbert–Peierls LU under a fill-reducing ordering (which one
-    /// is [`FactorDiagnostics::ordering`]).
+    /// Sparse Gilbert–Peierls LU under the fill-reducing ordering
+    /// (maximum transversal + AMD) with threshold pivoting.
     SparseLu,
     /// Dense LU with partial pivoting.
     DenseLu,
@@ -26,26 +26,6 @@ impl FactorStrategy {
         match self {
             FactorStrategy::SparseLu => "sparse-lu",
             FactorStrategy::DenseLu => "dense-lu",
-        }
-    }
-}
-
-/// The ordering a sparse factor was computed under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SparseOrdering {
-    /// Maximum transversal + approximate minimum degree, with
-    /// diagonal-preferring threshold pivoting.
-    Amd,
-    /// Reverse Cuthill–McKee with full partial pivoting.
-    Rcm,
-}
-
-impl SparseOrdering {
-    /// Short label for reports and trace attributes.
-    pub fn label(self) -> &'static str {
-        match self {
-            SparseOrdering::Amd => "amd",
-            SparseOrdering::Rcm => "rcm",
         }
     }
 }
@@ -73,10 +53,6 @@ pub struct FactorDiagnostics {
     /// diagonals for sparse LU, `dim²` for dense LU (0 until a factor is
     /// accepted).
     pub factor_nnz: usize,
-    /// Ordering of the accepted sparse factor: transversal + AMD for
-    /// real-valued systems, RCM for the complex AC ones (`None` for dense
-    /// LU).
-    pub ordering: Option<SparseOrdering>,
     /// Columns of the accepted sparse factor pivoted off the diagonal of
     /// the ordered matrix (0 for dense LU).
     pub off_diagonal_pivots: usize,
@@ -214,7 +190,6 @@ mod tests {
             ],
             condition_estimate: Some(1234.0),
             factor_nnz: 9,
-            ordering: None,
             off_diagonal_pivots: 0,
         };
         let s = d.summary();

@@ -85,7 +85,7 @@ mod solver;
 mod waveform;
 
 pub use diagnostics::{
-    FactorAttempt, FactorDiagnostics, FactorStrategy, FaultInjection, SolveAudit, SparseOrdering,
+    FactorAttempt, FactorDiagnostics, FactorStrategy, FaultInjection, SolveAudit,
     TransientDiagnostics,
 };
 pub use elements::{Element, ElementId};

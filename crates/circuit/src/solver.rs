@@ -1,9 +1,9 @@
 //! Linear-solver selection and the factorization **fallback chain**:
 //! dense LU for small/dense MNA systems, sparse Gilbert–Peierls LU
-//! otherwise — ordered by maximum transversal + AMD for real-valued
-//! systems, by RCM for the complex AC ones — and when the sparse backend
+//! otherwise — ordered by maximum transversal + AMD with threshold
+//! pivoting, real and complex systems alike — and when the sparse backend
 //! fails, dense LU with partial pivoting. The choice is the code's, from
-//! dimension, density and scalar type; no caller picks it.
+//! dimension and density; no caller picks it.
 //!
 //! The backend split mirrors the behaviour the paper attributes to
 //! SPICE: "its internal sparse solver is more efficient for a less dense
@@ -13,15 +13,16 @@
 //! degrades through the chain and is reported in [`FactorDiagnostics`]
 //! instead of panicking or silently emitting garbage.
 
-use crate::diagnostics::{FactorAttempt, FactorDiagnostics, FactorStrategy, SparseOrdering};
+use crate::diagnostics::{FactorAttempt, FactorDiagnostics, FactorStrategy};
 use crate::error::CircuitError;
+use vpec_numerics::ordering::FillOrdering;
 use vpec_numerics::{CooMatrix, CsrMatrix, LuFactor, Scalar, SparseLu};
 
 /// A factored MNA matrix ready for repeated solves.
 #[derive(Debug)]
 pub(crate) enum Factored<T: Scalar> {
     Dense(LuFactor<T>),
-    /// Sparse LU with any fill-reducing ordering folded into its index
+    /// Sparse LU with its fill-reducing ordering folded into its index
     /// maps.
     Sparse(SparseLu<T>),
 }
@@ -58,8 +59,8 @@ impl<T: Scalar> Factored<T> {
     /// `fail_primary` is fault injection
     /// ([`crate::FaultInjection::fail_primary_factor`]): it reports stage 1
     /// as failed without running it. The returned [`FactorDiagnostics`]
-    /// records every attempt and the condition estimate, stored nonzeros,
-    /// ordering and off-diagonal pivots of the accepted factor.
+    /// records every attempt and the condition estimate, stored nonzeros
+    /// and off-diagonal pivots of the accepted factor.
     pub fn factor_with(
         coo: &CooMatrix<T>,
         fail_primary: bool,
@@ -67,14 +68,14 @@ impl<T: Scalar> Factored<T> {
         Self::factor_csr(&coo.to_csr(), fail_primary, None)
     }
 
-    /// [`Factored::factor_with`] on a compressed matrix. `rcm: Some(perm)`
-    /// orders a sparse primary by that RCM ordering of `csr`'s pattern,
-    /// with full partial pivoting, as the complex AC factors do; `None`
-    /// takes transversal + AMD.
+    /// [`Factored::factor_with`] on a compressed matrix. `ordering` is a
+    /// [`FillOrdering`] of `csr`'s pattern made beforehand (an AC sweep
+    /// orders its pattern once for every point); `None` orders a sparse
+    /// primary here. Either way it is the same factor, bit for bit.
     pub(crate) fn factor_csr(
         csr: &CsrMatrix<T>,
         fail_primary: bool,
-        rcm: Option<&[usize]>,
+        ordering: Option<&FillOrdering>,
     ) -> Result<(Self, FactorDiagnostics), CircuitError> {
         let dim = csr.rows();
         let mut sp = vpec_trace::span!("factor", "dim" => dim);
@@ -92,11 +93,8 @@ impl<T: Scalar> Factored<T> {
             });
             None
         } else {
-            let (outcome, err) = match Self::try_primary(csr, primary_strategy, rcm) {
-                Ok((f, ordering)) => {
-                    diag.ordering = ordering;
-                    (Some(f), None)
-                }
+            let (outcome, err) = match Self::try_primary(csr, primary_strategy, ordering) {
+                Ok(f) => (Some(f), None),
                 Err(e) => (None, Some(e)),
             };
             diag.attempts.push(FactorAttempt {
@@ -154,8 +152,7 @@ impl<T: Scalar> Factored<T> {
                 diag.factor_nnz = nnz;
                 diag.off_diagonal_pivots = off_diagonal;
                 sp.set_attr("factor_nnz", nnz);
-                if let Some(o) = diag.ordering {
-                    sp.set_attr("ordering", o.label());
+                if let Factored::Sparse(_) = f {
                     sp.set_attr("off_diagonal_pivots", off_diagonal);
                 }
                 Ok((f, diag))
@@ -167,18 +164,15 @@ impl<T: Scalar> Factored<T> {
     fn try_primary(
         csr: &CsrMatrix<T>,
         strategy: FactorStrategy,
-        rcm: Option<&[usize]>,
-    ) -> Result<(Self, Option<SparseOrdering>), CircuitError> {
-        match strategy {
-            FactorStrategy::DenseLu => Ok((Factored::Dense(LuFactor::new(&csr.to_dense())?), None)),
-            FactorStrategy::SparseLu => {
-                let (lu, ordering) = match rcm {
-                    None => (SparseLu::new_fill_reducing(csr)?, SparseOrdering::Amd),
-                    Some(perm) => (SparseLu::new_ordered(csr, perm)?, SparseOrdering::Rcm),
-                };
-                Ok((Factored::Sparse(lu), Some(ordering)))
+        ordering: Option<&FillOrdering>,
+    ) -> Result<Self, CircuitError> {
+        Ok(match (strategy, ordering) {
+            (FactorStrategy::DenseLu, _) => Factored::Dense(LuFactor::new(&csr.to_dense())?),
+            (FactorStrategy::SparseLu, None) => Factored::Sparse(SparseLu::new_fill_reducing(csr)?),
+            (FactorStrategy::SparseLu, Some(o)) => {
+                Factored::Sparse(SparseLu::with_ordering(csr, o)?)
             }
-        }
+        })
     }
 
     /// Solves `A·x = b`.
@@ -268,20 +262,14 @@ mod tests {
     fn every_accepted_factor_reports_its_evidence() {
         // Condition estimate and factor nnz come from the accepted factor,
         // whichever backend produced it.
-        for (dim, strategy, nnz, ordering) in [
-            (5, FactorStrategy::DenseLu, 25, None),
-            (
-                100,
-                FactorStrategy::SparseLu,
-                200,
-                Some(SparseOrdering::Amd),
-            ),
+        for (dim, strategy, nnz) in [
+            (5, FactorStrategy::DenseLu, 25),
+            (100, FactorStrategy::SparseLu, 200),
         ] {
             let (_, diag) = Factored::factor_with(&diag_coo(dim), false).unwrap();
             assert_eq!(diag.accepted(), Some(strategy), "{dim}");
             assert_eq!(diag.condition_estimate, Some(1.0), "{dim}");
             assert_eq!(diag.factor_nnz, nnz, "{dim}");
-            assert_eq!(diag.ordering, ordering, "{dim}");
             assert_eq!(diag.off_diagonal_pivots, 0, "{dim}");
         }
     }

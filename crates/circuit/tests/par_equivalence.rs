@@ -1,8 +1,8 @@
 //! Serial/parallel equivalence of the AC sweep.
 //!
 //! `run_ac` distributes frequency points over the pool; each point is
-//! assembled and factored independently (sharing only the pattern's RCM
-//! ordering), so the sweep must match the 1-worker run bit-for-bit at any
+//! refilled and factored independently (sharing only the pattern's
+//! fill-reducing ordering), so the sweep must match the 1-worker run bit-for-bit at any
 //! worker count.
 
 use vpec_circuit::ac::{run_ac, AcSpec};
@@ -55,8 +55,8 @@ fn ac_sweep_matches_serial_at_any_thread_count() {
         }
     }
     // A sparse sweep orders once, from its first point, and reuses that
-    // RCM ordering at every point of the same pattern. RCM depends on the
-    // pattern alone, so every point must match, bit for bit, a sweep of
+    // ordering at every point of the same pattern. The ordering depends on
+    // the pattern alone, so every point must match, bit for bit, a sweep of
     // that point alone (which orders from the point itself). The 24-stage
     // ladder (dim 74) goes sparse: its transient companion matrix has the
     // AC pattern, and the chain accepts a sparse factor for it.

@@ -516,6 +516,16 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
 mod tests {
     use super::*;
     use crate::args::parse_args;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Held by every test that sets or resets the process-wide trace
+    /// mode: a reset while another test runs traced would empty that
+    /// run's summary tree.
+    static TRACE_MODE: Mutex<()> = Mutex::new(());
+
+    fn trace_mode_lock() -> MutexGuard<'static, ()> {
+        TRACE_MODE.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(|x| x.to_string()).collect()
@@ -611,6 +621,7 @@ mod tests {
 
     #[test]
     fn trace_flag_drives_sinks() {
+        let _mode = trace_mode_lock();
         // Summary sink: the report gains a span tree with pipeline phases.
         let out =
             run_line("simulate --bits 3 --kind vpec-full --tstop 0.05n --probe 0 --trace").unwrap();
@@ -634,6 +645,7 @@ mod tests {
 
     #[test]
     fn unwritable_trace_sink_is_a_runtime_error() {
+        let _mode = trace_mode_lock();
         // The spec is syntactically fine, so it survives parsing; opening
         // the sink fails at run time and must exit 1 (runtime), not 2
         // (usage) — and must not panic.

@@ -15,8 +15,8 @@
 //! [`CsrMatrix`], [`SparseLu`], and a [`Complex64`] type with a [`Scalar`]
 //! abstraction so the same solver code serves `f64` and complex AC analysis.
 //! Every solve is a direct factorization: on the sparsified VPEC systems,
-//! RCM-ordered sparse LU beat a preconditioned Krylov solver by 430× to
-//! 1340× at every measured size (DESIGN.md §13).
+//! sparse LU (then RCM-ordered) beat a preconditioned Krylov solver by 430×
+//! to 1340× at every measured size (DESIGN.md §13).
 //!
 //! # Example
 //!

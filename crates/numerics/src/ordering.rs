@@ -1,21 +1,19 @@
-//! Fill-reducing orderings for sparse factorization.
+//! The fill-reducing ordering of every sparse factor.
 //!
 //! MNA matrices assembled netlist-order interleave node and branch
 //! unknowns badly; factoring them directly causes catastrophic fill in the
-//! Gilbert–Peierls LU. Two orderings are provided:
+//! Gilbert–Peierls LU. [`FillOrdering`] is KLU's recipe:
+//! [`max_transversal`] finds a row matching that puts a structural nonzero
+//! on every diagonal position (voltage-source branch rows have none of
+//! their own), then AMD ([`amd_ordering`]) orders the symmetrized pattern
+//! of the matched matrix. The dense inductive coupling blocks of PEEC and
+//! full VPEC fill a banded ordering almost completely; minimum degree
+//! eliminates them last, where they cost little more than their own
+//! entries.
 //!
-//! * **Reverse Cuthill–McKee** ([`rcm_ordering`]) on the symmetrized
-//!   pattern clusters each filament's electrical/magnetic unknowns into a
-//!   narrow band. It is cheap and pattern-only, and it is what the complex
-//!   AC factors use.
-//! * **Maximum transversal + approximate minimum degree**
-//!   ([`max_transversal`], [`amd_ordering`]), KLU's recipe: a row matching
-//!   puts a structural nonzero on every diagonal position (voltage-source
-//!   branch rows have none of their own), then AMD orders the symmetrized
-//!   pattern of the matched matrix. The dense inductive coupling blocks of
-//!   PEEC and full VPEC fill a banded ordering almost completely; minimum
-//!   degree eliminates them last, where they cost little more than their
-//!   own entries.
+//! The ordering reads the pattern alone, so one ordering serves every
+//! matrix with that pattern: an AC sweep orders `G + jωC` once and
+//! factors each frequency under it.
 //!
 //! Every permutation here uses the convention `perm[new] = old`.
 
@@ -28,16 +26,15 @@ const NONE: usize = usize::MAX;
 /// each listed once, in no particular order.
 ///
 /// `label[old_row]` renames rows first (the row-matched matrix of
-/// [`crate::SparseLu::new_fill_reducing`]); `None` keeps them. Built in
-/// O(nnz): scatter both directions of every entry, then drop repeats with
-/// a marker array.
-pub(crate) struct Adjacency {
+/// [`FillOrdering::of`]); `None` keeps them. Built in O(nnz): scatter
+/// both directions of every entry, then drop repeats with a marker array.
+struct Adjacency {
     ptr: Vec<usize>,
     idx: Vec<usize>,
 }
 
 impl Adjacency {
-    pub(crate) fn of<T: Scalar>(a: &CsrMatrix<T>, label: Option<&[usize]>) -> Self {
+    fn of<T: Scalar>(a: &CsrMatrix<T>, label: Option<&[usize]>) -> Self {
         let n = a.rows();
         let row_label = |i: usize| label.map_or(i, |l| l[i]);
         let mut ptr = vec![0usize; n + 1];
@@ -89,57 +86,42 @@ impl Adjacency {
     fn dim(&self) -> usize {
         self.ptr.len() - 1
     }
-
-    fn nbrs(&self, v: usize) -> &[usize] {
-        &self.idx[self.ptr[v]..self.ptr[v + 1]]
-    }
 }
 
-/// Computes a reverse Cuthill–McKee ordering of the symmetrized sparsity
-/// pattern of `a`. Returns `perm` such that `perm[new] = old`; every
-/// connected component is started from a pseudo-peripheral (minimum-degree)
-/// vertex.
-pub fn rcm_ordering<T: Scalar>(a: &CsrMatrix<T>) -> Vec<usize> {
-    let mut adj = Adjacency::of(a, None);
-    let n = adj.dim();
-    // Ascending neighbour lists: with the stable degree sorts below they
-    // fix every tie-break, so the ordering depends on the pattern alone.
-    for v in 0..n {
-        let (lo, hi) = (adj.ptr[v], adj.ptr[v + 1]);
-        adj.idx[lo..hi].sort_unstable();
-    }
-    let degree: Vec<usize> = (0..n).map(|v| adj.ptr[v + 1] - adj.ptr[v]).collect();
+/// The row and column orders a sparse factor eliminates in: a maximum
+/// transversal `row_of` (so `A[row_of[j]][j]` is a structural nonzero),
+/// then an AMD ordering `q` of the symmetrized pattern of that
+/// row-matched matrix. [`crate::SparseLu::with_ordering`] factors
+/// `B[i][j] = A[row_of[q[i]]][q[j]]`.
+///
+/// It is computed from `A`'s pattern alone, so it orders every matrix with
+/// that pattern, whatever its values.
+#[derive(Debug, PartialEq, Eq)]
+pub struct FillOrdering {
+    /// `rows[i]`: the row of `A` that is row `i` of `B`.
+    pub(crate) rows: Vec<usize>,
+    /// `cols[j]`: the column of `A` that is column `j` of `B`.
+    pub(crate) cols: Vec<usize>,
+}
 
-    let mut visited = vec![false; n];
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    // Vertices sorted by degree: candidate BFS roots.
-    let mut roots: Vec<usize> = (0..n).collect();
-    roots.sort_by_key(|&v| degree[v]);
-
-    let mut fresh: Vec<usize> = Vec::new();
-    for &root in &roots {
-        if visited[root] {
-            continue;
+impl FillOrdering {
+    /// Orders the pattern of the square matrix `a`.
+    ///
+    /// # Errors
+    ///
+    /// [`NumericsError::NotSquare`] for a non-square `a`;
+    /// [`NumericsError::Singular`] when the pattern is structurally
+    /// singular (it has no transversal).
+    pub fn of<T: Scalar>(a: &CsrMatrix<T>) -> Result<Self, NumericsError> {
+        let row_of = max_transversal(a)?;
+        let mut col_of = vec![0usize; row_of.len()];
+        for (j, &r) in row_of.iter().enumerate() {
+            col_of[r] = j;
         }
-        // BFS, visiting neighbours in increasing-degree order; `order`
-        // doubles as the queue.
-        visited[root] = true;
-        let mut head = order.len();
-        order.push(root);
-        while head < order.len() {
-            let v = order[head];
-            head += 1;
-            fresh.clear();
-            fresh.extend(adj.nbrs(v).iter().copied().filter(|&u| !visited[u]));
-            fresh.sort_by_key(|&u| degree[u]);
-            for &u in &fresh {
-                visited[u] = true;
-                order.push(u);
-            }
-        }
+        let cols = amd(&Adjacency::of(a, Some(&col_of)));
+        let rows = cols.iter().map(|&j| row_of[j]).collect();
+        Ok(FillOrdering { rows, cols })
     }
-    order.reverse();
-    order
 }
 
 /// Inverse of `perm` (`inv[old] = new`) when `perm` is a permutation of
@@ -213,37 +195,6 @@ pub(crate) fn permuted_transpose<T: Scalar>(
         }
     }
     Ok(CsrMatrix::from_parts(n, n, ptr, idx, val))
-}
-
-/// Applies a row and a column permutation: returns `B` with
-/// `B[i][j] = A[rows[i]][cols[j]]`, in O(nnz).
-///
-/// # Errors
-///
-/// [`NumericsError::NotSquare`] for a non-square `a`;
-/// [`NumericsError::DimensionMismatch`] if `rows` or `cols` is not a
-/// permutation of `0..dim`.
-pub(crate) fn permute<T: Scalar>(
-    a: &CsrMatrix<T>,
-    rows: &[usize],
-    cols: &[usize],
-) -> Result<CsrMatrix<T>, NumericsError> {
-    Ok(permuted_transpose(a, rows, cols)?.transpose())
-}
-
-/// Applies a symmetric permutation: returns `B` with
-/// `B[i][j] = A[perm[i]][perm[j]]`, in O(nnz).
-///
-/// # Errors
-///
-/// [`NumericsError::NotSquare`] for a non-square `a`;
-/// [`NumericsError::DimensionMismatch`] if `perm` is not a permutation of
-/// `0..dim`.
-pub fn permute_symmetric<T: Scalar>(
-    a: &CsrMatrix<T>,
-    perm: &[usize],
-) -> Result<CsrMatrix<T>, NumericsError> {
-    permute(a, perm, perm)
 }
 
 /// Finds a row matching with a zero-free diagonal (Duff's MC21, as in
@@ -409,7 +360,7 @@ fn tree_dfs(
 /// The quotient-graph AMD of [`amd_ordering`] on a prepared adjacency.
 /// A line-by-line port of `cs_amd`, with `isize` indices so the
 /// `CS_FLIP` encoding carries over; comments name its phases.
-pub(crate) fn amd(adj: &Adjacency) -> Vec<usize> {
+fn amd(adj: &Adjacency) -> Vec<usize> {
     let n = adj.dim();
     if n == 0 {
         return Vec::new();
@@ -759,24 +710,20 @@ pub(crate) fn amd(adj: &Adjacency) -> Vec<usize> {
     post
 }
 
-/// Bandwidth of a sparse matrix: `max |i − j|` over stored entries. Used
-/// to validate that RCM actually tightened the profile.
-pub fn bandwidth<T: Scalar>(a: &CsrMatrix<T>) -> usize {
-    let mut bw = 0usize;
-    for i in 0..a.rows() {
-        let (cols, _) = a.row(i);
-        for &j in cols {
-            bw = bw.max(i.abs_diff(j));
-        }
-    }
-    bw
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::XorShift64 as Rng;
     use crate::CooMatrix;
+
+    /// `B[i][j] = A[rows[i]][cols[j]]`, by rows.
+    fn permute(
+        a: &CsrMatrix<f64>,
+        rows: &[usize],
+        cols: &[usize],
+    ) -> Result<CsrMatrix<f64>, NumericsError> {
+        Ok(permuted_transpose(a, rows, cols)?.transpose())
+    }
 
     /// A ring graph numbered badly: 0 connects to n-1 (max bandwidth).
     fn ring(n: usize) -> CsrMatrix<f64> {
@@ -831,37 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn rcm_is_a_permutation() {
-        assert_permutation(&rcm_ordering(&ring(16)), 16);
-    }
-
-    #[test]
-    fn rcm_tightens_ring_bandwidth() {
-        let a = ring(32);
-        assert_eq!(bandwidth(&a), 31);
-        let p = rcm_ordering(&a);
-        let b = permute_symmetric(&a, &p).unwrap();
-        assert!(
-            bandwidth(&b) <= 3,
-            "RCM should make a ring near-tridiagonal, got bandwidth {}",
-            bandwidth(&b)
-        );
-    }
-
-    #[test]
-    fn permutation_preserves_values() {
-        let a = ring(8);
-        let p = rcm_ordering(&a);
-        let b = permute_symmetric(&a, &p).unwrap();
-        assert_eq!(a.nnz(), b.nnz());
-        for i in 0..8 {
-            for j in 0..8 {
-                assert_eq!(b.get(i, j), a.get(p[i], p[j]));
-            }
-        }
-    }
-
-    #[test]
     fn unsymmetric_permutation_moves_rows_and_columns() {
         let mut rng = Rng::new(7);
         let a = random_pattern(&mut rng, 12, 3);
@@ -885,13 +801,13 @@ mod tests {
         let out_of_range = vec![0, 1, 2, 3, 4, 6];
         for p in [&short, &repeated, &out_of_range] {
             assert!(matches!(
-                permute_symmetric(&a, p),
+                permute(&a, p, p),
                 Err(NumericsError::DimensionMismatch { .. })
             ));
         }
         let rect = CooMatrix::<f64>::new(2, 3).to_csr();
         assert!(matches!(
-            permute_symmetric(&rect, &[0, 1]),
+            permute(&rect, &[0, 1], &[0, 1]),
             Err(NumericsError::NotSquare { .. })
         ));
     }
@@ -906,32 +822,14 @@ mod tests {
         coo.push(1, 0, 1.0).unwrap();
         coo.push(4, 5, 1.0).unwrap();
         coo.push(5, 4, 1.0).unwrap();
-        let a = coo.to_csr();
-        assert_permutation(&rcm_ordering(&a), 6);
-        assert_permutation(&amd_ordering(&a), 6);
+        assert_permutation(&amd_ordering(&coo.to_csr()), 6);
     }
 
     #[test]
     fn empty_matrix() {
         let a = CooMatrix::<f64>::new(0, 0).to_csr();
-        assert!(rcm_ordering(&a).is_empty());
         assert!(amd_ordering(&a).is_empty());
         assert_eq!(max_transversal(&a).unwrap(), Vec::<usize>::new());
-        assert_eq!(bandwidth(&a), 0);
-    }
-
-    #[test]
-    fn asymmetric_pattern_is_symmetrized() {
-        // Entry only at (0, 3): RCM must still see 0—3 as an edge.
-        let mut coo = CooMatrix::new(4, 4);
-        for i in 0..4 {
-            coo.push(i, i, 1.0).unwrap();
-        }
-        coo.push(0, 3, 1.0).unwrap();
-        let p = rcm_ordering(&coo.to_csr());
-        let pos = |v: usize| p.iter().position(|&x| x == v).unwrap();
-        // 0 and 3 end up adjacent in the ordering.
-        assert!(pos(0).abs_diff(pos(3)) <= 2);
     }
 
     #[test]
@@ -973,18 +871,39 @@ mod tests {
     }
 
     #[test]
-    fn amd_fill_on_a_grid_is_at_most_rcm() {
-        // Off-diagonal nonzeros of the actual L + U factor under each
-        // ordering (the grid is diagonally dominant, so partial pivoting
-        // keeps the diagonal).
+    fn amd_fill_on_a_grid_is_below_the_natural_band() {
+        // Off-diagonal nonzeros of the actual L + U factor, under the
+        // fill-reducing ordering and in the grid's row-major order, a band
+        // of width 30 (the grid is diagonally dominant, so both keep the
+        // diagonal).
         let a = grid(30);
-        let fill = |p: Vec<usize>| crate::SparseLu::new_ordered(&a, &p).unwrap().factor_nnz() - 900;
-        let amd = fill(amd_ordering(&a));
-        let rcm = fill(rcm_ordering(&a));
-        assert!(amd <= rcm, "AMD {amd} vs RCM {rcm}");
+        let amd = crate::SparseLu::new_fill_reducing(&a).unwrap().factor_nnz() - 2 * 900;
+        let band = crate::SparseLu::new(&a).unwrap().factor_nnz() - 2 * 900;
+        assert!(amd < band / 2, "AMD {amd} vs band {band}");
         // Nested-dissection-like orderings reach O(n log n); a band of
         // width 30 costs about 2·n·30.
         assert!(amd < 2 * 900 * 30 / 2, "AMD fill {amd}");
+    }
+
+    #[test]
+    fn fill_ordering_reads_the_pattern_alone() {
+        // The same pattern with other values orders the same way; another
+        // pattern need not.
+        let a = mna_with_sources();
+        let mut scaled = a.clone();
+        for v in scaled.values_mut() {
+            *v = 3.0 * *v - 0.5;
+        }
+        let ordering = FillOrdering::of(&a).unwrap();
+        assert_eq!(FillOrdering::of(&scaled).unwrap(), ordering);
+        assert_permutation(&ordering.cols, 7);
+        assert_permutation(&ordering.rows, 7);
+        for (&r, &c) in ordering.rows.iter().zip(&ordering.cols) {
+            assert!(
+                a.get(r, c) != 0.0,
+                "({r}, {c}) is matched to an empty entry"
+            );
+        }
     }
 
     /// A small MNA-shaped matrix: a resistor chain whose first node is

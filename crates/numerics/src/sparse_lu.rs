@@ -9,18 +9,17 @@
 //! factor translates directly into the orders-of-magnitude simulation
 //! speedups of Tables II–III and Fig. 8.
 //!
-//! Two pivoting rules serve two orderings:
+//! Every factor of the circuit analyses — DC, transient and each AC
+//! point — is [`SparseLu::with_ordering`] under a [`FillOrdering`]
+//! (maximum transversal + AMD, see [`crate::ordering`]): it keeps the
+//! diagonal entry as pivot whenever it is at least 10⁻³ times the column's
+//! largest candidate, as KLU does — so the elimination follows the
+//! ordering that was chosen for low fill. A factor whose elimination grew
+//! entries more than tenfold is redone at 10⁻¹. [`SparseLu::new`] factors
+//! in the given order and takes the largest candidate in every column
+//! (full partial pivoting).
 //!
-//! * [`SparseLu::new_fill_reducing`] orders by maximum transversal + AMD
-//!   (see [`crate::ordering`]) and keeps the diagonal entry as pivot
-//!   whenever it is at least 10⁻³ times the column's largest candidate, as
-//!   KLU does — so the elimination follows the ordering that was chosen
-//!   for low fill. A factor whose elimination grew entries more than
-//!   tenfold is redone at 10⁻¹;
-//! * [`SparseLu::new`] and [`SparseLu::new_ordered`] (the RCM path) take
-//!   the largest candidate in every column (full partial pivoting).
-//!
-//! Both share one kernel, which prunes L's column graph symmetrically
+//! Both rules share one kernel, which prunes L's column graph symmetrically
 //! (Eisenstat & Liu, as KLU does), so each column's reach DFS walks only
 //! the part of L that can still reach unpivoted rows. Pruning is valid
 //! over L's structural pattern, so exact-zero L entries stay stored.
@@ -30,7 +29,7 @@
 //! its L and U entries). The solves sweep that block's columns as contiguous
 //! slices, with no index reads; see [`SparseLu::solve_into`].
 
-use crate::ordering::{amd, max_transversal, permuted_transpose, Adjacency};
+use crate::ordering::{permuted_transpose, FillOrdering};
 use crate::{CsrMatrix, NumericsError, Scalar};
 use std::ops::Range;
 
@@ -146,27 +145,6 @@ fn check_dim<T: Scalar>(a: &CsrMatrix<T>) -> Result<(), NumericsError> {
     Ok(())
 }
 
-/// The row and column orders of [`SparseLu::new_fill_reducing`] and the
-/// matrix `B[i][j] = A[rows[i]][cols[j]]` they give, by columns.
-#[expect(
-    clippy::type_complexity,
-    reason = "a private triple destructured at both call sites"
-)]
-fn fill_reducing_columns<T: Scalar>(
-    a: &CsrMatrix<T>,
-) -> Result<(Vec<usize>, Vec<usize>, CsrMatrix<T>), NumericsError> {
-    check_dim(a)?;
-    let row_of = max_transversal(a)?;
-    let mut col_of = vec![0usize; row_of.len()];
-    for (j, &r) in row_of.iter().enumerate() {
-        col_of[r] = j;
-    }
-    let q = amd(&Adjacency::of(a, Some(&col_of)));
-    let rows: Vec<usize> = q.iter().map(|&j| row_of[j]).collect();
-    let columns = permuted_transpose(a, &rows, &q)?;
-    Ok((rows, q, columns))
-}
-
 impl<T: Scalar> SparseLu<T> {
     /// Factors a square CSR matrix in its given order with full partial
     /// pivoting.
@@ -182,34 +160,9 @@ impl<T: Scalar> SparseLu<T> {
         Self::factor_columns(&a.transpose(), Pivoting::Partial)
     }
 
-    /// Factors `A` under a symmetric ordering — the LU of `B = Pᵀ·A·P`
-    /// with `B[i][j] = A[perm[i]][perm[j]]` (`perm[new] = old`, e.g. from
-    /// [`crate::ordering::rcm_ordering`]) with full partial pivoting — and
-    /// folds the ordering into the factor's index maps, so
-    /// [`SparseLu::solve`] still solves `A·x = b` in the original
-    /// numbering.
-    ///
-    /// # Errors
-    ///
-    /// * [`NumericsError::DimensionMismatch`] if `perm` is not a
-    ///   permutation of `0..dim`.
-    /// * Everything [`SparseLu::new`] returns.
-    pub fn new_ordered(a: &CsrMatrix<T>, perm: &[usize]) -> Result<Self, NumericsError> {
-        Self::permuted(a, perm, perm, Pivoting::Partial)
-    }
-
-    /// Factors `A` under KLU's fill-reducing recipe: a maximum transversal
-    /// `row_of` (so `A[row_of[j]][j]` is a structural nonzero), then an
-    /// AMD ordering `q` of the symmetrized pattern of that row-matched
-    /// matrix, then the LU of `B[i][j] = A[row_of[q[i]]][q[j]]` with
-    /// threshold pivoting that keeps the diagonal when
-    /// `|b_jj| ≥ 10⁻³·max_i |b_ij|` (KLU's default). Both permutations are
-    /// folded into the index maps, as in [`SparseLu::new_ordered`].
-    ///
-    /// When that factor's reciprocal pivot growth
-    /// `min_j max|B[:,j]| / max|U[:,j]|` is below 0.1 (or it fails), `B` is
-    /// factored again with the threshold at 10⁻¹ and that factor is
-    /// returned. The first attempt stops at its first column below 0.1.
+    /// Factors `A` under KLU's fill-reducing recipe: orders its pattern
+    /// by [`FillOrdering::of`], then factors under that ordering with
+    /// [`SparseLu::with_ordering`].
     ///
     /// # Errors
     ///
@@ -217,14 +170,43 @@ impl<T: Scalar> SparseLu<T> {
     ///   (no transversal) or a column with no usable pivot.
     /// * Everything [`SparseLu::new`] returns.
     pub fn new_fill_reducing(a: &CsrMatrix<T>) -> Result<Self, NumericsError> {
-        let (rows, q, columns) = fill_reducing_columns(a)?;
+        Self::with_ordering(a, &FillOrdering::of(a)?)
+    }
+
+    /// Factors `A` under an ordering of its pattern: the LU of
+    /// `B[i][j] = A[rows[i]][cols[j]]` with threshold pivoting that keeps
+    /// the diagonal when `|b_jj| ≥ 10⁻³·max_i |b_ij|` (KLU's default). Both
+    /// permutations are folded into the index maps, so
+    /// [`SparseLu::solve`] still solves `A·x = b` in the original
+    /// numbering.
+    ///
+    /// When that factor's reciprocal pivot growth
+    /// `min_j max|B[:,j]| / max|U[:,j]|` is below 0.1 (or it fails), `B` is
+    /// factored again with the threshold at 10⁻¹ and that factor is
+    /// returned. The first attempt stops at its first column below 0.1.
+    ///
+    /// The ordering depends on the pattern alone, so one
+    /// [`FillOrdering::of`] serves every matrix with `A`'s pattern; the
+    /// factor is the one [`SparseLu::new_fill_reducing`] gives, bit for
+    /// bit.
+    ///
+    /// # Errors
+    ///
+    /// * [`NumericsError::DimensionMismatch`] if `ordering` orders another
+    ///   dimension.
+    /// * [`NumericsError::Singular`] for a column with no usable pivot.
+    /// * Everything [`SparseLu::new`] returns.
+    pub fn with_ordering(a: &CsrMatrix<T>, ordering: &FillOrdering) -> Result<Self, NumericsError> {
+        check_dim(a)?;
+        let (rows, cols) = (&ordering.rows, &ordering.cols);
+        let columns = permuted_transpose(a, rows, cols)?;
         let lu = match Self::threshold_attempt(&columns) {
             Some(lu) => lu,
             None => {
                 Self::factor_columns(&columns, Pivoting::PreferDiagonal(STRICT_DIAG_PIVOT_TOL))?
             }
         };
-        Ok(lu.unpermuted(&rows, &q))
+        Ok(lu.unpermuted(rows, cols))
     }
 
     /// The factor of `B` (given by columns) at [`DIAG_PIVOT_TOL`], or
@@ -241,19 +223,6 @@ impl<T: Scalar> SparseLu<T> {
             }
         }
         Some(elim.finish())
-    }
-
-    /// The LU of `B[i][j] = A[rows[i]][cols[j]]`, with both permutations
-    /// folded into the index maps.
-    fn permuted(
-        a: &CsrMatrix<T>,
-        rows: &[usize],
-        cols: &[usize],
-        pivoting: Pivoting,
-    ) -> Result<Self, NumericsError> {
-        check_dim(a)?;
-        let columns = permuted_transpose(a, rows, cols)?;
-        Ok(Self::factor_columns(&columns, pivoting)?.unpermuted(rows, cols))
     }
 
     /// Folds the permutations `B` was built with into the index maps, so
@@ -1000,36 +969,36 @@ mod tests {
     }
 
     #[test]
-    fn ordered_factor_solves_in_original_numbering() {
-        // The ordering folded into the factor must give the same answer,
-        // bit for bit, as permuting b and un-permuting x by hand.
-        let (a, _, _) = decaying_chain(1.0f64);
-        let n = a.rows();
-        let perm: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % n).collect();
-        let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
-        let ordered = SparseLu::new_ordered(&a, &perm).unwrap();
-        let plain = SparseLu::new(&crate::ordering::permute_symmetric(&a, &perm).unwrap()).unwrap();
-        let pb: Vec<f64> = perm.iter().map(|&old| b[old]).collect();
-        let px = plain.solve(&pb).unwrap();
-        let x = ordered.solve(&b).unwrap();
-        for (new, &old) in perm.iter().enumerate() {
-            assert_eq!(x[old].to_bits(), px[new].to_bits());
+    fn one_ordering_serves_every_matrix_with_its_pattern() {
+        // Ordered once from the pattern, a matrix with other values
+        // factors bit for bit as ordering it afresh would.
+        for seed in 1..=10u64 {
+            let d = random_mna(seed, 40, 12, |x| x);
+            let a = CsrMatrix::from_dense(&d, 0.0);
+            let ordering = FillOrdering::of(&a).unwrap();
+            let mut other = a.clone();
+            for (k, v) in other.values_mut().iter_mut().enumerate() {
+                *v *= 1.0 + 0.37 * ((k as f64) * 0.11).sin();
+            }
+            assert_same_bits(
+                &SparseLu::with_ordering(&other, &ordering).unwrap(),
+                &SparseLu::new_fill_reducing(&other).unwrap(),
+            );
         }
-        assert_eq!(ordered.factor_nnz(), plain.factor_nnz());
     }
 
     #[test]
-    fn bad_ordering_rejected() {
+    fn ordering_of_another_dimension_rejected() {
         let (a, _, _) = decaying_chain(1.0f64);
-        let n = a.rows();
-        let short: Vec<usize> = (0..n - 1).collect();
-        let repeated: Vec<usize> = (0..n).map(|i| i / 2).collect();
-        for perm in [short, repeated] {
-            assert!(matches!(
-                SparseLu::new_ordered(&a, &perm),
-                Err(NumericsError::DimensionMismatch { .. })
-            ));
+        let mut coo = CooMatrix::new(3, 3);
+        for i in 0..3 {
+            coo.push(i, i, 1.0).unwrap();
         }
+        let ordering = FillOrdering::of(&coo.to_csr()).unwrap();
+        assert!(matches!(
+            SparseLu::with_ordering(&a, &ordering),
+            Err(NumericsError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]
@@ -1038,16 +1007,15 @@ mod tests {
         // passes 1e-3 · 1 and stays; partial pivoting swaps the rows.
         let d = DenseMatrix::from_rows(&[&[2e-3, 1.0], &[1.0, 1.0]]).unwrap();
         let a = csr_from_dense(&d);
-        let id = [0, 1];
         let prefer = Pivoting::PreferDiagonal(DIAG_PIVOT_TOL);
-        let kept = SparseLu::permuted(&a, &id, &id, prefer).unwrap();
+        let kept = SparseLu::factor_columns(&a.transpose(), prefer).unwrap();
         assert_eq!(kept.off_diagonal_pivots(), 0);
         assert_eq!(kept.row_src, vec![0, 1]);
         let partial = SparseLu::new(&a).unwrap();
         assert_eq!(partial.off_diagonal_pivots(), 2);
         // At 5e-4 the diagonal fails the threshold and is left.
         let d = DenseMatrix::from_rows(&[&[5e-4, 1.0], &[1.0, 1.0]]).unwrap();
-        let left = SparseLu::permuted(&csr_from_dense(&d), &id, &id, prefer).unwrap();
+        let left = SparseLu::factor_columns(&csr_from_dense(&d).transpose(), prefer).unwrap();
         assert_eq!(left.off_diagonal_pivots(), 2);
         assert_eq!(left.row_src, vec![1, 0]);
         const { assert!(DIAG_PIVOT_TOL > 5e-4 && DIAG_PIVOT_TOL <= 2e-3) };
@@ -1108,7 +1076,8 @@ mod tests {
     /// `new_fill_reducing` as it was before the threshold attempt could
     /// stop early: factor at 10⁻³ to the end, then check the growth.
     fn factor_to_the_end_then_check(a: &CsrMatrix<f64>) -> (SparseLu<f64>, bool) {
-        let (rows, q, columns) = fill_reducing_columns(a).unwrap();
+        let FillOrdering { rows, cols: q } = FillOrdering::of(a).unwrap();
+        let columns = permuted_transpose(a, &rows, &q).unwrap();
         let loose = Pivoting::PreferDiagonal(DIAG_PIVOT_TOL);
         let mut elim = Elimination::new(&columns, loose);
         let growth: Result<Vec<f64>, _> = (0..columns.rows()).map(|j| elim.column(j)).collect();

@@ -6,7 +6,6 @@
 //! workspace's deterministic [`XorShift64`] generator so the suite is
 //! reproducible and needs no external crates.
 
-use vpec_numerics::ordering::rcm_ordering;
 use vpec_numerics::rng::XorShift64;
 use vpec_numerics::{
     Cholesky, Complex64, CooMatrix, CsrMatrix, DenseMatrix, LuFactor, Scalar, SparseLu,
@@ -152,9 +151,9 @@ fn cancelling_system(rng: &mut XorShift64, n: usize) -> DenseMatrix<f64> {
     m
 }
 
-/// Sparse LU in its natural order, under RCM and under transversal + AMD
-/// (full partial and diagonal-preferring threshold pivoting) against dense
-/// LU, on [`cancelling_system`] matrices mapped into `T` by `val`.
+/// Sparse LU in its natural order with full partial pivoting and under
+/// transversal + AMD with diagonal-preferring threshold pivoting, against
+/// dense LU, on [`cancelling_system`] matrices mapped into `T` by `val`.
 fn check_sparse_lu_with_cancellations<T: Scalar>(seed: u64, val: impl Fn(f64) -> T) {
     let mut rng = XorShift64::new(seed);
     for case in 0..CASES {
@@ -167,7 +166,6 @@ fn check_sparse_lu_with_cancellations<T: Scalar>(seed: u64, val: impl Fn(f64) ->
         let scale = xd.iter().map(|v| v.modulus()).fold(0.0, f64::max);
         let factors = [
             ("natural", SparseLu::new(&csr)),
-            ("rcm", SparseLu::new_ordered(&csr, &rcm_ordering(&csr))),
             ("fill-reducing", SparseLu::new_fill_reducing(&csr)),
         ];
         for (name, lu) in factors {

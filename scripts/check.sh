@@ -32,6 +32,10 @@ echo "==> release-profile audit pass (tier-1 integration tests, VPEC_AUDIT=full)
 # agreement and the factorization fallback chain.
 timeout 600 env VPEC_AUDIT=full cargo test -q --release --test audit_invariants --test paper_claims \
   --test sparse_factor --test fault_tolerance
+# The AC sweep in the optimized build: its sparse factors (one ordering
+# per sweep) agree with dense LU within 1e-9 of max|x| at every point and
+# equal, bit for bit, a sweep that assembles and orders each point afresh.
+timeout 600 env VPEC_AUDIT=full cargo test -q --release -p vpec-circuit --lib ac::
 # Window-local extraction in the optimized build: gwVPEC(8) at 8,192
 # bits never builds the dense L and reads at most 16 entries of it per
 # filament, and local windows equal the dense-sort windows bit for bit.
