@@ -18,7 +18,7 @@ use crate::result::AcResult;
 use crate::solver::Factored;
 use vpec_numerics::cancel::CancelToken;
 use vpec_numerics::ordering::FillOrdering;
-use vpec_numerics::{pool, Complex64, CsrMatrix, Pool};
+use vpec_numerics::{pool, Complex64, CooMatrix, CsrMatrix, Pool};
 
 /// Minimum sweep points per worker before the per-frequency solves go
 /// parallel: below it fan-out overhead costs more than it buys (commit
@@ -112,11 +112,6 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
         });
     }
     let layout = MnaLayout::new(ckt);
-    // Both dynamic stamps at angular frequency ω: jωC and jωL.
-    let jw = |f: f64| {
-        let omega = 2.0 * std::f64::consts::PI * f;
-        move |x: f64| Complex64::new(0.0, omega * x)
-    };
     // The ordering depends on the pattern alone, and G + jωC has the same
     // pattern at every ω > 0: the stamp plan builds that pattern once, it
     // is ordered once, and each point refills the values. A point whose
@@ -176,6 +171,25 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
         data,
         n_nodes: layout.n_nodes,
     })
+}
+
+/// The complex MNA matrix [`run_ac`] factors at `freq` hertz,
+/// `G + jωC` with `jωL` on the inductor branches: the one a sweep point
+/// refills, bit for bit. For analyses that want to weigh its factor
+/// against another one.
+///
+/// # Errors
+///
+/// [`CircuitError::Numerics`] when an element stamps outside the layout.
+pub fn ac_matrix(ckt: &Circuit, freq: f64) -> Result<CooMatrix<Complex64>, CircuitError> {
+    Ok(assemble(ckt, &MnaLayout::new(ckt), jw(freq), jw(freq))?)
+}
+
+/// Both dynamic stamps at `f` hertz, angular frequency ω: `x ↦ jωx`, for
+/// jωC and jωL.
+fn jw(f: f64) -> impl Fn(f64) -> Complex64 + Copy {
+    let omega = 2.0 * std::f64::consts::PI * f;
+    move |x: f64| Complex64::new(0.0, omega * x)
 }
 
 /// The fill-reducing ordering a sweep's sparse factors share, or `None`
@@ -456,11 +470,6 @@ mod tests {
         c.add_resistor("Rload", prev, Circuit::GROUND, 75.0)
             .unwrap();
         c
-    }
-
-    fn jw(f: f64) -> impl Fn(f64) -> Complex64 + Copy {
-        let omega = 2.0 * std::f64::consts::PI * f;
-        move |x| Complex64::new(0.0, omega * x)
     }
 
     fn fresh(ckt: &Circuit, layout: &MnaLayout, f: f64) -> CsrMatrix<Complex64> {

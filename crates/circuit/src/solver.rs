@@ -152,8 +152,9 @@ impl<T: Scalar> Factored<T> {
                 diag.factor_nnz = nnz;
                 diag.off_diagonal_pivots = off_diagonal;
                 sp.set_attr("factor_nnz", nnz);
-                if let Factored::Sparse(_) = f {
+                if let Factored::Sparse(lu) = &f {
                     sp.set_attr("off_diagonal_pivots", off_diagonal);
+                    sp.set_attr("dense_block", lu.dense_block());
                 }
                 Ok((f, diag))
             }

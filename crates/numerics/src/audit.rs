@@ -548,8 +548,10 @@ pub struct BackendAgreement {
     pub max_rel_diff: f64,
 }
 
-/// Solves `a·x = b` with dense LU (reference), sparse LU, and — when `a`
-/// is symmetric positive definite — Cholesky, and compares the solutions.
+/// Solves `a·x = b` with dense LU (reference), the fill-reducing sparse LU
+/// the circuit analyses factor with ([`SparseLu::new_fill_reducing`]),
+/// and — when `a` is symmetric positive definite — Cholesky, and compares
+/// the solutions.
 ///
 /// Returns the agreement measurement plus a violation when either a
 /// backend disagrees beyond `tol` or a backend that should have succeeded
@@ -604,7 +606,7 @@ pub fn check_solve_consistency(
     };
 
     let csr = CsrMatrix::from_dense(a, 0.0);
-    match SparseLu::new(&csr).and_then(|lu| lu.solve(b)) {
+    match SparseLu::new_fill_reducing(&csr).and_then(|lu| lu.solve(b)) {
         Ok(x_sparse) => {
             backends += 1;
             if let Some(v) = compare(&x_sparse, "sparse LU") {

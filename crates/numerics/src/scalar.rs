@@ -46,6 +46,16 @@ pub trait Scalar:
     /// `self` with every component of magnitude below `bound` replaced by
     /// a zero of the same sign (the sparse solves' flush-to-zero).
     fn flush_below(self, bound: f64) -> Self;
+    /// Whether values have an imaginary part. Kernels that keep the
+    /// parts of values in separate arrays (so that the arithmetic on them
+    /// vectorizes) keep the second one only then.
+    const IS_COMPLEX: bool;
+    /// The real and imaginary parts (the imaginary part of a real scalar
+    /// is 0).
+    fn parts(self) -> [f64; 2];
+    /// The value with these parts, exactly; a real scalar drops the
+    /// imaginary one.
+    fn from_parts(parts: [f64; 2]) -> Self;
 }
 
 impl Scalar for f64 {
@@ -77,6 +87,15 @@ impl Scalar for f64 {
             self
         }
     }
+    const IS_COMPLEX: bool = false;
+    #[inline]
+    fn parts(self) -> [f64; 2] {
+        [self, 0.0]
+    }
+    #[inline]
+    fn from_parts(parts: [f64; 2]) -> Self {
+        parts[0]
+    }
 }
 
 impl Scalar for Complex64 {
@@ -103,6 +122,15 @@ impl Scalar for Complex64 {
     #[inline]
     fn flush_below(self, bound: f64) -> Self {
         Complex64::new(self.re.flush_below(bound), self.im.flush_below(bound))
+    }
+    const IS_COMPLEX: bool = true;
+    #[inline]
+    fn parts(self) -> [f64; 2] {
+        [self.re, self.im]
+    }
+    #[inline]
+    fn from_parts(parts: [f64; 2]) -> Self {
+        Complex64::new(parts[0], parts[1])
     }
 }
 

@@ -106,7 +106,7 @@ fn sparse_lu_agrees_with_dense() {
     for _ in 0..CASES {
         let (a, b) = dominant_system(&mut rng, 10);
         let csr = CsrMatrix::from_dense(&a, 0.0);
-        let xs = SparseLu::new(&csr)
+        let xs = SparseLu::new_fill_reducing(&csr)
             .expect("nonsingular")
             .solve(&b)
             .expect("ok");
@@ -151,9 +151,9 @@ fn cancelling_system(rng: &mut XorShift64, n: usize) -> DenseMatrix<f64> {
     m
 }
 
-/// Sparse LU in its natural order with full partial pivoting and under
-/// transversal + AMD with diagonal-preferring threshold pivoting, against
-/// dense LU, on [`cancelling_system`] matrices mapped into `T` by `val`.
+/// Sparse LU under transversal + AMD with diagonal-preferring threshold
+/// pivoting, against dense LU, on [`cancelling_system`] matrices mapped
+/// into `T` by `val`.
 fn check_sparse_lu_with_cancellations<T: Scalar>(seed: u64, val: impl Fn(f64) -> T) {
     let mut rng = XorShift64::new(seed);
     for case in 0..CASES {
@@ -164,18 +164,13 @@ fn check_sparse_lu_with_cancellations<T: Scalar>(seed: u64, val: impl Fn(f64) ->
         let csr = CsrMatrix::from_dense(&a, 0.0);
         let xd = LuFactor::new(&a).expect("dominant").solve(&b).expect("ok");
         let scale = xd.iter().map(|v| v.modulus()).fold(0.0, f64::max);
-        let factors = [
-            ("natural", SparseLu::new(&csr)),
-            ("fill-reducing", SparseLu::new_fill_reducing(&csr)),
-        ];
-        for (name, lu) in factors {
-            let xs = lu.expect("dominant").solve(&b).expect("ok");
-            for (u, v) in xs.iter().zip(&xd) {
-                assert!(
-                    (*u - *v).modulus() <= 1e-12 * scale,
-                    "case {case} ({name}, n = {n}): sparse {u} vs dense {v}"
-                );
-            }
+        let lu = SparseLu::new_fill_reducing(&csr).expect("dominant");
+        let xs = lu.solve(&b).expect("ok");
+        for (u, v) in xs.iter().zip(&xd) {
+            assert!(
+                (*u - *v).modulus() <= 1e-12 * scale,
+                "case {case} (n = {n}): sparse {u} vs dense {v}"
+            );
         }
     }
 }

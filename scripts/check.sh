@@ -44,8 +44,16 @@ timeout 600 cargo test -q --release --test window_locality --test window_identit
 # 1e-12 of the direct product over 3,000 steps (and is formed afresh
 # when a retry halves the step), and the 256-bit PEEC and full-VPEC
 # factors sweep their dense trailing blocks bit-identically to walking
-# the indices.
+# the indices. The same factors (transient and DC) and the 28 x 8 bus's
+# full-VPEC AC factor equal, entry for entry, a factorization that
+# scatters every update through row indices.
 timeout 600 cargo test -q --release --test step_loop
+# The sparse factor's block kernel in the optimized build: on bordered
+# systems (trailing cliques of 2, 40 and 200 columns, off-diagonal
+# pivots, exact ties, an exact-zero U entry, an aborted threshold attempt
+# and a block that turns singular), real and complex, its pivots and L
+# and U entries equal the row-indexed update's bit for bit.
+timeout 600 cargo test -q --release -p vpec-numerics --lib sparse_lu::
 # The sparse and dense kernels' property tests (seeded, with forced exact
 # cancellations in the sparse LU) in the optimized build users deploy.
 timeout 600 cargo test -q --release -p vpec-numerics --test proptests

@@ -8,14 +8,21 @@
 //! * The sparse factor's dense trailing block is swept as slices. On the
 //!   256-bit PEEC and full-VPEC transient factors it must hold most of L
 //!   and U, and its solves must equal the index-walking sweep bit for bit.
+//! * The factorization eliminates that block as slices too. The 256-bit
+//!   PEEC and full-VPEC transient and DC factors, and the full-VPEC AC
+//!   factor of the 28 × 8 bus at 1 GHz, must equal the factor that
+//!   scatters every update through row indices, entry for entry.
 //!
 //! The history is read back from the waveforms: step `n → n+1` solved the
 //! branch row `v₍ₙ₊₁₎ − coef·Σ L·i₍ₙ₊₁₎ = −(trap ? vₙ : 0) − hₙ`, so the
 //! recorded state gives the `hₙ` it used, up to the solve's rounding.
 
 use std::collections::HashMap;
+use vpec::circuit::ac::ac_matrix;
+use vpec::circuit::dc::dc_matrix;
 use vpec::circuit::{Element, ElementId, TransientResult};
-use vpec::numerics::SparseLu;
+use vpec::numerics::ordering::FillOrdering;
+use vpec::numerics::{CsrMatrix, Scalar, SparseLu};
 use vpec::prelude::*;
 
 /// Largest admitted gap between the carried and the direct history, and
@@ -274,4 +281,74 @@ fn dense_tail_of_the_256_bit_factors_is_swept_bit_identically() {
             assert_eq!(bits(&x), bits(&reference), "{kind:?}");
         }
     }
+}
+
+/// The factor of `a` and the row-indexed reference's, which must agree
+/// bit for bit.
+fn factor_against_reference<T: Scalar>(what: &str, a: &CsrMatrix<T>) -> SparseLu<T> {
+    let lu = SparseLu::new_fill_reducing(a).unwrap();
+    let ordering = FillOrdering::of(a).unwrap();
+    let reference = SparseLu::with_ordering_indexed(a, &ordering).unwrap();
+    assert_eq!(lu.first_difference(&reference), None, "{what}");
+    lu
+}
+
+/// The dense trailing block's width, from its `m² + m` entries.
+fn tail_width<T: Scalar>(lu: &SparseLu<T>) -> usize {
+    let entries = lu.dense_tail_nnz();
+    (0..=lu.dim()).find(|m| m * m + m == entries).unwrap()
+}
+
+/// The block kernel eliminates the 256-bit PEEC and full-VPEC transient
+/// and DC factors from exactly the first column of their dense trailing
+/// blocks, and gives the row-indexed factor bit for bit. The transient factors keep
+/// the sizes and blocks DESIGN §8.6 and §8.8 record.
+#[test]
+fn block_kernel_factors_the_256_bit_systems_bit_identically() {
+    let exp = experiment(256, 0.0);
+    for kind in [ModelKind::Peec, ModelKind::VpecFull] {
+        let built = exp.build(kind).unwrap();
+        let factor = built
+            .prepare_transient(&TransientSpec::new(0.5e-9, 1e-12))
+            .unwrap();
+        let transient =
+            factor_against_reference(&format!("{kind:?} transient"), &factor.matrix().to_csr());
+        let (nnz, width) = (transient.factor_nnz(), tail_width(&transient));
+        match kind {
+            ModelKind::Peec => assert_eq!((nnz, width), (77_591, 257)),
+            _ => {
+                assert!((207_293..=207_307).contains(&nnz), "{nnz}");
+                assert_eq!(width, 352);
+            }
+        }
+        let dc = factor_against_reference(
+            &format!("{kind:?} dc"),
+            &dc_matrix(&built.model.circuit).unwrap().to_csr(),
+        );
+        for (what, lu) in [("transient", &transient), ("dc", &dc)] {
+            // The kernel leaves blocks under 32 columns (PEEC's DC tail
+            // of 2) to the row-indexed update.
+            let width = tail_width(lu);
+            let eliminated = if width >= 32 { width } else { 0 };
+            assert_eq!(lu.dense_block(), eliminated, "{kind:?} {what}");
+        }
+    }
+}
+
+/// The full-VPEC AC factor of the 28 × 8 bus at 1 GHz, a complex system
+/// that ends in a dense block of over 100 columns, equals the row-indexed
+/// factor bit for bit.
+#[test]
+fn block_kernel_factors_the_full_vpec_ac_system_bit_identically() {
+    let exp = Experiment::new(
+        BusSpec::new(28).segments(8).build(),
+        &ExtractionConfig::paper_default(),
+        DriveConfig::paper_default(),
+    );
+    let built = exp.build(ModelKind::VpecFull).unwrap();
+    let a = ac_matrix(&built.model.circuit, 1e9).unwrap().to_csr();
+    let lu = factor_against_reference("full VPEC ac", &a);
+    let width = tail_width(&lu);
+    assert!(width > 100, "block of {width}");
+    assert!(lu.dense_block() >= width, "{} < {width}", lu.dense_block());
 }

@@ -184,6 +184,7 @@ fn sparse_factor_span_carries_its_evidence() {
         assert_eq!(attr("strategy").as_deref(), Some("sparse-lu"), "{span:?}");
         assert!(attr("off_diagonal_pivots").is_some(), "{span:?}");
         assert!(attr("factor_nnz").is_some(), "{span:?}");
+        assert!(attr("dense_block").is_some(), "{span:?}");
     }
     // The transient factor is the first one opened (the DC point follows).
     let first = &factor_spans[0];
@@ -199,7 +200,28 @@ fn sparse_factor_span_carries_its_evidence() {
         attr("off_diagonal_pivots"),
         Some(diag.off_diagonal_pivots.to_string())
     );
+
+    // On a PEEC factor the block kernel starts at the dense trailing
+    // block, so it eliminates exactly that block's columns: `dense_block`
+    // is its width `m`, and the block holds `m² + m` entries.
+    trace::reset("summary").unwrap();
+    let built = experiment(32).build(ModelKind::Peec).unwrap();
+    built.run_transient_with_report(&spec).unwrap();
+    let first = trace::closed_spans()
+        .into_iter()
+        .find(|s| s.name == "factor")
+        .expect("a factor span");
     trace::reset("off").unwrap();
+    let dense_block: usize = first
+        .attrs
+        .iter()
+        .find(|(key, _)| key == "dense_block")
+        .map(|(_, v)| v.parse().unwrap())
+        .expect("dense_block attribute");
+    let matrix = built.prepare_transient(&spec).unwrap().matrix().to_csr();
+    let lu = vpec::numerics::SparseLu::new_fill_reducing(&matrix).unwrap();
+    assert!(dense_block > 16, "{dense_block}");
+    assert_eq!(dense_block * dense_block + dense_block, lu.dense_tail_nnz());
 }
 
 #[test]
