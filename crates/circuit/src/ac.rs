@@ -5,11 +5,11 @@
 //! 5-bit bus under PEEC, full VPEC and localized VPEC models).
 //!
 //! A sweep's matrices share one pattern, so it is stamped and ordered
-//! once: each point refills the values and factors them under that
-//! ordering, with the same threshold pivoting and growth check as every
-//! DC and transient factor.
+//! once, whatever its size: each point refills the values and factors
+//! them sparse under that ordering, with the same threshold pivoting,
+//! growth check and dense-LU recovery stage as every DC and transient
+//! factor.
 
-use crate::diagnostics::FactorStrategy;
 use crate::elements::Element;
 use crate::error::CircuitError;
 use crate::mna::{add_source_rhs, assemble, MnaLayout, StampPlan};
@@ -18,7 +18,7 @@ use crate::result::AcResult;
 use crate::solver::Factored;
 use vpec_numerics::cancel::CancelToken;
 use vpec_numerics::ordering::FillOrdering;
-use vpec_numerics::{pool, Complex64, CooMatrix, CsrMatrix, Pool};
+use vpec_numerics::{pool, Complex64, CooMatrix, Pool};
 
 /// Minimum sweep points per worker before the per-frequency solves go
 /// parallel: below it fan-out overhead costs more than it buys (commit
@@ -116,11 +116,11 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
     // pattern at every ω > 0: the stamp plan builds that pattern once, it
     // is ordered once, and each point refills the values. A point whose
     // pattern differs (a slot summing to exactly zero) is assembled afresh
-    // and its factor orders it. Dense-primary systems need no ordering; a
-    // structurally singular pattern is left for the factor to fail on.
+    // and its factor orders it. A pattern with no transversal is left for
+    // the factor to fail on.
     let f0 = spec.frequencies[0];
     let plan = StampPlan::new(ckt, &layout, jw(f0), jw(f0))?;
-    let plan_ordering = sweep_ordering(plan.pattern());
+    let plan_ordering = FillOrdering::of(plan.pattern()).ok();
     let mut rhs = vec![Complex64::ZERO; layout.dim];
     for (idx, e) in ckt.elements().iter().enumerate() {
         match e {
@@ -192,19 +192,12 @@ fn jw(f: f64) -> impl Fn(f64) -> Complex64 + Copy {
     move |x: f64| Complex64::new(0.0, omega * x)
 }
 
-/// The fill-reducing ordering a sweep's sparse factors share, or `None`
-/// when the pattern's primary factor is dense or has no transversal.
-fn sweep_ordering(pattern: &CsrMatrix<Complex64>) -> Option<FillOrdering> {
-    (Factored::primary_strategy(pattern) == FactorStrategy::SparseLu)
-        .then(|| FillOrdering::of(pattern).ok())
-        .flatten()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::netlist::Circuit;
     use crate::waveform::Waveform;
+    use vpec_numerics::CsrMatrix;
 
     #[test]
     fn rc_lowpass_corner() {
@@ -535,9 +528,7 @@ mod tests {
         ] {
             let layout = MnaLayout::new(&ckt);
             let plan = StampPlan::new(&ckt, &layout, jw(freqs[0]), jw(freqs[0])).unwrap();
-            let strategy = Factored::primary_strategy(plan.pattern());
-            assert_eq!(strategy, FactorStrategy::SparseLu, "{name} factors sparse");
-            let ordering = sweep_ordering(plan.pattern()).expect("a sparse pattern is ordered");
+            let ordering = FillOrdering::of(plan.pattern()).unwrap();
             for &f in &freqs {
                 let refilled = plan.refill(&ckt, &layout, jw(f), jw(f)).unwrap();
                 let refilled = refilled.unwrap_or_else(|| panic!("{name} at {f} Hz: no refill"));

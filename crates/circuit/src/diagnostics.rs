@@ -10,7 +10,9 @@
 //! branches: it can force the primary factorization to fail and poison
 //! the transient solution with NaN at a chosen step.
 
-/// A factorization backend attempted by the fallback chain.
+/// A factorization backend attempted by the fallback chain: stage 1 is
+/// always [`FactorStrategy::SparseLu`], and [`FactorStrategy::DenseLu`]
+/// labels the recovery stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FactorStrategy {
     /// Sparse Gilbert–Peierls LU under the fill-reducing ordering
@@ -59,7 +61,7 @@ pub struct FactorDiagnostics {
 }
 
 impl FactorDiagnostics {
-    /// `true` when anything beyond the primary backend was needed.
+    /// `true` when anything beyond the sparse primary was needed.
     pub fn used_fallback(&self) -> bool {
         self.attempts.len() > 1
     }

@@ -1,17 +1,17 @@
-//! Linear-solver selection and the factorization **fallback chain**:
-//! dense LU for small/dense MNA systems, sparse Gilbert–Peierls LU
-//! otherwise — ordered by maximum transversal + AMD with threshold
-//! pivoting, real and complex systems alike — and when the sparse backend
-//! fails, dense LU with partial pivoting. The choice is the code's, from
-//! dimension and density; no caller picks it.
+//! The factorization **fallback chain** of every MNA system: stage 1 is
+//! sparse Gilbert–Peierls LU, ordered by maximum transversal + AMD with
+//! threshold pivoting, real and complex systems alike; when it fails,
+//! stage 2 is dense LU with partial pivoting. Every system has both
+//! stages, whatever its size or density; no caller picks a backend.
 //!
-//! The backend split mirrors the behaviour the paper attributes to
+//! The sparse primary mirrors the behaviour the paper attributes to
 //! SPICE: "its internal sparse solver is more efficient for a less dense
-//! matrix" — sparsified VPEC models get the sparse path and profit,
-//! dense PEEC stamps fall back to dense elimination. The recovery chain
-//! is this workspace's production hardening: a near-singular MNA system
-//! degrades through the chain and is reported in [`FactorDiagnostics`]
-//! instead of panicking or silently emitting garbage.
+//! matrix" — sparsified VPEC models profit from it, and dense PEEC
+//! stamps end in a fully stored trailing block the sparse kernel
+//! eliminates as slices. The recovery stage is this workspace's
+//! production hardening: a near-singular MNA system degrades through the
+//! chain and is reported in [`FactorDiagnostics`] instead of panicking or
+//! silently emitting garbage.
 
 use crate::diagnostics::{FactorAttempt, FactorDiagnostics, FactorStrategy};
 use crate::error::CircuitError;
@@ -34,27 +34,15 @@ impl<T: Scalar> Factored<T> {
         Self::factor_with(coo, false).map(|(f, _)| f)
     }
 
-    /// The primary backend for `csr`: dense LU for small or dense
-    /// systems, sparse LU otherwise.
-    pub(crate) fn primary_strategy(csr: &CsrMatrix<T>) -> FactorStrategy {
-        let dim = csr.rows();
-        if dim <= 64 || (csr.density() > 0.15 && dim <= 2048) {
-            FactorStrategy::DenseLu
-        } else {
-            FactorStrategy::SparseLu
-        }
-    }
-
     /// Factors with the full fallback chain and returns what happened.
     ///
     /// Stages, in order (each runs at most once):
     ///
-    /// 1. the primary backend of [`Factored::primary_strategy`]. A
-    ///    sparse primary is [`SparseLu::new_fill_reducing`]: maximum
-    ///    transversal + AMD with diagonal-preferring threshold pivoting;
-    /// 2. dense LU with partial pivoting, when the primary was sparse —
-    ///    dense partial pivoting survives pivot sequences the sparse
-    ///    kernel's pattern cannot reach.
+    /// 1. sparse LU, [`SparseLu::new_fill_reducing`]: a maximum
+    ///    transversal and AMD, with diagonal-preferring threshold pivoting;
+    /// 2. dense LU with partial pivoting, when stage 1 failed — dense
+    ///    partial pivoting survives pivot sequences the sparse kernel's
+    ///    pattern cannot reach.
     ///
     /// `fail_primary` is fault injection
     /// ([`crate::FaultInjection::fail_primary_factor`]): it reports stage 1
@@ -70,8 +58,8 @@ impl<T: Scalar> Factored<T> {
 
     /// [`Factored::factor_with`] on a compressed matrix. `ordering` is a
     /// [`FillOrdering`] of `csr`'s pattern made beforehand (an AC sweep
-    /// orders its pattern once for every point); `None` orders a sparse
-    /// primary here. Either way it is the same factor, bit for bit.
+    /// orders its pattern once for every point); `None` orders it here.
+    /// Either way it is the same factor, bit for bit.
     pub(crate) fn factor_csr(
         csr: &CsrMatrix<T>,
         fail_primary: bool,
@@ -79,54 +67,32 @@ impl<T: Scalar> Factored<T> {
     ) -> Result<(Self, FactorDiagnostics), CircuitError> {
         let dim = csr.rows();
         let mut sp = vpec_trace::span!("factor", "dim" => dim);
-        let primary_strategy = Self::primary_strategy(csr);
 
         let mut diag = FactorDiagnostics::default();
-        let mut last_err: Option<CircuitError> = None;
-
-        // Stage 1: the primary backend.
-        let mut factor: Option<Factored<T>> = if fail_primary {
-            last_err = Some(CircuitError::SingularSystem { analysis: "solve" });
-            diag.attempts.push(FactorAttempt {
-                strategy: primary_strategy,
-                succeeded: false,
-            });
-            None
+        // Stage 1: sparse LU.
+        let sparse = if fail_primary {
+            Err(CircuitError::SingularSystem { analysis: "solve" })
         } else {
-            let (outcome, err) = match Self::try_primary(csr, primary_strategy, ordering) {
-                Ok(f) => (Some(f), None),
-                Err(e) => (None, Some(e)),
-            };
-            diag.attempts.push(FactorAttempt {
-                strategy: primary_strategy,
-                succeeded: outcome.is_some(),
-            });
-            if let Some(e) = err {
-                last_err = Some(e);
+            match ordering {
+                None => SparseLu::new_fill_reducing(csr),
+                Some(o) => SparseLu::with_ordering(csr, o),
             }
-            outcome
+            .map_err(CircuitError::from)
         };
-
-        // Stage 2: dense LU with partial pivoting (pointless to repeat if
-        // the primary already was dense).
-        if factor.is_none() && primary_strategy != FactorStrategy::DenseLu {
-            match LuFactor::new(&csr.to_dense()) {
-                Ok(lu) => {
-                    diag.attempts.push(FactorAttempt {
-                        strategy: FactorStrategy::DenseLu,
-                        succeeded: true,
-                    });
-                    factor = Some(Factored::Dense(lu));
-                }
-                Err(e) => {
-                    diag.attempts.push(FactorAttempt {
-                        strategy: FactorStrategy::DenseLu,
-                        succeeded: false,
-                    });
-                    last_err = Some(e.into());
-                }
-            }
-        }
+        diag.attempts.push(FactorAttempt {
+            strategy: FactorStrategy::SparseLu,
+            succeeded: sparse.is_ok(),
+        });
+        // Stage 2, only when stage 1 failed: dense LU with partial
+        // pivoting. Its error is the one reported when both fail.
+        let factored = sparse.map(Factored::Sparse).or_else(|_| {
+            let dense = LuFactor::new(&csr.to_dense());
+            diag.attempts.push(FactorAttempt {
+                strategy: FactorStrategy::DenseLu,
+                succeeded: dense.is_ok(),
+            });
+            Ok::<_, CircuitError>(Factored::Dense(dense?))
+        });
 
         if vpec_trace::enabled() {
             for a in &diag.attempts {
@@ -138,42 +104,24 @@ impl<T: Scalar> Factored<T> {
                 sp.set_attr("fallback", diag.used_fallback());
             }
         }
-        match factor {
-            Some(f) => {
-                let (cond, nnz, off_diagonal) = match &f {
-                    Factored::Dense(lu) => (lu.diag_condition_estimate(), dim * dim, 0),
-                    Factored::Sparse(lu) => (
-                        lu.diag_condition_estimate(),
-                        lu.factor_nnz(),
-                        lu.off_diagonal_pivots(),
-                    ),
-                };
-                diag.condition_estimate = Some(cond);
-                diag.factor_nnz = nnz;
-                diag.off_diagonal_pivots = off_diagonal;
-                sp.set_attr("factor_nnz", nnz);
-                if let Factored::Sparse(lu) = &f {
-                    sp.set_attr("off_diagonal_pivots", off_diagonal);
-                    sp.set_attr("dense_block", lu.dense_block());
-                }
-                Ok((f, diag))
-            }
-            None => Err(last_err.unwrap_or(CircuitError::SingularSystem { analysis: "solve" })),
+        let f = factored?;
+        let (cond, nnz, off_diagonal) = match &f {
+            Factored::Dense(lu) => (lu.diag_condition_estimate(), dim * dim, 0),
+            Factored::Sparse(lu) => (
+                lu.diag_condition_estimate(),
+                lu.factor_nnz(),
+                lu.off_diagonal_pivots(),
+            ),
+        };
+        diag.condition_estimate = Some(cond);
+        diag.factor_nnz = nnz;
+        diag.off_diagonal_pivots = off_diagonal;
+        sp.set_attr("factor_nnz", nnz);
+        if let Factored::Sparse(lu) = &f {
+            sp.set_attr("off_diagonal_pivots", off_diagonal);
+            sp.set_attr("dense_block", lu.dense_block());
         }
-    }
-
-    fn try_primary(
-        csr: &CsrMatrix<T>,
-        strategy: FactorStrategy,
-        ordering: Option<&FillOrdering>,
-    ) -> Result<Self, CircuitError> {
-        Ok(match (strategy, ordering) {
-            (FactorStrategy::DenseLu, _) => Factored::Dense(LuFactor::new(&csr.to_dense())?),
-            (FactorStrategy::SparseLu, None) => Factored::Sparse(SparseLu::new_fill_reducing(csr)?),
-            (FactorStrategy::SparseLu, Some(o)) => {
-                Factored::Sparse(SparseLu::with_ordering(csr, o)?)
-            }
-        })
+        Ok((f, diag))
     }
 
     /// Solves `A·x = b`.
@@ -231,20 +179,23 @@ mod tests {
     }
 
     #[test]
-    fn auto_uses_dense_for_small() {
-        let f = Factored::factor(&diag_coo(8)).unwrap();
-        assert!(!f.is_sparse());
-    }
-
-    #[test]
-    fn auto_uses_sparse_for_large_sparse() {
-        let f = Factored::factor(&diag_coo(500)).unwrap();
-        assert!(f.is_sparse());
+    fn every_size_factors_sparse_first() {
+        // Stage 1 is sparse LU at every size, small systems included, and
+        // the accepted factor reports its evidence.
+        for dim in [5, 8, 64, 65, 100, 500] {
+            let (f, diag) = Factored::factor_with(&diag_coo(dim), false).unwrap();
+            assert!(f.is_sparse(), "{dim}");
+            assert_eq!(diag.attempts.len(), 1, "{dim}");
+            assert_eq!(diag.accepted(), Some(FactorStrategy::SparseLu), "{dim}");
+            assert_eq!(diag.condition_estimate, Some(1.0), "{dim}");
+            assert_eq!(diag.factor_nnz, 2 * dim, "{dim}");
+            assert_eq!(diag.off_diagonal_pivots, 0, "{dim}");
+        }
     }
 
     #[test]
     fn both_backends_agree() {
-        // The 10 × 10 grid (dim 100) goes sparse; the injected primary
+        // The 10 × 10 grid (dim 100) factors sparse; the injected primary
         // failure gives the dense-LU reference for the same system.
         let coo = grid(10, 10);
         let b: Vec<f64> = (0..100).map(|i| 1.0 + i as f64).collect();
@@ -256,22 +207,6 @@ mod tests {
         let xd = dense.solve(&b).unwrap();
         for (u, v) in xd.iter().zip(xs.iter()) {
             assert!((u - v).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn every_accepted_factor_reports_its_evidence() {
-        // Condition estimate and factor nnz come from the accepted factor,
-        // whichever backend produced it.
-        for (dim, strategy, nnz) in [
-            (5, FactorStrategy::DenseLu, 25),
-            (100, FactorStrategy::SparseLu, 200),
-        ] {
-            let (_, diag) = Factored::factor_with(&diag_coo(dim), false).unwrap();
-            assert_eq!(diag.accepted(), Some(strategy), "{dim}");
-            assert_eq!(diag.condition_estimate, Some(1.0), "{dim}");
-            assert_eq!(diag.factor_nnz, nnz, "{dim}");
-            assert_eq!(diag.off_diagonal_pivots, 0, "{dim}");
         }
     }
 
@@ -298,53 +233,33 @@ mod tests {
     }
 
     #[test]
-    fn singular_maps_to_circuit_error() {
-        let coo = CooMatrix::<f64>::new(2, 2); // all-zero matrix
-        assert_eq!(
-            Factored::primary_strategy(&coo.to_csr()),
-            FactorStrategy::DenseLu
-        );
-        let err = Factored::factor(&coo).unwrap_err();
-        assert!(matches!(err, CircuitError::SingularSystem { .. }));
-    }
-
-    #[test]
-    fn sparse_failure_falls_back_to_dense() {
+    fn injected_primary_failure_recovers_through_dense_lu_at_any_size() {
         // The sparse kernel does threshold pivoting, so genuine sparse-only
-        // failures are rare; inject one to prove the chain recovers and
-        // still produces the right answer.
-        let coo = swapped_pairs(100);
-        let (f, diag) = Factored::factor_with(&coo, true).unwrap();
-        assert!(!f.is_sparse(), "fell back to dense");
-        assert!(diag.used_fallback());
-        assert_eq!(diag.accepted(), Some(FactorStrategy::DenseLu));
-        let b: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let x = f.solve(&b).unwrap();
-        for i in (0..100).step_by(2) {
-            assert!((x[i] - b[i + 1]).abs() < 1e-12 && (x[i + 1] - b[i]).abs() < 1e-12);
+        // failures are rare; inject one to prove the chain recovers, on
+        // small systems as on large ones, with the right answer.
+        for dim in [2, 8, 64, 100] {
+            let (f, diag) = Factored::factor_with(&swapped_pairs(dim), true).unwrap();
+            assert!(!f.is_sparse(), "{dim}");
+            assert_eq!(diag.attempts.len(), 2, "{dim}");
+            assert_eq!(diag.attempts[0].strategy, FactorStrategy::SparseLu);
+            assert!(!diag.attempts[0].succeeded, "{dim}");
+            assert_eq!(diag.accepted(), Some(FactorStrategy::DenseLu), "{dim}");
+            assert_eq!(diag.factor_nnz, dim * dim, "{dim}");
+            let b: Vec<f64> = (0..dim).map(|i| i as f64).collect();
+            let x = f.solve(&b).unwrap();
+            for i in (0..dim).step_by(2) {
+                assert_eq!((x[i], x[i + 1]), (b[i + 1], b[i]), "{dim}");
+            }
         }
     }
 
     #[test]
-    fn injected_primary_failure_engages_chain() {
-        let (f, diag) = Factored::factor_with(&diag_coo(100), true).unwrap();
-        assert!(!f.is_sparse());
-        assert_eq!(diag.attempts.len(), 2);
-        assert_eq!(diag.attempts[0].strategy, FactorStrategy::SparseLu);
-        assert!(!diag.attempts[0].succeeded);
-        assert!(diag.attempts[1].succeeded);
-        assert!(diag.condition_estimate.is_some());
-    }
-
-    #[test]
     fn singular_system_is_typed_error_after_the_whole_chain() {
-        // All-zero and dim 100: sparse LU fails, then dense LU does.
-        let coo = CooMatrix::<f64>::new(100, 100);
-        assert_eq!(
-            Factored::primary_strategy(&coo.to_csr()),
-            FactorStrategy::SparseLu
-        );
-        let err = Factored::factor_with(&coo, false).unwrap_err();
-        assert!(matches!(err, CircuitError::SingularSystem { .. }));
+        // All-zero: sparse LU fails, then dense LU does, at any size.
+        for dim in [2, 100] {
+            let coo = CooMatrix::<f64>::new(dim, dim);
+            let err = Factored::factor_with(&coo, false).unwrap_err();
+            assert!(matches!(err, CircuitError::SingularSystem { .. }), "{dim}");
+        }
     }
 }

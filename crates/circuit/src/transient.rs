@@ -1071,8 +1071,8 @@ mod tests {
 
     #[test]
     fn injected_factor_failure_engages_fallback() {
-        // 100 sections go sparse, so the injected failure walks the chain
-        // to dense LU. From the 1 V DC point the ladder stays at 1 V.
+        // The ladder factors sparse, so the injected failure walks the
+        // chain to dense LU. From the 1 V DC point the ladder stays at 1 V.
         let (c, near) = long_rc_ladder(100, Waveform::dc(1.0));
         let spec = TransientSpec::new(1e-7, 1e-9);
         let (_, clean) = run_transient_with_report(&c, &spec).unwrap();

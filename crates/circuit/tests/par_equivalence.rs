@@ -58,8 +58,8 @@ fn ac_sweep_matches_serial_at_any_thread_count() {
     // ordering at every point of the same pattern. The ordering depends on
     // the pattern alone, so every point must match, bit for bit, a sweep of
     // that point alone (which orders from the point itself). The 24-stage
-    // ladder (dim 74) goes sparse: its transient companion matrix has the
-    // AC pattern, and the chain accepts a sparse factor for it.
+    // ladder's (dim 74) transient companion matrix has the AC pattern, and
+    // the chain accepts a sparse factor for it.
     let (c, taps) = ladder(24);
     let companion = prepare_transient(&c, &TransientSpec::new(1e-9, 1e-12)).expect("factor");
     assert_eq!(

@@ -4,7 +4,9 @@
 use crate::CoreError;
 use vpec_extract::Parasitics;
 use vpec_geometry::Layout;
-use vpec_numerics::{CancelToken, Cholesky, DenseMatrix, LuFactor, NumericsError};
+use vpec_numerics::{
+    CancelToken, Cholesky, CooMatrix, CsrMatrix, DenseMatrix, LuFactor, NumericsError,
+};
 
 /// A VPEC model: the symmetric circuit matrix `Ĝ` stored sparsely
 /// (diagonal + strictly-lower off-diagonal entries) together with the
@@ -277,6 +279,30 @@ impl VpecModel {
         m
     }
 
+    /// `Ĝ` with both triangles stored, in O(nnz).
+    fn g_csr(&self) -> Result<CsrMatrix<f64>, NumericsError> {
+        let n = self.len();
+        let mut coo = CooMatrix::new(n, n);
+        for (i, &d) in self.g_diag.iter().enumerate() {
+            coo.push(i, i, d)?;
+        }
+        for &(i, j, v) in &self.g_off {
+            coo.push(i, j, v)?;
+            coo.push(j, i, v)?;
+        }
+        Ok(coo.to_csr())
+    }
+
+    /// `Σ_{j≠i} |Ĝᵢⱼ|` of every row `i`, from the stored entries.
+    pub(crate) fn off_diagonal_abs_sums(&self) -> Vec<f64> {
+        let mut sums = vec![0.0f64; self.len()];
+        for &(i, j, v) in &self.g_off {
+            sums[i] += v.abs();
+            sums[j] += v.abs();
+        }
+        sums
+    }
+
     /// Quantitative passivity margin: the extreme eigenvalues of `Ĝ`.
     /// `min > 0` certifies passivity with `min` as the distance to the
     /// boundary; the condition number indicates how aggressively further
@@ -287,22 +313,28 @@ impl VpecModel {
     /// Propagates numerics failures (cannot occur for a square `Ĝ`).
     pub fn passivity_margin(&self) -> Result<vpec_numerics::eigen::EigenExtremes, CoreError> {
         Ok(vpec_numerics::eigen::symmetric_extremes(
-            &self.g_matrix(),
+            &self.g_csr()?,
             2000,
             1e-10,
         )?)
     }
 
-    /// Checks the properties proved in §III on this concrete model.
+    /// Checks the properties proved in §III on this concrete model, in
+    /// O(nnz) whenever Theorem 2 holds.
+    ///
+    /// `Ĝ` stores each pair once, so it is symmetric by construction. A
+    /// symmetric `Ĝ` whose positive diagonal strictly dominates every row
+    /// has all its Gershgorin discs in the right half-plane, so it is
+    /// positive definite (Theorem 2 ⇒ Theorem 1); only a model that fails
+    /// that test is densified for a Cholesky factorization.
     pub fn passivity_report(&self) -> PassivityReport {
-        let g = self.g_matrix();
-        let symmetric = g.is_symmetric(1e-9);
-        let sdd = g.is_strictly_diagonally_dominant();
-        let pd = Cholesky::new(&g).is_ok();
+        let off = self.off_diagonal_abs_sums();
+        let sdd = self.g_diag.iter().zip(&off).all(|(d, o)| d.abs() > *o);
+        let gershgorin = sdd && self.g_diag.iter().all(|&d| d > 0.0);
         PassivityReport {
-            symmetric,
+            symmetric: true,
             strictly_diag_dominant: sdd,
-            positive_definite: pd,
+            positive_definite: gershgorin || Cholesky::new(&self.g_matrix()).is_ok(),
         }
     }
 }
@@ -450,6 +482,34 @@ mod tests {
         assert!(tm.condition() >= 1.0);
         // Margin agrees with the binary Cholesky verdict.
         assert_eq!(tm.min > 0.0, t.passivity_report().positive_definite);
+    }
+
+    #[test]
+    fn passivity_report_agrees_with_the_dense_checks() {
+        // Dominant; passive but not dominant; indefinite; and a negative
+        // diagonal that dominates its row.
+        let (bus, _) = bus_model(6);
+        for m in [
+            bus,
+            VpecModel::from_parts(
+                vec![1.0; 3],
+                vec![1.0, 1.0, 1.0],
+                vec![(0, 1, -0.6), (1, 2, -0.6)],
+            ),
+            VpecModel::from_parts(vec![1.0; 2], vec![1.0, 1.0], vec![(0, 1, -2.0)]),
+            VpecModel::from_parts(vec![1.0; 2], vec![-3.0, 3.0], vec![(0, 1, 1.0)]),
+        ] {
+            let g = m.g_matrix();
+            let rep = m.passivity_report();
+            assert!(rep.symmetric);
+            assert_eq!(
+                rep.strictly_diag_dominant,
+                g.is_strictly_diagonally_dominant()
+            );
+            assert_eq!(rep.positive_definite, Cholesky::new(&g).is_ok());
+            let margin = m.passivity_margin().unwrap();
+            assert_eq!(margin.min > 0.0, rep.positive_definite);
+        }
     }
 
     #[test]

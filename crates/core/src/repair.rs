@@ -69,11 +69,7 @@ impl RepairReport {
 pub fn repair_passivity(model: &VpecModel, margin: f64) -> (VpecModel, RepairReport) {
     let mut sp = vpec_trace::span!("model.repair", "dim" => model.len());
     let n = model.len();
-    let mut off_sum = vec![0.0f64; n];
-    for &(i, j, v) in model.g_off() {
-        off_sum[i] += v.abs();
-        off_sum[j] += v.abs();
-    }
+    let off_sum = model.off_diagonal_abs_sums();
 
     let mut report = RepairReport {
         was_dominant_before: true,

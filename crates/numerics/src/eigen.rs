@@ -7,7 +7,7 @@
 //! from the passivity boundary, and how much additional truncation it
 //! could tolerate.
 
-use crate::{DenseMatrix, NumericsError};
+use crate::{CsrMatrix, NumericsError};
 
 /// Result of an extreme-eigenvalue estimation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,18 +31,15 @@ impl EigenExtremes {
     }
 }
 
-/// Largest-magnitude eigenvalue of a symmetric matrix by power iteration
-/// (deterministic start vector with a fallback restart for unlucky
-/// orthogonality).
+/// Largest-magnitude eigenvalue of the symmetric `n × n` operator
+/// `matvec` by power iteration (deterministic start vector with a
+/// fallback restart for unlucky orthogonality).
 fn dominant_eigenvalue(
-    a: &DenseMatrix<f64>,
+    n: usize,
+    matvec: impl Fn(&[f64]) -> Result<Vec<f64>, NumericsError>,
     max_iters: usize,
     tol: f64,
 ) -> Result<(f64, usize), NumericsError> {
-    let n = a.rows();
-    if n == 0 {
-        return Ok((0.0, 0));
-    }
     let mut best = (0.0f64, 0usize);
     for attempt in 0..2 {
         // Deterministic pseudo-random start, different per attempt.
@@ -55,7 +52,7 @@ fn dominant_eigenvalue(
         let mut iters = 0;
         for k in 0..max_iters {
             iters = k + 1;
-            let w = a.matvec(&v)?;
+            let w = matvec(&v)?;
             let new_lambda: f64 = v.iter().zip(w.iter()).map(|(x, y)| x * y).sum();
             let wn = w.iter().map(|x| x * x).sum::<f64>().sqrt();
             if wn < f64::MIN_POSITIVE {
@@ -77,27 +74,28 @@ fn dominant_eigenvalue(
 }
 
 /// Estimates the smallest and largest eigenvalues of a **symmetric**
-/// matrix.
+/// sparse matrix, in O(nnz) per iteration.
 ///
 /// Method: power iteration gives the largest-magnitude eigenvalue `μ`;
 /// shifting by it (`μ·I − A` or `A − μ·I`) and iterating again reaches the
-/// opposite end of the spectrum. Accuracy is `tol`-limited and adequate
-/// for margins/conditioning, not for tight clustered spectra.
+/// opposite end of the spectrum. Both shifts are applied in the matvec,
+/// so no shifted copy of `A` is made. Accuracy is `tol`-limited and
+/// adequate for margins/conditioning, not for tight clustered spectra.
 ///
 /// # Errors
 ///
 /// [`NumericsError::NotSquare`] for non-square input.
 pub fn symmetric_extremes(
-    a: &DenseMatrix<f64>,
+    a: &CsrMatrix<f64>,
     max_iters: usize,
     tol: f64,
 ) -> Result<EigenExtremes, NumericsError> {
-    if !a.is_square() {
+    let n = a.rows();
+    if a.cols() != n {
         return Err(NumericsError::NotSquare {
-            found: (a.rows(), a.cols()),
+            found: (n, a.cols()),
         });
     }
-    let n = a.rows();
     if n == 0 {
         return Ok(EigenExtremes {
             min: 0.0,
@@ -110,22 +108,24 @@ pub fn symmetric_extremes(
     // this sidesteps the ±λ tie that defeats plain power iteration on
     // indefinite matrices.
     let c = (0..n)
-        .map(|i| (0..n).map(|j| a[(i, j)].abs()).sum::<f64>())
+        .map(|i| a.row(i).1.iter().map(|v| v.abs()).sum::<f64>())
         .fold(0.0f64, f64::max)
         + 1.0;
-    let lifted = DenseMatrix::from_fn(n, n, |i, j| {
-        let d = if i == j { c } else { 0.0 };
-        d + a[(i, j)]
-    });
-    let (mu_lifted, it1) = dominant_eigenvalue(&lifted, max_iters, tol)?;
+    // `shift·v + sign·A·v`.
+    let shifted = |shift: f64, sign: f64| {
+        move |v: &[f64]| -> Result<Vec<f64>, NumericsError> {
+            let mut w = a.matvec(v)?;
+            for (wi, vi) in w.iter_mut().zip(v) {
+                *wi = shift * vi + sign * *wi;
+            }
+            Ok(w)
+        }
+    };
+    let (mu_lifted, it1) = dominant_eigenvalue(n, shifted(c, 1.0), max_iters, tol)?;
     let lam_max = mu_lifted - c;
     // Second stage: (λ_max·I − A) has spectrum λ_max − λᵢ ≥ 0; its
     // dominant eigenvalue is λ_max − λ_min.
-    let shifted = DenseMatrix::from_fn(n, n, |i, j| {
-        let d = if i == j { lam_max } else { 0.0 };
-        d - a[(i, j)]
-    });
-    let (nu, it2) = dominant_eigenvalue(&shifted, max_iters, tol)?;
+    let (nu, it2) = dominant_eigenvalue(n, shifted(lam_max, -1.0), max_iters, tol)?;
     let lam_min = lam_max - nu;
     Ok(EigenExtremes {
         min: lam_min,
@@ -137,10 +137,18 @@ pub fn symmetric_extremes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CooMatrix, DenseMatrix};
 
-    fn diag(vals: &[f64]) -> DenseMatrix<f64> {
-        let n = vals.len();
-        DenseMatrix::from_fn(n, n, |i, j| if i == j { vals[i] } else { 0.0 })
+    fn diag(vals: &[f64]) -> CsrMatrix<f64> {
+        let mut coo = CooMatrix::new(vals.len(), vals.len());
+        for (i, &v) in vals.iter().enumerate() {
+            coo.push(i, i, v).unwrap();
+        }
+        coo.to_csr()
+    }
+
+    fn sparse(a: &DenseMatrix<f64>) -> CsrMatrix<f64> {
+        CsrMatrix::from_dense(a, 0.0)
     }
 
     #[test]
@@ -155,7 +163,7 @@ mod tests {
     fn spd_matrix_has_positive_margin() {
         // Eigenvalues of [[2,1],[1,2]] are 1 and 3.
         let a = DenseMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let e = symmetric_extremes(&a, 500, 1e-12).unwrap();
+        let e = symmetric_extremes(&sparse(&a), 500, 1e-12).unwrap();
         assert!((e.min - 1.0).abs() < 1e-6);
         assert!((e.max - 3.0).abs() < 1e-6);
         assert!((e.condition() - 3.0).abs() < 1e-5);
@@ -165,7 +173,7 @@ mod tests {
     fn indefinite_matrix_detected() {
         // [[0,1],[1,0]]: eigenvalues ±1.
         let a = DenseMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let e = symmetric_extremes(&a, 500, 1e-12).unwrap();
+        let e = symmetric_extremes(&sparse(&a), 500, 1e-12).unwrap();
         assert!((e.max - 1.0).abs() < 1e-6);
         assert!((e.min + 1.0).abs() < 1e-6);
     }
@@ -179,8 +187,8 @@ mod tests {
 
     #[test]
     fn rejects_non_square_and_handles_empty() {
-        assert!(symmetric_extremes(&DenseMatrix::zeros(2, 3), 10, 1e-6).is_err());
-        let e = symmetric_extremes(&DenseMatrix::zeros(0, 0), 10, 1e-6).unwrap();
+        assert!(symmetric_extremes(&sparse(&DenseMatrix::zeros(2, 3)), 10, 1e-6).is_err());
+        let e = symmetric_extremes(&sparse(&DenseMatrix::zeros(0, 0)), 10, 1e-6).unwrap();
         assert_eq!(e.min, 0.0);
         assert_eq!(e.max, 0.0);
     }
@@ -191,7 +199,7 @@ mod tests {
         let eps = 1e-6;
         let a =
             DenseMatrix::from_rows(&[&[1.0 + eps / 2.0, -1.0], &[-1.0, 1.0 + eps / 2.0]]).unwrap();
-        let e = symmetric_extremes(&a, 5000, 1e-14).unwrap();
+        let e = symmetric_extremes(&sparse(&a), 5000, 1e-14).unwrap();
         assert!(
             e.min > 0.0 && e.min < 1e-3,
             "tiny positive margin: {}",

@@ -9,11 +9,11 @@
 //! * [`Pool::par_map`] / [`Pool::par_map_index`] — independent map over
 //!   items or indices (per-column inverses, per-frequency AC solves,
 //!   per-filament parasitics);
-//! * [`Pool::par_join`] — two-way fork/join;
-//! * [`lu_eliminate`] / [`cholesky_eliminate`] — dense eliminations used
-//!   by [`crate::LuFactor`] and [`crate::Cholesky`], dispatching between
-//!   a serial loop and cache-blocked panel factorizations with four-wide
-//!   unrolled trailing updates on the size thresholds below.
+//! * [`lu_eliminate_cancel`] / [`cholesky_eliminate_cancel`] — dense
+//!   eliminations used by [`crate::LuFactor`] and [`crate::Cholesky`],
+//!   dispatching between a serial loop and cache-blocked panel
+//!   factorizations with four-wide unrolled trailing updates on the size
+//!   thresholds below.
 //!
 //! # Thread count
 //!
@@ -69,9 +69,10 @@ pub const BLOCK_MIN_DIM: usize = 64;
 /// consistently.
 pub const PANEL_WIDTH: usize = 32;
 
-/// The elimination mode [`lu_eliminate`] and [`cholesky_eliminate`] pick
-/// for an `n × n` matrix — `"blocked"` or `"serial"`. Exposed so callers
-/// can record the chosen mode in trace spans.
+/// The elimination mode [`lu_eliminate_cancel`] and
+/// [`cholesky_eliminate_cancel`] pick for an `n × n` matrix — `"blocked"`
+/// or `"serial"`. Exposed so callers can record the chosen mode in trace
+/// spans.
 pub fn elim_mode(n: usize) -> &'static str {
     if n >= BLOCK_MIN_DIM {
         "blocked"
@@ -303,37 +304,6 @@ impl Pool {
         });
         filled(out)
     }
-
-    /// Runs `a` and `b`, possibly concurrently, and returns both results.
-    /// `a` runs on the calling thread; panics from `b` are re-raised.
-    pub fn par_join<RA, RB>(
-        &self,
-        a: impl FnOnce() -> RA + Send,
-        b: impl FnOnce() -> RB + Send,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        if self.threads <= 1 {
-            let ra = a();
-            let rb = b();
-            return (ra, rb);
-        }
-        let parent = vpec_trace::current_span();
-        std::thread::scope(|s| {
-            let hb = s.spawn(move || {
-                let _link = vpec_trace::parent_scope(parent);
-                b()
-            });
-            let ra = a();
-            let rb = match hb.join() {
-                Ok(rb) => rb,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            (ra, rb)
-        })
-    }
 }
 
 /// The results of a joined `par_map`/`par_map_index` scope, in order.
@@ -356,32 +326,15 @@ fn filled<R>(out: Vec<Option<R>>) -> Vec<R> {
 /// Below [`BLOCK_MIN_DIM`] this runs the plain serial right-looking
 /// elimination; from there on, the blocked panel factorization, whose
 /// trailing update goes parallel from [`ELIM_PAR_MIN_DIM`] up. Both are
-/// bit-identical to the serial loop for any thread count.
+/// bit-identical to the serial loop for any thread count. The token is
+/// polled once per elimination column (serial and blocked paths alike)
+/// and a set token aborts with [`NumericsError::Cancelled`], leaving
+/// `data` in an unspecified partially-eliminated state.
 ///
 /// # Errors
 ///
 /// [`NumericsError::Singular`] if a pivot column is exactly zero at or
-/// below the diagonal.
-///
-/// # Panics
-///
-/// Panics if `data.len() != n * n`.
-pub fn lu_eliminate<T: Scalar>(
-    data: &mut [T],
-    n: usize,
-    threads: usize,
-) -> Result<(Vec<usize>, f64), NumericsError> {
-    lu_eliminate_cancel(data, n, threads, &CancelToken::none())
-}
-
-/// [`lu_eliminate`] with cooperative cancellation: the token is polled
-/// once per elimination column (serial and blocked paths alike) and a set
-/// token aborts with [`NumericsError::Cancelled`], leaving `data` in an
-/// unspecified partially-eliminated state.
-///
-/// # Errors
-///
-/// Same as [`lu_eliminate`], plus [`NumericsError::Cancelled`].
+/// below the diagonal; [`NumericsError::Cancelled`] on cancellation.
 ///
 /// # Panics
 ///
@@ -392,7 +345,7 @@ pub fn lu_eliminate_cancel<T: Scalar>(
     threads: usize,
     cancel: &CancelToken,
 ) -> Result<(Vec<usize>, f64), NumericsError> {
-    assert_eq!(data.len(), n * n, "lu_eliminate: shape mismatch");
+    assert_eq!(data.len(), n * n, "lu_eliminate_cancel: shape mismatch");
     if n < BLOCK_MIN_DIM {
         vpec_trace::counter_add("pool.elim.serial", 1);
         return lu_eliminate_serial(data, n, cancel);
@@ -587,34 +540,17 @@ fn lu_eliminate_blocked<T: Scalar>(
 /// In-place Cholesky of a symmetric positive-definite matrix: reads the
 /// lower triangle of the row-major `n × n` slice `a` and fills the dense
 /// lower-triangular factor into `g` (which must be zeroed). Dispatches
-/// like [`lu_eliminate`]; the blocked path is audited-close to the serial
-/// left-looking loop and identical for any thread count.
+/// like [`lu_eliminate_cancel`]; the blocked path is audited-close to the
+/// serial left-looking loop and identical for any thread count. The
+/// token is polled once per elimination column (serial and blocked paths
+/// alike) and a set token aborts with [`NumericsError::Cancelled`],
+/// leaving `g` partially filled.
 ///
 /// # Errors
 ///
 /// [`NumericsError::NotPositiveDefinite`] if a diagonal pivot is not
-/// strictly positive and finite.
-///
-/// # Panics
-///
-/// Panics if the slice lengths are not `n * n`.
-pub fn cholesky_eliminate(
-    a: &[f64],
-    g: &mut [f64],
-    n: usize,
-    threads: usize,
-) -> Result<(), NumericsError> {
-    cholesky_eliminate_cancel(a, g, n, threads, &CancelToken::none())
-}
-
-/// [`cholesky_eliminate`] with cooperative cancellation: the token is
-/// polled once per elimination column (serial and blocked paths alike)
-/// and a set token aborts with [`NumericsError::Cancelled`], leaving `g`
-/// partially filled.
-///
-/// # Errors
-///
-/// Same as [`cholesky_eliminate`], plus [`NumericsError::Cancelled`].
+/// strictly positive and finite; [`NumericsError::Cancelled`] on
+/// cancellation.
 ///
 /// # Panics
 ///
@@ -626,8 +562,8 @@ pub fn cholesky_eliminate_cancel(
     threads: usize,
     cancel: &CancelToken,
 ) -> Result<(), NumericsError> {
-    assert_eq!(a.len(), n * n, "cholesky_eliminate: shape mismatch");
-    assert_eq!(g.len(), n * n, "cholesky_eliminate: shape mismatch");
+    assert_eq!(a.len(), n * n, "cholesky_eliminate_cancel: shape mismatch");
+    assert_eq!(g.len(), n * n, "cholesky_eliminate_cancel: shape mismatch");
     if n < BLOCK_MIN_DIM {
         vpec_trace::counter_add("pool.elim.serial", 1);
         return cholesky_eliminate_serial(a, g, n, cancel);
@@ -830,15 +766,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn par_join_returns_both() {
-        for nt in [1, 4] {
-            let (a, b) = Pool::with_threads(nt).par_join(|| 2 + 2, || "ok");
-            assert_eq!(a, 4);
-            assert_eq!(b, "ok");
-        }
-    }
-
     fn random_matrix(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = XorShift64::new(seed);
         let mut m = vec![0.0f64; n * n];
@@ -973,7 +900,7 @@ mod tests {
         let n = 12;
         let mut m = random_matrix(n, 3);
         let mut m2 = m.clone();
-        let a = lu_eliminate(&mut m, n, 8).unwrap();
+        let a = lu_eliminate_cancel(&mut m, n, 8, &CancelToken::none()).unwrap();
         let b = lu_eliminate_serial(&mut m2, n, &CancelToken::none()).unwrap();
         assert_eq!(m, m2);
         assert_eq!(a, b);

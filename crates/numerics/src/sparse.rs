@@ -189,16 +189,6 @@ impl<T: Scalar> CsrMatrix<T> {
         self.values.len()
     }
 
-    /// Fraction of stored entries relative to a dense matrix of the same
-    /// shape; the paper's *sparse factor*.
-    pub fn density(&self) -> f64 {
-        if self.rows == 0 || self.cols == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / (self.rows as f64 * self.cols as f64)
-        }
-    }
-
     /// The `(col_indices, values)` slice pair for row `i`.
     ///
     /// # Panics
@@ -362,13 +352,12 @@ mod tests {
     }
 
     #[test]
-    fn get_and_density() {
+    fn get_and_nnz() {
         let m = sample();
         assert_eq!(m.get(0, 2), 1.0);
         assert_eq!(m.get(0, 1), 0.0);
         assert_eq!(m.get(9, 9), 0.0);
         assert_eq!(m.nnz(), 5);
-        assert!((m.density() - 5.0 / 9.0).abs() < 1e-15);
     }
 
     #[test]
@@ -397,11 +386,5 @@ mod tests {
         assert_eq!(s.nnz(), 2);
         assert_eq!(s.get(0, 0), 1.0);
         assert_eq!(s.get(1, 1), 2.0);
-    }
-
-    #[test]
-    fn empty_matrix_density() {
-        let coo = CooMatrix::<f64>::new(0, 0);
-        assert_eq!(coo.to_csr().density(), 0.0);
     }
 }

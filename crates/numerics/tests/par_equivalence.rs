@@ -116,15 +116,6 @@ fn par_map_index_preserves_index_order() {
 }
 
 #[test]
-fn par_join_returns_both_results() {
-    for nt in THREAD_COUNTS {
-        let (a, b) = Pool::with_threads(nt).par_join(|| 6 * 7, || "right".len());
-        assert_eq!(a, 42);
-        assert_eq!(b, 5);
-    }
-}
-
-#[test]
 fn matmul_matches_serial_at_any_thread_count() {
     let mut rng = XorShift64::new(0x2002);
     for &(r, k, c) in &[(5, 7, 3), (64, 64, 64), (130, 97, 41)] {

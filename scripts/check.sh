@@ -179,6 +179,19 @@ set -e
 grep -q 'fail-if breached' target/batch_smoke_failif.txt \
   || { echo "vpec stats --fail-if breach must name the breached condition" >&2; exit 1; }
 
+echo "==> passivity report at 4,096 bits (vpec model --kind wvpec-g:8)"
+# `vpec model` takes symmetry and dominance from the stored entries of
+# the sparse gwVPEC(8) matrix, certifies positive definiteness by
+# Gershgorin when the diagonal dominates, and runs its eigenvalue margin
+# on the compressed matrix: well under a second here. A dense check of
+# the 4,096 x 4,096 matrix would take minutes and trip the timeout.
+# The binary is built first, so the timeout times the report alone.
+model_out="target/model_4096.txt"
+cargo build --release -q -p vpec-cli --bin vpec
+timeout 60 target/release/vpec model --bits 4096 --kind wvpec-g:8 > "$model_out"
+grep -qx 'positive definite (passive): true' "$model_out" \
+  || { cat "$model_out" >&2; echo "vpec model: 4096-bit gwVPEC(8) must be reported passive" >&2; exit 1; }
+
 echo "==> workload benchmark smoke run (six paper-size workloads, wall_s within 3x of the reference)"
 # One 1 s run of every workload at paper size. The benchmark exits 1 if
 # any trial's oracle or pin fails, which the toy-size test step above

@@ -144,8 +144,8 @@ fn injected_factor_failure_walks_the_chain_end_to_end() {
         &ExtractionConfig::paper_default(),
         DriveConfig::paper_default(),
     );
-    // 8-bit full VPEC (MNA dim 74) goes sparse, so the injected failure
-    // is the sparse primary's and the chain recovers with dense LU.
+    // 8-bit full VPEC (MNA dim 74): the injected failure is the sparse
+    // primary's and the chain recovers with dense LU.
     let built = exp.build(ModelKind::VpecFull).expect("build");
     let faults = FaultInjection {
         fail_primary_factor: true,

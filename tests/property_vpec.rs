@@ -255,15 +255,12 @@ fn guarded_transient_terminates_under_fault_injection() {
             },
             ..FaultInjection::none()
         };
-        // A failed *dense* primary has no distinct stage 2 (it IS the
-        // dense stage), so primary failure is injected only into models
-        // that go sparse — 16-bit PEEC (MNA dim 66) and 8-bit full VPEC
-        // (dim 74) — where the fallback is real.
-        let (bits, kind) = match (peec, faults.fail_primary_factor) {
-            (true, false) => (bits, ModelKind::Peec),
-            (true, true) => (16, ModelKind::Peec),
-            (false, false) => (bits, ModelKind::VpecFull),
-            (false, true) => (8, ModelKind::VpecFull),
+        // Every size factors sparse first, so an injected primary failure
+        // recovers through dense LU on these small buses too.
+        let kind = if peec {
+            ModelKind::Peec
+        } else {
+            ModelKind::VpecFull
         };
         let exp = Experiment::new(
             BusSpec::new(bits).build(),

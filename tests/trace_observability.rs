@@ -162,7 +162,7 @@ fn clean_run_emits_no_retry_events() {
 fn sparse_factor_span_carries_its_evidence() {
     let _g = guard();
     trace::reset("summary").unwrap();
-    // 8-bit full VPEC (MNA dim 74) goes sparse.
+    // 8-bit full VPEC, MNA dim 74.
     let exp = experiment(8);
     let built = exp.build(ModelKind::VpecFull).unwrap();
     let spec = TransientSpec::new(0.05e-9, 1e-12);
