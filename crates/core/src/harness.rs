@@ -415,22 +415,9 @@ pub struct SolveReport {
     pub repair: Option<RepairReport>,
     /// Guarded-transient diagnostics (`None` until a transient ran).
     pub transient: Option<TransientDiagnostics>,
-    /// Effective worker count of the parallel numerics layer (0 when not
-    /// recorded).
-    pub threads: usize,
-    /// Wall-clock seconds of the model-build phase (extraction through
-    /// netlist lowering), when recorded.
-    pub build_seconds: Option<f64>,
-    /// Wall-clock seconds of the analysis phase (transient or AC solve),
-    /// when recorded.
-    pub solve_seconds: Option<f64>,
     /// Solve-time audit telemetry (`None` when auditing was off or no
     /// audited solve ran).
     pub audit: Option<SolveAudit>,
-    /// Per-phase wall-time breakdown aggregated from trace spans closed
-    /// between the start of the model build and the end of the solve.
-    /// Empty when tracing ([`vpec_trace`]) is off.
-    pub phases: Vec<vpec_trace::PhaseTotal>,
 }
 
 impl SolveReport {
@@ -479,32 +466,6 @@ impl SolveReport {
             .map(SolveAudit::lines)
             .unwrap_or_default()
     }
-
-    /// Performance lines: effective thread count and per-phase wall time.
-    /// Kept separate from [`SolveReport::lines`] — perf figures are
-    /// routine telemetry, not a degradation signal.
-    pub fn perf_summary(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        if self.threads > 0 {
-            out.push(format!("threads: {}", self.threads));
-        }
-        if let Some(s) = self.build_seconds {
-            out.push(format!("build phase: {:.3} ms", s * 1e3));
-        }
-        if let Some(s) = self.solve_seconds {
-            out.push(format!("solve phase: {:.3} ms", s * 1e3));
-        }
-        for p in &self.phases {
-            out.push(format!(
-                "phase {}: {:.3} ms over {} span{}",
-                p.name,
-                p.seconds * 1e3,
-                p.count,
-                if p.count == 1 { "" } else { "s" },
-            ));
-        }
-        out
-    }
 }
 
 /// A built model netlist with its construction statistics.
@@ -521,8 +482,9 @@ pub struct BuiltModel {
     /// Passivity-repair record for sparsified VPEC kinds (`None` when the
     /// kind never needs repair).
     pub repair: Option<RepairReport>,
-    /// Trace position taken when the build started, so a later solve can
-    /// aggregate the build + solve phases into [`SolveReport::phases`].
+    /// Trace position taken when the build started: pass it to
+    /// [`vpec_trace::phase_totals_since`] after a solve for the build +
+    /// solve phase breakdown.
     pub trace_mark: vpec_trace::Mark,
 }
 
@@ -557,11 +519,7 @@ impl BuiltModel {
         let report = SolveReport {
             repair: self.repair.clone(),
             transient: Some(diag),
-            threads: vpec_numerics::pool::max_threads(),
-            build_seconds: Some(self.build_seconds),
-            solve_seconds: Some(solve_seconds),
             audit,
-            phases: vpec_trace::phase_totals_since(self.trace_mark),
         };
         Ok((res, report, solve_seconds))
     }
@@ -600,11 +558,7 @@ impl BuiltModel {
         let report = SolveReport {
             repair: self.repair.clone(),
             transient: Some(diag),
-            threads: vpec_numerics::pool::max_threads(),
-            build_seconds: Some(self.build_seconds),
-            solve_seconds: Some(solve_seconds),
             audit,
-            phases: vpec_trace::phase_totals_since(self.trace_mark),
         };
         Ok((res, report, solve_seconds))
     }

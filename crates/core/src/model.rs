@@ -9,8 +9,12 @@ use vpec_numerics::{
 };
 
 /// A VPEC model: the symmetric circuit matrix `Ĝ` stored sparsely
-/// (diagonal + strictly-lower off-diagonal entries) together with the
+/// (diagonal + one entry per off-diagonal pair) together with the
 /// filament lengths that scale it.
+///
+/// Symmetry is a property of the type: each pair `(i, j)`, `i < j`, is
+/// stored once and stands for both `Ĝᵢⱼ` and `Ĝⱼᵢ`, so every `Ĝ` a
+/// `VpecModel` holds equals its transpose and no check needs to test it.
 ///
 /// Physical reading (paper §II): the magnetic circuit has one node per
 /// filament; node `i` ties to vector-potential ground through
@@ -73,7 +77,7 @@ impl VpecModel {
             Err(e @ NumericsError::Cancelled { .. }) => return Err(e.into()),
             Err(_) => {
                 sp.set_attr("backend", "lu");
-                LuFactor::with_threads_cancel(l, threads, cancel)?.inverse_cancel(cancel)?
+                LuFactor::new_cancel(l, cancel)?.inverse_cancel(cancel)?
             }
         };
         Ok(Self::from_inverse(&s, &parasitics.lengths))
@@ -322,7 +326,7 @@ impl VpecModel {
     /// Checks the properties proved in §III on this concrete model, in
     /// O(nnz) whenever Theorem 2 holds.
     ///
-    /// `Ĝ` stores each pair once, so it is symmetric by construction. A
+    /// `Ĝ` is symmetric by construction (see [`VpecModel`]). A
     /// symmetric `Ĝ` whose positive diagonal strictly dominates every row
     /// has all its Gershgorin discs in the right half-plane, so it is
     /// positive definite (Theorem 2 ⇒ Theorem 1); only a model that fails
@@ -332,7 +336,6 @@ impl VpecModel {
         let sdd = self.g_diag.iter().zip(&off).all(|(d, o)| d.abs() > *o);
         let gershgorin = sdd && self.g_diag.iter().all(|&d| d > 0.0);
         PassivityReport {
-            symmetric: true,
             strictly_diag_dominant: sdd,
             positive_definite: gershgorin || Cholesky::new(&self.g_matrix()).is_ok(),
         }
@@ -342,8 +345,6 @@ impl VpecModel {
 /// Outcome of the passivity checks (Theorems 1–2 evaluated numerically).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassivityReport {
-    /// `Ĝ = Ĝᵀ`.
-    pub symmetric: bool,
     /// `Ĝᵢᵢ > Σ_{j≠i} |Ĝᵢⱼ|` for every row (Theorem 2).
     pub strictly_diag_dominant: bool,
     /// Cholesky succeeds, i.e. `Ĝ ≻ 0` (Theorem 1).
@@ -351,9 +352,10 @@ pub struct PassivityReport {
 }
 
 impl PassivityReport {
-    /// The model is passive iff `Ĝ` is symmetric positive definite.
+    /// The model is passive iff `Ĝ` is positive definite (it is
+    /// symmetric by construction).
     pub fn is_passive(&self) -> bool {
-        self.symmetric && self.positive_definite
+        self.positive_definite
     }
 }
 
@@ -373,7 +375,6 @@ mod tests {
     fn full_model_is_passive_and_dominant() {
         let (m, _) = bus_model(12);
         let rep = m.passivity_report();
-        assert!(rep.symmetric);
         assert!(rep.positive_definite, "Theorem 1");
         assert!(rep.strictly_diag_dominant, "Theorem 2");
         assert!(rep.is_passive());
@@ -398,6 +399,51 @@ mod tests {
             prod.max_abs_diff(&DenseMatrix::identity(n)).unwrap() < 1e-6,
             "Ĝ must be the length-scaled inverse of L"
         );
+    }
+
+    #[test]
+    fn indefinite_inductance_falls_back_to_lu() {
+        // Negating one self inductance leaves L symmetric and nonsingular
+        // but indefinite, so Cholesky fails and the inversion takes LU.
+        let layout = BusSpec::new(6).build();
+        let para = extract(&layout, &ExtractionConfig::paper_default());
+        let mut l = para.inductance().clone();
+        l[(2, 2)] = -l[(2, 2)];
+        assert!(Cholesky::new(&l).is_err(), "L must be indefinite");
+        let para = para.with_inductance(l);
+
+        vpec_trace::reset("summary").unwrap();
+        let m = VpecModel::full(&para).unwrap();
+        let lu_inverts = vpec_trace::closed_spans().iter().any(|sp| {
+            sp.name == "model.invert" && sp.attrs.contains(&("backend".into(), "lu".into()))
+        });
+        vpec_trace::reset("off").unwrap();
+        assert!(lu_inverts, "model.invert must record the lu backend");
+
+        // Ĝ·(Dₗ⁻¹·L·Dₗ⁻¹) is the identity, as for the Cholesky inverse.
+        let g = m.g_matrix();
+        let n = g.rows();
+        let mut l_scaled = para.inductance().clone();
+        for i in 0..n {
+            for j in 0..n {
+                l_scaled[(i, j)] /= para.lengths[i] * para.lengths[j];
+            }
+        }
+        let prod = g.matmul(&l_scaled).unwrap();
+        assert!(
+            prod.max_abs_diff(&DenseMatrix::identity(n)).unwrap() < 1e-6,
+            "Ĝ must be the length-scaled inverse of L"
+        );
+
+        // A fired token stops the build instead of retrying through LU.
+        let token = CancelToken::new();
+        token.cancel();
+        assert!(matches!(
+            VpecModel::full_cancel(&para, &token),
+            Err(CoreError::BadInductanceMatrix(
+                NumericsError::Cancelled { .. }
+            ))
+        ));
     }
 
     #[test]
@@ -501,7 +547,6 @@ mod tests {
         ] {
             let g = m.g_matrix();
             let rep = m.passivity_report();
-            assert!(rep.symmetric);
             assert_eq!(
                 rep.strictly_diag_dominant,
                 g.is_strictly_diagonally_dominant()

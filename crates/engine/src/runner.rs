@@ -101,6 +101,9 @@ struct SolveAttribution {
     strategy: Option<&'static str>,
     /// MNA matrix dimension of the transient system.
     dim: Option<usize>,
+    /// Stored entries of the accepted transient factor (`dim²` for a
+    /// dense recovery).
+    factor_nnz: Option<usize>,
     /// Model-build phase wall time, ms.
     build_ms: Option<f64>,
     /// Solve phase wall time, ms.
@@ -160,8 +163,8 @@ fn ledger_record(
         build_ms: attr.build_ms,
         solve_ms: attr.solve_ms,
         total_ms: resp.elapsed_ms,
-        // Dense-factorization upper bound: an n×n matrix of f64.
-        peak_scratch_bytes: attr.dim.map(|d| 8 * (d as u64) * (d as u64)),
+        // The accepted factor's stored entries, one f64 each.
+        peak_scratch_bytes: attr.factor_nnz.map(|nnz| 8 * nnz as u64),
     }
 }
 
@@ -300,7 +303,7 @@ impl Engine {
                     let spec = TransientSpec::new(t_stop, dt)
                         .fault_injection(faults)
                         .cancel_token(work_token.clone());
-                    let (res, report, _) = match &prefactor {
+                    let (res, report, solve_seconds) = match &prefactor {
                         Some(pf) => model
                             .run_transient_with_report_prefactored(&spec, pf)
                             .map_err(analysis_err)?,
@@ -320,8 +323,13 @@ impl Engine {
                             .and_then(|t| t.factor.accepted())
                             .map(|s| s.label()),
                         dim: report.transient.as_ref().map(|t| t.dim).filter(|&d| d > 0),
-                        build_ms: Some(report.build_seconds.unwrap_or(model.build_seconds) * 1e3),
-                        solve_ms: report.solve_seconds.map(|s| s * 1e3),
+                        factor_nnz: report
+                            .transient
+                            .as_ref()
+                            .map(|t| t.factor.factor_nnz)
+                            .filter(|&nnz| nnz > 0),
+                        build_ms: Some(model.build_seconds * 1e3),
+                        solve_ms: Some(solve_seconds * 1e3),
                         experiment_hit,
                         factor_hit,
                     };
@@ -684,6 +692,29 @@ mod tests {
         if resp.ok {
             assert_eq!(engine.cache().factor_misses(), misses_before);
         }
+    }
+
+    #[test]
+    fn ledger_scratch_is_the_sparse_factor_not_a_dense_matrix() {
+        // Every accepted MNA factor is sparse, so the record's scratch
+        // estimate is 8 bytes per stored factor entry, well under the
+        // 8·dim² a dense factor would hold — on a fresh factorization and
+        // on a factor-cache hit alike.
+        let mut engine = Engine::new(EngineConfig::default());
+        let r = req(r#"{"id":"a","bits":8,"kind":"vpec-full","t_stop":5e-11}"#);
+        for _ in 0..2 {
+            let (resp, rec) = engine.run_request_recorded(&r, 0.0);
+            assert!(resp.ok, "{:?}", resp.error);
+            assert_eq!(rec.strategy.as_deref(), Some("sparse-lu"));
+            let dim = rec.dim.expect("a transient records its dimension") as u64;
+            let scratch = rec.peak_scratch_bytes.expect("a transient records scratch");
+            assert!(scratch > 0 && scratch % 8 == 0, "{scratch}");
+            assert!(
+                scratch < 8 * dim * dim,
+                "scratch {scratch} B must be under the dense 8·{dim}² B"
+            );
+        }
+        assert_eq!(engine.cache().factor_hits(), 1);
     }
 
     #[test]

@@ -72,8 +72,9 @@ pub struct RunRecord {
     pub solve_ms: Option<f64>,
     /// End-to-end request wall time, ms.
     pub total_ms: f64,
-    /// Upper-bound scratch estimate for the solve: `8·dim²` bytes (a
-    /// dense factorization of the MNA system), when `dim` is known.
+    /// Scratch estimate for the solve: `8·factor_nnz` bytes, one f64 per
+    /// stored entry of the accepted transient factor (`dim²` entries
+    /// for a dense recovery), when a transient ran.
     pub peak_scratch_bytes: Option<u64>,
 }
 

@@ -2,16 +2,9 @@
 //! inverses.
 
 use crate::kernel;
-use crate::pool::{self, Pool};
 use crate::{NumericsError, Scalar};
 use std::fmt;
 use std::ops::{Index, IndexMut};
-
-/// Row-block height for parallel matmul partitioning.
-const MATMUL_ROW_BLOCK: usize = 4;
-/// Inner-dimension tile: keeps a band of `B` rows hot in cache while the
-/// rows of a block are updated.
-const MATMUL_K_BLOCK: usize = 64;
 
 /// A row-major dense matrix over a [`Scalar`] type.
 ///
@@ -176,10 +169,11 @@ impl<T: Scalar> DenseMatrix<T> {
         Ok(y)
     }
 
-    /// Matrix–matrix product `A·B`.
+    /// Matrix–matrix product `A·B`: the plain ascending-k loop, which
+    /// adds `aᵢₖ·bₖⱼ` into each output row one rounded operation per term.
+    /// Only tests call it, so it is neither tiled nor parallel.
     ///
-    /// Numerical class: bit-identical (ascending-k `kernel::axpy4`
-    /// updates, one rounded operation per term, at any thread count).
+    /// Numerical class: bit-identical (to the naive triple loop).
     ///
     /// # Errors
     ///
@@ -194,58 +188,14 @@ impl<T: Scalar> DenseMatrix<T> {
             });
         }
         let mut out = DenseMatrix::zeros(self.rows, b.cols);
-        let (inner, ocols) = (self.cols, b.cols);
-        let a = &self.data;
-        let bd = &b.data;
-        // Row-partitioned over the output, tiled over the inner dimension
-        // so a band of B's rows stays cache-hot across the rows of each
-        // block. Per output row the k terms apply in ascending order with
-        // one rounded operation each — four at a time through
-        // `kernel::axpy4`, then a scalar remainder — exactly
-        // the sequence of the naive triple loop, so results are
-        // bit-identical at any thread count (including the serial
-        // fallback).
-        let nt = pool::threads_for(self.rows, pool::PAR_MIN_COLS);
-        vpec_trace::counter_add(
-            "dense.matmul.flops_est",
-            (2 * self.rows * inner * ocols) as u64,
-        );
-        let _sp = vpec_trace::span!(
-            "dense.matmul",
-            "rows" => self.rows,
-            "mode" => if nt > 1 { "parallel" } else { "serial" },
-        );
-        Pool::with_threads(nt).par_chunks_mut(
-            &mut out.data,
-            MATMUL_ROW_BLOCK * ocols.max(1),
-            |off, chunk| {
-                let i0 = off / ocols.max(1);
-                for kb in (0..inner).step_by(MATMUL_K_BLOCK) {
-                    let kend = (kb + MATMUL_K_BLOCK).min(inner);
-                    for (di, orow) in chunk.chunks_mut(ocols.max(1)).enumerate() {
-                        let arow = &a[(i0 + di) * inner..(i0 + di + 1) * inner];
-                        let mut k = kb;
-                        while k + 4 <= kend {
-                            kernel::axpy4(
-                                orow,
-                                [arow[k], arow[k + 1], arow[k + 2], arow[k + 3]],
-                                &bd[k * ocols..(k + 1) * ocols],
-                                &bd[(k + 1) * ocols..(k + 2) * ocols],
-                                &bd[(k + 2) * ocols..(k + 3) * ocols],
-                                &bd[(k + 3) * ocols..(k + 4) * ocols],
-                            );
-                            k += 4;
-                        }
-                        for (k, &aik) in arow.iter().enumerate().take(kend).skip(k) {
-                            let brow = &bd[k * ocols..(k + 1) * ocols];
-                            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                                *o += aik * bv;
-                            }
-                        }
-                    }
+        for i in 0..self.rows {
+            let orow = &mut out.data[i * b.cols..(i + 1) * b.cols];
+            for (k, &aik) in self.row(i).iter().enumerate() {
+                for (o, &bv) in orow.iter_mut().zip(b.row(k)) {
+                    *o += aik * bv;
                 }
-            },
-        );
+            }
+        }
         Ok(out)
     }
 

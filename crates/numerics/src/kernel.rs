@@ -1,4 +1,5 @@
-//! Register-blocked inner kernels shared by the dense factorizations.
+//! Register-blocked inner kernels shared by the dense and sparse
+//! factorizations.
 //!
 //! Four-wide unrolled loops over contiguous row slices: four independent
 //! accumulators (dot products) or four fused row updates per sweep. The
@@ -10,10 +11,10 @@
 //!   callers are *audited-close* paths (triangular solves, matvec, the
 //!   blocked Cholesky) where the audit tolerance machinery covers the
 //!   reordering;
-//! * [`axpy4`] / [`sub4`] keep the per-element operation sequence of the
-//!   unblocked loops (ascending k, one rounded multiply-add per term),
-//!   so the blocked LU trailing update and the unrolled matmul stay
-//!   bit-identical to their serial references.
+//! * [`sub4`] / [`sub4_complex`] keep the per-element operation sequence
+//!   of the unblocked loop (ascending elimination step, one rounded
+//!   multiply-subtract per term), so the sparse LU's dense trailing block
+//!   stays bit-identical to the row-indexed update.
 
 use crate::Scalar;
 
@@ -47,26 +48,10 @@ pub(crate) fn dot4<T: Scalar>(a: &[T], b: &[T]) -> T {
     ((s0 + s1) + (s2 + s3)) + tail
 }
 
-/// `c[j] += f[0]·b0[j]; c[j] += f[1]·b1[j]; …` — four ascending-k terms
-/// per element, each its own rounded operation, exactly the sequence the
-/// unblocked k-at-a-time loop performs. One load/store of `c` covers four
-/// inner-dimension steps.
-///
-/// Numerical class: bit-identical.
-#[inline]
-pub(crate) fn axpy4<T: Scalar>(c: &mut [T], f: [T; 4], b0: &[T], b1: &[T], b2: &[T], b3: &[T]) {
-    for ((((cj, &x0), &x1), &x2), &x3) in c.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-        let mut v = *cj;
-        v += f[0] * x0;
-        v += f[1] * x1;
-        v += f[2] * x2;
-        v += f[3] * x3;
-        *cj = v;
-    }
-}
-
-/// The subtracting twin of [`axpy4`]: `c[j] -= f[s]·bs[j]` for four
-/// ascending elimination steps, one rounded operation per term.
+/// `c[j] -= f[0]·b0[j]; c[j] -= f[1]·b1[j]; …` — four ascending
+/// elimination steps per element, each its own rounded operation,
+/// exactly the sequence the unblocked step-at-a-time loop performs. One
+/// load/store of `c` covers four steps.
 ///
 /// Numerical class: bit-identical.
 #[inline]
@@ -140,25 +125,12 @@ mod tests {
     }
 
     #[test]
-    fn axpy4_and_sub4_match_sequential_updates_exactly() {
+    fn sub4_matches_sequential_updates_exactly() {
         let f = [0.3, -1.7, 2.2, 0.9];
         let rows: Vec<Vec<f64>> = (0..4)
             .map(|r| (0..9).map(|j| ((r * 9 + j) as f64 * 0.13).sin()).collect())
             .collect();
         let base: Vec<f64> = (0..9).map(|j| (j as f64 * 0.41).cos()).collect();
-
-        let mut reference = base.clone();
-        for (j, c) in reference.iter_mut().enumerate() {
-            for s in 0..4 {
-                *c += f[s] * rows[s][j];
-            }
-        }
-        let mut c = base.clone();
-        axpy4(&mut c, f, &rows[0], &rows[1], &rows[2], &rows[3]);
-        assert_eq!(
-            c, reference,
-            "axpy4 must match per-element ascending-k updates"
-        );
 
         let mut reference = base.clone();
         for (j, c) in reference.iter_mut().enumerate() {
@@ -199,6 +171,9 @@ mod tests {
                 i + 1
             );
         }
-        assert!(kernels >= 3, "the scan must see dot4, axpy4 and sub4");
+        assert!(
+            kernels >= 3,
+            "the scan must see dot4, sub4 and sub4_complex"
+        );
     }
 }

@@ -3,8 +3,9 @@
 //! The VPEC model (Yu & He, *A Provably Passive and Cost-Efficient Model for
 //! Inductive Interconnects*) is built on three numeric operations:
 //!
-//! 1. **Full inversion** of the partial-inductance matrix `L` (dense LU /
-//!    Cholesky) to obtain the VPEC circuit matrix `Ĝ = Dₗ L⁻¹ Dₗ`;
+//! 1. **Full inversion** of the partial-inductance matrix `L` (Cholesky,
+//!    with dense LU as the fallback when `L` is not positive definite) to
+//!    obtain the VPEC circuit matrix `Ĝ = Dₗ L⁻¹ Dₗ`;
 //! 2. **Windowed inversion** — many small `b×b` sub-solves — to build the
 //!    sparse approximate inverse used by the wVPEC model;
 //! 3. **Sparse MNA solves** inside the circuit simulator, in both real

@@ -1,13 +1,15 @@
 //! Dense LU factorization with partial pivoting.
 //!
-//! The full-VPEC extraction inverts the partial-inductance matrix `L`
-//! (paper §II-B: "the major computation effort is the inversion of the L
-//! matrix"); this factorization is the `O(N³)` workhorse whose cost the
-//! windowed wVPEC extraction is designed to avoid.
+//! Every MNA system factors sparse first ([`crate::SparseLu`]), and the
+//! SPD inversion behind full VPEC is [`crate::Cholesky`]. This dense
+//! factor is the fallback: the recovery stage of the circuit solver's
+//! factor chain, the inversion of a partial-inductance matrix `L` that
+//! is not positive definite, and the reference the runtime audits
+//! cross-check sparse solves against. The elimination is one serial
+//! right-looking loop, and a multi-column solve is a serial column loop.
 
 use crate::cancel::CancelToken;
 use crate::kernel;
-use crate::pool::{self, Pool};
 use crate::{DenseMatrix, NumericsError, Scalar};
 
 /// An LU factorization `P·A = L·U` with partial (row) pivoting.
@@ -54,47 +56,27 @@ impl<T: Scalar> LuFactor<T> {
     /// * [`NumericsError::Singular`] if a pivot column is exactly zero below
     ///   the diagonal.
     pub fn new(a: &DenseMatrix<T>) -> Result<Self, NumericsError> {
-        Self::with_threads(a, pool::max_threads())
+        Self::new_cancel(a, &CancelToken::none())
     }
 
-    /// Factors `A` with an explicit worker count (`1` forces the serial
-    /// elimination). Results are bit-identical for any thread count — the
-    /// blocked path distributes trailing-submatrix rows over workers
-    /// without changing per-row arithmetic order.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LuFactor::new`].
-    pub fn with_threads(a: &DenseMatrix<T>, threads: usize) -> Result<Self, NumericsError> {
-        Self::with_threads_cancel(a, threads, &CancelToken::none())
-    }
-
-    /// [`LuFactor::with_threads`] with cooperative cancellation: the token
-    /// is polled once per elimination column and a set token aborts with
+    /// [`LuFactor::new`] with cooperative cancellation: the token is
+    /// polled once per elimination column and a set token aborts with
     /// [`NumericsError::Cancelled`]. This is the engine's deadline hook
     /// into the `O(N³)` factor phase.
     ///
     /// # Errors
     ///
     /// Same as [`LuFactor::new`], plus [`NumericsError::Cancelled`].
-    pub fn with_threads_cancel(
-        a: &DenseMatrix<T>,
-        threads: usize,
-        cancel: &CancelToken,
-    ) -> Result<Self, NumericsError> {
+    pub fn new_cancel(a: &DenseMatrix<T>, cancel: &CancelToken) -> Result<Self, NumericsError> {
         if !a.is_square() {
             return Err(NumericsError::NotSquare {
                 found: (a.rows(), a.cols()),
             });
         }
         let n = a.rows();
-        let _sp = vpec_trace::span!(
-            "lu.factor",
-            "dim" => n,
-            "mode" => pool::elim_mode(n),
-        );
+        let _sp = vpec_trace::span!("lu.factor", "dim" => n);
         let mut lu = a.clone();
-        let (perm, perm_sign) = pool::lu_eliminate_cancel(lu.as_mut_slice(), n, threads, cancel)?;
+        let (perm, perm_sign) = eliminate(lu.as_mut_slice(), n, cancel)?;
         Ok(LuFactor {
             lu,
             perm,
@@ -184,37 +166,24 @@ impl<T: Scalar> LuFactor<T> {
     }
 
     /// The column loop behind [`LuFactor::solve_matrix`] and
-    /// [`LuFactor::inverse_cancel`]. Columns are independent solves; map
-    /// them in parallel (order-preserving, so results match the serial
-    /// column-by-column loop exactly) and gather into the output. `cancel`
-    /// is polled once per column: a cancelled column returns empty and the
-    /// flag is re-checked below, so late cancellation skips the remaining
-    /// O(n²) substitutions.
+    /// [`LuFactor::inverse_cancel`]: one solve per column of `B`, in
+    /// column order. `cancel` is polled once per column, so late
+    /// cancellation skips the remaining O(n²) substitutions.
     fn solve_columns(
         &self,
         b: &DenseMatrix<T>,
         cancel: &CancelToken,
     ) -> Result<DenseMatrix<T>, NumericsError> {
-        let nt = pool::threads_for(b.cols(), pool::PAR_MIN_COLS);
-        let _sp = vpec_trace::span!(
-            "lu.solve_matrix",
-            "cols" => b.cols(),
-            "mode" => if nt > 1 { "parallel" } else { "serial" },
-            "workers" => nt,
-        );
-        let cols = Pool::with_threads(nt).par_map_index(b.cols(), |j| {
-            if cancel.is_cancelled() {
-                return Vec::new();
-            }
-            let mut x: Vec<T> = self.perm.iter().map(|&p| b[(p, j)]).collect();
-            self.substitute_in_place(&mut x);
-            x
-        });
-        if cancel.is_cancelled() {
-            return Err(NumericsError::Cancelled { op: "lu inverse" });
-        }
+        let _sp = vpec_trace::span!("lu.solve_matrix", "cols" => b.cols());
         let mut out = DenseMatrix::zeros(b.rows(), b.cols());
-        for (j, x) in cols.iter().enumerate() {
+        let mut x = Vec::with_capacity(self.dim());
+        for j in 0..b.cols() {
+            if cancel.is_cancelled() {
+                return Err(NumericsError::Cancelled { op: "lu inverse" });
+            }
+            x.clear();
+            x.extend(self.perm.iter().map(|&p| b[(p, j)]));
+            self.substitute_in_place(&mut x);
             for (i, v) in x.iter().enumerate() {
                 out[(i, j)] = *v;
             }
@@ -264,6 +233,65 @@ impl<T: Scalar> LuFactor<T> {
     }
 }
 
+/// In-place LU elimination with partial pivoting over a row-major
+/// `n × n` slice: the plain right-looking loop, one rounded
+/// `c -= factor·u` per element and elimination step. Returns the row
+/// permutation (`perm[k]` = the original row now in position `k`) and
+/// its sign. The token is polled once per column; a set token aborts
+/// with [`NumericsError::Cancelled`], leaving `data` partially
+/// eliminated.
+///
+/// # Errors
+///
+/// [`NumericsError::Singular`] if a pivot column is exactly zero at or
+/// below the diagonal; [`NumericsError::Cancelled`] on cancellation.
+fn eliminate<T: Scalar>(
+    data: &mut [T],
+    n: usize,
+    cancel: &CancelToken,
+) -> Result<(Vec<usize>, f64), NumericsError> {
+    let mut perm: Vec<usize> = (0..n).collect();
+    let mut perm_sign = 1.0f64;
+    for k in 0..n {
+        if cancel.is_cancelled() {
+            return Err(NumericsError::Cancelled { op: "lu factor" });
+        }
+        // Partial pivoting: largest modulus in column k at or below row k.
+        let mut pivot_row = k;
+        let mut pivot_mag = data[k * n + k].modulus();
+        for i in (k + 1)..n {
+            let mag = data[i * n + k].modulus();
+            if mag > pivot_mag {
+                pivot_mag = mag;
+                pivot_row = i;
+            }
+        }
+        if pivot_mag == 0.0 {
+            return Err(NumericsError::Singular { step: k });
+        }
+        if pivot_row != k {
+            perm.swap(k, pivot_row);
+            perm_sign = -perm_sign;
+            let (a, b) = data.split_at_mut(pivot_row * n);
+            a[k * n..k * n + n].swap_with_slice(&mut b[..n]);
+        }
+        let (top, trailing) = data.split_at_mut((k + 1) * n);
+        let urow = &top[k * n..];
+        let pivot = urow[k];
+        for row in trailing.chunks_mut(n) {
+            let factor = row[k] / pivot;
+            row[k] = factor;
+            if factor.is_zero() {
+                continue;
+            }
+            for (rj, &uj) in row[k + 1..].iter_mut().zip(&urow[k + 1..]) {
+                *rj -= factor * uj;
+            }
+        }
+    }
+    Ok((perm, perm_sign))
+}
+
 /// `max|dᵢ| / min|dᵢ|` over a factor's U diagonal (∞ when some `dᵢ` is
 /// zero) — the condition estimate both LU kernels report.
 pub(crate) fn diag_ratio<T: Scalar>(diag: impl Iterator<Item = T>) -> f64 {
@@ -284,7 +312,60 @@ pub(crate) fn diag_ratio<T: Scalar>(diag: impl Iterator<Item = T>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::XorShift64;
     use crate::Complex64;
+
+    /// `max|A·x − b| / (max|A|·max|x|)` for a solve of `A·x = b`.
+    fn relative_residual<T: Scalar>(a: &DenseMatrix<T>, x: &[T], b: &[T]) -> f64 {
+        let ax = a.matvec(x).unwrap();
+        let r = ax
+            .iter()
+            .zip(b)
+            .fold(0.0f64, |m, (&p, &q)| m.max((p - q).modulus()));
+        let xmax = x.iter().fold(0.0f64, |m, v| m.max(v.modulus()));
+        r / (a.max_abs() * xmax)
+    }
+
+    #[test]
+    fn solves_large_real_and_complex_systems_to_a_small_residual() {
+        // Large enough that rounding growth would show: 64, a size that
+        // is no multiple of four, and 300.
+        for n in [64, 97, 300] {
+            let mut rng = XorShift64::new(0x4100 + n as u64);
+            let a = DenseMatrix::from_fn(n, n, |_, _| rng.range_f64(-1.0, 1.0));
+            let b: Vec<f64> = (0..n).map(|_| rng.range_f64(-1.0, 1.0)).collect();
+            let x = LuFactor::new(&a).unwrap().solve(&b).unwrap();
+            let res = relative_residual(&a, &x, &b);
+            assert!(res < 1e-12, "real n = {n}: residual {res:e}");
+
+            let mut c = || Complex64::new(rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0));
+            let a = DenseMatrix::from_fn(n, n, |_, _| c());
+            let b: Vec<Complex64> = (0..n).map(|_| c()).collect();
+            let x = LuFactor::new(&a).unwrap().solve(&b).unwrap();
+            let res = relative_residual(&a, &x, &b);
+            assert!(res < 1e-12, "complex n = {n}: residual {res:e}");
+        }
+    }
+
+    #[test]
+    fn singular_column_is_reported_at_a_late_step() {
+        // [[B, C], [0, D]] with B a dense 70 × 70 block and D's first
+        // column zero: the elimination pivots through all of B, then finds
+        // column 70 exactly zero on and below the diagonal.
+        let (n, k) = (100, 70);
+        let mut rng = XorShift64::new(0x4200);
+        let a = DenseMatrix::from_fn(n, n, |i, j| {
+            if i >= k && j <= k {
+                0.0
+            } else {
+                rng.range_f64(-1.0, 1.0)
+            }
+        });
+        match LuFactor::new(&a) {
+            Err(NumericsError::Singular { step }) => assert_eq!(step, k),
+            other => panic!("expected Singular at step {k}, got {other:?}"),
+        }
+    }
 
     #[test]
     fn solves_known_system() {
@@ -370,7 +451,7 @@ mod tests {
         let t = CancelToken::new();
         t.cancel();
         assert!(matches!(
-            LuFactor::with_threads_cancel(&a, 1, &t),
+            LuFactor::new_cancel(&a, &t),
             Err(NumericsError::Cancelled { .. })
         ));
         let lu = LuFactor::new(&a).unwrap();

@@ -5,15 +5,17 @@
 //! on [`std::thread::scope`]:
 //!
 //! * [`Pool::par_chunks_mut`] — disjoint mutable chunks of a slice
-//!   (row-partitioned matrix assembly, row-parallel matmul);
+//!   (row-partitioned matrix assembly, the SPD inverse's column blocks);
 //! * [`Pool::par_map`] / [`Pool::par_map_index`] — independent map over
-//!   items or indices (per-column inverses, per-frequency AC solves,
-//!   per-filament parasitics);
-//! * [`lu_eliminate_cancel`] / [`cholesky_eliminate_cancel`] — dense
-//!   eliminations used by [`crate::LuFactor`] and [`crate::Cholesky`],
-//!   dispatching between a serial loop and cache-blocked panel
-//!   factorizations with four-wide unrolled trailing updates on the size
-//!   thresholds below.
+//!   items or indices (per-frequency AC solves, per-filament parasitics,
+//!   per-window wVPEC solves);
+//! * [`cholesky_eliminate_cancel`] — the dense SPD elimination used by
+//!   [`crate::Cholesky`], dispatching between a serial loop and a
+//!   cache-blocked panel factorization with a row-parallel trailing
+//!   update on the size thresholds below.
+//!
+//! Dense LU is not here: it is only a fallback behind the sparse factor,
+//! and [`crate::LuFactor`] runs its own serial elimination.
 //!
 //! # Thread count
 //!
@@ -33,15 +35,15 @@
 
 use crate::cancel::CancelToken;
 use crate::kernel;
-use crate::{NumericsError, Scalar};
+use crate::NumericsError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Process-wide thread-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Minimum matrix dimension before the blocked eliminations split their
-/// trailing updates across workers.
+/// Minimum matrix dimension before the blocked Cholesky splits its
+/// trailing update across workers.
 ///
 /// Below this the coordination traffic of the parallel update dominates
 /// the O(n³) arithmetic: commit d2944d8 measured striped-LU "speedups"
@@ -49,30 +51,29 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// crossover sits above both.
 pub const ELIM_PAR_MIN_DIM: usize = 256;
 
-/// Minimum independent columns (or rows) per worker before the multi-RHS
-/// solve, inverse, and matmul paths go parallel. Time on 2 workers over
-/// time serial, forced to 2 workers at every size, on a 2-vCPU Xeon
-/// (DESIGN §12.2): the blocked SPD inverse loses up to 160 columns (1.5–2.3×
-/// at 64, ~1.1× at 96–128), but `LuFactor::solve_matrix` wins from 64
-/// (0.89–0.95) and the matmul from 96 (0.7–0.8), so the constant stays at
-/// 64. Feed it to [`threads_for`].
+/// Minimum independent columns per worker before the SPD inverse
+/// ([`crate::Cholesky::inverse`]) goes parallel. On a 2-vCPU Xeon, forced
+/// to 2 workers at every size (DESIGN §12.2), the blocked SPD inverse
+/// loses up to 160 columns (1.5–2.3× at 64, ~1.1× at 96–128); the value
+/// 64 was chosen when the LU multi-column solve and the matmul also
+/// went parallel, and re-tuning it is a change of its own. Feed it to
+/// [`threads_for`].
 pub const PAR_MIN_COLS: usize = 64;
 
-/// Minimum dimension at which LU and Cholesky take the blocked panel
-/// path (commit c7453dd) instead of the serial loop. Six measuring runs
-/// on one 2-vCPU host put the crossover anywhere from 32 to 96, with no
-/// stable winner over this value.
+/// Minimum dimension at which Cholesky takes the blocked panel path
+/// (commit c7453dd) instead of the serial loop. Six measuring runs on one
+/// 2-vCPU host put the crossover anywhere from 32 to 96, with no stable
+/// winner over this value.
 pub const BLOCK_MIN_DIM: usize = 64;
 
-/// Panel width `nb` of the blocked factorizations (commit c7453dd). The
-/// same six runs picked 64, 16, 16, 32, 32 and 32: no width beat this one
+/// Panel width `nb` of the blocked Cholesky (commit c7453dd). The same
+/// six runs picked 64, 16, 16, 32, 32 and 32: no width beat this one
 /// consistently.
 pub const PANEL_WIDTH: usize = 32;
 
-/// The elimination mode [`lu_eliminate_cancel`] and
-/// [`cholesky_eliminate_cancel`] pick for an `n × n` matrix — `"blocked"`
-/// or `"serial"`. Exposed so callers can record the chosen mode in trace
-/// spans.
+/// The elimination mode [`cholesky_eliminate_cancel`] picks for an
+/// `n × n` matrix — `"blocked"` or `"serial"`. Exposed so callers can
+/// record the chosen mode in trace spans.
 pub fn elim_mode(n: usize) -> &'static str {
     if n >= BLOCK_MIN_DIM {
         "blocked"
@@ -319,47 +320,6 @@ fn filled<R>(out: Vec<Option<R>>) -> Vec<R> {
         .collect()
 }
 
-/// In-place LU elimination with partial pivoting over a row-major
-/// `n × n` slice. Returns the row permutation (`perm[k]` = the original
-/// row now in position `k`) and the permutation sign.
-///
-/// Below [`BLOCK_MIN_DIM`] this runs the plain serial right-looking
-/// elimination; from there on, the blocked panel factorization, whose
-/// trailing update goes parallel from [`ELIM_PAR_MIN_DIM`] up. Both are
-/// bit-identical to the serial loop for any thread count. The token is
-/// polled once per elimination column (serial and blocked paths alike)
-/// and a set token aborts with [`NumericsError::Cancelled`], leaving
-/// `data` in an unspecified partially-eliminated state.
-///
-/// # Errors
-///
-/// [`NumericsError::Singular`] if a pivot column is exactly zero at or
-/// below the diagonal; [`NumericsError::Cancelled`] on cancellation.
-///
-/// # Panics
-///
-/// Panics if `data.len() != n * n`.
-pub fn lu_eliminate_cancel<T: Scalar>(
-    data: &mut [T],
-    n: usize,
-    threads: usize,
-    cancel: &CancelToken,
-) -> Result<(Vec<usize>, f64), NumericsError> {
-    assert_eq!(data.len(), n * n, "lu_eliminate_cancel: shape mismatch");
-    if n < BLOCK_MIN_DIM {
-        vpec_trace::counter_add("pool.elim.serial", 1);
-        return lu_eliminate_serial(data, n, cancel);
-    }
-    // Blocked panel factorization wins once the trailing update is large
-    // enough to amortize the panel bookkeeping; its per-element operation
-    // sequence matches the serial loop exactly (see the proof sketch at
-    // [`lu_eliminate_blocked`]), so the dispatch threshold cannot change
-    // results. Workers only parallelize the row-disjoint trailing update,
-    // which is bit-identical at any count.
-    vpec_trace::counter_add("pool.elim.blocked", 1);
-    lu_eliminate_blocked(data, n, elim_workers(n, threads), cancel, PANEL_WIDTH)
-}
-
 /// Workers for the trailing update of a blocked elimination: all of
 /// `threads` from [`ELIM_PAR_MIN_DIM`] up, one below it.
 fn elim_workers(n: usize, threads: usize) -> usize {
@@ -370,178 +330,13 @@ fn elim_workers(n: usize, threads: usize) -> usize {
     }
 }
 
-/// One trailing-row update of the right-looking LU: computes and stores
-/// the multiplier, then `row[k+1..] -= factor · urow[k+1..]`. Shared by
-/// the serial and blocked paths so their arithmetic is identical.
-#[inline]
-fn lu_update_row<T: Scalar>(row: &mut [T], urow: &[T], k: usize, pivot: T) {
-    let factor = row[k] / pivot;
-    row[k] = factor;
-    if factor.is_zero() {
-        return;
-    }
-    for (rj, &uj) in row[k + 1..].iter_mut().zip(urow[k + 1..].iter()) {
-        *rj -= factor * uj;
-    }
-}
-
-fn lu_eliminate_serial<T: Scalar>(
-    data: &mut [T],
-    n: usize,
-    cancel: &CancelToken,
-) -> Result<(Vec<usize>, f64), NumericsError> {
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut perm_sign = 1.0f64;
-    for k in 0..n {
-        if cancel.is_cancelled() {
-            return Err(NumericsError::Cancelled { op: "lu factor" });
-        }
-        // Partial pivoting: largest modulus in column k at or below row k.
-        let mut pivot_row = k;
-        let mut pivot_mag = data[k * n + k].modulus();
-        for i in (k + 1)..n {
-            let mag = data[i * n + k].modulus();
-            if mag > pivot_mag {
-                pivot_mag = mag;
-                pivot_row = i;
-            }
-        }
-        if pivot_mag == 0.0 {
-            return Err(NumericsError::Singular { step: k });
-        }
-        if pivot_row != k {
-            perm.swap(k, pivot_row);
-            perm_sign = -perm_sign;
-            let (a, b) = data.split_at_mut(pivot_row * n);
-            a[k * n..k * n + n].swap_with_slice(&mut b[..n]);
-        }
-        let (top, trailing) = data.split_at_mut((k + 1) * n);
-        let urow = &top[k * n..];
-        let pivot = urow[k];
-        for row in trailing.chunks_mut(n) {
-            lu_update_row(row, urow, k, pivot);
-        }
-    }
-    Ok((perm, perm_sign))
-}
-
-/// Right-looking blocked LU with partial pivoting: panel factorization of
-/// `nb` columns (updates restricted to the panel), then the deferred
-/// updates to the remaining columns — U12 rows by ascending elimination
-/// step, and the trailing submatrix four steps per sweep ([`kernel::sub4`])
-/// with rows distributed over `threads` workers.
-///
-/// **Bit-identical to [`lu_eliminate_serial`]** (up to the sign of exact
-/// zeros): every element receives the same sequence of individually
-/// rounded `c -= factor·u` operations in the same ascending-step order —
-/// deferring updates to columns outside the panel only reorders
-/// operations on *disjoint* elements, and pivot columns live inside the
-/// panel so pivot choices coincide. The parallel trailing update
-/// partitions whole rows, so results do not depend on the worker count.
-///
-/// Numerical class: bit-identical.
-fn lu_eliminate_blocked<T: Scalar>(
-    data: &mut [T],
-    n: usize,
-    threads: usize,
-    cancel: &CancelToken,
-    nb: usize,
-) -> Result<(Vec<usize>, f64), NumericsError> {
-    assert_eq!(data.len(), n * n, "lu_eliminate_blocked: shape mismatch");
-    let nb = nb.max(1);
-    let pool = Pool::with_threads(threads.max(1));
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut perm_sign = 1.0f64;
-    let mut p = 0;
-    while p < n {
-        let pend = (p + nb).min(n);
-        // Panel factorization: pivot search and full-row swaps exactly as
-        // in the serial loop, rank-1 updates restricted to the panel
-        // columns (the rest of each row is updated after the panel).
-        for k in p..pend {
-            if cancel.is_cancelled() {
-                return Err(NumericsError::Cancelled { op: "lu factor" });
-            }
-            let mut pivot_row = k;
-            let mut pivot_mag = data[k * n + k].modulus();
-            for i in (k + 1)..n {
-                let mag = data[i * n + k].modulus();
-                if mag > pivot_mag {
-                    pivot_mag = mag;
-                    pivot_row = i;
-                }
-            }
-            if pivot_mag == 0.0 {
-                return Err(NumericsError::Singular { step: k });
-            }
-            if pivot_row != k {
-                perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
-                let (a, b) = data.split_at_mut(pivot_row * n);
-                a[k * n..k * n + n].swap_with_slice(&mut b[..n]);
-            }
-            let (top, trailing) = data.split_at_mut((k + 1) * n);
-            let urow = &top[k * n..k * n + pend];
-            let pivot = urow[k];
-            for row in trailing.chunks_mut(n) {
-                lu_update_row(&mut row[..pend], urow, k, pivot);
-            }
-        }
-        if pend == n {
-            break;
-        }
-        // U12: the deferred updates to columns pend..n of the panel rows,
-        // applied in ascending elimination-step order (row p needs none).
-        for m in (p + 1)..pend {
-            let (top, rest) = data.split_at_mut(m * n);
-            let row_m = &mut rest[..n];
-            for s in p..m {
-                let f = row_m[s];
-                if f.is_zero() {
-                    continue;
-                }
-                let us = &top[s * n + pend..s * n + n];
-                for (c, &u) in row_m[pend..].iter_mut().zip(us) {
-                    *c -= f * u;
-                }
-            }
-        }
-        // Trailing update: rows pend..n, columns pend..n receive the
-        // panel's elimination steps four at a time — one load/store of
-        // each output element covers four steps, still in ascending-step
-        // order with one rounded operation per term. Rows are independent,
-        // so the worker partition cannot affect results.
-        let (top, trail) = data.split_at_mut(pend * n);
-        let top: &[T] = top;
-        let width = pend - p;
-        pool.par_chunks_mut(trail, n, |_, row| {
-            let (lpart, crow) = row.split_at_mut(pend);
-            let lfac = &lpart[p..pend];
-            let urow = |s: usize| &top[(p + s) * n + pend..(p + s + 1) * n];
-            let mut s = 0;
-            while s + 4 <= width {
-                let f = [lfac[s], lfac[s + 1], lfac[s + 2], lfac[s + 3]];
-                kernel::sub4(crow, f, urow(s), urow(s + 1), urow(s + 2), urow(s + 3));
-                s += 4;
-            }
-            while s < width {
-                let f = lfac[s];
-                for (c, &u) in crow.iter_mut().zip(urow(s)) {
-                    *c -= f * u;
-                }
-                s += 1;
-            }
-        });
-        p = pend;
-    }
-    Ok((perm, perm_sign))
-}
-
 /// In-place Cholesky of a symmetric positive-definite matrix: reads the
 /// lower triangle of the row-major `n × n` slice `a` and fills the dense
-/// lower-triangular factor into `g` (which must be zeroed). Dispatches
-/// like [`lu_eliminate_cancel`]; the blocked path is audited-close to the
-/// serial left-looking loop and identical for any thread count. The
+/// lower-triangular factor into `g` (which must be zeroed). Below
+/// [`BLOCK_MIN_DIM`] this runs the serial left-looking loop; from there
+/// on, the blocked panel factorization, whose trailing update goes
+/// parallel from [`ELIM_PAR_MIN_DIM`] up. The blocked path is
+/// audited-close to the serial loop and identical for any thread count. The
 /// token is polled once per elimination column (serial and blocked paths
 /// alike) and a set token aborts with [`NumericsError::Cancelled`],
 /// leaving `g` partially filled.
@@ -797,44 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_lu_is_bit_identical_to_serial() {
-        // Sizes straddle panel boundaries (multiples, off-by-one, below
-        // one panel) and worker counts cover serial/parallel trailing
-        // updates; every combination must reproduce the serial bits.
-        for n in [5, 31, 32, 33, 64, 97] {
-            let reference = {
-                let mut m = random_matrix(n, 23);
-                let pp = lu_eliminate_serial(&mut m, n, &CancelToken::none()).unwrap();
-                (m, pp)
-            };
-            for nb in [4, 8, 32] {
-                for nt in [1, 2, 8] {
-                    let mut m = random_matrix(n, 23);
-                    let pp = lu_eliminate_blocked(&mut m, n, nt, &CancelToken::none(), nb).unwrap();
-                    assert_eq!(
-                        m, reference.0,
-                        "LU payload differs at n={n} nb={nb} nt={nt}"
-                    );
-                    assert_eq!(
-                        pp, reference.1,
-                        "permutation differs at n={n} nb={nb} nt={nt}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_lu_detects_singularity() {
-        let n = 12;
-        let mut m = vec![0.0f64; n * n];
-        match lu_eliminate_blocked(&mut m, n, 2, &CancelToken::none(), 4) {
-            Err(NumericsError::Singular { step }) => assert_eq!(step, 0),
-            other => panic!("expected Singular, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn blocked_cholesky_is_close_to_serial_and_thread_invariant() {
         for n in [6, 33, 64, 97] {
             let a = random_spd(n, 17);
@@ -880,11 +637,6 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let n = 16;
-        let mut m = random_matrix(n, 29);
-        assert!(matches!(
-            lu_eliminate_blocked(&mut m, n, 2, &token, 4),
-            Err(NumericsError::Cancelled { .. })
-        ));
         let a = random_spd(n, 29);
         let mut g = vec![0.0f64; n * n];
         assert!(matches!(
@@ -894,28 +646,10 @@ mod tests {
     }
 
     #[test]
-    fn public_eliminators_dispatch_serial_below_threshold() {
-        // n < BLOCK_MIN_DIM must take the serial path even with
-        // threads > 1.
-        let n = 12;
-        let mut m = random_matrix(n, 3);
-        let mut m2 = m.clone();
-        let a = lu_eliminate_cancel(&mut m, n, 8, &CancelToken::none()).unwrap();
-        let b = lu_eliminate_serial(&mut m2, n, &CancelToken::none()).unwrap();
-        assert_eq!(m, m2);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn cancelled_token_aborts_eliminations() {
         let token = CancelToken::new();
         token.cancel();
         let n = 12;
-        let mut m = random_matrix(n, 7);
-        assert!(matches!(
-            lu_eliminate_cancel(&mut m, n, 1, &token),
-            Err(NumericsError::Cancelled { .. })
-        ));
         let a = random_spd(n, 7);
         let mut g = vec![0.0f64; n * n];
         assert!(matches!(

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 use vpec_numerics::rng::XorShift64;
-use vpec_numerics::{pool, Cholesky, DenseMatrix, LuFactor, Pool};
+use vpec_numerics::{pool, Cholesky, DenseMatrix, Pool};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// Relative gap allowed between the four-accumulator matvec and a plain
@@ -116,47 +116,6 @@ fn par_map_index_preserves_index_order() {
 }
 
 #[test]
-fn matmul_matches_serial_at_any_thread_count() {
-    let mut rng = XorShift64::new(0x2002);
-    for &(r, k, c) in &[(5, 7, 3), (64, 64, 64), (130, 97, 41)] {
-        let a = random_matrix(&mut rng, r, k);
-        let b = random_matrix(&mut rng, k, c);
-        pool::set_threads(1);
-        let serial = a.matmul(&b).expect("conforming");
-        for nt in THREAD_COUNTS {
-            pool::set_threads(nt);
-            let par = a.matmul(&b).expect("conforming");
-            assert_eq!(serial.as_slice(), par.as_slice(), "matmul");
-        }
-        pool::set_threads(0);
-    }
-}
-
-#[test]
-fn lu_factor_and_inverse_match_serial() {
-    let mut rng = XorShift64::new(0x2003);
-    for &n in &[6, 48, 120] {
-        let mut a = random_matrix(&mut rng, n, n);
-        for i in 0..n {
-            a[(i, i)] += n as f64; // dominant, hence nonsingular
-        }
-        let rhs: Vec<f64> = (0..n).map(|_| rng.range_f64(-2.0, 2.0)).collect();
-        let serial = LuFactor::with_threads(&a, 1).expect("nonsingular");
-        let x_serial = serial.solve(&rhs).expect("solve");
-        let inv_serial = serial.inverse().expect("inverse");
-        for nt in THREAD_COUNTS {
-            let par = LuFactor::with_threads(&a, nt).expect("nonsingular");
-            assert_eq!(x_serial, par.solve(&rhs).expect("solve"), "lu solve");
-            assert_eq!(
-                inv_serial.as_slice(),
-                par.inverse().expect("inverse").as_slice(),
-                "lu inverse"
-            );
-        }
-    }
-}
-
-#[test]
 fn cholesky_factor_and_inverse_match_serial() {
     let mut rng = XorShift64::new(0x2004);
     for &n in &[6, 48, 120, 129, 130, 131] {
@@ -218,30 +177,14 @@ fn cholesky_inverse_is_the_column_solves_mirrored() {
 
 #[test]
 fn blocked_dispatch_boundaries_are_thread_invariant() {
-    // The eliminations switch from serial to blocked at
-    // `pool::BLOCK_MIN_DIM` (64) and split the blocked trailing update
-    // across workers from `pool::ELIM_PAR_MIN_DIM` (256). The kernel choice
-    // depends only on the dimension — never on the worker count — so sizes
-    // straddling each boundary must give *bit-identical* answers at every
-    // thread count.
+    // Cholesky switches from serial to blocked at `pool::BLOCK_MIN_DIM`
+    // (64) and splits the blocked trailing update across workers from
+    // `pool::ELIM_PAR_MIN_DIM` (256). The kernel choice depends only on the
+    // dimension — never on the worker count — so sizes straddling each
+    // boundary must give *bit-identical* answers at every thread count.
     let mut rng = XorShift64::new(0x2006);
     for &n in &[63, 64, 65, 96, 160, 255, 256, 300] {
-        let mut a = random_matrix(&mut rng, n, n);
-        for i in 0..n {
-            a[(i, i)] += n as f64; // dominant, hence nonsingular
-        }
         let rhs: Vec<f64> = (0..n).map(|_| rng.range_f64(-2.0, 2.0)).collect();
-        let x1 = LuFactor::with_threads(&a, 1)
-            .expect("nonsingular")
-            .solve(&rhs)
-            .expect("solve");
-        for nt in THREAD_COUNTS {
-            let xn = LuFactor::with_threads(&a, nt)
-                .expect("nonsingular")
-                .solve(&rhs)
-                .expect("solve");
-            assert_eq!(x1, xn, "LU at n={n} must be bit-identical at {nt} workers");
-        }
         let s = spd_matrix(&mut rng, n);
         let y1 = Cholesky::with_threads(&s, 1)
             .expect("SPD")
@@ -261,17 +204,14 @@ fn blocked_dispatch_boundaries_are_thread_invariant() {
 }
 
 #[test]
-fn matvec_and_matmul_cover_the_unroll_tail() {
-    // The register-blocked kernels unroll over four columns/terms; shapes
-    // with every remainder mod 4 must agree with a plain reference loop:
-    // matvec (audited-close) within a tolerance, matmul (bit-identical)
-    // exactly. The last shape spans several inner-dimension tiles and,
-    // with more than one worker, the parallel path.
+fn matvec_covers_the_unroll_tail() {
+    // The four-accumulator matvec unrolls over four columns; shapes with
+    // every remainder mod 4 must agree with a plain reference loop within
+    // a tolerance (the class is audited-close).
     let mut rng = XorShift64::new(0x2007);
-    let shapes = [4, 5, 6, 7, 64, 65].map(|k| (9, k, 11));
-    for (m, k, n) in shapes.into_iter().chain([(130, 257, 90)]) {
+    for k in [4, 5, 6, 7, 64, 65, 257] {
+        let m = 9;
         let a = random_matrix(&mut rng, m, k);
-        let b = random_matrix(&mut rng, k, n);
         let x: Vec<f64> = (0..k).map(|_| rng.range_f64(-1.0, 1.0)).collect();
         let y = a.matvec(&x).expect("conforming");
         for i in 0..m {
@@ -282,37 +222,27 @@ fn matvec_and_matmul_cover_the_unroll_tail() {
                 y[i]
             );
         }
-        let c = a.matmul(&b).expect("conforming");
-        for i in 0..m {
-            for j in 0..n {
-                let mut reference = 0.0f64;
-                for p in 0..k {
-                    reference += a[(i, p)] * b[(p, j)];
-                }
-                assert_eq!(
-                    c[(i, j)].to_bits(),
-                    reference.to_bits(),
-                    "matmul at {m}x{k}x{n}, ({i},{j}) must equal the ascending-k loop"
-                );
-            }
-        }
     }
 }
 
 #[test]
 fn env_variable_drives_thread_resolution() {
     // With no override, `VPEC_THREADS` decides — and whatever it decides,
-    // the kernels must agree with the serial result.
+    // the SPD inverse (parallel from 2·`pool::PAR_MIN_COLS` columns on
+    // two workers) must agree with the serial result.
     let mut rng = XorShift64::new(0x2005);
-    let a = random_matrix(&mut rng, 100, 100);
-    let b = random_matrix(&mut rng, 100, 100);
+    let ch = Cholesky::new(&spd_matrix(&mut rng, 130)).expect("SPD");
     pool::set_threads(1);
-    let serial = a.matmul(&b).expect("conforming");
+    let serial = ch.inverse().expect("inverse");
     pool::set_threads(0);
     for nt in THREAD_COUNTS {
         std::env::set_var("VPEC_THREADS", nt.to_string());
-        let par = a.matmul(&b).expect("conforming");
-        assert_eq!(serial.as_slice(), par.as_slice(), "matmul via VPEC_THREADS");
+        let par = ch.inverse().expect("inverse");
+        assert_eq!(
+            serial.as_slice(),
+            par.as_slice(),
+            "SPD inverse via VPEC_THREADS"
+        );
     }
     std::env::remove_var("VPEC_THREADS");
 }

@@ -525,7 +525,7 @@ pub fn span(name: &str) -> SpanGuard {
 }
 
 /// Opens a span — `span!("name")`, optionally with initial attributes:
-/// `span!("lu.factor", "dim" => n, "mode" => "serial")`.
+/// `span!("cholesky.factor", "dim" => n, "mode" => "serial")`.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {

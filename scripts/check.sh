@@ -207,6 +207,10 @@ timeout 900 cargo run --release -q --manifest-path workload-bench/Cargo.toml --b
 # catches slowdowns by a multiple, not by a percentage: ten short runs of
 # one binary gave medians up to 1.63x apart, and one worker against two is
 # about 2x. Smaller regressions are judged by the benchmark's paired runs.
+# Ratchet rule: a change that moves a workload's median wall_s by more
+# than its spread (the interquartile range of its runs) re-records the
+# reference with the command above (median of 3 runs), so the gate does
+# not go slack as the code gets faster.
 awk '
   FNR == 1 { f++ }
   /^\{"name":"/ {

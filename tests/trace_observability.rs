@@ -143,18 +143,18 @@ fn clean_run_emits_no_retry_events() {
     trace::reset("summary").unwrap();
     let exp = experiment(3);
     let built = exp.build(ModelKind::VpecFull).unwrap();
-    let (_, report, _) = built
+    built
         .run_transient_with_report(&TransientSpec::new(0.05e-9, 1e-12))
         .unwrap();
     assert_eq!(trace::instant_count("transient.retry"), 0);
     assert_eq!(trace::counter_value("transient.retries"), 0);
-    // The phase breakdown folded into the report covers the span names.
+    // The phase breakdown since the build's mark covers the span names.
+    let phases = trace::phase_totals_since(built.trace_mark);
     assert!(
-        report.phases.iter().any(|p| p.name == "transient"),
-        "SolveReport.phases covers the transient: {:?}",
-        report.phases
+        phases.iter().any(|p| p.name == "transient"),
+        "the phase totals cover the transient: {phases:?}"
     );
-    assert!(report.phases.iter().any(|p| p.name == "build"));
+    assert!(phases.iter().any(|p| p.name == "build"));
     trace::reset("off").unwrap();
 }
 
@@ -232,13 +232,16 @@ fn off_mode_emits_nothing() {
     let before = trace::closed_span_count();
     let exp = experiment(3);
     let built = exp.build(ModelKind::VpecFull).unwrap();
-    let (_, report, _) = built
+    built
         .run_transient_with_report(&TransientSpec::new(0.05e-9, 1e-12))
         .unwrap();
 
     assert_eq!(trace::closed_span_count(), before, "no spans recorded");
     assert_eq!(trace::counter_value("transient.steps"), 0);
     assert_eq!(trace::instant_count("transient.retry"), 0);
-    assert!(report.phases.is_empty(), "no phase breakdown when off");
+    assert!(
+        trace::phase_totals_since(built.trace_mark).is_empty(),
+        "no phase breakdown when off"
+    );
     assert!(trace::summary_tree().is_empty());
 }
