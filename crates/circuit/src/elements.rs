@@ -22,9 +22,10 @@ impl PartialOrd for ElementId {
 
 /// A netlist element.
 ///
-/// Branch-type elements (voltage sources, inductors, VCVS, CCVS) introduce
-/// an extra MNA unknown for their branch current; current-controlled
-/// sources (`Cccs`, `Ccvs`) sense the branch current of such an element.
+/// Branch-type elements (voltage sources, inductors, magnetic branches,
+/// VCVS, CCVS) introduce an extra MNA unknown for their branch current;
+/// current-controlled sources (`Cccs`, `Ccvs`) sense the branch current of
+/// such an element.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Element {
@@ -74,6 +75,30 @@ pub enum Element {
         /// Mutual inductance in henries (sign allowed; |m| < √(L₁L₂) for
         /// passivity of the pair).
         m: f64,
+    },
+    /// VPEC magnetic branch between `p` and `n` (current flows p → n
+    /// inside the element): its voltage is `l·d v(a)/dt`, the inductive
+    /// drop `lᵢ·dAᵢ/dt` a filament sees from the vector potential on its
+    /// magnetic node `a`. It is a short at DC. A CCCS sensing it injects
+    /// `lᵢ·Iᵢ` into `a`, which closes the VPEC loop.
+    ///
+    /// The SPICE writer expands it into the paper's Fig. 1 realization: a
+    /// 0 V ammeter `Vamm{name}` from `p` to `s{name}`, a VCVS `Ee{name}`
+    /// from `s{name}` to `n` of gain `l` on `v(d{name})`, a unit VCCS
+    /// `Gg{name}` copying `v(a)` into `d{name}` and a unit inductor
+    /// `Llu{name}` from `d{name}` to ground.
+    MagneticBranch {
+        /// Element name; the Fig. 1 expansion derives its cards' and
+        /// internal nodes' names from it.
+        name: String,
+        /// Positive terminal.
+        p: NodeId,
+        /// Negative terminal.
+        n: NodeId,
+        /// Magnetic node whose voltage is the vector potential.
+        a: NodeId,
+        /// Filament length `lᵢ` scaling `d v(a)/dt` (must be positive).
+        l: f64,
     },
     /// Independent voltage source (`p` is the positive terminal). A 0 V DC
     /// source doubles as an ammeter for current-controlled elements.
@@ -142,7 +167,8 @@ pub enum Element {
         /// Terminal current flows into.
         n: NodeId,
         /// Branch element whose current is sensed (must be a branch
-        /// element: voltage source, VCVS, CCVS or inductor).
+        /// element: voltage source, VCVS, CCVS, inductor or magnetic
+        /// branch).
         sense: ElementId,
         /// Current gain.
         gain: f64,
@@ -170,6 +196,7 @@ impl Element {
             | Element::Capacitor { name, .. }
             | Element::Inductor { name, .. }
             | Element::Mutual { name, .. }
+            | Element::MagneticBranch { name, .. }
             | Element::VSource { name, .. }
             | Element::ISource { name, .. }
             | Element::Vcvs { name, .. }
@@ -184,6 +211,7 @@ impl Element {
         matches!(
             self,
             Element::Inductor { .. }
+                | Element::MagneticBranch { .. }
                 | Element::VSource { .. }
                 | Element::Vcvs { .. }
                 | Element::Ccvs { .. }
@@ -191,11 +219,15 @@ impl Element {
     }
 
     /// `true` if this element is reactive (stores energy): the paper's
-    /// "number of reactive elements" complexity metric.
+    /// "number of reactive elements" complexity metric. A magnetic branch
+    /// counts once, as the unit inductor of its Fig. 1 expansion.
     pub fn is_reactive(&self) -> bool {
         matches!(
             self,
-            Element::Capacitor { .. } | Element::Inductor { .. } | Element::Mutual { .. }
+            Element::Capacitor { .. }
+                | Element::Inductor { .. }
+                | Element::Mutual { .. }
+                | Element::MagneticBranch { .. }
         )
     }
 }

@@ -9,8 +9,11 @@
 //! * independent voltage/current sources (DC, step, pulse, PWL — plus AC
 //!   magnitude/phase for frequency sweeps),
 //! * all four **controlled sources** (VCVS/VCCS/CCCS/CCVS) and 0 V ammeter
-//!   sources — the building blocks of the SPICE-compatible VPEC magnetic
-//!   circuit,
+//!   sources — the building blocks of the paper's SPICE-compatible VPEC
+//!   realization (Fig. 1), which the SPICE reader accepts and the writer
+//!   emits,
+//! * **magnetic branches** (voltage `l·d v(a)/dt` of a magnetic node), the
+//!   element the VPEC models are stamped with,
 //!
 //! assembles the modified nodal analysis (MNA) system, and runs
 //!

@@ -4,7 +4,9 @@
 //! `cap_adm` maps a capacitance to the admittance stamped at its nodes
 //! (0 for DC, `coef·C` for transient companions, `jωC` for AC) and
 //! `ind_imp` maps an inductance to the impedance subtracted in its branch
-//! row (0 for DC — a short, `coef·L` for transient, `jωL` for AC).
+//! row (0 for DC — a short, `coef·L` for transient, `jωL` for AC). A
+//! magnetic branch's length `l` goes through `ind_imp` too, into the
+//! column of its magnetic node: its row reads `v_p − v_n − Z(l)·v_a`.
 
 use crate::elements::Element;
 use crate::netlist::{Circuit, NodeId};
@@ -111,6 +113,16 @@ fn stamp_all<T: Scalar>(
                 stamp(br, ia, one)?;
                 stamp(br, ib, -one)?;
                 stamp(br, br, -ind_imp(*l))?;
+            }
+            Element::MagneticBranch { p, n, a, l, .. } => {
+                let br = layout.branch_idx(idx);
+                let (ip, in_) = (layout.node_idx(*p), layout.node_idx(*n));
+                stamp(ip, br, one)?;
+                stamp(in_, br, -one)?;
+                // Branch row: v_p − v_n − Z(l)·v_a = rhs.
+                stamp(br, ip, one)?;
+                stamp(br, in_, -one)?;
+                stamp(br, layout.node_idx(*a), -ind_imp(*l))?;
             }
             Element::Mutual { la, lb, m, .. } => {
                 let z = ind_imp(*m);

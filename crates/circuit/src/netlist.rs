@@ -242,6 +242,40 @@ impl Circuit {
         }))
     }
 
+    /// Adds a VPEC magnetic branch from `p` to `n` whose voltage is
+    /// `l·d v(a)/dt` (see [`Element::MagneticBranch`]).
+    ///
+    /// # Errors
+    ///
+    /// Rejects non-positive or non-finite `l`, unknown nodes and a ground
+    /// magnetic node.
+    pub fn add_magnetic_branch(
+        &mut self,
+        name: &str,
+        p: NodeId,
+        n: NodeId,
+        a: NodeId,
+        l: f64,
+    ) -> Result<ElementId, CircuitError> {
+        Self::check_positive(name, l, "length must be positive and finite")?;
+        self.check_node(name, p)?;
+        self.check_node(name, n)?;
+        self.check_node(name, a)?;
+        if a.is_ground() {
+            return Err(CircuitError::InvalidValue {
+                element: name.to_string(),
+                reason: "magnetic node must not be ground",
+            });
+        }
+        Ok(self.push(Element::MagneticBranch {
+            name: name.to_string(),
+            p,
+            n,
+            a,
+            l,
+        }))
+    }
+
     /// Adds an independent voltage source (no AC component).
     ///
     /// # Errors
@@ -514,6 +548,30 @@ mod tests {
         assert!(c.add_mutual("K1", l1, l2, 0.5e-9).is_ok());
         assert!(c.add_mutual("K2", l1, r1, 0.5e-9).is_err());
         assert!(c.add_mutual("K3", l1, l1, 0.5e-9).is_err());
+    }
+
+    #[test]
+    fn magnetic_branch_is_validated_and_sensed() {
+        let mut c = Circuit::new();
+        let (p, a) = (c.node("p"), c.node("a"));
+        for (node, l) in [
+            (a, 0.0),
+            (a, f64::NAN),
+            (Circuit::GROUND, 1e-3),
+            (NodeId(9), 1e-3),
+        ] {
+            assert!(c
+                .add_magnetic_branch("x", p, Circuit::GROUND, node, l)
+                .is_err());
+        }
+        let br = c
+            .add_magnetic_branch("0", p, Circuit::GROUND, a, 1e-3)
+            .unwrap();
+        assert!(c.add_cccs("f0", Circuit::GROUND, a, br, 1e-3).is_ok());
+        assert_eq!(
+            (c.branch_count(), c.reactive_count(), c.mna_dim()),
+            (1, 1, 3)
+        );
     }
 
     #[test]

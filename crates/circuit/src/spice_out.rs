@@ -63,14 +63,26 @@ fn fmt_wave(w: &Waveform) -> String {
     }
 }
 
+/// The voltage source a current-controlled card names for `sense`: the
+/// element itself, or a magnetic branch's ammeter.
+fn sense_card(sense: &Element) -> String {
+    match sense {
+        Element::MagneticBranch { name, .. } => format!("Vamm{name}"),
+        other => format!("V{}", other.name()),
+    }
+}
+
 /// Renders the circuit as SPICE netlist text.
 ///
 /// Coupled inductors are emitted as `K` cards with the coupling
-/// coefficient `k = M/√(L₁L₂)` as SPICE requires.
+/// coefficient `k = M/√(L₁L₂)` as SPICE requires. A magnetic branch is
+/// emitted as the paper's Fig. 1 realization: ammeter, VCVS, VCCS and
+/// unit inductor (see [`Element::MagneticBranch`]).
 pub fn to_spice(ckt: &Circuit, title: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "* {title}");
     let node = |n: crate::NodeId| ckt.node_name(n).to_string();
+    let gnd = node(Circuit::GROUND);
     for e in ckt.elements() {
         match e {
             Element::Resistor { name, a, b, r } => {
@@ -101,6 +113,16 @@ pub fn to_spice(ckt: &Circuit, title: &str) -> String {
                 };
                 let k = m / (l1.0 * l2.0).sqrt();
                 let _ = writeln!(out, "K{name} L{} L{} {k:.6e}", l1.1, l2.1);
+            }
+            Element::MagneticBranch { name, p, n, a, l } => {
+                let (s, d) = (format!("s{name}"), format!("d{name}"));
+                let (p, n, a) = (node(*p), node(*n), node(*a));
+                let zero = fmt_wave(&Waveform::dc(0.0));
+                let unit = 1.0f64;
+                let _ = writeln!(out, "Vamm{name} {p} {s} {zero}");
+                let _ = writeln!(out, "Ee{name} {s} {n} {d} {gnd} {l:.6e}");
+                let _ = writeln!(out, "Gg{name} {gnd} {d} {a} {gnd} {unit:.6e}");
+                let _ = writeln!(out, "Llu{name} {d} {gnd} {unit:.6e}");
             }
             Element::VSource {
                 name,
@@ -171,10 +193,10 @@ pub fn to_spice(ckt: &Circuit, title: &str) -> String {
             } => {
                 let _ = writeln!(
                     out,
-                    "F{name} {} {} V{} {gain:.6e}",
+                    "F{name} {} {} {} {gain:.6e}",
                     node(*p),
                     node(*n),
-                    ckt.element(*sense).name()
+                    sense_card(ckt.element(*sense))
                 );
             }
             Element::Ccvs {
@@ -186,10 +208,10 @@ pub fn to_spice(ckt: &Circuit, title: &str) -> String {
             } => {
                 let _ = writeln!(
                     out,
-                    "H{name} {} {} V{} {r:.6e}",
+                    "H{name} {} {} {} {r:.6e}",
                     node(*p),
                     node(*n),
-                    ckt.element(*sense).name()
+                    sense_card(ckt.element(*sense))
                 );
             }
         }
@@ -263,6 +285,27 @@ mod tests {
         assert!(s.contains("Gg1 b 0 a 0"));
         assert!(s.contains("Ff1 b 0 Vs"));
         assert!(s.contains("Hh1 b 0 Vs"));
+    }
+
+    #[test]
+    fn magnetic_branch_renders_as_fig1_cards() {
+        let mut c = Circuit::new();
+        let (m, o, a) = (c.node("m"), c.node("o"), c.node("a7"));
+        let br = c.add_magnetic_branch("7", m, o, a, 1e-3).unwrap();
+        c.add_cccs("f7", Circuit::GROUND, a, br, 1e-3).unwrap();
+        let s = to_spice(&c, "vpec");
+        let cards: Vec<&str> = s.lines().skip(1).collect();
+        assert_eq!(
+            cards,
+            [
+                "Vamm7 m s7 DC 0.000000e0",
+                "Ee7 s7 o d7 0 1.000000e-3",
+                "Gg7 0 d7 a7 0 1.000000e0",
+                "Llu7 d7 0 1.000000e0",
+                "Ff7 0 a7 Vamm7 1.000000e-3",
+                ".end",
+            ]
+        );
     }
 
     #[test]

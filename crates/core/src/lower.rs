@@ -1,15 +1,19 @@
-//! VPEC netlist builder: lowers a [`VpecModel`] to the SPICE-compatible
-//! two-block circuit of the paper's Fig. 1.
+//! VPEC netlist builder: lowers a [`VpecModel`] to its circuit equations.
 //!
-//! Per filament `i`:
+//! Per filament `i` the model has two unknowns, the segment current `Iᵢ`
+//! and the vector potential `Aᵢ` on a magnetic node `aᵢ`, and two rows:
 //!
-//! * **electrical block** — the PEEC series resistance, a 0 V dummy source
-//!   sensing the segment current `Iᵢ`, and a voltage source
-//!   `Vᵢ = lᵢ·V̂ᵢ` realizing the inductive drop (replacing the inductor);
-//! * **magnetic block** — vector-potential node `aᵢ` tied to ground through
-//!   `R̂ᵢ₀` and to other magnetic nodes through the kept `R̂ᵢⱼ`; a CCCS
-//!   injects `Îᵢ = lᵢ·Iᵢ` into `aᵢ`; a VCCS copies `Aᵢ` into a **unit
-//!   inductance** whose voltage is `dAᵢ/dt = V̂ᵢ`, closing the loop.
+//! * **electrical row** — `v_mid − v_out − lᵢ·dAᵢ/dt = 0`, stamped by one
+//!   [`Element::MagneticBranch`](vpec_circuit::Element::MagneticBranch)
+//!   behind the PEEC series resistance;
+//! * **magnetic row** — `Σⱼ Ĝᵢⱼ·Aⱼ − lᵢ·Iᵢ = 0`: `aᵢ` is tied to ground
+//!   through `R̂ᵢ₀` and to the other magnetic nodes through the kept
+//!   `R̂ᵢⱼ`, and a CCCS sensing the branch injects `Îᵢ = lᵢ·Iᵢ` into `aᵢ`.
+//!
+//! Eliminating `A` gives PEEC's branch rows back, because `D·Ĝ⁻¹·D = L`.
+//! The paper's Fig. 1 realization for SPICE (ammeter, VCVS, VCCS and unit
+//! inductor per filament) is only the export: `to_spice` expands each
+//! magnetic branch into it.
 //!
 //! The capacitances, drivers and loads are identical to the PEEC netlist,
 //! so waveform differences measure exactly the inductance-model error.
@@ -22,7 +26,8 @@ use vpec_geometry::Layout;
 
 /// Builds the VPEC netlist for any [`VpecModel`] (full, localized,
 /// truncated or windowed — the model's kept couplings decide the magnetic
-/// network's sparsity), using the paper's Fig. 1 realization.
+/// network's sparsity), one magnetic branch, ground resistor and CCCS per
+/// filament.
 ///
 /// # Errors
 ///
@@ -43,52 +48,22 @@ pub fn build_vpec(
     let ckt = &mut mc.circuit;
     let n = model.len();
 
-    // Per-filament blocks.
+    // Per filament: the magnetic branch `v_mid − v_out = lᵢ·dAᵢ/dt`, the
+    // ground resistance R̂ᵢ₀ on aᵢ and the injection lᵢ·Iᵢ into aᵢ.
     let mut mag_nodes = Vec::with_capacity(n);
     for (i, span) in spans.iter().enumerate() {
         let li = model.lengths()[i];
         let (_, mid, out) = *span;
         let a_node = ckt.node(&format!("a{i}"));
-        let d_node = ckt.node(&format!("d{i}"));
         mag_nodes.push(a_node);
-        // Electrical inductive drop v = lᵢ·v(dᵢ), behind a dummy 0 V
-        // ammeter whose current the magnetic injection senses (a SPICE F
-        // element must reference a V source).
-        let sense_node = ckt.node(&format!("s{i}"));
-        let sense = ckt.add_vsource(
-            &format!("amm{i}"),
-            mid,
-            sense_node,
-            vpec_circuit::Waveform::dc(0.0),
-        )?;
-        ckt.add_vcvs(
-            &format!("e{i}"),
-            sense_node,
-            out,
-            d_node,
-            Circuit::GROUND,
-            li,
-        )?;
-        // Magnetic: ground resistance R̂i0 (from the model's kept rows).
+        let branch = ckt.add_magnetic_branch(&i.to_string(), mid, out, a_node, li)?;
         ckt.add_resistor(
             &format!("rg{i}"),
             a_node,
             Circuit::GROUND,
             model.ground_resistance(i),
         )?;
-        // Î injection: lᵢ · i(segment) into aᵢ.
-        ckt.add_cccs(&format!("f{i}"), Circuit::GROUND, a_node, sense, li)?;
-        // Derivative chain: VCCS copies Aᵢ into the unit inductor, whose
-        // voltage is dAᵢ/dt = V̂ᵢ.
-        ckt.add_vccs(
-            &format!("g{i}"),
-            Circuit::GROUND,
-            d_node,
-            a_node,
-            Circuit::GROUND,
-            1.0,
-        )?;
-        ckt.add_inductor(&format!("lu{i}"), d_node, Circuit::GROUND, 1.0)?;
+        ckt.add_cccs(&format!("f{i}"), Circuit::GROUND, a_node, branch, li)?;
     }
 
     // Magnetic coupling resistances for the kept pairs.
@@ -122,23 +97,26 @@ mod tests {
         let c = &mc.circuit;
         use vpec_circuit::Element;
         let count = |f: &dyn Fn(&Element) -> bool| c.elements().iter().filter(|e| f(e)).count();
-        // 3 unit inductors, no mutuals.
-        assert_eq!(count(&|e| matches!(e, Element::Inductor { .. })), 3);
-        assert_eq!(count(&|e| matches!(e, Element::Mutual { .. })), 0);
-        // 3 ammeters + 1 driver source.
-        assert_eq!(count(&|e| matches!(e, Element::VSource { .. })), 4);
-        // Controlled sources: 3 each of E (VCVS), F (CCCS), G (VCCS).
-        assert_eq!(count(&|e| matches!(e, Element::Vcvs { .. })), 3);
+        // One magnetic branch and one CCCS per filament, no inductors,
+        // mutuals or Fig. 1 sources.
+        assert_eq!(count(&|e| matches!(e, Element::MagneticBranch { .. })), 3);
         assert_eq!(count(&|e| matches!(e, Element::Cccs { .. })), 3);
-        assert_eq!(count(&|e| matches!(e, Element::Vccs { .. })), 3);
+        assert_eq!(count(&|e| matches!(e, Element::Inductor { .. })), 0);
+        assert_eq!(count(&|e| matches!(e, Element::Mutual { .. })), 0);
+        assert_eq!(count(&|e| matches!(e, Element::Vcvs { .. })), 0);
+        assert_eq!(count(&|e| matches!(e, Element::Vccs { .. })), 0);
+        // The driver is the only voltage source.
+        assert_eq!(count(&|e| matches!(e, Element::VSource { .. })), 1);
+        // One unknown per filament more than PEEC: Aᵢ beside Iᵢ.
+        let peec = crate::peec::build_peec(&layout, &para, &DriveConfig::paper_default()).unwrap();
+        assert_eq!(c.mna_dim(), peec.circuit.mna_dim() + 3);
         // Magnetic resistors: 3 ground + 3 coupling pairs.
         let resistors = count(&|e| matches!(e, Element::Resistor { .. }));
         assert_eq!(
             resistors,
             3 /*series*/ + 3 /*rd*/ + 3 /*rg*/ + 3 /*rc*/
         );
-        // Fewer reactive elements than PEEC (3+0 vs 3L+3K).
-        let peec = crate::peec::build_peec(&layout, &para, &DriveConfig::paper_default()).unwrap();
+        // Fewer reactive elements than PEEC (3 branches vs 3L+3K).
         assert!(c.reactive_count() < peec.circuit.reactive_count());
     }
 

@@ -97,13 +97,16 @@ pub struct StreamSummary {
 /// run-ledger record.
 #[derive(Debug, Clone, Copy, Default)]
 struct SolveAttribution {
-    /// Accepted factorization strategy label, when a transient ran.
+    /// Accepted factorization strategy label, when a transient or an AC
+    /// sweep ran (for a sweep, that of its largest factor).
     strategy: Option<&'static str>,
-    /// MNA matrix dimension of the transient system.
+    /// MNA matrix dimension of the transient or AC system.
     dim: Option<usize>,
-    /// Stored entries of the accepted transient factor (`dim²` for a
-    /// dense recovery).
+    /// Stored entries of the accepted transient factor, or of the AC
+    /// sweep's largest factor (`dim²` for a dense recovery).
     factor_nnz: Option<usize>,
+    /// Bytes per stored factor entry: 8 (real) or 16 (complex).
+    entry_bytes: u64,
     /// Model-build phase wall time, ms.
     build_ms: Option<f64>,
     /// Solve phase wall time, ms.
@@ -163,8 +166,8 @@ fn ledger_record(
         build_ms: attr.build_ms,
         solve_ms: attr.solve_ms,
         total_ms: resp.elapsed_ms,
-        // The accepted factor's stored entries, one f64 each.
-        peak_scratch_bytes: attr.factor_nnz.map(|nnz| 8 * nnz as u64),
+        // The accepted factor's stored entries, one scalar each.
+        peak_scratch_bytes: attr.factor_nnz.map(|nnz| attr.entry_bytes * nnz as u64),
     }
 }
 
@@ -328,6 +331,7 @@ impl Engine {
                             .as_ref()
                             .map(|t| t.factor.factor_nnz)
                             .filter(|&nnz| nnz > 0),
+                        entry_bytes: 8,
                         build_ms: Some(model.build_seconds * 1e3),
                         solve_ms: Some(solve_seconds * 1e3),
                         experiment_hit,
@@ -371,11 +375,15 @@ impl Engine {
                         degraded_solve: false,
                         notes: Vec::new(),
                         attr: SolveAttribution {
+                            strategy: res.factor_diagnostics().accepted().map(|s| s.label()),
+                            dim: Some(res.dim()).filter(|&d| d > 0),
+                            factor_nnz: Some(res.factor_diagnostics().factor_nnz)
+                                .filter(|&nnz| nnz > 0),
+                            entry_bytes: 16,
                             build_ms: Some(model.build_seconds * 1e3),
                             solve_ms: Some(solve_ms),
                             experiment_hit,
                             factor_hit,
-                            ..SolveAttribution::default()
                         },
                     })
                 }
@@ -715,6 +723,25 @@ mod tests {
             );
         }
         assert_eq!(engine.cache().factor_hits(), 1);
+    }
+
+    #[test]
+    fn ac_records_carry_factor_evidence() {
+        // An AC sweep factors a complex sparse LU per point; its record
+        // names the strategy, the system's dimension and the largest
+        // factor's scratch, 16 bytes per stored complex entry.
+        let mut engine = Engine::new(EngineConfig::default());
+        let r = req(
+            r#"{"id":"ac","bits":4,"kind":"vpec-full","analysis":"ac","f_start":1e8,"f_stop":1e10,"points_per_decade":3}"#,
+        );
+        let (resp, rec) = engine.run_request_recorded(&r, 0.0);
+        assert!(resp.ok, "{:?}", resp.error);
+        assert_eq!(rec.analysis, "ac");
+        assert_eq!(rec.strategy.as_deref(), Some("sparse-lu"));
+        let dim = rec.dim.expect("an AC sweep records its dimension") as u64;
+        let scratch = rec.peak_scratch_bytes.expect("an AC sweep records scratch");
+        assert!(scratch > 0 && scratch % 16 == 0, "{scratch}");
+        assert!(scratch <= 16 * dim * dim, "{scratch} B over dense {dim}²");
     }
 
     #[test]

@@ -57,9 +57,10 @@ pub struct RunRecord {
     /// The prepared-factorization cache answered.
     pub factor_hit: bool,
     /// Accepted factorization strategy label (`"sparse-lu"`, …), when a
-    /// transient ran.
+    /// transient or an AC sweep ran (for a sweep, that of its largest
+    /// factor).
     pub strategy: Option<String>,
-    /// MNA matrix dimension of the transient system, when known.
+    /// MNA matrix dimension of the transient or AC system, when known.
     pub dim: Option<usize>,
     /// Circuit element count of the model that answered.
     pub elements: Option<usize>,
@@ -72,9 +73,10 @@ pub struct RunRecord {
     pub solve_ms: Option<f64>,
     /// End-to-end request wall time, ms.
     pub total_ms: f64,
-    /// Scratch estimate for the solve: `8·factor_nnz` bytes, one f64 per
-    /// stored entry of the accepted transient factor (`dim²` entries
-    /// for a dense recovery), when a transient ran.
+    /// Scratch estimate for the solve: one scalar per stored entry of the
+    /// accepted factor (`dim²` entries for a dense recovery), so
+    /// `8·factor_nnz` bytes for a transient and `16·factor_nnz` for the
+    /// largest complex factor of an AC sweep.
     pub peak_scratch_bytes: Option<u64>,
 }
 

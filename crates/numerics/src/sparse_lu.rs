@@ -70,11 +70,16 @@ const STRICT_DIAG_PIVOT_TOL: f64 = 1e-1;
 /// diagonal-preferring factor at [`DIAG_PIVOT_TOL`].
 ///
 /// A tolerance of 1e-3 keeps PEEC's diagonal everywhere with no growth
-/// (0.99), but lets the controlled-source rows of gwVPEC, ntVPEC and full
-/// VPEC grow U entries up to 3e5 times their column's largest entry: their
-/// transients then drift 1e-8 of the noise peak from a dense-LU solve.
-/// Redone at [`STRICT_DIAG_PIVOT_TOL`] the growth stays below 7× and the
-/// drift below 1e-9, for a few percent more fill.
+/// (0.99). On the VPEC models' Fig. 1 stamp it let the controlled-source
+/// rows grow U entries up to 3e5 times their column's largest entry, and
+/// their transients then drifted 1e-8 of the noise peak from a dense-LU
+/// solve; redone at [`STRICT_DIAG_PIVOT_TOL`] the growth stayed below 7×
+/// and the drift below 1e-9, for a few percent more fill. The (I, A)
+/// stamp still needs the redo: the 256-bit full-VPEC and gwVPEC(8)
+/// transient factors fail the check at columns 14 and 280 of 1,282 (their
+/// DC factors pass), and every AC point of the 28 × 8 bus is factored
+/// twice, PEEC from column 519 of 702, full VPEC from 177 and gwVPEC(8)
+/// from 150 of 926.
 const MIN_PIVOT_GROWTH: f64 = 1e-1;
 
 /// Fewest columns left, pivot included, at which the elimination

@@ -48,6 +48,14 @@ timeout 600 cargo test -q --release --test window_locality --test window_identit
 # full-VPEC AC factor equal, entry for entry, a factorization that
 # scatters every update through row indices.
 timeout 600 cargo test -q --release --test step_loop
+# The VPEC stamp (one branch current and one vector potential per
+# filament) in the optimized build: full VPEC matches PEEC within 1e-12
+# of the victim's peak on the 256-bit and Table III buses, the exported
+# Fig. 1 deck parsed back simulates within 1e-6 of the stamp, the DC
+# point and a 28 x 8 AC sweep equal PEEC's, and the stamp's kappa_1 is
+# at least 1e6 below the deck's. The waveform digests pin every probed
+# sample of the reduced-size paper workloads bit for bit.
+timeout 600 cargo test -q --release --test vpec_stamp --test waveform_digests
 # The sparse factor's block kernel in the optimized build: on bordered
 # systems (trailing cliques of 2, 40 and 200 columns, off-diagonal
 # pivots, exact ties, an exact-zero U entry, an aborted threshold attempt

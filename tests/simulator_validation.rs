@@ -84,8 +84,7 @@ fn transient_and_ac_agree_at_dc_limit() {
 }
 
 /// The DC operating point of the VPEC netlist equals the resistive-only
-/// network's (unit inductors short the magnetic circuit; the controlled
-/// sources contribute no DC voltage).
+/// network's (the magnetic branches are shorts at DC).
 #[test]
 fn vpec_netlist_dc_point_is_resistive() {
     let exp = Experiment::new(
