@@ -19,16 +19,18 @@ pub struct DcSolution {
 impl DcSolution {
     /// DC voltage of a node (0 for ground).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the node does not belong to the solved circuit.
-    pub fn voltage(&self, node: NodeId) -> f64 {
+    /// [`CircuitError::NodeNotRecorded`] if the node does not belong to
+    /// the solved circuit.
+    pub fn voltage(&self, node: NodeId) -> Result<f64, CircuitError> {
         if node.is_ground() {
-            0.0
-        } else {
-            assert!(node.0 - 1 < self.n_nodes, "node out of range");
-            self.x[node.0 - 1]
+            return Ok(0.0);
         }
+        if node.0 > self.n_nodes {
+            return Err(CircuitError::NodeNotRecorded { node: node.0 });
+        }
+        Ok(self.x[node.0 - 1])
     }
 
     /// The raw unknown vector (nodes then branch currents).
@@ -113,9 +115,27 @@ mod tests {
         c.add_inductor("L1", mid, out, 1e-9).unwrap();
         c.add_resistor("R2", out, Circuit::GROUND, 100.0).unwrap();
         let sol = solve_dc(&c).unwrap();
-        assert!((sol.voltage(mid) - 1.0).abs() < 1e-12);
-        assert!((sol.voltage(out) - 1.0).abs() < 1e-12);
-        assert_eq!(sol.voltage(Circuit::GROUND), 0.0);
+        assert!((sol.voltage(mid).unwrap() - 1.0).abs() < 1e-12);
+        assert!((sol.voltage(out).unwrap() - 1.0).abs() < 1e-12);
+        assert_eq!(sol.voltage(Circuit::GROUND), Ok(0.0));
+    }
+
+    #[test]
+    fn node_of_another_circuit_is_not_recorded() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.add_vsource("V1", a, Circuit::GROUND, Waveform::dc(1.0))
+            .unwrap();
+        c.add_resistor("R1", a, Circuit::GROUND, 1.0).unwrap();
+        let mut other = Circuit::new();
+        other.node("x");
+        let far = other.node("y");
+        let sol = solve_dc(&c).unwrap();
+        assert_eq!(
+            sol.voltage(far),
+            Err(CircuitError::NodeNotRecorded { node: far.0 })
+        );
+        assert!((sol.voltage(a).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -131,7 +151,7 @@ mod tests {
         // resistor pins its voltage: no current flows, so v(out)=v(in).
         c.add_resistor("Rload", out, Circuit::GROUND, 1e9).unwrap();
         let sol = solve_dc(&c).unwrap();
-        assert!((sol.voltage(out) - 5.0).abs() < 1e-4);
+        assert!((sol.voltage(out).unwrap() - 5.0).abs() < 1e-4);
     }
 
     #[test]
@@ -163,6 +183,6 @@ mod tests {
         c.add_resistor("RL", out, Circuit::GROUND, 50.0).unwrap();
         let sol = solve_dc(&c).unwrap();
         // |v(out)| = |2 · 10 mA · 50 Ω| = 1 V.
-        assert!((sol.voltage(out).abs() - 1.0).abs() < 1e-9);
+        assert!((sol.voltage(out).unwrap().abs() - 1.0).abs() < 1e-9);
     }
 }

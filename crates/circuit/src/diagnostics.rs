@@ -139,10 +139,9 @@ pub struct TransientDiagnostics {
     /// Fallback-chain record of the initial factorization.
     pub factor: FactorDiagnostics,
     /// Checkpointed retries: times a non-finite solution forced the step
-    /// size to halve and the step to be re-taken.
+    /// size to halve and the step to be re-taken, each with a factor of
+    /// its own.
     pub retries: usize,
-    /// Extra factorizations beyond the first (one per retry).
-    pub refactorizations: usize,
     /// The step size in effect when the run finished (== the spec's `dt`
     /// when no retry occurred).
     pub final_dt: f64,
@@ -150,10 +149,6 @@ pub struct TransientDiagnostics {
     pub steps: usize,
     /// Solve-audit telemetry (`None` when the audit layer is off).
     pub audit: Option<SolveAudit>,
-    /// `true` when the run reused a [`crate::transient::TransientFactor`]
-    /// prepared earlier (factor-once/solve-many) instead of factoring the
-    /// MNA system itself.
-    pub reused_factor: bool,
     /// Dimension of the MNA system that was solved (0 when unknown, e.g.
     /// a default-constructed diagnostics value).
     pub dim: usize,

@@ -4,8 +4,8 @@
 //! The paper simulates every model (PEEC, full VPEC, localized VPEC, tVPEC,
 //! wVPEC) with HSPICE. This crate plays that role: it accepts netlists of
 //!
-//! * resistors, capacitors, inductors and **mutually coupled inductor
-//!   groups** (the dense PEEC `L` stamp),
+//! * resistors, capacitors, inductors and **mutual inductances** (one
+//!   `Mutual` element per coupled pair — the dense PEEC `L` stamp),
 //! * independent voltage/current sources (DC, step, pulse, PWL — plus AC
 //!   magnitude/phase for frequency sweeps),
 //! * all four **controlled sources** (VCVS/VCCS/CCCS/CCVS) and 0 V ammeter
@@ -18,9 +18,9 @@
 //! assembles the modified nodal analysis (MNA) system, and runs
 //!
 //! * [`dc::solve_dc`] — DC operating point,
-//! * [`transient::run_transient`] — fixed-step Backward-Euler or
-//!   trapezoidal integration (linear circuits: one factorization, one
-//!   back-substitution per step),
+//! * [`transient::run_transient`] — fixed-step trapezoidal integration
+//!   (linear circuits: one factorization, one back-substitution per
+//!   step),
 //! * [`ac::run_ac`] — complex-valued frequency sweeps.
 //!
 //! [`metrics`] provides the waveform-comparison machinery behind the
@@ -32,7 +32,7 @@
 //! # Example: RC step response
 //!
 //! ```
-//! use vpec_circuit::{Circuit, Waveform, TransientSpec, Integrator};
+//! use vpec_circuit::{Circuit, Waveform, TransientSpec};
 //!
 //! # fn main() -> Result<(), vpec_circuit::CircuitError> {
 //! let mut ckt = Circuit::new();
@@ -41,10 +41,7 @@
 //! ckt.add_vsource("V1", inp, Circuit::GROUND, Waveform::dc(1.0))?;
 //! ckt.add_resistor("R1", inp, out, 1000.0)?;
 //! ckt.add_capacitor("C1", out, Circuit::GROUND, 1e-9)?;
-//! let res = vpec_circuit::transient::run_transient(
-//!     &ckt,
-//!     &TransientSpec::new(5e-6, 1e-8).integrator(Integrator::Trapezoidal),
-//! )?;
+//! let res = vpec_circuit::transient::run_transient(&ckt, &TransientSpec::new(5e-6, 1e-8))?;
 //! let v_end = *res.voltage(out)?.last().unwrap();
 //! assert!((v_end - 1.0).abs() < 1e-3); // fully charged after 5 τ
 //! # Ok(())
@@ -95,5 +92,5 @@ pub use elements::{Element, ElementId};
 pub use error::CircuitError;
 pub use netlist::{Circuit, NodeId};
 pub use result::{AcResult, TransientResult};
-pub use transient::{Integrator, TransientFactor, TransientSpec};
+pub use transient::{TransientFactor, TransientSpec};
 pub use waveform::Waveform;

@@ -1,5 +1,5 @@
-//! Fixed-step transient analysis with companion models and **guarded
-//! stepping**.
+//! Fixed-step trapezoidal transient analysis with companion models and
+//! **guarded stepping**.
 //!
 //! The circuits produced by the PEEC/VPEC builders are linear, so the MNA
 //! matrix is constant across the run: it is factored **once** and each time
@@ -7,9 +7,10 @@
 //! the regime where the paper's sparsification pays off — the factorization
 //! and each back-substitution scale with the factor's nonzero count.
 //!
-//! Integration methods: Backward Euler (robust, first order) and the
-//! trapezoidal rule (second order, SPICE's default — used for all paper
-//! reproductions).
+//! Integration is the trapezoidal rule (second order, SPICE's default),
+//! which every paper reproduction uses. Every run steps a prepared
+//! [`TransientFactor`]: a cold run prepares its own, and a prefactored run
+//! checks a handle prepared earlier against a fresh assembly.
 //!
 //! Robustness: every solved step is checked for non-finite values *before*
 //! element state is mutated. A NaN/∞ solution triggers a checkpointed
@@ -29,16 +30,7 @@ use crate::solver::Factored;
 use std::collections::HashMap;
 use vpec_numerics::audit;
 use vpec_numerics::cancel::CancelToken;
-
-/// Time-integration method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Integrator {
-    /// First-order implicit Euler; strongly damped.
-    BackwardEuler,
-    /// Second-order trapezoidal rule (SPICE default).
-    #[default]
-    Trapezoidal,
-}
+use vpec_numerics::CooMatrix;
 
 /// Most halvings of `dt` the non-finite recovery will attempt before
 /// giving up with [`CircuitError::NonFiniteSolution`].
@@ -60,7 +52,7 @@ const AUDIT_BACKEND_TOL: f64 = 1e-6;
 const AUDIT_BACKEND_DIM_CAP: usize = 512;
 
 /// Scans assembled MNA triplets for non-finite stamps (audit layer).
-fn audit_stamps(a: &vpec_numerics::CooMatrix<f64>) -> Result<(), CircuitError> {
+fn audit_stamps(a: &CooMatrix<f64>) -> Result<(), CircuitError> {
     for &(i, j, v) in a.entries() {
         if !v.is_finite() {
             return Err(CircuitError::AuditViolation {
@@ -79,8 +71,6 @@ pub struct TransientSpec {
     pub t_stop: f64,
     /// Fixed step size, seconds.
     pub dt: f64,
-    /// Integration method.
-    pub method: Integrator,
     /// If set, record only these node voltages (memory saver for large
     /// circuits); otherwise every MNA unknown is recorded.
     pub probes: Option<Vec<NodeId>>,
@@ -97,18 +87,10 @@ impl TransientSpec {
         TransientSpec {
             t_stop,
             dt,
-            method: Integrator::Trapezoidal,
             probes: None,
             faults: FaultInjection::none(),
             cancel: CancelToken::none(),
         }
-    }
-
-    /// Selects the integration method.
-    #[must_use]
-    pub fn integrator(mut self, m: Integrator) -> Self {
-        self.method = m;
-        self
     }
 
     /// Restricts recording to the given nodes.
@@ -151,8 +133,8 @@ struct IndState {
     v_prev: f64,
     /// Flux history `coef·Σ L·i` over the self and mutual terms, at the
     /// last accepted state. The branch row solved each step,
-    /// `v − coef·Σ L·i_new = −(trap ? v_prev : 0) − h`, gives the next one
-    /// as `v_new − rhs[br]`, so a step never forms the product.
+    /// `v − coef·Σ L·i_new = −v_prev − h`, gives the next one as
+    /// `v_new − rhs[br]`, so a step never forms the product.
     h: f64,
     /// `(column, l)` of a branch whose history is the single product
     /// `coef·l·x[column]`: an inductor that no mutual couples (its own
@@ -202,11 +184,19 @@ fn seed_history(
     }
 }
 
-fn coef_for(method: Integrator, dt: f64) -> f64 {
-    match method {
-        Integrator::BackwardEuler => 1.0 / dt,
-        Integrator::Trapezoidal => 2.0 / dt,
-    }
+/// The trapezoidal companion matrix at step `dt`: every capacitor and
+/// inductance stamped with `coef = 2/dt`.
+///
+/// Never inlined: inlined into the step loop's retry branch, the
+/// assembly slowed every step of the 1024-bit gwVPEC(8) run by about 3 %.
+#[inline(never)]
+fn companion_matrix(
+    ckt: &Circuit,
+    layout: &MnaLayout,
+    dt: f64,
+) -> Result<CooMatrix<f64>, CircuitError> {
+    let coef = 2.0 / dt;
+    Ok(assemble::<f64>(ckt, layout, |c| coef * c, |l| coef * l)?)
 }
 
 /// Spec sanity checks shared by every transient entry point.
@@ -237,31 +227,32 @@ fn source_values_at_zero(ckt: &Circuit) -> Vec<f64> {
         .collect()
 }
 
-/// A factorization of the transient MNA system prepared ahead of time —
-/// the **factor-once/solve-many** handle.
+/// A factorization of the transient MNA system with its DC initial
+/// condition — what every transient run steps, and the
+/// **factor-once/solve-many** handle.
 ///
 /// The circuits produced by the PEEC/VPEC builders are linear, so the
-/// companion-model MNA matrix depends only on the circuit stamps, the
-/// integration method and the step size. Repeated transient runs of the
-/// same geometry (batch scenarios, drive sweeps that only change waveform
-/// *timing* parameters the engine re-models anyway, deadline re-runs)
-/// therefore re-pay the `O(N³)`-ish factorization for an identical matrix.
+/// companion-model MNA matrix depends only on the circuit stamps and the
+/// step size. Repeated transient runs of the same geometry (batch
+/// scenarios, drive sweeps that only change waveform *timing* parameters
+/// the engine re-models anyway, deadline re-runs) therefore re-pay the
+/// `O(N³)`-ish factorization for an identical matrix.
 /// [`prepare_transient`] factors once; [`run_transient_with_report_prefactored`]
 /// re-validates cheaply (`O(nnz)` stamp comparison) and skips straight to
-/// the step loop.
+/// the step loop. A cold [`run_transient_with_report`] prepares a handle
+/// of its own and steps it the same way.
 ///
-/// Safety model: the handle snapshots the assembled triplets, the spec
-/// parameters that shape the matrix, and the `t = 0` source values backing
-/// the cached DC operating point. A prefactored run re-assembles and
-/// compares **exactly** — any mismatch is a loud
-/// [`CircuitError::InvalidSpec`], never a silently wrong answer.
+/// Safety model: the handle snapshots the assembled triplets, the step
+/// size that shapes the matrix, and the `t = 0` source values backing the
+/// cached DC operating point. A prefactored run re-assembles and compares
+/// **exactly** — any mismatch is a loud [`CircuitError::InvalidSpec`],
+/// never a silently wrong answer.
 #[derive(Debug)]
 pub struct TransientFactor {
     dim: usize,
     dt: f64,
-    method: Integrator,
     /// Assembled companion-model triplets the factor was computed from.
-    a: vpec_numerics::CooMatrix<f64>,
+    a: CooMatrix<f64>,
     factored: Factored<f64>,
     factor_diag: FactorDiagnostics,
     /// DC operating point (sources at `t = 0`) — the initial condition.
@@ -283,38 +274,20 @@ impl TransientFactor {
 
     /// The assembled companion-model matrix the factor was computed from,
     /// for analyses that want to weigh the factor against another one.
-    pub fn matrix(&self) -> &vpec_numerics::CooMatrix<f64> {
+    pub fn matrix(&self) -> &CooMatrix<f64> {
         &self.a
     }
 
-    /// Checks that this factorization matches `(ckt, spec)` without
-    /// running anything — exactly the validation a prefactored run
-    /// performs before reusing the factor. This is the cheap
-    /// (assemble + compare, `O(nnz)`) side of factor-once/solve-many.
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::InvalidSpec`] when the spec or circuit differs
-    /// from the one this factor was prepared for.
-    pub fn validate(&self, ckt: &Circuit, spec: &TransientSpec) -> Result<(), CircuitError> {
-        validate_spec(spec)?;
-        let layout = MnaLayout::new(ckt);
-        let coef = coef_for(spec.method, spec.dt);
-        let a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l)?;
-        self.check(ckt, spec, &layout, &a)
-    }
-
-    /// Core comparison against an already-assembled system (shared by
-    /// [`TransientFactor::validate`] and the prefactored run, which has
-    /// the assembly in hand anyway).
+    /// Compares `(ckt, spec)`, assembled as `a`, exactly against what this
+    /// factorization was prepared for.
     fn check(
         &self,
         ckt: &Circuit,
         spec: &TransientSpec,
         layout: &MnaLayout,
-        a: &vpec_numerics::CooMatrix<f64>,
+        a: &CooMatrix<f64>,
     ) -> Result<(), CircuitError> {
-        if spec.dt.to_bits() != self.dt.to_bits() || spec.method != self.method {
+        if spec.dt.to_bits() != self.dt.to_bits() {
             return Err(CircuitError::InvalidSpec {
                 reason: "prefactored transient: spec differs from the prepared factorization",
             });
@@ -340,12 +313,45 @@ impl TransientFactor {
     }
 }
 
+/// Prepares the factor every run steps: assembles the companion matrix at
+/// `spec.dt`, audits its stamps, factors it (the `transient.factor` span)
+/// and solves the DC operating point with sources at `t = 0` (the
+/// `transient.dc` span), the initial condition. The fault injection
+/// targets the transient factor, never the operating point.
+fn prepare(
+    ckt: &Circuit,
+    spec: &TransientSpec,
+    layout: &MnaLayout,
+) -> Result<TransientFactor, CircuitError> {
+    let a = companion_matrix(ckt, layout, spec.dt)?;
+    if audit::enabled(audit::AuditLevel::Basic) {
+        audit_stamps(&a)?;
+    }
+    let (factored, factor_diag) = {
+        let _fs = vpec_trace::span("transient.factor");
+        Factored::factor_with(&a, spec.faults.fail_primary_factor).map_err(transient_singular)?
+    };
+    let (dc, _) = {
+        let _ds = vpec_trace::span("transient.dc");
+        solve_dc_report(ckt)?
+    };
+    Ok(TransientFactor {
+        dim: layout.dim,
+        dt: spec.dt,
+        a,
+        factored,
+        factor_diag,
+        dc_x: dc.x,
+        src0: source_values_at_zero(ckt),
+    })
+}
+
 /// Factors the transient MNA system (and solves the DC initial condition)
 /// without stepping — the expensive half of **factor-once/solve-many**.
 ///
 /// The returned [`TransientFactor`] can back any number of
 /// [`run_transient_with_report_prefactored`] calls for the same circuit
-/// and spec parameters, each skipping the factorization and DC solve.
+/// and step size, each skipping the factorization and DC solve.
 ///
 /// # Errors
 ///
@@ -358,44 +364,7 @@ pub fn prepare_transient(
     validate_spec(spec)?;
     let layout = MnaLayout::new(ckt);
     let _sp = vpec_trace::span!("transient.prepare", "dim" => layout.dim);
-    let coef = coef_for(spec.method, spec.dt);
-    let a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l)?;
-    if audit::enabled(audit::AuditLevel::Basic) {
-        audit_stamps(&a)?;
-    }
-    let (factored, factor_diag, dc_x) = factor_and_dc(ckt, spec, &a)?;
-    let src0 = source_values_at_zero(ckt);
-    Ok(TransientFactor {
-        dim: layout.dim,
-        dt: spec.dt,
-        method: spec.method,
-        a,
-        factored,
-        factor_diag,
-        dc_x,
-        src0,
-    })
-}
-
-/// The factor and DC phases a cold run and [`prepare_transient`] share:
-/// factors the companion matrix `a` (the `transient.factor` span) and
-/// solves the DC operating point with sources at `t = 0` (the
-/// `transient.dc` span), the initial condition. The fault injection
-/// targets the transient factor, never the operating point.
-fn factor_and_dc(
-    ckt: &Circuit,
-    spec: &TransientSpec,
-    a: &vpec_numerics::CooMatrix<f64>,
-) -> Result<(Factored<f64>, FactorDiagnostics, Vec<f64>), CircuitError> {
-    let (factored, diag) = {
-        let _fs = vpec_trace::span("transient.factor");
-        Factored::factor_with(a, spec.faults.fail_primary_factor).map_err(transient_singular)?
-    };
-    let (dc, _) = {
-        let _ds = vpec_trace::span("transient.dc");
-        solve_dc_report(ckt)?
-    };
-    Ok((factored, diag, dc.x))
+    prepare(ckt, spec, &layout)
 }
 
 /// Names the transient analysis in a singular-system error.
@@ -437,7 +406,11 @@ pub fn run_transient_with_report(
     ckt: &Circuit,
     spec: &TransientSpec,
 ) -> Result<(TransientResult, TransientDiagnostics), CircuitError> {
-    run_transient_guarded(ckt, spec, None)
+    validate_spec(spec)?;
+    let layout = MnaLayout::new(ckt);
+    let tr_span = vpec_trace::span!("transient", "dim" => layout.dim);
+    let prepared = prepare(ckt, spec, &layout)?;
+    step(ckt, spec, &layout, &prepared, tr_span)
 }
 
 /// Runs a fixed-step transient analysis against a factorization prepared
@@ -447,9 +420,8 @@ pub fn run_transient_with_report(
 /// the snapshot inside `factor` before reusing it; the factorization and
 /// DC solve are then skipped. The result is bit-identical to a cold
 /// [`run_transient_with_report`] of the same `(ckt, spec)` — the reused
-/// factor *is* the factor a cold run would compute, and the step loop is
-/// unchanged. [`TransientDiagnostics::reused_factor`] is set so reports
-/// can tell the two apart.
+/// factor *is* the factor a cold run would compute, and both step it with
+/// the same loop.
 ///
 /// # Errors
 ///
@@ -461,59 +433,39 @@ pub fn run_transient_with_report_prefactored(
     spec: &TransientSpec,
     factor: &TransientFactor,
 ) -> Result<(TransientResult, TransientDiagnostics), CircuitError> {
-    run_transient_guarded(ckt, spec, Some(factor))
+    validate_spec(spec)?;
+    let layout = MnaLayout::new(ckt);
+    let tr_span = vpec_trace::span!("transient", "dim" => layout.dim);
+    // Loud exact validation: a stale handle is an error, never a silently
+    // wrong answer.
+    let a = companion_matrix(ckt, &layout, spec.dt)?;
+    factor.check(ckt, spec, &layout, &a)?;
+    step(ckt, spec, &layout, factor, tr_span)
 }
 
-/// Shared guarded step loop. `prefactored == None` is the classic cold
-/// run; `Some` validates and reuses the prepared factor + DC point.
-fn run_transient_guarded(
+/// The guarded step loop: steps `prepared`'s DC point with its factor,
+/// and records the run's attributes on `tr_span`.
+fn step(
     ckt: &Circuit,
     spec: &TransientSpec,
-    prefactored: Option<&TransientFactor>,
+    layout: &MnaLayout,
+    prepared: &TransientFactor,
+    mut tr_span: vpec_trace::SpanGuard,
 ) -> Result<(TransientResult, TransientDiagnostics), CircuitError> {
-    validate_spec(spec)?;
-
-    let layout = MnaLayout::new(ckt);
-    let mut tr_span = vpec_trace::span!("transient", "dim" => layout.dim);
     let mut dt = spec.dt;
-    let mut coef = coef_for(spec.method, dt);
-    let trap = spec.method == Integrator::Trapezoidal;
-
-    let mut a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l)?;
-    let auditing = audit::enabled(audit::AuditLevel::Basic);
-    if auditing {
-        audit_stamps(&a)?;
-    }
-    // The factor every step solves with: the borrowed prefactored handle
-    // or a cold run's own factor. A retry (which re-factors at the halved
-    // dt) moves its fresh factor into `retry_factor` and re-points this.
-    let cold_factor: Factored<f64>;
-    let mut retry_factor: Option<Factored<f64>> = None;
-    let mut factored: &Factored<f64>;
+    let mut coef = 2.0 / dt;
+    // The matrix and factor every step solves with. A retry (which
+    // re-factors at the halved dt) moves its fresh pair into `retried`
+    // and re-points these.
+    let mut retried: Option<(CooMatrix<f64>, Factored<f64>)> = None;
+    let (mut a, mut factored) = (&prepared.a, &prepared.factored);
     let mut diag = TransientDiagnostics {
+        factor: prepared.factor_diag.clone(),
         final_dt: dt,
-        reused_factor: prefactored.is_some(),
         dim: layout.dim,
         ..TransientDiagnostics::default()
     };
-    let mut x: Vec<f64>;
-    match prefactored {
-        Some(pf) => {
-            // Loud exact validation: a stale handle is an error, never a
-            // silently wrong answer. Skips the factor + DC spans entirely.
-            pf.check(ckt, spec, &layout, &a)?;
-            factored = &pf.factored;
-            diag.factor = pf.factor_diag.clone();
-            x = pf.dc_x.clone();
-        }
-        None => {
-            let (f, factor_diag, dc_x) = factor_and_dc(ckt, spec, &a)?;
-            cold_factor = f;
-            factored = &cold_factor;
-            diag.factor = factor_diag;
-            x = dc_x;
-        }
-    }
+    let mut x = prepared.dc_x.clone();
     debug_assert_eq!(x.len(), layout.dim);
 
     // Branches a mutual inductance couples; their histories are carried.
@@ -580,7 +532,7 @@ fn run_transient_guarded(
         }
     }
     let mut flux = vec![0.0f64; layout.dim];
-    seed_history(ckt, &layout, &x, coef, &mut inds, &mut flux);
+    seed_history(ckt, layout, &x, coef, &mut inds, &mut flux);
 
     // Probe bookkeeping.
     let (mapping, record_cols): (ResultMapping, Option<Vec<usize>>) = match &spec.probes {
@@ -618,7 +570,6 @@ fn run_transient_guarded(
     data.push(record(&x));
 
     let mut poison = spec.faults.poison_step;
-    let mut halvings = 0usize;
     let mut accepted = 0usize;
     let mut t = 0.0f64;
     // Per-step scratch, allocated once: the RHS, the solution buffer and
@@ -657,13 +608,13 @@ fn run_transient_guarded(
         for &idx in &source_idxs {
             let e = &ckt.elements()[idx];
             if let Element::VSource { wave, .. } | Element::ISource { wave, .. } = e {
-                add_source_rhs(&mut rhs, &layout, idx, e, wave.value(t_new));
+                add_source_rhs(&mut rhs, layout, idx, e, wave.value(t_new));
             }
         }
-        // Capacitor companion history: current source Geq·v_prev (+ i_prev
-        // for trapezoidal) injected from b into a.
+        // Capacitor companion history: current source Geq·v_prev + i_prev
+        // injected from b into a.
         for s in &caps {
-            let hist = coef * s.c * s.v_prev + if trap { s.i_prev } else { 0.0 };
+            let hist = coef * s.c * s.v_prev + s.i_prev;
             if let Some(ia) = s.ia {
                 rhs[ia] += hist;
             }
@@ -671,9 +622,9 @@ fn run_transient_guarded(
                 rhs[ib] -= hist;
             }
         }
-        // Inductor and magnetic branch history: −v_prev (trap) − h.
+        // Inductor and magnetic branch history: −v_prev − h.
         for s in &inds {
-            rhs[s.br] = -(if trap { s.v_prev } else { 0.0 }) - s.h;
+            rhs[s.br] = -s.v_prev - s.h;
         }
 
         factored.solve_into(&rhs, &mut x_new, &mut scratch)?;
@@ -686,15 +637,14 @@ fn run_transient_guarded(
         // re-factor, and re-take the step from the last accepted checkpoint
         // (element states have not been touched yet).
         if x_new.iter().any(|v| !v.is_finite()) {
-            if halvings >= MAX_HALVINGS {
+            if diag.retries >= MAX_HALVINGS {
                 return Err(CircuitError::NonFiniteSolution {
                     analysis: "transient",
                     step: accepted + 1,
                 });
             }
-            halvings += 1;
             dt /= 2.0;
-            coef = coef_for(spec.method, dt);
+            coef = 2.0 / dt;
             if vpec_trace::enabled() {
                 vpec_trace::instant_event(
                     "transient.retry",
@@ -703,21 +653,20 @@ fn run_transient_guarded(
                 vpec_trace::counter_add("transient.retries", 1);
                 vpec_trace::counter_add("transient.dt_halvings", 1);
             }
-            // Re-assign (not shadow) so the post-loop solve audit checks
-            // the residual against the system the factor actually solves.
-            a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l)?;
+            // A halved dt changes the matrix, so the prepared factor can
+            // serve no more. Re-point `a` too, so the post-loop solve audit
+            // checks the residual against the system the factor solves.
+            let a_new = companion_matrix(ckt, layout, dt)?;
             let (f, _) = {
                 let _fs = vpec_trace::span("transient.factor");
-                Factored::factor_with(&a, false).map_err(transient_singular)?
+                Factored::factor_with(&a_new, false).map_err(transient_singular)?
             };
-            // A halved dt changes the matrix, so neither the borrowed
-            // prefactored handle nor the cold factor can serve any more.
-            factored = &*retry_factor.insert(f);
+            let (ra, rf) = &*retried.insert((a_new, f));
+            (a, factored) = (ra, rf);
             // The history scales with coef: form it afresh at the new dt
             // from the last accepted state.
-            seed_history(ckt, &layout, &x, coef, &mut inds, &mut flux);
+            seed_history(ckt, layout, &x, coef, &mut inds, &mut flux);
             diag.retries += 1;
-            diag.refactorizations += 1;
             continue;
         }
 
@@ -726,7 +675,7 @@ fn run_transient_guarded(
             let va = s.ia.map_or(0.0, |i| x_new[i]);
             let vb = s.ib.map_or(0.0, |i| x_new[i]);
             let v_new = va - vb;
-            let i_new = coef * s.c * (v_new - s.v_prev) - if trap { s.i_prev } else { 0.0 };
+            let i_new = coef * s.c * (v_new - s.v_prev) - s.i_prev;
             s.v_prev = v_new;
             s.i_prev = i_new;
         }
@@ -753,11 +702,11 @@ fn run_transient_guarded(
     // Solve audit: check the factor against the system it claims to solve
     // (factor → solve boundary). `x` holds the last accepted solution and
     // `rhs` the RHS it was solved from; `a` matches the current factor
-    // even after retries (re-assigned, not shadowed, above).
-    if auditing && accepted > 0 {
+    // even after retries (re-pointed above).
+    if audit::enabled(audit::AuditLevel::Basic) && accepted > 0 {
         let mut sa = SolveAudit::default();
         let (rel, violation) =
-            audit::check_residual("transient MNA", &a, &x, &rhs, AUDIT_RESIDUAL_TOL);
+            audit::check_residual("transient MNA", a, &x, &rhs, AUDIT_RESIDUAL_TOL);
         sa.residual = Some(rel);
         if let Some(v) = violation {
             sa.violations.push(v.to_string());
@@ -906,10 +855,9 @@ mod tests {
     fn magnetic_branch_steps_as_the_inductor_it_stands_for() {
         // A magnetic branch of length l whose node a carries A = r·l·I
         // (a resistor r to ground, fed l·I by a CCCS) drops l·dA/dt =
-        // l²·r·dI/dt: an inductor of l²·r, here 1 nH. Both integrators
-        // must step the two circuits alike, to rounding: within 1e-11 of
-        // the peak (measured 9.3e-13 trapezoidal, 6.6e-13 backward Euler;
-        // l²·r is not exactly 1e-9 in binary).
+        // l²·r·dI/dt: an inductor of l²·r, here 1 nH. The step loop must
+        // step the two circuits alike, to rounding: within 1e-11 of the
+        // peak (measured 9.3e-13; l²·r is not exactly 1e-9 in binary).
         let (l, r) = (1e-3, 1e-3);
         let rl = |magnetic: bool| {
             let mut c = Circuit::new();
@@ -932,20 +880,18 @@ mod tests {
             }
             (c, mid)
         };
-        for method in [Integrator::Trapezoidal, Integrator::BackwardEuler] {
-            let spec = TransientSpec::new(2e-10, 1e-13).integrator(method);
-            let run = |magnetic| {
-                let (c, mid) = rl(magnetic);
-                run_transient(&c, &spec).unwrap().voltage(mid).unwrap()
-            };
-            let (ind, mag) = (run(false), run(true));
-            let peak = ind.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            let gap = ind
-                .iter()
-                .zip(&mag)
-                .fold(0.0f64, |m, (x, y)| m.max((x - y).abs()));
-            assert!(peak > 0.5 && gap <= 1e-11 * peak, "{method:?}: {gap:e}");
-        }
+        let spec = TransientSpec::new(2e-10, 1e-13);
+        let run = |magnetic| {
+            let (c, mid) = rl(magnetic);
+            run_transient(&c, &spec).unwrap().voltage(mid).unwrap()
+        };
+        let (ind, mag) = (run(false), run(true));
+        let peak = ind.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let gap = ind
+            .iter()
+            .zip(&mag)
+            .fold(0.0f64, |m, (x, y)| m.max((x - y).abs()));
+        assert!(peak > 0.5 && gap <= 1e-11 * peak, "{gap:e}");
     }
 
     #[test]
@@ -974,11 +920,7 @@ mod tests {
         let _l = c.add_inductor("L1", top, Circuit::GROUND, 1e-9).unwrap();
         let omega = 1.0 / (1e-9f64 * 1e-12).sqrt();
         let period = 2.0 * std::f64::consts::PI / omega;
-        let res = run_transient(
-            &c,
-            &TransientSpec::new(3.0 * period, period / 400.0).integrator(Integrator::Trapezoidal),
-        )
-        .unwrap();
+        let res = run_transient(&c, &TransientSpec::new(3.0 * period, period / 400.0)).unwrap();
         let v = res.voltage(top).unwrap();
         let vmax = v.iter().cloned().fold(f64::MIN, f64::max);
         let vmin = v.iter().cloned().fold(f64::MAX, f64::min);
@@ -1027,22 +969,10 @@ mod tests {
     }
 
     #[test]
-    fn backward_euler_also_converges() {
-        let (c, out) = rc_circuit();
-        let res = run_transient(
-            &c,
-            &TransientSpec::new(1e-6, 1e-9).integrator(Integrator::BackwardEuler),
-        )
-        .unwrap();
-        assert!((res.voltage(out).unwrap().last().unwrap() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn clean_run_reports_clean_diagnostics() {
         let (c, _) = rc_circuit();
         let (res, diag) = run_transient_with_report(&c, &TransientSpec::new(1e-7, 1e-9)).unwrap();
         assert_eq!(diag.retries, 0);
-        assert_eq!(diag.refactorizations, 0);
         assert_eq!(diag.final_dt, 1e-9);
         assert_eq!(diag.steps, res.len() - 1);
         assert!(!diag.degraded());
@@ -1056,8 +986,7 @@ mod tests {
             ..FaultInjection::none()
         });
         let (res, diag) = run_transient_with_report(&c, &spec).unwrap();
-        assert_eq!(diag.retries, 1, "one NaN, one halving");
-        assert_eq!(diag.refactorizations, 1);
+        assert_eq!(diag.retries, 1, "one NaN, one halving, one factor");
         assert!((diag.final_dt - 0.5e-9).abs() < 1e-20);
         assert!(diag.degraded());
         // The waveform stays physical despite the injected fault.
@@ -1161,17 +1090,12 @@ mod tests {
         let spec = TransientSpec::new(1e-7, 1e-9);
         let (cold, cold_diag) = run_transient_with_report(&c, &spec).unwrap();
         let pf = prepare_transient(&c, &spec).unwrap();
-        pf.validate(&c, &spec)
-            .expect("handle matches what it was prepared for");
         let (warm, warm_diag) = run_transient_with_report_prefactored(&c, &spec, &pf).unwrap();
         // The reused factor IS the factor a cold run computes, so every
         // sample must agree bit-for-bit — not just to tolerance.
         assert_eq!(cold.times, warm.times);
         assert_eq!(cold.data, warm.data);
-        assert!(!cold_diag.reused_factor);
-        assert!(warm_diag.reused_factor);
-        assert_eq!(cold_diag.steps, warm_diag.steps);
-        assert_eq!(cold_diag.factor, warm_diag.factor);
+        assert_eq!(cold_diag, warm_diag);
         // The handle keeps serving: a second reuse is equally identical.
         let (warm2, _) = run_transient_with_report_prefactored(&c, &spec, &pf).unwrap();
         assert_eq!(cold.data, warm2.data);
@@ -1243,18 +1167,10 @@ mod tests {
             run_transient_with_report_prefactored(&c, &other_dt, &pf),
             Err(CircuitError::InvalidSpec { .. })
         ));
-        assert!(pf.validate(&c, &other_dt).is_err());
-        // So does the integration method.
-        let other_method = TransientSpec::new(1e-7, 1e-9).integrator(Integrator::BackwardEuler);
-        assert!(matches!(
-            run_transient_with_report_prefactored(&c, &other_method, &pf),
-            Err(CircuitError::InvalidSpec { .. })
-        ));
         // A longer t_stop with the same dt keeps the matrix unchanged —
         // that reuse is legitimate and must be accepted.
         let longer = TransientSpec::new(2e-7, 1e-9);
         let (res, diag) = run_transient_with_report_prefactored(&c, &longer, &pf).unwrap();
-        assert!(diag.reused_factor);
         assert_eq!(diag.steps, 200);
         assert!(res.time().last().unwrap() > &1.9e-7);
     }
@@ -1293,8 +1209,8 @@ mod tests {
 
     #[test]
     fn prefactored_run_still_recovers_via_halving() {
-        // A poisoned step under a borrowed factor must drop into an owned
-        // re-factorization at the halved dt and finish cleanly.
+        // A poisoned step under a prepared factor must move to a factor of
+        // its own at the halved dt and finish cleanly.
         let (c, out) = rc_circuit();
         let clean = TransientSpec::new(1e-7, 1e-9);
         let pf = prepare_transient(&c, &clean).unwrap();
@@ -1304,9 +1220,7 @@ mod tests {
         });
         // Fault injection doesn't shape the matrix, so reuse is legal.
         let (res, diag) = run_transient_with_report_prefactored(&c, &spec, &pf).unwrap();
-        assert!(diag.reused_factor);
         assert_eq!(diag.retries, 1);
-        assert_eq!(diag.refactorizations, 1);
         let v = res.voltage(out).unwrap();
         assert!(v.iter().all(|x| x.is_finite()));
         assert!((v.last().unwrap() - 1.0).abs() < 1e-6);

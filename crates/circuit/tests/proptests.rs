@@ -8,7 +8,7 @@ use vpec_circuit::ac::{run_ac, AcSpec};
 use vpec_circuit::dc::solve_dc;
 use vpec_circuit::spice_in::from_spice;
 use vpec_circuit::spice_out::to_spice;
-use vpec_circuit::transient::{run_transient, Integrator, TransientSpec};
+use vpec_circuit::transient::{run_transient, TransientSpec};
 use vpec_circuit::{Circuit, NodeId, Waveform};
 use vpec_numerics::rng::XorShift64;
 
@@ -44,10 +44,12 @@ fn random_sections(rng: &mut XorShift64, max_n: usize) -> (Vec<f64>, Vec<f64>) {
 
 /// A passive RC ladder driven by a positive step never exceeds the
 /// source voltage and never goes negative (no energy creation).
-/// Checked with Backward Euler: the L-stable integrator preserves the
-/// monotone bound even when the ladder's time constants span decades
-/// (the trapezoidal rule would ring on under-resolved stiff nodes —
-/// a numerical artifact, not energy creation).
+/// The step resolves the ladder's fastest node time constant `c_k/G_kk`
+/// (`G_kk` the node's conductance to its neighbours), where the
+/// trapezoidal rule keeps the exact solution's bounds: with
+/// `dt ≤ 2·c_k/G_kk` at every node, the step's propagator `C − dt·G/2`
+/// is entrywise non-negative. A coarser step rings on the stiff nodes —
+/// a numerical artifact, not energy creation.
 #[test]
 fn rc_ladder_voltages_bounded() {
     let mut rng = XorShift64::new(0x2001);
@@ -57,8 +59,10 @@ fn rc_ladder_voltages_bounded() {
         let (ckt, nodes) = ladder(&rs, &cs, v_src);
         // Simulate long enough relative to the largest time constant.
         let tau: f64 = rs.iter().sum::<f64>() * cs.iter().sum::<f64>();
-        let spec = TransientSpec::new(tau.max(1e-9) * 2.0, tau.max(1e-9) / 200.0)
-            .integrator(Integrator::BackwardEuler);
+        let tau_fast = (0..rs.len())
+            .map(|k| cs[k] / (1.0 / rs[k] + rs.get(k + 1).map_or(0.0, |r| 1.0 / r)))
+            .fold(f64::INFINITY, f64::min);
+        let spec = TransientSpec::new(tau.max(1e-9) * 2.0, (tau.max(1e-9) / 200.0).min(tau_fast));
         let res = run_transient(&ckt, &spec).expect("passive circuit simulates");
         for &n in &nodes {
             for v in res.voltage(n).expect("recorded") {
@@ -101,43 +105,12 @@ fn transient_settles_to_dc() {
         let dc = solve_dc(&dc_ckt).expect("solvable");
         for &n in &nodes {
             let settled = *res.voltage(n).expect("recorded").last().expect("nonempty");
-            let expected = dc.voltage(n);
+            let expected = dc.voltage(n).expect("node of this circuit");
             assert!(
                 (settled - expected).abs() < 1e-3 * v_src,
                 "node {n:?}: settled {settled} vs DC {expected}"
             );
         }
-    }
-}
-
-/// Backward Euler and trapezoidal agree on the final (steady-state)
-/// value even though their trajectories differ.
-#[test]
-fn integrators_agree_at_steady_state() {
-    let mut rng = XorShift64::new(0x2003);
-    for _ in 0..CASES {
-        let r = rng.range_f64(50.0, 5000.0);
-        let c = rng.range_f64(0.5, 50.0) * 1e-12;
-        let v_src = rng.range_f64(0.5, 3.0);
-        let (ckt, nodes) = ladder(&[r], &[c], v_src);
-        let tau = r * c;
-        let spec_be =
-            TransientSpec::new(tau * 15.0, tau / 100.0).integrator(Integrator::BackwardEuler);
-        let spec_tr =
-            TransientSpec::new(tau * 15.0, tau / 100.0).integrator(Integrator::Trapezoidal);
-        let vb = *run_transient(&ckt, &spec_be)
-            .expect("ok")
-            .voltage(nodes[0])
-            .expect("recorded")
-            .last()
-            .expect("nonempty");
-        let vt = *run_transient(&ckt, &spec_tr)
-            .expect("ok")
-            .voltage(nodes[0])
-            .expect("recorded")
-            .last()
-            .expect("nonempty");
-        assert!((vb - vt).abs() < 1e-4 * v_src, "BE {vb} vs trap {vt}");
     }
 }
 
@@ -198,7 +171,10 @@ fn spice_roundtrip_preserves_dc() {
             let name = ckt2.node_name(nn).to_string();
             let n_a = ckt2.node(&name);
             let n_b = back2.node(&name);
-            let (va, vb) = (dc_a.voltage(n_a), dc_b.voltage(n_b));
+            let (va, vb) = (
+                dc_a.voltage(n_a).expect("node of this circuit"),
+                dc_b.voltage(n_b).expect("node of the parsed circuit"),
+            );
             assert!(
                 (va - vb).abs() <= 1e-9 * va.abs().max(1.0),
                 "DC mismatch at {name}: {va} vs {vb}"

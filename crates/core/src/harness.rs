@@ -413,11 +413,9 @@ pub struct SolveReport {
     /// Passivity-repair record (`None` for kinds that never need repair:
     /// PEEC, full/localized VPEC, shift-truncated).
     pub repair: Option<RepairReport>,
-    /// Guarded-transient diagnostics (`None` until a transient ran).
+    /// Guarded-transient diagnostics (`None` until a transient ran),
+    /// including the solve-time audit telemetry.
     pub transient: Option<TransientDiagnostics>,
-    /// Solve-time audit telemetry (`None` when auditing was off or no
-    /// audited solve ran).
-    pub audit: Option<SolveAudit>,
 }
 
 impl SolveReport {
@@ -425,7 +423,6 @@ impl SolveReport {
     pub fn degraded(&self) -> bool {
         self.repair.as_ref().is_some_and(|r| r.repaired())
             || self.transient.as_ref().is_some_and(|t| t.degraded())
-            || self.audit.as_ref().is_some_and(|a| !a.is_clean())
     }
 
     /// Human-readable report lines (empty for a clean, no-repair run).
@@ -448,9 +445,7 @@ impl SolveReport {
                     t.final_dt
                 ));
             }
-        }
-        if let Some(a) = &self.audit {
-            for v in &a.violations {
+            for v in t.audit.iter().flat_map(|a| &a.violations) {
                 out.push(format!("audit violation: {v}"));
             }
         }
@@ -461,8 +456,9 @@ impl SolveReport {
     /// cross-check) — informational, not a degradation signal, so kept
     /// apart from [`SolveReport::lines`].
     pub fn audit_lines(&self) -> Vec<String> {
-        self.audit
+        self.transient
             .as_ref()
+            .and_then(|t| t.audit.as_ref())
             .map(SolveAudit::lines)
             .unwrap_or_default()
     }
@@ -515,13 +511,7 @@ impl BuiltModel {
         let t0 = Instant::now();
         let (res, diag) = run_transient_with_report(&self.model.circuit, spec)?;
         let solve_seconds = t0.elapsed().as_secs_f64();
-        let audit = diag.audit.clone();
-        let report = SolveReport {
-            repair: self.repair.clone(),
-            transient: Some(diag),
-            audit,
-        };
-        Ok((res, report, solve_seconds))
+        Ok((res, self.report(diag), solve_seconds))
     }
 
     /// Factors this model's transient MNA system ahead of time — the
@@ -554,13 +544,16 @@ impl BuiltModel {
         let t0 = Instant::now();
         let (res, diag) = run_transient_with_report_prefactored(&self.model.circuit, spec, factor)?;
         let solve_seconds = t0.elapsed().as_secs_f64();
-        let audit = diag.audit.clone();
-        let report = SolveReport {
+        Ok((res, self.report(diag), solve_seconds))
+    }
+
+    /// The [`SolveReport`] of this model's repair and a transient run's
+    /// diagnostics.
+    fn report(&self, diag: TransientDiagnostics) -> SolveReport {
+        SolveReport {
             repair: self.repair.clone(),
             transient: Some(diag),
-            audit,
-        };
-        Ok((res, report, solve_seconds))
+        }
     }
 
     /// Runs an AC sweep, returning the result and wall-clock seconds.

@@ -110,16 +110,6 @@ impl<T: Scalar> DenseMatrix<T> {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable view of row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows()`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Bounds-checked element access.
     pub fn get(&self, i: usize, j: usize) -> Option<&T> {
         if i < self.rows && j < self.cols {

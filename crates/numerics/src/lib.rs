@@ -73,7 +73,7 @@ pub use error::NumericsError;
 pub use fault::FaultInjection;
 pub use lu::LuFactor;
 pub use pool::Pool;
-pub use probe::{condition_estimate, spd_probe, SpdProbe};
+pub use probe::condition_estimate;
 pub use scalar::Scalar;
 pub use sparse::{CooMatrix, CsrMatrix};
 pub use sparse_lu::SparseLu;

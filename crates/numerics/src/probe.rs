@@ -1,83 +1,6 @@
-//! Numerical guardrails: SPD probing and condition estimation.
-//!
-//! The model layer uses [`spd_probe`] to detect sparsified VPEC models
-//! that have numerically lost the passivity guarantees of Theorems 1–2
-//! before they reach a simulator.
+//! Numerical guardrails: condition estimation.
 
-use crate::{Cholesky, DenseMatrix, LuFactor, NumericsError};
-
-/// Structural verdict on a (nominally symmetric) matrix, produced by
-/// [`spd_probe`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpdProbe {
-    /// `A = Aᵀ` within the symmetry tolerance.
-    pub symmetric: bool,
-    /// Cholesky factorization succeeded, i.e. `A ≻ 0`.
-    pub positive_definite: bool,
-    /// `Aᵢᵢ > Σ_{j≠i} |Aᵢⱼ|` for every row.
-    pub strictly_diagonally_dominant: bool,
-    /// First row violating strict diagonal dominance (or the Cholesky
-    /// pivot row that failed), if any — pinpoints where a repair pass
-    /// must act.
-    pub first_bad_row: Option<usize>,
-}
-
-impl SpdProbe {
-    /// `true` iff the matrix is symmetric positive definite — the paper's
-    /// passivity criterion (Theorem 1).
-    pub fn is_spd(&self) -> bool {
-        self.symmetric && self.positive_definite
-    }
-}
-
-/// Probes `a` for symmetry (within `sym_tol`), positive definiteness
-/// (via a Cholesky attempt) and strict diagonal dominance.
-///
-/// Non-square matrices are reported as failing every property rather
-/// than erroring: the probe is a diagnostic, not a validator.
-pub fn spd_probe(a: &DenseMatrix<f64>, sym_tol: f64) -> SpdProbe {
-    if !a.is_square() {
-        return SpdProbe {
-            symmetric: false,
-            positive_definite: false,
-            strictly_diagonally_dominant: false,
-            first_bad_row: Some(0),
-        };
-    }
-    let symmetric = a.is_symmetric(sym_tol);
-    let n = a.rows();
-    let mut first_bad_row = None;
-    let mut sdd = true;
-    for i in 0..n {
-        let off: f64 = (0..n).filter(|&j| j != i).map(|j| a[(i, j)].abs()).sum();
-        // NaN-safe: a NaN diagonal must count as not dominant.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "partial order is the point: NaN must compare not-Greater and mark the row not dominant"
-        )]
-        if a[(i, i)].partial_cmp(&off) != Some(std::cmp::Ordering::Greater) {
-            sdd = false;
-            first_bad_row = Some(i);
-            break;
-        }
-    }
-    let positive_definite = match Cholesky::new(a) {
-        Ok(_) => true,
-        Err(NumericsError::NotPositiveDefinite { row }) => {
-            if first_bad_row.is_none() {
-                first_bad_row = Some(row);
-            }
-            false
-        }
-        Err(_) => false,
-    };
-    SpdProbe {
-        symmetric,
-        positive_definite,
-        strictly_diagonally_dominant: sdd,
-        first_bad_row,
-    }
-}
+use crate::{DenseMatrix, LuFactor};
 
 /// Cheap 1-norm condition estimate `κ₁(A) ≈ ‖A‖₁·‖A⁻¹‖₁` using Hager's
 /// power iteration on `A⁻¹` (at most five solve pairs). Returns
@@ -149,50 +72,6 @@ fn one_norm(a: &DenseMatrix<f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn spd(n: usize) -> DenseMatrix<f64> {
-        DenseMatrix::from_fn(n, n, |i, j| {
-            if i == j {
-                2.0 + i as f64
-            } else {
-                -0.5 / (1.0 + (i as f64 - j as f64).abs())
-            }
-        })
-    }
-
-    #[test]
-    fn probe_confirms_spd() {
-        let p = spd_probe(&spd(6), 1e-12);
-        assert!(p.symmetric && p.positive_definite && p.strictly_diagonally_dominant);
-        assert!(p.is_spd());
-        assert_eq!(p.first_bad_row, None);
-    }
-
-    #[test]
-    fn probe_flags_indefinite_row() {
-        let mut a = spd(4);
-        a[(2, 2)] = -5.0; // break both dominance and definiteness at row 2
-        let p = spd_probe(&a, 1e-12);
-        assert!(!p.positive_definite);
-        assert!(!p.strictly_diagonally_dominant);
-        assert!(!p.is_spd());
-        assert_eq!(p.first_bad_row, Some(2));
-    }
-
-    #[test]
-    fn probe_flags_asymmetry() {
-        let mut a = spd(3);
-        a[(0, 1)] += 1.0;
-        let p = spd_probe(&a, 1e-12);
-        assert!(!p.symmetric);
-        assert!(!p.is_spd());
-    }
-
-    #[test]
-    fn probe_rejects_non_square() {
-        let a = DenseMatrix::<f64>::zeros(2, 3);
-        assert!(!spd_probe(&a, 1e-12).is_spd());
-    }
 
     #[test]
     fn condition_of_identity_is_one() {

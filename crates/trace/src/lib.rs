@@ -425,12 +425,6 @@ impl SpanGuard {
             self.attrs.push((key.to_string(), value.to_string()));
         }
     }
-
-    /// Builder-style [`SpanGuard::set_attr`].
-    pub fn with_attr(mut self, key: &str, value: impl std::fmt::Display) -> SpanGuard {
-        self.set_attr(key, value);
-        self
-    }
 }
 
 impl Drop for SpanGuard {

@@ -40,13 +40,14 @@ timeout 600 env VPEC_AUDIT=full cargo test -q --release -p vpec-circuit --lib ac
 # bits never builds the dense L and reads at most 16 entries of it per
 # filament, and local windows equal the dense-sort windows bit for bit.
 timeout 600 cargo test -q --release --test window_locality --test window_identity
-# The step loop: a coupled inductor's carried flux history stays within
-# 1e-12 of the direct product over 3,000 steps (and is formed afresh
-# when a retry halves the step), and the 256-bit PEEC and full-VPEC
-# factors sweep their dense trailing blocks bit-identically to walking
-# the indices. The same factors (transient and DC) and the 28 x 8 bus's
-# full-VPEC AC factor equal, entry for entry, a factorization that
-# scatters every update through row indices.
+# The step loop (trapezoidal, the one integrator): a coupled inductor's
+# carried flux history stays within 1e-12 of the direct product over
+# 3,000 steps (and is formed afresh when a retry halves the step), and
+# the 256-bit PEEC and full-VPEC factors sweep their dense trailing
+# blocks bit-identically to walking the indices. The same factors
+# (transient and DC) and the 28 x 8 bus's full-VPEC AC factor equal,
+# entry for entry, a factorization that scatters every update through
+# row indices.
 timeout 600 cargo test -q --release --test step_loop
 # The VPEC stamp (one branch current and one vector potential per
 # filament) in the optimized build: full VPEC matches PEEC within 1e-12
@@ -109,10 +110,13 @@ batch_out="target/batch_smoke_out.jsonl"
 batch_err="target/batch_smoke_err.txt"
 batch_ledger="target/batch_smoke_ledger.jsonl"
 batch_prom="target/batch_smoke.prom"
-# Six-request mix: two healthy (same geometry — the second must be a
+# Seven-request mix: two healthy (same geometry — the second must be a
 # cache hit), one over-budget full-inversion request (must degrade to
 # wVPEC), one fault-injected panic (must consume one retry and fail with
-# a typed error), one healthy windowed request, one AC sweep. The batch
+# a typed error), one healthy windowed request, one AC sweep, and one
+# transient with a NaN injected at step 3. Faults bypass the engine's
+# caches, so that last request runs the cold transient path, whose
+# dt-halving retry must recover it (ok, degraded by the solve). The batch
 # as a whole must exit 0 and leave one schema-valid ledger record per
 # request and a metrics exposition behind.
 cat > "$batch_in" <<'EOF'
@@ -122,6 +126,7 @@ cat > "$batch_in" <<'EOF'
 {"id":"boom","bits":3,"kind":"wvpec-g:2","t_stop":5e-11,"faults":{"panic_engine":true}}
 {"id":"ok-3","bits":4,"kind":"wvpec-g:2","t_stop":5e-11}
 {"id":"ac-1","bits":3,"kind":"wvpec-g:2","analysis":"ac","points_per_decade":2}
+{"id":"nan-1","bits":3,"kind":"wvpec-g:2","t_stop":5e-11,"faults":{"poison_step":3}}
 EOF
 # With -o the summary goes to stdout (stderr carries the injected panic's
 # backtrace); capture both so the summary assertion below sees it.
@@ -129,7 +134,7 @@ timeout 120 cargo run --release -q -p vpec-cli --bin vpec -- \
   batch --in "$batch_in" --max-dim 6 --retries 1 --backoff-ms 1 --degrade-window 2 \
   --ledger "$batch_ledger" --metrics-out "$batch_prom" -o "$batch_out" > "$batch_err" 2>&1
 grep "^batch:" "$batch_err" || true
-[ "$(wc -l < "$batch_out")" -eq 6 ] || { echo "batch smoke: expected 6 response lines" >&2; exit 1; }
+[ "$(wc -l < "$batch_out")" -eq 7 ] || { echo "batch smoke: expected 7 response lines" >&2; exit 1; }
 # Every line is valid JSON with the response schema (python-free grep
 # checks).
 while IFS= read -r line; do
@@ -147,15 +152,18 @@ grep -q '"id":"boom","status":"failed".*"category":"panic"' "$batch_out" \
   || { echo "batch smoke: boom must fail with a typed panic error" >&2; exit 1; }
 grep -q '"id":"ok-3","status":"ok"' "$batch_out" || { echo "batch smoke: ok-3 must succeed" >&2; exit 1; }
 grep -q '"id":"ac-1","status":"ok"' "$batch_out" || { echo "batch smoke: ac-1 must succeed" >&2; exit 1; }
-# The summary must count the retry the panic consumed.
+grep -q '"id":"nan-1","status":"ok".*"degraded":true.*"transient recovery: 1 retry' "$batch_out" \
+  || { echo "batch smoke: nan-1 must recover by one dt-halving retry" >&2; exit 1; }
+# The summary must count the retry the panic consumed (the engine's
+# retries; nan-1's recovery is a step retry inside one attempt).
 grep -q '1 retries' "$batch_err" || { echo "batch smoke: summary must report 1 retry" >&2; exit 1; }
 # One run-ledger record per request, contiguous seq (vpec stats validates
 # the schema before aggregating — a dropped or reordered line fails it).
-[ "$(wc -l < "$batch_ledger")" -eq 6 ] || { echo "batch smoke: expected 6 ledger records" >&2; exit 1; }
+[ "$(wc -l < "$batch_ledger")" -eq 7 ] || { echo "batch smoke: expected 7 ledger records" >&2; exit 1; }
 # The exposition counts every request once, in the request counter and in
 # the latency histogram, and carries the engine's call-site counters (a
 # cache hit) although tracing is off.
-for line in '^vpec_engine_requests_total 6$' '^vpec_engine_request_total_ms_count 6$' \
+for line in '^vpec_engine_requests_total 7$' '^vpec_engine_request_total_ms_count 7$' \
             '^vpec_engine_cache_hit_total '; do
   grep -q "$line" "$batch_prom" || { echo "batch smoke: exposition lacks $line" >&2; exit 1; }
 done
@@ -165,9 +173,9 @@ stats_json="target/batch_smoke_stats.json"
 timeout 120 cargo run --release -q -p vpec-cli --bin vpec -- \
   stats "$batch_ledger" --format json > "$stats_json"
 # The known batch composition must survive the ledger round trip.
-for key in '"total":6' '"ok":5' '"failed":1' '"degraded":1' '"retries":1' \
+for key in '"total":7' '"ok":6' '"failed":1' '"degraded":2' '"retries":1' \
            '"latency_ms"' '"p99_ms"' '"cache"' '"strategies"' \
-           '"degraded_reasons":{"budget":1}' '"errors":{"panic":1}' '"throughput"'; do
+           '"degraded_reasons":{"budget":1,"solve":1}' '"errors":{"panic":1}' '"throughput"'; do
   if ! grep -q "$key" "$stats_json"; then
     echo "vpec stats output is malformed: missing $key" >&2
     cat "$stats_json" >&2

@@ -93,7 +93,6 @@ fn mid_transient_nan_triggers_checkpointed_retry() {
     let spec = TransientSpec::new(0.5e-9, 1e-12).fault_injection(faults);
     let (res, diag) = run_transient_with_report(&c, &spec).expect("recovers");
     assert!(diag.retries >= 1, "the poisoned step must be retried");
-    assert!(diag.refactorizations >= 1, "halving refactors the system");
     assert!(diag.final_dt < 1e-12, "step size was halved");
     assert!(diag.degraded());
     let v = res.voltage(out).unwrap();

@@ -96,7 +96,7 @@ fn vpec_netlist_dc_point_is_resistive() {
     let built = exp.build(ModelKind::VpecFull).unwrap();
     let dc = solve_dc(&built.model.circuit).unwrap();
     for &node in &built.model.far_nodes {
-        assert!(dc.voltage(node).abs() < 1e-12);
+        assert!(dc.voltage(node).unwrap().abs() < 1e-12);
     }
 }
 
@@ -114,7 +114,7 @@ fn resistive_path_equivalence() {
     for kind in [ModelKind::Peec, ModelKind::VpecFull] {
         let built = exp.build(kind).unwrap();
         let dc = solve_dc(&built.model.circuit).unwrap();
-        let v_far = dc.voltage(built.model.far_nodes[0]);
+        let v_far = dc.voltage(built.model.far_nodes[0]).unwrap();
         assert!(
             (v_far - 0.75).abs() < 1e-9,
             "{kind:?}: no DC current flows, so far end sits at source level; got {v_far}"

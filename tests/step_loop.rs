@@ -3,8 +3,7 @@
 //! * A coupled inductor's flux history `h = coef·Σ L·i` is carried from
 //!   step to step instead of formed as a product. It must stay within
 //!   1e-12 of the run's voltage peak of the direct product over 3,000
-//!   steps, under both integrators, and be formed afresh when a retry
-//!   halves the step.
+//!   steps, and be formed afresh when a retry halves the step.
 //! * The sparse factor's dense trailing block is swept as slices. On the
 //!   256-bit PEEC and full-VPEC transient factors it must hold most of
 //!   PEEC's L and U and a fifth of full VPEC's, and its solves must equal
@@ -15,7 +14,7 @@
 //!   scatters every update through row indices, entry for entry.
 //!
 //! The history is read back from the waveforms: step `n → n+1` solved the
-//! branch row `v₍ₙ₊₁₎ − coef·Σ L·i₍ₙ₊₁₎ = −(trap ? vₙ : 0) − hₙ`, so the
+//! branch row `v₍ₙ₊₁₎ − coef·Σ L·i₍ₙ₊₁₎ = −vₙ − hₙ`, so the
 //! recorded state gives the `hₙ` it used, up to the solve's rounding.
 
 use std::collections::HashMap;
@@ -113,12 +112,7 @@ struct Branch {
 /// the step used and the direct product `coef·Σ L·i` of the state it
 /// started from, as a share of the run's largest node voltage. `dt(n)` is
 /// the size of step `n → n+1`.
-fn history_drift(
-    ckt: &Circuit,
-    res: &TransientResult,
-    method: Integrator,
-    dt: impl Fn(usize) -> f64,
-) -> f64 {
+fn history_drift(ckt: &Circuit, res: &TransientResult, dt: impl Fn(usize) -> f64) -> f64 {
     let volts = |n: NodeId| {
         if n.is_ground() {
             vec![0.0; res.len()]
@@ -151,10 +145,9 @@ fn history_drift(
         .iter()
         .fold(0.0f64, |m, v| m.max(v.abs()));
     assert!(peak > 0.0);
-    let trap = method == Integrator::Trapezoidal;
     let mut worst = 0.0f64;
     for n in 0..res.len() - 1 {
-        let coef = if trap { 2.0 } else { 1.0 } / dt(n);
+        let coef = 2.0 / dt(n);
         let flux = |br: &Branch, step: usize| {
             coef * br
                 .terms
@@ -163,39 +156,33 @@ fn history_drift(
                 .sum::<f64>()
         };
         for br in &branches {
-            let used = -(if trap { br.v[n] } else { 0.0 }) - (br.v[n + 1] - flux(br, n + 1));
+            let used = -br.v[n] - (br.v[n + 1] - flux(br, n + 1));
             worst = worst.max((used - flux(br, n)).abs());
         }
     }
     worst / peak
 }
 
-const METHODS: [Integrator; 2] = [Integrator::Trapezoidal, Integrator::BackwardEuler];
-
 /// Table III's misaligned 128-bit bus as PEEC: 16,256 mutual couplings.
 #[test]
 fn carried_history_tracks_the_direct_product_on_the_table3_bus() {
     let built = experiment(128, 0.05).build(ModelKind::Peec).unwrap();
     let ckt = &built.model.circuit;
-    for method in METHODS {
-        let spec = TransientSpec::new(3e-9, 1e-12).integrator(method);
-        let (res, _) = vpec::circuit::transient::run_transient_with_report(ckt, &spec).unwrap();
-        assert_eq!(res.len(), 3001);
-        let drift = history_drift(ckt, &res, method, |_| 1e-12);
-        assert!(drift <= BOUND, "{method:?}: drift {drift:e} of peak");
-    }
+    let spec = TransientSpec::new(3e-9, 1e-12);
+    let (res, _) = vpec::circuit::transient::run_transient_with_report(ckt, &spec).unwrap();
+    assert_eq!(res.len(), 3001);
+    let drift = history_drift(ckt, &res, |_| 1e-12);
+    assert!(drift <= BOUND, "drift {drift:e} of peak");
 }
 
 #[test]
 fn carried_history_tracks_the_direct_product_on_a_coupled_pair() {
     let ckt = coupled_pair(Waveform::step(1.0, 10e-12), None);
-    for method in METHODS {
-        let spec = TransientSpec::new(3e-9, 1e-12).integrator(method);
-        let (res, _) = vpec::circuit::transient::run_transient_with_report(&ckt, &spec).unwrap();
-        assert_eq!(res.len(), 3001);
-        let drift = history_drift(&ckt, &res, method, |_| 1e-12);
-        assert!(drift <= BOUND, "{method:?}: drift {drift:e} of peak");
-    }
+    let spec = TransientSpec::new(3e-9, 1e-12);
+    let (res, _) = vpec::circuit::transient::run_transient_with_report(&ckt, &spec).unwrap();
+    assert_eq!(res.len(), 3001);
+    let drift = history_drift(&ckt, &res, |_| 1e-12);
+    assert!(drift <= BOUND, "drift {drift:e} of peak");
 }
 
 /// A NaN injected into a step of the coupled pair halves the step. The
@@ -216,41 +203,26 @@ fn a_halved_step_forms_the_history_afresh() {
     let run = |spec: &TransientSpec| {
         vpec::circuit::transient::run_transient_with_report(&ckt, spec).unwrap()
     };
-    for method in METHODS {
-        let spec = |dt: f64, poison: Option<usize>| {
-            TransientSpec::new(0.6e-9, dt)
-                .integrator(method)
-                .fault_injection(FaultInjection {
-                    poison_step: poison,
-                    ..FaultInjection::none()
-                })
-        };
-        let (clean, _) = run(&spec(0.5e-12, None));
-        let (retried, diag) = run(&spec(1e-12, Some(0)));
-        assert_eq!((diag.retries, diag.final_dt), (1, 0.5e-12));
-        assert_eq!(clean.len(), retried.len());
-        let (clean, retried) = (node_voltages(&ckt, &clean), node_voltages(&ckt, &retried));
-        let peak = clean.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        for (a, b) in clean.iter().zip(&retried) {
-            assert!((a - b).abs() <= BOUND * peak, "{method:?}: {a} vs {b}");
-        }
-
-        let (mid, diag) = run(&spec(1e-12, Some(200)));
-        assert_eq!((diag.retries, diag.steps), (1, 200 + 800));
-        let drift = history_drift(
-            &ckt,
-            &mid,
-            method,
-            |n| {
-                if n < 200 {
-                    1e-12
-                } else {
-                    0.5e-12
-                }
-            },
-        );
-        assert!(drift <= BOUND, "{method:?}: drift {drift:e} of peak");
+    let spec = |dt: f64, poison: Option<usize>| {
+        TransientSpec::new(0.6e-9, dt).fault_injection(FaultInjection {
+            poison_step: poison,
+            ..FaultInjection::none()
+        })
+    };
+    let (clean, _) = run(&spec(0.5e-12, None));
+    let (retried, diag) = run(&spec(1e-12, Some(0)));
+    assert_eq!((diag.retries, diag.final_dt), (1, 0.5e-12));
+    assert_eq!(clean.len(), retried.len());
+    let (clean, retried) = (node_voltages(&ckt, &clean), node_voltages(&ckt, &retried));
+    let peak = clean.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    for (a, b) in clean.iter().zip(&retried) {
+        assert!((a - b).abs() <= BOUND * peak, "{a} vs {b}");
     }
+
+    let (mid, diag) = run(&spec(1e-12, Some(200)));
+    assert_eq!((diag.retries, diag.steps), (1, 200 + 800));
+    let drift = history_drift(&ckt, &mid, |n| if n < 200 { 1e-12 } else { 0.5e-12 });
+    assert!(drift <= BOUND, "drift {drift:e} of peak");
 }
 
 /// The 256-bit PEEC and full-VPEC transient factors end in a dense block
