@@ -205,10 +205,6 @@ pub(crate) fn assemble<T: Scalar>(
 ) -> Result<CooMatrix<T>, NumericsError> {
     let mut a = CooMatrix::new(layout.dim, layout.dim);
     stamp_all(ckt, layout, cap_adm, ind_imp, |r, c, v| a.push(r, c, v))?;
-    if vpec_trace::enabled() {
-        vpec_trace::counter_add("mna.assemblies", 1);
-        vpec_trace::counter_add("mna.stamps", a.entries().len() as u64);
-    }
     Ok(a)
 }
 

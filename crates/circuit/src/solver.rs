@@ -94,15 +94,9 @@ impl<T: Scalar> Factored<T> {
             Ok::<_, CircuitError>(Factored::Dense(dense?))
         });
 
-        if vpec_trace::enabled() {
-            for a in &diag.attempts {
-                let tag = if a.succeeded { "ok" } else { "failed" };
-                vpec_trace::counter_add(&format!("factor.attempt.{}.{tag}", a.strategy.label()), 1);
-            }
-            if let Some(s) = diag.accepted() {
-                sp.set_attr("strategy", s.label());
-                sp.set_attr("fallback", diag.used_fallback());
-            }
+        if let Some(s) = diag.accepted() {
+            sp.set_attr("strategy", s.label());
+            sp.set_attr("fallback", diag.used_fallback());
         }
         let f = factored?;
         let (cond, nnz, off_diagonal) = match &f {

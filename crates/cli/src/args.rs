@@ -3,7 +3,7 @@
 use crate::CliError;
 use vpec_circuit::spice_in::parse_value;
 use vpec_core::harness::ModelKind;
-use vpec_engine::EngineConfig;
+use vpec_engine::{EngineConfig, StructureSpec};
 use vpec_metrics::{parse_fail_if, FailCondition};
 use vpec_numerics::audit::AuditLevel;
 
@@ -30,34 +30,13 @@ pub enum Command {
     Help,
 }
 
-/// The structure under test.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Structure {
-    /// A parallel bus.
-    Bus {
-        /// Line count.
-        bits: usize,
-        /// Segments per line.
-        segments: usize,
-        /// Misalignment fraction.
-        misalign: f64,
-        /// Shield (P/G) wire every `k` signals, if set.
-        shield_every: Option<usize>,
-    },
-    /// The three-turn spiral (or `turns` turns).
-    Spiral {
-        /// Number of turns.
-        turns: usize,
-    },
-}
-
 /// Fully parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedArgs {
     /// The subcommand.
     pub command: Command,
     /// The structure to build.
-    pub structure: Structure,
+    pub structure: StructureSpec,
     /// Model kind.
     pub kind: ModelKind,
     /// Transient window (seconds).
@@ -88,11 +67,8 @@ pub struct ParsedArgs {
     /// resolve from `VPEC_LEDGER`, then off).
     pub ledger: Option<String>,
     /// Prometheus-style exposition file for `batch`/`serve`
-    /// (`--metrics-out PATH`), rewritten atomically.
+    /// (`--metrics-out PATH`), written atomically when the stream ends.
     pub metrics_out: Option<String>,
-    /// In-stream snapshot cadence for long streams
-    /// (`--stats-interval-ms N`; `None`/0 = no periodic snapshots).
-    pub stats_interval_ms: Option<u64>,
     /// `stats` CI thresholds (repeatable `--fail-if METRIC>VALUE`),
     /// parsed eagerly so a typo is a usage error.
     pub fail_if: Vec<FailCondition>,
@@ -106,7 +82,7 @@ impl Default for ParsedArgs {
     fn default() -> Self {
         ParsedArgs {
             command: Command::Help,
-            structure: Structure::Bus {
+            structure: StructureSpec::Bus {
                 bits: 8,
                 segments: 1,
                 misalign: 0.0,
@@ -125,7 +101,6 @@ impl Default for ParsedArgs {
             engine: EngineConfig::default(),
             ledger: None,
             metrics_out: None,
-            stats_interval_ms: None,
             fail_if: Vec::new(),
             stats_json: false,
             stats_inputs: Vec::new(),
@@ -286,13 +261,6 @@ pub fn parse_args(argv: &[String]) -> Result<ParsedArgs, CliError> {
             }
             "--ledger" => out.ledger = Some(value("path")?.clone()),
             "--metrics-out" => out.metrics_out = Some(value("path")?.clone()),
-            "--stats-interval-ms" => {
-                let ms: u64 = value("milliseconds")?
-                    .parse()
-                    .map_err(|_| CliError::usage("--stats-interval-ms must be an integer"))?;
-                // 0 = explicitly no periodic snapshots.
-                out.stats_interval_ms = if ms == 0 { None } else { Some(ms) };
-            }
             "--fail-if" => {
                 out.fail_if
                     .push(parse_fail_if(value("METRIC>VALUE")?).map_err(CliError::usage)?);
@@ -338,9 +306,9 @@ pub fn parse_args(argv: &[String]) -> Result<ParsedArgs, CliError> {
     }
 
     out.structure = if spiral {
-        Structure::Spiral { turns }
+        StructureSpec::Spiral { turns }
     } else {
-        Structure::Bus {
+        StructureSpec::Bus {
             bits,
             segments,
             misalign,
@@ -397,7 +365,7 @@ mod tests {
         assert_eq!(a.command, Command::Simulate);
         assert_eq!(
             a.structure,
-            Structure::Bus {
+            StructureSpec::Bus {
                 bits: 32,
                 segments: 1,
                 misalign: 0.0,
@@ -415,7 +383,7 @@ mod tests {
     fn parses_spiral_and_noise() {
         let a = parse_args(&argv("noise --spiral --turns 2 --threshold 10m")).unwrap();
         assert_eq!(a.command, Command::Noise);
-        assert_eq!(a.structure, Structure::Spiral { turns: 2 });
+        assert_eq!(a.structure, StructureSpec::Spiral { turns: 2 });
         assert!((a.threshold - 10e-3).abs() < 1e-15);
     }
 
@@ -493,18 +461,13 @@ mod tests {
     #[test]
     fn parses_telemetry_flags() {
         let a = parse_args(&argv(
-            "batch --in r.jsonl --ledger run.jsonl --metrics-out m.prom \
-             --stats-interval-ms 5000",
+            "batch --in r.jsonl --ledger run.jsonl --metrics-out m.prom",
         ))
         .unwrap();
         assert_eq!(a.ledger.as_deref(), Some("run.jsonl"));
         assert_eq!(a.metrics_out.as_deref(), Some("m.prom"));
-        assert_eq!(a.stats_interval_ms, Some(5000));
-        // 0 = explicitly off.
-        let a = parse_args(&argv("serve --stats-interval-ms 0")).unwrap();
-        assert_eq!(a.stats_interval_ms, None);
         assert!(parse_args(&argv("batch --ledger")).is_err());
-        assert!(parse_args(&argv("serve --stats-interval-ms soon")).is_err());
+        assert!(parse_args(&argv("serve --stats-interval-ms 5")).is_err());
     }
 
     #[test]
@@ -562,7 +525,7 @@ mod tests {
         assert_eq!(a.command, Command::Extract);
         assert_eq!(
             a.structure,
-            Structure::Bus {
+            StructureSpec::Bus {
                 bits: 8,
                 segments: 1,
                 misalign: 0.0,
@@ -573,7 +536,7 @@ mod tests {
         let sh = parse_args(&argv("extract --bits 8 --shield 4")).unwrap();
         assert_eq!(
             sh.structure,
-            Structure::Bus {
+            StructureSpec::Bus {
                 bits: 8,
                 segments: 1,
                 misalign: 0.0,

@@ -1,60 +1,27 @@
 //! Command implementations: each returns the text to print.
 
-use crate::args::{ParsedArgs, Structure};
+use crate::args::ParsedArgs;
 use crate::CliError;
 use std::fmt::Write as _;
 use vpec_circuit::metrics::peak_abs;
 use vpec_circuit::spice_out::to_spice;
 use vpec_circuit::TransientSpec;
-use vpec_core::harness::{Experiment, ModelKind};
+use vpec_core::harness::Experiment;
 use vpec_core::noise::noise_scan;
 use vpec_core::repair::DEFAULT_MARGIN;
-use vpec_core::{repair_passivity, DriveConfig};
-use vpec_extract::ExtractionConfig;
-use vpec_geometry::{BusSpec, SpiralSpec};
+use vpec_core::repair_passivity;
+use vpec_engine::StructureSpec;
 use vpec_numerics::audit;
 
 fn build_experiment(args: &ParsedArgs) -> Result<Experiment, CliError> {
-    let (layout, cfg, drive) = match args.structure {
-        Structure::Bus {
-            bits,
-            segments,
-            misalign,
-            shield_every,
-        } => {
-            if bits == 0 {
-                return Err(CliError::usage("--bits must be at least 1"));
-            }
-            let mut spec = BusSpec::new(bits).segments(segments).misalignment(misalign);
-            if let Some(k) = shield_every {
-                spec = spec.shield_every(k);
-            }
-            let layout = spec.build();
-            // The aggressor is the first *signal* net.
-            let first_signal = layout.signal_nets().first().copied().unwrap_or(0);
-            (
-                layout,
-                ExtractionConfig::paper_default(),
-                DriveConfig::paper_default().aggressors(vec![first_signal]),
-            )
+    match args.structure {
+        StructureSpec::Bus { bits: 0, .. } => Err(CliError::usage("--bits must be at least 1")),
+        StructureSpec::Spiral { turns: 0 } => Err(CliError::usage("--turns must be at least 1")),
+        ref structure => {
+            let (layout, cfg, drive) = structure.build();
+            Ok(Experiment::new(layout, &cfg, drive))
         }
-        Structure::Spiral { turns } => {
-            if turns == 0 {
-                return Err(CliError::usage("--turns must be at least 1"));
-            }
-            let spec = if turns == 3 {
-                SpiralSpec::paper_three_turn()
-            } else {
-                SpiralSpec::new(turns)
-            };
-            let cfg = match spec.substrate_spec() {
-                Some(sub) => ExtractionConfig::paper_default().with_substrate(sub),
-                None => ExtractionConfig::paper_default(),
-            };
-            (spec.build(), cfg, DriveConfig::paper_default())
-        }
-    };
-    Ok(Experiment::new(layout, &cfg, drive))
+    }
 }
 
 fn runtime(e: impl std::fmt::Display) -> CliError {
@@ -142,13 +109,7 @@ pub fn model(args: &ParsedArgs) -> Result<String, CliError> {
     }
     // Sparsified kinds run through the passivity-repair pass at build
     // time; report what that pass would do so accuracy cost is visible.
-    if matches!(
-        args.kind,
-        ModelKind::TVpecGeometric { .. }
-            | ModelKind::TVpecNumerical { .. }
-            | ModelKind::WVpecGeometric { .. }
-            | ModelKind::WVpecNumerical { .. }
-    ) {
+    if args.kind.is_sparsified() {
         let (_, rep) = repair_passivity(&model, DEFAULT_MARGIN);
         let _ = writeln!(out, "passivity repair: {}", rep.summary());
     }
@@ -338,12 +299,8 @@ fn engine_summary(s: &vpec_engine::StreamSummary) -> String {
 fn stream_telemetry(args: &ParsedArgs) -> Result<vpec_engine::StreamTelemetry, CliError> {
     let env_ledger = std::env::var("VPEC_LEDGER").ok().filter(|p| !p.is_empty());
     let ledger = args.ledger.clone().or(env_ledger);
-    vpec_engine::StreamTelemetry::new(
-        ledger.as_deref(),
-        args.metrics_out.as_deref(),
-        args.stats_interval_ms,
-    )
-    .map_err(|e| CliError::runtime(format!("cannot open telemetry sink: {e}")))
+    vpec_engine::StreamTelemetry::new(ledger.as_deref(), args.metrics_out.as_deref())
+        .map_err(|e| CliError::runtime(format!("cannot open telemetry sink: {e}")))
 }
 
 /// Runs one JSONL request stream through a fresh engine built from the

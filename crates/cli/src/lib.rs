@@ -10,7 +10,7 @@
 //! vpec batch    --in reqs.jsonl [-o out.jsonl] [--deadline-ms 500]
 //!               [--max-dim 64] [--retries 2] [--no-degrade]
 //!               [--ledger run.jsonl] [--metrics-out metrics.prom]
-//! vpec serve    [engine options] [--stats-interval-ms 5000]
+//! vpec serve    [engine options]
 //! vpec stats    LEDGER... [--format text|json] [--fail-if p99>250ms]
 //! ```
 //!
@@ -137,13 +137,9 @@ ENGINE OPTIONS (batch / serve):
                     are flushed one at a time with a contiguous seq, so
                     a killed process leaves a valid prefix behind
   --metrics-out PATH  write Prometheus-style text exposition of the
-                    request counters and latency histograms; the file is
-                    replaced atomically (write + rename) on every
-                    snapshot and when the stream ends
-  --stats-interval-ms N  interleave a registry snapshot record into the
-                    ledger (and rewrite --metrics-out) every N ms of
-                    stream time — for long-running serve fleets
-                    (default 0 = only the final exposition write)
+                    request counters and latency histograms, tallied
+                    from the ledger's records; the file is replaced
+                    atomically (write + rename) when the stream ends
 
   Every request runs inside an isolated boundary: panics, deadline
   overruns and budget rejections become typed JSONL error responses

@@ -152,6 +152,19 @@ impl ModelKind {
                 | ModelKind::TVpecNumerical { .. }
         )
     }
+
+    /// `true` for the sparsified VPEC kinds (tVPEC and wVPEC): their
+    /// builds run through passivity repair, since dropping couplings can
+    /// leave Ĝ outside Theorem 2's domain.
+    pub fn is_sparsified(&self) -> bool {
+        matches!(
+            self,
+            ModelKind::TVpecGeometric { .. }
+                | ModelKind::TVpecNumerical { .. }
+                | ModelKind::WVpecGeometric { .. }
+                | ModelKind::WVpecNumerical { .. }
+        )
+    }
 }
 
 /// Admission-control budgets for one model build, checked by
@@ -371,13 +384,7 @@ impl Experiment {
             }
             _ => {
                 let (mut model, _) = self.vpec_model_cancel(kind, cancel)?;
-                if matches!(
-                    kind,
-                    ModelKind::TVpecGeometric { .. }
-                        | ModelKind::TVpecNumerical { .. }
-                        | ModelKind::WVpecGeometric { .. }
-                        | ModelKind::WVpecNumerical { .. }
-                ) {
+                if kind.is_sparsified() {
                     let (repaired, report) = repair_passivity(&model, DEFAULT_MARGIN);
                     model = repaired;
                     repair = Some(report);

@@ -103,12 +103,7 @@ pub fn repair_passivity(model: &VpecModel, margin: f64) -> (VpecModel, RepairRep
         }
     }
 
-    if sp.is_active() {
-        sp.set_attr("rows_repaired", report.rows_repaired);
-        if report.rows_repaired > 0 {
-            vpec_trace::counter_add("repair.rows", report.rows_repaired as u64);
-        }
-    }
+    sp.set_attr("rows_repaired", report.rows_repaired);
     if report.rows_repaired == 0 {
         return (model.clone(), report);
     }

@@ -127,12 +127,10 @@ impl ModelCache {
         let key = (hash, kind.label());
         if let Some(m) = self.models.get(&key) {
             self.hits += 1;
-            vpec_trace::counter_add("engine.cache.hit", 1);
             return Ok((Arc::clone(m), true));
         }
         let built = Arc::new(exp.build_cancel(kind, cancel)?);
         self.misses += 1;
-        vpec_trace::counter_add("engine.cache.miss", 1);
         self.models.insert(key, Arc::clone(&built));
         Ok((built, false))
     }
@@ -161,12 +159,10 @@ impl ModelCache {
         let key = (hash, kind.label(), spec.dt.to_bits());
         if let Some(f) = self.factors.get(&key) {
             self.factor_hits += 1;
-            vpec_trace::counter_add("engine.factor.hit", 1);
             return Ok((Arc::clone(f), true));
         }
         let factor = Arc::new(model.prepare_transient(spec)?);
         self.factor_misses += 1;
-        vpec_trace::counter_add("engine.factor.miss", 1);
         self.factors.insert(key, Arc::clone(&factor));
         Ok((factor, false))
     }

@@ -29,8 +29,9 @@
 //!
 //! * **Observability** — [`runner::Engine::run_stream_with`] feeds a
 //!   [`telemetry::StreamTelemetry`] bundle: one run-ledger record per
-//!   request, registry counters/histograms, and periodic snapshots (see
-//!   `vpec_metrics` and DESIGN.md §15).
+//!   request, and an exposition of request counters and latency
+//!   histograms tallied from those records (see `vpec_metrics` and
+//!   DESIGN.md §15).
 //!
 //! The CLI exposes this as `vpec batch --in FILE` and `vpec serve`
 //! (stdin → stdout).

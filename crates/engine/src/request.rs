@@ -16,11 +16,14 @@
 
 use crate::EngineError;
 use vpec_core::harness::ModelKind;
+use vpec_core::DriveConfig;
+use vpec_extract::ExtractionConfig;
+use vpec_geometry::{BusSpec, Layout, SpiralSpec};
 use vpec_numerics::fault::FaultInjection;
 use vpec_trace::json::{escape, parse, JsonValue};
 
-/// The geometry a request asks for (mirrors the CLI's `--bits`/`--spiral`
-/// family).
+/// The geometry a request asks for, and the one the CLI's
+/// `--bits`/`--spiral` family parses into.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StructureSpec {
     /// A parallel bus.
@@ -39,6 +42,47 @@ pub enum StructureSpec {
         /// Turn count (3 selects the paper's lossy-substrate spiral).
         turns: usize,
     },
+}
+
+impl StructureSpec {
+    /// Builds the layout with its extraction configuration and drive. A
+    /// bus is driven from its first signal net; three turns select the
+    /// paper's spiral over a lossy substrate.
+    #[must_use]
+    pub fn build(&self) -> (Layout, ExtractionConfig, DriveConfig) {
+        match *self {
+            StructureSpec::Bus {
+                bits,
+                segments,
+                misalign,
+                shield_every,
+            } => {
+                let mut bus = BusSpec::new(bits).segments(segments).misalignment(misalign);
+                if let Some(k) = shield_every {
+                    bus = bus.shield_every(k);
+                }
+                let layout = bus.build();
+                let first_signal = layout.signal_nets().first().copied().unwrap_or(0);
+                (
+                    layout,
+                    ExtractionConfig::paper_default(),
+                    DriveConfig::paper_default().aggressors(vec![first_signal]),
+                )
+            }
+            StructureSpec::Spiral { turns } => {
+                let spec = if turns == 3 {
+                    SpiralSpec::paper_three_turn()
+                } else {
+                    SpiralSpec::new(turns)
+                };
+                let cfg = match spec.substrate_spec() {
+                    Some(sub) => ExtractionConfig::paper_default().with_substrate(sub),
+                    None => ExtractionConfig::paper_default(),
+                };
+                (spec.build(), cfg, DriveConfig::paper_default())
+            }
+        }
+    }
 }
 
 /// The analysis a request asks for.

@@ -23,7 +23,7 @@
 
 use crate::boundary::run_guarded;
 use crate::cache::ModelCache;
-use crate::request::{AnalysisSpec, ScenarioRequest, ScenarioResponse, StructureSpec};
+use crate::request::{AnalysisSpec, ScenarioRequest, ScenarioResponse};
 use crate::telemetry::StreamTelemetry;
 use crate::EngineError;
 use std::io::{BufRead, Write};
@@ -33,9 +33,6 @@ use vpec_circuit::ac::AcSpec;
 use vpec_circuit::metrics::peak_abs;
 use vpec_circuit::TransientSpec;
 use vpec_core::harness::{BuildBudget, BuiltModel, Experiment, ModelKind};
-use vpec_core::DriveConfig;
-use vpec_extract::ExtractionConfig;
-use vpec_geometry::{BusSpec, Layout, SpiralSpec};
 use vpec_metrics::RunRecord;
 use vpec_numerics::fault::FaultInjection;
 use vpec_numerics::CancelToken;
@@ -171,43 +168,6 @@ fn ledger_record(
     }
 }
 
-/// Builds the geometry + extraction config + drive for a request
-/// (mirrors the CLI's structure handling).
-fn build_geometry(spec: &StructureSpec) -> (Layout, ExtractionConfig, DriveConfig) {
-    match *spec {
-        StructureSpec::Bus {
-            bits,
-            segments,
-            misalign,
-            shield_every,
-        } => {
-            let mut bus = BusSpec::new(bits).segments(segments).misalignment(misalign);
-            if let Some(k) = shield_every {
-                bus = bus.shield_every(k);
-            }
-            let layout = bus.build();
-            let first_signal = layout.signal_nets().first().copied().unwrap_or(0);
-            (
-                layout,
-                ExtractionConfig::paper_default(),
-                DriveConfig::paper_default().aggressors(vec![first_signal]),
-            )
-        }
-        StructureSpec::Spiral { turns } => {
-            let spec = if turns == 3 {
-                SpiralSpec::paper_three_turn()
-            } else {
-                SpiralSpec::new(turns)
-            };
-            let cfg = match spec.substrate_spec() {
-                Some(sub) => ExtractionConfig::paper_default().with_substrate(sub),
-                None => ExtractionConfig::paper_default(),
-            };
-            (spec.build(), cfg, DriveConfig::paper_default())
-        }
-    }
-}
-
 /// The resilient batch engine: a policy plus a model cache.
 #[derive(Debug, Default)]
 pub struct Engine {
@@ -255,7 +215,7 @@ impl Engine {
                 !faults.panic_engine,
                 "injected engine panic (FaultInjection::panic_engine)"
             );
-            let (layout, cfg, drive) = build_geometry(&structure);
+            let (layout, cfg, drive) = structure.build();
             budget
                 .check(layout.filaments().len(), kind, analysis.steps())
                 .map_err(EngineError::from_build)?;
@@ -451,7 +411,6 @@ impl Engine {
                     }
                     Err(e) => {
                         if e.retryable() && attempts <= self.config.retries {
-                            vpec_trace::counter_add("engine.retry", 1);
                             let backoff = self.config.backoff_ms << (attempts - 1).min(6);
                             std::thread::sleep(std::time::Duration::from_millis(backoff));
                             continue;
@@ -467,7 +426,6 @@ impl Engine {
             if self.config.degrade && terminal.degradable() && req.kind.needs_full_inversion() {
                 let b = self.config.degrade_window.max(1);
                 let wkind = ModelKind::WVpecGeometric { b };
-                vpec_trace::counter_add("engine.degraded", 1);
                 match self.attempt(req, wkind, FaultInjection::none(), deadline) {
                     Ok(out) => {
                         let mut notes = out.notes;
@@ -558,9 +516,8 @@ impl Engine {
     }
 
     /// [`Engine::run_stream`] with per-request telemetry: each request
-    /// appends one run-ledger record (unparseable lines included), the
-    /// registry's request counters/histograms are fed, and long streams
-    /// interleave periodic snapshot records. A disabled
+    /// appends one run-ledger record (unparseable lines included) and
+    /// feeds the exposition's request counters and histograms. A disabled
     /// [`StreamTelemetry`] makes this identical to [`Engine::run_stream`].
     ///
     /// # Errors

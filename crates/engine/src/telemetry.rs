@@ -1,57 +1,50 @@
-//! Per-stream telemetry sinks: the run ledger, the `vpec_trace`
-//! registry, and the Prometheus-style exposition file.
+//! Per-stream telemetry sinks: the run ledger and the Prometheus-style
+//! exposition file, both fed from the requests' [`RunRecord`]s.
 //!
 //! [`StreamTelemetry`] bundles everything [`crate::Engine::run_stream_with`]
 //! needs to make a batch observable:
 //!
 //! * one [`vpec_metrics::Ledger`] record per request (see DESIGN.md §15
 //!   for the schema);
-//! * registry counters (`engine.requests`, `.ok`, `.failed`, `.degraded`,
-//!   `.retries`) and latency histograms
-//!   (`engine.request.{total,queue,build,solve}_ms`);
-//! * periodic in-stream snapshot records plus an atomic rewrite of the
-//!   exposition file every `snapshot_interval_ms`, and a final exposition
-//!   write when the stream ends.
+//! * request counters (`engine.requests`, `.ok`, `.failed`, `.degraded`,
+//!   `.retries`, and `engine.cache.hit` from the records' `model_hit`)
+//!   and latency histograms (`engine.request.{total,queue,build,solve}_ms`),
+//!   tallied from the same records and written to the exposition file
+//!   when the stream ends.
 //!
-//! Constructing one with any sink configured calls
-//! [`vpec_trace::enable_registry`], so the counters the engine fires at
-//! its call sites (cache hits/misses, retries, degradations) are counted
-//! with tracing off. [`StreamTelemetry::disabled`] is a no-op bundle:
-//! every hook returns immediately, which is what plain
+//! The exposition therefore counts exactly what the ledger records,
+//! whatever the trace mode. [`StreamTelemetry::disabled`] is a no-op
+//! bundle: every hook returns immediately, which is what plain
 //! [`crate::Engine::run_stream`] uses.
 
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
-use vpec_metrics::{Ledger, RunRecord};
+use vpec_metrics::{Histogram, Ledger, RunRecord};
 
 /// Telemetry sinks for one request stream.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct StreamTelemetry {
     ledger: Option<Ledger>,
     metrics_out: Option<PathBuf>,
-    snapshot_every: Option<Duration>,
-    last_snapshot: Instant,
-    active: bool,
+    requests: u64,
+    ok: u64,
+    degraded: u64,
+    retries: u64,
+    cache_hits: u64,
+    total_ms: Histogram,
+    queue_ms: Histogram,
+    build_ms: Histogram,
+    solve_ms: Histogram,
 }
 
 impl StreamTelemetry {
     /// A bundle with every sink off; all hooks are no-ops.
     #[must_use]
     pub fn disabled() -> StreamTelemetry {
-        StreamTelemetry {
-            ledger: None,
-            metrics_out: None,
-            snapshot_every: None,
-            last_snapshot: Instant::now(),
-            active: false,
-        }
+        StreamTelemetry::default()
     }
 
     /// Opens the configured sinks: `ledger_path` is created (truncating),
-    /// `metrics_out` is rewritten atomically on each snapshot and at the
-    /// end of the stream, and `snapshot_interval_ms` (when nonzero) sets
-    /// the in-stream snapshot cadence. When any sink is configured the
-    /// `vpec_trace` registry is enabled process-wide.
+    /// and `metrics_out` is written atomically when the stream ends.
     ///
     /// # Errors
     ///
@@ -59,105 +52,76 @@ impl StreamTelemetry {
     pub fn new(
         ledger_path: Option<&str>,
         metrics_out: Option<&str>,
-        snapshot_interval_ms: Option<u64>,
     ) -> std::io::Result<StreamTelemetry> {
-        let active = ledger_path.is_some() || metrics_out.is_some();
-        if active {
-            vpec_trace::enable_registry();
-        }
-        let ledger = match ledger_path {
-            Some(path) => Some(Ledger::create(path)?),
-            None => None,
-        };
         Ok(StreamTelemetry {
-            ledger,
+            ledger: ledger_path.map(Ledger::create).transpose()?,
             metrics_out: metrics_out.map(PathBuf::from),
-            snapshot_every: snapshot_interval_ms
-                .filter(|&ms| ms > 0)
-                .map(Duration::from_millis),
-            last_snapshot: Instant::now(),
-            active,
+            ..StreamTelemetry::default()
         })
     }
 
     /// `true` when no sink is configured.
     #[must_use]
     pub fn is_disabled(&self) -> bool {
-        !self.active
+        self.ledger.is_none() && self.metrics_out.is_none()
     }
 
-    /// Feeds one finished request into every sink: registry counters and
-    /// latency histograms, the ledger line, and (when due) a periodic
-    /// snapshot.
+    /// Feeds one finished request into every sink: the counters and
+    /// latency histograms, and the ledger line.
     ///
     /// # Errors
     ///
-    /// I/O failures on the ledger or exposition file.
+    /// I/O failures on the ledger.
     pub fn observe(&mut self, record: &RunRecord) -> std::io::Result<()> {
-        if !self.active {
+        if self.is_disabled() {
             return Ok(());
         }
-        vpec_trace::counter_add("engine.requests", 1);
-        let outcome = if record.ok {
-            "engine.requests.ok"
-        } else {
-            "engine.requests.failed"
-        };
-        vpec_trace::counter_add(outcome, 1);
-        if record.degraded {
-            vpec_trace::counter_add("engine.requests.degraded", 1);
-        }
-        if record.retries > 0 {
-            vpec_trace::counter_add("engine.requests.retries", record.retries as u64);
-        }
-        vpec_trace::record_value("engine.request.total_ms", record.total_ms);
-        vpec_trace::record_value("engine.request.queue_ms", record.queue_ms);
+        self.requests += 1;
+        self.ok += u64::from(record.ok);
+        self.degraded += u64::from(record.degraded);
+        self.retries += record.retries as u64;
+        self.cache_hits += u64::from(record.model_hit);
+        self.total_ms.record(record.total_ms);
+        self.queue_ms.record(record.queue_ms);
         if let Some(build) = record.build_ms {
-            vpec_trace::record_value("engine.request.build_ms", build);
+            self.build_ms.record(build);
         }
         if let Some(solve) = record.solve_ms {
-            vpec_trace::record_value("engine.request.solve_ms", solve);
+            self.solve_ms.record(solve);
         }
-        if let Some(ledger) = &mut self.ledger {
-            ledger.record(record)?;
+        match &mut self.ledger {
+            Some(ledger) => ledger.record(record),
+            None => Ok(()),
         }
-        self.maybe_snapshot()
     }
 
-    /// Emits the periodic snapshot when the interval elapsed: one ledger
-    /// snapshot record plus an atomic exposition rewrite.
-    fn maybe_snapshot(&mut self) -> std::io::Result<()> {
-        let Some(every) = self.snapshot_every else {
-            return Ok(());
-        };
-        if self.last_snapshot.elapsed() < every {
-            return Ok(());
-        }
-        self.last_snapshot = Instant::now();
-        let snap = vpec_trace::snapshot();
-        if let Some(ledger) = &mut self.ledger {
-            ledger.snapshot(&snap)?;
-        }
-        if let Some(path) = &self.metrics_out {
-            vpec_metrics::write_atomic(path, &snap)?;
-        }
-        Ok(())
-    }
-
-    /// Finalizes the stream: writes the exposition file one last time so
-    /// it reflects the complete run.
+    /// Finalizes the stream: writes the exposition file so it reflects
+    /// the complete run.
     ///
     /// # Errors
     ///
     /// I/O failures writing the exposition file.
     pub fn finish(&mut self) -> std::io::Result<()> {
-        if !self.active {
+        let Some(path) = &self.metrics_out else {
             return Ok(());
-        }
-        if let Some(path) = &self.metrics_out {
-            vpec_metrics::write_atomic(path, &vpec_trace::snapshot())?;
-        }
-        Ok(())
+        };
+        let text = vpec_metrics::render(
+            &[
+                ("engine.cache.hit", self.cache_hits),
+                ("engine.requests", self.requests),
+                ("engine.requests.degraded", self.degraded),
+                ("engine.requests.failed", self.requests - self.ok),
+                ("engine.requests.ok", self.ok),
+                ("engine.requests.retries", self.retries),
+            ],
+            &[
+                ("engine.request.build_ms", &self.build_ms),
+                ("engine.request.queue_ms", &self.queue_ms),
+                ("engine.request.solve_ms", &self.solve_ms),
+                ("engine.request.total_ms", &self.total_ms),
+            ],
+        );
+        vpec_metrics::write_atomic(path, &text)
     }
 }
 
@@ -181,7 +145,6 @@ mod tests {
         let mut t = StreamTelemetry::new(
             Some(&ledger_path.display().to_string()),
             Some(&metrics_path.display().to_string()),
-            None,
         )
         .unwrap();
         assert!(!t.is_disabled());
@@ -200,8 +163,8 @@ mod tests {
         let records = vpec_metrics::parse_ledger(&ledger).unwrap();
         assert_eq!(records.len(), 1);
         let expo = std::fs::read_to_string(&metrics_path).unwrap();
-        assert!(expo.contains("vpec_engine_requests_total"));
-        assert!(expo.contains("vpec_engine_request_total_ms_count"));
+        assert!(expo.contains("vpec_engine_requests_total 1\n"));
+        assert!(expo.contains("vpec_engine_request_total_ms_count 1\n"));
         let _ = std::fs::remove_file(&ledger_path);
         let _ = std::fs::remove_file(&metrics_path);
     }

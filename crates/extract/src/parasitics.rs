@@ -244,7 +244,6 @@ pub fn extract(layout: &Layout, config: &ExtractionConfig) -> Parasitics {
         .flatten()
         .collect();
     drop(coupling_span);
-    vpec_trace::counter_add("extract.coupling.pairs", cap_coupling.len() as u64);
 
     Parasitics {
         filaments: fils.to_vec(),

@@ -6,9 +6,9 @@
 //! degradation reason, which cache levels hit, the accepted solver
 //! strategy, the matrix dimension, the
 //! queue-wait/build/solve phase split, and a peak-scratch estimate.
-//! Long-running `serve` streams interleave periodic `"rec":"snapshot"`
-//! lines with registry counters and histogram quick-stats. Lines are
-//! flushed one at a time so a crashed process still leaves a valid
+//! Ledgers written by earlier versions may interleave `"rec":"snapshot"`
+//! lines (counters and histogram quick-stats); they still parse, and
+//! aggregation skips them. Lines are flushed one at a time so a crashed process still leaves a valid
 //! ledger behind; `seq` is contiguous from 1 so post-hoc tools detect
 //! truncation or interleaving.
 //!
@@ -17,7 +17,6 @@
 use std::fmt::Write as _;
 use std::io::Write as _;
 use vpec_trace::json::{self, JsonValue};
-use vpec_trace::RegistrySnapshot;
 
 /// Milliseconds since the Unix epoch (0 if the clock is before it).
 #[must_use]
@@ -166,7 +165,8 @@ pub enum LedgerRecord {
         /// a request line is ~20 fields).
         run: Box<RunRecord>,
     },
-    /// A periodic in-stream registry snapshot (from `serve`).
+    /// An in-stream snapshot line, as earlier versions of `serve` wrote
+    /// them; only its position in the sequence is kept.
     Snapshot {
         /// Contiguous-from-1 sequence number.
         seq: u64,
@@ -346,45 +346,6 @@ impl Ledger {
         writeln!(self.file, "{line}")?;
         self.file.flush()
     }
-
-    /// Appends one in-stream snapshot record carrying the `vpec_trace`
-    /// registry's counters and histogram quick-stats.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures writing the line.
-    pub fn snapshot(&mut self, snap: &RegistrySnapshot) -> std::io::Result<()> {
-        let mut line = String::with_capacity(256);
-        let _ = write!(
-            line,
-            "{{\"rec\":\"snapshot\",\"seq\":{},\"ts_ms\":{}",
-            self.next_seq,
-            now_ms()
-        );
-        self.next_seq += 1;
-        line.push_str(",\"counters\":{");
-        for (i, (k, v)) in snap.counters.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "\"{}\":{v}", json::escape(k));
-        }
-        line.push_str("},\"hist\":{");
-        for (i, (k, h)) in snap.histograms.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "\"{}\":{{\"count\":{}", json::escape(k), h.count);
-            push_f64(&mut line, "p50", h.p50);
-            push_f64(&mut line, "p90", h.p90);
-            push_f64(&mut line, "p99", h.p99);
-            push_f64(&mut line, "max", h.max);
-            line.push('}');
-        }
-        line.push_str("}}");
-        writeln!(self.file, "{line}")?;
-        self.file.flush()
-    }
 }
 
 #[cfg(test)]
@@ -448,14 +409,14 @@ mod tests {
     fn ledger_writes_contiguous_seq() {
         let path = std::env::temp_dir().join("vpec_metrics_ledger_test.jsonl");
         let mut ledger = Ledger::create(&path.display().to_string()).unwrap();
-        ledger.record(&sample()).unwrap();
-        ledger.snapshot(&RegistrySnapshot::default()).unwrap();
-        ledger.record(&sample()).unwrap();
+        for _ in 0..3 {
+            ledger.record(&sample()).unwrap();
+        }
         drop(ledger);
         let content = std::fs::read_to_string(&path).unwrap();
         let records = parse_ledger(&content).unwrap();
         assert_eq!(records.len(), 3);
-        assert!(matches!(records[1], LedgerRecord::Snapshot { seq: 2, .. }));
+        assert!(matches!(records[1], LedgerRecord::Request { seq: 2, .. }));
         // A gap in seq is detected.
         let broken = content.replace("\"seq\":3", "\"seq\":7");
         assert!(parse_ledger(&broken)

@@ -716,6 +716,44 @@ mod tests {
     }
 
     #[test]
+    fn ledgers_with_the_retired_snapshot_lines_still_aggregate() {
+        // A `serve --stats-interval-ms` ledger: snapshot lines with the
+        // counters and histogram quick-stats of their time sit between
+        // the request lines. They keep their place in `seq` and nothing
+        // else.
+        let old = concat!(
+            r#"{"rec":"request","seq":1,"ts_ms":1000,"id":"a","ok":true,"error":null,"#,
+            r#""kind":"gwVPEC(b=2)","ran":"gwVPEC(b=2)","analysis":"transient","retries":0,"#,
+            r#""degraded":false,"degraded_reason":null,"experiment_hit":false,"#,
+            r#""model_hit":false,"factor_hit":false,"strategy":"sparse-lu","#,
+            r#""dim":17,"elements":30,"queue_ms":0.1,"#,
+            r#""build_ms":2.5,"solve_ms":4,"total_ms":6.75,"peak_scratch_bytes":2256}"#,
+            "\n",
+            r#"{"rec":"snapshot","seq":2,"ts_ms":1005,"counters":{"engine.cache.miss":1,"#,
+            r#""engine.requests":1,"engine.requests.ok":1,"pool.dispatch.serial":3},"#,
+            r#""hist":{"engine.request.total_ms":{"count":1,"p50":6.75,"p90":6.75,"#,
+            r#""p99":6.75,"max":6.75}}}"#,
+            "\n",
+            r#"{"rec":"request","seq":3,"ts_ms":1010,"id":"b","ok":false,"error":"panic","#,
+            r#""kind":"gwVPEC(b=2)","ran":null,"analysis":"transient","retries":1,"#,
+            r#""degraded":false,"degraded_reason":null,"experiment_hit":false,"#,
+            r#""model_hit":false,"factor_hit":false,"strategy":null,"#,
+            r#""dim":null,"elements":null,"queue_ms":0.1,"#,
+            r#""build_ms":null,"solve_ms":null,"total_ms":1.5,"peak_scratch_bytes":null}"#,
+            "\n",
+            r#"{"rec":"snapshot","seq":4,"ts_ms":1015,"counters":{},"hist":{}}"#,
+            "\n",
+        );
+        let records = crate::ledger::parse_ledger(old).expect("old ledger parses");
+        assert_eq!(records.len(), 4);
+        let stats = aggregate(&records, 0);
+        assert_eq!((stats.total, stats.ok, stats.failed), (2, 1, 1));
+        assert_eq!((stats.retries, stats.snapshots), (1, 2));
+        assert_eq!(stats.errors.get("panic"), Some(&1));
+        assert_eq!(stats.latency().max, Some(6.75));
+    }
+
+    #[test]
     fn percentiles_are_exact_nearest_rank() {
         let v: Vec<f64> = (1..=100).map(f64::from).collect();
         assert_eq!(percentile(&v, 0.50), Some(50.0));

@@ -228,14 +228,6 @@ impl AuditReport {
     pub fn record(&mut self, outcome: Option<AuditViolation>) {
         self.checks_run += 1;
         if let Some(v) = outcome {
-            vpec_trace::counter_add(
-                if v.is_error() {
-                    "audit.violations.error"
-                } else {
-                    "audit.violations.warning"
-                },
-                1,
-            );
             self.violations.push(v);
         }
     }

@@ -151,7 +151,6 @@ impl<T: Scalar> DenseMatrix<T> {
                 found: (x.len(), 1),
             });
         }
-        vpec_trace::counter_add("dense.matvec.flops_est", (2 * self.rows * self.cols) as u64);
         let mut y = vec![T::zero(); self.rows];
         for (i, yi) in y.iter_mut().enumerate() {
             *yi = kernel::dot4(self.row(i), x);

@@ -120,7 +120,6 @@ impl<T: Scalar> LuFactor<T> {
         x.clear();
         x.extend(self.perm.iter().map(|&p| b[p]));
         self.substitute_in_place(x);
-        vpec_trace::counter_add("lu.solve.count", 1);
         Ok(())
     }
 

@@ -181,13 +181,11 @@ impl Pool {
     {
         assert!(chunk_len > 0, "chunk_len must be positive");
         if self.threads <= 1 || data.len() <= chunk_len {
-            vpec_trace::counter_add("pool.dispatch.serial", 1);
             for (k, c) in data.chunks_mut(chunk_len).enumerate() {
                 f(k * chunk_len, c);
             }
             return;
         }
-        vpec_trace::counter_add("pool.dispatch.parallel", 1);
         let nt = self.threads.min(data.len().div_ceil(chunk_len));
         let mut lists: Vec<Vec<(usize, &mut [T])>> = (0..nt).map(|_| Vec::new()).collect();
         for (k, c) in data.chunks_mut(chunk_len).enumerate() {
@@ -197,7 +195,6 @@ impl Pool {
         let parent = vpec_trace::current_span();
         std::thread::scope(|s| {
             for list in lists {
-                vpec_trace::record_value("pool.tasks_per_worker", list.len() as f64);
                 s.spawn(move || {
                     let _link = vpec_trace::parent_scope(parent);
                     for (off, c) in list {
@@ -223,10 +220,8 @@ impl Pool {
         F: Fn(usize, &T) -> R + Sync,
     {
         if self.threads <= 1 || items.len() <= 1 {
-            vpec_trace::counter_add("pool.dispatch.serial", 1);
             return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
-        vpec_trace::counter_add("pool.dispatch.parallel", 1);
         let n = items.len();
         let nt = self.threads.min(n);
         // The next unclaimed index. It publishes no data (results come back
@@ -258,7 +253,6 @@ impl Pool {
         let mut out: Vec<Option<R>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
         for done in claimed {
-            vpec_trace::record_value("pool.tasks_per_worker", done.len() as f64);
             for (i, r) in done {
                 out[i] = Some(r);
             }
@@ -274,10 +268,8 @@ impl Pool {
         F: Fn(usize) -> R + Sync,
     {
         if self.threads <= 1 || n <= 1 {
-            vpec_trace::counter_add("pool.dispatch.serial", 1);
             return (0..n).map(f).collect();
         }
-        vpec_trace::counter_add("pool.dispatch.parallel", 1);
         let mut out: Vec<Option<R>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
         let chunk = n.div_ceil(self.threads * 4).max(1);
@@ -292,7 +284,6 @@ impl Pool {
         let parent = vpec_trace::current_span();
         std::thread::scope(|s| {
             for list in lists {
-                vpec_trace::record_value("pool.tasks_per_worker", list.len() as f64);
                 s.spawn(move || {
                     let _link = vpec_trace::parent_scope(parent);
                     for (base, oc) in list {
@@ -360,7 +351,6 @@ pub fn cholesky_eliminate_cancel(
     assert_eq!(a.len(), n * n, "cholesky_eliminate_cancel: shape mismatch");
     assert_eq!(g.len(), n * n, "cholesky_eliminate_cancel: shape mismatch");
     if n < BLOCK_MIN_DIM {
-        vpec_trace::counter_add("pool.elim.serial", 1);
         return cholesky_eliminate_serial(a, g, n, cancel);
     }
     // The blocked panel factorization reassociates the left-looking
@@ -369,7 +359,6 @@ pub fn cholesky_eliminate_cancel(
     // the dispatch depends only on `n`, and the row-partitioned trailing
     // update is deterministic for any worker count, so repeated runs and
     // thread sweeps agree exactly.
-    vpec_trace::counter_add("pool.elim.blocked", 1);
     cholesky_eliminate_blocked(a, g, n, elim_workers(n, threads), cancel, PANEL_WIDTH)
 }
 

@@ -1,4 +1,4 @@
-//! Structured tracing and metrics for the VPEC workspace.
+//! Structured tracing for the VPEC workspace.
 //!
 //! Every layer of the pipeline (extraction → model build → factorization →
 //! transient/AC solve) reports into this crate so a run can be profiled
@@ -12,28 +12,23 @@
 //!   [`parent_scope`].
 //! * **Instant events** — point-in-time markers with a detail string
 //!   ([`instant_event`]), e.g. one event per transient retry.
-//! * **The registry** — the process's one set of named counters
-//!   ([`counter_add`]: factorization attempts per strategy, transient
-//!   retries, cache hits, request outcomes, …) and [`Histogram`]s
-//!   ([`record_value`]: request latencies, tasks per pool worker, …).
-//!   [`snapshot`] copies it out for the `vpec-metrics` exposition and
-//!   ledger.
+//! * **Counters** — named totals ([`counter_add`]: extracted inductance
+//!   pairs, window reads of `L`, transient steps and retries), listed in
+//!   the summary tree and written as JSONL `counter` events by
+//!   [`finish`].
 //!
 //! # Sinks and gating
 //!
-//! One gate byte holds two bits: the *trace* bit records spans, instant
-//! events and JSONL lines; the *registry* bit records counters and
-//! histograms. Turning tracing on sets both; [`enable_registry`] sets the
-//! registry bit alone, so a `batch --metrics-out` run counts without
-//! tracing. With both bits clear every call site costs one relaxed atomic
-//! load, the same pattern as `VPEC_AUDIT`.
+//! Spans, instant events, counters and JSONL lines all record exactly
+//! when tracing is on. With tracing off every call site costs one relaxed
+//! atomic load of the mode byte, the same pattern as `VPEC_AUDIT`.
 //!
 //! The process-global [`TraceMode`] selects the trace sink:
 //!
 //! * [`TraceMode::Off`] (default) — no spans or events are recorded.
 //! * [`TraceMode::Summary`] — events are collected in memory;
 //!   [`summary_tree`] renders a human-readable span tree with the
-//!   registry's counters and histograms appended.
+//!   counters appended.
 //! * [`TraceMode::Jsonl`] — additionally streams machine-readable JSONL
 //!   events to a file (one JSON object per line; see the event schema in
 //!   [`validate_jsonl`]).
@@ -73,17 +68,14 @@
 )]
 #![warn(missing_docs)]
 
-pub mod histogram;
 pub mod json;
-
-pub use histogram::{bucket_bound, Histogram, HistogramSnapshot};
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -133,52 +125,9 @@ impl TraceMode {
 /// Sentinel meaning "not yet resolved from the environment".
 const MODE_UNSET: u8 = u8::MAX;
 
+/// The one gate: every call site reads this byte, so the disabled cost
+/// is a single relaxed load.
 static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
-
-/// The hot-path gate: bit 0 = tracing on (spans, instants, JSONL), bit 1
-/// = registry on (counters, histograms), bit 7 = the trace mode has not
-/// been resolved from the environment yet. Every call site reads this
-/// one byte, so the fully-disabled cost is a single relaxed load.
-const GATE_TRACE: u8 = 0b0000_0001;
-const GATE_REGISTRY: u8 = 0b0000_0010;
-const GATE_UNRESOLVED: u8 = 0b1000_0000;
-
-static GATES: AtomicU8 = AtomicU8::new(GATE_UNRESOLVED);
-/// Set by [`enable_registry`]: keeps the registry bit when tracing goes
-/// off. Read only when the mode changes, never on the hot path.
-static REGISTRY_ON: AtomicBool = AtomicBool::new(false);
-
-/// Stores a resolved trace mode: tracing on sets both gate bits, tracing
-/// off keeps the registry bit only if [`enable_registry`] set it.
-fn store_mode(m: TraceMode) {
-    MODE.store(m as u8, Ordering::Relaxed);
-    let gates = if m != TraceMode::Off {
-        GATE_TRACE | GATE_REGISTRY
-    } else if REGISTRY_ON.load(Ordering::Relaxed) {
-        GATE_REGISTRY
-    } else {
-        0
-    };
-    GATES.store(gates, Ordering::Relaxed);
-}
-
-/// The gate byte, resolving the trace mode from the environment on first
-/// use.
-fn gates() -> u8 {
-    let g = GATES.load(Ordering::Relaxed);
-    if g & GATE_UNRESOLVED == 0 {
-        return g;
-    }
-    let _ = mode();
-    GATES.load(Ordering::Relaxed)
-}
-
-/// Turns the counter-and-histogram registry on whatever the trace mode,
-/// until the next [`reset`]. Idempotent.
-pub fn enable_registry() {
-    REGISTRY_ON.store(true, Ordering::Relaxed);
-    GATES.fetch_or(GATE_REGISTRY, Ordering::Relaxed);
-}
 
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(0);
 static NEXT_THREAD_ID: AtomicU32 = AtomicU32::new(0);
@@ -224,7 +173,6 @@ struct State {
     open: HashMap<u64, OpenSpan>,
     closed: Vec<ClosedSpan>,
     counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
     /// Names of the instant events recorded (their JSONL lines carry the
     /// thread, time and detail).
     instants: Vec<String>,
@@ -238,19 +186,7 @@ impl State {
             open: HashMap::new(),
             closed: Vec::new(),
             counters: BTreeMap::new(),
-            histograms: BTreeMap::new(),
             instants: Vec::new(),
-        }
-    }
-
-    fn registry(&self) -> RegistrySnapshot {
-        RegistrySnapshot {
-            counters: self.counters.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .filter_map(|(k, h)| h.snapshot().map(|s| (k.clone(), s)))
-                .collect(),
         }
     }
 
@@ -307,7 +243,7 @@ pub fn mode() -> TraceMode {
                 Ok(m) => m,
                 Err(e) => {
                     eprintln!("warning: invalid VPEC_TRACE ({e}); tracing disabled");
-                    store_mode(TraceMode::Off);
+                    MODE.store(TraceMode::Off as u8, Ordering::Relaxed);
                     TraceMode::Off
                 }
             }
@@ -317,11 +253,15 @@ pub fn mode() -> TraceMode {
 }
 
 /// `true` when a trace sink is active. This is the hot-path gate for
-/// spans and events: a single relaxed atomic load once the mode has been
-/// resolved.
+/// spans, events and counters: a single relaxed atomic load once the mode
+/// has been resolved.
 #[inline]
 pub fn enabled() -> bool {
-    gates() & GATE_TRACE != 0
+    match MODE.load(Ordering::Relaxed) {
+        0 => false,
+        MODE_UNSET => mode() != TraceMode::Off,
+        _ => true,
+    }
 }
 
 /// Validates a trace-mode spec without applying it or touching the
@@ -375,7 +315,7 @@ pub fn set_mode_spec(spec: &str) -> Result<TraceMode, String> {
         st.jsonl = Some(BufWriter::new(file));
         st.next_seq = 1;
         drop(st);
-        store_mode(TraceMode::Jsonl);
+        MODE.store(TraceMode::Jsonl as u8, Ordering::Relaxed);
         return Ok(TraceMode::Jsonl);
     }
     // Off / Summary: drop any previous jsonl sink.
@@ -385,20 +325,19 @@ pub fn set_mode_spec(spec: &str) -> Result<TraceMode, String> {
             let _ = old.flush();
         }
     }
-    store_mode(resolved);
+    MODE.store(resolved as u8, Ordering::Relaxed);
     Ok(resolved)
 }
 
-/// Clears all collected data, registry included, turns the registry off
-/// and sets a fresh mode (tests, repeated CLI invocations in one
-/// process). Accepts the same specs as [`set_mode_spec`].
+/// Clears all collected data, counters included, and sets a fresh mode
+/// (tests, repeated CLI invocations in one process). Accepts the same
+/// specs as [`set_mode_spec`].
 pub fn reset(spec: &str) -> Result<TraceMode, String> {
     {
         let mut st = lock_state();
         *st = State::new();
     }
-    REGISTRY_ON.store(false, Ordering::Relaxed);
-    store_mode(TraceMode::Off);
+    MODE.store(TraceMode::Off as u8, Ordering::Relaxed);
     set_mode_spec(spec)
 }
 
@@ -576,10 +515,10 @@ pub fn parent_scope(parent: Option<u64>) -> ParentScope {
     }
 }
 
-/// Adds `delta` to the named registry counter. A no-op costing one
-/// relaxed atomic load when the registry is off.
+/// Adds `delta` to the named counter. A no-op costing one relaxed atomic
+/// load when tracing is off.
 pub fn counter_add(name: &str, delta: u64) {
-    if gates() & GATE_REGISTRY == 0 || delta == 0 {
+    if !enabled() || delta == 0 {
         return;
     }
     let mut st = lock_state();
@@ -589,23 +528,6 @@ pub fn counter_add(name: &str, delta: u64) {
         Some(v) => *v += delta,
         None => {
             st.counters.insert(name.to_string(), delta);
-        }
-    }
-}
-
-/// Records one value into the named registry [`Histogram`]. A no-op
-/// costing one relaxed atomic load when the registry is off.
-pub fn record_value(name: &str, value: f64) {
-    if gates() & GATE_REGISTRY == 0 {
-        return;
-    }
-    let mut st = lock_state();
-    match st.histograms.get_mut(name) {
-        Some(h) => h.record(value),
-        None => {
-            let mut h = Histogram::new();
-            h.record(value);
-            st.histograms.insert(name.to_string(), h);
         }
     }
 }
@@ -630,25 +552,9 @@ pub fn instant_event(name: &str, detail: &str) {
     st.instants.push(name.to_string());
 }
 
-/// Current value of a registry counter (0 if never incremented). Test
-/// helper.
+/// Current value of a counter (0 if never incremented). Test helper.
 pub fn counter_value(name: &str) -> u64 {
     lock_state().counters.get(name).copied().unwrap_or(0)
-}
-
-/// Point-in-time copy of the registry.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RegistrySnapshot {
-    /// Counters by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Histogram snapshots by name (empty histograms are omitted).
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
-}
-
-/// Snapshots every registry counter and histogram. Empty when nothing
-/// was recorded since the last [`reset`].
-pub fn snapshot() -> RegistrySnapshot {
-    lock_state().registry()
 }
 
 /// Number of recorded instant events with the given name. Test helper.
@@ -734,14 +640,14 @@ fn fmt_us(us: f64) -> String {
 }
 
 /// Renders the human-readable summary: the aggregated span tree followed
-/// by the registry's counters and histograms. Empty string when tracing
-/// is off or nothing was recorded.
+/// by the counters. Empty string when tracing is off or nothing was
+/// recorded.
 pub fn summary_tree() -> String {
     if !enabled() {
         return String::new();
     }
     let st = lock_state();
-    if st.closed.is_empty() && st.counters.is_empty() && st.histograms.is_empty() {
+    if st.closed.is_empty() && st.counters.is_empty() {
         return String::new();
     }
 
@@ -797,68 +703,34 @@ pub fn summary_tree() -> String {
             let _ = writeln!(out, "{label:<42} {value:>12}");
         }
     }
-    let histograms = st.registry().histograms;
-    if !histograms.is_empty() {
-        out.push_str("  stats (count / min / mean / max):\n");
-        for (name, h) in &histograms {
-            let label = format!("    {name}");
-            let _ = writeln!(
-                out,
-                "{label:<42} {:>5}\u{d7}  {:.3} / {:.3} / {:.3}",
-                h.count,
-                h.min,
-                h.sum / h.count as f64,
-                h.max
-            );
-        }
-    }
     out
 }
 
-/// Flushes the active sink: for JSONL, the registry's counters and
-/// histograms are written as `counter`/`stat` events followed by a
-/// `finish` event. The registry keeps its totals — the `vpec-metrics`
-/// exposition reads them too — so each call writes the totals so far.
-/// Safe to call repeatedly and in any mode.
+/// Flushes the active sink: for JSONL, the counters are written as
+/// `counter` events followed by a `finish` event. The counters keep their
+/// totals, so each call writes the totals so far. Safe to call repeatedly
+/// and in any mode.
 pub fn finish() {
     if !enabled() {
         return;
     }
     let mut st = lock_state();
     if st.jsonl.is_some() {
-        let snap = st.registry();
-        for (name, value) in &snap.counters {
+        let counters = std::mem::take(&mut st.counters);
+        for (name, value) in &counters {
             let line = format!(
                 "{{\"ev\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
                 json::escape(name)
             );
             st.write_line(&line);
         }
-        for (name, s) in &snap.histograms {
-            let line = format!(
-                "{{\"ev\":\"stat\",\"name\":\"{}\",\"count\":{},\"min\":{},\"max\":{},\"sum\":{}}}",
-                json::escape(name),
-                s.count,
-                fmt_json_f64(s.min),
-                fmt_json_f64(s.max),
-                fmt_json_f64(s.sum)
-            );
-            st.write_line(&line);
-        }
+        st.counters = counters;
         let t_us = now_us();
         let line = format!("{{\"ev\":\"finish\",\"t_us\":{t_us:.3}}}");
         st.write_line(&line);
     }
     if let Some(w) = st.jsonl.as_mut() {
         let _ = w.flush();
-    }
-}
-
-fn fmt_json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
     }
 }
 
@@ -873,8 +745,6 @@ pub struct JsonlSummary {
     pub instants: usize,
     /// Number of `counter` events.
     pub counters: usize,
-    /// Number of `stat` events.
-    pub stats: usize,
     /// Distinct span names seen on `open` events, sorted.
     pub span_names: Vec<String>,
     /// Distinct instant-event names seen, sorted.
@@ -946,7 +816,6 @@ pub fn validate_jsonl(content: &str) -> Result<JsonlSummary, String> {
                 summary.instants += 1;
             }
             "counter" => summary.counters += 1,
-            "stat" => summary.stats += 1,
             "finish" => {}
             other => return Err(format!("line {n}: unknown event tag {other:?}")),
         }
@@ -981,12 +850,11 @@ mod tests {
             let mut s = span("should.not.exist");
             s.set_attr("k", "v");
             counter_add("c", 5);
-            record_value("r", 1.0);
             instant_event("e", "detail");
         }
         assert!(!enabled());
         assert_eq!(closed_span_count(), 0);
-        assert_eq!(snapshot(), RegistrySnapshot::default());
+        assert_eq!(counter_value("c"), 0);
         assert_eq!(summary_tree(), "");
         assert!(phase_totals_since(mark()).is_empty());
     }
@@ -1044,86 +912,19 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_stats_accumulate() {
+    fn counters_accumulate_while_tracing() {
         let _g = guard();
         reset("summary").unwrap();
         counter_add("hits", 2);
         counter_add("hits", 3);
-        record_value("sizes", 4.0);
-        record_value("sizes", 8.0);
         assert_eq!(counter_value("hits"), 5);
         let tree = summary_tree();
         assert!(tree.contains("hits"), "{tree}");
-        assert!(tree.contains("sizes"), "{tree}");
-        reset("off").unwrap();
-    }
-
-    #[test]
-    fn registry_counts_call_sites_with_tracing_off() {
-        let _g = guard();
-        reset("off").unwrap();
-        enable_registry();
-        // Tracing stays off: the registry bit alone records counters
-        // fired at call sites (engine cache hits, retries) and histograms.
-        assert!(!enabled());
-        counter_add("engine.cache.hit", 4);
-        record_value("engine.request.total_ms", 2.5);
-        {
-            let _s = span("not.recorded");
-        }
-        let snap = snapshot();
-        assert_eq!(snap.counters.get("engine.cache.hit"), Some(&4));
-        assert_eq!(
-            snap.histograms
-                .get("engine.request.total_ms")
-                .map(|h| h.count),
-            Some(1)
-        );
-        assert_eq!(closed_span_count(), 0);
-        // Switching tracing on and off again keeps the registry on.
-        set_mode_spec("summary").unwrap();
+        // Counters record exactly when tracing is on.
         set_mode_spec("off").unwrap();
-        counter_add("engine.cache.hit", 1);
-        assert_eq!(counter_value("engine.cache.hit"), 5);
-        // `reset` turns the registry off and empties it.
+        counter_add("hits", 1);
+        assert_eq!(counter_value("hits"), 5);
         reset("off").unwrap();
-        counter_add("engine.cache.hit", 1);
-        assert_eq!(snapshot(), RegistrySnapshot::default());
-    }
-
-    #[test]
-    fn finish_keeps_the_registry_totals() {
-        let _g = guard();
-        let path = std::env::temp_dir().join("vpec_trace_finish_totals.jsonl");
-        reset(&format!("jsonl:{}", path.display())).unwrap();
-        enable_registry();
-        counter_add("engine.requests", 1);
-        counter_add("engine.requests", 1);
-        record_value("engine.request.total_ms", 1.0);
-        finish();
-        counter_add("engine.requests", 1);
-        record_value("engine.request.total_ms", 3.0);
-        finish();
-        // The JSONL tail was written twice, yet the totals a metrics
-        // exposition reads still count every request.
-        let snap = snapshot();
-        assert_eq!(snap.counters.get("engine.requests"), Some(&3));
-        assert_eq!(
-            snap.histograms
-                .get("engine.request.total_ms")
-                .map(|h| h.count),
-            Some(2)
-        );
-        reset("off").unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        let summary = validate_jsonl(&content).unwrap();
-        assert_eq!((summary.counters, summary.stats), (2, 2));
-        let last = content
-            .lines()
-            .rfind(|l| l.contains("\"ev\":\"counter\""))
-            .unwrap();
-        assert!(last.contains("\"value\":3"), "{last}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1139,7 +940,6 @@ mod tests {
             instant_event("tick", "quote \" and \\ backslash");
         }
         counter_add("n", 7);
-        record_value("v", 3.5);
         finish();
         reset("off").unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
@@ -1148,7 +948,6 @@ mod tests {
         assert_eq!(summary.closes, 2);
         assert_eq!(summary.instants, 1);
         assert_eq!(summary.counters, 1);
-        assert_eq!(summary.stats, 1);
         assert_eq!(
             summary.span_names,
             vec!["alpha".to_string(), "beta".to_string()]

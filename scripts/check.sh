@@ -72,6 +72,15 @@ echo "==> workload benchmark tests (every workload's oracles at toy size)"
 # the workspace test run above does not reach it.
 timeout 600 cargo test -q --release --manifest-path workload-bench/Cargo.toml
 
+echo "==> telemetry line budget (crates/trace + crates/metrics, at most 3,100 lines)"
+# ROADMAP item 8 adds per-layer and accuracy evidence to the ledger
+# within this budget (DESIGN.md §10.3), so telemetry code that nothing
+# reads has to go before more comes in.
+telemetry_lines=$(cat crates/trace/src/*.rs crates/metrics/src/*.rs | wc -l)
+echo "telemetry crates: $telemetry_lines lines"
+[ "$telemetry_lines" -le 3100 ] \
+  || { echo "crates/trace + crates/metrics exceed the 3,100-line budget" >&2; exit 1; }
+
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 # Besides clippy's defaults this enforces the project rules (DESIGN.md
 # §14): unsafe-audit (`unsafe_code = "forbid"` in the root Cargo.toml's
@@ -161,12 +170,18 @@ grep -q '1 retries' "$batch_err" || { echo "batch smoke: summary must report 1 r
 # the schema before aggregating — a dropped or reordered line fails it).
 [ "$(wc -l < "$batch_ledger")" -eq 7 ] || { echo "batch smoke: expected 7 ledger records" >&2; exit 1; }
 # The exposition counts every request once, in the request counter and in
-# the latency histogram, and carries the engine's call-site counters (a
-# cache hit) although tracing is off.
+# the latency histogram, and counts the cache hit, all tallied from the
+# run records with tracing off.
 for line in '^vpec_engine_requests_total 7$' '^vpec_engine_request_total_ms_count 7$' \
             '^vpec_engine_cache_hit_total '; do
   grep -q "$line" "$batch_prom" || { echo "batch smoke: exposition lacks $line" >&2; exit 1; }
 done
+# Every series is one of the engine's request metrics: no library
+# counter reaches the exposition.
+if grep -v '^# ' "$batch_prom" | grep -v '^vpec_engine_'; then
+  echo "batch smoke: exposition holds a series outside vpec_engine_" >&2
+  exit 1
+fi
 
 echo "==> fleet stats smoke run (vpec stats over the batch ledger, --fail-if gates)"
 stats_json="target/batch_smoke_stats.json"

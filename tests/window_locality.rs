@@ -1,6 +1,6 @@
 //! What a windowed build costs in partial-inductance evaluations, and
 //! that the dense `L` is built once per extraction and only when a dense
-//! model asks for it. Both read process-global registry counters, so the
+//! model asks for it. Both read process-global trace counters, so the
 //! tests take one lock.
 
 use std::sync::Mutex;
@@ -8,7 +8,7 @@ use vpec::core::windowed::windowed_geometric;
 use vpec::prelude::*;
 use vpec::trace;
 
-/// Serializes tests against the process-global counter registry.
+/// Serializes tests against the process-global trace counters.
 fn guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     match LOCK.lock() {
@@ -27,8 +27,7 @@ const READS_PER_FILAMENT: u64 = 16;
 #[test]
 fn gwvpec_at_8192_bits_never_builds_the_dense_matrix() {
     let _g = guard();
-    trace::reset("off").unwrap();
-    trace::enable_registry();
+    trace::reset("summary").unwrap();
     let bits = 8192;
     let para = extract(
         &BusSpec::new(bits).build(),
@@ -55,8 +54,7 @@ fn gwvpec_at_8192_bits_never_builds_the_dense_matrix() {
 #[test]
 fn dense_models_on_one_experiment_build_l_once() {
     let _g = guard();
-    trace::reset("off").unwrap();
-    trace::enable_registry();
+    trace::reset("summary").unwrap();
     let bits = 24;
     let exp = Experiment::new(
         BusSpec::new(bits).build(),
