@@ -5,9 +5,9 @@
 use crate::lower::build_vpec;
 use crate::peec::{build_peec, ModelCircuit};
 use crate::repair::{repair_passivity, RepairReport, DEFAULT_MARGIN};
-use crate::truncation::{truncate_geometric, truncate_numerical};
+use crate::truncation::{geometric_window, truncate_numerical};
 use crate::windowed::{windowed_geometric, windowed_numerical};
-use crate::{CoreError, DriveConfig, VpecModel};
+use crate::{adjacent_pairs, CoreError, DriveConfig, VpecModel};
 use std::time::Instant;
 use vpec_circuit::ac::{run_ac, AcSpec};
 use vpec_circuit::spice_in::parse_value;
@@ -294,16 +294,16 @@ impl Experiment {
                     reason: "PEEC-family kinds are not VPEC models",
                 })
             }
-            ModelKind::VpecFull => VpecModel::full_cancel(&self.parasitics, cancel)?,
+            ModelKind::VpecFull => VpecModel::full_cancel(&self.parasitics, |_, _| true, cancel)?,
             ModelKind::VpecLocalized => {
-                VpecModel::full_cancel(&self.parasitics, cancel)?.localized_from_full(&self.layout)
+                VpecModel::full_cancel(&self.parasitics, adjacent_pairs(&self.layout), cancel)?
             }
             ModelKind::TVpecGeometric { nw, nl } => {
-                let full = VpecModel::full_cancel(&self.parasitics, cancel)?;
-                truncate_geometric(&full, &self.layout, nw, nl)?
+                let window = geometric_window(&self.layout, self.parasitics.len(), nw, nl)?;
+                VpecModel::full_cancel(&self.parasitics, window, cancel)?
             }
             ModelKind::TVpecNumerical { threshold } => {
-                let full = VpecModel::full_cancel(&self.parasitics, cancel)?;
+                let full = VpecModel::full_cancel(&self.parasitics, |_, _| true, cancel)?;
                 truncate_numerical(&full, threshold)?
             }
             ModelKind::WVpecGeometric { b } => windowed_geometric(&self.parasitics, b)?,

@@ -8,11 +8,15 @@
 //! * the **full VPEC model** by inverting the partial-inductance matrix:
 //!   `Ĝ = Dₗ·L⁻¹·Dₗ` ([`VpecModel::full`]), provably symmetric positive
 //!   definite and strictly diagonally dominant ([`PassivityReport`]);
-//! * the **localized VPEC** of Pacelli (adjacent couplings only), kept as
-//!   the accuracy baseline of Fig. 2 ([`VpecModel::localized_from_full`]);
-//! * the **tVPEC** sparsifications — geometric `(N_W, N_L)` windows over a
-//!   bus ([`truncation::truncate_geometric`]) and per-row numerical
-//!   thresholds ([`truncation::truncate_numerical`]);
+//! * models that keep a known subset of the full model's couplings,
+//!   formed straight from the Cholesky factor of `L` with no `n × n`
+//!   inverse and no `n²` entry list ([`VpecModel::full_cancel`] with a
+//!   keep predicate): the **localized VPEC** of Pacelli (adjacent
+//!   couplings only, [`adjacent_pairs`]), kept as the accuracy baseline
+//!   of Fig. 2, and geometric **tVPEC**, the `(N_W, N_L)` windows over a
+//!   bus ([`truncation::geometric_window`]);
+//! * numerical **tVPEC**, per-row thresholds on the full model's values
+//!   ([`truncation::truncate_numerical`]);
 //! * the **wVPEC** sparsifications that avoid the full `O(N³)` inversion by
 //!   inverting `b×b` coupling-window submatrices and merging rows with the
 //!   passivity-preserving `max` heuristic ([`windowed::windowed_geometric`],
@@ -71,5 +75,5 @@ mod model;
 pub use drive::DriveConfig;
 pub use error::CoreError;
 pub use harness::SolveReport;
-pub use model::{PassivityReport, VpecModel};
+pub use model::{adjacent_pairs, PassivityReport, VpecModel};
 pub use repair::{repair_passivity, RepairReport};

@@ -50,6 +50,7 @@ pub fn build_vpec(
 
     // Per filament: the magnetic branch `v_mid − v_out = lᵢ·dAᵢ/dt`, the
     // ground resistance R̂ᵢ₀ on aᵢ and the injection lᵢ·Iᵢ into aᵢ.
+    let ground = model.ground_conductances();
     let mut mag_nodes = Vec::with_capacity(n);
     for (i, span) in spans.iter().enumerate() {
         let li = model.lengths()[i];
@@ -57,12 +58,7 @@ pub fn build_vpec(
         let a_node = ckt.node(&format!("a{i}"));
         mag_nodes.push(a_node);
         let branch = ckt.add_magnetic_branch(&i.to_string(), mid, out, a_node, li)?;
-        ckt.add_resistor(
-            &format!("rg{i}"),
-            a_node,
-            Circuit::GROUND,
-            model.ground_resistance(i),
-        )?;
+        ckt.add_resistor(&format!("rg{i}"), a_node, Circuit::GROUND, 1.0 / ground[i])?;
         ckt.add_cccs(&format!("f{i}"), Circuit::GROUND, a_node, branch, li)?;
     }
 

@@ -43,22 +43,36 @@ impl VpecModel {
     /// [`CoreError::BadInductanceMatrix`] if `L` is singular, and
     /// [`CoreError::InvalidParameter`] for an empty model.
     pub fn full(parasitics: &Parasitics) -> Result<Self, CoreError> {
-        Self::full_cancel(parasitics, &CancelToken::none())
+        Self::full_cancel(parasitics, |_, _| true, &CancelToken::none())
     }
 
-    /// [`VpecModel::full`] with cooperative cancellation: the token is
-    /// threaded through both the factorization (polled per elimination
-    /// column) and the inversion (polled per block of four inverse
-    /// columns, or per column on the LU fallback), so a deadline watchdog
-    /// can abort the O(N³) hot path mid-flight.
+    /// The full model's diagonal and the couplings `(i, j)`, `i < j`, for
+    /// which `keep(i, j)` holds: `VpecModel::full(p).retain(keep)`, entry
+    /// for entry, without forming the others. From the Cholesky factor
+    /// `L = G·Gᵀ`, each kept `Sᵢⱼ` is one dot product of two columns of
+    /// `G⁻¹` ([`Cholesky::inverse_entries`]), so a truncated model costs
+    /// the factor and `G⁻¹` but neither an `n × n` inverse nor an `n²`
+    /// entry list. The LU fallback forms its dense inverse and keeps the
+    /// same pairs.
+    ///
+    /// The token is threaded through the factorization (polled per
+    /// elimination column) and the inversion (polled per block of four
+    /// columns of `G⁻¹` and per tile of entries, or per column on the LU
+    /// fallback), so a deadline watchdog can abort the O(N³) hot path
+    /// mid-flight.
     ///
     /// # Errors
     ///
     /// As [`VpecModel::full`]; a fired token surfaces as
     /// [`CoreError::BadInductanceMatrix`] wrapping
     /// [`NumericsError::Cancelled`](vpec_numerics::NumericsError::Cancelled).
-    pub fn full_cancel(parasitics: &Parasitics, cancel: &CancelToken) -> Result<Self, CoreError> {
+    pub fn full_cancel(
+        parasitics: &Parasitics,
+        keep: impl Fn(usize, usize) -> bool + Sync,
+        cancel: &CancelToken,
+    ) -> Result<Self, CoreError> {
         let l = parasitics.inductance();
+        let lengths = &parasitics.lengths;
         let n = l.rows();
         if n == 0 {
             return Err(CoreError::InvalidParameter {
@@ -67,40 +81,51 @@ impl VpecModel {
         }
         let mut sp = vpec_trace::span!("model.invert", "dim" => n);
         let threads = vpec_numerics::pool::max_threads();
-        let s = match Cholesky::with_threads_cancel(l, threads, cancel) {
+        match Cholesky::with_threads_cancel(l, threads, cancel) {
             Ok(ch) => {
                 sp.set_attr("backend", "cholesky");
-                ch.inverse_cancel(cancel)?
+                let s = ch.inverse_entries(keep, cancel)?;
+                let g_diag = s.diag.iter().zip(lengths).map(|(d, l)| l * l * d).collect();
+                let g_off = s
+                    .upper
+                    .into_iter()
+                    .map(|(i, j, v)| (i, j, lengths[i] * lengths[j] * v))
+                    .filter(|&(_, _, v)| v != 0.0)
+                    .collect();
+                Ok(VpecModel {
+                    lengths: lengths.clone(),
+                    g_diag,
+                    g_off,
+                })
             }
             // A cancelled factorization must not fall through to the LU
             // retry — that would restart the work the deadline just killed.
-            Err(e @ NumericsError::Cancelled { .. }) => return Err(e.into()),
+            Err(e @ NumericsError::Cancelled { .. }) => Err(e.into()),
             Err(_) => {
                 sp.set_attr("backend", "lu");
-                LuFactor::new_cancel(l, cancel)?.inverse_cancel(cancel)?
+                let s = LuFactor::new_cancel(l, cancel)?.inverse_cancel(cancel)?;
+                Ok(Self::from_inverse(&s, lengths, keep))
             }
-        };
-        Ok(Self::from_inverse(&s, &parasitics.lengths))
+        }
     }
 
-    /// Builds a model from an (approximate) inverse `S` of `L` and the
-    /// filament lengths. Off-diagonal entries are symmetrized by averaging
-    /// (exact inverses are already symmetric).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes disagree.
-    pub fn from_inverse(s: &DenseMatrix<f64>, lengths: &[f64]) -> Self {
+    /// Builds a model from an approximate inverse `S` of `L`, the filament
+    /// lengths and the couplings to keep. Off-diagonal entries are
+    /// symmetrized by averaging, since an LU inverse is symmetric only to
+    /// rounding.
+    fn from_inverse(
+        s: &DenseMatrix<f64>,
+        lengths: &[f64],
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> Self {
         let n = s.rows();
-        assert_eq!(n, s.cols(), "inverse must be square");
-        assert_eq!(n, lengths.len(), "lengths must match matrix dimension");
         let mut g_diag = Vec::with_capacity(n);
         let mut g_off = Vec::new();
         for i in 0..n {
             g_diag.push(lengths[i] * lengths[i] * s[(i, i)]);
             for j in (i + 1)..n {
                 let v = lengths[i] * lengths[j] * 0.5 * (s[(i, j)] + s[(j, i)]);
-                if v != 0.0 {
+                if v != 0.0 && keep(i, j) {
                     g_off.push((i, j, v));
                 }
             }
@@ -190,21 +215,17 @@ impl VpecModel {
             .map(|&(_, _, g)| -1.0 / g)
     }
 
-    /// Effective ground resistance `R̂ᵢ₀ = 1/(Ĝᵢᵢ + Σⱼ Ĝᵢⱼ)` over the
-    /// *kept* couplings — i.e. the ground conductance that makes the
-    /// magnetic node's total self-conductance equal `Ĝᵢᵢ`.
-    pub fn ground_resistance(&self, i: usize) -> f64 {
-        1.0 / self.ground_conductance(i)
-    }
-
-    /// Ground conductance `Ĝᵢᵢ + Σⱼ Ĝᵢⱼ` over kept couplings (positive by
-    /// strict diagonal dominance).
-    pub fn ground_conductance(&self, i: usize) -> f64 {
-        let mut g = self.g_diag[i];
-        for &(a, b, v) in &self.g_off {
-            if a == i || b == i {
-                g += v;
-            }
+    /// Ground conductance `Ĝᵢᵢ + Σⱼ Ĝᵢⱼ` of every filament over the *kept*
+    /// couplings (positive by strict diagonal dominance): the conductance
+    /// to vector-potential ground that makes each magnetic node's total
+    /// self-conductance equal `Ĝᵢᵢ`, and the reciprocal of the effective
+    /// ground resistance `R̂ᵢ₀`. One pass over the couplings adds each to
+    /// both its rows, in stored order.
+    pub fn ground_conductances(&self) -> Vec<f64> {
+        let mut g = self.g_diag.clone();
+        for &(i, j, v) in &self.g_off {
+            g[i] += v;
+            g[j] += v;
         }
         g
     }
@@ -224,49 +245,6 @@ impl VpecModel {
                 .copied()
                 .collect(),
         }
-    }
-
-    /// The **localized VPEC** model of Pacelli: keep only couplings
-    /// between geometrically adjacent filaments of the full model. As in
-    /// the paper's §II-C, this is derived from the accurate full model
-    /// ("we find an accurate full VPEC model and then only keep the
-    /// adjacently coupled resistances").
-    ///
-    /// Adjacency: parallel filaments at (approximately) the minimal
-    /// positive radial distance of either filament, or abutting collinear
-    /// segments of the same line.
-    #[must_use]
-    pub fn localized_from_full(&self, layout: &Layout) -> VpecModel {
-        let fils = layout.filaments();
-        let n = fils.len().min(self.len());
-        // Minimal positive radial distance per filament among parallel
-        // neighbours.
-        let mut min_d = vec![f64::INFINITY; n];
-        for i in 0..n {
-            for j in 0..n {
-                if i == j || !fils[i].is_parallel_to(&fils[j]) {
-                    continue;
-                }
-                let d = fils[i].radial_distance_to(&fils[j]);
-                if d > 0.0 && d < min_d[i] {
-                    min_d[i] = d;
-                }
-            }
-        }
-        self.retain(|i, j| {
-            let (a, b) = (&fils[i], &fils[j]);
-            if !a.is_parallel_to(b) {
-                return false;
-            }
-            let d = a.radial_distance_to(b);
-            if d == 0.0 {
-                // Same line: adjacent iff the segments abut.
-                let (s1, e1) = a.span();
-                let (s2, e2) = b.span();
-                return (e1 - s2).abs() < 1e-12 || (e2 - s1).abs() < 1e-12;
-            }
-            d <= 1.01 * min_d[i].min(min_d[j])
-        })
     }
 
     /// Densifies `Ĝ` (for verification and small models).
@@ -339,6 +317,51 @@ impl VpecModel {
             strictly_diag_dominant: sdd,
             positive_definite: gershgorin || Cholesky::new(&self.g_matrix()).is_ok(),
         }
+    }
+}
+
+/// The couplings the **localized VPEC** model of Pacelli keeps: only
+/// those between geometrically adjacent filaments. As in the paper's
+/// §II-C, the model is the accurate full model with only these couplings
+/// left ("we find an accurate full VPEC model and then only keep the
+/// adjacently coupled resistances"), so it is
+/// `VpecModel::full_cancel(p, adjacent_pairs(&layout), …)`.
+///
+/// Adjacency: parallel filaments at (approximately) the minimal positive
+/// radial distance of either filament, or abutting collinear segments of
+/// the same line. Pairs outside the layout are not adjacent.
+pub fn adjacent_pairs(layout: &Layout) -> impl Fn(usize, usize) -> bool + Sync + '_ {
+    let fils = layout.filaments();
+    let n = fils.len();
+    // Minimal positive radial distance per filament among parallel
+    // neighbours.
+    let mut min_d = vec![f64::INFINITY; n];
+    for i in 0..n {
+        for j in 0..n {
+            if i == j || !fils[i].is_parallel_to(&fils[j]) {
+                continue;
+            }
+            let d = fils[i].radial_distance_to(&fils[j]);
+            if d > 0.0 && d < min_d[i] {
+                min_d[i] = d;
+            }
+        }
+    }
+    move |i, j| {
+        let (Some(a), Some(b)) = (fils.get(i), fils.get(j)) else {
+            return false;
+        };
+        if !a.is_parallel_to(b) {
+            return false;
+        }
+        let d = a.radial_distance_to(b);
+        if d == 0.0 {
+            // Same line: adjacent iff the segments abut.
+            let (s1, e1) = a.span();
+            let (s2, e2) = b.span();
+            return (e1 - s2).abs() < 1e-12 || (e2 - s1).abs() < 1e-12;
+        }
+        d <= 1.01 * min_d[i].min(min_d[j])
     }
 }
 
@@ -435,11 +458,18 @@ mod tests {
             "Ĝ must be the length-scaled inverse of L"
         );
 
+        // The LU inverse keeps the pairs it is asked to keep.
+        let band = |i: usize, j: usize| j - i == 1;
+        assert_eq!(
+            VpecModel::full_cancel(&para, band, &CancelToken::none()).unwrap(),
+            m.retain(band)
+        );
+
         // A fired token stops the build instead of retrying through LU.
         let token = CancelToken::new();
         token.cancel();
         assert!(matches!(
-            VpecModel::full_cancel(&para, &token),
+            VpecModel::full_cancel(&para, |_, _| true, &token),
             Err(CoreError::BadInductanceMatrix(
                 NumericsError::Cancelled { .. }
             ))
@@ -449,8 +479,8 @@ mod tests {
     #[test]
     fn effective_resistances_positive_for_bus() {
         let (m, _) = bus_model(8);
-        for i in 0..m.len() {
-            assert!(m.ground_resistance(i) > 0.0, "R̂i0 must be positive");
+        for (i, ground) in m.ground_conductances().into_iter().enumerate() {
+            assert!(1.0 / ground > 0.0, "R̂i0 must be positive");
             for j in (i + 1)..m.len() {
                 let r = m.coupling_resistance(i, j).expect("full model keeps all");
                 assert!(r > 0.0, "R̂ij must be positive for a parallel bus");
@@ -484,7 +514,7 @@ mod tests {
     #[test]
     fn localized_keeps_only_adjacent() {
         let (m, layout) = bus_model(6);
-        let loc = m.localized_from_full(&layout);
+        let loc = m.retain(adjacent_pairs(&layout));
         assert_eq!(loc.g_off().len(), 5, "5 adjacent pairs in a 6-bit bus");
         for &(i, j, _) in loc.g_off() {
             assert_eq!(j, i + 1);
@@ -561,13 +591,22 @@ mod tests {
     fn ground_conductance_adjusts_after_truncation() {
         let (m, _) = bus_model(5);
         let t = m.retain(|_, _| false); // drop all couplings
+        let (full, none) = (m.ground_conductances(), t.ground_conductances());
         for i in 0..5 {
             // With no couplings the ground conductance is the full diag.
-            assert!((t.ground_conductance(i) - t.g_diag()[i]).abs() < 1e-18);
+            assert_eq!(none[i], t.g_diag()[i]);
             // The full model's ground conductance is smaller (negative
             // couplings subtract).
-            assert!(m.ground_conductance(i) < t.ground_conductance(i));
-            assert!(m.ground_conductance(i) > 0.0);
+            assert!(full[i] < none[i]);
+            assert!(full[i] > 0.0);
+            // Each row's sum takes its couplings in stored order.
+            let mut row = m.g_diag()[i];
+            for &(a, b, v) in m.g_off() {
+                if a == i || b == i {
+                    row += v;
+                }
+            }
+            assert_eq!(full[i].to_bits(), row.to_bits());
         }
     }
 }

@@ -1,59 +1,69 @@
 //! tVPEC: truncation-based sparsification (paper §IV).
 //!
-//! Both truncations start from the **full** VPEC model (i.e. after the
-//! `O(N³)` inversion) and delete small off-diagonal entries of `Ĝ`; because
-//! `Ĝ` is strictly diagonally dominant (Theorem 2) the result is provably
-//! passive.
+//! Both truncations delete small off-diagonal entries of the full model's
+//! `Ĝ`, keeping the diagonal; because `Ĝ` is strictly diagonally dominant
+//! (Theorem 2) the result is provably passive. They differ in when they
+//! choose:
+//!
+//! * geometric truncation (gtVPEC) knows its pairs from the layout, so
+//!   [`geometric_window`] is a keep predicate that
+//!   [`VpecModel::full_cancel`] applies while inverting: only the kept
+//!   entries of `L⁻¹` are ever formed;
+//! * numerical truncation (ntVPEC) needs the values, so
+//!   [`truncate_numerical`] filters the full model after the `O(N³)`
+//!   inversion.
 
 use crate::{CoreError, VpecModel};
 use vpec_geometry::Layout;
 
-/// Geometric truncation (gtVPEC) for aligned parallel buses: the paper's
-/// truncating window `(N_W, N_L)`, where `N_W` and `N_L` are "the numbers
-/// of coupled segments in the directions of wire width and length". A
-/// coupling between filaments `i` and `j` is kept iff their lines are at
-/// most `N_W/2` bits apart *and* their segment positions are at most
-/// `N_L/2` segments apart — i.e. the window counts *total* coupled
-/// neighbours, so gtVPEC `(b, 1)` and gwVPEC with window size `b` have the
-/// same sparsification ratio (as the paper's Fig. 5 comparison assumes).
+/// The couplings geometric truncation (gtVPEC) keeps on an aligned
+/// parallel bus of `n` filaments: the paper's truncating window
+/// `(N_W, N_L)`, where `N_W` and `N_L` are "the numbers of coupled
+/// segments in the directions of wire width and length". A coupling
+/// between filaments `i` and `j` is kept iff their lines are at most
+/// `N_W/2` bits apart *and* their segment positions are at most `N_L/2`
+/// segments apart — i.e. the window counts *total* coupled neighbours, so
+/// gtVPEC `(b, 1)` and gwVPEC with window size `b` have the same
+/// sparsification ratio (as the paper's Fig. 5 comparison assumes).
 ///
 /// `(8, 2)` is the paper's fastest Table II setting (±4 bits, ±1
-/// segment).
+/// segment). gtVPEC is `VpecModel::full_cancel(p, window, …)`, or
+/// `full.retain(window)` from a full model, entry for entry.
 ///
 /// # Errors
 ///
 /// * [`CoreError::InvalidParameter`] if `nw` or `nl` is zero.
-/// * [`CoreError::ShapeMismatch`] if the layout does not cover the model.
-pub fn truncate_geometric(
-    full: &VpecModel,
+/// * [`CoreError::ShapeMismatch`] if the layout does not have `n`
+///   filaments.
+pub fn geometric_window(
     layout: &Layout,
+    n: usize,
     nw: usize,
     nl: usize,
-) -> Result<VpecModel, CoreError> {
-    let _sp = vpec_trace::span!("model.truncate", "kind" => "geometric", "dim" => full.len());
+) -> Result<impl Fn(usize, usize) -> bool + Sync, CoreError> {
     if nw == 0 || nl == 0 {
         return Err(CoreError::InvalidParameter {
             reason: "truncating window dimensions must be at least 1",
         });
     }
-    if layout.filaments().len() != full.len() {
+    if layout.filaments().len() != n {
         return Err(CoreError::ShapeMismatch {
-            parasitics: full.len(),
+            parasitics: n,
             layout: layout.filaments().len(),
         });
     }
     // (bit, segment) coordinates per filament, from the net structure.
-    let mut coord = vec![(0usize, 0usize); full.len()];
+    let mut coord = vec![(0usize, 0usize); n];
     for (bit, net) in layout.nets().iter().enumerate() {
         for (seg, &f) in net.filaments().iter().enumerate() {
             coord[f] = (bit, seg);
         }
     }
-    Ok(full.retain(|i, j| {
+    Ok(move |i: usize, j: usize| {
         let (bi, si) = coord[i];
         let (bj, sj) = coord[j];
         bi.abs_diff(bj) <= nw / 2 && si.abs_diff(sj) <= nl / 2
-    }))
+    })
 }
 
 /// Numerical truncation (ntVPEC), applicable to conductors of any shape:
@@ -72,19 +82,18 @@ pub fn truncate_numerical(full: &VpecModel, threshold: f64) -> Result<VpecModel,
             reason: "truncation threshold must be a nonnegative finite number",
         });
     }
-    let diag = full.g_diag().to_vec();
-    // Look up each entry's value by iterating the off-diagonals once.
-    let keep: std::collections::HashSet<(usize, usize)> = full
+    let diag = full.g_diag();
+    let g_off = full
         .g_off()
         .iter()
-        .filter(|&&(i, j, v)| {
-            let ri = v.abs() / diag[i];
-            let rj = v.abs() / diag[j];
-            ri >= threshold || rj >= threshold
-        })
-        .map(|&(i, j, _)| (i, j))
+        .filter(|&&(i, j, v)| v.abs() / diag[i] >= threshold || v.abs() / diag[j] >= threshold)
+        .copied()
         .collect();
-    Ok(full.retain(|i, j| keep.contains(&(i, j))))
+    Ok(VpecModel::from_parts(
+        full.lengths().to_vec(),
+        diag.to_vec(),
+        g_off,
+    ))
 }
 
 #[cfg(test)]
@@ -93,10 +102,67 @@ mod tests {
     use vpec_extract::{extract, ExtractionConfig};
     use vpec_geometry::BusSpec;
 
+    /// gtVPEC as `retain` of a full model.
+    fn truncate_geometric(
+        full: &VpecModel,
+        layout: &Layout,
+        nw: usize,
+        nl: usize,
+    ) -> Result<VpecModel, CoreError> {
+        Ok(full.retain(geometric_window(layout, full.len(), nw, nl)?))
+    }
+
     fn full_model(bits: usize, segs: usize) -> (VpecModel, Layout) {
         let layout = BusSpec::new(bits).segments(segs).build();
         let para = extract(&layout, &ExtractionConfig::paper_default());
         (VpecModel::full(&para).unwrap(), layout)
+    }
+
+    #[test]
+    fn factor_built_truncations_equal_retain_of_the_full_model() {
+        // gtVPEC and localized VPEC form only their kept entries of L⁻¹,
+        // straight from the Cholesky factor. On a 2-segment bus whose
+        // lines are misaligned (so forward couplings, parallel neighbours
+        // at several distances and abutting segments all occur), each must
+        // keep exactly the pairs `retain` keeps of the full model, with
+        // the same bits: every entry is one dot product, whichever others
+        // are formed.
+        use crate::harness::{Experiment, ModelKind};
+        let layout = BusSpec::new(9).segments(2).misalignment(0.5).build();
+        let exp = Experiment::new(
+            layout,
+            &ExtractionConfig::paper_default(),
+            crate::DriveConfig::paper_default(),
+        );
+        let full = VpecModel::full(&exp.parasitics).unwrap();
+        let bits = |m: &VpecModel| {
+            let diag: Vec<u64> = m.g_diag().iter().map(|v| v.to_bits()).collect();
+            let off: Vec<(usize, usize, u64)> = m
+                .g_off()
+                .iter()
+                .map(|&(i, j, v)| (i, j, v.to_bits()))
+                .collect();
+            (diag, off)
+        };
+        let cases = [
+            (
+                ModelKind::TVpecGeometric { nw: 4, nl: 1 },
+                truncate_geometric(&full, &exp.layout, 4, 1).unwrap(),
+            ),
+            (
+                ModelKind::TVpecGeometric { nw: 8, nl: 2 },
+                truncate_geometric(&full, &exp.layout, 8, 2).unwrap(),
+            ),
+            (
+                ModelKind::VpecLocalized,
+                full.retain(crate::model::adjacent_pairs(&exp.layout)),
+            ),
+        ];
+        for (kind, expected) in cases {
+            let (built, _) = exp.vpec_model(kind).unwrap();
+            assert!(!expected.g_off().is_empty() && expected.g_off().len() < full.g_off().len());
+            assert_eq!(bits(&built), bits(&expected), "{}", kind.label());
+        }
     }
 
     #[test]

@@ -441,7 +441,8 @@ mod tests {
         let layout = BusSpec::new(32).build();
         let full = VpecModel::full(&para).unwrap();
         let b = 8;
-        let trunc = crate::truncation::truncate_geometric(&full, &layout, b, 1).unwrap();
+        let trunc =
+            full.retain(crate::truncation::geometric_window(&layout, full.len(), b, 1).unwrap());
         let win = windowed_geometric(&para, b).unwrap();
         // Measure how well each sparse Ĝ reproduces Ĝ_full action on the
         // all-ones vector (a crude but monotone accuracy proxy).

@@ -55,8 +55,6 @@ pub struct ModelCache {
     experiments: HashMap<u64, Arc<Experiment>>,
     models: HashMap<(u64, String), Arc<BuiltModel>>,
     factors: HashMap<(u64, String, u64), Arc<TransientFactor>>,
-    hits: u64,
-    misses: u64,
     factor_hits: u64,
     factor_misses: u64,
 }
@@ -65,16 +63,6 @@ impl ModelCache {
     /// An empty cache.
     pub fn new() -> Self {
         ModelCache::default()
-    }
-
-    /// Model-level cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Model-level cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Transient-factor cache hits so far (factor-once/solve-many).
@@ -126,11 +114,9 @@ impl ModelCache {
     ) -> Result<(Arc<BuiltModel>, bool), CoreError> {
         let key = (hash, kind.label());
         if let Some(m) = self.models.get(&key) {
-            self.hits += 1;
             return Ok((Arc::clone(m), true));
         }
         let built = Arc::new(exp.build_cancel(kind, cancel)?);
-        self.misses += 1;
         self.models.insert(key, Arc::clone(&built));
         Ok((built, false))
     }
@@ -201,7 +187,6 @@ mod tests {
         // A different kind over the same geometry is a distinct model.
         let (_m3, hit) = cache.model_for(h1, &exp1, ModelKind::Peec, &token).unwrap();
         assert!(!hit);
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
     #[test]

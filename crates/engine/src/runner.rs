@@ -70,7 +70,8 @@ impl Default for EngineConfig {
     }
 }
 
-/// Aggregate counters for one [`Engine::run_stream`] run.
+/// Aggregate counters for one [`Engine::run_stream`] run, tallied from
+/// its run records, as the ledger and the exposition are.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamSummary {
     /// Requests seen (blank/comment lines excluded).
@@ -84,9 +85,10 @@ pub struct StreamSummary {
     /// Retries consumed across the stream (attempts beyond each
     /// request's first).
     pub retries: usize,
-    /// Model-cache hits over the whole stream.
+    /// Requests answered from the model cache: the records' `model_hit`.
     pub cache_hits: u64,
-    /// Model-cache misses over the whole stream.
+    /// Requests answered OK with a model built for them, as `vpec stats`
+    /// counts model-cache misses. Failed requests count toward neither.
     pub cache_misses: u64,
 }
 
@@ -189,7 +191,7 @@ impl Engine {
         &self.config
     }
 
-    /// The model cache (hit/miss counters for reporting).
+    /// The model cache (its factor-cache counters are read by tests).
     pub fn cache(&self) -> &ModelCache {
         &self.cache
     }
@@ -573,22 +575,22 @@ impl Engine {
                 }
             };
             summary.total += 1;
-            if response.ok {
+            if record.ok {
                 summary.ok += 1;
             } else {
                 summary.failed += 1;
             }
-            if response.degraded {
+            if record.degraded {
                 summary.degraded += 1;
             }
             summary.retries += record.retries;
+            summary.cache_hits += u64::from(record.model_hit);
+            summary.cache_misses += u64::from(record.ok && !record.model_hit);
             telemetry.observe(&record).map_err(io_err)?;
             writeln!(writer, "{}", response.to_json_line()).map_err(io_err)?;
             writer.flush().map_err(io_err)?;
             idle_since = Instant::now();
         }
-        summary.cache_hits = self.cache.hits();
-        summary.cache_misses = self.cache.misses();
         telemetry.finish().map_err(io_err)?;
         Ok(summary)
     }
@@ -613,7 +615,31 @@ mod tests {
         assert!(first.peak_mv.unwrap() > 0.0);
         let second = engine.run_request(&r);
         assert!(second.ok && second.cache_hit);
-        assert_eq!(engine.cache().hits(), 1);
+    }
+
+    #[test]
+    fn stream_summary_counts_cache_hits_per_request() {
+        // `bad` builds its model, fails its analysis (dt past t_stop),
+        // and retries: the retry finds the model the first attempt
+        // cached, and fails again. `ok` is then answered from the cache.
+        // Per request, as the ledger and the exposition count them, that
+        // is one hit and no miss; the cache's own look-ups were two hits
+        // and one miss.
+        let mut engine = Engine::new(EngineConfig {
+            retries: 1,
+            backoff_ms: 0,
+            ..EngineConfig::default()
+        });
+        let input = concat!(
+            r#"{"id":"bad","bits":3,"kind":"wvpec-g:2","t_stop":1e-12,"dt":1e-11}"#,
+            "\n",
+            r#"{"id":"ok","bits":3,"kind":"wvpec-g:2","t_stop":5e-11}"#,
+            "\n",
+        );
+        let mut out = Vec::new();
+        let summary = engine.run_stream(input.as_bytes(), &mut out).unwrap();
+        assert_eq!((summary.ok, summary.failed, summary.retries), (1, 1, 1));
+        assert_eq!((summary.cache_hits, summary.cache_misses), (1, 0));
     }
 
     #[test]

@@ -110,10 +110,6 @@ impl Cholesky {
     ///
     /// Numerical class: audited-close (the forward sweep reduces rows
     /// with the four-accumulator `kernel::dot4`).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "Numerical class: audited-close (the forward sweep reduces rows with four accumulators)"
-    )]
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
         let n = self.dim();
         if b.len() != n {
@@ -124,14 +120,7 @@ impl Cholesky {
             });
         }
         let mut x = b.to_vec();
-        // Forward sweep G·y = b, reducing each row slice against the
-        // solved prefix of x with the four-accumulator `kernel::dot4`
-        // (audited-close reassociation, deterministic per input).
-        for i in 0..n {
-            let (solved, rest) = x.split_at_mut(i);
-            let row = self.g.row(i);
-            rest[0] = (rest[0] - kernel::dot4(&row[..i], solved)) / row[i];
-        }
+        self.forward(&mut x);
         // Back sweep Gᵀ·x = y in saxpy form: as each xⱼ finalizes, its
         // contribution is swept into the remaining prefix using row j of G
         // as a contiguous slice (instead of striding down column j).
@@ -146,38 +135,87 @@ impl Cholesky {
         Ok(x)
     }
 
-    /// Computes `A⁻¹`.
+    /// Forward sweep `G·y = b` in place, reducing each row slice against
+    /// the solved prefix of `x` with the four-accumulator `kernel::dot4`
+    /// (audited-close reassociation, deterministic per input).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "Numerical class: audited-close (the forward sweep reduces rows with four accumulators)"
+    )]
+    fn forward(&self, x: &mut [f64]) {
+        for i in 0..x.len() {
+            let (solved, rest) = x.split_at_mut(i);
+            let row = self.g.row(i);
+            rest[0] = (rest[0] - kernel::dot4(&row[..i], solved)) / row[i];
+        }
+    }
+
+    /// Computes `A⁻¹` from every entry [`Cholesky::inverse_entries`]
+    /// forms when it keeps all pairs.
     ///
-    /// Numerical class: audited-close. On and below the diagonal, column
-    /// `j` of the result is [`Cholesky::solve`] of the unit vector `e_j`,
-    /// bit for bit; the upper triangle mirrors the lower, so the result
-    /// is exactly symmetric.
+    /// Numerical class: audited-close. Entries `(i, j)` and `(j, i)` are
+    /// one computed value, so the result is exactly symmetric.
     ///
     /// # Errors
     ///
     /// Cannot fail for a successfully constructed factorization; the
-    /// `Result` mirrors [`Cholesky::solve`].
+    /// `Result` mirrors [`Cholesky::inverse_cancel`].
     pub fn inverse(&self) -> Result<DenseMatrix<f64>, NumericsError> {
         self.inverse_cancel(&CancelToken::none())
     }
 
-    /// [`Cholesky::inverse`] with cooperative cancellation: the token is
-    /// polled once per block of four inverse columns and a set token
-    /// aborts with [`NumericsError::Cancelled`] — the deadline hook into
-    /// the `S = L⁻¹` hot path of the full VPEC extraction.
+    /// [`Cholesky::inverse`] with cooperative cancellation, polled as
+    /// [`Cholesky::inverse_entries`] polls it.
     ///
     /// # Errors
     ///
     /// [`NumericsError::Cancelled`] when the token fires; otherwise cannot
     /// fail for a successfully constructed factorization.
     pub fn inverse_cancel(&self, cancel: &CancelToken) -> Result<DenseMatrix<f64>, NumericsError> {
+        let s = self.inverse_entries(|_, _| true, cancel)?;
+        let mut inv = DenseMatrix::zeros(self.dim(), self.dim());
+        for (i, &d) in s.diag.iter().enumerate() {
+            inv[(i, i)] = d;
+        }
+        for &(i, j, v) in &s.upper {
+            inv[(i, j)] = v;
+            inv[(j, i)] = v;
+        }
+        Ok(inv)
+    }
+
+    /// The diagonal of `A⁻¹` and the entries `(i, j)`, `i < j`, for which
+    /// `keep(i, j)` holds, and no other entry: no `n × n` inverse is
+    /// formed.
+    ///
+    /// With `W = G⁻¹`, `A⁻¹ = Wᵀ·W`, so `(A⁻¹)ᵢⱼ = Σ_{k ≥ max(i,j)}
+    /// W_ki·W_kj`. Column `j` of `W` is the forward sweep of `solve(e_j)`
+    /// from row `j` down, bit for bit; all of `W` costs `n³/6`
+    /// multiply-adds. Each formed entry is then one dot product of two
+    /// columns of `W`, summed as `kernel::dot4` sums it from the multiple
+    /// of four at or below `max(i, j)`; the all-pairs product is another
+    /// `n³/6`, tiled so that chunks of the columns of `W` are reused from
+    /// the L1 cache (DESIGN §12.1).
+    ///
+    /// Numerical class: audited-close. An entry's value does not depend
+    /// on `keep`, on which other entries are formed, or on the worker
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// [`NumericsError::Cancelled`] when the token fires. It is polled
+    /// once per block of four columns of `W` and once per tile of the
+    /// product, and a token that fired at any point fails the whole call,
+    /// so no partial result escapes.
+    pub fn inverse_entries<F>(
+        &self,
+        keep: F,
+        cancel: &CancelToken,
+    ) -> Result<InverseEntries, NumericsError>
+    where
+        F: Fn(usize, usize) -> bool + Sync,
+    {
         let n = self.dim();
-        // Column j of A⁻¹ is needed from row j down only; symmetry gives
-        // the rest. Columns 4b..4b+3 share one trailing solve over rows
-        // 4b.. and are stored transposed, as rows 4b..4b+3 of the result,
-        // so each block owns four contiguous rows and any worker count
-        // gives the same bits. A skipped block leaves the flag set, and
-        // the check below turns it into an error.
         let nt = pool::threads_for(n, pool::PAR_MIN_COLS);
         let _sp = vpec_trace::span!(
             "cholesky.inverse",
@@ -185,70 +223,81 @@ impl Cholesky {
             "mode" => if nt > 1 { "parallel" } else { "serial" },
             "workers" => nt,
         );
-        let mut inv = DenseMatrix::zeros(n, n);
-        Pool::with_threads(nt).par_chunks_mut(inv.as_mut_slice(), (4 * n).max(1), |off, rows| {
-            if !cancel.is_cancelled() {
-                self.trailing_block(off / n, rows);
-            }
-        });
+        let cancelled = || NumericsError::Cancelled {
+            op: "cholesky inverse",
+        };
+        let pool = Pool::with_threads(nt);
+        let wt = self.inverse_factor(pool, cancel);
         if cancel.is_cancelled() {
-            return Err(NumericsError::Cancelled {
-                op: "cholesky inverse",
-            });
+            return Err(cancelled());
         }
-        for i in 1..n {
-            for j in 0..i {
-                inv[(i, j)] = inv[(j, i)];
-            }
+        // Panels near the top cost the most; `par_map` hands them out
+        // one at a time, first come first served.
+        let panels: Vec<usize> = (0..n).step_by(PANEL_ROWS).collect();
+        let parts = pool.par_map(&panels, |_, &p0| panel_entries(&wt, p0, &keep, cancel));
+        if cancel.is_cancelled() {
+            return Err(cancelled());
         }
-        Ok(inv)
+        let mut out = InverseEntries {
+            diag: Vec::with_capacity(n),
+            upper: Vec::with_capacity(parts.iter().map(|p| p.1.len()).sum()),
+        };
+        for (diag, upper) in parts {
+            out.diag.extend(diag);
+            out.upper.extend(upper);
+        }
+        Ok(out)
     }
 
-    /// Fills `rows` — rows `j0..` of the inverse, at most four — with
-    /// columns `j0..` of `A⁻¹` from row `j0` down.
-    fn trailing_block(&self, j0: usize, rows: &mut [f64]) {
+    /// `Wᵀ` for `W = G⁻¹`: row `j` is column `j` of `W` from entry `j`
+    /// on, zero before it. Columns `4b…4b+3` share one forward sweep from
+    /// row `4b`, and each block owns four contiguous rows, so any worker
+    /// count gives the same bits. The token is polled once per block; a
+    /// skipped block stays zero.
+    fn inverse_factor(&self, pool: Pool, cancel: &CancelToken) -> DenseMatrix<f64> {
+        let n = self.dim();
+        let mut wt = DenseMatrix::zeros(n, n);
+        pool.par_chunks_mut(wt.as_mut_slice(), (4 * n).max(1), |off, rows| {
+            if !cancel.is_cancelled() {
+                self.forward_block(off / n, rows);
+            }
+        });
+        wt
+    }
+
+    /// Fills `rows` — rows `j0..` of `Wᵀ`, at most four — with columns
+    /// `j0..` of `W = G⁻¹` from row `j0` down.
+    fn forward_block(&self, j0: usize, rows: &mut [f64]) {
         let mut it = rows.chunks_exact_mut(self.dim());
         match (it.next(), it.next(), it.next(), it.next()) {
-            (Some(a), Some(b), Some(c), Some(d)) => self.trailing_solve(j0, [a, b, c, d]),
-            (Some(a), Some(b), Some(c), None) => self.trailing_solve(j0, [a, b, c]),
-            (Some(a), Some(b), None, _) => self.trailing_solve(j0, [a, b]),
-            (Some(a), None, ..) => self.trailing_solve(j0, [a]),
+            (Some(a), Some(b), Some(c), Some(d)) => self.forward_sweeps(j0, [a, b, c, d]),
+            (Some(a), Some(b), Some(c), None) => self.forward_sweeps(j0, [a, b, c]),
+            (Some(a), Some(b), None, _) => self.forward_sweeps(j0, [a, b]),
+            (Some(a), None, ..) => self.forward_sweeps(j0, [a]),
             (None, ..) => {}
         }
     }
 
-    /// Solves `A·x_c = e_{j0+c}` for each of the `R` vectors of `x`,
-    /// computing entries `j0..` only. Entries above `j0` of `e_{j0+c}`'s
-    /// solution play no part in those below: the forward sweep's are
-    /// zero, and the back sweep of `Gᵀ·x = y` over rows `j0..` is a
-    /// closed system. Every kept entry therefore takes exactly the
-    /// operation sequence of [`Cholesky::solve`]; the `dot4` slices start
-    /// at `j0`, a multiple of four, so the skipped terms were exact
-    /// zeros in the same accumulator lanes.
+    /// Forward sweeps `G·w_c = e_{j0+c}` for each of the `R` vectors of
+    /// `w`, computing entries `j0..` only. The entries above `j0` are
+    /// zero, and the `dot4` slices start at `j0`, a multiple of four, so
+    /// the skipped terms were exact zeros in the same accumulator lanes:
+    /// every entry is the forward sweep of [`Cholesky::solve`] on
+    /// `e_{j0+c}`, bit for bit.
     #[expect(
         clippy::disallowed_methods,
         reason = "Numerical class: audited-close (the forward sweep is Cholesky::solve's four-accumulator reduction)"
     )]
-    fn trailing_solve<const R: usize>(&self, j0: usize, mut x: [&mut [f64]; R]) {
+    fn forward_sweeps<const R: usize>(&self, j0: usize, mut w: [&mut [f64]; R]) {
         let n = self.dim();
-        for (c, xc) in x.iter_mut().enumerate() {
-            xc[j0 + c] = 1.0;
+        for (c, wc) in w.iter_mut().enumerate() {
+            wc[j0 + c] = 1.0;
         }
         for i in j0..n {
             let row = self.g.row(i);
-            for xc in x.iter_mut() {
-                let (solved, rest) = xc.split_at_mut(i);
+            for wc in w.iter_mut() {
+                let (solved, rest) = wc.split_at_mut(i);
                 rest[0] = (rest[0] - kernel::dot4(&row[j0..i], &solved[j0..])) / row[i];
-            }
-        }
-        for k in (j0..n).rev() {
-            let row = self.g.row(k);
-            for xc in x.iter_mut() {
-                let xk = xc[k] / row[k];
-                xc[k] = xk;
-                for (xi, &gki) in xc[j0..k].iter_mut().zip(&row[j0..k]) {
-                    *xi -= gki * xk;
-                }
             }
         }
     }
@@ -264,6 +313,120 @@ impl Cholesky {
     pub fn is_spd(a: &DenseMatrix<f64>, sym_tol: f64) -> bool {
         a.is_symmetric(sym_tol) && Cholesky::new(a).is_ok()
     }
+}
+
+/// Entries of an SPD inverse formed by [`Cholesky::inverse_entries`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct InverseEntries {
+    /// `(A⁻¹)ᵢᵢ` for every `i`.
+    pub diag: Vec<f64>,
+    /// `(i, j, (A⁻¹)ᵢⱼ)` for every kept pair `i < j`, in row-major order.
+    pub upper: Vec<(usize, usize, f64)>,
+}
+
+/// Rows of `A⁻¹` per task of the product `Wᵀ·W` (DESIGN §12.2).
+const PANEL_ROWS: usize = 32;
+/// Columns of `A⁻¹` per tile of a panel (DESIGN §12.2).
+const TILE_COLS: usize = 32;
+/// Entries of each column of `W` per pass over a tile, a multiple of
+/// four (DESIGN §12.2): one pass's chunks of the tile's rows and columns
+/// stay in the L1 cache while every block of the tile reads them.
+const K_CHUNK: usize = 64;
+
+/// The diagonal and the kept upper entries of rows `p0..p0 + PANEL_ROWS`
+/// of `A⁻¹ = Wᵀ·W`, in row-major order, from `wt = Wᵀ` (zero left of its
+/// diagonal).
+///
+/// The panel is cut into tiles of [`TILE_COLS`] columns and each tile
+/// into 4 × 4 blocks. A block none of whose upper entries is kept, and
+/// which holds no diagonal entry, is skipped. The others accumulate in
+/// [`kernel::dot4_lanes`] over the columns of `W` from the tile's first
+/// column `jt`, a multiple of four, in chunks of [`K_CHUNK`]; the terms
+/// below `max(i, j)` are exact zeros, so for a pair `i ≤ j` the result
+/// is `dot4` from the multiple of four at or below `j`, whichever other
+/// entries are formed. Stops early, with a partial result, once `cancel`
+/// fires.
+fn panel_entries<F: Fn(usize, usize) -> bool>(
+    wt: &DenseMatrix<f64>,
+    p0: usize,
+    keep: &F,
+    cancel: &CancelToken,
+) -> (Vec<f64>, Vec<(usize, usize, f64)>) {
+    const QUADS: usize = PANEL_ROWS / 4;
+    const COL_QUADS: usize = TILE_COLS / 4;
+    let n = wt.rows();
+    let p1 = (p0 + PANEL_ROWS).min(n);
+    let n4 = n - n % 4;
+    // Stands in for the rows past `n` of the last quads.
+    let zero = vec![0.0; n];
+    let row = |i: usize| if i < n { wt.row(i) } else { zero.as_slice() };
+    // Row `i - p0` of `vals` holds the formed entries of row `i`, and
+    // bit `4r + c` of `formed[(i - p0) / 4 · n/4 + j / 4]` marks entry
+    // `(i, j)`, `r = i % 4`, `c = j % 4`, as formed.
+    let col_quads = n.div_ceil(4);
+    let mut vals = vec![0.0; (p1 - p0) * n];
+    let mut formed = vec![0u16; QUADS * col_quads];
+    let mut acc = [[[[0.0f64; 4]; 4]; 4]; QUADS * COL_QUADS];
+    let mut active: Vec<(usize, usize, u16)> = Vec::with_capacity(QUADS * COL_QUADS);
+    for jt in (p0..n).step_by(TILE_COLS) {
+        if cancel.is_cancelled() {
+            break;
+        }
+        active.clear();
+        for q in 0..QUADS {
+            for cq in 0..COL_QUADS {
+                let (i0, j0) = (p0 + 4 * q, jt + 4 * cq);
+                let mut mask = 0u16;
+                for r in 0..4 {
+                    for c in 0..4 {
+                        let (i, j) = (i0 + r, j0 + c);
+                        if i < p1 && j < n && (i == j || (i < j && keep(i, j))) {
+                            mask |= 1 << (4 * r + c);
+                        }
+                    }
+                }
+                if mask != 0 {
+                    active.push((q, cq, mask));
+                }
+            }
+        }
+        for &(q, cq, _) in &active {
+            acc[q * COL_QUADS + cq] = [[[0.0; 4]; 4]; 4];
+        }
+        let quad = |i0: usize, k0: usize, k1: usize| [0, 1, 2, 3].map(|r| &row(i0 + r)[k0..k1]);
+        for k0 in (jt..n4).step_by(K_CHUNK) {
+            let k1 = (k0 + K_CHUNK).min(n4);
+            for &(q, cq, _) in &active {
+                let x = quad(p0 + 4 * q, k0, k1);
+                let y = quad(jt + 4 * cq, k0, k1);
+                kernel::dot4_lanes(&mut acc[q * COL_QUADS + cq], x, y);
+            }
+        }
+        for &(q, cq, mask) in &active {
+            let (i0, j0) = (p0 + 4 * q, jt + 4 * cq);
+            let s = kernel::dot4_close(&acc[q * COL_QUADS + cq], quad(i0, n4, n), quad(j0, n4, n));
+            for (r, sr) in s.iter().enumerate() {
+                for (c, &v) in sr.iter().enumerate() {
+                    if mask >> (4 * r + c) & 1 == 1 {
+                        vals[(i0 + r - p0) * n + j0 + c] = v;
+                    }
+                }
+            }
+            formed[q * col_quads + j0 / 4] = mask;
+        }
+    }
+    let mut diag = Vec::with_capacity(p1 - p0);
+    let mut upper = Vec::new();
+    for (i, v) in (p0..p1).zip(vals.chunks_exact(n.max(1))) {
+        let (q, r) = ((i - p0) / 4, (i - p0) % 4);
+        diag.push(v[i]);
+        for j in i + 1..n {
+            if formed[q * col_quads + j / 4] >> (4 * r + j % 4) & 1 == 1 {
+                upper.push((i, j, v[j]));
+            }
+        }
+    }
+    (diag, upper)
 }
 
 #[cfg(test)]
@@ -328,6 +491,76 @@ mod tests {
         let inv = Cholesky::new(&a).unwrap().inverse().unwrap();
         let prod = a.matmul(&inv).unwrap();
         assert!(prod.max_abs_diff(&DenseMatrix::identity(3)).unwrap() < 1e-9);
+    }
+
+    /// `BᵀB + (n + 1)·I` for a seeded uniform `B`: SPD and well
+    /// conditioned.
+    fn random_spd(n: usize, seed: u64) -> DenseMatrix<f64> {
+        let mut rng = crate::rng::XorShift64::new(seed);
+        let b = DenseMatrix::from_fn(n, n, |_, _| rng.range_f64(-1.0, 1.0));
+        let mut a = b.transpose().matmul(&b).unwrap();
+        for i in 0..n {
+            a[(i, i)] += n as f64 + 1.0;
+        }
+        a
+    }
+
+    #[test]
+    fn inverse_factor_columns_are_the_forward_sweeps() {
+        // Row j of Wᵀ is the forward sweep of `solve(e_j)`, bit for bit
+        // and zero before entry j, at every worker count. The sizes cover
+        // every remainder mod 4.
+        for n in [1, 2, 3, 5, 6, 7, 48, 130, 131] {
+            let ch = Cholesky::new(&random_spd(n, 0x3001 + n as u64)).unwrap();
+            for nt in [1, 2, 8] {
+                let wt = ch.inverse_factor(Pool::with_threads(nt), &CancelToken::none());
+                for j in 0..n {
+                    let mut e = vec![0.0; n];
+                    e[j] = 1.0;
+                    ch.forward(&mut e);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(wt.row(j)),
+                        bits(&e),
+                        "n = {n}, {nt} workers, column {j}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kept_entries_are_the_all_pairs_entries() {
+        // A band, a scattered set and nothing: the kept pairs, in
+        // row-major order, with the all-pairs values bit for bit, and
+        // the whole diagonal every time.
+        for n in [5, 67, 130] {
+            let ch = Cholesky::new(&random_spd(n, 0x3002 + n as u64)).unwrap();
+            let none = CancelToken::none();
+            let all = ch.inverse_entries(|_, _| true, &none).unwrap();
+            assert_eq!(all.upper.len(), n * (n - 1) / 2);
+            let keeps: [&(dyn Fn(usize, usize) -> bool + Sync); 3] = [
+                &|i, j| j - i <= 4,
+                &|i, j| (i * 7 + j * 3) % 5 == 0,
+                &|_, _| false,
+            ];
+            for keep in keeps {
+                let kept = ch.inverse_entries(keep, &none).unwrap();
+                let expected: Vec<_> = all
+                    .upper
+                    .iter()
+                    .filter(|&&(i, j, _)| keep(i, j))
+                    .map(|&(i, j, v)| (i, j, v.to_bits()))
+                    .collect();
+                let got: Vec<_> = kept
+                    .upper
+                    .iter()
+                    .map(|&(i, j, v)| (i, j, v.to_bits()))
+                    .collect();
+                assert_eq!(got, expected, "n = {n}");
+                assert_eq!(kept.diag, all.diag, "n = {n}");
+            }
+        }
     }
 
     #[test]

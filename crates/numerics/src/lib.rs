@@ -66,7 +66,7 @@ mod sparse_lu;
 mod vector;
 
 pub use cancel::CancelToken;
-pub use cholesky::Cholesky;
+pub use cholesky::{Cholesky, InverseEntries};
 pub use complex::Complex64;
 pub use dense::DenseMatrix;
 pub use error::NumericsError;

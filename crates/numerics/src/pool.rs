@@ -5,10 +5,11 @@
 //! on [`std::thread::scope`]:
 //!
 //! * [`Pool::par_chunks_mut`] — disjoint mutable chunks of a slice
-//!   (row-partitioned matrix assembly, the SPD inverse's column blocks);
+//!   (row-partitioned matrix assembly, the column blocks of the SPD
+//!   inverse's factor `G⁻¹`);
 //! * [`Pool::par_map`] / [`Pool::par_map_index`] — independent map over
 //!   items or indices (per-frequency AC solves, per-filament parasitics,
-//!   per-window wVPEC solves);
+//!   per-window wVPEC solves, the SPD inverse's row panels);
 //! * [`cholesky_eliminate_cancel`] — the dense SPD elimination used by
 //!   [`crate::Cholesky`], dispatching between a serial loop and a
 //!   cache-blocked panel factorization with a row-parallel trailing
@@ -52,12 +53,12 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 pub const ELIM_PAR_MIN_DIM: usize = 256;
 
 /// Minimum independent columns per worker before the SPD inverse
-/// ([`crate::Cholesky::inverse`]) goes parallel. On a 2-vCPU Xeon, forced
-/// to 2 workers at every size (DESIGN §12.2), the blocked SPD inverse
-/// loses up to 160 columns (1.5–2.3× at 64, ~1.1× at 96–128); the value
-/// 64 was chosen when the LU multi-column solve and the matmul also
-/// went parallel, and re-tuning it is a change of its own. Feed it to
-/// [`threads_for`].
+/// ([`crate::Cholesky::inverse_entries`]) goes parallel. On a 2-vCPU
+/// Xeon, forced to 2 workers at every size (DESIGN §12.2), the inverse
+/// breaks even from about 160 columns (2.7–3.8× serial time at 64,
+/// 1.0–1.2× at 128); the value 64 was chosen when the LU multi-column
+/// solve and the matmul also went parallel, and re-tuning it is a change
+/// of its own. Feed it to [`threads_for`].
 pub const PAR_MIN_COLS: usize = 64;
 
 /// Minimum dimension at which Cholesky takes the blocked panel path

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "effective resistances: R^10 (ground) = {:.3} mΩ, R^12 (coupling) = {:.3} mΩ",
-        model.ground_resistance(0) * 1e3,
+        1e3 / model.ground_conductances()[0],
         model
             .coupling_resistance(0, 1)
             .expect("full model keeps all couplings")

@@ -66,6 +66,14 @@ timeout 600 cargo test -q --release -p vpec-numerics --lib sparse_lu::
 # The sparse and dense kernels' property tests (seeded, with forced exact
 # cancellations in the sparse LU) in the optimized build users deploy.
 timeout 600 cargo test -q --release -p vpec-numerics --test proptests
+# The SPD inverse in the optimized build: every entry of A⁻¹ is one dot
+# product of two columns of G⁻¹, so the inverse is exactly symmetric,
+# identical at 1, 2 and 8 workers and within n·eps·kappa_1 of the column
+# solves; and gtVPEC and localized VPEC, which form only their kept
+# entries straight from the factor, equal `retain` of the full model on
+# a misaligned 2-segment bus, pair for pair and bit for bit.
+timeout 600 cargo test -q --release -p vpec-numerics --test par_equivalence
+timeout 600 cargo test -q --release -p vpec-core --lib truncation::
 
 echo "==> workload benchmark tests (every workload's oracles at toy size)"
 # The benchmark is a package of its own (workload-bench/Cargo.toml), so

@@ -138,9 +138,9 @@ fn sparsified_delay_within_three_percent() {
 fn effective_resistance_identities() {
     let exp = bus_experiment(6);
     let (model, _) = exp.vpec_model(ModelKind::VpecFull).unwrap();
-    for i in 0..model.len() {
-        // Ĝii = 1/R̂i0 + Σ 1/R̂ij (eq. (6)).
-        let mut sum = 1.0 / model.ground_resistance(i);
+    for (i, ground) in model.ground_conductances().into_iter().enumerate() {
+        // Ĝii = 1/R̂i0 + Σ 1/R̂ij (eq. (6)), with R̂i0 = 1/ground.
+        let mut sum = ground;
         for j in 0..model.len() {
             if j != i {
                 sum += 1.0 / model.coupling_resistance(i, j).expect("full model");

@@ -135,8 +135,8 @@ fn effective_resistances_positive() {
         let layout = BusSpec::new(bits).spacing(um(spacing_um)).build();
         let para = extract(&layout, &ExtractionConfig::paper_default());
         let model = VpecModel::full(&para).expect("L invertible");
-        for i in 0..model.len() {
-            assert!(model.ground_resistance(i) > 0.0);
+        for g in model.ground_conductances() {
+            assert!(1.0 / g > 0.0, "R̂i0 must be positive");
         }
         for &(_, _, g) in model.g_off() {
             assert!(g < 0.0, "bus off-diagonal Ĝ entries are negative");
