@@ -6,9 +6,8 @@
 //!
 //! A sweep's matrices share one pattern, so it is stamped and ordered
 //! once, whatever its size: each point refills the values and factors
-//! them sparse under that ordering, with the same threshold pivoting,
-//! growth check and dense-LU recovery stage as every DC and transient
-//! factor.
+//! them sparse under that ordering, with the same threshold pivoting and
+//! growth check as every DC and transient factor.
 
 use crate::diagnostics::FactorDiagnostics;
 use crate::elements::Element;
@@ -16,7 +15,7 @@ use crate::error::CircuitError;
 use crate::mna::{add_source_rhs, assemble, MnaLayout, StampPlan};
 use crate::netlist::Circuit;
 use crate::result::AcResult;
-use crate::solver::Factored;
+use crate::solver::factor;
 use vpec_numerics::cancel::CancelToken;
 use vpec_numerics::ordering::FillOrdering;
 use vpec_numerics::{pool, Complex64, CooMatrix, Pool};
@@ -157,27 +156,23 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
             Some(a) => (a, plan_ordering.as_ref()),
             None => (assemble(ckt, &layout, jw(f), jw(f))?.to_csr(), None),
         };
-        let (factored, diag) = Factored::factor_csr(&a, false, ordering).map_err(|e| match e {
-            CircuitError::SingularSystem { .. } => CircuitError::SingularSystem { analysis: "ac" },
-            other => other,
-        })?;
-        Ok((factored.solve(&rhs)?, diag))
+        let (lu, diag) = factor(&a, ordering, "ac")?;
+        Ok((lu.solve(&rhs)?, diag))
     });
     let mut data = Vec::with_capacity(spec.frequencies.len());
-    let mut factor = FactorDiagnostics::default();
+    let mut largest = FactorDiagnostics::default();
     for point in solved {
         let (x, diag) = point?;
         data.push(x);
-        let rank = |d: &FactorDiagnostics| (d.used_fallback(), d.factor_nnz);
-        if rank(&diag) > rank(&factor) {
-            factor = diag;
+        if diag.factor_nnz > largest.factor_nnz {
+            largest = diag;
         }
     }
     Ok(AcResult {
         freqs: spec.frequencies.clone(),
         data,
         n_nodes: layout.n_nodes,
-        factor,
+        factor: largest,
     })
 }
 
@@ -205,7 +200,7 @@ mod tests {
     use super::*;
     use crate::netlist::Circuit;
     use crate::waveform::Waveform;
-    use vpec_numerics::CsrMatrix;
+    use vpec_numerics::{CsrMatrix, LuFactor};
 
     #[test]
     fn rc_lowpass_corner() {
@@ -474,9 +469,9 @@ mod tests {
     }
 
     /// The sweep as it ran before the stamp plan: every point assembled,
-    /// compressed and ordered afresh, serially. `fail_primary` factors
-    /// each point by the fallback chain's dense LU instead.
-    fn fresh_sweep(ckt: &Circuit, freqs: &[f64], fail_primary: bool) -> Vec<Vec<Complex64>> {
+    /// compressed and ordered afresh, serially. With `dense`, each point
+    /// is solved by dense LU with partial pivoting instead.
+    fn fresh_sweep(ckt: &Circuit, freqs: &[f64], dense: bool) -> Vec<Vec<Complex64>> {
         let layout = MnaLayout::new(ckt);
         let mut rhs = vec![Complex64::ZERO; layout.dim];
         for (idx, e) in ckt.elements().iter().enumerate() {
@@ -491,8 +486,11 @@ mod tests {
             .iter()
             .map(|&f| {
                 let a = fresh(ckt, &layout, f);
-                let (lu, _) = Factored::factor_csr(&a, fail_primary, None).unwrap();
-                lu.solve(&rhs).unwrap()
+                if dense {
+                    LuFactor::new(&a.to_dense()).unwrap().solve(&rhs).unwrap()
+                } else {
+                    factor(&a, None, "ac").unwrap().0.solve(&rhs).unwrap()
+                }
             })
             .collect()
     }
@@ -538,8 +536,8 @@ mod tests {
 
     #[test]
     fn sparse_sweep_matches_dense_lu() {
-        // The reference is stage 2 of the fallback chain, dense LU with
-        // partial pivoting, reached by failing the sparse primary.
+        // The reference is dense LU with partial pivoting on each point's
+        // matrix.
         let freqs = AcSpec::log_sweep(1e6, 1e11, 4).unwrap().frequencies;
         for (name, ckt) in [("peec", peec_bus(6, 4)), ("vpec", vpec_bus(12))] {
             let swept = run_ac(&ckt, &AcSpec::points(freqs.clone())).unwrap();

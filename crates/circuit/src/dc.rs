@@ -6,7 +6,7 @@ use crate::elements::Element;
 use crate::error::CircuitError;
 use crate::mna::{add_source_rhs, assemble, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
-use crate::solver::Factored;
+use crate::solver::factor;
 use vpec_numerics::CooMatrix;
 
 /// The DC solution: node voltages and branch currents.
@@ -65,7 +65,7 @@ pub fn dc_matrix(ckt: &Circuit) -> Result<CooMatrix<f64>, CircuitError> {
     )?)
 }
 
-/// [`solve_dc`] plus the factorization fallback-chain diagnostics.
+/// [`solve_dc`] plus the diagnostics of its factor.
 ///
 /// # Errors
 ///
@@ -83,11 +83,8 @@ pub fn solve_dc_report(ckt: &Circuit) -> Result<(DcSolution, FactorDiagnostics),
             _ => {}
         }
     }
-    let (factored, diag) = Factored::factor_with(&a, false).map_err(|e| match e {
-        CircuitError::SingularSystem { .. } => CircuitError::SingularSystem { analysis: "dc" },
-        other => other,
-    })?;
-    let x = factored.solve(&rhs)?;
+    let (lu, diag) = factor(&a.to_csr(), None, "dc")?;
+    let x = lu.solve(&rhs)?;
     Ok((
         DcSolution {
             x,

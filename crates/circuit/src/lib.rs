@@ -48,8 +48,9 @@
 //! # }
 //! ```
 //!
-//! Every analysis is **guarded**: factorization runs through a bounded
-//! fallback chain (sparse LU → dense LU), the transient integrator
+//! Every analysis is **guarded**: each MNA system gets one sparse LU
+//! factor, and a system it cannot factor is a typed
+//! [`CircuitError::SingularSystem`]; the transient integrator
 //! checkpoints and retries at a halved step size when the solution goes
 //! non-finite, and [`diagnostics`] records what happened so callers can
 //! surface degraded runs.
@@ -85,8 +86,7 @@ mod solver;
 mod waveform;
 
 pub use diagnostics::{
-    FactorAttempt, FactorDiagnostics, FactorStrategy, FaultInjection, SolveAudit,
-    TransientDiagnostics,
+    FactorAttempt, FactorDiagnostics, FaultInjection, SolveAudit, TransientDiagnostics,
 };
 pub use elements::{Element, ElementId};
 pub use error::CircuitError;

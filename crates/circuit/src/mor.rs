@@ -35,7 +35,7 @@ use crate::elements::Element;
 use crate::error::CircuitError;
 use crate::mna::{assemble, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
-use crate::solver::Factored;
+use crate::solver::factor;
 use crate::waveform::Waveform;
 use vpec_numerics::{Complex64, CooMatrix, CsrMatrix, DenseMatrix, LuFactor};
 
@@ -267,7 +267,7 @@ pub fn reduce_about(
             }
         }
     }
-    let g_factored = Factored::factor(&pencil)?;
+    let (g_factored, _) = factor(&pencil.to_csr(), None, "solve")?;
 
     // Arnoldi with modified Gram–Schmidt.
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(q);

@@ -146,10 +146,8 @@ impl AcResult {
         self.data.first().map_or(0, Vec::len)
     }
 
-    /// The fallback-chain record of the sweep's largest factor: the point
-    /// whose factor holds the most entries, preferring a point that fell
-    /// back to dense LU, so that neither a fallback nor the largest
-    /// factor is hidden.
+    /// The diagnostics of the sweep's largest factor: the first point
+    /// whose factor holds the most entries.
     pub fn factor_diagnostics(&self) -> &FactorDiagnostics {
         &self.factor
     }

@@ -16,8 +16,8 @@
 //! element state is mutated. A NaN/∞ solution triggers a checkpointed
 //! retry — the step size halves (bounded number of times), the system is
 //! re-assembled and re-factored, and the step is re-taken from the last
-//! accepted state. The factorization itself runs through the bounded
-//! fallback chain in [`crate::diagnostics`].
+//! accepted state. Every factor is the system's one sparse LU factor,
+//! and a system it cannot factor is a [`CircuitError::SingularSystem`].
 
 use crate::dc::solve_dc_report;
 use crate::diagnostics::{FactorDiagnostics, FaultInjection, SolveAudit, TransientDiagnostics};
@@ -26,11 +26,11 @@ use crate::error::CircuitError;
 use crate::mna::{add_source_rhs, assemble, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
 use crate::result::{ResultMapping, TransientResult};
-use crate::solver::Factored;
+use crate::solver::factor;
 use std::collections::HashMap;
 use vpec_numerics::audit;
 use vpec_numerics::cancel::CancelToken;
-use vpec_numerics::CooMatrix;
+use vpec_numerics::{CooMatrix, SparseLu};
 
 /// Most halvings of `dt` the non-finite recovery will attempt before
 /// giving up with [`CircuitError::NonFiniteSolution`].
@@ -190,7 +190,7 @@ fn seed_history(
 /// Never inlined: inlined into the step loop's retry branch, the
 /// assembly slowed every step of the 1024-bit gwVPEC(8) run by about 3 %.
 #[inline(never)]
-fn companion_matrix(
+pub(crate) fn companion_matrix(
     ckt: &Circuit,
     layout: &MnaLayout,
     dt: f64,
@@ -253,7 +253,7 @@ pub struct TransientFactor {
     dt: f64,
     /// Assembled companion-model triplets the factor was computed from.
     a: CooMatrix<f64>,
-    factored: Factored<f64>,
+    factored: SparseLu<f64>,
     factor_diag: FactorDiagnostics,
     /// DC operating point (sources at `t = 0`) — the initial condition.
     dc_x: Vec<f64>,
@@ -267,7 +267,7 @@ impl TransientFactor {
         self.dim
     }
 
-    /// Fallback-chain record of the preparation factorization.
+    /// Record of the preparation factorization.
     pub fn factor_diagnostics(&self) -> &FactorDiagnostics {
         &self.factor_diag
     }
@@ -316,8 +316,7 @@ impl TransientFactor {
 /// Prepares the factor every run steps: assembles the companion matrix at
 /// `spec.dt`, audits its stamps, factors it (the `transient.factor` span)
 /// and solves the DC operating point with sources at `t = 0` (the
-/// `transient.dc` span), the initial condition. The fault injection
-/// targets the transient factor, never the operating point.
+/// `transient.dc` span), the initial condition.
 fn prepare(
     ckt: &Circuit,
     spec: &TransientSpec,
@@ -329,7 +328,7 @@ fn prepare(
     }
     let (factored, factor_diag) = {
         let _fs = vpec_trace::span("transient.factor");
-        Factored::factor_with(&a, spec.faults.fail_primary_factor).map_err(transient_singular)?
+        factor(&a.to_csr(), None, "transient")?
     };
     let (dc, _) = {
         let _ds = vpec_trace::span("transient.dc");
@@ -367,16 +366,6 @@ pub fn prepare_transient(
     prepare(ckt, spec, &layout)
 }
 
-/// Names the transient analysis in a singular-system error.
-fn transient_singular(e: CircuitError) -> CircuitError {
-    match e {
-        CircuitError::SingularSystem { .. } => CircuitError::SingularSystem {
-            analysis: "transient",
-        },
-        other => other,
-    }
-}
-
 /// Runs a fixed-step transient analysis from the DC operating point.
 ///
 /// Convenience wrapper around [`run_transient_with_report`] that discards
@@ -386,7 +375,7 @@ fn transient_singular(e: CircuitError) -> CircuitError {
 ///
 /// * [`CircuitError::InvalidSpec`] for non-positive `t_stop`/`dt`.
 /// * [`CircuitError::SingularSystem`] if the DC or transient MNA system is
-///   singular even after the fallback chain.
+///   singular.
 /// * [`CircuitError::NonFiniteSolution`] if a step stays non-finite after
 ///   the bounded step-halving retries.
 pub fn run_transient(ckt: &Circuit, spec: &TransientSpec) -> Result<TransientResult, CircuitError> {
@@ -396,7 +385,7 @@ pub fn run_transient(ckt: &Circuit, spec: &TransientSpec) -> Result<TransientRes
 /// Runs a fixed-step transient analysis and reports how it went.
 ///
 /// In addition to the waveforms this returns [`TransientDiagnostics`]:
-/// the factorization fallback record, the number of checkpointed retries
+/// the factor's record, the number of checkpointed retries
 /// after non-finite solutions, and the final (possibly halved) step size.
 ///
 /// # Errors
@@ -457,7 +446,7 @@ fn step(
     // The matrix and factor every step solves with. A retry (which
     // re-factors at the halved dt) moves its fresh pair into `retried`
     // and re-points these.
-    let mut retried: Option<(CooMatrix<f64>, Factored<f64>)> = None;
+    let mut retried: Option<(CooMatrix<f64>, SparseLu<f64>)> = None;
     let (mut a, mut factored) = (&prepared.a, &prepared.factored);
     let mut diag = TransientDiagnostics {
         factor: prepared.factor_diag.clone(),
@@ -659,7 +648,7 @@ fn step(
             let a_new = companion_matrix(ckt, layout, dt)?;
             let (f, _) = {
                 let _fs = vpec_trace::span("transient.factor");
-                Factored::factor_with(&a_new, false).map_err(transient_singular)?
+                factor(&a_new.to_csr(), None, "transient")?
             };
             let (ra, rf) = &*retried.insert((a_new, f));
             (a, factored) = (ra, rf);
@@ -759,8 +748,8 @@ fn step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diagnostics::FactorStrategy;
     use crate::waveform::Waveform;
+    use vpec_numerics::LuFactor;
 
     /// RC low-pass step response: v(t) = V·(1 − e^{−t/RC}).
     fn rc_circuit() -> (Circuit, NodeId) {
@@ -1065,26 +1054,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_factor_failure_engages_fallback() {
-        // The ladder factors sparse, so the injected failure walks the
-        // chain to dense LU. From the 1 V DC point the ladder stays at 1 V.
-        let (c, near) = long_rc_ladder(100, Waveform::dc(1.0));
-        let spec = TransientSpec::new(1e-7, 1e-9);
-        let (_, clean) = run_transient_with_report(&c, &spec).unwrap();
-        assert_eq!(clean.factor.accepted(), Some(FactorStrategy::SparseLu));
-        let spec = spec.fault_injection(FaultInjection {
-            fail_primary_factor: true,
-            ..FaultInjection::none()
-        });
-        let (res, diag) = run_transient_with_report(&c, &spec).unwrap();
-        assert!(diag.factor.used_fallback());
-        assert_eq!(diag.factor.accepted(), Some(FactorStrategy::DenseLu));
-        assert!(diag.degraded());
-        let v = res.voltage(near).unwrap();
-        assert!((v.last().unwrap() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn prefactored_run_is_bit_identical_to_cold() {
         let (c, _) = rc_circuit();
         let spec = TransientSpec::new(1e-7, 1e-9);
@@ -1127,33 +1096,40 @@ mod tests {
     #[test]
     fn sparse_transient_records_no_subnormals() {
         let (c, near) = long_rc_ladder(300, Waveform::step(1.0, 1e-12));
-        // The dense reference is the chain's stage 2, reached by failing
-        // the sparse primary.
         let spec = TransientSpec::new(2e-11, 1e-12);
-        let faulted = spec.clone().fault_injection(FaultInjection {
-            fail_primary_factor: true,
-            ..FaultInjection::none()
-        });
-        let (sparse, ds) = run_transient_with_report(&c, &spec).unwrap();
-        let (dense, dd) = run_transient_with_report(&c, &faulted).unwrap();
-        assert_eq!(ds.factor.accepted(), Some(FactorStrategy::SparseLu));
-        assert_eq!(dd.factor.accepted(), Some(FactorStrategy::DenseLu));
-        let subnormal =
-            |r: &TransientResult| r.data.iter().flatten().filter(|v| v.is_subnormal()).count();
+        let (res, _) = run_transient_with_report(&c, &spec).unwrap();
+        let subnormal = |x: &[f64]| x.iter().filter(|v| v.is_subnormal()).count();
+        assert_eq!(res.data.iter().map(|x| subnormal(x)).sum::<usize>(), 0);
+        // The first step's system: from the zero DC point only the source
+        // drives it. Dense LU with partial pivoting solves it into the
+        // subnormal range; the sparse factor flushes there, and the two
+        // agree within 1e-12 of the peak.
+        let layout = MnaLayout::new(&c);
+        let a = companion_matrix(&c, &layout, spec.dt).unwrap().to_csr();
+        let mut rhs = vec![0.0; layout.dim];
+        let e = &c.elements()[0];
+        let Element::VSource { wave, .. } = e else {
+            panic!("the ladder's first element is its source");
+        };
+        add_source_rhs(&mut rhs, &layout, 0, e, wave.value(spec.dt));
+        let sparse = factor(&a, None, "transient")
+            .unwrap()
+            .0
+            .solve(&rhs)
+            .unwrap();
+        let dense = LuFactor::new(&a.to_dense()).unwrap().solve(&rhs).unwrap();
         assert!(
             subnormal(&dense) > 0,
             "the ladder must reach the subnormal range"
         );
         assert_eq!(subnormal(&sparse), 0);
-        let (vs, vd) = (sparse.voltage(near).unwrap(), dense.voltage(near).unwrap());
-        let peak = vd.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let peak = dense.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         assert!(peak > 0.0);
-        for (s, d) in vs.iter().zip(&vd) {
-            assert!(
-                (s - d).abs() <= 1e-12 * peak,
-                "near end: sparse {s} vs dense {d}"
-            );
+        for (s, d) in sparse.iter().zip(&dense) {
+            assert!((s - d).abs() <= 1e-12 * peak, "sparse {s} vs dense {d}");
         }
+        let near = layout.node_idx(near).unwrap();
+        assert_eq!(res.data[1][near].to_bits(), sparse[near].to_bits());
     }
 
     #[test]

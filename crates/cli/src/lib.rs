@@ -131,7 +131,7 @@ ENGINE OPTIONS (batch / serve):
   --degrade-window B  window size of the wVPEC fallback (default 4)
   --ledger PATH     write the run ledger: one JSONL record per request
                     (outcome, error class, retries, degradation, cache
-                    levels hit, solver strategy, queue/build/solve phase
+                    levels hit, matrix dimension, queue/build/solve phase
                     times, scratch estimate; schema in DESIGN.md §15).
                     Default: the VPEC_LEDGER env var, then off. Lines
                     are flushed one at a time with a contiguous seq, so
@@ -152,8 +152,8 @@ STATS (vpec stats LEDGER...):
   Aggregates one or more run ledgers offline into a fleet report:
   exact nearest-rank latency percentiles (overall, per model kind and
   per outcome), cache hit ratios per level (experiment/model/factor),
-  solver-strategy and degradation breakdowns, an error taxonomy, and
-  throughput over 60 s buckets. Each file is schema-validated first —
+  a degradation breakdown, an error taxonomy, and throughput over 60 s
+  buckets. Each file is schema-validated first —
   a dropped or reordered record fails loudly.
 
   --format F        text (default) or json (one machine-readable object)
@@ -167,8 +167,9 @@ STATS (vpec stats LEDGER...):
 DIAGNOSTICS:
   model prints a passivity-repair summary for sparsified kinds (tvpec-*,
   wvpec-*). simulate prints solve diagnostics whenever a run was degraded:
-  passivity repairs applied at build time, factorization fallbacks, and
-  checkpointed transient retries at a reduced time step.
+  passivity repairs applied at build time and checkpointed transient
+  retries at a reduced time step. Every MNA system gets one sparse LU
+  factor; a system it cannot factor is a typed singular-system error.
 
   With auditing enabled (--audit or VPEC_AUDIT=basic|full), every layer
   boundary is validated: extracted parasitics (finite, symmetric, SPD L),

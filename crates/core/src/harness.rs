@@ -414,7 +414,7 @@ impl Experiment {
 
 /// Everything the pipeline wants to tell the user about how a solve went:
 /// whether the model needed passivity repair and how the guarded transient
-/// behaved (factorization fallbacks, checkpointed retries).
+/// behaved (checkpointed retries, audit violations).
 #[derive(Debug, Clone, Default)]
 pub struct SolveReport {
     /// Passivity-repair record (`None` for kinds that never need repair:
@@ -441,9 +441,6 @@ impl SolveReport {
             }
         }
         if let Some(t) = &self.transient {
-            if t.factor.used_fallback() {
-                out.push(format!("factorization: {}", t.factor.summary()));
-            }
             if t.retries > 0 {
                 out.push(format!(
                     "transient recovery: {} retr{}, final dt {:.3e} s",

@@ -290,15 +290,17 @@ impl VpecModel {
     /// boundary; the condition number indicates how aggressively further
     /// truncation could proceed.
     ///
+    /// The `model.margin` span carries the power iterations' matvec count
+    /// as its `iterations` attribute.
+    ///
     /// # Errors
     ///
     /// Propagates numerics failures (cannot occur for a square `Ĝ`).
     pub fn passivity_margin(&self) -> Result<vpec_numerics::eigen::EigenExtremes, CoreError> {
-        Ok(vpec_numerics::eigen::symmetric_extremes(
-            &self.g_csr()?,
-            2000,
-            1e-10,
-        )?)
+        let mut sp = vpec_trace::span!("model.margin", "dim" => self.len());
+        let margin = vpec_numerics::eigen::symmetric_extremes(&self.g_csr()?, 2000, 1e-10)?;
+        sp.set_attr("iterations", margin.iterations);
+        Ok(margin)
     }
 
     /// Checks the properties proved in §III on this concrete model, in

@@ -286,7 +286,6 @@ impl ScenarioRequest {
                 let poison = get_usize(f, "poison_step", usize::MAX)?;
                 let stall = get_usize(f, "stall_ms", 0)?;
                 FaultInjection {
-                    fail_primary_factor: get_bool(f, "fail_primary_factor")?,
                     poison_step: if poison == usize::MAX {
                         None
                     } else {
@@ -435,9 +434,12 @@ mod tests {
         assert!(matches!(r.analysis, AnalysisSpec::Transient { .. }));
         assert_eq!(r.faults, FaultInjection::none());
         assert_eq!(r.deadline_ms, None);
-        // A request file from before the backend override went away still
-        // runs: `"solver"` is an unknown key like any other.
+        // Request files from before the backend override and the factor
+        // fault went away still run: `"solver"` and `"fail_primary_factor"`
+        // are unknown keys like any other.
         let legacy = r#"{"kind":"wvpec-g:4","solver":"dense"}"#;
+        assert_eq!(ScenarioRequest::parse_line(legacy, 2).unwrap(), r);
+        let legacy = r#"{"kind":"wvpec-g:4","faults":{"fail_primary_factor":true}}"#;
         assert_eq!(ScenarioRequest::parse_line(legacy, 2).unwrap(), r);
     }
 

@@ -96,13 +96,10 @@ pub struct StreamSummary {
 /// run-ledger record.
 #[derive(Debug, Clone, Copy, Default)]
 struct SolveAttribution {
-    /// Accepted factorization strategy label, when a transient or an AC
-    /// sweep ran (for a sweep, that of its largest factor).
-    strategy: Option<&'static str>,
     /// MNA matrix dimension of the transient or AC system.
     dim: Option<usize>,
-    /// Stored entries of the accepted transient factor, or of the AC
-    /// sweep's largest factor (`dim²` for a dense recovery).
+    /// Stored entries of the transient factor, or of the AC sweep's
+    /// largest factor.
     factor_nnz: Option<usize>,
     /// Bytes per stored factor entry: 8 (real) or 16 (complex).
     entry_bytes: u64,
@@ -158,14 +155,13 @@ fn ledger_record(
         experiment_hit: attr.experiment_hit,
         model_hit: resp.cache_hit,
         factor_hit: attr.factor_hit,
-        strategy: attr.strategy.map(str::to_string),
         dim: attr.dim,
         elements: resp.elements,
         queue_ms,
         build_ms: attr.build_ms,
         solve_ms: attr.solve_ms,
         total_ms: resp.elapsed_ms,
-        // The accepted factor's stored entries, one scalar each.
+        // The factor's stored entries, one scalar each.
         peak_scratch_bytes: attr.factor_nnz.map(|nnz| attr.entry_bytes * nnz as u64),
     }
 }
@@ -282,11 +278,6 @@ impl Engine {
                         peak = peak.max(peak_abs(&w));
                     }
                     let attr = SolveAttribution {
-                        strategy: report
-                            .transient
-                            .as_ref()
-                            .and_then(|t| t.factor.accepted())
-                            .map(|s| s.label()),
                         dim: report.transient.as_ref().map(|t| t.dim).filter(|&d| d > 0),
                         factor_nnz: report
                             .transient
@@ -337,7 +328,6 @@ impl Engine {
                         degraded_solve: false,
                         notes: Vec::new(),
                         attr: SolveAttribution {
-                            strategy: res.factor_diagnostics().accepted().map(|s| s.label()),
                             dim: Some(res.dim()).filter(|&d| d > 0),
                             factor_nnz: Some(res.factor_diagnostics().factor_nnz)
                                 .filter(|&nnz| nnz > 0),
@@ -687,7 +677,7 @@ mod tests {
 
     #[test]
     fn ledger_scratch_is_the_sparse_factor_not_a_dense_matrix() {
-        // Every accepted MNA factor is sparse, so the record's scratch
+        // Every MNA factor is sparse, so the record's scratch
         // estimate is 8 bytes per stored factor entry, well under the
         // 8·dim² a dense factor would hold — on a fresh factorization and
         // on a factor-cache hit alike.
@@ -696,7 +686,6 @@ mod tests {
         for _ in 0..2 {
             let (resp, rec) = engine.run_request_recorded(&r, 0.0);
             assert!(resp.ok, "{:?}", resp.error);
-            assert_eq!(rec.strategy.as_deref(), Some("sparse-lu"));
             let dim = rec.dim.expect("a transient records its dimension") as u64;
             let scratch = rec.peak_scratch_bytes.expect("a transient records scratch");
             assert!(scratch > 0 && scratch % 8 == 0, "{scratch}");
@@ -711,7 +700,7 @@ mod tests {
     #[test]
     fn ac_records_carry_factor_evidence() {
         // An AC sweep factors a complex sparse LU per point; its record
-        // names the strategy, the system's dimension and the largest
+        // names the system's dimension and the largest
         // factor's scratch, 16 bytes per stored complex entry.
         let mut engine = Engine::new(EngineConfig::default());
         let r = req(
@@ -720,7 +709,6 @@ mod tests {
         let (resp, rec) = engine.run_request_recorded(&r, 0.0);
         assert!(resp.ok, "{:?}", resp.error);
         assert_eq!(rec.analysis, "ac");
-        assert_eq!(rec.strategy.as_deref(), Some("sparse-lu"));
         let dim = rec.dim.expect("an AC sweep records its dimension") as u64;
         let scratch = rec.peak_scratch_bytes.expect("an AC sweep records scratch");
         assert!(scratch > 0 && scratch % 16 == 0, "{scratch}");

@@ -3,14 +3,15 @@
 //! A ledger file is the engine's flight recorder. Every request —
 //! including ones that failed to parse — appends exactly one
 //! `"rec":"request"` line capturing the outcome, error class, retries,
-//! degradation reason, which cache levels hit, the accepted solver
-//! strategy, the matrix dimension, the
+//! degradation reason, which cache levels hit, the matrix dimension, the
 //! queue-wait/build/solve phase split, and a peak-scratch estimate.
 //! Ledgers written by earlier versions may interleave `"rec":"snapshot"`
-//! lines (counters and histogram quick-stats); they still parse, and
-//! aggregation skips them. Lines are flushed one at a time so a crashed process still leaves a valid
-//! ledger behind; `seq` is contiguous from 1 so post-hoc tools detect
-//! truncation or interleaving.
+//! lines (counters and histogram quick-stats), and their request lines
+//! may carry a retired `"strategy"` field; they still parse, aggregation
+//! skips the snapshots, and unknown keys are ignored. Lines are flushed
+//! one at a time so a crashed process still leaves a valid ledger behind;
+//! `seq` is contiguous from 1 so post-hoc tools detect truncation or
+//! interleaving.
 //!
 //! The full field-by-field schema is documented in DESIGN.md §15.
 
@@ -55,10 +56,6 @@ pub struct RunRecord {
     pub model_hit: bool,
     /// The prepared-factorization cache answered.
     pub factor_hit: bool,
-    /// Accepted factorization strategy label (`"sparse-lu"`, …), when a
-    /// transient or an AC sweep ran (for a sweep, that of its largest
-    /// factor).
-    pub strategy: Option<String>,
     /// MNA matrix dimension of the transient or AC system, when known.
     pub dim: Option<usize>,
     /// Circuit element count of the model that answered.
@@ -73,7 +70,7 @@ pub struct RunRecord {
     /// End-to-end request wall time, ms.
     pub total_ms: f64,
     /// Scratch estimate for the solve: one scalar per stored entry of the
-    /// accepted factor (`dim²` entries for a dense recovery), so
+    /// sparse factor, so
     /// `8·factor_nnz` bytes for a transient and `16·factor_nnz` for the
     /// largest complex factor of an AC sweep.
     pub peak_scratch_bytes: Option<u64>,
@@ -139,7 +136,6 @@ impl RunRecord {
         let _ = write!(out, ",\"experiment_hit\":{}", self.experiment_hit);
         let _ = write!(out, ",\"model_hit\":{}", self.model_hit);
         let _ = write!(out, ",\"factor_hit\":{}", self.factor_hit);
-        push_opt_str(&mut out, "strategy", self.strategy.as_deref());
         push_opt_u64(&mut out, "dim", self.dim.map(|d| d as u64));
         push_opt_u64(&mut out, "elements", self.elements.map(|e| e as u64));
         push_f64(&mut out, "queue_ms", self.queue_ms);
@@ -267,7 +263,6 @@ pub fn parse_line(line: &str) -> Result<LedgerRecord, String> {
                 experiment_hit: req_bool(&v, "experiment_hit")?,
                 model_hit: req_bool(&v, "model_hit")?,
                 factor_hit: req_bool(&v, "factor_hit")?,
-                strategy: opt_str(&v, "strategy")?,
                 dim: opt_u64(&v, "dim")?.map(|d| d as usize),
                 elements: opt_u64(&v, "elements")?.map(|e| e as usize),
                 queue_ms: req_f64(&v, "queue_ms")?,
@@ -366,7 +361,6 @@ mod tests {
             experiment_hit: true,
             model_hit: false,
             factor_hit: false,
-            strategy: Some("sparse-lu".to_string()),
             dim: Some(17),
             elements: Some(120),
             queue_ms: 0.2,

@@ -6,14 +6,14 @@
 //!
 //! * [`ledger`] — the run ledger: one schema-validated JSONL record per
 //!   engine request (outcome, error class, retries, degradation, cache
-//!   levels, solver strategy, phase times, scratch estimate).
+//!   levels, matrix dimension, phase times, scratch estimate).
 //! * [`exposition`] — Prometheus-style text rendering of counters and
 //!   latency histograms tallied from those records, written atomically
 //!   (`write → rename`) for scrapers.
 //! * [`stats`] — offline aggregation of one or more ledgers into a
 //!   fleet report (exact latency percentiles per kind and outcome,
-//!   cache hit ratios per level, strategy/degradation/error
-//!   breakdowns, throughput buckets) with `--fail-if` CI thresholds.
+//!   cache hit ratios per level, degradation and error breakdowns,
+//!   throughput buckets) with `--fail-if` CI thresholds.
 //!
 //! See DESIGN.md §15 for the exposition, the full ledger schema, and the
 //! aggregation semantics.

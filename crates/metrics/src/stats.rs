@@ -5,8 +5,8 @@
 //! are **exact** nearest-rank values over the recorded latencies (unlike
 //! the live registry histograms, which quantize into √2 buckets). The
 //! report covers latency percentiles overall, per model-kind and per
-//! outcome; cache hit ratios per level; solver-strategy and degradation
-//! breakdowns; an error taxonomy; and request throughput
+//! outcome; cache hit ratios per level; a degradation breakdown; an
+//! error taxonomy; and request throughput
 //! over fixed time buckets. [`FailCondition`] turns the report into a CI
 //! gate: `--fail-if p99>250ms` / `--fail-if degraded>5%`.
 
@@ -112,8 +112,6 @@ pub struct LedgerStats {
     pub model_cache: CacheLevelStats,
     /// Prepared-factorization cache tally.
     pub factor_cache: CacheLevelStats,
-    /// Requests per accepted factorization strategy.
-    pub strategies: BTreeMap<String, usize>,
     /// Degraded requests per reason.
     pub degraded_reasons: BTreeMap<String, usize>,
     /// Failed requests per error category.
@@ -186,9 +184,6 @@ pub fn aggregate(records: &[LedgerRecord], bucket_ms: u64) -> LedgerStats {
                 .clone()
                 .unwrap_or_else(|| "solve".to_string());
             *stats.degraded_reasons.entry(reason).or_default() += 1;
-        }
-        if let Some(s) = &run.strategy {
-            *stats.strategies.entry(s.clone()).or_default() += 1;
         }
         if let Some(b) = run.peak_scratch_bytes {
             stats.peak_scratch_bytes = Some(stats.peak_scratch_bytes.unwrap_or(0).max(b));
@@ -294,8 +289,7 @@ impl LedgerStats {
                 level.hits, level.misses
             );
         }
-        let breakdowns: [(&str, &BTreeMap<String, usize>); 3] = [
-            ("strategies", &self.strategies),
+        let breakdowns: [(&str, &BTreeMap<String, usize>); 2] = [
             ("degraded reasons", &self.degraded_reasons),
             ("errors", &self.errors),
         ];
@@ -405,7 +399,6 @@ impl LedgerStats {
             cache_obj(self.model_cache),
             cache_obj(self.factor_cache)
         );
-        let _ = write!(out, ",\"strategies\":{}", count_map(&self.strategies));
         let _ = write!(
             out,
             ",\"degraded_reasons\":{}",
@@ -593,14 +586,13 @@ mod tests {
             ran: Some(kind.to_string()),
             analysis: "transient".to_string(),
             model_hit,
-            strategy: Some("sparse-lu".to_string()),
             total_ms,
             ..RunRecord::default()
         }
     }
 
     fn mixed_records() -> Vec<LedgerRecord> {
-        let mut failed = RunRecord {
+        let failed = RunRecord {
             id: "boom".to_string(),
             ok: false,
             kind: "PEEC".to_string(),
@@ -610,7 +602,6 @@ mod tests {
             total_ms: 4.0,
             ..RunRecord::default()
         };
-        failed.strategy = None;
         let degraded = RunRecord {
             degraded: true,
             degraded_reason: Some("budget".to_string()),
@@ -640,7 +631,6 @@ mod tests {
         );
         assert_eq!(stats.snapshots, 1);
         assert_eq!(stats.model_cache, CacheLevelStats { hits: 1, misses: 2 });
-        assert_eq!(stats.strategies.get("sparse-lu"), Some(&3));
         assert_eq!(stats.degraded_reasons.get("budget"), Some(&1));
         assert_eq!(stats.errors.get("panic"), Some(&1));
         assert_eq!(stats.per_kind["PEEC"].len(), 3);
@@ -677,19 +667,18 @@ mod tests {
         assert_eq!(records.len(), 2);
         let stats = aggregate(&records, 0);
         assert_eq!((stats.total, stats.ok, stats.failed), (2, 2, 0));
-        assert_eq!(stats.strategies.get("sparse-lu"), Some(&1));
-        assert_eq!(stats.strategies.get("iterative"), Some(&1));
         assert_eq!(stats.model_cache, CacheLevelStats { hits: 1, misses: 1 });
         assert_eq!(stats.latency().max, Some(30.5));
         assert!(!stats.render_json().contains("preconditioner"));
     }
 
     #[test]
-    fn ledgers_with_the_retired_no_ordering_strategy_still_aggregate() {
-        // Request lines as written while `--solver=sparse-no-ordering` and
-        // the opt-in Tikhonov stage still existed: neither strategy label
-        // is produced any more, but a strategy is a free-form string, so
-        // old ledgers stay readable.
+    fn ledgers_with_the_retired_strategy_field_still_aggregate() {
+        // Request lines as written while records named the accepted
+        // factorization strategy, among them the retired
+        // `sparse-lu-no-ordering` and dense-LU recovery labels. Every
+        // system now gets one sparse factor, so the field is gone; old
+        // ledgers stay readable.
         let old = concat!(
             r#"{"rec":"request","seq":1,"ts_ms":1000,"id":"a","ok":true,"error":null,"#,
             r#""kind":"gwVPEC(b=2)","ran":"gwVPEC(b=2)","analysis":"transient","retries":0,"#,
@@ -701,7 +690,7 @@ mod tests {
             r#"{"rec":"request","seq":2,"ts_ms":1010,"id":"b","ok":true,"error":null,"#,
             r#""kind":"gwVPEC(b=2)","ran":"gwVPEC(b=2)","analysis":"transient","retries":0,"#,
             r#""degraded":true,"degraded_reason":null,"experiment_hit":true,"#,
-            r#""model_hit":true,"factor_hit":false,"strategy":"regularized-dense-lu","#,
+            r#""model_hit":true,"factor_hit":false,"strategy":"dense-lu","#,
             r#""dim":98,"elements":120,"queue_ms":0.1,"#,
             r#""build_ms":0.5,"solve_ms":3,"total_ms":3.5,"peak_scratch_bytes":76832}"#,
             "\n",
@@ -710,9 +699,9 @@ mod tests {
         assert_eq!(records.len(), 2);
         let stats = aggregate(&records, 0);
         assert_eq!((stats.total, stats.ok, stats.failed), (2, 2, 0));
-        assert_eq!(stats.strategies.get("sparse-lu-no-ordering"), Some(&1));
-        assert_eq!(stats.strategies.get("regularized-dense-lu"), Some(&1));
+        assert_eq!((stats.degraded, stats.model_cache.hits), (1, 1));
         assert_eq!(stats.latency().max, Some(6.75));
+        assert!(!stats.render_json().contains("strateg"));
     }
 
     #[test]
@@ -771,11 +760,11 @@ mod tests {
         assert_eq!(v.get("total").and_then(json::JsonValue::as_u64), Some(4));
         assert!(v.get("latency_ms").and_then(|l| l.get("p99_ms")).is_some());
         assert!(v.get("cache").and_then(|c| c.get("model")).is_some());
-        assert!(v.get("strategies").is_some());
+        assert!(v.get("degraded_reasons").is_some());
         assert!(v.get("throughput").is_some());
         let rendered = stats.render_text();
         assert!(rendered.contains("4 requests"));
-        assert!(rendered.contains("sparse-lu"));
+        assert!(rendered.contains("budget"));
     }
 
     #[test]

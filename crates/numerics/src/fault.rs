@@ -2,9 +2,11 @@
 //!
 //! Defaults to "inject nothing". Carried by extraction configs and
 //! analysis specs so integration tests (and the engine's request schema)
-//! can exercise every branch of the recovery chain deterministically:
-//! factor-fallback engagement, transient NaN recovery, panic isolation at
-//! the extraction and engine boundaries, and deadline enforcement.
+//! can exercise every recovery branch deterministically: transient NaN
+//! recovery, panic isolation at the extraction and engine boundaries, and
+//! deadline enforcement. A factorization has no recovery branch to
+//! exercise: every MNA system gets one sparse factor, and a system it
+//! cannot factor is an error.
 //!
 //! The struct lives in `vpec-numerics` (the bottom of the crate stack) so
 //! every layer can consume it; `vpec-circuit` re-exports it under its
@@ -14,12 +16,9 @@
 ///
 /// Defaults to "inject nothing". Carried by analysis specs so
 /// integration tests (and the engine request schema) can exercise
-/// every branch of the recovery chain deterministically.
+/// every recovery branch deterministically.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultInjection {
-    /// Report the primary factorization backend as failed, forcing the
-    /// fallback chain to engage.
-    pub fail_primary_factor: bool,
     /// Poison the transient solution with NaN once, right after this
     /// accepted step count (0 poisons the first computed step).
     pub poison_step: Option<usize>,
@@ -42,8 +41,7 @@ impl FaultInjection {
 
     /// `true` if any fault is armed.
     pub fn is_armed(&self) -> bool {
-        self.fail_primary_factor
-            || self.poison_step.is_some()
+        self.poison_step.is_some()
             || self.panic_extraction
             || self.panic_engine
             || self.stall_ms.is_some()
@@ -63,10 +61,6 @@ mod tests {
     #[test]
     fn every_fault_arms() {
         let cases = [
-            FaultInjection {
-                fail_primary_factor: true,
-                ..FaultInjection::none()
-            },
             FaultInjection {
                 poison_step: Some(3),
                 ..FaultInjection::none()

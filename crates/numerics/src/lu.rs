@@ -1,12 +1,15 @@
 //! Dense LU factorization with partial pivoting.
 //!
-//! Every MNA system factors sparse first ([`crate::SparseLu`]), and the
+//! Every MNA system is factored by [`crate::SparseLu`] alone, and the
 //! SPD inversion behind full VPEC is [`crate::Cholesky`]. This dense
-//! factor is the fallback: the recovery stage of the circuit solver's
-//! factor chain, the inversion of a partial-inductance matrix `L` that
-//! is not positive definite, and the reference the runtime audits
-//! cross-check sparse solves against. The elimination is one serial
-//! right-looking loop, and a multi-column solve is a serial column loop.
+//! factor serves the small dense systems around them: the inversion of
+//! a partial-inductance matrix `L` that is not positive definite, a
+//! window solve whose block is not, the condition estimate
+//! ([`crate::probe`]), the frequency-dependent impedance and K-element
+//! solves, model-order reduction, and the reference the runtime audits
+//! and the tests cross-check sparse solves against. The elimination is
+//! one serial right-looking loop, and a multi-column solve is a serial
+//! column loop.
 
 use crate::cancel::CancelToken;
 use crate::kernel;

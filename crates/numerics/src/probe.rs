@@ -8,9 +8,8 @@ use crate::{DenseMatrix, LuFactor};
 /// `0.0` for an empty matrix.
 ///
 /// The estimate is a lower bound on the true condition number but is
-/// almost always within a small factor of it — exactly what the solver
-/// fallback chain needs to decide whether a "successful" factorization
-/// is trustworthy.
+/// almost always within a small factor of it — enough to tell whether a
+/// "successful" factorization is trustworthy.
 pub fn condition_estimate(a: &DenseMatrix<f64>) -> f64 {
     if !a.is_square() || a.rows() == 0 {
         return 0.0;

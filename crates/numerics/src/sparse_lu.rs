@@ -139,6 +139,9 @@ pub struct SparseLu<T = f64> {
     /// Columns the elimination stored in position order and updated from
     /// as slices (see [`SparseLu::dense_block`]).
     dense_block: usize,
+    /// Column where the attempt at [`DIAG_PIVOT_TOL`] stopped, when this
+    /// factor is the redo at [`STRICT_DIAG_PIVOT_TOL`].
+    redo_from: Option<usize>,
 }
 
 const UNPIVOTED: usize = usize::MAX;
@@ -232,26 +235,29 @@ impl<T: Scalar> SparseLu<T> {
         let (rows, cols) = (&ordering.rows, &ordering.cols);
         let columns = permuted_transpose(a, rows, cols)?;
         let lu = match Self::threshold_attempt(&columns, slices) {
-            Some(lu) => lu,
-            None => Self::factor_columns(&columns, STRICT_DIAG_PIVOT_TOL, slices)?,
+            Ok(lu) => lu,
+            Err(j) => SparseLu {
+                redo_from: Some(j),
+                ..Self::factor_columns(&columns, STRICT_DIAG_PIVOT_TOL, slices)?
+            },
         };
         Ok(lu.unpermuted(rows, cols))
     }
 
     /// The factor of `B` (given by columns) at [`DIAG_PIVOT_TOL`], or
-    /// `None` at the first column with no usable pivot or with a
+    /// `Err(j)` at the first column `j` with no usable pivot or with a
     /// reciprocal growth `max|B[:,j]| / max|U[:,j]|` below
     /// [`MIN_PIVOT_GROWTH`]. U column `j` is final once column `j`
     /// pivots, so stopping there decides what factoring to the end and
     /// then checking the minimum would.
-    fn threshold_attempt(columns: &CsrMatrix<T>, slices: bool) -> Option<Self> {
+    fn threshold_attempt(columns: &CsrMatrix<T>, slices: bool) -> Result<Self, usize> {
         let mut elim = Elimination::new(columns, DIAG_PIVOT_TOL, slices);
         for j in 0..columns.rows() {
-            if elim.column(j).ok()? < MIN_PIVOT_GROWTH {
-                return None;
+            if elim.column(j).map_err(|_| j)? < MIN_PIVOT_GROWTH {
+                return Err(j);
             }
         }
-        Some(elim.finish())
+        Ok(elim.finish())
     }
 
     /// Folds the permutations `B` was built with into the index maps, so
@@ -310,6 +316,14 @@ impl<T: Scalar> SparseLu<T> {
     /// or 0 for a block narrower than 32 columns.
     pub fn dense_block(&self) -> usize {
         self.dense_block
+    }
+
+    /// The column, in elimination order, where the first attempt at
+    /// threshold 10⁻³ stopped (no usable pivot, or reciprocal growth below
+    /// 0.1) when this factor is the redo at 10⁻¹; `None` when the first
+    /// attempt was accepted.
+    pub fn redo_from(&self) -> Option<usize> {
+        self.redo_from
     }
 
     /// Where `self` and `other` differ, or `None` when their pivots, index
@@ -979,6 +993,7 @@ impl<'a, T: Scalar> Elimination<'a, T> {
             off_diagonal_pivots,
             tail,
             dense_block: dense.iter().filter(|&&d| d).count(),
+            redo_from: None,
         }
     }
 }
@@ -1517,6 +1532,8 @@ mod tests {
         assert!(strict >= MIN_PIVOT_GROWTH);
         let lu = SparseLu::new_fill_reducing(&a).unwrap();
         assert_eq!(lu.off_diagonal_pivots(), 2);
+        // The loose attempt stopped at the last column, where U grew.
+        assert_eq!(lu.redo_from(), Some(1));
         let x = lu.solve(&[1.0, 2.0]).unwrap();
         let back = d.matvec(&x).unwrap();
         assert!((back[0] - 1.0).abs() < 1e-14 && (back[1] - 2.0).abs() < 1e-14);

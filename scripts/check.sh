@@ -29,9 +29,14 @@ timeout 1200 env VPEC_AUDIT=full cargo test -q --workspace
 echo "==> release-profile audit pass (tier-1 integration tests, VPEC_AUDIT=full)"
 # Release builds default to audits OFF; this run covers the enforcement
 # paths in the exact profile users deploy, including the sparse-vs-dense
-# agreement and the factorization fallback chain.
+# agreement and the typed error of a singular system.
 timeout 600 env VPEC_AUDIT=full cargo test -q --release --test audit_invariants --test paper_claims \
   --test sparse_factor --test fault_tolerance
+# The netlist census behind the one sparse factor per system: 22,000
+# seeded random netlists, each as its DC, transient and AC system; every
+# system the sparse factor rejects but dense LU factors must have a dense
+# kappa_1 of at least 1/eps, and at least one such system must appear.
+timeout 600 env VPEC_AUDIT=full cargo test -q --release -p vpec-circuit --lib solver::census
 # The AC sweep in the optimized build: its sparse factors (one ordering
 # per sweep) agree with dense LU within 1e-9 of max|x| at every point and
 # equal, bit for bit, a sweep that assembles and orders each point afresh.
@@ -197,7 +202,7 @@ timeout 120 cargo run --release -q -p vpec-cli --bin vpec -- \
   stats "$batch_ledger" --format json > "$stats_json"
 # The known batch composition must survive the ledger round trip.
 for key in '"total":7' '"ok":6' '"failed":1' '"degraded":2' '"retries":1' \
-           '"latency_ms"' '"p99_ms"' '"cache"' '"strategies"' \
+           '"latency_ms"' '"p99_ms"' '"cache"' \
            '"degraded_reasons":{"budget":1,"solve":1}' '"errors":{"panic":1}' '"throughput"'; do
   if ! grep -q "$key" "$stats_json"; then
     echo "vpec stats output is malformed: missing $key" >&2

@@ -61,8 +61,8 @@ pub mod prelude {
     pub use vpec_circuit::ac::AcSpec;
     pub use vpec_circuit::metrics::{crossing_time, peak_abs, resample, WaveformDiff};
     pub use vpec_circuit::{
-        Circuit, CircuitError, FactorDiagnostics, FactorStrategy, FaultInjection, NodeId,
-        TransientDiagnostics, TransientSpec, Waveform,
+        Circuit, CircuitError, FactorDiagnostics, FaultInjection, NodeId, TransientDiagnostics,
+        TransientSpec, Waveform,
     };
     pub use vpec_core::harness::BuildBudget;
     pub use vpec_core::harness::{paper_transient_spec, BuiltModel, Experiment, ModelKind};

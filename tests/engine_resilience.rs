@@ -8,9 +8,9 @@
 //!    over-budget request ride alongside healthy ones; the healthy ones
 //!    succeed, every line of output is valid JSON, and the degraded
 //!    wVPEC fallback is marked `degraded: true`;
-//! 2. the fault-injection matrix: deterministic faults at the extraction,
-//!    factorization and transient sites in a single batch, with per-
-//!    request isolation asserted;
+//! 2. the fault-injection matrix: deterministic faults at the extraction
+//!    and transient sites in a single batch, with per-request isolation
+//!    asserted, and a legacy factorization fault that runs clean;
 //! 3. policy edges: `--no-degrade` fails hard, budget overruns on
 //!    windowed kinds are not degradable, and repeated geometry is served
 //!    from the model cache.
@@ -136,9 +136,9 @@ fn batch_survives_panic_deadline_and_budget_failures() {
     assert_eq!(str_field(over, "ran"), "gwVPEC(b=2)");
 }
 
-/// Deterministic faults at the three pipeline sites — extraction,
-/// factorization, transient — in one batch. Each fault stays inside its
-/// own request boundary.
+/// Deterministic faults at the extraction and transient sites in one
+/// batch, beside a request carrying the retired factorization fault.
+/// Each fault stays inside its own request boundary.
 #[test]
 fn fault_matrix_is_isolated_per_request() {
     let config = EngineConfig {
@@ -162,15 +162,12 @@ fn fault_matrix_is_isolated_per_request() {
     assert_eq!(str_field(extract, "status"), "failed");
     assert_eq!(error_category(extract), "panic");
 
-    // The factorization fault kills the sparse primary; dense LU, the
-    // recovery stage at every size, answers, so the response is ok but
-    // marked degraded — and it does not poison its neighbours.
+    // The retired factorization fault is an unknown key: every system
+    // gets one sparse factor and there is no fallback to force, so the
+    // request runs clean.
     let factor = &responses[2];
     assert_eq!(str_field(factor, "status"), "ok");
-    assert!(
-        bool_field(factor, "degraded"),
-        "a factor fallback marks degraded"
-    );
+    assert!(!bool_field(factor, "degraded"));
 
     // The poisoned transient step is recovered *inside* the solve by the
     // checkpointed half-step retry; the response is ok but marked

@@ -1,9 +1,8 @@
 //! End-to-end exercises of the fault-tolerant solve pipeline — the three
 //! recovery behaviors, driven through the public API only:
 //!
-//! 1. a singular MNA system walks the factorization fallback chain and
-//!    ends in a typed error, never a panic, and an injected primary
-//!    failure ends in the chain's dense LU;
+//! 1. a singular MNA system, which the one sparse factor rejects, ends in
+//!    a typed error naming its analysis, never a panic;
 //! 2. a non-finite value appearing mid-transient triggers a checkpointed
 //!    retry at a halved step, recorded in the diagnostics;
 //! 3. a sparsified model that lost the paper's passivity guarantee is
@@ -66,13 +65,18 @@ fn boundary_layout() -> Layout {
 #[test]
 fn singular_system_is_a_typed_error_not_a_panic() {
     let (c, _) = circuit_with_floating_node();
-    // DC: the fallback chain runs out of stages and reports the failure.
+    // DC: the sparse factor rejects the system and names the analysis.
     let err = solve_dc(&c).unwrap_err();
-    assert!(matches!(err, CircuitError::SingularSystem { .. }));
+    assert_eq!(err, CircuitError::SingularSystem { analysis: "dc" });
     assert!(err.to_string().contains("singular"));
     // Transient: same typed error, no panic.
     let err = run_transient_with_report(&c, &TransientSpec::new(0.3e-9, 1e-12)).unwrap_err();
-    assert!(matches!(err, CircuitError::SingularSystem { .. }));
+    assert_eq!(
+        err,
+        CircuitError::SingularSystem {
+            analysis: "transient"
+        }
+    );
 }
 
 #[test]
@@ -86,7 +90,6 @@ fn mid_transient_nan_triggers_checkpointed_retry() {
     c.add_resistor("R1", inp, out, 50.0).unwrap();
     c.add_capacitor("C1", out, Circuit::GROUND, 1e-13).unwrap();
     let faults = FaultInjection {
-        fail_primary_factor: false,
         poison_step: Some(25),
         ..FaultInjection::none()
     };
@@ -134,28 +137,4 @@ fn nonpassive_sparsified_model_is_repaired_and_reported() {
     // And the repaired netlist actually simulates to a finite waveform.
     let v = built.far_voltage(&res, 0).expect("probed");
     assert!(v.iter().all(|x| x.is_finite()));
-}
-
-#[test]
-fn injected_factor_failure_walks_the_chain_end_to_end() {
-    let exp = Experiment::new(
-        BusSpec::new(8).build(),
-        &ExtractionConfig::paper_default(),
-        DriveConfig::paper_default(),
-    );
-    // 8-bit full VPEC (MNA dim 74): the injected failure is the sparse
-    // primary's and the chain recovers with dense LU.
-    let built = exp.build(ModelKind::VpecFull).expect("build");
-    let faults = FaultInjection {
-        fail_primary_factor: true,
-        poison_step: None,
-        ..FaultInjection::none()
-    };
-    let spec = TransientSpec::new(0.2e-9, 1e-12).fault_injection(faults);
-    let (res, diag) = run_transient_with_report(&built.model.circuit, &spec).expect("falls back");
-    assert!(diag.factor.used_fallback());
-    assert_eq!(diag.factor.attempts[0].strategy, FactorStrategy::SparseLu);
-    assert_eq!(diag.factor.accepted(), Some(FactorStrategy::DenseLu));
-    let v = res.voltage(built.model.far_nodes[0]).unwrap();
-    assert!((v.last().unwrap() - 1.0).abs() < 0.05, "aggressor settles");
 }

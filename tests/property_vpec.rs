@@ -237,16 +237,18 @@ fn repair_restores_spd_and_dominance() {
 }
 
 /// The guarded solve pipeline terminates — with a solution or a typed
-/// error, never a panic or a hang — under random fault injection: primary
-/// factorization failures and mid-run NaN poisoning at a random step.
+/// error, never a panic or a hang — under random fault injection: mid-run
+/// NaN poisoning at a random step.
 #[test]
 fn guarded_transient_terminates_under_fault_injection() {
     let mut rng = XorShift64::new(0x3009);
     for _ in 0..12 {
         let bits = rng.range_usize(2, 6);
         let peec = rng.chance(0.5);
+        // This draw armed the retired factorization fault; it stays so that
+        // the seed gives the same cases.
+        rng.chance(0.5);
         let faults = FaultInjection {
-            fail_primary_factor: rng.chance(0.5),
             poison_step: if rng.chance(0.5) {
                 Some(rng.range_usize(0, 40))
             } else {
@@ -254,8 +256,6 @@ fn guarded_transient_terminates_under_fault_injection() {
             },
             ..FaultInjection::none()
         };
-        // Every size factors sparse first, so an injected primary failure
-        // recovers through dense LU on these small buses too.
         let kind = if peec {
             ModelKind::Peec
         } else {
@@ -275,17 +275,10 @@ fn guarded_transient_terminates_under_fault_injection() {
                 if faults.poison_step.is_some() {
                     assert!(diag.retries >= 1, "poisoned run must record its retry");
                 }
-                if faults.fail_primary_factor {
-                    assert!(diag.factor.used_fallback(), "fallback must be recorded");
-                    assert_eq!(diag.factor.attempts[0].strategy, FactorStrategy::SparseLu);
-                    assert_eq!(diag.factor.accepted(), Some(FactorStrategy::DenseLu));
-                }
             }
             Err(e) => {
-                // Typed, displayable error — acceptable termination, but
-                // not for a primary failure the chain's dense LU recovers.
-                assert!(!e.to_string().is_empty());
-                assert!(!faults.fail_primary_factor, "{kind:?}: {e}");
+                // Typed, displayable error — acceptable termination.
+                assert!(!e.to_string().is_empty(), "{kind:?}");
             }
         }
     }
