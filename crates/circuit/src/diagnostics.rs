@@ -46,8 +46,8 @@ pub struct SolveAudit {
     /// accepted solve.
     pub residual: Option<f64>,
     /// Worst relative disagreement between the production factorization
-    /// and an independent dense-LU re-solve of the final step (Full audit
-    /// level, small systems only).
+    /// and an independent dense-LU re-solve of the final step (systems of
+    /// at most 512 unknowns).
     pub backend_max_diff: Option<f64>,
     /// Human-readable violations found by the solve audits (empty =
     /// clean).

@@ -47,8 +47,8 @@ const AUDIT_RESIDUAL_TOL: f64 = 1e-8;
 /// backward-stable solvers differ by at most ~cond·ε each).
 const AUDIT_BACKEND_TOL: f64 = 1e-6;
 
-/// Largest MNA dimension for which the Full-level audit pays for an
-/// independent dense-LU re-solve of the final step.
+/// Largest MNA dimension for which the audit pays for an independent
+/// dense-LU re-solve of the final step.
 const AUDIT_BACKEND_DIM_CAP: usize = 512;
 
 /// Scans assembled MNA triplets for non-finite stamps (audit layer).
@@ -323,7 +323,7 @@ fn prepare(
     layout: &MnaLayout,
 ) -> Result<TransientFactor, CircuitError> {
     let a = companion_matrix(ckt, layout, spec.dt)?;
-    if audit::enabled(audit::AuditLevel::Basic) {
+    if audit::enabled() {
         audit_stamps(&a)?;
     }
     let (factored, factor_diag) = {
@@ -692,7 +692,7 @@ fn step(
     // (factor → solve boundary). `x` holds the last accepted solution and
     // `rhs` the RHS it was solved from; `a` matches the current factor
     // even after retries (re-pointed above).
-    if audit::enabled(audit::AuditLevel::Basic) && accepted > 0 {
+    if audit::enabled() && accepted > 0 {
         let mut sa = SolveAudit::default();
         let (rel, violation) =
             audit::check_residual("transient MNA", a, &x, &rhs, AUDIT_RESIDUAL_TOL);
@@ -700,7 +700,7 @@ fn step(
         if let Some(v) = violation {
             sa.violations.push(v.to_string());
         }
-        if audit::enabled(audit::AuditLevel::Full) && layout.dim <= AUDIT_BACKEND_DIM_CAP {
+        if layout.dim <= AUDIT_BACKEND_DIM_CAP {
             // Independent dense-LU re-solve of the final step; two
             // backward-stable backends must agree on a well-posed system.
             let dense = a.to_csr().to_dense();
@@ -988,17 +988,15 @@ mod tests {
     fn audit_telemetry_is_clean_on_healthy_run() {
         let (c, _) = rc_circuit();
         let (_, diag) = run_transient_with_report(&c, &TransientSpec::new(1e-7, 1e-9)).unwrap();
-        // Debug test builds default to AuditLevel::Full; respect an
-        // explicit VPEC_AUDIT=off override (release-profile CI runs).
-        if audit::enabled(audit::AuditLevel::Basic) {
+        // Debug test builds default to audits on; respect an explicit
+        // VPEC_AUDIT=off override (release-profile CI runs).
+        if audit::enabled() {
             let sa = diag.audit.as_ref().expect("audit telemetry expected");
             assert!(sa.is_clean(), "unexpected violations: {:?}", sa.violations);
             let r = sa.residual.expect("residual recorded");
             assert!(r < AUDIT_RESIDUAL_TOL, "residual {r} too large");
-            if audit::enabled(audit::AuditLevel::Full) {
-                let d = sa.backend_max_diff.expect("backend cross-check recorded");
-                assert!(d < AUDIT_BACKEND_TOL, "backend diff {d} too large");
-            }
+            let d = sa.backend_max_diff.expect("backend cross-check recorded");
+            assert!(d < AUDIT_BACKEND_TOL, "backend diff {d} too large");
             assert!(!diag.degraded(), "clean audit must not degrade the run");
         } else {
             assert!(diag.audit.is_none());
@@ -1016,7 +1014,7 @@ mod tests {
         });
         let (_, diag) = run_transient_with_report(&c, &spec).unwrap();
         assert_eq!(diag.retries, 1);
-        if audit::enabled(audit::AuditLevel::Basic) {
+        if audit::enabled() {
             let sa = diag.audit.as_ref().expect("audit telemetry expected");
             assert!(sa.is_clean(), "unexpected violations: {:?}", sa.violations);
             assert!(sa.residual.expect("residual recorded") < AUDIT_RESIDUAL_TOL);

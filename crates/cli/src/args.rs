@@ -5,7 +5,7 @@ use vpec_circuit::spice_in::parse_value;
 use vpec_core::harness::ModelKind;
 use vpec_engine::{EngineConfig, StructureSpec};
 use vpec_metrics::{parse_fail_if, FailCondition};
-use vpec_numerics::audit::AuditLevel;
+use vpec_numerics::audit;
 
 /// Which subcommand was requested.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,9 +52,9 @@ pub struct ParsedArgs {
     /// Worker-thread override for the parallel numerics layer
     /// (`--threads N`; `None` = resolve from `VPEC_THREADS` / hardware).
     pub threads: Option<usize>,
-    /// Numerical-audit level override (`--audit[=LEVEL]`; `None` =
+    /// Numerical-audit switch override (`--audit[=on|off]`; `None` =
     /// resolve from `VPEC_AUDIT` / the build profile).
-    pub audit: Option<AuditLevel>,
+    pub audit: Option<bool>,
     /// Tracing-sink spec (`--trace[=off|summary|jsonl:PATH]`; `None` =
     /// resolve from `VPEC_TRACE`).
     pub trace: Option<String>,
@@ -277,14 +277,12 @@ pub fn parse_args(argv: &[String]) -> Result<ParsedArgs, CliError> {
                 };
             }
             "-o" | "--output" => out.output = Some(value("path")?.clone()),
-            "--audit" => out.audit = Some(AuditLevel::Full),
+            "--audit" => out.audit = Some(true),
             "--trace" => out.trace = Some("summary".to_string()),
             other => {
-                if let Some(level) = other.strip_prefix("--audit=") {
-                    out.audit = Some(AuditLevel::parse(level).ok_or_else(|| {
-                        CliError::usage(format!(
-                            "unknown audit level: {level} (use off, basic or full)"
-                        ))
+                if let Some(setting) = other.strip_prefix("--audit=") {
+                    out.audit = Some(audit::parse_switch(setting).ok_or_else(|| {
+                        CliError::usage(format!("unknown audit setting: {setting} (use on or off)"))
                     })?);
                 } else if let Some(spec) = other.strip_prefix("--trace=") {
                     // Validate eagerly so a typo fails at parse time, but
@@ -439,22 +437,13 @@ mod tests {
     #[test]
     fn parses_audit_flag() {
         assert_eq!(parse_args(&argv("simulate")).unwrap().audit, None);
-        assert_eq!(
-            parse_args(&argv("simulate --audit")).unwrap().audit,
-            Some(AuditLevel::Full)
-        );
-        assert_eq!(
-            parse_args(&argv("simulate --audit=basic")).unwrap().audit,
-            Some(AuditLevel::Basic)
-        );
-        assert_eq!(
-            parse_args(&argv("simulate --audit=off")).unwrap().audit,
-            Some(AuditLevel::Off)
-        );
-        assert_eq!(
-            parse_args(&argv("simulate --audit=full")).unwrap().audit,
-            Some(AuditLevel::Full)
-        );
+        let audit = |line: &str| parse_args(&argv(line)).unwrap().audit;
+        assert_eq!(audit("simulate --audit"), Some(true));
+        assert_eq!(audit("simulate --audit=on"), Some(true));
+        assert_eq!(audit("simulate --audit=off"), Some(false));
+        // The retired level names still parse: both mean on.
+        assert_eq!(audit("simulate --audit=basic"), Some(true));
+        assert_eq!(audit("simulate --audit=full"), Some(true));
         assert!(parse_args(&argv("simulate --audit=wat")).is_err());
     }
 

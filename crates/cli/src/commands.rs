@@ -115,15 +115,10 @@ pub fn model(args: &ParsedArgs) -> Result<String, CliError> {
     }
     // The model command is a *report*, so the audit here never aborts —
     // it prints what the enforcing pipeline (simulate/export) would say.
-    if audit::enabled(audit::AuditLevel::Basic) {
+    if audit::enabled() {
         let audit_rep =
             vpec_core::invariants::audit_model(&format!("{} Ĝ", args.kind.label()), &model);
-        let _ = writeln!(
-            out,
-            "audit ({}): {}",
-            audit::level().label(),
-            audit_rep.summary()
-        );
+        let _ = writeln!(out, "audit: {}", audit_rep.summary());
         for v in &audit_rep.violations {
             let _ = writeln!(out, "  {v}");
         }
@@ -436,8 +431,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     if let Some(n) = args.threads {
         vpec_numerics::pool::set_threads(n);
     }
-    if let Some(level) = args.audit {
-        audit::set_level(level);
+    if let Some(on) = args.audit {
+        audit::set_enabled(on);
     }
     if let Some(spec) = &args.trace {
         // `reset` rather than `set_mode_spec`: repeated invocations in one
@@ -574,7 +569,7 @@ mod tests {
     #[test]
     fn audit_flag_enables_reporting() {
         let out = run_line("model --bits 4 --kind wvpec-g:2 --audit").unwrap();
-        assert!(out.contains("audit (full):"), "model audit line: {out}");
+        assert!(out.contains("audit: "), "model audit line: {out}");
         let sim =
             run_line("simulate --bits 3 --kind vpec-full --tstop 0.05n --probe 0 --audit").unwrap();
         assert!(

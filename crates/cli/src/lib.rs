@@ -101,9 +101,10 @@ COMMON OPTIONS:
                     Must be 1..=256 — the pool never spawns more than
                     256 workers, and out-of-range values are rejected
                     at parse time rather than silently clamped
-  --audit[=LEVEL]   numerical-correctness audits: off | basic | full
-                    (bare --audit = full; default: VPEC_AUDIT env, then
-                    full in debug builds, off in release builds)
+  --audit[=on|off]  numerical-correctness audits (bare --audit = on;
+                    default: VPEC_AUDIT env, then on in debug builds,
+                    off in release builds; the older values basic and
+                    full both mean on)
   --trace[=MODE]    structured tracing: off | summary | jsonl:PATH
                     (bare --trace = summary; default: VPEC_TRACE env,
                     then off). summary appends a span tree with per-phase
@@ -171,14 +172,14 @@ DIAGNOSTICS:
   retries at a reduced time step. Every MNA system gets one sparse LU
   factor; a system it cannot factor is a typed singular-system error.
 
-  With auditing enabled (--audit or VPEC_AUDIT=basic|full), every layer
-  boundary is validated: extracted parasitics (finite, symmetric, SPD L),
-  the built model's Ĝ (Theorem 1 passivity; diagonal dominance reported
-  as a warning), MNA stamps (finiteness) and the transient solve
-  (relative residual; at full level also a cross-backend consistency
-  check). Violations carry the matrix name, index and magnitude, and
-  abort the pipeline with a typed error instead of producing silently
-  wrong waveforms.
+  With auditing on (--audit or VPEC_AUDIT=on), every layer boundary is
+  validated: extracted parasitics (finite, symmetric, SPD L), the built
+  model's Ĝ (finite; Theorem 1 passivity; diagonal dominance reported as
+  a warning), MNA stamps (finiteness) and the transient solve (relative
+  residual, and a dense-LU re-solve of systems up to 512 unknowns).
+  Violations carry the matrix name, index and magnitude, and abort the
+  pipeline with a typed error instead of producing silently wrong
+  waveforms.
 
   With tracing enabled (--trace or VPEC_TRACE=summary|jsonl:PATH), every
   pipeline phase is timed as a hierarchical span: extract, model.invert,

@@ -12,27 +12,22 @@
 //!   matrices are naturally non-dominant, which is the very problem the
 //!   VPEC transformation solves.
 //! * **Model boundary** ([`audit_model`]): the VPEC conductance matrix
-//!   `Ĝ` must be finite, symmetric and SPD (Theorem 1 passivity); strict
-//!   diagonal dominance (Theorem 2) is recorded as a warning because it
-//!   only provably holds for aligned geometries. At
-//!   [`AuditLevel::Full`] and moderate sizes, the model system is also
-//!   solved with every available backend and cross-checked.
+//!   `Ĝ` must be finite and SPD (Theorem 1 passivity); strict diagonal
+//!   dominance (Theorem 2) is recorded as a warning because it only
+//!   provably holds for aligned geometries. Both verdicts come from
+//!   [`VpecModel::passivity_report`], the one passivity check, in
+//!   O(nnz) whenever Theorem 2 holds. `Ĝ` is symmetric by construction,
+//!   so no check tests it. No analysis factors `Ĝ`, so no solve of it is
+//!   cross-checked.
 //!
 //! Enforcement ([`enforce_parasitics`], [`enforce_model`]) is gated on the
-//! global audit level: on by default in debug builds, opt-in via
+//! global audit switch: on by default in debug builds, opt-in via
 //! `--audit`/`VPEC_AUDIT` in release builds, and a single relaxed atomic
 //! load when off.
 
 use crate::{CoreError, VpecModel};
 use vpec_extract::Parasitics;
-use vpec_numerics::audit::{self, AuditCheck, AuditLevel, AuditReport, AuditViolation};
-
-/// Largest model dimension the Full-level backend cross-check will solve;
-/// above this the dense reference solve would dominate build time.
-const CONSISTENCY_DIM_CAP: usize = 256;
-
-/// Worst tolerated relative disagreement between solver backends.
-const CONSISTENCY_TOL: f64 = 1e-6;
+use vpec_numerics::audit::{self, AuditCheck, AuditReport, AuditViolation};
 
 /// Relative symmetry tolerance, scaled to the matrix magnitude.
 fn sym_tol(max_abs: f64) -> f64 {
@@ -89,36 +84,69 @@ pub fn audit_parasitics(parasitics: &Parasitics) -> AuditReport {
 }
 
 /// Audits a VPEC model's conductance matrix `Ĝ` at the model-build
-/// boundary.
-///
-/// Always runs the SPD battery (finite / symmetric / positive definite as
-/// errors, strict diagonal dominance as a warning). At
-/// [`AuditLevel::Full`] on models of dimension ≤ `256` whose battery came
-/// back error-free, additionally solves `Ĝ·x = 1` with dense LU, sparse LU
-/// and Cholesky and records any cross-backend disagreement.
+/// boundary: every stored entry finite, then the verdicts of
+/// [`VpecModel::passivity_report`] — positive definiteness as an error
+/// at the row where Cholesky failed, strict diagonal dominance as a
+/// warning at the first non-dominant row with its deficit.
 pub fn audit_model(label: &str, model: &VpecModel) -> AuditReport {
-    let g = model.g_matrix();
-    let mut report = audit::audit_spd_matrix(label, &g, sym_tol(g.max_abs()));
-    if audit::level() >= AuditLevel::Full
-        && !report.has_errors()
-        && (1..=CONSISTENCY_DIM_CAP).contains(&g.rows())
-    {
-        let rhs = vec![1.0; g.rows()];
-        let (_, violation) = audit::check_solve_consistency(label, &g, &rhs, CONSISTENCY_TOL);
-        report.record(violation);
+    let violation =
+        |check, row: usize, col: usize, magnitude: f64, detail: String| AuditViolation {
+            matrix: label.to_string(),
+            check,
+            index: Some((row, col)),
+            magnitude,
+            detail,
+        };
+    let g_diag = model.g_diag();
+    let mut report = AuditReport::new(label);
+    report.record(
+        g_diag
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (i, i, v))
+            .chain(model.g_off().iter().copied())
+            .find(|e| !e.2.is_finite())
+            .map(|(i, j, v)| violation(AuditCheck::Finite, i, j, v, format!("entry is {v}"))),
+    );
+    if !report.is_clean() {
+        // Cholesky on a NaN-bearing matrix would report nonsense.
+        return report;
     }
+    let passivity = model.passivity_report();
+    report.record(passivity.cholesky_failed_at.map(|r| {
+        violation(
+            AuditCheck::PositiveDefinite,
+            r,
+            r,
+            g_diag[r],
+            format!("Cholesky pivot of row {r} is not positive (Theorem 1)"),
+        )
+    }));
+    report.record(passivity.first_non_dominant.map(|(i, deficit)| {
+        let d = g_diag[i].abs();
+        violation(
+            AuditCheck::DiagonallyDominant,
+            i,
+            i,
+            deficit,
+            format!(
+                "row {i}: |diag| = {d:.3e} does not exceed off-diagonal sum {:.3e}",
+                d + deficit
+            ),
+        )
+    }));
     report
 }
 
 /// Gated enforcement of [`audit_parasitics`]: a no-op (one relaxed atomic
-/// load) unless the audit level is at least [`AuditLevel::Basic`].
+/// load) unless audits are on.
 ///
 /// # Errors
 ///
 /// [`CoreError::AuditFailed`] carrying the full report when any
 /// error-severity violation was found.
 pub fn enforce_parasitics(parasitics: &Parasitics) -> Result<(), CoreError> {
-    if !audit::enabled(AuditLevel::Basic) {
+    if !audit::enabled() {
         return Ok(());
     }
     audit_parasitics(parasitics).into_result()?;
@@ -126,7 +154,7 @@ pub fn enforce_parasitics(parasitics: &Parasitics) -> Result<(), CoreError> {
 }
 
 /// Gated enforcement of [`audit_model`]: a no-op (one relaxed atomic
-/// load) unless the audit level is at least [`AuditLevel::Basic`].
+/// load) unless audits are on.
 ///
 /// Call this *after* passivity repair — a freshly sparsified model may
 /// legitimately be non-SPD before [`crate::repair::repair_passivity`]
@@ -137,7 +165,7 @@ pub fn enforce_parasitics(parasitics: &Parasitics) -> Result<(), CoreError> {
 /// [`CoreError::AuditFailed`] carrying the full report when any
 /// error-severity violation was found.
 pub fn enforce_model(label: &str, model: &VpecModel) -> Result<(), CoreError> {
-    if !audit::enabled(AuditLevel::Basic) {
+    if !audit::enabled() {
         return Ok(());
     }
     audit_model(label, model).into_result()?;
@@ -209,19 +237,52 @@ mod tests {
         let model = VpecModel::from_parts(vec![1.0; n], g_diag, vec![(0, 1, -0.1)]);
         let report = audit_model("corrupted Ĝ", &model);
         assert!(report.has_errors());
-        let v = report
-            .violations
-            .iter()
-            .find(|v| v.check == AuditCheck::PositiveDefinite)
-            .expect("SPD violation expected");
+        assert_eq!(report.violations.len(), 1, "{}", report.summary());
+        let v = &report.violations[0];
         assert_eq!(v.matrix, "corrupted Ĝ");
+        assert_eq!(v.check, AuditCheck::PositiveDefinite);
+        assert_eq!(v.index, Some((2, 2)));
         let msg = v.to_string();
         assert!(msg.contains("corrupted Ĝ"), "actionable message: {msg}");
     }
 
     #[test]
+    fn non_dominant_model_is_a_located_warning() {
+        // Passive, but row 1 misses dominance by 0.2: a warning, not an
+        // error.
+        let model = VpecModel::from_parts(
+            vec![1.0; 3],
+            vec![1.0, 1.0, 1.0],
+            vec![(0, 1, -0.6), (1, 2, -0.6)],
+        );
+        let report = audit_model("tridiagonal Ĝ", &model);
+        assert!(!report.has_errors(), "{}", report.summary());
+        assert_eq!(report.violations.len(), 1);
+        let v = &report.violations[0];
+        assert_eq!(v.matrix, "tridiagonal Ĝ");
+        assert_eq!(v.check, AuditCheck::DiagonallyDominant);
+        assert_eq!(v.index, Some((1, 1)));
+        assert!((v.magnitude - 0.2).abs() < 1e-12, "deficit {}", v.magnitude);
+    }
+
+    #[test]
+    fn non_finite_coupling_is_located_before_any_factor() {
+        let model = VpecModel::from_parts(
+            vec![1.0; 3],
+            vec![1.0, 1.0, 1.0],
+            vec![(0, 1, -0.1), (1, 2, f64::NAN)],
+        );
+        let report = audit_model("NaN Ĝ", &model);
+        assert_eq!(report.violations.len(), 1, "{}", report.summary());
+        let v = &report.violations[0];
+        assert_eq!(v.matrix, "NaN Ĝ");
+        assert_eq!(v.check, AuditCheck::Finite);
+        assert_eq!(v.index, Some((1, 2)));
+    }
+
+    #[test]
     fn enforcement_is_typed_error_not_panic() {
-        if !audit::enabled(AuditLevel::Basic) {
+        if !audit::enabled() {
             return; // enforcement explicitly disabled in this run
         }
         let para = bus_parasitics(3);

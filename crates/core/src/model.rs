@@ -4,9 +4,7 @@
 use crate::CoreError;
 use vpec_extract::Parasitics;
 use vpec_geometry::Layout;
-use vpec_numerics::{
-    CancelToken, Cholesky, CooMatrix, CsrMatrix, DenseMatrix, LuFactor, NumericsError,
-};
+use vpec_numerics::{CancelToken, Cholesky, CooMatrix, CsrMatrix, DenseMatrix, NumericsError};
 
 /// A VPEC model: the symmetric circuit matrix `Ĝ` stored sparsely
 /// (diagonal + one entry per off-diagonal pair) together with the
@@ -35,12 +33,15 @@ impl VpecModel {
     /// matrix: `S = L⁻¹`, `Ĝ = Dₗ·S·Dₗ` (paper eq. (9)–(10), generalized
     /// to per-filament lengths `Ĝᵢⱼ = lᵢ·lⱼ·Sᵢⱼ`).
     ///
-    /// Uses Cholesky (the matrix is s.p.d. for physical geometry) and falls
-    /// back to LU if rounding pushed the extracted `L` off definiteness.
+    /// The inversion is a Cholesky factorization: Theorem 1 makes `Ĝ`
+    /// s.p.d. only when `L` is, so an `L` Cholesky rejects has no passive
+    /// model to build (`model::census` finds none among extracted buses
+    /// and spirals).
     ///
     /// # Errors
     ///
-    /// [`CoreError::BadInductanceMatrix`] if `L` is singular, and
+    /// [`CoreError::BadInductanceMatrix`] wrapping
+    /// [`NumericsError::NotPositiveDefinite`] if `L` is not s.p.d., and
     /// [`CoreError::InvalidParameter`] for an empty model.
     pub fn full(parasitics: &Parasitics) -> Result<Self, CoreError> {
         Self::full_cancel(parasitics, |_, _| true, &CancelToken::none())
@@ -52,20 +53,18 @@ impl VpecModel {
     /// `L = G·Gᵀ`, each kept `Sᵢⱼ` is one dot product of two columns of
     /// `G⁻¹` ([`Cholesky::inverse_entries`]), so a truncated model costs
     /// the factor and `G⁻¹` but neither an `n × n` inverse nor an `n²`
-    /// entry list. The LU fallback forms its dense inverse and keeps the
-    /// same pairs.
+    /// entry list.
     ///
     /// The token is threaded through the factorization (polled per
     /// elimination column) and the inversion (polled per block of four
-    /// columns of `G⁻¹` and per tile of entries, or per column on the LU
-    /// fallback), so a deadline watchdog can abort the O(N³) hot path
-    /// mid-flight.
+    /// columns of `G⁻¹` and per tile of entries), so a deadline watchdog
+    /// can abort the O(N³) hot path mid-flight.
     ///
     /// # Errors
     ///
     /// As [`VpecModel::full`]; a fired token surfaces as
     /// [`CoreError::BadInductanceMatrix`] wrapping
-    /// [`NumericsError::Cancelled`](vpec_numerics::NumericsError::Cancelled).
+    /// [`NumericsError::Cancelled`].
     pub fn full_cancel(
         parasitics: &Parasitics,
         keep: impl Fn(usize, usize) -> bool + Sync,
@@ -79,62 +78,21 @@ impl VpecModel {
                 reason: "cannot build a VPEC model over zero filaments",
             });
         }
-        let mut sp = vpec_trace::span!("model.invert", "dim" => n);
+        let _sp = vpec_trace::span!("model.invert", "dim" => n);
         let threads = vpec_numerics::pool::max_threads();
-        match Cholesky::with_threads_cancel(l, threads, cancel) {
-            Ok(ch) => {
-                sp.set_attr("backend", "cholesky");
-                let s = ch.inverse_entries(keep, cancel)?;
-                let g_diag = s.diag.iter().zip(lengths).map(|(d, l)| l * l * d).collect();
-                let g_off = s
-                    .upper
-                    .into_iter()
-                    .map(|(i, j, v)| (i, j, lengths[i] * lengths[j] * v))
-                    .filter(|&(_, _, v)| v != 0.0)
-                    .collect();
-                Ok(VpecModel {
-                    lengths: lengths.clone(),
-                    g_diag,
-                    g_off,
-                })
-            }
-            // A cancelled factorization must not fall through to the LU
-            // retry — that would restart the work the deadline just killed.
-            Err(e @ NumericsError::Cancelled { .. }) => Err(e.into()),
-            Err(_) => {
-                sp.set_attr("backend", "lu");
-                let s = LuFactor::new_cancel(l, cancel)?.inverse_cancel(cancel)?;
-                Ok(Self::from_inverse(&s, lengths, keep))
-            }
-        }
-    }
-
-    /// Builds a model from an approximate inverse `S` of `L`, the filament
-    /// lengths and the couplings to keep. Off-diagonal entries are
-    /// symmetrized by averaging, since an LU inverse is symmetric only to
-    /// rounding.
-    fn from_inverse(
-        s: &DenseMatrix<f64>,
-        lengths: &[f64],
-        keep: impl Fn(usize, usize) -> bool,
-    ) -> Self {
-        let n = s.rows();
-        let mut g_diag = Vec::with_capacity(n);
-        let mut g_off = Vec::new();
-        for i in 0..n {
-            g_diag.push(lengths[i] * lengths[i] * s[(i, i)]);
-            for j in (i + 1)..n {
-                let v = lengths[i] * lengths[j] * 0.5 * (s[(i, j)] + s[(j, i)]);
-                if v != 0.0 && keep(i, j) {
-                    g_off.push((i, j, v));
-                }
-            }
-        }
-        VpecModel {
-            lengths: lengths.to_vec(),
+        let s = Cholesky::with_threads_cancel(l, threads, cancel)?.inverse_entries(keep, cancel)?;
+        let g_diag = s.diag.iter().zip(lengths).map(|(d, l)| l * l * d).collect();
+        let g_off = s
+            .upper
+            .into_iter()
+            .map(|(i, j, v)| (i, j, lengths[i] * lengths[j] * v))
+            .filter(|&(_, _, v)| v != 0.0)
+            .collect();
+        Ok(VpecModel {
+            lengths: lengths.clone(),
             g_diag,
             g_off,
-        }
+        })
     }
 
     /// Builds a model directly from sparse `Ĝ` entries (used by the
@@ -311,13 +269,31 @@ impl VpecModel {
     /// has all its Gershgorin discs in the right half-plane, so it is
     /// positive definite (Theorem 2 ⇒ Theorem 1); only a model that fails
     /// that test is densified for a Cholesky factorization.
+    ///
+    /// A NaN entry fails both checks: its row is not dominant and the
+    /// factor rejects its pivot.
     pub fn passivity_report(&self) -> PassivityReport {
         let off = self.off_diagonal_abs_sums();
-        let sdd = self.g_diag.iter().zip(&off).all(|(d, o)| d.abs() > *o);
-        let gershgorin = sdd && self.g_diag.iter().all(|&d| d > 0.0);
+        let first_non_dominant = self
+            .g_diag
+            .iter()
+            .zip(&off)
+            .position(|(d, o)| d.abs() <= *o || d.is_nan() || o.is_nan())
+            .map(|i| (i, off[i] - self.g_diag[i].abs()));
+        let gershgorin = first_non_dominant.is_none() && self.g_diag.iter().all(|&d| d > 0.0);
+        let cholesky = if gershgorin {
+            Ok(())
+        } else {
+            Cholesky::new(&self.g_matrix()).map(|_| ())
+        };
         PassivityReport {
-            strictly_diag_dominant: sdd,
-            positive_definite: gershgorin || Cholesky::new(&self.g_matrix()).is_ok(),
+            strictly_diag_dominant: first_non_dominant.is_none(),
+            positive_definite: cholesky.is_ok(),
+            first_non_dominant,
+            cholesky_failed_at: match cholesky {
+                Err(NumericsError::NotPositiveDefinite { row }) => Some(row),
+                _ => None,
+            },
         }
     }
 }
@@ -367,13 +343,19 @@ pub fn adjacent_pairs(layout: &Layout) -> impl Fn(usize, usize) -> bool + Sync +
     }
 }
 
-/// Outcome of the passivity checks (Theorems 1–2 evaluated numerically).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Outcome of the passivity checks (Theorems 1–2 evaluated numerically),
+/// with where each failed.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PassivityReport {
-    /// `Ĝᵢᵢ > Σ_{j≠i} |Ĝᵢⱼ|` for every row (Theorem 2).
+    /// `|Ĝᵢᵢ| > Σ_{j≠i} |Ĝᵢⱼ|` for every row (Theorem 2).
     pub strictly_diag_dominant: bool,
     /// Cholesky succeeds, i.e. `Ĝ ≻ 0` (Theorem 1).
     pub positive_definite: bool,
+    /// The first row that is not strictly dominant, with its deficit
+    /// `Σ_{j≠i} |Ĝᵢⱼ| − |Ĝᵢᵢ|`.
+    pub first_non_dominant: Option<(usize, f64)>,
+    /// The row whose Cholesky pivot was not positive.
+    pub cholesky_failed_at: Option<usize>,
 }
 
 impl PassivityReport {
@@ -427,47 +409,37 @@ mod tests {
     }
 
     #[test]
-    fn indefinite_inductance_falls_back_to_lu() {
-        // Negating one self inductance leaves L symmetric and nonsingular
-        // but indefinite, so Cholesky fails and the inversion takes LU.
+    fn indefinite_inductance_is_a_typed_error() {
+        // A coupling larger than the geometric mean of its two self
+        // inductances leaves L symmetric with a positive diagonal but
+        // indefinite: no s.p.d. inverse, so no passive model.
         let layout = BusSpec::new(6).build();
         let para = extract(&layout, &ExtractionConfig::paper_default());
         let mut l = para.inductance().clone();
-        l[(2, 2)] = -l[(2, 2)];
+        let c = 2.0 * (l[(1, 1)] * l[(2, 2)]).sqrt();
+        l[(1, 2)] = c;
+        l[(2, 1)] = c;
         assert!(Cholesky::new(&l).is_err(), "L must be indefinite");
         let para = para.with_inductance(l);
 
-        vpec_trace::reset("summary").unwrap();
-        let m = VpecModel::full(&para).unwrap();
-        let lu_inverts = vpec_trace::closed_spans().iter().any(|sp| {
-            sp.name == "model.invert" && sp.attrs.contains(&("backend".into(), "lu".into()))
-        });
-        vpec_trace::reset("off").unwrap();
-        assert!(lu_inverts, "model.invert must record the lu backend");
-
-        // Ĝ·(Dₗ⁻¹·L·Dₗ⁻¹) is the identity, as for the Cholesky inverse.
-        let g = m.g_matrix();
-        let n = g.rows();
-        let mut l_scaled = para.inductance().clone();
-        for i in 0..n {
-            for j in 0..n {
-                l_scaled[(i, j)] /= para.lengths[i] * para.lengths[j];
-            }
+        for built in [
+            VpecModel::full(&para),
+            // Windows as large as the bus hold the whole indefinite L.
+            crate::windowed::windowed_geometric(&para, 6),
+        ] {
+            assert!(
+                matches!(
+                    built,
+                    Err(CoreError::BadInductanceMatrix(
+                        NumericsError::NotPositiveDefinite { .. }
+                    ))
+                ),
+                "{built:?}"
+            );
         }
-        let prod = g.matmul(&l_scaled).unwrap();
-        assert!(
-            prod.max_abs_diff(&DenseMatrix::identity(n)).unwrap() < 1e-6,
-            "Ĝ must be the length-scaled inverse of L"
-        );
 
-        // The LU inverse keeps the pairs it is asked to keep.
-        let band = |i: usize, j: usize| j - i == 1;
-        assert_eq!(
-            VpecModel::full_cancel(&para, band, &CancelToken::none()).unwrap(),
-            m.retain(band)
-        );
-
-        // A fired token stops the build instead of retrying through LU.
+        // A fired token stops the build before the factor finds the
+        // indefinite pivot.
         let token = CancelToken::new();
         token.cancel();
         assert!(matches!(
@@ -564,18 +536,33 @@ mod tests {
 
     #[test]
     fn passivity_report_agrees_with_the_dense_checks() {
-        // Dominant; passive but not dominant; indefinite; and a negative
-        // diagonal that dominates its row.
+        // Dominant; passive but row 1 misses dominance by 0.2;
+        // indefinite, failing at the second pivot; and a negative
+        // diagonal that dominates its row, failing at its own pivot.
+        // Each with its first non-dominant row and deficit and the row
+        // Cholesky fails at.
         let (bus, _) = bus_model(6);
-        for m in [
-            bus,
-            VpecModel::from_parts(
-                vec![1.0; 3],
-                vec![1.0, 1.0, 1.0],
-                vec![(0, 1, -0.6), (1, 2, -0.6)],
+        for (m, non_dominant, failed_at) in [
+            (bus, None, None),
+            (
+                VpecModel::from_parts(
+                    vec![1.0; 3],
+                    vec![1.0, 1.0, 1.0],
+                    vec![(0, 1, -0.6), (1, 2, -0.6)],
+                ),
+                Some((1, 0.2)),
+                None,
             ),
-            VpecModel::from_parts(vec![1.0; 2], vec![1.0, 1.0], vec![(0, 1, -2.0)]),
-            VpecModel::from_parts(vec![1.0; 2], vec![-3.0, 3.0], vec![(0, 1, 1.0)]),
+            (
+                VpecModel::from_parts(vec![1.0; 2], vec![1.0, 1.0], vec![(0, 1, -2.0)]),
+                Some((0, 1.0)),
+                Some(1),
+            ),
+            (
+                VpecModel::from_parts(vec![1.0; 2], vec![-3.0, 3.0], vec![(0, 1, 1.0)]),
+                None,
+                Some(0),
+            ),
         ] {
             let g = m.g_matrix();
             let rep = m.passivity_report();
@@ -586,7 +573,20 @@ mod tests {
             assert_eq!(rep.positive_definite, Cholesky::new(&g).is_ok());
             let margin = m.passivity_margin().unwrap();
             assert_eq!(margin.min > 0.0, rep.positive_definite);
+            assert_eq!(
+                rep.first_non_dominant.map(|e| e.0),
+                non_dominant.map(|e| e.0)
+            );
+            if let (Some((_, got)), Some((_, want))) = (rep.first_non_dominant, non_dominant) {
+                assert!((got - want).abs() < 1e-12, "deficit {got}");
+            }
+            assert_eq!(rep.cholesky_failed_at, failed_at);
         }
+        // A NaN coupling fails both checks instead of passing them.
+        let m = VpecModel::from_parts(vec![1.0; 2], vec![1.0, 1.0], vec![(0, 1, f64::NAN)]);
+        let rep = m.passivity_report();
+        assert_eq!(rep.first_non_dominant.map(|e| e.0), Some(0));
+        assert!(!rep.positive_definite);
     }
 
     #[test]
@@ -610,5 +610,115 @@ mod tests {
             }
             assert_eq!(full[i].to_bits(), row.to_bits());
         }
+    }
+}
+
+/// A seeded census of extracted partial-inductance matrices: every `L`
+/// that extraction produces over a wide spread of buses and spirals must
+/// pass Cholesky, which is why [`VpecModel::full`] and the window solves
+/// have no other inversion. The seed and budget were fixed before the
+/// first run. The smallest relative pivot `Gᵢᵢ²/Lᵢᵢ` of `L = G·Gᵀ` (1
+/// for an uncoupled filament) is printed as the margin.
+#[cfg(test)]
+mod census {
+    use vpec_extract::{extract, ExtractionConfig};
+    use vpec_geometry::{um, BusSpec, Layout, SpiralSpec};
+    use vpec_numerics::rng::XorShift64;
+    use vpec_numerics::{Cholesky, NumericsError};
+
+    const SEED: u64 = 0x3838;
+    const BUSES: usize = 1_500;
+    const SPIRALS: usize = 200;
+
+    fn log_uniform(rng: &mut XorShift64, lo: f64, hi: f64) -> f64 {
+        rng.range_f64(lo.ln(), hi.ln()).exp()
+    }
+
+    /// 2–39 bits, 1–5 segments, width 0.1–10 µm, spacing 0.05–20 µm and
+    /// length 5–5,000 µm (log-uniform), misalignment 0–0.95, and a
+    /// shield every 1–4 lines on a third of the buses.
+    fn bus(rng: &mut XorShift64) -> (String, Layout) {
+        let bits = rng.range_usize(2, 40);
+        let segments = rng.range_usize(1, 6);
+        let width = log_uniform(rng, 0.1, 10.0);
+        let spacing = log_uniform(rng, 0.05, 20.0);
+        let length = log_uniform(rng, 5.0, 5_000.0);
+        let misalign = rng.range_f64(0.0, 0.95);
+        let seed = rng.next_u64();
+        let shield = rng.chance(1.0 / 3.0).then(|| rng.range_usize(1, 5));
+        let mut spec = BusSpec::new(bits)
+            .segments(segments)
+            .width(um(width))
+            .spacing(um(spacing))
+            .line_length(um(length))
+            .misalignment(misalign)
+            .seed(seed);
+        if let Some(k) = shield {
+            spec = spec.shield_every(k);
+        }
+        let what = format!(
+            "bus {bits} x {segments}, w {width:.3} µm, s {spacing:.3} µm, \
+             l {length:.1} µm, misalign {misalign:.2}, shield {shield:?}"
+        );
+        (what, spec.build())
+    }
+
+    /// 1–6 turns, width 1–12 µm, spacing 0.5–6 µm, an outer side of
+    /// 2·turns + 1–20 pitches, and 4–32 segments per turn.
+    fn spiral(rng: &mut XorShift64) -> (String, Layout) {
+        let turns = rng.range_usize(1, 7);
+        let width = rng.range_f64(1.0, 12.0);
+        let spacing = rng.range_f64(0.5, 6.0);
+        let outer = (2.0 * turns as f64 + rng.range_f64(1.0, 20.0)) * (width + spacing);
+        let segments = rng.range_usize(4 * turns, 32 * turns + 1);
+        let spec = SpiralSpec::new(turns)
+            .width(um(width))
+            .spacing(um(spacing))
+            .outer_side(um(outer))
+            .target_segments(segments);
+        let what = format!(
+            "spiral {turns} turns, w {width:.2} µm, s {spacing:.2} µm, \
+             side {outer:.1} µm, {segments} segments"
+        );
+        (what, spec.build())
+    }
+
+    /// The smallest `Gᵢᵢ²/Lᵢᵢ` of `L = G·Gᵀ`, or the error of a factor
+    /// that rejects `L`.
+    fn smallest_relative_pivot(layout: &Layout) -> Result<f64, NumericsError> {
+        let para = extract(layout, &ExtractionConfig::paper_default());
+        let l = para.inductance();
+        let g = Cholesky::new(l)?;
+        let g = g.factor();
+        Ok((0..l.rows())
+            .map(|i| g[(i, i)] * g[(i, i)] / l[(i, i)])
+            .fold(f64::INFINITY, f64::min))
+    }
+
+    #[test]
+    fn every_extracted_l_passes_cholesky() {
+        let mut rng = XorShift64::new(SEED);
+        let mut rejected = Vec::new();
+        let mut smallest = (f64::INFINITY, String::new());
+        for case in 0..BUSES + SPIRALS {
+            let (what, layout) = if case < BUSES {
+                bus(&mut rng)
+            } else {
+                spiral(&mut rng)
+            };
+            match smallest_relative_pivot(&layout) {
+                Ok(p) if p < smallest.0 => smallest = (p, what),
+                Ok(_) => {}
+                Err(e) => rejected.push(format!("{what}: {e}")),
+            }
+        }
+        println!(
+            "L census (seed {SEED:#x}): {BUSES} buses and {SPIRALS} spirals, {} rejected by \
+             Cholesky; smallest pivot²/Lᵢᵢ {:.3e} ({})",
+            rejected.len(),
+            smallest.0,
+            smallest.1
+        );
+        assert!(rejected.is_empty(), "{rejected:#?}");
     }
 }

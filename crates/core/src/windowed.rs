@@ -25,10 +25,19 @@
 //! below `threshold·Lₘₘ` (nwVPEC). Every unread partner is therefore
 //! ranked below the window, and the windows — and so the models — are
 //! the ones a full sort of each dense row picks, bit for bit.
+//!
+//! # Cholesky only
+//!
+//! Each window is solved by Cholesky and nothing else. Its indices are
+//! sorted, so it is a principal submatrix of `L` whose pivots are at
+//! least `L`'s own: an `L` that passes Cholesky passes it in every
+//! window, and `model::census` finds no extracted `L` that fails. A
+//! window Cholesky rejects is a [`CoreError::BadInductanceMatrix`], as
+//! for [`VpecModel::full`].
 
 use crate::{CoreError, VpecModel};
 use vpec_extract::Parasitics;
-use vpec_numerics::{pool, Cholesky, DenseMatrix, LuFactor, NumericsError, Pool};
+use vpec_numerics::{pool, Cholesky, DenseMatrix, NumericsError, Pool};
 
 /// Rejects inductance matrices the window machinery cannot safely
 /// consume: any non-finite entry would make the coupling-strength sort
@@ -257,13 +266,16 @@ fn solve_window(
     }
     let mut e = vec![0.0; k];
     e[pos_m] = 1.0;
-    // The submatrix of an s.p.d. matrix is s.p.d.; fall back to LU for
-    // numerically borderline geometry.
-    let s = match Cholesky::new(&sub) {
-        Ok(ch) => ch.solve(&e)?,
-        Err(_) => LuFactor::new(&sub)?.solve(&e)?,
-    };
-    Ok((s, reads))
+    // A window is a principal submatrix of `L`, so its Cholesky pivots
+    // are at least those of `L`'s own factor; a window it rejects names
+    // its filament.
+    let ch = Cholesky::new(&sub).map_err(|e| match e {
+        NumericsError::NotPositiveDefinite { row } => {
+            NumericsError::NotPositiveDefinite { row: idx[row] }
+        }
+        e => e,
+    })?;
+    Ok((ch.solve(&e)?, reads))
 }
 
 /// Merges the window solves into `Ĝ` with eq. (18).
@@ -317,7 +329,9 @@ fn merge(lengths: &[f64], walks: &[Walk], solves: &[(Vec<f64>, usize)]) -> VpecM
 ///   filaments.
 /// * [`CoreError::BadInductanceMatrix`] if an entry it reads is
 ///   non-finite, a diagonal entry is not positive, a caller-supplied `L`
-///   has either defect anywhere, or a window submatrix is singular.
+///   has either defect anywhere, or a window submatrix is not s.p.d.
+///   ([`NumericsError::NotPositiveDefinite`] names the filament whose
+///   pivot failed).
 pub fn windowed_geometric(parasitics: &Parasitics, b: usize) -> Result<VpecModel, CoreError> {
     let _sp = vpec_trace::span!(
         "model.window",

@@ -7,20 +7,21 @@
 //! that run at the boundaries between pipeline layers (extraction → model
 //! build → MNA stamp → factor → solve).
 //!
-//! # Levels
+//! # The switch
 //!
-//! Audits are controlled by a process-global [`AuditLevel`]:
+//! Audits are on or off, one process-global switch ([`enabled`]):
 //!
-//! * **debug builds** default to [`AuditLevel::Full`];
-//! * **release builds** default to [`AuditLevel::Off`] (zero overhead: one
-//!   relaxed atomic load per gate);
-//! * the `VPEC_AUDIT` environment variable (`off`/`basic`/`full`) or the
-//!   CLI `--audit[=level]` flag (via [`set_level`]) overrides the default.
+//! * **debug builds** default to on;
+//! * **release builds** default to off (zero overhead: one relaxed atomic
+//!   load per gate);
+//! * the `VPEC_AUDIT` environment variable or the CLI `--audit[=on|off]`
+//!   flag (via [`set_enabled`]) overrides the default. Both accept `on`
+//!   and `off`; the retired level names `basic` and `full` read as on,
+//!   and `none` as off ([`parse_switch`]).
 //!
-//! [`AuditLevel::Basic`] runs the O(n²) structural checks (finiteness,
-//! symmetry, diagonal dominance) plus the O(n³) SPD probe at model build;
-//! [`AuditLevel::Full`] adds cross-backend solve-consistency checks and
-//! solve residual verification.
+//! On, every check runs: the structural checks on `L` (finiteness,
+//! symmetry, the SPD probe), the passivity checks on `Ĝ`, the stamp
+//! finiteness check, and the transient solve's residual and dense re-solve.
 //!
 //! # Violations
 //!
@@ -31,109 +32,53 @@
 //! [`AuditReport::into_result`]. Strict-diagonal-dominance violations are
 //! classified as warnings — Theorem 2 only guarantees dominance on aligned
 //! geometries, so a non-dominant Ĝ is suspicious but not necessarily wrong
-//! — while finiteness, symmetry, positive-definiteness, residual, and
-//! backend-consistency violations are errors.
+//! — while finiteness, symmetry, positive-definiteness and residual
+//! violations are errors.
 
-use crate::{Cholesky, CooMatrix, CsrMatrix, DenseMatrix, LuFactor, Scalar, SparseLu};
+use crate::{Cholesky, CooMatrix, DenseMatrix, Scalar};
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// How much auditing to perform at pipeline layer boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AuditLevel {
-    /// No audits; gates cost one relaxed atomic load.
-    Off = 0,
-    /// Structural checks (finite / symmetric / dominant) plus the SPD
-    /// probe at model-build boundaries.
-    Basic = 1,
-    /// Everything in `Basic`, plus solve residual verification and
-    /// cross-backend solve-consistency checks.
-    Full = 2,
-}
-
-// By hand: a derived `PartialOrd` calls the `partial_cmp` clippy.toml disallows.
-impl Ord for AuditLevel {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (*self as u8).cmp(&(*other as u8))
-    }
-}
-
-impl PartialOrd for AuditLevel {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl AuditLevel {
-    /// Parses a level name as accepted by `VPEC_AUDIT` and `--audit=`.
-    pub fn parse(s: &str) -> Option<AuditLevel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "none" | "0" => Some(AuditLevel::Off),
-            "basic" | "1" => Some(AuditLevel::Basic),
-            "full" | "on" | "2" => Some(AuditLevel::Full),
-            _ => None,
-        }
-    }
-
-    /// The built-in default: `Full` in debug builds, `Off` in release.
-    pub fn default_for_build() -> AuditLevel {
-        if cfg!(debug_assertions) {
-            AuditLevel::Full
-        } else {
-            AuditLevel::Off
-        }
-    }
-
-    fn from_u8(v: u8) -> AuditLevel {
-        match v {
-            1 => AuditLevel::Basic,
-            2 => AuditLevel::Full,
-            _ => AuditLevel::Off,
-        }
-    }
-
-    /// The level name (`off` / `basic` / `full`).
-    pub fn label(self) -> &'static str {
-        match self {
-            AuditLevel::Off => "off",
-            AuditLevel::Basic => "basic",
-            AuditLevel::Full => "full",
-        }
+/// Parses a switch setting as accepted by `VPEC_AUDIT` and `--audit=`:
+/// `on`, `basic`, `full`, `1` and `2` mean on; `off`, `none` and `0`
+/// mean off.
+pub fn parse_switch(s: &str) -> Option<bool> {
+    match s.trim().to_ascii_lowercase().as_str() {
+        "off" | "none" | "0" => Some(false),
+        "on" | "basic" | "full" | "1" | "2" => Some(true),
+        _ => None,
     }
 }
 
 /// Sentinel meaning "not yet resolved from the environment".
-const LEVEL_UNSET: u8 = u8::MAX;
+const UNSET: u8 = u8::MAX;
 
-static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNSET);
+static STATE: AtomicU8 = AtomicU8::new(UNSET);
 
-/// The current process-global audit level.
+/// `true` when audits are on.
 ///
-/// On first call the level is resolved from the `VPEC_AUDIT` environment
-/// variable, falling back to [`AuditLevel::default_for_build`]; thereafter
-/// the cached value is returned (one relaxed atomic load).
-pub fn level() -> AuditLevel {
-    match LEVEL.load(Ordering::Relaxed) {
-        LEVEL_UNSET => {
-            let resolved = std::env::var("VPEC_AUDIT")
+/// On first call the switch is resolved from the `VPEC_AUDIT` environment
+/// variable, falling back to the build profile (on under
+/// `debug_assertions`, off in release); thereafter the cached value is
+/// returned (one relaxed atomic load).
+pub fn enabled() -> bool {
+    match STATE.load(Ordering::Relaxed) {
+        UNSET => {
+            let on = std::env::var("VPEC_AUDIT")
                 .ok()
-                .and_then(|s| AuditLevel::parse(&s))
-                .unwrap_or_else(AuditLevel::default_for_build);
-            LEVEL.store(resolved as u8, Ordering::Relaxed);
-            resolved
+                .and_then(|s| parse_switch(&s))
+                .unwrap_or(cfg!(debug_assertions));
+            set_enabled(on);
+            on
         }
-        v => AuditLevel::from_u8(v),
+        v => v != 0,
     }
 }
 
-/// Overrides the process-global audit level (CLI `--audit`, tests).
-pub fn set_level(l: AuditLevel) {
-    LEVEL.store(l as u8, Ordering::Relaxed);
-}
-
-/// `true` when the current level is at least `at_least`.
-pub fn enabled(at_least: AuditLevel) -> bool {
-    level() >= at_least
+/// Turns the process-global audit switch on or off (CLI `--audit`,
+/// tests).
+pub fn set_enabled(on: bool) {
+    STATE.store(u8::from(on), Ordering::Relaxed);
 }
 
 /// Which invariant a validator checked.
@@ -150,8 +95,6 @@ pub enum AuditCheck {
     /// Relative solve residual `‖Ax−b‖∞ / (‖A‖∞‖x‖∞ + ‖b‖∞)` within
     /// tolerance.
     SolveResidual,
-    /// Sparse LU, dense LU, and Cholesky solutions agree within tolerance.
-    BackendConsistency,
 }
 
 impl AuditCheck {
@@ -163,7 +106,6 @@ impl AuditCheck {
             AuditCheck::PositiveDefinite => "positive definiteness",
             AuditCheck::DiagonallyDominant => "strict diagonal dominance",
             AuditCheck::SolveResidual => "solve residual",
-            AuditCheck::BackendConsistency => "backend consistency",
         }
     }
 }
@@ -179,7 +121,7 @@ pub struct AuditViolation {
     /// (vectors use column 0).
     pub index: Option<(usize, usize)>,
     /// Magnitude of the violation (entry value, asymmetry, dominance
-    /// deficit, residual, or backend disagreement — see `check`).
+    /// deficit or residual — see `check`).
     pub magnitude: f64,
     /// Free-form explanation of what was measured.
     pub detail: String,
@@ -403,57 +345,6 @@ pub fn check_positive_definite(name: &str, a: &DenseMatrix<f64>) -> Option<Audit
     }
 }
 
-/// Checks strict diagonal dominance row-by-row (paper Theorem 2),
-/// reporting the first violating row with its dominance deficit.
-pub fn check_diag_dominant(name: &str, a: &DenseMatrix<f64>) -> Option<AuditViolation> {
-    for i in 0..a.rows() {
-        let mut off = 0.0f64;
-        for j in 0..a.cols() {
-            if j != i {
-                off += a[(i, j)].abs();
-            }
-        }
-        let diag = a[(i, i)].abs();
-        // NaN-safe: anything other than a definite `diag > off` is a
-        // violation, including incomparable (NaN) entries.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "partial order is the point: NaN must compare not-Greater and register as a violation"
-        )]
-        if diag.partial_cmp(&off) != Some(std::cmp::Ordering::Greater) {
-            return Some(AuditViolation {
-                matrix: name.to_string(),
-                check: AuditCheck::DiagonallyDominant,
-                index: Some((i, i)),
-                magnitude: off - diag,
-                detail: format!(
-                    "row {i}: |diag| = {diag:.3e} does not exceed off-diagonal sum {off:.3e}"
-                ),
-            });
-        }
-    }
-    None
-}
-
-/// Runs the four structural SPD checks (finite, symmetric, positive
-/// definite, strictly diagonally dominant) on `a` and collects the
-/// outcomes. `sym_tol` is the absolute symmetry tolerance; pass something
-/// scaled to the matrix magnitude (e.g. `1e-9 * a.max_abs()`).
-pub fn audit_spd_matrix(name: &str, a: &DenseMatrix<f64>, sym_tol: f64) -> AuditReport {
-    let mut report = AuditReport::new(name);
-    let finite = check_finite(name, a);
-    let finite_ok = finite.is_none();
-    report.record(finite);
-    report.record(check_symmetric(name, a, sym_tol));
-    if finite_ok {
-        // Cholesky on a NaN-bearing matrix can loop over garbage; skip the
-        // expensive probes once finiteness has already failed.
-        report.record(check_positive_definite(name, a));
-        report.record(check_diag_dominant(name, a));
-    }
-    report
-}
-
 /// Relative residual `‖b − Ax‖∞ / (‖A‖∞‖x‖∞ + ‖b‖∞)` of a proposed
 /// solution to `Ax = b`, computed from raw triplets (duplicates summed).
 ///
@@ -529,130 +420,6 @@ pub fn check_residual<T: Scalar>(
     (rel, violation)
 }
 
-/// Result of a cross-backend solve-consistency check.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackendAgreement {
-    /// How many backends produced a solution (dense LU reference plus
-    /// sparse LU, plus Cholesky when the matrix is SPD).
-    pub backends: usize,
-    /// Worst relative per-element difference against the dense-LU
-    /// reference, normalized by `‖x_ref‖∞`.
-    pub max_rel_diff: f64,
-}
-
-/// Solves `a·x = b` with dense LU (reference), the fill-reducing sparse LU
-/// the circuit analyses factor with ([`SparseLu::new_fill_reducing`]),
-/// and — when `a` is symmetric positive definite — Cholesky, and compares
-/// the solutions.
-///
-/// Returns the agreement measurement plus a violation when either a
-/// backend disagrees beyond `tol` or a backend that should have succeeded
-/// failed to factor.
-pub fn check_solve_consistency(
-    name: &str,
-    a: &DenseMatrix<f64>,
-    b: &[f64],
-    tol: f64,
-) -> (Option<BackendAgreement>, Option<AuditViolation>) {
-    let mismatch = |detail: String, magnitude: f64, index: Option<(usize, usize)>| AuditViolation {
-        matrix: name.to_string(),
-        check: AuditCheck::BackendConsistency,
-        index,
-        magnitude,
-        detail,
-    };
-    let x_ref = match LuFactor::new(a).and_then(|lu| lu.solve(b)) {
-        Ok(x) => x,
-        Err(e) => {
-            return (
-                None,
-                Some(mismatch(
-                    format!("dense LU reference failed: {e}"),
-                    f64::NAN,
-                    None,
-                )),
-            )
-        }
-    };
-    let x_ref_inf = x_ref.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-    let scale = x_ref_inf.max(f64::MIN_POSITIVE);
-    let mut backends = 1usize;
-    let mut worst = 0.0f64;
-    let mut worst_at: Option<(usize, usize)> = None;
-    let mut compare = |x_other: &[f64], label: &str| -> Option<AuditViolation> {
-        for (i, (xo, xr)) in x_other.iter().zip(&x_ref).enumerate() {
-            let d = (xo - xr).abs() / scale;
-            if d > worst || !d.is_finite() {
-                worst = d;
-                worst_at = Some((i, 0));
-            }
-            if d > tol || !d.is_finite() {
-                return Some(mismatch(
-                    format!("{label} disagrees with dense LU: rel diff {d:.3e} at element {i}"),
-                    d,
-                    Some((i, 0)),
-                ));
-            }
-        }
-        None
-    };
-
-    let csr = CsrMatrix::from_dense(a, 0.0);
-    match SparseLu::new_fill_reducing(&csr).and_then(|lu| lu.solve(b)) {
-        Ok(x_sparse) => {
-            backends += 1;
-            if let Some(v) = compare(&x_sparse, "sparse LU") {
-                return (
-                    Some(BackendAgreement {
-                        backends,
-                        max_rel_diff: worst,
-                    }),
-                    Some(v),
-                );
-            }
-        }
-        Err(e) => {
-            return (
-                Some(BackendAgreement {
-                    backends,
-                    max_rel_diff: worst,
-                }),
-                Some(mismatch(
-                    format!("sparse LU failed where dense LU succeeded: {e}"),
-                    f64::NAN,
-                    None,
-                )),
-            )
-        }
-    }
-
-    // Cholesky only applies on the SPD cone; silently skip otherwise.
-    if a.is_symmetric(1e-9 * a.max_abs().max(f64::MIN_POSITIVE)) {
-        if let Ok(chol) = Cholesky::new(a) {
-            if let Ok(x_chol) = chol.solve(b) {
-                backends += 1;
-                if let Some(v) = compare(&x_chol, "Cholesky") {
-                    return (
-                        Some(BackendAgreement {
-                            backends,
-                            max_rel_diff: worst,
-                        }),
-                        Some(v),
-                    );
-                }
-            }
-        }
-    }
-
-    (
-        Some(BackendAgreement {
-            backends,
-            max_rel_diff: worst,
-        }),
-        None,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,34 +429,31 @@ mod tests {
     }
 
     #[test]
-    fn level_parsing_and_ordering() {
-        assert_eq!(AuditLevel::parse("off"), Some(AuditLevel::Off));
-        assert_eq!(AuditLevel::parse("BASIC"), Some(AuditLevel::Basic));
-        assert_eq!(AuditLevel::parse(" full "), Some(AuditLevel::Full));
-        assert_eq!(AuditLevel::parse("2"), Some(AuditLevel::Full));
-        assert_eq!(AuditLevel::parse("bogus"), None);
-        assert!(AuditLevel::Full > AuditLevel::Basic);
-        assert!(AuditLevel::Basic > AuditLevel::Off);
-        assert_eq!(AuditLevel::Full.label(), "full");
+    fn switch_parsing() {
+        for on in ["on", " ON ", "basic", "Full", "1", "2"] {
+            assert_eq!(parse_switch(on), Some(true), "{on}");
+        }
+        for off in ["off", "none", "0"] {
+            assert_eq!(parse_switch(off), Some(false), "{off}");
+        }
+        assert_eq!(parse_switch("bogus"), None);
     }
 
     #[test]
-    fn set_level_round_trips() {
-        let prior = level();
-        set_level(AuditLevel::Basic);
-        assert_eq!(level(), AuditLevel::Basic);
-        assert!(enabled(AuditLevel::Basic));
-        assert!(!enabled(AuditLevel::Full));
-        set_level(prior);
+    fn set_enabled_round_trips() {
+        let prior = enabled();
+        set_enabled(!prior);
+        assert_eq!(enabled(), !prior);
+        set_enabled(prior);
+        assert_eq!(enabled(), prior);
     }
 
     #[test]
-    fn clean_spd_matrix_passes_all_checks() {
+    fn clean_spd_matrix_passes_every_check() {
         let a = spd3();
-        let report = audit_spd_matrix("A", &a, 1e-12);
-        assert!(report.is_clean(), "{}", report.summary());
-        assert_eq!(report.checks_run, 4);
-        assert!(report.into_result().is_ok());
+        assert!(check_finite("A", &a).is_none());
+        assert!(check_symmetric("A", &a, 1e-12).is_none());
+        assert!(check_positive_definite("A", &a).is_none());
     }
 
     #[test]
@@ -716,24 +480,25 @@ mod tests {
     fn non_spd_matrix_is_flagged_actionably() {
         let mut a = spd3();
         a[(2, 2)] = -6.0;
-        let report = audit_spd_matrix("G-hat", &a, 1e-12);
-        assert!(report.has_errors());
-        let v = report
-            .violations
-            .iter()
-            .find(|v| v.check == AuditCheck::PositiveDefinite)
-            .expect("SPD violation expected");
+        let v = check_positive_definite("G-hat", &a).expect("SPD violation expected");
+        assert_eq!(v.check, AuditCheck::PositiveDefinite);
         assert_eq!(v.index, Some((2, 2)));
         assert!(v.to_string().contains("G-hat"));
+        let mut report = AuditReport::new("G-hat");
+        report.record(Some(v));
+        assert!(report.has_errors());
         assert!(report.into_result().is_err());
     }
 
     #[test]
     fn dominance_violation_is_warning_not_error() {
-        let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 8.0]]).unwrap();
-        let v = check_diag_dominant("A", &a).expect("row 0 not dominant");
-        assert_eq!(v.index, Some((0, 0)));
-        assert!((v.magnitude - 1.0).abs() < 1e-12);
+        let v = AuditViolation {
+            matrix: "A".to_string(),
+            check: AuditCheck::DiagonallyDominant,
+            index: Some((0, 0)),
+            magnitude: 1.0,
+            detail: "row 0".to_string(),
+        };
         assert!(!v.is_error());
         let mut report = AuditReport::new("A");
         report.record(Some(v));
@@ -746,7 +511,7 @@ mod tests {
     fn residual_is_small_for_true_solution_and_large_for_garbage() {
         let a = spd3();
         let b = vec![1.0, 2.0, 3.0];
-        let x = LuFactor::new(&a).unwrap().solve(&b).unwrap();
+        let x = crate::LuFactor::new(&a).unwrap().solve(&b).unwrap();
         let mut coo = CooMatrix::new(3, 3);
         for i in 0..3 {
             for j in 0..3 {
@@ -763,26 +528,6 @@ mod tests {
         let (rel_nan, v_nan) = check_residual("solve", &coo, &[f64::NAN, 0.0, 0.0], &b, 1e-10);
         assert!(rel_nan.is_infinite());
         assert!(v_nan.is_some());
-    }
-
-    #[test]
-    fn backends_agree_on_spd_system() {
-        let a = spd3();
-        let b = vec![1.0, -2.0, 0.5];
-        let (agreement, violation) = check_solve_consistency("A", &a, &b, 1e-9);
-        let agreement = agreement.expect("reference solve must succeed");
-        assert_eq!(agreement.backends, 3, "dense LU + sparse LU + Cholesky");
-        assert!(agreement.max_rel_diff < 1e-10);
-        assert!(violation.is_none());
-    }
-
-    #[test]
-    fn singular_reference_reports_violation_not_panic() {
-        let a = DenseMatrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]).unwrap();
-        let (agreement, violation) = check_solve_consistency("A", &a, &[1.0, 2.0], 1e-9);
-        assert!(agreement.is_none());
-        let v = violation.expect("singular reference must be flagged");
-        assert_eq!(v.check, AuditCheck::BackendConsistency);
     }
 
     #[test]

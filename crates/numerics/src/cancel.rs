@@ -3,8 +3,8 @@
 //! The batch engine enforces wall-clock deadlines with a watchdog thread
 //! that cannot preempt a compute thread mid-kernel; instead it flips a
 //! shared flag and the kernels check it at natural phase boundaries (one
-//! elimination column, one LU inverse column or four-column Cholesky
-//! inverse block, one transient step, one AC frequency point). A
+//! elimination column, one four-column Cholesky inverse block, one
+//! transient step, one AC frequency point). A
 //! [`CancelToken`] is that flag: cheap to clone, cheap to poll, and free
 //! when disarmed — the common single-shot CLI path carries
 //! [`CancelToken::none`] and pays one `Option` branch per check.

@@ -1,17 +1,15 @@
 //! Dense LU factorization with partial pivoting.
 //!
-//! Every MNA system is factored by [`crate::SparseLu`] alone, and the
-//! SPD inversion behind full VPEC is [`crate::Cholesky`]. This dense
-//! factor serves the small dense systems around them: the inversion of
-//! a partial-inductance matrix `L` that is not positive definite, a
-//! window solve whose block is not, the condition estimate
+//! Every MNA system is factored by [`crate::SparseLu`] alone, and every
+//! inversion of a partial-inductance matrix `L` or of one of its
+//! windows is [`crate::Cholesky`]. This dense factor serves the small
+//! dense systems around them: the condition estimate
 //! ([`crate::probe`]), the frequency-dependent impedance and K-element
-//! solves, model-order reduction, and the reference the runtime audits
+//! solves, model-order reduction, and the reference the transient audit
 //! and the tests cross-check sparse solves against. The elimination is
 //! one serial right-looking loop, and a multi-column solve is a serial
 //! column loop.
 
-use crate::cancel::CancelToken;
 use crate::kernel;
 use crate::{DenseMatrix, NumericsError, Scalar};
 
@@ -59,18 +57,6 @@ impl<T: Scalar> LuFactor<T> {
     /// * [`NumericsError::Singular`] if a pivot column is exactly zero below
     ///   the diagonal.
     pub fn new(a: &DenseMatrix<T>) -> Result<Self, NumericsError> {
-        Self::new_cancel(a, &CancelToken::none())
-    }
-
-    /// [`LuFactor::new`] with cooperative cancellation: the token is
-    /// polled once per elimination column and a set token aborts with
-    /// [`NumericsError::Cancelled`]. This is the engine's deadline hook
-    /// into the `O(N³)` factor phase.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LuFactor::new`], plus [`NumericsError::Cancelled`].
-    pub fn new_cancel(a: &DenseMatrix<T>, cancel: &CancelToken) -> Result<Self, NumericsError> {
         if !a.is_square() {
             return Err(NumericsError::NotSquare {
                 found: (a.rows(), a.cols()),
@@ -79,7 +65,7 @@ impl<T: Scalar> LuFactor<T> {
         let n = a.rows();
         let _sp = vpec_trace::span!("lu.factor", "dim" => n);
         let mut lu = a.clone();
-        let (perm, perm_sign) = eliminate(lu.as_mut_slice(), n, cancel)?;
+        let (perm, perm_sign) = eliminate(lu.as_mut_slice(), n)?;
         Ok(LuFactor {
             lu,
             perm,
@@ -164,25 +150,10 @@ impl<T: Scalar> LuFactor<T> {
                 found: (b.rows(), b.cols()),
             });
         }
-        self.solve_columns(b, &CancelToken::none())
-    }
-
-    /// The column loop behind [`LuFactor::solve_matrix`] and
-    /// [`LuFactor::inverse_cancel`]: one solve per column of `B`, in
-    /// column order. `cancel` is polled once per column, so late
-    /// cancellation skips the remaining O(n²) substitutions.
-    fn solve_columns(
-        &self,
-        b: &DenseMatrix<T>,
-        cancel: &CancelToken,
-    ) -> Result<DenseMatrix<T>, NumericsError> {
         let _sp = vpec_trace::span!("lu.solve_matrix", "cols" => b.cols());
         let mut out = DenseMatrix::zeros(b.rows(), b.cols());
         let mut x = Vec::with_capacity(self.dim());
         for j in 0..b.cols() {
-            if cancel.is_cancelled() {
-                return Err(NumericsError::Cancelled { op: "lu inverse" });
-            }
             x.clear();
             x.extend(self.perm.iter().map(|&p| b[(p, j)]));
             self.substitute_in_place(&mut x);
@@ -195,26 +166,12 @@ impl<T: Scalar> LuFactor<T> {
 
     /// Computes `A⁻¹` by solving against the identity.
     ///
-    /// This is the paper's "inversion-based VPEC" step: `S = L⁻¹`.
-    ///
     /// # Errors
     ///
     /// Propagates solve errors (cannot occur for a successfully factored
     /// matrix of matching dimension).
     pub fn inverse(&self) -> Result<DenseMatrix<T>, NumericsError> {
         self.solve_matrix(&DenseMatrix::identity(self.dim()))
-    }
-
-    /// [`LuFactor::inverse`] with cooperative cancellation: the token is
-    /// polled once per inverse column and a set token aborts with
-    /// [`NumericsError::Cancelled`].
-    ///
-    /// # Errors
-    ///
-    /// [`NumericsError::Cancelled`] when the token fires; otherwise same
-    /// as [`LuFactor::inverse`].
-    pub fn inverse_cancel(&self, cancel: &CancelToken) -> Result<DenseMatrix<T>, NumericsError> {
-        self.solve_columns(&DenseMatrix::identity(self.dim()), cancel)
     }
 
     /// Determinant of `A` (product of U's diagonal times permutation sign).
@@ -239,25 +196,16 @@ impl<T: Scalar> LuFactor<T> {
 /// `n × n` slice: the plain right-looking loop, one rounded
 /// `c -= factor·u` per element and elimination step. Returns the row
 /// permutation (`perm[k]` = the original row now in position `k`) and
-/// its sign. The token is polled once per column; a set token aborts
-/// with [`NumericsError::Cancelled`], leaving `data` partially
-/// eliminated.
+/// its sign.
 ///
 /// # Errors
 ///
 /// [`NumericsError::Singular`] if a pivot column is exactly zero at or
-/// below the diagonal; [`NumericsError::Cancelled`] on cancellation.
-fn eliminate<T: Scalar>(
-    data: &mut [T],
-    n: usize,
-    cancel: &CancelToken,
-) -> Result<(Vec<usize>, f64), NumericsError> {
+/// below the diagonal.
+fn eliminate<T: Scalar>(data: &mut [T], n: usize) -> Result<(Vec<usize>, f64), NumericsError> {
     let mut perm: Vec<usize> = (0..n).collect();
     let mut perm_sign = 1.0f64;
     for k in 0..n {
-        if cancel.is_cancelled() {
-            return Err(NumericsError::Cancelled { op: "lu factor" });
-        }
         // Partial pivoting: largest modulus in column k at or below row k.
         let mut pivot_row = k;
         let mut pivot_mag = data[k * n + k].modulus();
@@ -445,25 +393,6 @@ mod tests {
         let a = DenseMatrix::<f64>::identity(2);
         let lu = LuFactor::new(&a).unwrap();
         assert!(lu.solve(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn cancelled_token_aborts_factor_and_inverse() {
-        let a = DenseMatrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]).unwrap();
-        let t = CancelToken::new();
-        t.cancel();
-        assert!(matches!(
-            LuFactor::new_cancel(&a, &t),
-            Err(NumericsError::Cancelled { .. })
-        ));
-        let lu = LuFactor::new(&a).unwrap();
-        assert!(matches!(
-            lu.inverse_cancel(&t),
-            Err(NumericsError::Cancelled { .. })
-        ));
-        // A disarmed token reproduces the plain inverse exactly.
-        let inv = lu.inverse_cancel(&CancelToken::none()).unwrap();
-        assert_eq!(inv.as_slice(), lu.inverse().unwrap().as_slice());
     }
 
     #[test]

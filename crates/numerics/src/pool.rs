@@ -15,8 +15,8 @@
 //!   cache-blocked panel factorization with a row-parallel trailing
 //!   update on the size thresholds below.
 //!
-//! Dense LU is not here: no MNA system uses it, and [`crate::LuFactor`]
-//! runs its own serial elimination.
+//! Dense LU is not here: no MNA system and no inversion of `L` uses it,
+//! and [`crate::LuFactor`] runs its own serial elimination.
 //!
 //! # Thread count
 //!

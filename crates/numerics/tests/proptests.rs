@@ -45,6 +45,28 @@ fn spd_matrix(rng: &mut XorShift64, n: usize) -> DenseMatrix<f64> {
     a
 }
 
+/// A VPEC-shaped conductance matrix `Ĝ`: symmetric, couplings in
+/// `(−1, 0]` dropped at random as a truncation would, and a positive
+/// diagonal that strictly dominates its row, so Theorem 2 makes it
+/// s.p.d. The right-hand side is all ones.
+fn conductance_system(rng: &mut XorShift64, n: usize) -> (DenseMatrix<f64>, Vec<f64>) {
+    let mut g = DenseMatrix::from_fn(n, n, |_, _| 0.0);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if rng.chance(0.6) {
+                let v = -rng.range_f64(0.0, 1.0);
+                g[(i, j)] = v;
+                g[(j, i)] = v;
+            }
+        }
+    }
+    for i in 0..n {
+        let off: f64 = (0..n).filter(|&j| j != i).map(|j| g[(i, j)].abs()).sum();
+        g[(i, i)] = off * rng.range_f64(1.001, 2.0) + 1e-3;
+    }
+    (g, vec![1.0; n])
+}
+
 #[test]
 fn lu_solve_satisfies_system() {
     let mut rng = XorShift64::new(0x1001);
@@ -87,6 +109,19 @@ fn cholesky_succeeds_on_spd_and_matches_lu() {
             assert!((u - v).abs() < 1e-7);
         }
     }
+    // VPEC's Ĝ, solved against ones: Cholesky and dense LU agree within
+    // 1e-6 of max|x|.
+    let mut rng = XorShift64::new(0x100b);
+    for _ in 0..CASES {
+        let n = rng.range_usize(2, 40);
+        let (g, b) = conductance_system(&mut rng, n);
+        let x_ch = Cholesky::new(&g).expect("Theorem 2").solve(&b).expect("ok");
+        let x_lu = LuFactor::new(&g).expect("ok").solve(&b).expect("ok");
+        let scale = x_lu.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (u, v) in x_ch.iter().zip(&x_lu) {
+            assert!((u - v).abs() <= 1e-6 * scale, "Cholesky {u} vs LU {v}");
+        }
+    }
 }
 
 #[test]
@@ -116,6 +151,22 @@ fn sparse_lu_agrees_with_dense() {
             .expect("ok");
         for (u, v) in xs.iter().zip(xd.iter()) {
             assert!((u - v).abs() < 1e-8, "sparse {u} vs dense {v}");
+        }
+    }
+    // VPEC's Ĝ, solved against ones: the fill-reducing sparse LU every
+    // analysis factors with agrees with dense LU within 1e-6 of max|x|.
+    let mut rng = XorShift64::new(0x100c);
+    for _ in 0..CASES {
+        let n = rng.range_usize(2, 40);
+        let (g, b) = conductance_system(&mut rng, n);
+        let xs = SparseLu::new_fill_reducing(&CsrMatrix::from_dense(&g, 0.0))
+            .expect("Theorem 2")
+            .solve(&b)
+            .expect("ok");
+        let xd = LuFactor::new(&g).expect("ok").solve(&b).expect("ok");
+        let scale = xd.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (u, v) in xs.iter().zip(&xd) {
+            assert!((u - v).abs() <= 1e-6 * scale, "sparse {u} vs dense {v}");
         }
     }
 }

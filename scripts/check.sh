@@ -18,29 +18,32 @@ cargo fmt --manifest-path workload-bench/Cargo.toml --all --check
 echo "==> cargo build --release (workspace, all targets)"
 cargo build --release --workspace --all-targets
 
-echo "==> cargo test -q (workspace, VPEC_AUDIT=full)"
-# Debug tests default to full auditing anyway; pinning it here keeps the
+echo "==> cargo test -q (workspace, VPEC_AUDIT=on)"
+# Debug tests default to audits on anyway; pinning it here keeps the
 # gate meaningful even when the caller exported VPEC_AUDIT=off.
 # Hard timeouts: a hung watchdog/cancellation test must fail the gate,
 # not wedge CI forever. The engine tests park threads on purpose; a
 # deadlock there looks exactly like "still running" without this.
-timeout 1200 env VPEC_AUDIT=full cargo test -q --workspace
+timeout 1200 env VPEC_AUDIT=on cargo test -q --workspace
 
-echo "==> release-profile audit pass (tier-1 integration tests, VPEC_AUDIT=full)"
+echo "==> release-profile audit pass (tier-1 integration tests, VPEC_AUDIT=on)"
 # Release builds default to audits OFF; this run covers the enforcement
 # paths in the exact profile users deploy, including the sparse-vs-dense
 # agreement and the typed error of a singular system.
-timeout 600 env VPEC_AUDIT=full cargo test -q --release --test audit_invariants --test paper_claims \
+timeout 600 env VPEC_AUDIT=on cargo test -q --release --test audit_invariants --test paper_claims \
   --test sparse_factor --test fault_tolerance
+# The census behind Cholesky as the one inversion of L: 1,500 seeded
+# buses and 200 spirals, and every extracted L must pass Cholesky.
+timeout 600 env VPEC_AUDIT=on cargo test -q --release -p vpec-core --lib model::census
 # The netlist census behind the one sparse factor per system: 22,000
 # seeded random netlists, each as its DC, transient and AC system; every
 # system the sparse factor rejects but dense LU factors must have a dense
 # kappa_1 of at least 1/eps, and at least one such system must appear.
-timeout 600 env VPEC_AUDIT=full cargo test -q --release -p vpec-circuit --lib solver::census
+timeout 600 env VPEC_AUDIT=on cargo test -q --release -p vpec-circuit --lib solver::census
 # The AC sweep in the optimized build: its sparse factors (one ordering
 # per sweep) agree with dense LU within 1e-9 of max|x| at every point and
 # equal, bit for bit, a sweep that assembles and orders each point afresh.
-timeout 600 env VPEC_AUDIT=full cargo test -q --release -p vpec-circuit --lib ac::
+timeout 600 env VPEC_AUDIT=on cargo test -q --release -p vpec-circuit --lib ac::
 # Window-local extraction in the optimized build: gwVPEC(8) at 8,192
 # bits never builds the dense L and reads at most 16 entries of it per
 # filament, and local windows equal the dense-sort windows bit for bit.

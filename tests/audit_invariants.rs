@@ -9,7 +9,7 @@
 use vpec::core::invariants::{audit_model, audit_parasitics, enforce_model};
 use vpec::core::truncation::truncate_numerical;
 use vpec::core::windowed::{windowed_geometric, windowed_numerical};
-use vpec::numerics::audit::{self, AuditCheck, AuditLevel};
+use vpec::numerics::audit::{self, AuditCheck};
 use vpec::numerics::rng::XorShift64;
 use vpec::prelude::*;
 
@@ -125,11 +125,19 @@ fn corrupted_models_are_flagged_by_every_audit_path() {
             .find(|v| v.check == AuditCheck::PositiveDefinite)
             .expect("SPD violation");
         assert_eq!(v.matrix, "corrupted Ĝ");
-        assert!(v.index.is_some(), "violation must say where: {}", v);
+        // The leading rows are the passive model's, so the factor fails
+        // at the negated pivot itself.
+        assert_eq!(v.index, Some((k, k)), "violation must say where: {v}");
+        // Every violation names the matrix, its check and its row.
+        for v in &report.violations {
+            assert_eq!(v.matrix, "corrupted Ĝ");
+            assert!(v.index.is_some(), "violation must say where: {v}");
+            assert!(v.to_string().contains(v.check.label()), "{v}");
+        }
 
         // Enforcement turns the report into a typed error (when auditing
         // is on for this run), never a panic.
-        if audit::enabled(AuditLevel::Basic) {
+        if audit::enabled() {
             match enforce_model("corrupted Ĝ", &corrupted) {
                 Err(CoreError::AuditFailed(f)) => assert!(f.0.has_errors()),
                 other => panic!("expected AuditFailed, got {other:?}"),
@@ -155,5 +163,9 @@ fn audit_violation_messages_are_actionable() {
         .collect::<Vec<_>>()
         .join("\n");
     assert!(msg.contains("simulate Ĝ"), "names the matrix: {msg}");
+    assert!(
+        msg.contains(AuditCheck::PositiveDefinite.label()),
+        "names the check: {msg}"
+    );
     assert!(msg.contains("(0, 0)"), "names the entry: {msg}");
 }

@@ -3,7 +3,7 @@
 //! fixed size ceilings on Table III's sparsest model and on a full-VPEC
 //! AC sweep, and its transient solves agree with dense LU at every size.
 
-use vpec::numerics::audit::{self, AuditLevel};
+use vpec::numerics::audit;
 use vpec::prelude::*;
 use vpec::trace;
 use vpec_circuit::dc::solve_dc_report;
@@ -93,7 +93,7 @@ fn full_vpec_ac_factors_stay_under_their_ceiling() {
 /// buses of the batch benchmark's recurring geometries whose MNA systems
 /// have at most 64 unknowns (4 bits: 18 and 38; PEEC on 6 × 3, 8 × 1,
 /// 8 × 2 and 12 × 1: 62, 34, 58 and 50). Every system has one sparse
-/// factor, whatever its size; the Full audit re-solves each run's final
+/// factor, whatever its size; the audit re-solves each run's final
 /// step with dense LU with partial pivoting (systems of at most 512
 /// unknowns) and records the largest difference relative to max|x|. The
 /// sparse factor pivots in a different order than dense LU (threshold
@@ -101,7 +101,7 @@ fn full_vpec_ac_factors_stay_under_their_ceiling() {
 /// so this path is audited-close, not bit-identical.
 #[test]
 fn sparse_and_dense_transients_agree_on_a_32_bit_bus() {
-    audit::set_level(AuditLevel::Full);
+    audit::set_enabled(true);
     let wide = [
         ModelKind::Peec,
         ModelKind::VpecFull,
